@@ -198,7 +198,6 @@ pub trait Gar: Send + Sync {
 /// [`fmt::Display`], including the composite
 /// `speculative(<fallback>)` shape.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GarKind {
     /// Plain averaging (the vanilla, non-resilient baseline).
     Average,

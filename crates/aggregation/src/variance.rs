@@ -52,7 +52,6 @@ pub fn delta_factor(gar: &GarKind, n: usize, f: usize) -> Option<f64> {
 
 /// The outcome of one probed training step.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarianceStep {
     /// Training step index.
     pub step: usize,
@@ -67,7 +66,6 @@ pub struct VarianceStep {
 
 /// Aggregate report over all probed steps.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarianceReport {
     /// Number of workers assumed by the probe.
     pub n: usize,

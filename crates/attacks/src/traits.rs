@@ -20,7 +20,6 @@ pub trait Attack: Send + Sync {
 
 /// Identifiers for the attacks shipped with Garfield, used by configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttackKind {
     /// Replace the vector with Gaussian noise (Fig. 5a).
     Random,

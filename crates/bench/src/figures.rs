@@ -8,8 +8,7 @@
 use crate::report::Row;
 use crate::throughput::throughput;
 use garfield_aggregation::{build_gar, GarKind, VarianceProbe};
-use garfield_core::apps::{DecentralizedApp, MsmwApp};
-use garfield_core::{Controller, Deployment, ExperimentConfig, SystemKind};
+use garfield_core::{Controller, ExperimentConfig, SystemKind, Trainer};
 use garfield_ml::{zoo, Dataset, DatasetKind, Mlp};
 use garfield_net::{CostModel, Device};
 use garfield_tensor::{Tensor, TensorRng};
@@ -433,10 +432,12 @@ pub fn table2() -> Vec<Row> {
     cfg.gradient_gar = GarKind::Median;
     cfg.iterations = 100;
     cfg.eval_every = 0;
-    let deployment = Deployment::new(cfg).expect("configuration is valid");
-    let mut app = MsmwApp::new(deployment).with_alignment_sampling(20);
-    app.run().expect("msmw runs");
-    app.alignment_samples()
+    let mut trainer = Trainer::new(SystemKind::Msmw, cfg)
+        .expect("configuration is valid")
+        .with_alignment_sampling(20);
+    trainer.run().expect("msmw runs");
+    trainer
+        .alignment_samples()
         .iter()
         .map(|s| {
             Row::new(
@@ -483,8 +484,9 @@ pub fn decentralized_scaling() -> Vec<Row> {
         cfg.gradient_gar = GarKind::Median;
         cfg.iterations = 5;
         cfg.eval_every = 0;
-        let mut app = DecentralizedApp::from_config(cfg).expect("valid config");
-        let trace = app.run().expect("decentralized runs");
+        let trace = Controller::new(cfg)
+            .run(SystemKind::Decentralized)
+            .expect("decentralized runs");
         rows.push(Row::new(
             format!("n={n}"),
             vec![("communication_s", trace.mean_timing().communication)],

@@ -7,11 +7,12 @@
 //!
 //! The convergence and attack experiments (Figs. 4, 5, 11, 12, Table 2) run
 //! the real training stack on scaled-down settings; the throughput sweeps over
-//! the paper's large Table 1 models (Figs. 6–10, 13–16) use the same
-//! [`CostModel`](garfield_net::CostModel) formulas the training runtime
-//! charges, evaluated at the paper's exact parameter counts — see `DESIGN.md`
-//! for the substitution rationale and `EXPERIMENTS.md` for paper-vs-measured
-//! notes.
+//! the paper's large Table 1 models (Figs. 6–10, 13–16) evaluate the same
+//! [`SystemPlan`](garfield_core::SystemPlan) the training runtime interprets
+//! ([`SystemPlan::timing`](garfield_core::SystemPlan::timing)) at the paper's
+//! exact parameter counts: training a 128 M-parameter model here would add
+//! nothing, since per-iteration time is a function of model size and cluster
+//! shape alone (README "Architecture", the `sim` column).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

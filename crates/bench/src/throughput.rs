@@ -3,12 +3,11 @@
 //! The throughput sweeps of Figs. 6–10 and 13–16 use the paper's large models
 //! (up to 128 M parameters), which would be pointless to train for real here:
 //! their per-iteration time is entirely determined by the model dimension,
-//! the cluster shape and the link/device characteristics. This module
-//! evaluates exactly the same [`CostModel`] formulas that the training
-//! runtime (`garfield_core::Deployment`) charges, so the simulated sweeps and
-//! the real training traces are mutually consistent.
+//! the cluster shape and the link/device characteristics. The formulas are
+//! [`SystemPlan::timing`] — the same plan the training runtime interprets, so
+//! the simulated sweeps and the real training traces cannot disagree.
 
-use garfield_core::{IterationTiming, SystemKind};
+use garfield_core::{ExperimentConfig, IterationTiming, SystemKind, SystemPlan};
 use garfield_net::{CostModel, Device};
 
 /// One point of a throughput sweep.
@@ -22,21 +21,9 @@ pub struct ThroughputPoint {
     pub batches_per_second: f64,
 }
 
-/// Analytic per-iteration timing of `system` for a `d`-parameter model.
-///
-/// `nw`/`fw` are the worker counts, `nps`/`fps` the server counts and
-/// `batch` the per-worker batch size. The formulas mirror, term by term, what
-/// `garfield_core::Deployment` charges a *synchronous* deployment (the
-/// default `ExperimentConfig`, which waits for all `nw` gradients):
-///
-/// * computation — one gradient estimate on the configured device;
-/// * communication — model broadcast + gradient pulls (uploaded to all
-///   server replicas at once: latency overlaps, bytes serialize — see
-///   [`CostModel::fanout_pull_time`]), plus model exchanges between replicas
-///   where the system has them, plus the `O(n)` contention factor for the
-///   all-to-all decentralized topology;
-/// * aggregation — linear-cost rules for averaging/median paths, quadratic
-///   for the robust gradient GARs, plus the model-path GAR where one runs.
+/// Analytic per-iteration timing of `system` for a `d`-parameter model on a
+/// *synchronous* cluster of `nw`/`fw` workers and `nps`/`fps` servers with
+/// per-worker batch size `batch` (see [`SystemPlan::timing`] for the terms).
 #[allow(clippy::too_many_arguments)]
 pub fn iteration_time(
     system: SystemKind,
@@ -49,59 +36,14 @@ pub fn iteration_time(
     device: Device,
     cost: &CostModel,
 ) -> IterationTiming {
-    let computation = cost.gradient_time(d, batch, device);
-    let gradient_quorum = nw.max(1);
-    let model_quorum = nps.saturating_sub(fps).max(1);
-    let broadcast = cost.parallel_pull_time(d, nw, device);
-    let single_pull = |count: usize| cost.parallel_pull_time(d, count, device);
-    let fanned_pull = |count: usize, fanout: usize| cost.fanout_pull_time(d, count, fanout, device);
-
-    let (communication, aggregation) = match system {
-        SystemKind::Vanilla => (
-            broadcast + single_pull(gradient_quorum),
-            cost.aggregation_time(d, gradient_quorum, 1, device),
-        ),
-        SystemKind::AggregaThor => (
-            (broadcast + single_pull(gradient_quorum)) * 1.25,
-            cost.aggregation_time(d, gradient_quorum, 2, device),
-        ),
-        SystemKind::Ssmw => (
-            broadcast + single_pull(gradient_quorum),
-            cost.aggregation_time(d, gradient_quorum, 2, device),
-        ),
-        // SSMW's topology, the cheap path's cost: the model prices the
-        // fault-free common case where the check never trips.
-        SystemKind::Speculative => (
-            broadcast + single_pull(gradient_quorum),
-            cost.aggregation_time(d, gradient_quorum, 1, device),
-        ),
-        SystemKind::CrashTolerant => (
-            broadcast + fanned_pull(gradient_quorum, nps.max(1)),
-            cost.aggregation_time(d, gradient_quorum, 1, device),
-        ),
-        SystemKind::Msmw => (
-            broadcast + fanned_pull(gradient_quorum, nps.max(1)) + single_pull(model_quorum),
-            cost.aggregation_time(d, gradient_quorum, 2, device)
-                + cost.aggregation_time(d, model_quorum + 1, 1, device),
-        ),
-        SystemKind::Decentralized => {
-            // Every node is worker and server at once (nps = nw); each pulls
-            // gradients fanned across all n replicas plus peer models, and the
-            // shared fabric carries all n nodes' rounds concurrently.
-            let n = nw.max(1);
-            let peer_quorum = nw.saturating_sub(fw).clamp(1, n.saturating_sub(1).max(1));
-            (
-                (broadcast + fanned_pull(gradient_quorum, n) + single_pull(peer_quorum)) * n as f64,
-                cost.aggregation_time(d, gradient_quorum, 2, device)
-                    + cost.aggregation_time(d, peer_quorum + 1, 1, device) * 2.0,
-            )
-        }
+    let shape = ExperimentConfig {
+        nw,
+        fw,
+        nps,
+        fps,
+        ..ExperimentConfig::default()
     };
-    IterationTiming {
-        computation,
-        communication,
-        aggregation,
-    }
+    SystemPlan::of(system, &shape).timing(d, batch, device, cost)
 }
 
 /// Throughput (updates and batches per second) for the same analytic model.

@@ -10,7 +10,6 @@ use garfield_tensor::{cosine_similarity, Tensor};
 
 /// One row of the Table 2 measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlignmentSample {
     /// Training step at which the sample was taken.
     pub step: usize,

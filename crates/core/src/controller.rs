@@ -6,7 +6,7 @@
 //! configuration, instantiating the corresponding [`Deployment`] and running
 //! the requested [`SystemKind`]'s training loop.
 
-use crate::{CoreResult, Deployment, ExperimentConfig, SystemKind, TrainingTrace};
+use crate::{CoreResult, Deployment, ExperimentConfig, SystemKind, Trainer, TrainingTrace};
 
 /// Builds and runs Garfield experiments from configurations.
 #[derive(Debug, Clone)]
@@ -34,16 +34,16 @@ impl Controller {
         Deployment::new(self.config.clone())
     }
 
-    /// Runs the named system on a fresh deployment and returns its trace,
-    /// resolving through the one-place [`run_system`](crate::run_system)
-    /// registry.
+    /// Runs the named system on a fresh deployment — its
+    /// [`SystemPlan`](crate::SystemPlan) interpreted by the [`Trainer`] — and
+    /// returns its trace.
     ///
     /// # Errors
     ///
     /// Returns configuration errors (invalid `(n, f)` pairs for the chosen
     /// GARs, too few nodes, …) or runtime errors from the deployment.
     pub fn run(&self, system: SystemKind) -> CoreResult<TrainingTrace> {
-        crate::system::run_system(&self.config, system)
+        Trainer::new(system, self.config.clone())?.run()
     }
 
     /// Runs every requested system on identical configurations, returning

@@ -4,7 +4,7 @@
 //! real in-process object (workers compute real gradients, servers run real
 //! GARs and SGD updates, Byzantine nodes run real attacks), and charges every
 //! data movement and computation to the simulated clock through the
-//! [`CostModel`]. Applications (`apps` module) drive iterations through the
+//! [`CostModel`]. The [`Trainer`](crate::Trainer) drives iterations through the
 //! two pull primitives — [`Deployment::gradient_round`] and
 //! [`Deployment::model_round`] — which are the paper's `get_gradients()` /
 //! `get_models()` abstractions.
@@ -424,14 +424,6 @@ impl Deployment {
             test_batch: self.test_batch,
             dimension: self.dimension,
         }
-    }
-
-    /// Simulated time for one node to run a GAR over `inputs` vectors of the
-    /// model dimension (used for the telemetry breakdown).
-    pub fn aggregation_cost(&self, inputs: usize, quadratic: bool) -> f64 {
-        let order = if quadratic { 2 } else { 1 };
-        self.cost
-            .aggregation_time(self.dimension, inputs, order, self.config.device)
     }
 }
 

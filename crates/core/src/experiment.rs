@@ -1,5 +1,6 @@
 //! Experiment configuration: the knobs of a Garfield deployment.
 
+use crate::system::{system_names, SystemPlan, Topology};
 use crate::{json, CoreError, CoreResult};
 use garfield_aggregation::GarKind;
 use garfield_attacks::AttackKind;
@@ -9,7 +10,6 @@ use std::fmt::Write as _;
 
 /// The deployments evaluated in the paper (§5 and §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SystemKind {
     /// Vanilla parameter server with plain averaging (TensorFlow / PyTorch baseline).
     Vanilla,
@@ -81,7 +81,6 @@ impl std::str::FromStr for SystemKind {
 /// Defaults follow the paper's PyTorch setup (§6.1): 10 workers of which 3 may
 /// be Byzantine, 3 servers of which 1 may be Byzantine, batch size 100.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentConfig {
     /// Trainable model name (see `garfield_ml::zoo::trainable_model`).
     pub model: String,
@@ -227,20 +226,11 @@ impl ExperimentConfig {
         self.nw * self.batch_size
     }
 
-    /// Number of gradient replies a server waits for: all of them in the
-    /// synchronous case, `nw − fw` when tolerating Byzantine workers.
+    /// Number of gradient replies a server of `system` waits for: all of them
+    /// in the synchronous case, `nw − fw` when tolerating Byzantine workers
+    /// asynchronously (see [`SystemPlan::of`]).
     pub fn gradient_quorum(&self, system: SystemKind) -> usize {
-        match system {
-            SystemKind::Vanilla | SystemKind::CrashTolerant | SystemKind::AggregaThor => self.nw,
-            SystemKind::Ssmw | SystemKind::Speculative => self.nw,
-            SystemKind::Msmw | SystemKind::Decentralized => {
-                if self.synchronous {
-                    self.nw
-                } else {
-                    self.nw - self.fw
-                }
-            }
-        }
+        SystemPlan::of(system, self).gradient_quorum
     }
 
     /// Number of model replies a server waits for from its peers.
@@ -430,83 +420,70 @@ impl ExperimentConfig {
                 "more actual Byzantine servers than servers".into(),
             ));
         }
-        let needs_servers = matches!(system, SystemKind::CrashTolerant | SystemKind::Msmw);
-        if needs_servers && self.nps == 0 {
+        let plan = SystemPlan::of(system, self);
+        if plan.topology == Topology::ReplicatedServer && self.nps == 0 {
             return Err(CoreError::InvalidConfig(format!(
                 "{system} requires at least one server"
             )));
         }
-        // The speculative system wraps `gradient_gar` as its fallback; the
-        // wrap demands a primitive Byzantine-resilient rule to fall back to.
-        if system == SystemKind::Speculative
-            && matches!(
-                self.gradient_gar,
-                GarKind::Average | GarKind::Speculative { .. }
-            )
-        {
-            return Err(CoreError::InvalidConfig(format!(
-                "speculative needs a primitive Byzantine-resilient gradient_gar \
-                 to fall back to, not '{}'",
-                self.gradient_gar
-            )));
+        let gradient_gar = &plan.gradient_gar;
+        // A speculative rule needs a primitive Byzantine-resilient rule to
+        // fall back to.
+        if let GarKind::Speculative { fallback } = gradient_gar {
+            if matches!(**fallback, GarKind::Average | GarKind::Speculative { .. }) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "speculative needs a primitive Byzantine-resilient gradient_gar \
+                     to fall back to, not '{fallback}'"
+                )));
+            }
         }
         // Parameter sharding: only sound when applying the gradient GAR to
         // each slice independently equals slicing it applied to the full
-        // vectors, and only wired for the single-replica live topologies
+        // vectors, and only wired for the single-server live topologies
         // (each shard *is* a server; replicating shards is the MSMW
         // open item, not this one).
         if self.shards == 0 {
             return Err(CoreError::InvalidConfig("shards must be at least 1".into()));
         }
         if self.shards > 1 {
-            if !matches!(
-                system,
-                SystemKind::Vanilla | SystemKind::Ssmw | SystemKind::Speculative
-            ) {
+            let shardable =
+                |plan: &SystemPlan| plan.live && plan.topology == Topology::SingleServer;
+            if !shardable(&plan) {
                 return Err(CoreError::InvalidConfig(format!(
-                    "parameter sharding requires a single-replica live system \
-                     (vanilla, ssmw or speculative), not {system}"
+                    "parameter sharding requires a single-server live system \
+                     ({}), not {system}",
+                    system_names(shardable)
                 )));
             }
-            let (effective_gar, _) = crate::system::gradient_gar(system, self);
-            if !effective_gar.is_coordinate_decomposable() {
+            if !gradient_gar.is_coordinate_decomposable() {
                 return Err(CoreError::InvalidConfig(format!(
-                    "gradient GAR '{effective_gar}' is not coordinate-decomposable: \
+                    "gradient GAR '{gradient_gar}' is not coordinate-decomposable: \
                      per-shard selection would diverge from full-vector selection; \
                      use average or median (or their speculative forms) with shards > 1"
                 )));
             }
         }
         // GAR requirements on the gradient path.
-        let gradient_inputs = self.gradient_quorum(system);
-        if matches!(
-            system,
-            SystemKind::Ssmw
-                | SystemKind::Msmw
-                | SystemKind::Decentralized
-                | SystemKind::Speculative
-        ) && gradient_inputs < self.gradient_gar.minimum_inputs(self.fw)
-        {
+        if plan.gradient_quorum < gradient_gar.minimum_inputs(plan.gradient_f) {
             return Err(CoreError::InvalidConfig(format!(
-                "{} needs at least {} gradient inputs to tolerate f_w = {}, but only {} are collected",
-                self.gradient_gar,
-                self.gradient_gar.minimum_inputs(self.fw),
-                self.fw,
-                gradient_inputs
+                "{gradient_gar} needs at least {} gradient inputs to tolerate f_w = {}, but only {} are collected",
+                gradient_gar.minimum_inputs(plan.gradient_f),
+                plan.gradient_f,
+                plan.gradient_quorum
             )));
         }
         // GAR requirements on the model path: a replica aggregates the models it
-        // pulled from `model_quorum()` peers *plus its own*, hence the `+ 1`.
-        if matches!(system, SystemKind::Msmw)
-            && self.model_quorum() + 1 < self.model_gar.minimum_inputs(self.fps)
-        {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} needs at least {} model inputs to tolerate f_ps = {}, but only {} are collected",
-                self.model_gar,
-                self.model_gar.minimum_inputs(self.fps),
-                self.fps,
-                self.model_quorum() + 1
-            )));
+        // pulled from `quorum` peers *plus its own*, hence the `+ 1`.
+        if let Some(merge) = &plan.merge {
+            if merge.quorum + 1 < merge.gar.minimum_inputs(merge.f) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{} needs at least {} model inputs to tolerate f_ps = {}, but only {} are collected",
+                    merge.gar,
+                    merge.gar.minimum_inputs(merge.f),
+                    merge.f,
+                    merge.quorum + 1
+                )));
+            }
         }
         Ok(())
     }

@@ -1,10 +1,10 @@
 //! Dependency-free JSON encoding for experiment artifacts.
 //!
-//! The build environment has no crates.io access, so traces are serialized
-//! with this minimal writer/parser instead of `serde_json`. The output shape
-//! matches what `#[derive(serde::Serialize)]` would produce for the same
-//! structs, so reports stay compatible if the gated `serde` feature is ever
-//! built with the real crates.
+//! The build environment has no crates.io access, so this minimal
+//! writer/parser is the workspace's only serialisation: traces, configs,
+//! telemetry and `--out` reports all go through it. The output follows
+//! `serde_json`'s conventions (struct fields as object keys, non-finite
+//! floats as `null`), so the files read like any other tool's.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -5,9 +5,9 @@
 //! the paper's object-oriented design (Server, Worker and their Byzantine
 //! variants), its pull-based communication abstractions
 //! (`get_gradients()` / `get_models()`), the Controller and Experiment
-//! modules, the three applications of §5 (SSMW, MSMW, decentralized learning)
-//! and the evaluation baselines of §6.2 (vanilla, crash-tolerant,
-//! AggregaThor).
+//! modules, and the three applications of §5 (SSMW, MSMW, decentralized
+//! learning) plus the evaluation baselines of §6.2 (vanilla, crash-tolerant,
+//! AggregaThor) — each a [`SystemPlan`] interpreted by the one [`Trainer`].
 //!
 //! The stack underneath is entirely in-workspace: tensors
 //! ([`garfield_tensor`]), models/datasets/optimizers ([`garfield_ml`]), robust
@@ -52,6 +52,7 @@ mod telemetry;
 mod worker;
 
 pub use alignment::{alignment_sample, AlignmentSample};
+pub use apps::Trainer;
 pub use checkpoint::{Checkpoint, CheckpointPolicy};
 pub use controller::Controller;
 pub use deployment::{Deployment, GradientRound, LiveParts, ModelRound};
@@ -60,7 +61,10 @@ pub use executor::{ExecMode, Executor, SimExecutor};
 pub use experiment::{ExperimentConfig, SystemKind};
 pub use server::{ByzantineServer, ParameterServer};
 pub use shard::{shard_server, ShardMap, ShardSliceModel, ShardSpec};
-pub use system::{gradient_gar, live_supported, run_system, SystemSpec};
+pub use system::{
+    gradient_gar, live_supported, system_names, AggregationCost, MergePhase, SystemPlan,
+    SystemSpec, Topology,
+};
 pub use telemetry::{
     AccuracyPoint, IterationTiming, NodeTelemetry, RuntimeTelemetry, TrainingTrace,
 };

@@ -1,79 +1,255 @@
-//! The one-place system registry.
+//! The one-place system registry: every system's round, written once.
 //!
-//! Everything that varies *by system* — which app drives a simulated run,
-//! which GAR a server builds on the gradient path, which systems the live
-//! runtime can host, and how a `--system` CLI argument reads — resolves
-//! through this module. Adding a system means extending the enums here (and
-//! writing its app); no other crate carries a `SystemKind` match for these
-//! decisions.
+//! Everything that varies *by system* lives in [`SystemPlan::of`]: which
+//! replicas run the loop and the fan-out that imposes on the workers, the
+//! gradient GAR and its `f`, the optional model-merge phase, what the cost
+//! model charges, and whether the live runtime hosts the system. The sim
+//! [`Trainer`](crate::Trainer) interprets the plan over a deployment, the
+//! analytic cost model is [`SystemPlan::timing`], config validation and the
+//! live actors read the same fields — so adding a system is one arm here, and
+//! no other module of `core`, `runtime` or `bench::throughput` branches on a
+//! `SystemKind` (`experiment.rs` keeps only the name table).
 
-use crate::apps::{
-    AggregaThorApp, CrashTolerantApp, DecentralizedApp, MsmwApp, SpeculativeApp, SsmwApp,
-    VanillaApp,
-};
-use crate::{CoreError, CoreResult, Deployment, ExperimentConfig, SystemKind, TrainingTrace};
+use crate::{CoreError, ExperimentConfig, IterationTiming, SystemKind};
 use garfield_aggregation::GarKind;
+use garfield_net::{CostModel, Device};
 use std::str::FromStr;
 
-/// Runs `system` on a fresh deployment of `config` (the simulated substrate)
-/// and returns its training trace.
-///
-/// This is the single constructor the [`Controller`](crate::Controller) and
-/// every bench/example path resolve through.
-///
-/// # Errors
-///
-/// Returns configuration errors (invalid `(n, f)` pairs for the chosen GARs,
-/// too few nodes, …) or runtime errors from the deployment.
-pub fn run_system(config: &ExperimentConfig, system: SystemKind) -> CoreResult<TrainingTrace> {
-    config.validate(system)?;
-    let deploy = || Deployment::new(config.clone());
-    match system {
-        SystemKind::Vanilla => VanillaApp::new(deploy()?).run(),
-        SystemKind::AggregaThor => AggregaThorApp::new(deploy()?).run(),
-        SystemKind::CrashTolerant => CrashTolerantApp::new(deploy()?).run(),
-        SystemKind::Ssmw => SsmwApp::new(deploy()?).run(),
-        SystemKind::Msmw => MsmwApp::new(deploy()?).run(),
-        SystemKind::Decentralized => DecentralizedApp::from_config(config.clone())?.run(),
-        SystemKind::Speculative => SpeculativeApp::new(deploy()?).run(),
-    }
+/// Where the model lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// One trusted parameter server (`config.nps` is ignored).
+    SingleServer,
+    /// The parameter server replicated on `config.nps` machines.
+    ReplicatedServer,
+    /// No parameter server: every worker doubles as a server replica.
+    PeerToPeer,
 }
 
-/// The GAR a server of `system` builds on its gradient path, with the `f` it
-/// must tolerate: the single source of truth shared by the simulated apps and
-/// the live runtime's `ServerActor`.
-///
-/// * vanilla and the crash-tolerant strawman average (Byzantine workers are
-///   out of their model);
-/// * AggregaThor is pinned to Multi-Krum like the original system;
-/// * the speculative system wraps the configured robust rule as the fallback
-///   of a [`GarKind::Speculative`] composite;
-/// * everything else aggregates with the configured `gradient_gar`.
-pub fn gradient_gar(system: SystemKind, config: &ExperimentConfig) -> (GarKind, usize) {
-    match system {
-        SystemKind::Vanilla | SystemKind::CrashTolerant => (GarKind::Average, 0),
-        SystemKind::AggregaThor => (GarKind::MultiKrum, config.fw),
-        SystemKind::Speculative => (
-            GarKind::Speculative {
-                fallback: Box::new(config.gradient_gar.clone()),
+/// What the cost model charges for one gradient aggregation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggregationCost {
+    /// `O(n·d)`: averaging.
+    Linear,
+    /// `O(n²·d)`: the price of a robust rule.
+    Quadratic,
+    /// Linear while the speculative fast path holds, quadratic once it trips.
+    Speculative,
+}
+
+/// The model-merge phase of a round: each replica pulls `quorum` peer models,
+/// aggregates them together with its own and rewrites its state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MergePhase {
+    /// The rule merging the models.
+    pub gar: GarKind,
+    /// The `f` the rule is built with over `quorum + 1` inputs.
+    pub f: usize,
+    /// Peer models each replica waits for.
+    pub quorum: usize,
+    /// Extra model exchanges *before* the update, contracting the aggregated
+    /// gradient towards the peers (decentralized learning on non-IID data).
+    pub contraction_steps: usize,
+    /// How many merge aggregations the cost model charges per round.
+    pub cost_weight: f64,
+}
+
+/// One system's round, as data. See the module docs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SystemPlan {
+    /// The system described.
+    pub system: SystemKind,
+    /// Where the model lives.
+    pub topology: Topology,
+    /// Server replicas that exist — also the number of replicas every worker
+    /// uploads its gradient to each round.
+    pub servers: usize,
+    /// The rule on the gradient path.
+    pub gradient_gar: GarKind,
+    /// The `f` the gradient rule is built with.
+    pub gradient_f: usize,
+    /// Gradient replies a replica waits for.
+    pub gradient_quorum: usize,
+    /// What one gradient aggregation is charged.
+    pub gradient_cost: AggregationCost,
+    /// The model-merge phase, for the systems whose replicas exchange models.
+    pub merge: Option<MergePhase>,
+    /// Multiplier on the round's communication time: AggregaThor's older
+    /// runtime, or the contention of `n` nodes pulling from each other at once.
+    pub communication_factor: f64,
+    /// Whether the live (threaded / multi-process) runtime hosts the system.
+    pub live: bool,
+}
+
+impl SystemPlan {
+    /// The round `system` runs under `config`.
+    pub fn of(system: SystemKind, config: &ExperimentConfig) -> SystemPlan {
+        let (nw, fw) = (config.nw, config.fw);
+        let nps = config.nps.max(1);
+        // Only the systems built to survive Byzantine *servers* may move on
+        // without the slowest `fw` workers; the rest wait for everyone.
+        let partial_quorum = if config.synchronous {
+            nw
+        } else {
+            nw.saturating_sub(fw)
+        };
+        // SSMW: one trusted server running the configured robust rule.
+        let ssmw = SystemPlan {
+            system,
+            topology: Topology::SingleServer,
+            servers: 1,
+            gradient_gar: config.gradient_gar.clone(),
+            gradient_f: fw,
+            gradient_quorum: nw,
+            gradient_cost: AggregationCost::Quadratic,
+            merge: None,
+            communication_factor: 1.0,
+            live: true,
+        };
+        match system {
+            SystemKind::Ssmw => ssmw,
+            SystemKind::Vanilla => SystemPlan {
+                gradient_gar: GarKind::Average,
+                gradient_f: 0,
+                gradient_cost: AggregationCost::Linear,
+                ..ssmw
             },
-            config.fw,
-        ),
-        SystemKind::Ssmw | SystemKind::Msmw | SystemKind::Decentralized => {
-            (config.gradient_gar.clone(), config.fw)
+            // Vanilla on every replica; workers follow the first live one.
+            SystemKind::CrashTolerant => SystemPlan {
+                system,
+                topology: Topology::ReplicatedServer,
+                servers: nps,
+                live: false,
+                ..SystemPlan::of(SystemKind::Vanilla, config)
+            },
+            // Pinned to Multi-Krum on a runtime whose shared graph and
+            // serialization path cost a quarter more communication.
+            SystemKind::AggregaThor => SystemPlan {
+                gradient_gar: GarKind::MultiKrum,
+                communication_factor: 1.25,
+                live: false,
+                ..ssmw
+            },
+            SystemKind::Speculative => SystemPlan {
+                gradient_gar: GarKind::Speculative {
+                    fallback: Box::new(config.gradient_gar.clone()),
+                },
+                gradient_cost: AggregationCost::Speculative,
+                ..ssmw
+            },
+            SystemKind::Msmw => SystemPlan {
+                topology: Topology::ReplicatedServer,
+                servers: nps,
+                gradient_quorum: partial_quorum,
+                merge: Some(MergePhase {
+                    gar: config.model_gar.clone(),
+                    f: config.fps,
+                    quorum: config.model_quorum(),
+                    contraction_steps: 0,
+                    cost_weight: 1.0,
+                }),
+                ..ssmw
+            },
+            SystemKind::Decentralized => {
+                let quorum = nw.saturating_sub(fw).min(nw.saturating_sub(1)).max(1);
+                SystemPlan {
+                    topology: Topology::PeerToPeer,
+                    servers: nw,
+                    gradient_quorum: partial_quorum,
+                    merge: Some(MergePhase {
+                        gar: config.model_gar.clone(),
+                        // Never more than a minority of the `quorum + 1` inputs.
+                        f: fw.min(quorum / 2),
+                        quorum,
+                        contraction_steps: config.contraction_steps,
+                        // The original cost model charged it twice; kept.
+                        cost_weight: 2.0,
+                    }),
+                    // All n nodes pull from all others at once: the shared
+                    // fabric carries O(n²) transfers (the wall of Fig. 9).
+                    communication_factor: nw as f64,
+                    live: false,
+                    ..ssmw
+                }
+            }
+        }
+    }
+
+    /// Simulated seconds one replica spends aggregating per round; `tripped`
+    /// says whether a speculative fast path has fallen back.
+    pub fn aggregation_time(
+        &self,
+        d: usize,
+        device: Device,
+        cost: &CostModel,
+        tripped: bool,
+    ) -> f64 {
+        let order = match self.gradient_cost {
+            AggregationCost::Linear => 1,
+            AggregationCost::Quadratic => 2,
+            AggregationCost::Speculative => 1 + u32::from(tripped),
+        };
+        let merge = self.merge.as_ref().map_or(0.0, |merge| {
+            cost.aggregation_time(d, merge.quorum + 1, 1, device) * merge.cost_weight
+        });
+        cost.aggregation_time(d, self.gradient_quorum, order, device) + merge
+    }
+
+    /// Analytic per-iteration timing for a `d`-parameter model: what the
+    /// [`Trainer`](crate::Trainer) records on a fault-free deployment of the
+    /// same shape (`analytic_timing_equals_sim_trace` holds the two together).
+    ///
+    /// * computation — one gradient estimate on `device`;
+    /// * communication — the model broadcast, the gradient pulls fanned to
+    ///   every replica (latency overlaps, bytes serialize — see
+    ///   [`CostModel::fanout_pull_time`]), one model pull per contraction
+    ///   step and one for the merge, times the communication factor;
+    /// * aggregation — [`SystemPlan::aggregation_time`] with the speculative
+    ///   check never tripping (the fault-free common case).
+    pub fn timing(
+        &self,
+        d: usize,
+        batch: usize,
+        device: Device,
+        cost: &CostModel,
+    ) -> IterationTiming {
+        let pull = |count: usize| cost.parallel_pull_time(d, count, device);
+        let mut communication = pull(self.gradient_quorum)
+            + cost.fanout_pull_time(d, self.gradient_quorum, self.servers, device);
+        if let Some(merge) = &self.merge {
+            let mut contraction = 0.0;
+            for _ in 0..merge.contraction_steps {
+                contraction += pull(merge.quorum);
+            }
+            communication = communication + contraction + pull(merge.quorum);
+        }
+        IterationTiming {
+            computation: cost.gradient_time(d, batch, device),
+            communication: communication * self.communication_factor,
+            aggregation: self.aggregation_time(d, device, cost, false),
         }
     }
 }
 
+/// The GAR a server of `system` builds on its gradient path, with the `f` it
+/// must tolerate (the plan's [`SystemPlan::gradient_gar`] / `gradient_f`).
+pub fn gradient_gar(system: SystemKind, config: &ExperimentConfig) -> (GarKind, usize) {
+    let plan = SystemPlan::of(system, config);
+    (plan.gradient_gar, plan.gradient_f)
+}
+
 /// Whether the live (threaded / multi-process) runtime can host `system`.
-///
-/// The strawmen (AggregaThor, crash-tolerant) and the decentralized topology
-/// only exist on the simulated substrate.
 pub fn live_supported(system: SystemKind) -> bool {
-    matches!(
-        system,
-        SystemKind::Vanilla | SystemKind::Ssmw | SystemKind::Msmw | SystemKind::Speculative
-    )
+    SystemPlan::of(system, &ExperimentConfig::default()).live
+}
+
+/// The names of the systems whose plan `keep` accepts, for error messages.
+pub fn system_names(keep: impl Fn(&SystemPlan) -> bool) -> String {
+    let config = ExperimentConfig::default();
+    let kept = SystemKind::all()
+        .into_iter()
+        .filter(|&system| keep(&SystemPlan::of(system, &config)));
+    kept.map(SystemKind::as_str).collect::<Vec<_>>().join(", ")
 }
 
 /// A parsed `--system` argument: the system, plus the gradient-GAR override
@@ -153,6 +329,7 @@ impl FromStr for SystemSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trainer;
 
     #[test]
     fn registry_covers_every_system() {
@@ -160,7 +337,7 @@ mod tests {
         cfg.iterations = 2;
         cfg.eval_every = 0;
         for system in SystemKind::all() {
-            let trace = run_system(&cfg, system).unwrap();
+            let trace = Trainer::new(system, cfg.clone()).unwrap().run().unwrap();
             assert_eq!(trace.system, system.as_str());
             assert_eq!(trace.len(), 2);
         }
@@ -197,6 +374,33 @@ mod tests {
     }
 
     #[test]
+    fn analytic_timing_equals_sim_trace() {
+        // The cost model and the trainer describe the same round: on a
+        // fault-free synchronous run every recorded iteration equals the
+        // analytic timing, bit for bit, contraction pulls included.
+        let cost = CostModel::default();
+        for system in SystemKind::all() {
+            for contraction_steps in 0..=2 {
+                let mut cfg = ExperimentConfig::small();
+                cfg.iterations = 2;
+                cfg.eval_every = 0;
+                cfg.contraction_steps = contraction_steps;
+                let mut trainer = Trainer::new(system, cfg.clone()).unwrap();
+                let trace = trainer.run().unwrap();
+                let d = trainer.deployment().dimension();
+                let analytic =
+                    SystemPlan::of(system, &cfg).timing(d, cfg.batch_size, cfg.device, &cost);
+                for recorded in &trace.iterations {
+                    assert_eq!(
+                        *recorded, analytic,
+                        "{system} with {contraction_steps} contraction steps"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn live_support_covers_the_runtime_topologies() {
         assert!(live_supported(SystemKind::Vanilla));
         assert!(live_supported(SystemKind::Ssmw));
@@ -205,6 +409,14 @@ mod tests {
         assert!(!live_supported(SystemKind::AggregaThor));
         assert!(!live_supported(SystemKind::CrashTolerant));
         assert!(!live_supported(SystemKind::Decentralized));
+        assert_eq!(
+            system_names(|plan| plan.live),
+            "vanilla, ssmw, msmw, speculative"
+        );
+        assert_eq!(
+            system_names(|plan| plan.topology == Topology::PeerToPeer),
+            "decentralized"
+        );
     }
 
     #[test]

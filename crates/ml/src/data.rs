@@ -6,14 +6,14 @@
 //! classification task with the same input dimensionality and class count:
 //! each class has a random mean image and samples are that mean plus noise.
 //! The task is learnable but not trivial, which is exactly what the paper's
-//! convergence and attack experiments require (see `DESIGN.md` §1).
+//! convergence and attack experiments require: they compare how systems
+//! converge under attack, not absolute accuracy on a particular image set.
 
 use crate::{MlError, MlResult};
 use garfield_tensor::{Shape, Tensor, TensorRng};
 
 /// The synthetic stand-ins for the paper's two datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DatasetKind {
     /// 28×28 single-channel images, 10 classes (MNIST-shaped).
     MnistLike,
@@ -53,7 +53,6 @@ impl DatasetKind {
 
 /// How a dataset is partitioned across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ShardStrategy {
     /// Samples are shuffled and dealt round-robin: every worker sees every class.
     Iid,

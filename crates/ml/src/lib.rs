@@ -13,8 +13,9 @@
 //! * softmax cross-entropy and mean-squared-error losses;
 //! * an [`Sgd`] optimizer with optional momentum;
 //! * synthetic, seeded classification datasets standing in for MNIST and
-//!   CIFAR-10 (see `DESIGN.md` for the substitution rationale), with IID and
-//!   non-IID sharding across workers;
+//!   CIFAR-10 (same shapes and class counts — the experiments compare how
+//!   systems converge under attack, not accuracy on a particular image set),
+//!   with IID and non-IID sharding across workers;
 //! * the paper's Table 1 model zoo: parameter counts for throughput workloads
 //!   plus small trainable models for convergence experiments.
 //!

@@ -4,7 +4,6 @@ use garfield_tensor::Tensor;
 
 /// Which loss a model trains with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LossKind {
     /// Softmax + cross-entropy, the classification loss used by every paper experiment.
     CrossEntropy,

@@ -6,7 +6,6 @@ use std::fmt;
 
 /// Identifier of a node in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -17,7 +16,6 @@ impl fmt::Display for NodeId {
 
 /// The job a node performs, mirroring the paper's cluster definition files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Role {
     /// Parameter-server replica.
     Server,
@@ -27,7 +25,6 @@ pub enum Role {
 
 /// Static description of a node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeInfo {
     /// The node's identifier.
     pub id: NodeId,

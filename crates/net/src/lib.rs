@@ -6,7 +6,8 @@
 //! The paper deploys on Grid5000 over gRPC (TensorFlow) and gloo/nccl
 //! collectives (PyTorch). This crate replaces that physical substrate with an
 //! in-process simulation that preserves what the paper's evaluation actually
-//! measures (see `DESIGN.md` §1):
+//! measures — message counts × sizes × link characteristics, not wall-clock
+//! on one particular testbed (README "Architecture", the `sim` column):
 //!
 //! * a [`Cluster`] topology of [`NodeId`]s, each with a [`Device`] (CPU/GPU),
 //!   a link profile and an optional straggler factor;

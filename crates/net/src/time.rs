@@ -10,7 +10,6 @@ use std::fmt;
 /// "throughput" experiments read simulated seconds instead of host wall-clock
 /// (which would reflect this machine, not the paper's testbed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimClock {
     seconds: f64,
 }

@@ -81,16 +81,25 @@ fn handle(mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
 
-    // Read until the request line is complete; 1 KiB is plenty for `GET /x`.
+    // Read the whole request head, up to the blank line (1 KiB is plenty
+    // for `GET /x` plus a few headers). Answering after the request line
+    // alone closes the socket under a client that is still writing its
+    // headers, which then dies of EPIPE or a reset instead of reading the
+    // response.
     let mut buf = [0u8; 1024];
     let mut len = 0;
     while len < buf.len() {
-        let n = stream.read(&mut buf[len..])?;
+        let n = match stream.read(&mut buf[len..]) {
+            Ok(n) => n,
+            // A client that never finishes its head still gets an answer.
+            Err(_) if len > 0 => break,
+            Err(e) => return Err(e),
+        };
         if n == 0 {
             break;
         }
         len += n;
-        if buf[..len].windows(2).any(|w| w == b"\r\n") {
+        if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
             break;
         }
     }
@@ -179,6 +188,24 @@ mod tests {
 
         let (head, _) = get(server.addr(), "/");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    }
+
+    #[test]
+    fn a_request_written_in_pieces_is_read_whole_before_the_answer() {
+        let _g = crate::test_guard();
+        let server = MetricsServer::start("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        // `write!` on a socket does this: one small write per fragment. The
+        // pauses let the server see (and, before the fix, answer and close
+        // on) the request line alone, so the later writes hit a closed peer.
+        for piece in ["GET /healthz HTTP/1.1\r\n", "Host: x\r\n", "\r\n"] {
+            stream.write_all(piece.as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
     }
 
     #[test]

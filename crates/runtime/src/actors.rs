@@ -12,15 +12,13 @@
 //! socket mesh when `garfield-node` runs each actor in its own OS process.
 
 use crate::fault::Fault;
-use crate::node::ServerNode;
-use garfield_aggregation::{
-    build_gar, Engine, Gar, PeerSuspicion, SelectionOutcome, SuspicionLedger,
-};
+use crate::node::{ServerNode, ServerRun};
+use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
 use garfield_attacks::Attack;
 use garfield_core::{
     AccuracyPoint, ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreError,
-    CoreResult, ExperimentConfig, IterationTiming, NodeTelemetry, ShardSpec, SystemKind,
-    TrainingTrace,
+    CoreResult, ExperimentConfig, IterationTiming, MergePhase, NodeTelemetry, ShardSpec,
+    SystemKind, SystemPlan, TrainingTrace,
 };
 use garfield_ml::Batch;
 use garfield_net::{MsgKind, NodeId, PayloadPool, Transport, WireHeader, WireMessage};
@@ -435,6 +433,9 @@ pub(crate) struct ServerActor {
     /// protocol handlers can latch its speculative fast path off when a
     /// sibling shard announces a `SpeculationTrip` mid-collect.
     gradient_gar: Box<dyn Gar>,
+    /// The model-merge phase of the system's plan, if it has one: after the
+    /// gradient update the replica pulls its peers' models and merges them.
+    merge: Option<MergePhase>,
     /// Whether this replica already told its shard siblings that its
     /// speculative fast path tripped (one broadcast per run; receivers never
     /// re-broadcast, so the sticky OR converges without message storms).
@@ -459,17 +460,6 @@ pub(crate) struct ServerActor {
     outcome: SelectionOutcome,
 }
 
-/// What a server actor hands back when it finishes.
-pub(crate) struct ServerOutcome {
-    pub trace: TrainingTrace,
-    pub final_model: Tensor,
-    pub telemetry: NodeTelemetry,
-    pub round_latencies: Vec<f64>,
-    pub resumed_from: Option<usize>,
-    /// Final per-peer suspicion state, sorted by peer id.
-    pub suspicion: Vec<PeerSuspicion>,
-}
-
 impl ServerActor {
     /// Builds the actor from its public description and a transport
     /// endpoint, restoring checkpointed state when the node carries a resume
@@ -486,8 +476,8 @@ impl ServerActor {
             Some(Fault::Byzantine { attack }) => Some(attack.build()),
             _ => None,
         };
-        let (gar_kind, gar_f) = garfield_core::gradient_gar(node.system, &node.config);
-        let gradient_gar = build_gar(&gar_kind, node.gradient_quorum, gar_f)?;
+        let plan = SystemPlan::of(node.system, &node.config);
+        let gradient_gar = build_gar(&plan.gradient_gar, node.gradient_quorum, plan.gradient_f)?;
         let mut actor = ServerActor {
             index: node.index,
             transport,
@@ -514,6 +504,7 @@ impl ServerActor {
             engine: Engine::auto(),
             pool: PayloadPool::default(),
             gradient_gar,
+            merge: plan.merge,
             spec_trip_announced: false,
             round: 0,
             phase1_done: false,
@@ -575,7 +566,7 @@ impl ServerActor {
 
     /// Runs the replica to completion: the training loop, then — success or
     /// liveness failure alike — the worker wind-down this replica owns.
-    pub fn run(mut self) -> CoreResult<ServerOutcome> {
+    pub fn run(mut self) -> CoreResult<ServerRun> {
         flight::set_thread_node(self.transport.local_id().0);
         let result = self.train();
         // Shutdown is best-effort and unconditional: after a liveness
@@ -595,7 +586,7 @@ impl ServerActor {
         self.transport.flush(Duration::from_secs(5));
         self.telemetry.peers = self.transport.peer_counters();
         let trace = result?;
-        Ok(ServerOutcome {
+        Ok(ServerRun {
             trace,
             final_model: self.server.honest().parameters(),
             telemetry: self.telemetry,
@@ -607,7 +598,6 @@ impl ServerActor {
 
     /// The replica's training loop.
     fn train(&mut self) -> CoreResult<TrainingTrace> {
-        let model_quorum = self.config.model_quorum();
         // Sharded replicas export their round as a per-shard gauge so
         // `expfig watch` can show how far the slowest/fastest shard has got.
         let shard_round_gauge = self.shard.as_ref().map(|spec| {
@@ -618,6 +608,9 @@ impl ServerActor {
             )
         });
         let mut trace = TrainingTrace::new(self.system.as_str(), self.config.effective_batch());
+        // The merge phase runs only where this replica has peers to pull from
+        // (shard servers and a lone replica have none).
+        let merge = self.merge.clone().filter(|_| !self.peer_ids.is_empty());
         let mut crashed = false;
 
         let mut iteration = self.start_round;
@@ -755,8 +748,9 @@ impl ServerActor {
             }
             self.flush_deferred();
 
-            // --- get_models(q): pull the fastest q peer models (MSMW only).
-            if self.system == SystemKind::Msmw && !self.peer_ids.is_empty() {
+            // --- get_models(q): pull the fastest q peer models and merge them.
+            if let Some(merge) = &merge {
+                let model_quorum = merge.quorum;
                 let pull_start = Instant::now();
                 let request = self.stamped(&WireMessage::control(
                     MsgKind::ModelRequest,
@@ -793,7 +787,7 @@ impl ServerActor {
                     .map(|(_, _, values)| GradientView::from(values))
                     .collect();
                 inputs.push(GradientView::from(&own));
-                let model_gar = build_gar(&self.config.model_gar, inputs.len(), self.config.fps)?;
+                let model_gar = build_gar(&merge.gar, inputs.len(), merge.f)?;
                 let merged = self.server.honest().aggregate_views_observed(
                     model_gar.as_ref(),
                     &inputs,

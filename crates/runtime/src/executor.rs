@@ -119,8 +119,8 @@ impl LiveExecutor {
     pub fn run_live(&mut self, system: SystemKind) -> CoreResult<LiveReport> {
         if !garfield_core::live_supported(system) {
             return Err(CoreError::InvalidConfig(format!(
-                "the live runtime implements vanilla, ssmw, msmw and speculative \
-                 (requested {system})"
+                "the live runtime implements {} (requested {system})",
+                garfield_core::system_names(|plan| plan.live)
             )));
         }
         self.config.validate(system)?;
@@ -131,8 +131,8 @@ impl LiveExecutor {
         let nw = layout.worker_ids.len();
         // Parameter sharding: one server per shard instead of one full-model
         // server (validation already confined `shards > 1` to the
-        // single-replica systems with coordinate-decomposable GARs).
-        let shard_map = (config.shards > 1 && system != SystemKind::Msmw)
+        // single-server systems with coordinate-decomposable GARs).
+        let shard_map = (config.shards > 1)
             .then(|| ShardMap::new(parts.dimension, config.shards))
             .transpose()?;
         let gradient_quorum = self

@@ -14,7 +14,7 @@ use crate::actors::{ServerActor, WorkerActor};
 use crate::fault::Fault;
 use garfield_core::{
     ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreResult, ExperimentConfig,
-    NodeTelemetry, SystemKind, TrainingTrace,
+    NodeTelemetry, SystemKind, SystemPlan, Topology, TrainingTrace,
 };
 use garfield_ml::Batch;
 use garfield_net::{NodeId, Role, Transport};
@@ -38,10 +38,10 @@ pub struct NodeLayout {
 impl NodeLayout {
     /// Computes the layout of `config` under `system`.
     ///
-    /// Vanilla and SSMW deploy a single trusted server no matter what
+    /// Single-server systems deploy one trusted server no matter what
     /// `config.nps` says — unless the model is parameter-sharded
     /// (`config.shards > 1`), in which case one server per shard runs;
-    /// MSMW runs every replica.
+    /// replicated systems run every replica.
     pub fn of(system: SystemKind, config: &ExperimentConfig) -> NodeLayout {
         let servers = live_server_count(system, config);
         let workers = config.nw;
@@ -63,12 +63,13 @@ impl NodeLayout {
 }
 
 /// Number of server replicas that actually run live under `system`: every
-/// replica in MSMW, otherwise one server per parameter shard (one, when the
-/// model is unsharded). Config validation rejects `shards > 1` under MSMW,
-/// so the two arms never compete.
+/// replica of a replicated server, otherwise one server per parameter shard
+/// (one, when the model is unsharded). Config validation rejects
+/// `shards > 1` on replicated systems, so the two arms never compete.
 pub fn live_server_count(system: SystemKind, config: &ExperimentConfig) -> usize {
-    if system == SystemKind::Msmw {
-        config.nps.max(1)
+    let plan = SystemPlan::of(system, config);
+    if plan.topology == Topology::ReplicatedServer {
+        plan.servers
     } else {
         config.shards.max(1)
     }
@@ -219,15 +220,7 @@ impl ServerNode {
     /// ML/aggregation errors. The shutdown duty (if any) is discharged even
     /// on the error paths.
     pub fn run(self, transport: Box<dyn Transport>) -> CoreResult<ServerRun> {
-        let outcome = ServerActor::from_node(self, transport)?.run()?;
-        Ok(ServerRun {
-            trace: outcome.trace,
-            final_model: outcome.final_model,
-            telemetry: outcome.telemetry,
-            round_latencies: outcome.round_latencies,
-            resumed_from: outcome.resumed_from,
-            suspicion: outcome.suspicion,
-        })
+        ServerActor::from_node(self, transport)?.run()
     }
 }
 

@@ -224,7 +224,8 @@ fn run(args: Args) -> Result<(), String> {
     let system = args.system.system;
     if !garfield_core::live_supported(system) {
         return Err(format!(
-            "the live runtime implements vanilla, ssmw, msmw and speculative (requested {system})"
+            "the live runtime implements {} (requested {system})",
+            garfield_core::system_names(|plan| plan.live)
         ));
     }
     let config_text =

@@ -37,8 +37,13 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// SSMW over Multi-Krum, tiny model — but enough iterations that the run is
-/// comfortably still training while the test dials in and scrapes.
+/// Per-request delay of the one paced worker (see [`spawn_workers`]).
+const PACE_MS: u64 = 30;
+
+/// SSMW over Multi-Krum, tiny model, full quorum: with one worker paced at
+/// [`PACE_MS`] per request the run cannot finish in under
+/// `iterations × PACE_MS` = 6 s, however fast the machine is — the window in
+/// which the tests dial in, scrape and run the watcher.
 fn config(nw: usize) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small();
     cfg.nw = nw;
@@ -78,6 +83,21 @@ fn spawn_node(dir: &Path, role: &str, rank: usize, system: &str, extra: &[&str])
         .stderr(log)
         .spawn()
         .expect("spawn garfield-node")
+}
+
+/// Starts every worker; rank 0 (always honest — the deployment marks the
+/// *last* workers Byzantine) is a straggler via `--delay-ms`. The servers wait
+/// for all `nw` gradients each round, so this one flag gives the run a
+/// guaranteed *lower bound* on its duration: a mid-training scrape no longer
+/// races a run that can finish first.
+fn spawn_workers(dir: &Path, nw: usize, system: &str) -> Vec<Child> {
+    let pace = PACE_MS.to_string();
+    (0..nw)
+        .map(|j| {
+            let extra: &[&str] = if j == 0 { &["--delay-ms", &pace] } else { &[] };
+            spawn_node(dir, "worker", j, system, extra)
+        })
+        .collect()
 }
 
 fn dump_logs(dir: &Path) {
@@ -149,9 +169,7 @@ fn live_run_serves_metrics_mid_training_and_dumps_flight_records() {
         .unwrap();
     std::fs::write(dir.join("config.json"), cfg.to_json()).unwrap();
 
-    let mut workers: Vec<Child> = (0..cfg.nw)
-        .map(|j| spawn_node(&dir, "worker", j, "ssmw", &[]))
-        .collect();
+    let mut workers = spawn_workers(&dir, cfg.nw, "ssmw");
     let mut server = spawn_node(
         &dir,
         "server",
@@ -265,9 +283,7 @@ fn an_attacked_run_exports_suspicion_and_the_watcher_sees_it() {
         .unwrap();
     std::fs::write(dir.join("config.json"), cfg.to_json()).unwrap();
 
-    let mut workers: Vec<Child> = (0..cfg.nw)
-        .map(|j| spawn_node(&dir, "worker", j, "ssmw", &[]))
-        .collect();
+    let mut workers = spawn_workers(&dir, cfg.nw, "ssmw");
     let mut server = spawn_node(
         &dir,
         "server",
@@ -371,9 +387,7 @@ fn a_speculative_run_under_attack_shows_the_fallback_counter_to_the_watcher() {
     std::fs::write(dir.join("config.json"), cfg.to_json()).unwrap();
 
     let system = "speculative(multi-krum)";
-    let mut workers: Vec<Child> = (0..cfg.nw)
-        .map(|j| spawn_node(&dir, "worker", j, system, &[]))
-        .collect();
+    let mut workers = spawn_workers(&dir, cfg.nw, system);
     let mut server = spawn_node(
         &dir,
         "server",

@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --release --example decentralized_learning`
 
-use garfield::core::apps::DecentralizedApp;
-use garfield::{AttackKind, ExperimentConfig, GarKind, ShardStrategy};
+use garfield::{AttackKind, Controller, ExperimentConfig, GarKind, ShardStrategy, SystemKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::small();
@@ -31,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.nw, config.actual_byzantine_workers
     );
 
-    let mut app = DecentralizedApp::from_config(config)?;
-    let trace = app.run()?;
+    let trace = Controller::new(config).run(SystemKind::Decentralized)?;
 
     for point in &trace.accuracy {
         println!(

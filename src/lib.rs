@@ -18,7 +18,7 @@
 //! | [`aggregation`] | Average, Median, Krum, Multi-Krum, MDA, Bulyan + the variance probe |
 //! | [`attacks`] | random / reversed / little-is-enough / fall-of-empires … |
 //! | [`net`] | simulated cluster fabric, cost model, pull rounds, message router, wire format |
-//! | [`core`] | Server/Worker objects, Controller, SSMW / MSMW / decentralized apps, baselines |
+//! | [`core`] | Server/Worker objects, Controller, the `SystemPlan` of every system and the one `Trainer` running them |
 //! | [`runtime`] | threaded actor runtime: live training over real router messages, fault injection |
 //! | [`transport`] | TCP transport + the `garfield-node` binary: one process per node on real sockets |
 //!
@@ -55,7 +55,7 @@ pub use garfield_attacks as attacks;
 /// Simulated cluster fabric, cost model and message router.
 pub use garfield_net as net;
 
-/// Garfield core: Server/Worker objects, Controller, applications, baselines.
+/// Garfield core: Server/Worker objects, Controller, system plans and the trainer.
 pub use garfield_core as core;
 
 /// Threaded actor runtime: live Byzantine training over real messages.
