@@ -1,7 +1,8 @@
 //! Plain averaging — the vanilla baseline GAR.
 
 use crate::engine::average_views;
-use crate::{validate_views, AggregationError, AggregationResult, Engine, Gar};
+use crate::gar::report_selection;
+use crate::{validate_views, AggregationError, AggregationResult, Engine, Gar, SelectionOutcome};
 use garfield_tensor::{GradientView, Tensor};
 
 /// Coordinate-wise arithmetic mean of the inputs.
@@ -46,12 +47,14 @@ impl Gar for Average {
         0
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
+        report_selection(outcome, inputs, None);
         Ok(Tensor::from(average_views(inputs, engine)))
     }
 

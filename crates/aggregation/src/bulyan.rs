@@ -1,7 +1,7 @@
 //! Bulyan GAR (El Mhamdi et al., ICML 2018).
 
 use crate::engine::{bulyan_select_cached, COLUMN_TILE};
-use crate::gar::{fill_distance_profile, fill_norm_profile};
+use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
     SelectionOutcome, SelectionScratch,
@@ -190,29 +190,18 @@ impl Gar for Bulyan {
         self.f
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
-    ) -> AggregationResult<Tensor> {
-        let selected = self.select_indices_views(inputs, engine)?;
-        Ok(self.trimmed_average(inputs, &selected, engine))
-    }
-
-    fn aggregate_views_observed(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-        outcome: &mut SelectionOutcome,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        outcome.selected.clear();
-        self.select_cached(&cache, &mut scratch, &mut outcome.selected);
-        fill_distance_profile(&cache, &outcome.selected, &mut outcome.distance);
-        fill_norm_profile(inputs, &mut outcome.norm);
-        Ok(self.trimmed_average(inputs, &outcome.selected, engine))
+        let mut selected = Vec::with_capacity(self.selection_size());
+        self.select_cached(&cache, &mut SelectionScratch::new(), &mut selected);
+        report_selection(outcome, inputs, Some((&cache, &selected)));
+        Ok(self.trimmed_average(inputs, &selected, engine))
     }
 }
 

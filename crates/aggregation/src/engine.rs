@@ -22,8 +22,8 @@
 
 use crossbeam::thread as cb_thread;
 use garfield_tensor::{
-    accumulate_dot, accumulate_squared_l2, reduce_kernel_lanes, total_cmp_f32 as cmp_f32,
-    GradientView, KERNEL_LANES,
+    accumulate_squared_l2, reduce_kernel_lanes, total_cmp_f32 as cmp_f32, GradientView,
+    KERNEL_LANES,
 };
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -41,8 +41,7 @@ use std::sync::OnceLock;
 const PAR_WORK_PER_THREAD: usize = 1 << 18;
 
 /// Execution policy of the aggregation engine: how many OS threads to chunk
-/// data-parallel fills across, and whether the distance fill may use the
-/// approximate fast-math (Gram) kernel.
+/// data-parallel fills across.
 ///
 /// `Engine::sequential()` is the retained single-threaded reference path;
 /// `Engine::auto()` matches the machine's parallelism. Both produce
@@ -51,24 +50,9 @@ const PAR_WORK_PER_THREAD: usize = 1 << 18;
 /// exactly one place ([`Engine::with_threads`], which every constructor
 /// funnels through); the rest of the engine trusts the `threads ≥ 1`
 /// invariant.
-///
-/// # Fast-math mode
-///
-/// [`Engine::fast_math`] opts in to the Gram-trick distance fill:
-/// `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` with per-input cached norms, computed as
-/// a matmul-shaped pass over cache-sized `d`-blocks. It is off by default
-/// because it changes the *values* of distances within floating-point
-/// rounding (see [`gram_error_bound`]) — close Krum/MDA scores can therefore
-/// resolve to a different (equally honest-by-the-bound) selection rank than
-/// the exact kernel. The mode remains deterministic and bit-identical
-/// between sequential and parallel engines, and it falls back to the exact
-/// kernel whenever any input or cached norm is non-finite, so NaN/±inf
-/// Byzantine payloads cannot exploit the identity. See the README
-/// "Performance" section for the full robustness contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Engine {
     threads: usize,
-    fast_math: bool,
 }
 
 impl Engine {
@@ -95,22 +79,7 @@ impl Engine {
     pub fn with_threads(threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
-            fast_math: false,
         }
-    }
-
-    /// Returns this engine with fast-math distance fills switched on or off
-    /// (builder style: `Engine::auto().fast_math(true)`).
-    ///
-    /// See the type-level docs for the accuracy/robustness contract.
-    pub fn fast_math(mut self, enabled: bool) -> Self {
-        self.fast_math = enabled;
-        self
-    }
-
-    /// Whether the distance fill may use the approximate Gram kernel.
-    pub fn is_fast_math(&self) -> bool {
-        self.fast_math
     }
 
     /// Number of threads fills are chunked across.
@@ -169,19 +138,6 @@ impl Engine {
             }
             if let Some((c, slice)) = local {
                 fill(c * chunk, slice);
-            }
-        });
-    }
-
-    /// Element-wise parallel fill: `out[k] = f(k)`.
-    pub(crate) fn fill<T, F>(&self, out: &mut [T], work_per_item: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.fill_chunks(out, work_per_item, |base, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = f(base + k);
             }
         });
     }
@@ -246,92 +202,6 @@ fn fill_pair_distances_exact(inputs: &[GradientView<'_>], pairs: &[(u32, u32)], 
     }
 }
 
-/// Squared L2 norm of a slice, accumulated block-by-block: `f32` kernel lanes
-/// within each cache block, an `f64` running total across blocks.
-///
-/// The Gram identity `‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b` subtracts three large
-/// numbers to produce a potentially tiny one, so at d = 10⁶ a pure-`f32` sum's
-/// rounding error (`~(d/LANES)·ε·‖a‖²`) can exceed the distance itself.
-/// Promoting the *cross-block* accumulation to `f64` caps the `f32` error at
-/// one block's worth (`~(block/LANES)·ε`, see [`gram_error_bound`]) while
-/// keeping the hot inner loop in `f32` SIMD lanes.
-///
-/// The result is also the Gram-eligibility probe: it is finite iff every
-/// element is finite (squares are non-negative, so NaN/±inf propagate and
-/// never cancel) *and* no per-block `f32` lane sum overflowed.
-fn squared_norm_blocked_f64(a: &[f32], block: usize) -> f64 {
-    let mut total = 0.0f64;
-    let mut start = 0;
-    while start < a.len() {
-        let end = (start + block).min(a.len());
-        let mut lanes = [0.0f32; KERNEL_LANES];
-        accumulate_dot(&a[start..end], &a[start..end], &mut lanes);
-        total += f64::from(reduce_kernel_lanes(lanes));
-        start = end;
-    }
-    total
-}
-
-/// Fills `out[p] = max(0, ‖i_p‖² + ‖j_p‖² − 2·(i_p · j_p))` — the Gram-trick
-/// distance — for a slice of pairs, blocked over cache-sized `d`-ranges.
-///
-/// Dot products use the same `f32`-lanes-per-block / `f64`-across-blocks
-/// scheme as [`squared_norm_blocked_f64`], and the three-term combination runs
-/// entirely in `f64`, so the cancellation of the Gram identity happens at
-/// `f64` precision and only per-block `f32` lane rounding survives into the
-/// result (bounded by [`gram_error_bound`]). The clamp at 0 absorbs the tiny
-/// negative values that residual rounding can produce for near-identical
-/// inputs. Only called on inputs whose cached `norms` are all finite.
-fn fill_pair_distances_gram(
-    inputs: &[GradientView<'_>],
-    norms: &[f64],
-    pairs: &[(u32, u32)],
-    out: &mut [f32],
-) {
-    let d = inputs.first().map(|v| v.len()).unwrap_or(0);
-    let block = distance_block_len(inputs.len());
-    let mut acc = vec![0.0f64; pairs.len()];
-    let mut start = 0;
-    while start < d {
-        let end = (start + block).min(d);
-        for (&(i, j), dot) in pairs.iter().zip(acc.iter_mut()) {
-            let mut lanes = [0.0f32; KERNEL_LANES];
-            accumulate_dot(
-                &inputs[i as usize].data()[start..end],
-                &inputs[j as usize].data()[start..end],
-                &mut lanes,
-            );
-            *dot += f64::from(reduce_kernel_lanes(lanes));
-        }
-        start = end;
-    }
-    for ((slot, dot), &(i, j)) in out.iter_mut().zip(acc).zip(pairs) {
-        let dist = norms[i as usize] + norms[j as usize] - 2.0 * dot;
-        *slot = (dist as f32).max(0.0);
-    }
-}
-
-/// Worst-case absolute error of the Gram-trick distance versus the exact
-/// chunked kernel, for finite inputs with squared norms `na2` and `nb2` over
-/// dimension `d`, in a cache built over `n` inputs.
-///
-/// The Gram fill accumulates in `f32` lanes only *within* one cache block and
-/// in `f64` across blocks, and combines `‖a‖² + ‖b‖² − 2a·b` in `f64`, so the
-/// surviving error is per-block `f32` lane rounding: each block of length `L ≤
-/// min(block_len(n), d)` contributes at most `(L/KERNEL_LANES + lg
-/// KERNEL_LANES) · ε · Σ|block terms|` to each of the three sums, and summing
-/// over blocks keeps the same factor against the *total* `Σ|terms|` — which is
-/// `na2`, `nb2`, and (by AM–GM) at most `(na2 + nb2)/2` for the dot. The
-/// `f64`-side error and the final rounding to `f32` add a few ulps of `na2 +
-/// nb2`; the exact kernel's own `f32` rounding contributes the same order
-/// again. The bound below folds all of it with a 4× safety factor —
-/// proptested in `tests/kernel_properties.rs` and `engine_equivalence.rs`.
-pub fn gram_error_bound(n: usize, d: usize, na2: f32, nb2: f32) -> f32 {
-    let block = distance_block_len(n).min(d.max(1));
-    let terms = (block as f32) / (KERNEL_LANES as f32) + 8.0;
-    4.0 * terms * f32::EPSILON * (na2 + nb2)
-}
-
 /// The n×n squared-distance matrix of a set of gradient views, computed once
 /// and shared across every distance-based GAR decision.
 ///
@@ -342,18 +212,11 @@ pub fn gram_error_bound(n: usize, d: usize, na2: f32, nb2: f32) -> f32 {
 /// once per thread instead of once per pair. Each pair is computed entirely
 /// on one thread with a fixed accumulation order — bit-identical to the
 /// sequential engine by construction.
-///
-/// Under a fast-math engine ([`Engine::fast_math`]) the fill switches to the
-/// Gram identity with cached per-input norms (≈⅓ fewer flops and one shared
-/// norm pass), unless any input value or norm is non-finite, in which case
-/// it falls back to the exact kernel (Byzantine NaN/±inf payloads must hit
-/// the exact path).
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     n: usize,
     dist: Vec<f32>,
     finite: bool,
-    gram: bool,
 }
 
 /// Cached `garfield-obs` handles for the fill instrumentation: one registry
@@ -362,7 +225,6 @@ pub struct DistanceCache {
 struct FillObs {
     fill_seconds: garfield_obs::Histogram,
     gelem_s: garfield_obs::Gauge,
-    fallbacks: garfield_obs::Counter,
 }
 
 fn fill_obs() -> &'static FillObs {
@@ -377,12 +239,6 @@ fn fill_obs() -> &'static FillObs {
             "garfield_kernel_gelem_s",
             "Distance-kernel throughput of the most recent fill, in Gelem/s \
              (pair elements per second / 1e9).",
-            &[],
-        ),
-        fallbacks: garfield_obs::metrics::counter(
-            "garfield_fastmath_fallback_total",
-            "Fast-math fills that fell back to the exact kernels because an \
-             input or norm was non-finite.",
             &[],
         ),
     })
@@ -402,34 +258,11 @@ impl DistanceCache {
             }
         }
 
-        // Fast-math eligibility: the cached norm pass doubles as the probe.
-        // A blocked-`f64` squared norm is finite iff every input element is
-        // finite (squares are non-negative, so NaN/±inf propagate and never
-        // cancel) and no per-block `f32` lane sum overflowed — exactly the
-        // inputs the Gram identity handles safely. Anything else (Byzantine
-        // NaN/±inf payloads, overflow-scaled gradients) falls back to the
-        // exact kernel, at the cost of one wasted `O(n d)` norm pass.
-        let mut norms = Vec::new();
-        let mut use_gram = false;
-        if engine.is_fast_math() && n > 0 {
-            let block = distance_block_len(n);
-            norms = vec![0.0f64; n];
-            engine.fill(&mut norms, d, |i| {
-                squared_norm_blocked_f64(inputs[i].data(), block)
-            });
-            use_gram = norms.iter().all(|v| v.is_finite());
-        }
-
         let mut vals = vec![0.0f32; pairs.len()];
         // Each pair costs ~2d scalar ops; the closure fills a contiguous
         // chunk of pairs with the blocked kernel.
         engine.fill_chunks(&mut vals, 2 * d, |base, chunk| {
-            let chunk_pairs = &pairs[base..base + chunk.len()];
-            if use_gram {
-                fill_pair_distances_gram(inputs, &norms, chunk_pairs, chunk);
-            } else {
-                fill_pair_distances_exact(inputs, chunk_pairs, chunk);
-            }
+            fill_pair_distances_exact(inputs, &pairs[base..base + chunk.len()], chunk);
         });
 
         let mut dist = vec![0.0f32; n * n];
@@ -439,15 +272,6 @@ impl DistanceCache {
         }
         let finite = vals.iter().all(|v| v.is_finite());
 
-        if engine.is_fast_math() && n > 0 && !use_gram {
-            obs.fallbacks.inc();
-            garfield_obs::flight::record(
-                garfield_obs::flight::EventKind::FastMathFallback,
-                0,
-                None,
-                n as f64,
-            );
-        }
         if let Some(elapsed) = garfield_obs::span_end(span, &obs.fill_seconds) {
             let secs = elapsed.as_secs_f64();
             if secs > 0.0 {
@@ -456,24 +280,12 @@ impl DistanceCache {
             }
         }
 
-        DistanceCache {
-            n,
-            dist,
-            finite,
-            gram: use_gram,
-        }
+        DistanceCache { n, dist, finite }
     }
 
     /// Number of cached inputs.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Whether this cache was filled with the approximate Gram kernel
-    /// (`false` under a default engine, and under a fast-math engine whose
-    /// inputs forced the exact fallback).
-    pub fn used_gram(&self) -> bool {
-        self.gram
     }
 
     /// The cached squared distance between inputs `i` and `j`.
@@ -761,8 +573,8 @@ impl FusedSweep {
 /// per coordinate per input. This kernel walks fixed [`NORM_TILE`]-
 /// coordinate tiles; per tile each input's segment is read once, folded
 /// into the average accumulator, into a 16-lane norm partial
-/// ([`accumulate_dot`]'s lane structure exactly), and its sampled
-/// coordinates are copied out while the segment is cache-hot.
+/// ([`garfield_tensor::accumulate_dot`]'s lane structure exactly), and its
+/// sampled coordinates are copied out while the segment is cache-hot.
 ///
 /// Determinism contracts, all independent of the engine's thread count:
 ///
@@ -880,8 +692,8 @@ pub fn average_and_square_norms(
 /// Folds one tile of one input into the average accumulator and a norm lane
 /// array: `acc[k] += x[k]` and `lanes[k % KERNEL_LANES] += x[k]²` for
 /// ascending `k` — the norm side is bit-identical to
-/// [`accumulate_dot`]`(x, x, lanes)`, fused with the sum so the tile is read
-/// once.
+/// [`garfield_tensor::accumulate_dot`]`(x, x, lanes)`, fused with the sum so
+/// the tile is read once.
 #[inline]
 fn accumulate_sum_and_squares(acc: &mut [f32], data: &[f32], lanes: &mut [f32; KERNEL_LANES]) {
     let mut ca = acc.chunks_exact_mut(KERNEL_LANES);
@@ -914,6 +726,15 @@ mod tests {
         data.iter().map(GradientView::from).collect()
     }
 
+    /// Element-wise fill over [`Engine::fill_chunks`]: `out[k] = f(k)`.
+    fn fill<T: Send>(engine: &Engine, out: &mut [T], work: usize, f: impl Fn(usize) -> T + Sync) {
+        engine.fill_chunks(out, work, |base, chunk| {
+            for (k, slot) in chunk.iter_mut().enumerate() {
+                *slot = f(base + k);
+            }
+        });
+    }
+
     #[test]
     fn engines_report_their_shape() {
         assert_eq!(Engine::sequential().threads(), 1);
@@ -922,14 +743,6 @@ mod tests {
         assert_eq!(Engine::with_threads(4).threads(), 4);
         assert!(Engine::auto().threads() >= 1);
         assert_eq!(Engine::default().threads(), Engine::auto().threads());
-        assert!(!Engine::auto().is_fast_math());
-        assert!(Engine::auto().fast_math(true).is_fast_math());
-        assert!(!Engine::auto()
-            .fast_math(true)
-            .fast_math(false)
-            .is_fast_math());
-        // Fast-math engines keep their thread shape.
-        assert_eq!(Engine::with_threads(4).fast_math(true).threads(), 4);
     }
 
     #[test]
@@ -951,8 +764,8 @@ mod tests {
     fn parallel_fill_matches_sequential_fill() {
         let mut seq = vec![0.0f32; 10_000];
         let mut par = vec![0.0f32; 10_000];
-        Engine::sequential().fill(&mut seq, 64, |k| (k as f32).sin());
-        Engine::with_threads(4).fill(&mut par, 64, |k| (k as f32).sin());
+        fill(&Engine::sequential(), &mut seq, 64, |k| (k as f32).sin());
+        fill(&Engine::with_threads(4), &mut par, 64, |k| (k as f32).sin());
         assert_eq!(seq, par);
     }
 
@@ -961,9 +774,9 @@ mod tests {
         // 8 items × 1 op is far below the spawn threshold; this must not
         // deadlock or misindex when the engine short-circuits.
         let mut out = vec![0usize; 8];
-        Engine::with_threads(8).fill(&mut out, 1, |k| k * 2);
+        fill(&Engine::with_threads(8), &mut out, 1, |k| k * 2);
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-        Engine::with_threads(8).fill(&mut [] as &mut [usize], 1, |k| k);
+        fill(&Engine::with_threads(8), &mut [] as &mut [usize], 1, |k| k);
     }
 
     #[test]
@@ -1037,97 +850,6 @@ mod tests {
                     squared_l2_distance_slices(&data[i], &data[j])
                 };
                 assert_eq!(cache.get(i, j).to_bits(), direct.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_math_cache_uses_gram_within_the_documented_bound() {
-        let d = 700; // not a multiple of the lanes or the block
-        let data: Vec<Vec<f32>> = (0..7)
-            .map(|i| {
-                (0..d)
-                    .map(|c| ((i * 31 + c) as f32 * 0.05).cos() * 3.0)
-                    .collect()
-            })
-            .collect();
-        let v = views(&data);
-        let exact = DistanceCache::build(&v, &Engine::sequential());
-        let gram = DistanceCache::build(&v, &Engine::sequential().fast_math(true));
-        assert!(!exact.used_gram());
-        assert!(gram.used_gram());
-        for i in 0..7 {
-            for j in 0..7 {
-                let bound = gram_error_bound(
-                    7,
-                    d,
-                    garfield_tensor::squared_norm_slices(&data[i]),
-                    garfield_tensor::squared_norm_slices(&data[j]),
-                );
-                let err = (gram.get(i, j) - exact.get(i, j)).abs();
-                assert!(
-                    err <= bound,
-                    "({i},{j}): |{} - {}| = {err} > {bound}",
-                    gram.get(i, j),
-                    exact.get(i, j)
-                );
-                assert!(gram.get(i, j) >= 0.0, "gram distance went negative");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_math_parallel_is_bit_identical_to_fast_math_sequential() {
-        let data: Vec<Vec<f32>> = (0..9)
-            .map(|i| {
-                (0..4096)
-                    .map(|c| ((i * 31 + c) as f32 * 0.1).sin())
-                    .collect()
-            })
-            .collect();
-        let v = views(&data);
-        let seq = DistanceCache::build(&v, &Engine::sequential().fast_math(true));
-        let par = DistanceCache::build(&v, &Engine::with_threads(4).fast_math(true));
-        assert!(seq.used_gram() && par.used_gram());
-        for i in 0..9 {
-            for j in 0..9 {
-                assert_eq!(seq.get(i, j).to_bits(), par.get(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fast_math_falls_back_to_exact_on_non_finite_inputs() {
-        let data = vec![
-            vec![0.0f32, f32::NAN, 1.0, 2.0],
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![3.0, 4.0, 5.0, 6.0],
-        ];
-        let v = views(&data);
-        let exact = DistanceCache::build(&v, &Engine::sequential());
-        let fast = DistanceCache::build(&v, &Engine::sequential().fast_math(true));
-        assert!(!fast.used_gram(), "NaN payload must force the exact kernel");
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(exact.get(i, j).to_bits(), fast.get(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fast_math_falls_back_to_exact_on_norm_overflow() {
-        // Finite inputs whose squared norm overflows f32: ‖a‖² = d·(1e20)²
-        // = +inf, so the Gram identity would poison every distance even
-        // though the exact distance (a − b ≡ 0 here) is finite.
-        let data = vec![vec![1e20f32; 64], vec![1e20f32; 64], vec![0.0f32; 64]];
-        let v = views(&data);
-        let fast = DistanceCache::build(&v, &Engine::sequential().fast_math(true));
-        assert!(!fast.used_gram(), "inf norm must force the exact kernel");
-        assert_eq!(fast.get(0, 1), 0.0);
-        let exact = DistanceCache::build(&v, &Engine::sequential());
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(exact.get(i, j).to_bits(), fast.get(i, j).to_bits());
             }
         }
     }

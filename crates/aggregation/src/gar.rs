@@ -58,7 +58,7 @@ impl SelectionOutcome {
 ///
 /// This is `O(n · |selected|)` scalar reads on top of the `O(n² d)` distance
 /// work the rule already paid — the forensic profile is effectively free.
-pub(crate) fn fill_distance_profile(cache: &DistanceCache, selected: &[usize], out: &mut Vec<f64>) {
+fn fill_distance_profile(cache: &DistanceCache, selected: &[usize], out: &mut Vec<f64>) {
     let n = cache.n();
     out.clear();
     out.resize(n, 0.0);
@@ -80,7 +80,7 @@ pub(crate) fn fill_distance_profile(cache: &DistanceCache, selected: &[usize], o
 /// Fills `out[i]` with the squared L2 norm of input `i` — the forensic
 /// magnitude channel. `O(n · d)`, one extra row of the distance pass the
 /// distance-based rules already paid for.
-pub(crate) fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>) {
+fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>) {
     out.clear();
     out.extend(
         inputs
@@ -89,16 +89,42 @@ pub(crate) fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>)
     );
 }
 
+/// Writes a rule's forensic report, when the caller asked for one: the
+/// inputs the rule selected with every input's mean distance to them, read
+/// from the rule's own distance cache (`selection`; rules without a
+/// selection phase pass `None` and report every input selected at distance
+/// zero), and every input's squared norm. With `outcome` absent this does
+/// nothing — in particular it skips the `O(n · d)` norm pass, so the
+/// unobserved path costs exactly the rule.
+pub(crate) fn report_selection(
+    outcome: Option<&mut SelectionOutcome>,
+    inputs: &[GradientView<'_>],
+    selection: Option<(&DistanceCache, &[usize])>,
+) {
+    let Some(outcome) = outcome else { return };
+    match selection {
+        Some((cache, selected)) => {
+            outcome.selected.clear();
+            outcome.selected.extend_from_slice(selected);
+            fill_distance_profile(cache, selected, &mut outcome.distance);
+        }
+        None => outcome.fill_all_selected(inputs.len()),
+    }
+    fill_norm_profile(inputs, &mut outcome.norm);
+}
+
 /// A gradient aggregation rule: a function `(R^d)^n -> R^d`.
 ///
 /// This is the paper's uniform `aggregate()` interface (§3.2, *Aggregation*):
 /// construction corresponds to `init(name, n, f)` via [`build_gar`], and the
 /// rule is agnostic to whether its inputs are gradients or model vectors.
 ///
-/// The required entry point is the zero-copy [`Gar::aggregate_views`], which
-/// scores and selects over borrowed `&[f32]` slices and copies only the
-/// output; [`Gar::aggregate`] is the owned-tensor convenience wrapper, which
-/// preserves the input shape on the output.
+/// Each rule is written once, as [`Gar::aggregate_views_with`]: it scores and
+/// selects over borrowed `&[f32]` slices, copies only the output, and fills
+/// the forensic [`SelectionOutcome`] when handed one. The zero-copy
+/// [`Gar::aggregate_views`] / [`Gar::aggregate_views_observed`] pair and the
+/// owned-tensor [`Gar::aggregate`] (which preserves the input shape on the
+/// output) are provided methods that forward to it.
 pub trait Gar: Send + Sync {
     /// The rule's short name (e.g. `"median"`).
     fn name(&self) -> &'static str;
@@ -109,22 +135,41 @@ pub trait Gar: Send + Sync {
     /// Declared maximum number of Byzantine input vectors.
     fn f(&self) -> usize;
 
-    /// Aggregates exactly `n` equal-length flat input views into one output,
-    /// under the given execution [`Engine`]. Inputs are borrowed — the only
-    /// copy a rule performs is into its output tensor.
+    /// The rule: aggregates exactly `n` equal-length flat input views into
+    /// one output under the given execution [`Engine`], reporting into
+    /// `outcome` (when present) which inputs the selection phase kept, how
+    /// far each input sits from the surviving set, and every input's squared
+    /// norm — see [`SelectionOutcome`]. Inputs are borrowed — the only copy
+    /// a rule performs is into its output tensor.
     ///
-    /// Sequential and parallel engines produce **bit-identical** outputs.
+    /// The output does not depend on whether an outcome was asked for, and
+    /// sequential and parallel engines produce **bit-identical** outputs.
     ///
     /// # Errors
     ///
     /// Returns [`AggregationError::WrongInputCount`],
     /// [`AggregationError::HeterogeneousShapes`] (unequal view lengths) or
     /// [`AggregationError::EmptyInput`] when the inputs are malformed.
+    fn aggregate_views_with(
+        &self,
+        inputs: &[GradientView<'_>],
+        engine: &Engine,
+        outcome: Option<&mut SelectionOutcome>,
+    ) -> AggregationResult<Tensor>;
+
+    /// [`Gar::aggregate_views_with`] without the forensic report (and
+    /// without its `O(n · d)` norm pass).
+    ///
+    /// # Errors
+    ///
+    /// Same validation errors as [`Gar::aggregate_views_with`].
     fn aggregate_views(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
-    ) -> AggregationResult<Tensor>;
+    ) -> AggregationResult<Tensor> {
+        self.aggregate_views_with(inputs, engine, None)
+    }
 
     /// Aggregates exactly `n` equally-shaped input tensors into one output
     /// of the same shape, using the machine-sized engine.
@@ -143,30 +188,22 @@ pub trait Gar: Send + Sync {
             .expect("aggregation preserves the element count"))
     }
 
-    /// Like [`Gar::aggregate_views`], but additionally reports which inputs
-    /// the rule's selection phase kept and how far each input sits from the
-    /// surviving set, for per-peer suspicion scoring.
-    ///
-    /// Outputs are **bit-identical** to [`Gar::aggregate_views`]; the
-    /// distance-based rules derive the report from the pairwise-distance
-    /// cache they already built, so the observation costs `O(n · |selected|)`
-    /// scalar reads. The default implementation (rules without a selection
-    /// phase) marks every input selected with a zero distance profile; every
-    /// implementation fills the squared-norm profile.
+    /// [`Gar::aggregate_views_with`] with the forensic report, for per-peer
+    /// suspicion scoring. Outputs are **bit-identical** to
+    /// [`Gar::aggregate_views`]; the distance-based rules derive the report
+    /// from the pairwise-distance cache they already built, so the
+    /// observation costs `O(n · |selected|)` scalar reads plus the norm pass.
     ///
     /// # Errors
     ///
-    /// Same validation errors as [`Gar::aggregate_views`].
+    /// Same validation errors as [`Gar::aggregate_views_with`].
     fn aggregate_views_observed(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
         outcome: &mut SelectionOutcome,
     ) -> AggregationResult<Tensor> {
-        let out = self.aggregate_views(inputs, engine)?;
-        outcome.fill_all_selected(inputs.len());
-        fill_norm_profile(inputs, &mut outcome.norm);
-        Ok(out)
+        self.aggregate_views_with(inputs, engine, Some(outcome))
     }
 
     /// Whether the rule provides Byzantine resilience (everything except `Average`).
@@ -343,23 +380,14 @@ impl Gar for CountedGar {
         self.inner.f()
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         self.selections.inc();
-        self.inner.aggregate_views(inputs, engine)
-    }
-
-    fn aggregate_views_observed(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-        outcome: &mut SelectionOutcome,
-    ) -> AggregationResult<Tensor> {
-        self.selections.inc();
-        self.inner.aggregate_views_observed(inputs, engine, outcome)
+        self.inner.aggregate_views_with(inputs, engine, outcome)
     }
 
     fn is_byzantine_resilient(&self) -> bool {

@@ -6,7 +6,7 @@
 //! returns *indices*; the only data copied is the output vector.
 
 use crate::engine::{krum_best_cached, multi_krum_cached};
-use crate::gar::{fill_distance_profile, fill_norm_profile};
+use crate::gar::report_selection;
 use crate::{
     validate_inputs, validate_views, AggregationError, AggregationResult, DistanceCache, Engine,
     Gar, SelectionOutcome, SelectionScratch,
@@ -63,8 +63,7 @@ impl Krum {
     ) -> AggregationResult<usize> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        Ok(self.select_cached(&cache, &mut scratch))
+        Ok(self.select_cached(&cache, &mut SelectionScratch::new()))
     }
 
     /// Allocation-free selection over a prebuilt cache: after one warm-up
@@ -88,29 +87,16 @@ impl Gar for Krum {
         self.f
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
-    ) -> AggregationResult<Tensor> {
-        let idx = self.select_index_views(inputs, engine)?;
-        Ok(inputs[idx].to_tensor())
-    }
-
-    fn aggregate_views_observed(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-        outcome: &mut SelectionOutcome,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        let idx = krum_best_cached(&cache, self.f, &mut scratch);
-        outcome.selected.clear();
-        outcome.selected.push(idx);
-        fill_distance_profile(&cache, &outcome.selected, &mut outcome.distance);
-        fill_norm_profile(inputs, &mut outcome.norm);
+        let idx = self.select_cached(&cache, &mut SelectionScratch::new());
+        report_selection(outcome, inputs, Some((&cache, &[idx])));
         Ok(inputs[idx].to_tensor())
     }
 }
@@ -175,9 +161,9 @@ impl MultiKrum {
     ) -> AggregationResult<Vec<usize>> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        multi_krum_cached(&cache, self.f, self.m, &mut scratch);
-        Ok(scratch.order().to_vec())
+        Ok(self
+            .select_cached(&cache, &mut SelectionScratch::new())
+            .to_vec())
     }
 
     /// Allocation-free selection over a prebuilt cache: the selected indices
@@ -206,36 +192,19 @@ impl Gar for MultiKrum {
         self.f
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
         let mut scratch = SelectionScratch::new();
-        multi_krum_cached(&cache, self.f, self.m, &mut scratch);
+        let selected = self.select_cached(&cache, &mut scratch);
+        report_selection(outcome, inputs, Some((&cache, selected)));
         let mut out = Vec::new();
-        crate::engine::average_indices_into(inputs, scratch.order(), engine, &mut out);
-        Ok(Tensor::from(out))
-    }
-
-    fn aggregate_views_observed(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-        outcome: &mut SelectionOutcome,
-    ) -> AggregationResult<Tensor> {
-        validate_views(inputs, self.n)?;
-        let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        multi_krum_cached(&cache, self.f, self.m, &mut scratch);
-        outcome.selected.clear();
-        outcome.selected.extend_from_slice(scratch.order());
-        fill_distance_profile(&cache, &outcome.selected, &mut outcome.distance);
-        fill_norm_profile(inputs, &mut outcome.norm);
-        let mut out = Vec::new();
-        crate::engine::average_indices_into(inputs, &outcome.selected, engine, &mut out);
+        crate::engine::average_indices_into(inputs, selected, engine, &mut out);
         Ok(Tensor::from(out))
     }
 }

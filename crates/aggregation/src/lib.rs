@@ -61,8 +61,8 @@ pub mod variance;
 pub use average::Average;
 pub use bulyan::Bulyan;
 pub use engine::{
-    average_and_square_norms, average_views, fused_average_sweep, gram_error_bound, DistanceCache,
-    Engine, FusedSweep, SelectionScratch,
+    average_and_square_norms, average_views, fused_average_sweep, DistanceCache, Engine,
+    FusedSweep, SelectionScratch,
 };
 pub use error::{AggregationError, AggregationResult};
 pub use gar::{build_gar, Gar, GarKind, SelectionOutcome};

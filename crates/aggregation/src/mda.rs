@@ -1,6 +1,6 @@
 //! MDA — Minimum-Diameter Averaging (Rousseeuw 1985, as used by the paper).
 
-use crate::gar::{fill_distance_profile, fill_norm_profile};
+use crate::gar::report_selection;
 use crate::{
     validate_inputs, validate_views, AggregationError, AggregationResult, DistanceCache, Engine,
     Gar, SelectionOutcome,
@@ -133,32 +133,18 @@ impl Gar for Mda {
         self.f
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
-    ) -> AggregationResult<Tensor> {
-        let selected = self.select_indices_views(inputs, engine)?;
-        let mut out = Vec::new();
-        crate::engine::average_indices_into(inputs, &selected, engine, &mut out);
-        Ok(Tensor::from(out))
-    }
-
-    fn aggregate_views_observed(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-        outcome: &mut SelectionOutcome,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
         let selected = self.select_cached(&cache);
-        outcome.selected.clear();
-        outcome.selected.extend_from_slice(&selected);
-        fill_distance_profile(&cache, &outcome.selected, &mut outcome.distance);
-        fill_norm_profile(inputs, &mut outcome.norm);
+        report_selection(outcome, inputs, Some((&cache, &selected)));
         let mut out = Vec::new();
-        crate::engine::average_indices_into(inputs, &outcome.selected, engine, &mut out);
+        crate::engine::average_indices_into(inputs, &selected, engine, &mut out);
         Ok(Tensor::from(out))
     }
 }

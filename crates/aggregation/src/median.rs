@@ -1,6 +1,7 @@
 //! Coordinate-wise Median GAR and the branchless 3-element ordering primitive.
 
-use crate::{validate_views, AggregationError, AggregationResult, Engine, Gar};
+use crate::gar::report_selection;
+use crate::{validate_views, AggregationError, AggregationResult, Engine, Gar, SelectionOutcome};
 use garfield_tensor::{GradientView, Tensor};
 
 /// Orders three values without data-dependent branching.
@@ -64,12 +65,14 @@ impl Gar for Median {
         self.f
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
+        report_selection(outcome, inputs, None);
         Ok(coordinate_wise_median_views(inputs, engine))
     }
 }

@@ -69,6 +69,7 @@
 //!    margin widened.)
 
 use crate::engine::{fused_average_sweep, FusedSweep};
+use crate::gar::report_selection;
 use crate::{validate_views, AggregationResult, Engine, Gar, SelectionOutcome};
 use garfield_tensor::{GradientView, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -270,13 +271,14 @@ impl Gar for SpeculativeGar {
         self.f
     }
 
-    fn aggregate_views(
+    fn aggregate_views_with(
         &self,
         inputs: &[GradientView<'_>],
         engine: &Engine,
+        outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor> {
         if self.tripped.load(Ordering::Relaxed) {
-            return self.fallback.aggregate_views(inputs, engine);
+            return self.fallback.aggregate_views_with(inputs, engine, outcome);
         }
         validate_views(inputs, self.n)?;
         let start = garfield_obs::enabled().then(Instant::now);
@@ -286,42 +288,14 @@ impl Gar for SpeculativeGar {
         let sweep = fused_average_sweep(inputs, engine, sample_stride(inputs));
         if self.suspicious(&sweep) {
             self.trip();
-            return self.fallback.aggregate_views(inputs, engine);
+            return self.fallback.aggregate_views_with(inputs, engine, outcome);
         }
         let out = Tensor::from(sweep.average);
         if let Some(t) = start {
             self.fast_seconds.observe_duration(t.elapsed());
         }
-        Ok(out)
-    }
-
-    fn aggregate_views_observed(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-        outcome: &mut SelectionOutcome,
-    ) -> AggregationResult<Tensor> {
-        if self.tripped.load(Ordering::Relaxed) {
-            return self
-                .fallback
-                .aggregate_views_observed(inputs, engine, outcome);
-        }
-        validate_views(inputs, self.n)?;
-        let start = garfield_obs::enabled().then(Instant::now);
-        let sweep = fused_average_sweep(inputs, engine, sample_stride(inputs));
-        if self.suspicious(&sweep) {
-            self.trip();
-            return self
-                .fallback
-                .aggregate_views_observed(inputs, engine, outcome);
-        }
-        let out = Tensor::from(sweep.average);
-        if let Some(t) = start {
-            self.fast_seconds.observe_duration(t.elapsed());
-        }
-        // Identical to Average's observed path: everything selected, norms filled.
-        outcome.fill_all_selected(inputs.len());
-        crate::gar::fill_norm_profile(inputs, &mut outcome.norm);
+        // The fast path reports what Average does: everything selected.
+        report_selection(outcome, inputs, None);
         Ok(out)
     }
 

@@ -6,10 +6,8 @@
 //! select the same indices, produce **bit-equal** aggregates, and reject
 //! malformed inputs with identical errors.
 
-use garfield_aggregation::{
-    build_gar, gram_error_bound, Bulyan, DistanceCache, Engine, GarKind, Krum, Mda, MultiKrum,
-};
-use garfield_tensor::{squared_norm_slices, GradientView};
+use garfield_aggregation::{build_gar, Bulyan, Engine, GarKind, Krum, Mda, MultiKrum};
+use garfield_tensor::GradientView;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random payload with optional non-finite values mixed
@@ -145,85 +143,6 @@ proptest! {
                 gar.aggregate_views(&[], &seq).unwrap_err(),
                 gar.aggregate_views(&[], &par).unwrap_err()
             );
-        }
-    }
-
-    #[test]
-    fn fast_math_engines_are_bit_identical_seq_vs_par(
-        f in 0usize..3,
-        d in 1usize..200,
-        seed in 0u64..100_000,
-        threads in 2usize..6,
-    ) {
-        // The fast-math contract: Gram distances may differ from the exact
-        // kernel (within gram_error_bound), but sequential and parallel
-        // fast-math engines must still agree bit for bit.
-        let seq = Engine::sequential().fast_math(true);
-        let par = Engine::with_threads(threads).fast_math(true);
-        for (ki, kind) in GarKind::all().into_iter().enumerate() {
-            let n = kind.minimum_inputs(f).max(f + 3);
-            let data = payloads(n, d, seed ^ (ki as u64) << 8, false);
-            let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
-            let gar = build_gar(&kind, n, f).unwrap();
-            let a = gar.aggregate_views(&views, &seq).unwrap();
-            let b = gar.aggregate_views(&views, &par).unwrap();
-            prop_assert_eq!(
-                bits(a.data()),
-                bits(b.data()),
-                "{} diverged between fast-math engines (n={}, f={}, d={})",
-                kind, n, f, d
-            );
-        }
-    }
-
-    #[test]
-    fn fast_math_gram_distances_stay_within_the_documented_bound(
-        n in 4usize..10,
-        d in 1usize..300,
-        seed in 0u64..100_000,
-    ) {
-        let data = payloads(n, d, seed ^ 0x6721, false);
-        let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
-        let exact = DistanceCache::build(&views, &Engine::sequential());
-        let fast = DistanceCache::build(&views, &Engine::sequential().fast_math(true));
-        prop_assert!(fast.used_gram(), "finite inputs must take the Gram path");
-        for i in 0..n {
-            for j in 0..n {
-                let bound = gram_error_bound(
-                    n,
-                    d,
-                    squared_norm_slices(&data[i]),
-                    squared_norm_slices(&data[j]),
-                );
-                let err = (fast.get(i, j) - exact.get(i, j)).abs();
-                prop_assert!(
-                    err <= bound,
-                    "({}, {}) d={}: |{} - {}| = {} > bound {}",
-                    i, j, d, fast.get(i, j), exact.get(i, j), err, bound
-                );
-                prop_assert!(fast.get(i, j) >= 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn fast_math_falls_back_to_exact_on_non_finite_payloads(
-        n in 4usize..10,
-        d in 1usize..100,
-        seed in 0u64..100_000,
-    ) {
-        // Byzantine NaN/±inf payloads must force the exact kernel: the
-        // fast-math cache then equals the default cache bit for bit.
-        let data = payloads(n, d, seed ^ 0x9d11, true);
-        prop_assume!(data.iter().any(|g| g.iter().any(|v| !v.is_finite())));
-        let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
-        let exact = DistanceCache::build(&views, &Engine::sequential());
-        let fast = DistanceCache::build(&views, &Engine::sequential().fast_math(true));
-        prop_assert!(!fast.used_gram(), "non-finite payloads must force the exact kernel");
-        for i in 0..n {
-            for j in 0..n {
-                prop_assert_eq!(fast.get(i, j).to_bits(), exact.get(i, j).to_bits());
-            }
         }
     }
 

@@ -1,10 +1,9 @@
 //! Criterion micro-benchmark for the pairwise distance kernels themselves:
 //! the retained `scalar` reference (serial f32 adds, what the hot path
 //! compiled to before the chunked rewrite), the `chunked` multi-lane kernel
-//! applied per whole pair, the `blocked` cache-sized `DistanceCache` fill,
-//! and the `gram` fast-math fill (Gram identity with cached norms, norm pass
-//! included). All single-threaded, so the numbers isolate kernel shape from
-//! engine fan-out.
+//! applied per whole pair, and the `blocked` cache-sized `DistanceCache`
+//! fill. All single-threaded, so the numbers isolate kernel shape from engine
+//! fan-out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use garfield_aggregation::{DistanceCache, Engine};
@@ -25,7 +24,6 @@ fn bench_kernels(c: &mut Criterion) {
         let inputs: Vec<Vec<f32>> = (0..n).map(|_| rng.normal_tensor(d).into_vec()).collect();
         let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
         let seq = Engine::sequential();
-        let gram = Engine::sequential().fast_math(true);
 
         for (name, kernel) in [
             (
@@ -48,9 +46,6 @@ fn bench_kernels(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("blocked", d), &views, |b, views| {
             b.iter(|| DistanceCache::build(views, &seq).get(0, 1))
-        });
-        group.bench_with_input(BenchmarkId::new("gram", d), &views, |b, views| {
-            b.iter(|| DistanceCache::build(views, &gram).get(0, 1))
         });
     }
     group.finish();

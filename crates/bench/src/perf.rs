@@ -5,9 +5,9 @@
 //! the **parallel** engine (thread-chunked distance matrix and coordinate
 //! fills) on identical inputs, asserting their outputs are bit-identical.
 //! A separate `kernels` section times the distance kernels themselves
-//! (retained scalar reference vs chunked multi-lane vs blocked cache fill vs
-//! Gram fast-math fill) so kernel-level regressions are visible even when a
-//! GAR's end-to-end cost is dominated by something else.
+//! (retained scalar reference vs chunked multi-lane vs blocked cache fill) so
+//! kernel-level regressions are visible even when a GAR's end-to-end cost is
+//! dominated by something else.
 //!
 //! The sweep emits `BENCH_aggregation.json` (schema
 //! `garfield-bench/aggregation-v2`) — the recorded perf trajectory CI uploads
@@ -109,7 +109,7 @@ pub struct PerfPoint {
 /// One measured distance-kernel cell (single-threaded, pair-element rate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
-    /// Kernel name: `scalar`, `chunked`, `blocked_exact` or `gram`.
+    /// Kernel name: `scalar`, `chunked` or `blocked_exact`.
     pub kernel: String,
     /// Number of inputs whose `n(n−1)/2` pairs were filled.
     pub n: usize,
@@ -250,9 +250,8 @@ fn time_kernel<F: FnMut() -> f32>(config: &PerfConfig, mut work: F) -> f64 {
 /// sweep's largest `d` — in pair elements per second.
 ///
 /// `scalar` is the retained pre-rewrite reference (serial `f32` adds),
-/// `chunked` the multi-lane kernel applied per whole pair, `blocked_exact`
-/// the `DistanceCache` cache-blocked fill, and `gram` the fast-math Gram
-/// fill (norm pass included in its time).
+/// `chunked` the multi-lane kernel applied per whole pair and `blocked_exact`
+/// the `DistanceCache` cache-blocked fill.
 pub fn run_kernels(config: &PerfConfig) -> Vec<KernelPoint> {
     let d = config.dims.iter().copied().max().unwrap_or(100_000);
     let n = 15usize;
@@ -261,7 +260,6 @@ pub fn run_kernels(config: &PerfConfig) -> Vec<KernelPoint> {
     let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
     let pair_elems = (n * (n - 1) / 2 * d) as f64;
     let seq = Engine::sequential();
-    let gram_engine = Engine::sequential().fast_math(true);
 
     let pairwise = |kernel: fn(&[f32], &[f32]) -> f32| {
         let mut sum = 0.0f32;
@@ -291,17 +289,6 @@ pub fn run_kernels(config: &PerfConfig) -> Vec<KernelPoint> {
     let secs = time_kernel(config, || DistanceCache::build(&views, &seq).get(0, 1));
     points.push(KernelPoint {
         kernel: "blocked_exact".into(),
-        n,
-        d,
-        elem_s: pair_elems / secs,
-    });
-    let secs = time_kernel(config, || {
-        let cache = DistanceCache::build(&views, &gram_engine);
-        debug_assert!(cache.used_gram());
-        cache.get(0, 1)
-    });
-    points.push(KernelPoint {
-        kernel: "gram".into(),
         n,
         d,
         elem_s: pair_elems / secs,
@@ -896,7 +883,7 @@ mod tests {
     fn kernel_sweep_measures_every_kernel() {
         let points = run_kernels(&tiny_config());
         let names: Vec<&str> = points.iter().map(|k| k.kernel.as_str()).collect();
-        assert_eq!(names, ["scalar", "chunked", "blocked_exact", "gram"]);
+        assert_eq!(names, ["scalar", "chunked", "blocked_exact"]);
         for k in &points {
             assert!(k.elem_s > 0.0, "{} measured no throughput", k.kernel);
         }

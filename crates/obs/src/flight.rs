@@ -41,8 +41,6 @@ pub enum EventKind {
     QuorumFormed,
     /// The transport dropped an outbound frame (`peer` = destination).
     FrameDropped,
-    /// A fast-math Gram fill fell back to the exact kernels (non-finite payload).
-    FastMathFallback,
     /// A checkpoint was persisted (`value` = seconds spent writing).
     CheckpointWritten,
     /// A state-transfer chunk was served to a rejoining peer (`peer` = requester).
@@ -77,7 +75,6 @@ impl EventKind {
             EventKind::PullRetried => "pull_retried",
             EventKind::QuorumFormed => "quorum_formed",
             EventKind::FrameDropped => "frame_dropped",
-            EventKind::FastMathFallback => "fast_math_fallback",
             EventKind::CheckpointWritten => "checkpoint_written",
             EventKind::StateChunkServed => "state_chunk_served",
             EventKind::PeerExcluded => "peer_excluded",
@@ -98,7 +95,6 @@ impl EventKind {
             "pull_retried" => EventKind::PullRetried,
             "quorum_formed" => EventKind::QuorumFormed,
             "frame_dropped" => EventKind::FrameDropped,
-            "fast_math_fallback" => EventKind::FastMathFallback,
             "checkpoint_written" => EventKind::CheckpointWritten,
             "state_chunk_served" => EventKind::StateChunkServed,
             "peer_excluded" => EventKind::PeerExcluded,
@@ -343,7 +339,6 @@ mod tests {
             EventKind::PullRetried,
             EventKind::QuorumFormed,
             EventKind::FrameDropped,
-            EventKind::FastMathFallback,
             EventKind::CheckpointWritten,
             EventKind::StateChunkServed,
             EventKind::PeerExcluded,

@@ -10,20 +10,27 @@
 //! [`Transport`](garfield_net::Transport) — the in-process router when the
 //! [`LiveExecutor`](crate::LiveExecutor) spawns one thread per node, a TCP
 //! socket mesh when `garfield-node` runs each actor in its own OS process.
+//!
+//! Each step of the round is written once: [`next_frame`] is the only place
+//! a frame leaves a transport, [`admit`] the only place a server decides
+//! whether to look at it, `ServerActor::pull` the only quorum wait and
+//! `ServerActor::aggregate_observed` the only path into a GAR.
 
+use crate::admission::{admit, Pull, ServerView, Verdict};
 use crate::fault::Fault;
-use crate::node::{ServerNode, ServerRun};
+use crate::node::{ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
 use garfield_attacks::Attack;
 use garfield_core::{
-    AccuracyPoint, ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreError,
-    CoreResult, ExperimentConfig, IterationTiming, MergePhase, NodeTelemetry, ShardSpec,
-    SystemKind, SystemPlan, TrainingTrace,
+    AccuracyPoint, Checkpoint, CoreError, CoreResult, IterationTiming, MergePhase, NodeTelemetry,
+    SystemPlan, TrainingTrace,
 };
-use garfield_ml::Batch;
-use garfield_net::{MsgKind, NodeId, PayloadPool, Transport, WireHeader, WireMessage};
+use garfield_net::{
+    Envelope, MsgKind, NetError, NetResult, NodeId, PayloadPool, Role, Transport, WireHeader,
+    WireMessage,
+};
 use garfield_obs::flight::{self, EventKind};
-use garfield_tensor::{GradientView, Tensor, TensorRng};
+use garfield_tensor::{GradientView, Tensor};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -86,6 +93,21 @@ fn actor_obs() -> &'static ActorObs {
     })
 }
 
+/// Takes the next frame off `transport`, waiting at most `wait`: counts it and
+/// peeks its header without materialising the payload. `Ok(None)` is a frame
+/// whose header does not parse — garbage on the wire, which a correct node
+/// drops at the cost of the `recv`.
+fn next_frame(
+    transport: &dyn Transport,
+    telemetry: &mut NodeTelemetry,
+    wait: Duration,
+) -> NetResult<Option<(Envelope, WireHeader)>> {
+    let envelope = transport.recv_timeout(wait)?;
+    telemetry.record_recv(envelope.payload.len());
+    let header = WireMessage::peek(&envelope.payload).ok();
+    Ok(header.map(|header| (envelope, header)))
+}
+
 /// Encodes `msg`, stamps the wire header's trace fields (origin node,
 /// per-sender sequence number, send timestamp) and freezes the buffer for
 /// sending. Broadcasts clone the returned bytes, so every recipient of one
@@ -100,6 +122,24 @@ fn encode_stamped(msg: &WireMessage, origin: u32, seq: &mut u64) -> bytes::Bytes
     bytes::Bytes::from(buf)
 }
 
+/// Tags `msg` with the shard triple `(shard, coord_offset, coord_len)` its
+/// payload covers; `(0, 0, 0)` is the untagged full-vector form.
+fn tagged(msg: WireMessage, (shard, offset, len): (u16, u32, u32)) -> WireMessage {
+    if len == 0 {
+        msg
+    } else {
+        msg.with_shard(shard, offset, len)
+    }
+}
+
+/// The fault-plan attack a node's [`Fault`] installs on its wire path, if any.
+fn fault_attack(fault: Option<Fault>) -> Option<Box<dyn Attack>> {
+    match fault {
+        Some(Fault::Byzantine { attack }) => Some(attack.build()),
+        _ => None,
+    }
+}
+
 /// How many of its own recent honest gradients a Byzantine worker keeps as
 /// the moment-estimation view for collusion attacks (little-is-enough,
 /// fall-of-empires). The live substrate is non-omniscient — no node ever sees
@@ -109,73 +149,89 @@ fn encode_stamped(msg: &WireMessage, origin: u32, seq: &mut u64) -> bytes::Bytes
 /// round while still giving the attacks a usable spread.
 const ATTACK_HISTORY_ROUNDS: usize = 4;
 
+/// How many sharded rounds a worker keeps in the slice-assembly buffer
+/// before evicting the oldest (guards against shard servers that die
+/// mid-round and leave a round forever incomplete).
+const PENDING_SLICE_ROUNDS: usize = 8;
+
+/// How many served sharded rounds stay re-sliceable for retries. Matches the
+/// deepest plausible retry horizon: a shard server only retries its *current*
+/// round, and shard servers drift by at most the rounds still in flight.
+const SENT_CACHE_ROUNDS: usize = 4;
+
 /// One in-flight sharded round on a worker: the round number plus one slot
 /// per shard, each holding the requesting shard server, its coordinate
 /// offset and its parameter slice once that shard's request has landed.
 type PendingShardRound = (u64, Vec<Option<(NodeId, usize, Vec<f32>)>>);
 
-/// Everything a worker actor needs.
+/// A worker node running over a transport: the [`WorkerNode`] description
+/// plus the loop's own state.
 pub(crate) struct WorkerActor {
-    pub transport: Box<dyn Transport>,
-    pub worker: ByzantineWorker,
-    pub fault: Option<Fault>,
-    pub fault_attack: Option<Box<dyn Attack>>,
-    pub fault_rng: TensorRng,
-    pub idle_timeout: Duration,
-    pub telemetry: NodeTelemetry,
+    node: WorkerNode,
+    transport: Box<dyn Transport>,
+    fault_attack: Option<Box<dyn Attack>>,
+    telemetry: NodeTelemetry,
     /// Whether a `RestartAt` fault already fired (one restart per run).
-    pub restarted: bool,
-    /// Per-sender wire sequence number (trace header, satellite of the wire
-    /// format's causal-tracing fields).
-    pub seq: u64,
+    restarted: bool,
+    /// Per-sender wire sequence number (trace header fields).
+    seq: u64,
     /// Bounded FIFO of this worker's own recent honest gradients — the
     /// non-omniscient adversary's estimation view (stays empty on honest
     /// workers). See [`ATTACK_HISTORY_ROUNDS`].
-    pub attack_history: Vec<Tensor>,
-    /// Number of parameter shards the server side is split into (1 means
-    /// unsharded: every request carries the full model).
-    pub shards: usize,
-    /// Full model dimension — the length sharded slices must tile exactly.
-    pub dimension: usize,
-    /// Sharded rounds in flight: `(round, per-shard slot)` where a slot holds
-    /// the requesting shard server, its coordinate offset and its slice
-    /// values. The gradient is computed once, when the last slice of a round
-    /// lands and the full parameter vector can be assembled.
-    pub pending_slices: Vec<PendingShardRound>,
+    attack_history: Vec<Tensor>,
+    /// Sharded rounds in flight. The gradient is computed once, when the last
+    /// slice of a round lands and the full parameter vector can be assembled.
+    pending_slices: Vec<PendingShardRound>,
     /// Recently served sharded rounds: `(round, loss, sent gradient)`. A
     /// shard server's retry is answered by re-slicing this cache — never by
     /// recomputing, which would double-draw the attack RNG streams.
-    pub sent_cache: Vec<(u64, f32, Tensor)>,
+    sent_cache: Vec<(u64, f32, Tensor)>,
 }
 
 impl WorkerActor {
+    pub fn new(node: WorkerNode, transport: Box<dyn Transport>) -> Self {
+        WorkerActor {
+            fault_attack: fault_attack(node.fault),
+            telemetry: NodeTelemetry::new(transport.local_id().0, Role::Worker),
+            node,
+            transport,
+            restarted: false,
+            seq: 0,
+            attack_history: Vec::new(),
+            pending_slices: Vec::new(),
+            sent_cache: Vec::new(),
+        }
+    }
+
     /// The worker loop: serve gradient requests until shutdown, crash or
     /// prolonged silence. Returns the node's network counters.
     pub fn run(mut self) -> NodeTelemetry {
-        let origin = self.transport.local_id().0;
-        flight::set_thread_node(origin);
+        flight::set_thread_node(self.transport.local_id().0);
         // One payload buffer, reused for every decoded request: steady-state
         // serving allocates nothing on the receive path.
         let mut values: Vec<f32> = Vec::new();
         // Exits on shutdown/crash, or when the inbox stays silent past the
         // idle timeout (transport gone or run abandoned).
-        while let Ok(envelope) = self.transport.recv_timeout(self.idle_timeout) {
-            self.telemetry.record_recv(envelope.payload.len());
-            let Ok(header) = WireMessage::peek(&envelope.payload) else {
-                continue; // garbage on the wire: a correct node ignores it
+        while let Ok(frame) = next_frame(
+            self.transport.as_ref(),
+            &mut self.telemetry,
+            self.node.idle_timeout,
+        ) {
+            let Some((envelope, header)) = frame else {
+                continue;
             };
             match header.kind {
                 MsgKind::Shutdown => break,
                 MsgKind::GradientRequest => {
                     let iteration = header.round as usize;
-                    if let Some(Fault::CrashAt { iteration: at }) = self.fault {
+                    if let Some(Fault::CrashAt { iteration: at }) = self.node.fault {
                         if iteration >= at {
                             // Go silent: peers must survive via quorums, not errors.
                             self.transport.crash();
                             break;
                         }
                     }
-                    if let Some(Fault::RestartAt { crash, rejoin }) = self.fault {
+                    if let Some(Fault::RestartAt { crash, rejoin }) = self.node.fault {
                         if !self.restarted && iteration >= crash {
                             // Die for real, then come back as a fresh
                             // incarnation: envelopes addressed to the dead
@@ -196,31 +252,24 @@ impl WorkerActor {
                             continue;
                         }
                     }
-                    if let Some(Fault::Delay { millis }) = self.fault {
+                    if let Some(Fault::Delay { millis }) = self.node.fault {
                         std::thread::sleep(Duration::from_millis(millis));
                     }
                     if WireMessage::decode_into(&envelope.payload, &mut values).is_err() {
                         continue;
                     }
-                    if self.shards > 1 && header.coord_len != 0 {
+                    if self.node.shards > 1 && header.coord_len != 0 {
                         // Parameter-sharded request: a slice, not the model.
                         self.serve_shard_slice(envelope.from, &header, &values);
-                        continue;
+                    } else if let Some((loss, sent)) = self.compute(&values, header.round) {
+                        self.reply(
+                            envelope.from,
+                            header.round,
+                            loss,
+                            sent.into_vec(),
+                            (0, 0, 0),
+                        );
                     }
-                    let params = Tensor::from_slice(&values);
-                    let compute_span = garfield_obs::span_start();
-                    let Ok((loss, honest)) = self.worker.honest_compute(&params, iteration) else {
-                        continue; // malformed request (wrong dimension): drop it
-                    };
-                    garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
-                    let sent = self.outgoing_gradient(honest);
-                    let reply = WireMessage::new(
-                        MsgKind::GradientReply,
-                        header.round,
-                        loss,
-                        sent.into_vec(),
-                    );
-                    self.reply(envelope.from, header.round, &reply);
                 }
                 _ => {} // server-to-server traffic never addresses a worker
             }
@@ -245,18 +294,13 @@ impl WorkerActor {
         let round = header.round;
         let shard = header.shard as usize;
         let offset = header.coord_offset as usize;
-        if shard >= self.shards || offset + slice.len() > self.dimension {
+        if shard >= self.node.shards || offset + slice.len() > self.node.dimension {
             return; // mis-tagged request: a correct node ignores it
         }
         if let Some((_, loss, sent)) = self.sent_cache.iter().find(|(r, _, _)| *r == round) {
-            let reply = WireMessage::new(
-                MsgKind::GradientReply,
-                round,
-                *loss,
-                sent.data()[offset..offset + slice.len()].to_vec(),
-            )
-            .with_shard(header.shard, header.coord_offset, header.coord_len);
-            self.reply(from, round, &reply);
+            let (loss, values) = (*loss, sent.data()[offset..offset + slice.len()].to_vec());
+            let triple = (header.shard, header.coord_offset, header.coord_len);
+            self.reply(from, round, loss, values, triple);
             return;
         }
         if !self.pending_slices.iter().any(|(r, _)| *r == round) {
@@ -269,56 +313,38 @@ impl WorkerActor {
                     self.pending_slices.remove(pos);
                 }
             }
-            self.pending_slices.push((round, vec![None; self.shards]));
-        }
-        let complete = {
-            let slots = &mut self
-                .pending_slices
-                .iter_mut()
-                .find(|(r, _)| *r == round)
-                .expect("entry inserted above")
-                .1;
-            slots[shard] = Some((from, offset, slice.to_vec()));
-            slots.iter().all(|s| s.is_some())
-        };
-        if !complete {
-            return; // wait for the round's remaining slices
+            self.pending_slices
+                .push((round, vec![None; self.node.shards]));
         }
         let pos = self
             .pending_slices
             .iter()
             .position(|(r, _)| *r == round)
-            .expect("entry present");
+            .expect("entry inserted above");
+        let slots = &mut self.pending_slices[pos].1;
+        slots[shard] = Some((from, offset, slice.to_vec()));
+        if !slots.iter().all(|s| s.is_some()) {
+            return; // wait for the round's remaining slices
+        }
         let (_, slots) = self.pending_slices.remove(pos);
-        let mut params = vec![0.0f32; self.dimension];
+        let mut params = vec![0.0f32; self.node.dimension];
         let mut covered = 0usize;
         for slot in &slots {
             let (_, off, vals) = slot.as_ref().expect("all slots filled");
             params[*off..*off + vals.len()].copy_from_slice(vals);
             covered += vals.len();
         }
-        if covered != self.dimension {
+        if covered != self.node.dimension {
             return; // gapped shard map: hostile or misconfigured, drop the round
         }
-        let compute_span = garfield_obs::span_start();
-        let Ok((loss, honest)) = self
-            .worker
-            .honest_compute(&Tensor::from_slice(&params), round as usize)
-        else {
-            return; // malformed request (wrong dimension): drop it
+        let Some((loss, sent)) = self.compute(&params, round) else {
+            return;
         };
-        garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
-        let sent = self.outgoing_gradient(honest);
         for (k, slot) in slots.iter().enumerate() {
             let (requester, off, vals) = slot.as_ref().expect("all slots filled");
-            let reply = WireMessage::new(
-                MsgKind::GradientReply,
-                round,
-                loss,
-                sent.data()[*off..*off + vals.len()].to_vec(),
-            )
-            .with_shard(k as u16, *off as u32, vals.len() as u32);
-            self.reply(*requester, round, &reply);
+            let values = sent.data()[*off..*off + vals.len()].to_vec();
+            let triple = (k as u16, *off as u32, vals.len() as u32);
+            self.reply(*requester, round, loss, values, triple);
         }
         self.sent_cache.push((round, loss, sent));
         if self.sent_cache.len() > SENT_CACHE_ROUNDS {
@@ -326,21 +352,30 @@ impl WorkerActor {
         }
     }
 
-    /// The gradient actually put on the wire: the honest vector on honest
-    /// workers; on Byzantine ones the config attack's output, further
-    /// corrupted by the fault-plan attack if present. Draws each attack RNG
-    /// stream exactly once per call — callers must invoke this once per
-    /// round, whatever the number of shards asking.
-    fn outgoing_gradient(&mut self, honest: Tensor) -> Tensor {
-        let byzantine = self.worker.is_byzantine() || self.fault_attack.is_some();
-        if !byzantine {
-            return honest;
+    /// The one compute step of both request shapes: the honest gradient at
+    /// `params`, then the gradient actually put on the wire — the honest
+    /// vector on honest workers; on Byzantine ones the config attack's
+    /// output, further corrupted by the fault-plan attack if present. Draws
+    /// each attack RNG stream exactly once per call — callers invoke this
+    /// once per round, whatever the number of shards asking. `None` is a
+    /// malformed request (wrong dimension): dropped.
+    fn compute(&mut self, params: &[f32], round: u64) -> Option<(f32, Tensor)> {
+        let compute_span = garfield_obs::span_start();
+        let (loss, honest) = self
+            .node
+            .worker
+            .honest_compute(&Tensor::from_slice(params), round as usize)
+            .ok()?;
+        garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
+        if !self.node.worker.is_byzantine() && self.fault_attack.is_none() {
+            return Some((loss, honest));
         }
         let mut sent = self
+            .node
             .worker
             .sent_gradient(honest.clone(), &self.attack_history);
         if let Some(attack) = &self.fault_attack {
-            sent = attack.corrupt(&sent, &self.attack_history, &mut self.fault_rng);
+            sent = attack.corrupt(&sent, &self.attack_history, &mut self.node.fault_rng);
         }
         // Remember the honest trajectory *after* corrupting: the history
         // holds previous rounds only, the current honest vector enters the
@@ -349,14 +384,26 @@ impl WorkerActor {
             self.attack_history.remove(0);
         }
         self.attack_history.push(honest);
-        sent
+        Some((loss, sent))
     }
 
-    /// Encodes, stamps and sends one reply, counting the bytes; send
-    /// failures are tolerated (a crashed requester is what quorums absorb).
-    fn reply(&mut self, to: NodeId, round: u64, msg: &WireMessage) {
-        let origin = self.transport.local_id().0;
-        let payload = encode_stamped(msg, origin, &mut self.seq);
+    /// Encodes, stamps and sends one `GradientReply` tagged with the shard
+    /// `triple` it answers (`(0, 0, 0)` for a full vector), counting the
+    /// bytes; send failures are tolerated (a crashed requester is what
+    /// quorums absorb).
+    fn reply(
+        &mut self,
+        to: NodeId,
+        round: u64,
+        loss: f32,
+        values: Vec<f32>,
+        triple: (u16, u32, u32),
+    ) {
+        let msg = tagged(
+            WireMessage::new(MsgKind::GradientReply, round, loss, values),
+            triple,
+        );
+        let payload = encode_stamped(&msg, self.transport.local_id().0, &mut self.seq);
         let bytes = payload.len();
         if self.transport.send(to, round, payload).is_ok() {
             self.telemetry.record_send(bytes);
@@ -364,58 +411,17 @@ impl WorkerActor {
     }
 }
 
-/// How many sharded rounds a worker keeps in the slice-assembly buffer
-/// before evicting the oldest (guards against shard servers that die
-/// mid-round and leave a round forever incomplete).
-const PENDING_SLICE_ROUNDS: usize = 8;
-
-/// How many served sharded rounds stay re-sliceable for retries. Matches the
-/// deepest plausible retry horizon: a shard server only retries its *current*
-/// round, and shard servers drift by at most the rounds still in flight.
-const SENT_CACHE_ROUNDS: usize = 4;
-
 /// One collected reply: sender, aux scalar (loss), payload values.
-type Reply = (NodeId, f32, Vec<f32>);
+pub(crate) type Reply = (NodeId, f32, Vec<f32>);
 
-/// Everything a server-replica actor needs.
+/// A server replica running over a transport: the [`ServerNode`] description
+/// plus the loop's own state.
 pub(crate) struct ServerActor {
-    pub index: usize,
-    pub transport: Box<dyn Transport>,
-    pub server: ByzantineServer,
-    pub system: SystemKind,
-    pub config: ExperimentConfig,
-    pub worker_ids: Vec<NodeId>,
-    pub peer_ids: Vec<NodeId>,
-    /// The parameter shard this replica owns, when the model is split across
-    /// server shards (`None`: this replica holds the full vector). A shard
-    /// server's model *is* the slice — requests it broadcasts and replies it
-    /// accepts are tagged with the shard's coordinate range.
-    pub shard: Option<ShardSpec>,
-    /// The other shard servers of a sharded deployment (empty otherwise).
-    /// They are not replicas — no model merging happens across shards — but
-    /// they share the speculative fast-path latch via `SpeculationTrip`
-    /// broadcasts (the cluster-wide sticky OR).
-    pub shard_siblings: Vec<NodeId>,
-    pub gradient_quorum: usize,
-    pub round_deadline: Duration,
-    pub fault: Option<Fault>,
-    pub fault_attack: Option<Box<dyn Attack>>,
-    pub fault_rng: TensorRng,
-    /// Only the observer (server 0) evaluates accuracy.
-    pub test_batch: Option<Batch>,
-    /// Worker ids this replica winds down with a `Shutdown` when it exits
-    /// (empty under the in-process executor, whose controller does it; the
-    /// coordinating `garfield-node` server owns the duty in process-per-node
-    /// deployments, where no controller exists).
-    pub shutdown_targets: Vec<NodeId>,
-    pub telemetry: NodeTelemetry,
-    /// How long a pull waits before re-asking peers that have not replied.
-    /// Requests are idempotent (a worker recomputes the same gradient for
-    /// the same round), so the re-ask is what lets a peer that died and came
-    /// back contribute to a round whose original request died with it.
-    request_retry: Duration,
-    /// Disk persistence policy; `None` disables checkpointing.
-    checkpoint: Option<CheckpointPolicy>,
+    /// The node as assembled (its `resume` record is consumed at start-up).
+    node: ServerNode,
+    transport: Box<dyn Transport>,
+    fault_attack: Option<Box<dyn Attack>>,
+    telemetry: NodeTelemetry,
     /// First iteration to run (non-zero after a `--resume` restore).
     start_round: usize,
     /// Whether a `RestartAt` fault already fired (one restart per run).
@@ -431,10 +437,11 @@ pub(crate) struct ServerActor {
     pool: PayloadPool,
     /// The gradient GAR, owned by the actor (not the training loop) so that
     /// protocol handlers can latch its speculative fast path off when a
-    /// sibling shard announces a `SpeculationTrip` mid-collect.
+    /// sibling shard announces a `SpeculationTrip` mid-pull.
     gradient_gar: Box<dyn Gar>,
-    /// The model-merge phase of the system's plan, if it has one: after the
-    /// gradient update the replica pulls its peers' models and merges them.
+    /// The model-merge phase this replica runs after the gradient update:
+    /// the system plan's, where the replica has peers to pull from (shard
+    /// servers and a lone replica have none).
     merge: Option<MergePhase>,
     /// Whether this replica already told its shard siblings that its
     /// speculative fast path tripped (one broadcast per run; receivers never
@@ -470,41 +477,22 @@ impl ServerActor {
     /// Returns [`CoreError::InvalidConfig`] when the resume checkpoint
     /// belongs to a different experiment, and [`CoreError::Ml`] when its
     /// model does not fit this deployment.
-    pub fn from_node(node: ServerNode, transport: Box<dyn Transport>) -> CoreResult<Self> {
-        let telemetry = NodeTelemetry::new(transport.local_id().0, garfield_net::Role::Server);
-        let fault_attack = match node.fault {
-            Some(Fault::Byzantine { attack }) => Some(attack.build()),
-            _ => None,
-        };
+    pub fn from_node(mut node: ServerNode, transport: Box<dyn Transport>) -> CoreResult<Self> {
         let plan = SystemPlan::of(node.system, &node.config);
         let gradient_gar = build_gar(&plan.gradient_gar, node.gradient_quorum, plan.gradient_f)?;
+        let resume = node.resume.take();
         let mut actor = ServerActor {
-            index: node.index,
+            fault_attack: fault_attack(node.fault),
+            telemetry: NodeTelemetry::new(transport.local_id().0, Role::Server),
+            merge: plan.merge.filter(|_| !node.peer_ids.is_empty()),
+            node,
             transport,
-            server: node.server,
-            system: node.system,
-            config: node.config,
-            worker_ids: node.worker_ids,
-            peer_ids: node.peer_ids,
-            shard: node.shard,
-            shard_siblings: node.shard_siblings,
-            gradient_quorum: node.gradient_quorum,
-            round_deadline: node.round_deadline,
-            fault: node.fault,
-            fault_attack,
-            fault_rng: node.fault_rng,
-            test_batch: node.test_batch,
-            shutdown_targets: node.shutdown_targets,
-            telemetry,
-            request_retry: node.request_retry,
-            checkpoint: node.checkpoint,
             start_round: 0,
             restarted: false,
             state_chunk: None,
             engine: Engine::auto(),
             pool: PayloadPool::default(),
             gradient_gar,
-            merge: plan.merge,
             spec_trip_announced: false,
             round: 0,
             phase1_done: false,
@@ -516,8 +504,8 @@ impl ServerActor {
             ledger: SuspicionLedger::default(),
             outcome: SelectionOutcome::default(),
         };
-        if let Some(cp) = node.resume {
-            cp.validate_for(actor.system.as_str(), actor.config.seed)?;
+        if let Some(cp) = resume {
+            cp.validate_for(actor.node.system.as_str(), actor.node.config.seed)?;
             actor.adopt_state(&cp, true)?;
             actor.start_round = cp.round as usize;
             actor.telemetry.resumes += 1;
@@ -530,19 +518,17 @@ impl ServerActor {
     /// streams. Live catch-up adopts a *peer's* chunk, whose RNG streams
     /// belong to that peer and are skipped.
     fn adopt_state(&mut self, cp: &Checkpoint, own: bool) -> CoreResult<()> {
-        self.server
-            .honest_mut()
-            .write_model(&Tensor::from_slice(&cp.model))?;
-        self.server
-            .honest_mut()
+        let server = self.node.server.honest_mut();
+        server.write_model(&Tensor::from_slice(&cp.model))?;
+        server
             .optimizer_mut()
             .restore(cp.opt_steps, cp.velocity.as_deref().map(Tensor::from_slice));
         if own {
             if let Some(words) = cp.fault_rng {
-                self.fault_rng = TensorRng::from_state_words(words);
+                self.node.fault_rng = garfield_tensor::TensorRng::from_state_words(words);
             }
             if let Some(words) = cp.attack_rng {
-                self.server.set_rng_state(words);
+                self.node.server.set_rng_state(words);
             }
         }
         Ok(())
@@ -551,16 +537,16 @@ impl ServerActor {
     /// Serializes this replica's current training state as of the completed
     /// iteration `iteration` (the checkpoint resumes at `iteration + 1`).
     fn build_checkpoint(&self, iteration: usize) -> Checkpoint {
-        let optimizer = self.server.honest().optimizer();
+        let server = self.node.server.honest();
         Checkpoint {
-            system: self.system.as_str().to_string(),
-            seed: self.config.seed,
+            system: self.node.system.as_str().to_string(),
+            seed: self.node.config.seed,
             round: (iteration + 1) as u64,
-            opt_steps: optimizer.steps(),
-            model: self.server.honest().parameters().into_vec(),
-            velocity: optimizer.velocity().map(|v| v.data().to_vec()),
-            fault_rng: Some(self.fault_rng.state_words()),
-            attack_rng: Some(self.server.rng_state()),
+            opt_steps: server.optimizer().steps(),
+            model: server.parameters().into_vec(),
+            velocity: server.optimizer().velocity().map(|v| v.data().to_vec()),
+            fault_rng: Some(self.node.fault_rng.state_words()),
+            attack_rng: Some(self.node.server.rng_state()),
         }
     }
 
@@ -572,14 +558,10 @@ impl ServerActor {
         // Shutdown is best-effort and unconditional: after a liveness
         // failure the surviving worker processes must not be left waiting
         // out their idle timeout.
-        if !self.shutdown_targets.is_empty() {
-            let shutdown = self.stamped(&WireMessage::control(
-                MsgKind::Shutdown,
-                self.config.iterations as u64,
-            ));
-            for to in self.shutdown_targets.clone() {
-                self.send(to, self.config.iterations as u64, shutdown.clone());
-            }
+        let targets = std::mem::take(&mut self.node.shutdown_targets);
+        if !targets.is_empty() {
+            let last = self.node.config.iterations as u64;
+            self.broadcast(&WireMessage::control(MsgKind::Shutdown, last), &targets);
         }
         // Let asynchronous transports put the queued tail (including the
         // shutdowns just sent) on the wire before the counters are read.
@@ -588,7 +570,7 @@ impl ServerActor {
         let trace = result?;
         Ok(ServerRun {
             trace,
-            final_model: self.server.honest().parameters(),
+            final_model: self.node.server.honest().parameters(),
             telemetry: self.telemetry,
             round_latencies: self.round_latencies,
             resumed_from: (self.start_round > 0).then_some(self.start_round),
@@ -600,30 +582,32 @@ impl ServerActor {
     fn train(&mut self) -> CoreResult<TrainingTrace> {
         // Sharded replicas export their round as a per-shard gauge so
         // `expfig watch` can show how far the slowest/fastest shard has got.
-        let shard_round_gauge = self.shard.as_ref().map(|spec| {
+        let shard_round_gauge = self.node.shard.as_ref().map(|spec| {
             garfield_obs::metrics::gauge(
                 "garfield_shard_round",
                 "Current training round, per parameter shard.",
                 &[("shard", &spec.index.to_string())],
             )
         });
-        let mut trace = TrainingTrace::new(self.system.as_str(), self.config.effective_batch());
-        // The merge phase runs only where this replica has peers to pull from
-        // (shard servers and a lone replica have none).
-        let merge = self.merge.clone().filter(|_| !self.peer_ids.is_empty());
+        let iterations = self.node.config.iterations;
+        let mut trace = TrainingTrace::new(
+            self.node.system.as_str(),
+            self.node.config.effective_batch(),
+        );
+        let merge = self.merge.clone();
         let mut crashed = false;
 
         let mut iteration = self.start_round;
-        while iteration < self.config.iterations {
+        while iteration < iterations {
             self.round = iteration;
             self.phase1_done = false;
-            if let Some(Fault::CrashAt { iteration: at }) = self.fault {
+            if let Some(Fault::CrashAt { iteration: at }) = self.node.fault {
                 if iteration >= at {
                     crashed = true;
                     break;
                 }
             }
-            if let Some(Fault::RestartAt { crash, rejoin }) = self.fault {
+            if let Some(Fault::RestartAt { crash, rejoin }) = self.node.fault {
                 if !self.restarted && iteration >= crash {
                     // Die for real, then come back as a fresh incarnation
                     // and catch up from the fastest live peer's StateChunk.
@@ -638,7 +622,7 @@ impl ServerActor {
                     continue;
                 }
             }
-            if let Some(Fault::Delay { millis }) = self.fault {
+            if let Some(Fault::Delay { millis }) = self.node.fault {
                 std::thread::sleep(Duration::from_millis(millis));
             }
             let round_start = Instant::now();
@@ -651,38 +635,18 @@ impl ServerActor {
             // --- get_gradients(iteration, q): broadcast the model (a shard
             // server's model is its slice, tagged with the coordinate range
             // so workers can assemble the full vector), unblock on the
-            // fastest q gradient replies.
-            let params = self.server.honest().parameters();
-            let mut request_msg = WireMessage::new(
-                MsgKind::GradientRequest,
-                iteration as u64,
-                0.0,
-                params.data().to_vec(),
+            // fastest q gradient replies, aggregate, update.
+            let request = tagged(
+                WireMessage::new(
+                    MsgKind::GradientRequest,
+                    iteration as u64,
+                    0.0,
+                    self.node.server.honest().parameters().into_vec(),
+                ),
+                self.shard_triple(),
             );
-            if let Some(spec) = &self.shard {
-                request_msg =
-                    request_msg.with_shard(spec.index as u16, spec.offset as u32, spec.len as u32);
-            }
-            let request = self.stamped(&request_msg);
-            for to in self.worker_ids.clone() {
-                self.send(to, iteration as u64, request.clone());
-            }
-            let worker_ids = self.worker_ids.clone();
-            let replies = self.collect(
-                MsgKind::GradientReply,
-                iteration as u64,
-                self.gradient_quorum,
-                &request,
-                &worker_ids,
-            );
-            if replies.len() < self.gradient_quorum {
-                return Err(self.liveness_error(
-                    "gradient",
-                    iteration,
-                    replies.len(),
-                    self.gradient_quorum,
-                ));
-            }
+            let workers = self.node.worker_ids.clone();
+            let replies = self.pull(&request, &workers, self.node.gradient_quorum)?;
             let mut loss_sum = 0.0f32;
             for (_, loss, _) in &replies {
                 loss_sum += loss;
@@ -690,27 +654,9 @@ impl ServerActor {
             let mean_loss = loss_sum / replies.len() as f32;
             let mut communication = round_start.elapsed().as_secs_f64();
 
-            // Aggregate straight from the decoded wire payloads: the GAR
-            // reads the pooled buffers through borrowed views — no
-            // per-gradient Tensor materialisation on the hot path.
             let aggregate_start = Instant::now();
-            let reply_peers: Vec<u32> = replies.iter().map(|(id, _, _)| id.0).collect();
-            let views: Vec<GradientView<'_>> = replies
-                .iter()
-                .map(|(_, _, values)| GradientView::from(values))
-                .collect();
-            let aggregated = self.server.honest().aggregate_views_observed(
-                self.gradient_gar.as_ref(),
-                &views,
-                &self.engine,
-                &mut self.outcome,
-            )?;
-            drop(views);
-            // Replies are sorted by sender id (see `collect`), so view index
-            // `i` of the outcome belongs to `reply_peers[i]`.
-            self.ledger
-                .observe_round(iteration as u64, &reply_peers, &self.outcome);
-            self.server.honest_mut().update_model(&aggregated)?;
+            let aggregated = self.aggregate_observed(replies, None)?;
+            self.node.server.honest_mut().update_model(&aggregated)?;
             let mut aggregation = aggregate_start.elapsed().as_secs_f64();
             // Speculative rounds leave a wire-level trail: one event per
             // round, hit (fast path held) or fallback (robust replay).
@@ -734,76 +680,30 @@ impl ServerActor {
                 }
                 None => {}
             }
-            for (_, _, values) in replies {
-                self.pool.restore(values);
-            }
 
             // The model is now the post-update state of this round: snapshot
             // it as the vector served to peers (one Byzantine corruption per
             // round, so the served content is scheduling-independent), then
             // answer any get_models() that raced ahead of us.
             self.phase1_done = true;
-            if !self.peer_ids.is_empty() {
+            if !self.node.peer_ids.is_empty() {
                 self.refresh_served_snapshot();
             }
             self.flush_deferred();
 
-            // --- get_models(q): pull the fastest q peer models and merge them.
+            // --- get_models(q): the same pull over the peer replicas, merged
+            // with this replica's own model and written (not stepped) back.
             if let Some(merge) = &merge {
-                let model_quorum = merge.quorum;
                 let pull_start = Instant::now();
-                let request = self.stamped(&WireMessage::control(
-                    MsgKind::ModelRequest,
-                    iteration as u64,
-                ));
-                for to in self.peer_ids.clone() {
-                    self.send(to, iteration as u64, request.clone());
-                }
-                let peer_ids = self.peer_ids.clone();
-                let model_replies = self.collect(
-                    MsgKind::ModelReply,
-                    iteration as u64,
-                    model_quorum,
-                    &request,
-                    &peer_ids,
-                );
-                if model_replies.len() < model_quorum {
-                    return Err(self.liveness_error(
-                        "model",
-                        iteration,
-                        model_replies.len(),
-                        model_quorum,
-                    ));
-                }
-                let own = self.server.honest().parameters();
+                let request = WireMessage::control(MsgKind::ModelRequest, iteration as u64);
+                let peers = self.node.peer_ids.clone();
+                let models = self.pull(&request, &peers, merge.quorum)?;
                 communication += pull_start.elapsed().as_secs_f64();
 
                 let merge_start = Instant::now();
-                let mut merge_peers: Vec<u32> =
-                    model_replies.iter().map(|(id, _, _)| id.0).collect();
-                merge_peers.push(self.transport.local_id().0);
-                let mut inputs: Vec<GradientView<'_>> = model_replies
-                    .iter()
-                    .map(|(_, _, values)| GradientView::from(values))
-                    .collect();
-                inputs.push(GradientView::from(&own));
-                let model_gar = build_gar(&merge.gar, inputs.len(), merge.f)?;
-                let merged = self.server.honest().aggregate_views_observed(
-                    model_gar.as_ref(),
-                    &inputs,
-                    &self.engine,
-                    &mut self.outcome,
-                )?;
-                drop(inputs);
-                // Byzantine *server* forensics: model merges score the peer
-                // replicas (and this replica's own entry, last index).
-                self.ledger
-                    .observe_round(iteration as u64, &merge_peers, &self.outcome);
-                self.server.honest_mut().write_model(&merged)?;
+                let merged = self.aggregate_observed(models, Some(merge))?;
+                self.node.server.honest_mut().write_model(&merged)?;
                 aggregation += merge_start.elapsed().as_secs_f64();
-                for (_, _, values) in model_replies {
-                    self.pool.restore(values);
-                }
             }
 
             // Live timing is wall-clock: the server cannot separate its
@@ -823,11 +723,11 @@ impl ServerActor {
             obs.rounds_total.inc();
             flight::record(EventKind::RoundEnd, iteration as u64, None, round_latency);
 
-            if let Some(test) = &self.test_batch {
-                let every = self.config.eval_every;
-                let last = iteration + 1 == self.config.iterations;
+            if let Some(test) = &self.node.test_batch {
+                let every = self.node.config.eval_every;
+                let last = iteration + 1 == iterations;
                 if every != 0 && (iteration.is_multiple_of(every) || last) {
-                    let accuracy = self.server.honest().compute_accuracy(test);
+                    let accuracy = self.node.server.honest().compute_accuracy(test);
                     trace.accuracy.push(AccuracyPoint {
                         iteration,
                         sim_time: trace.total_time(),
@@ -852,32 +752,76 @@ impl ServerActor {
         Ok(trace)
     }
 
-    /// Receives until `want` replies of `(kind, round)` arrived or the
-    /// deadline passed, servicing peer model requests along the way.
+    /// The shard triple `(shard, coord_offset, coord_len)` this server tags
+    /// its requests with and requires on replies: its own coordinate range,
+    /// `(0, 0, 0)` when it holds the full vector.
+    fn shard_triple(&self) -> (u16, u32, u32) {
+        self.node.shard.map_or((0, 0, 0), |spec| {
+            (spec.index as u16, spec.offset as u32, spec.len as u32)
+        })
+    }
+
+    /// One step of every server receive loop: the next frame, if [`admit`]
+    /// lets it in — with its verdict, [`Verdict::Reply`] or
+    /// [`Verdict::Protocol`]. `Ok(None)` is a frame that was dropped.
+    fn admitted(
+        &mut self,
+        wait: Duration,
+        pull: Option<Pull<'_>>,
+    ) -> NetResult<Option<(Verdict, Envelope, WireHeader)>> {
+        let frame = next_frame(self.transport.as_ref(), &mut self.telemetry, wait)?;
+        let Some((envelope, header)) = frame else {
+            return Ok(None);
+        };
+        let view = ServerView {
+            pull,
+            shard: self.shard_triple(),
+            dimension: self.node.server.honest().dimension(),
+            peers: &self.node.peer_ids,
+            siblings: &self.node.shard_siblings,
+        };
+        Ok(match admit(envelope.from, &header, &view) {
+            Verdict::Drop => None,
+            verdict => Some((verdict, envelope, header)),
+        })
+    }
+
+    /// The paper's `get_gradients()` / `get_models()`: broadcasts `request`
+    /// to `recipients` and receives until `want` replies arrived or the
+    /// round deadline passed, servicing protocol traffic along the way.
     ///
-    /// Peers that have not replied after [`ServerActor::request_retry`] are
-    /// re-sent `request`. Requests are idempotent (a worker recomputes the
-    /// same gradient for the same round; model pulls answer from snapshots),
-    /// so re-asking never changes what a live peer contributes — it exists
-    /// for the peer whose first request died with a crashed incarnation and
-    /// who can only contribute to this round if asked again.
+    /// Peers that have not replied after `request_retry` are re-sent the
+    /// request. Requests are idempotent (a worker recomputes the same
+    /// gradient for the same round; model pulls answer from snapshots), so
+    /// re-asking never changes what a live peer contributes — it exists for
+    /// the peer whose first request died with a crashed incarnation and who
+    /// can only contribute to this round if asked again.
     ///
     /// The result is sorted by sender id, which makes the aggregation input
     /// independent of message arrival *order*. Note the quorum *membership*
     /// is still arrival-driven when `want` is below the number of live
     /// repliers: full-quorum (synchronous) runs are bit-reproducible,
     /// sub-quorum asynchronous runs are live but not.
-    fn collect(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Net`] when fewer than `want` replies arrived in
+    /// time — a liveness violation.
+    fn pull(
         &mut self,
-        kind: MsgKind,
-        round: u64,
-        want: usize,
-        request: &bytes::Bytes,
+        request: &WireMessage,
         recipients: &[NodeId],
-    ) -> Vec<Reply> {
+        want: usize,
+    ) -> CoreResult<Vec<Reply>> {
+        let round = request.round;
+        let (kind, what) = match request.kind {
+            MsgKind::GradientRequest => (MsgKind::GradientReply, "gradient"),
+            _ => (MsgKind::ModelReply, "model"),
+        };
+        let request = self.broadcast(request, recipients);
         flight::record(EventKind::PullIssued, round, None, want as f64);
-        let deadline = Instant::now() + self.round_deadline;
-        let mut next_retry = Instant::now() + self.request_retry;
+        let deadline = Instant::now() + self.node.round_deadline;
+        let mut next_retry = Instant::now() + self.node.request_retry;
         let mut collected: Vec<Reply> = Vec::with_capacity(want);
         while collected.len() < want {
             let now = Instant::now();
@@ -893,35 +837,17 @@ impl ServerActor {
                         flight::record(EventKind::PullRetried, round, Some(to.0), 0.0);
                     }
                 }
-                next_retry = now + self.request_retry;
+                next_retry = now + self.node.request_retry;
             }
             let wait = deadline.min(next_retry).saturating_duration_since(now);
-            let envelope = match self.transport.recv_timeout(wait) {
-                Ok(env) => env,
-                Err(garfield_net::NetError::Timeout) => continue, // retry or deadline
-                Err(_) => break,
+            let pull = Pull {
+                kind,
+                round,
+                recipients,
+                collected: &collected,
             };
-            self.telemetry.record_recv(envelope.payload.len());
-            // Structural validation without materialising the payload:
-            // control traffic and garbage never cost an allocation.
-            let Ok(header) = WireMessage::peek(&envelope.payload) else {
-                continue;
-            };
-            if header.kind == kind && header.round == round {
-                // A shard server accepts only replies sliced exactly to its
-                // own coordinate range: a mis-tagged slice is Byzantine noise
-                // (or another shard's reply misrouted) and aggregating it
-                // would silently mix coordinate spaces.
-                if let Some(spec) = &self.shard {
-                    let matches_shard = header.shard as usize == spec.index
-                        && header.coord_offset as usize == spec.offset
-                        && header.coord_len as usize == spec.len;
-                    if !matches_shard {
-                        continue;
-                    }
-                }
-                // One reply per peer per round; duplicates are Byzantine noise.
-                if !collected.iter().any(|(id, _, _)| *id == envelope.from) {
+            match self.admitted(wait, Some(pull)) {
+                Ok(Some((Verdict::Reply, envelope, header))) => {
                     let mut values = self.pool.checkout();
                     if WireMessage::decode_into(&envelope.payload, &mut values).is_ok() {
                         collected.push((envelope.from, header.aux, values));
@@ -930,17 +856,65 @@ impl ServerActor {
                         self.pool.restore(values); // unreachable: peek accepted
                     }
                 }
-            } else {
-                self.handle_protocol(envelope.from, header.kind, header.round);
+                Ok(Some((_, envelope, header))) => {
+                    self.handle_protocol(envelope.from, header.kind, header.round)
+                }
+                Ok(None) | Err(NetError::Timeout) => {} // retry or deadline
+                Err(_) => break,
             }
         }
         collected.sort_by_key(|(id, _, _)| *id);
         flight::record(EventKind::QuorumFormed, round, None, collected.len() as f64);
-        collected
+        if collected.len() < want {
+            return Err(self.liveness_error(what, round as usize, collected.len(), want));
+        }
+        Ok(collected)
     }
 
-    /// Handles protocol traffic that is not the reply currently waited on.
-    /// Only the header matters: requests and done-markers carry no payload.
+    /// Aggregates one pull's `replies` straight from the decoded wire
+    /// payloads — the GAR reads the pooled buffers through borrowed views,
+    /// no per-reply `Tensor` on the hot path — and scores every contributor
+    /// in the suspicion ledger. A gradient pull (`merge = None`) runs the
+    /// replica's gradient GAR over the replies alone; a model pull runs the
+    /// merge phase's GAR over the replies plus this replica's own model,
+    /// which takes the last index.
+    fn aggregate_observed(
+        &mut self,
+        replies: Vec<Reply>,
+        merge: Option<&MergePhase>,
+    ) -> CoreResult<Tensor> {
+        // Replies are sorted by sender id (see `pull`), so view index `i` of
+        // the outcome belongs to `peers[i]`.
+        let mut peers: Vec<u32> = replies.iter().map(|(id, _, _)| id.0).collect();
+        let mut views: Vec<GradientView<'_>> = replies
+            .iter()
+            .map(|(_, _, values)| GradientView::from(values))
+            .collect();
+        let own = merge.map(|_| self.node.server.honest().parameters());
+        if let Some(own) = &own {
+            peers.push(self.transport.local_id().0);
+            views.push(GradientView::from(own));
+        }
+        let model_gar = merge
+            .map(|merge| build_gar(&merge.gar, views.len(), merge.f))
+            .transpose()?;
+        let aggregated = self.node.server.honest().aggregate_views_observed(
+            model_gar.as_deref().unwrap_or(self.gradient_gar.as_ref()),
+            &views,
+            &self.engine,
+            &mut self.outcome,
+        )?;
+        drop(views);
+        self.ledger
+            .observe_round(self.round as u64, &peers, &self.outcome);
+        for (_, _, values) in replies {
+            self.pool.restore(values);
+        }
+        Ok(aggregated)
+    }
+
+    /// Handles admitted protocol traffic. Only the header matters: requests
+    /// and done-markers carry no payload.
     fn handle_protocol(&mut self, from: NodeId, kind: MsgKind, round: u64) {
         match kind {
             MsgKind::ModelRequest => {
@@ -984,7 +958,7 @@ impl ServerActor {
                     flight::record(EventKind::StateChunkServed, next_round, Some(from.0), 0.0);
                 }
             }
-            _ => {} // stale replies from rounds this replica already left behind
+            _ => {} // a `StateChunk` nobody is catching up on
         }
     }
 
@@ -993,9 +967,9 @@ impl ServerActor {
     /// (only where peers exist to request it) and, on the configured
     /// cadence, the on-disk checkpoint.
     fn record_recovery_state(&mut self, iteration: usize) -> CoreResult<()> {
-        let serve_peers = !self.peer_ids.is_empty();
-        let disk_due = self.checkpoint.as_ref().is_some_and(|p| p.due(iteration));
-        if !serve_peers && !disk_due {
+        let serve_peers = !self.node.peer_ids.is_empty();
+        let disk = self.node.checkpoint.as_ref().filter(|p| p.due(iteration));
+        if !serve_peers && disk.is_none() {
             return Ok(());
         }
         // One state capture feeds both transports: the model (and velocity)
@@ -1014,15 +988,9 @@ impl ServerActor {
             // unstamped payloads when recording wire trace events.
             self.state_chunk = Some((cp.round, message.encode()));
         }
-        if disk_due {
-            let dir = self
-                .checkpoint
-                .as_ref()
-                .expect("disk_due implies a policy")
-                .dir
-                .clone();
+        if let Some(policy) = disk {
             let span = garfield_obs::span_start();
-            cp.save(dir)?;
+            cp.save(policy.dir.clone())?;
             let spent = garfield_obs::span_end(span, &actor_obs().phase_checkpoint);
             self.telemetry.checkpoints_written += 1;
             actor_obs().checkpoints_written.inc();
@@ -1050,86 +1018,73 @@ impl ServerActor {
     /// Returns [`CoreError::Net`] when no peer serves a fresh-enough chunk
     /// before the round deadline.
     fn catch_up(&mut self, min_round: usize) -> CoreResult<usize> {
-        let deadline = Instant::now() + self.round_deadline;
-        let mut next_ask = Instant::now(); // ask immediately, then retry
-        let request = self.stamped(&WireMessage::control(
-            MsgKind::StateRequest,
-            min_round as u64,
-        ));
+        // Every model request now counts as "past round" (as in `linger`):
+        // served at once from the stale snapshot rather than deferred. The
+        // training loop resets both fields when it resumes.
+        self.round = usize::MAX;
+        self.phase1_done = true;
+        let deadline = Instant::now() + self.node.round_deadline;
+        let mut next_ask = Instant::now() + self.node.request_retry;
+        let peers = self.node.peer_ids.clone();
+        let request = WireMessage::control(MsgKind::StateRequest, min_round as u64);
+        let request = self.broadcast(&request, &peers);
         let mut values = self.pool.checkout();
         let adopted = loop {
             let now = Instant::now();
             if now >= deadline {
-                self.pool.restore(values);
                 return Err(self.liveness_error("state", min_round, 0, 1));
             }
             if now >= next_ask {
-                for to in self.peer_ids.clone() {
+                for &to in &peers {
                     self.send(to, min_round as u64, request.clone());
                 }
-                next_ask = now + self.request_retry;
+                next_ask = now + self.node.request_retry;
             }
             let wait = deadline.min(next_ask).saturating_duration_since(now);
-            let envelope = match self.transport.recv_timeout(wait) {
-                Ok(env) => env,
-                Err(garfield_net::NetError::Timeout) => continue,
-                Err(_) => {
-                    self.pool.restore(values);
-                    return Err(self.liveness_error("state", min_round, 0, 1));
-                }
-            };
-            self.telemetry.record_recv(envelope.payload.len());
-            let Ok(header) = WireMessage::peek(&envelope.payload) else {
-                continue;
-            };
-            match header.kind {
-                MsgKind::StateChunk => {
-                    if WireMessage::decode_into(&envelope.payload, &mut values).is_err() {
-                        continue; // unreachable: peek accepted
-                    }
-                    let Ok(cp) = Checkpoint::from_wire_words(&values) else {
-                        continue; // a Byzantine peer may serve garbage state
-                    };
+            match self.admitted(wait, None) {
+                Ok(Some((_, envelope, header))) if header.kind == MsgKind::StateChunk => {
                     // A chunk is adopted only if it survives every shape
-                    // check a Byzantine peer could fail: experiment identity,
-                    // freshness, model and velocity dimensions. A hostile
-                    // chunk must cost this replica nothing but the poll —
-                    // never an aborted run.
-                    let d = self.server.honest().dimension();
-                    if cp
-                        .validate_for(self.system.as_str(), self.config.seed)
-                        .is_err()
-                        || cp.model.len() != d
-                        || cp.velocity.as_ref().is_some_and(|v| v.len() != d)
-                    {
-                        continue;
+                    // check a Byzantine peer could fail: decodable state,
+                    // experiment identity, model and velocity dimensions,
+                    // freshness (a peer not there yet: keep polling). A
+                    // hostile chunk must cost this replica nothing but the
+                    // poll — never an aborted run.
+                    let d = self.node.server.honest().dimension();
+                    let fresh = WireMessage::decode_into(&envelope.payload, &mut values)
+                        .ok()
+                        .and_then(|_| Checkpoint::from_wire_words(&values).ok())
+                        .filter(|cp| {
+                            cp.validate_for(self.node.system.as_str(), self.node.config.seed)
+                                .is_ok()
+                                && cp.model.len() == d
+                                && cp.velocity.as_ref().is_none_or(|v| v.len() == d)
+                                && cp.round as usize >= min_round
+                        });
+                    if let Some(cp) = fresh {
+                        self.telemetry.state_chunks_received += 1;
+                        break cp;
                     }
-                    if (cp.round as usize) < min_round {
-                        continue; // peer not there yet: keep polling
-                    }
-                    self.telemetry.state_chunks_received += 1;
-                    break cp;
                 }
-                MsgKind::ModelRequest => {
-                    // Serve the stale snapshot rather than deferring: a
-                    // recovering replica must not stall its peers' merges.
-                    self.serve_model(envelope.from, header.round);
+                Ok(Some((_, envelope, header))) => {
+                    self.handle_protocol(envelope.from, header.kind, header.round)
                 }
-                _ => self.handle_protocol(envelope.from, header.kind, header.round),
+                Ok(None) | Err(NetError::Timeout) => {}
+                Err(_) => return Err(self.liveness_error("state", min_round, 0, 1)),
             }
         };
         self.pool.restore(values);
         self.adopt_state(&adopted, false)?;
-        Ok((adopted.round as usize).min(self.config.iterations))
+        Ok((adopted.round as usize).min(self.node.config.iterations))
     }
 
     /// Recomputes the vector this replica serves to peers (corrupted if the
     /// replica is Byzantine — by config attack inside
-    /// [`ByzantineServer::served_model`], by fault-plan attack here).
+    /// [`ByzantineServer::served_model`](garfield_core::ByzantineServer::served_model),
+    /// by fault-plan attack here).
     fn refresh_served_snapshot(&mut self) {
-        let served = self.server.served_model(&[]);
+        let served = self.node.server.served_model(&[]);
         let served = match &self.fault_attack {
-            Some(attack) => attack.corrupt(&served, &[], &mut self.fault_rng),
+            Some(attack) => attack.corrupt(&served, &[], &mut self.node.fault_rng),
             None => served,
         };
         self.served_snapshot = Some(served);
@@ -1145,13 +1100,8 @@ impl ServerActor {
         let Some(model) = self.served_snapshot.clone() else {
             return; // no completed phase 1 yet: the peer's deadline handles it
         };
-        let reply = self.stamped(&WireMessage::new(
-            MsgKind::ModelReply,
-            round,
-            0.0,
-            model.into_vec(),
-        ));
-        self.send(to, round, reply);
+        let reply = WireMessage::new(MsgKind::ModelReply, round, 0.0, model.into_vec());
+        self.broadcast(&reply, &[to]);
     }
 
     /// Serves the deferred model requests whose round this replica has now
@@ -1172,32 +1122,27 @@ impl ServerActor {
     /// peer announced completion (or the deadline passes), so slower replicas
     /// can finish their final `get_models()` round.
     fn linger(&mut self) {
-        if self.peer_ids.is_empty() {
+        if self.node.peer_ids.is_empty() {
             return;
         }
         self.round = usize::MAX; // every request now counts as "past round"
         self.phase1_done = true;
         self.flush_deferred();
-        let done = self.stamped(&WireMessage::control(
-            MsgKind::ServerDone,
-            self.config.iterations as u64,
-        ));
-        for to in self.peer_ids.clone() {
-            self.send(to, self.config.iterations as u64, done.clone());
-        }
-        let deadline = Instant::now() + self.round_deadline;
-        while self.done_peers.len() < self.peer_ids.len() {
+        let last = self.node.config.iterations as u64;
+        let peers = self.node.peer_ids.clone();
+        self.broadcast(&WireMessage::control(MsgKind::ServerDone, last), &peers);
+        let deadline = Instant::now() + self.node.round_deadline;
+        while self.done_peers.len() < peers.len() {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let envelope = match self.transport.recv_timeout(deadline - now) {
-                Ok(env) => env,
+            match self.admitted(deadline - now, None) {
+                Ok(Some((_, envelope, header))) => {
+                    self.handle_protocol(envelope.from, header.kind, header.round)
+                }
+                Ok(None) => {}
                 Err(_) => break,
-            };
-            self.telemetry.record_recv(envelope.payload.len());
-            if let Ok(header) = WireMessage::peek(&envelope.payload) {
-                self.handle_protocol(envelope.from, header.kind, header.round);
             }
         }
     }
@@ -1208,22 +1153,28 @@ impl ServerActor {
     /// the fast path until its own slice shows suspicion, which is the
     /// per-shard behaviour sharding starts from anyway.
     fn announce_speculation_trip(&mut self, round: u64) {
-        if self.spec_trip_announced || self.shard_siblings.is_empty() {
+        if self.spec_trip_announced || self.node.shard_siblings.is_empty() {
             return;
         }
         self.spec_trip_announced = true;
-        let shard = self.shard.as_ref().map(|s| s.index as u16).unwrap_or(0);
-        let trip = self.stamped(
-            &WireMessage::control(MsgKind::SpeculationTrip, round).with_shard(shard, 0, 0),
+        let trip = WireMessage::control(MsgKind::SpeculationTrip, round).with_shard(
+            self.shard_triple().0,
+            0,
+            0,
         );
-        for to in self.shard_siblings.clone() {
-            self.send(to, round, trip.clone());
-        }
+        let siblings = self.node.shard_siblings.clone();
+        self.broadcast(&trip, &siblings);
     }
 
-    /// [`encode_stamped`] with this replica's origin id and sequence counter.
-    fn stamped(&mut self, msg: &WireMessage) -> bytes::Bytes {
-        encode_stamped(msg, self.transport.local_id().0, &mut self.seq)
+    /// Encodes and stamps `msg` once ([`encode_stamped`] with this replica's
+    /// origin id and sequence counter) and sends it to every node in `to`.
+    /// Returns the bytes, for re-sending to silent peers.
+    fn broadcast(&mut self, msg: &WireMessage, to: &[NodeId]) -> bytes::Bytes {
+        let payload = encode_stamped(msg, self.transport.local_id().0, &mut self.seq);
+        for &to in to {
+            self.send(to, msg.round, payload.clone());
+        }
+        payload
     }
 
     /// Sends one payload, counting it; per-peer failures are tolerated (a
@@ -1239,7 +1190,7 @@ impl ServerActor {
         CoreError::Net(format!(
             "live {}: server {} collected only {got}/{want} {what} replies for iteration \
              {iteration} within {:?} — deploy n ≥ q + f nodes to preserve liveness",
-            self.system, self.index, self.round_deadline
+            self.node.system, self.node.index, self.node.round_deadline
         ))
     }
 }
@@ -1247,50 +1198,29 @@ impl ServerActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garfield_core::{shard_server, Deployment, ShardMap, ShardSpec};
+    use crate::node::{assemble, LiveNodes};
+    use crate::{FaultPlan, LiveOptions};
+    use garfield_core::{ExperimentConfig, ShardSpec, SystemKind};
     use garfield_net::{Router, RouterTransport};
 
-    fn sharded_config(shards: usize) -> ExperimentConfig {
+    /// The nodes of a one-worker deployment split over `shards` shard
+    /// servers, under the speculative system (so a server's gradient GAR
+    /// exposes the fast-path latch).
+    fn sharded_nodes(shards: usize) -> LiveNodes {
         let mut cfg = ExperimentConfig::small();
         cfg.nw = 1;
         cfg.fw = 0;
         cfg.shards = shards;
         cfg.gradient_gar = garfield_aggregation::GarKind::Median;
         cfg.iterations = 2;
-        cfg
+        let options = LiveOptions::default();
+        assemble(SystemKind::Speculative, &cfg, &options, &FaultPlan::new()).unwrap()
     }
 
-    /// Builds the shard server actor of `index` over `router`, under the
-    /// speculative system (so its gradient GAR exposes the fast-path latch).
-    fn shard_actor(
-        router: &Router,
-        config: &ExperimentConfig,
-        index: usize,
-        siblings: Vec<NodeId>,
-    ) -> ServerActor {
-        let parts = Deployment::new(config.clone()).unwrap().into_live_parts();
-        let map = ShardMap::new(parts.dimension, config.shards).unwrap();
-        let initial = parts.servers[0].honest().parameters();
-        let node = ServerNode {
-            index,
-            server: shard_server(map.spec(index), initial.data(), config),
-            system: SystemKind::Speculative,
-            config: config.clone(),
-            worker_ids: Vec::new(),
-            peer_ids: Vec::new(),
-            shard: Some(map.spec(index)),
-            shard_siblings: siblings,
-            gradient_quorum: 1,
-            round_deadline: Duration::from_millis(200),
-            fault: None,
-            fault_rng: TensorRng::seed_from(7),
-            test_batch: None,
-            shutdown_targets: Vec::new(),
-            request_retry: Duration::from_millis(50),
-            checkpoint: None,
-            resume: None,
-        };
-        let transport = Box::new(RouterTransport::connect(router, NodeId(index as u32)).unwrap());
+    /// The actor of shard server 0 of `shards`, connected to `router`.
+    fn shard_actor(router: &Router, shards: usize) -> ServerActor {
+        let node = sharded_nodes(shards).servers.swap_remove(0);
+        let transport = Box::new(RouterTransport::connect(router, NodeId(0)).unwrap());
         ServerActor::from_node(node, transport).unwrap()
     }
 
@@ -1298,7 +1228,7 @@ mod tests {
     fn a_sibling_speculation_trip_latches_the_fallback_without_rebroadcast() {
         let router = Router::new();
         let sibling = RouterTransport::connect(&router, NodeId(1)).unwrap();
-        let mut actor = shard_actor(&router, &sharded_config(2), 0, vec![NodeId(1)]);
+        let mut actor = shard_actor(&router, 2);
         assert_eq!(actor.gradient_gar.fell_back(), Some(false));
         actor.handle_protocol(NodeId(1), MsgKind::SpeculationTrip, 3);
         assert_eq!(
@@ -1320,7 +1250,7 @@ mod tests {
         let router = Router::new();
         let s1 = RouterTransport::connect(&router, NodeId(1)).unwrap();
         let s2 = RouterTransport::connect(&router, NodeId(2)).unwrap();
-        let mut actor = shard_actor(&router, &sharded_config(3), 0, vec![NodeId(1), NodeId(2)]);
+        let mut actor = shard_actor(&router, 3);
         actor.announce_speculation_trip(5);
         actor.announce_speculation_trip(6); // latched: must not send again
         for t in [&s1, &s2] {
@@ -1342,42 +1272,32 @@ mod tests {
 
     #[test]
     fn worker_assembles_slices_computes_once_and_reslices_replies_bit_exactly() {
-        let cfg = sharded_config(2);
-        let parts = Deployment::new(cfg.clone()).unwrap().into_live_parts();
-        let dimension = parts.dimension;
-        let map = ShardMap::new(dimension, 2).unwrap();
-        let initial = parts.servers[0].honest().parameters();
+        let LiveNodes {
+            mut workers,
+            servers,
+            ..
+        } = sharded_nodes(2);
+        let specs: Vec<ShardSpec> = servers.iter().map(|s| s.shard.unwrap()).collect();
+        // The full initial model, stitched from the shard servers' slices.
+        let initial: Vec<f32> = servers
+            .iter()
+            .flat_map(|s| s.server.honest().parameters().into_vec())
+            .collect();
 
         // The unsharded reference: an identically-constructed worker
         // computing on the full parameter vector.
-        let mut reference = Deployment::new(cfg.clone())
-            .unwrap()
-            .into_live_parts()
-            .workers
-            .remove(0);
-        let (ref_loss, ref_grad) = reference.honest_compute(&initial, 0).unwrap();
+        let mut reference = sharded_nodes(2).workers.remove(0).worker;
+        let (ref_loss, ref_grad) = reference
+            .honest_compute(&Tensor::from_slice(&initial), 0)
+            .unwrap();
 
         let router = Router::new();
         let s0 = RouterTransport::connect(&router, NodeId(0)).unwrap();
         let s1 = RouterTransport::connect(&router, NodeId(1)).unwrap();
         let transport = Box::new(RouterTransport::connect(&router, NodeId(2)).unwrap());
-        let mut workers = parts.workers;
-        let actor = WorkerActor {
-            telemetry: NodeTelemetry::new(2, garfield_net::Role::Worker),
-            transport,
-            worker: workers.remove(0),
-            fault: None,
-            fault_attack: None,
-            fault_rng: TensorRng::seed_from(3),
-            idle_timeout: Duration::from_secs(5),
-            restarted: false,
-            seq: 0,
-            attack_history: Vec::new(),
-            shards: 2,
-            dimension,
-            pending_slices: Vec::new(),
-            sent_cache: Vec::new(),
-        };
+        let mut node = workers.remove(0);
+        node.idle_timeout = Duration::from_secs(5);
+        let actor = WorkerActor::new(node, transport);
         let handle = std::thread::spawn(move || actor.run());
 
         let send_slice = |t: &RouterTransport, spec: ShardSpec, round: u64| {
@@ -1385,7 +1305,7 @@ mod tests {
                 MsgKind::GradientRequest,
                 round,
                 0.0,
-                spec.slice(initial.data()).to_vec(),
+                spec.slice(&initial).to_vec(),
             )
             .with_shard(spec.index as u16, spec.offset as u32, spec.len as u32);
             t.send(NodeId(2), round, msg.encode()).unwrap();
@@ -1403,14 +1323,14 @@ mod tests {
         };
 
         // No reply until the round's *last* slice lands.
-        send_slice(&s0, map.spec(0), 0);
+        send_slice(&s0, specs[0], 0);
         assert!(matches!(
             s0.recv_timeout(Duration::from_millis(150)),
             Err(garfield_net::NetError::Timeout)
         ));
-        send_slice(&s1, map.spec(1), 0);
-        let (loss0, slice0) = recv_reply(&s0, map.spec(0));
-        let (loss1, slice1) = recv_reply(&s1, map.spec(1));
+        send_slice(&s1, specs[1], 0);
+        let (loss0, slice0) = recv_reply(&s0, specs[0]);
+        let (loss1, slice1) = recv_reply(&s1, specs[1]);
 
         // Both shards observe the same loss, and the stitched slices are the
         // unsharded gradient, bit for bit.
@@ -1421,10 +1341,10 @@ mod tests {
         assert_eq!(bits(&stitched), bits(ref_grad.data()));
 
         // A retry re-slices the sent cache bit-exactly (no recompute).
-        send_slice(&s1, map.spec(1), 0);
-        let (retry_loss, retry_slice) = recv_reply(&s1, map.spec(1));
+        send_slice(&s1, specs[1], 0);
+        let (retry_loss, retry_slice) = recv_reply(&s1, specs[1]);
         assert_eq!(retry_loss.to_bits(), ref_loss.to_bits());
-        assert_eq!(bits(&retry_slice), bits(&stitched[map.spec(1).range()]));
+        assert_eq!(bits(&retry_slice), bits(&stitched[specs[1].range()]));
 
         s0.send(
             NodeId(2),

@@ -1,11 +1,11 @@
 //! The live executor: spawn every node, train over real messages, join.
 
 use crate::fault::FaultPlan;
-use crate::node::{fault_rng_streams, NodeLayout, ServerNode, ServerRun, WorkerNode};
+use crate::node::{self, LiveNodes, ServerRun};
 use garfield_aggregation::PeerSuspicion;
 use garfield_core::{
-    shard_server, CoreError, CoreResult, Deployment, ExecMode, Executor, ExperimentConfig,
-    NodeTelemetry, RuntimeTelemetry, ShardMap, SimExecutor, SystemKind, TrainingTrace,
+    CoreError, CoreResult, ExecMode, Executor, ExperimentConfig, NodeTelemetry, RuntimeTelemetry,
+    SimExecutor, SystemKind, TrainingTrace,
 };
 use garfield_net::{MsgKind, NodeId, Router, RouterTransport, Transport, WireMessage};
 use garfield_tensor::Tensor;
@@ -63,11 +63,11 @@ pub struct LiveReport {
 /// The threaded executor: each worker and server replica of the experiment
 /// runs as its own OS thread, exchanging [`WireMessage`]s over a [`Router`].
 ///
-/// Construction of the node objects is shared with the sim path
-/// ([`Deployment::new`] → [`Deployment::into_live_parts`]), so a fault-free
-/// live run reproduces the sim executor's learning trajectory — same shards,
-/// same initial model, same aggregation inputs — while actually moving every
-/// gradient and model over the wire.
+/// Construction of the node objects is shared with the sim path (see
+/// [`node::assemble`]), so a fault-free live run reproduces the sim
+/// executor's learning trajectory — same shards, same initial model, same
+/// aggregation inputs — while actually moving every gradient and model over
+/// the wire.
 pub struct LiveExecutor {
     config: ExperimentConfig,
     options: LiveOptions,
@@ -117,28 +117,15 @@ impl LiveExecutor {
     /// [`CoreError::Net`] when a quorum cannot be gathered before the
     /// deadline (a liveness violation: fewer than `q` live repliers).
     pub fn run_live(&mut self, system: SystemKind) -> CoreResult<LiveReport> {
-        if !garfield_core::live_supported(system) {
-            return Err(CoreError::InvalidConfig(format!(
-                "the live runtime implements {} (requested {system})",
-                garfield_core::system_names(|plan| plan.live)
-            )));
-        }
-        self.config.validate(system)?;
-        let parts = Deployment::new(self.config.clone())?.into_live_parts();
-        let config = parts.config.clone();
-        let layout = NodeLayout::of(system, &config);
+        let LiveNodes {
+            layout,
+            workers,
+            servers,
+            shard_map,
+        } = node::assemble(system, &self.config, &self.options, &self.faults)?;
+        let config = &self.config;
         let nps = layout.server_ids.len();
         let nw = layout.worker_ids.len();
-        // Parameter sharding: one server per shard instead of one full-model
-        // server (validation already confined `shards > 1` to the
-        // single-server systems with coordinate-decomposable GARs).
-        let shard_map = (config.shards > 1)
-            .then(|| ShardMap::new(parts.dimension, config.shards))
-            .transpose()?;
-        let gradient_quorum = self
-            .options
-            .gradient_quorum
-            .unwrap_or_else(|| config.gradient_quorum(system));
 
         // Every endpoint registers before any thread starts: a round-0
         // broadcast must never race a peer's registration.
@@ -158,97 +145,27 @@ impl LiveExecutor {
             .iter()
             .map(|&id| connect(id))
             .collect::<CoreResult<_>>()?;
+        // The controller winds the workers down once the servers are done
+        // (no assembled server carries `shutdown_targets`).
         let controller = router
             .register(NodeId((nps + nw) as u32))
             .map_err(CoreError::from)?;
 
-        let (worker_rngs, server_rngs) = fault_rng_streams(&config, nps);
-        let mut worker_threads = Vec::with_capacity(nw);
-        for (((j, worker), transport), fault_rng) in parts
-            .workers
+        let worker_threads: Vec<_> = workers
             .into_iter()
-            .enumerate()
             .zip(worker_transports)
-            .zip(worker_rngs)
-        {
-            let node = WorkerNode {
-                worker,
-                fault: self.faults.worker(j),
-                fault_rng,
-                idle_timeout: self.options.idle_timeout,
-                shards: shard_map.as_ref().map_or(1, ShardMap::shard_count),
-                dimension: parts.dimension,
-            };
-            worker_threads.push(std::thread::spawn(move || node.run(transport)));
-        }
-
-        // One server object per launched thread: `parts.servers` as built in
-        // the unsharded case, sliced out of the template server's initial
-        // model when a shard map is in force.
-        let mut servers = parts.servers;
-        if let Some(map) = &shard_map {
-            let template = servers
-                .into_iter()
-                .next()
-                .ok_or_else(|| CoreError::InvalidConfig("deployment produced no server".into()))?;
-            let initial = template.honest().parameters();
-            servers = map
-                .specs()
-                .iter()
-                .map(|&spec| shard_server(spec, initial.data(), &config))
-                .collect();
-        }
-
-        let mut server_threads = Vec::with_capacity(nps);
-        for (((i, server), transport), fault_rng) in servers
+            .map(|(node, transport)| std::thread::spawn(move || node.run(transport)))
+            .collect();
+        let server_threads: Vec<_> = servers
             .into_iter()
-            .take(nps)
-            .enumerate()
             .zip(server_transports)
-            .zip(server_rngs)
-        {
-            let others: Vec<NodeId> = layout
-                .server_ids
-                .iter()
-                .copied()
-                .filter(|&p| p != layout.server_ids[i])
-                .collect();
-            // Shard servers are not replicas: no model pulls, no state
-            // serving between them — only the sticky-OR speculation-trip
-            // channel. Accuracy evaluation needs the full model, so no shard
-            // server gets the test batch (the report's trace then carries
-            // losses but no accuracy points).
-            let (peers, siblings) = if shard_map.is_some() {
-                (Vec::new(), others)
-            } else {
-                (others, Vec::new())
-            };
-            let node = ServerNode {
-                index: i,
-                server,
-                system,
-                config: config.clone(),
-                worker_ids: layout.worker_ids.clone(),
-                peer_ids: peers,
-                shard: shard_map.as_ref().map(|map| map.spec(i)),
-                shard_siblings: siblings,
-                gradient_quorum,
-                round_deadline: self.options.round_deadline,
-                fault: self.faults.server(i),
-                fault_rng,
-                test_batch: (i == 0 && shard_map.is_none()).then(|| parts.test_batch.clone()),
-                // The executor's controller below winds the workers down.
-                shutdown_targets: Vec::new(),
-                request_retry: self.options.request_retry,
-                // Disk persistence is a per-process concern (garfield-node);
-                // in-process recovery flows through live state transfer.
-                checkpoint: None,
-                resume: None,
-            };
-            server_threads.push(std::thread::spawn(move || {
-                node.run(transport).map(|run| (i, run))
-            }));
-        }
+            .map(|(node, transport)| {
+                std::thread::spawn(move || {
+                    let index = node.index;
+                    node.run(transport).map(|run| (index, run))
+                })
+            })
+            .collect();
 
         // Join the replicas, then wind the workers down regardless of outcome.
         let mut outcomes: Vec<(usize, ServerRun)> = Vec::with_capacity(nps);

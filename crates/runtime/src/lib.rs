@@ -69,6 +69,7 @@
 #![warn(missing_docs)]
 
 mod actors;
+mod admission;
 mod executor;
 mod fault;
 pub mod node;

@@ -4,20 +4,22 @@
 //! The [`LiveExecutor`](crate::LiveExecutor) uses these to spawn every node
 //! as a thread over the in-process router; the `garfield-node` binary
 //! (`garfield-transport`) uses the very same entry points to run a single
-//! node per OS process over TCP. Because both paths build their node objects
-//! through [`Deployment`](garfield_core::Deployment) and share the id layout
-//! and RNG derivation below, a fault-free full-quorum multi-process run
-//! produces a final model bit-identical to the in-process run of the same
-//! seed.
+//! node per OS process over TCP. Both get their nodes from [`assemble`] —
+//! the one place that knows the id layout, the RNG derivation, the shard
+//! map and who is whose peer — so a fault-free full-quorum multi-process
+//! run produces a final model bit-identical to the in-process run of the
+//! same seed.
 
 use crate::actors::{ServerActor, WorkerActor};
-use crate::fault::Fault;
+use crate::executor::LiveOptions;
+use crate::fault::{Fault, FaultPlan};
 use garfield_core::{
-    ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreResult, ExperimentConfig,
-    NodeTelemetry, SystemKind, SystemPlan, Topology, TrainingTrace,
+    shard_server, ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreError,
+    CoreResult, Deployment, ExperimentConfig, NodeTelemetry, ShardMap, SystemKind, SystemPlan,
+    Topology, TrainingTrace,
 };
 use garfield_ml::Batch;
-use garfield_net::{NodeId, Role, Transport};
+use garfield_net::{NodeId, Transport};
 use garfield_tensor::{Tensor, TensorRng};
 use std::time::Duration;
 
@@ -96,6 +98,139 @@ pub fn fault_rng_streams(
     (workers, servers)
 }
 
+/// Every node of a live deployment, assembled and ready to run: what
+/// [`assemble`] returns.
+pub struct LiveNodes {
+    /// Which node id each server and worker runs under.
+    pub layout: NodeLayout,
+    /// The workers, in worker-index order.
+    pub workers: Vec<WorkerNode>,
+    /// The server replicas — or, when the model is parameter-sharded, the
+    /// shard servers — in index order.
+    pub servers: Vec<ServerNode>,
+    /// The shard map the servers were sliced by (`None` when unsharded):
+    /// stitches their final slices back into the one full model.
+    pub shard_map: Option<ShardMap>,
+}
+
+/// Assembles every node of `config` under `system`: the one description of
+/// a live deployment every substrate runs. The in-process executor spawns
+/// all of what this returns; a `garfield-node` process keeps the node of its
+/// rank and sets only what is its own — `shutdown_targets`, `checkpoint`,
+/// `resume` and its `--delay-ms` fault.
+///
+/// Node objects come from the sim path's construction
+/// ([`Deployment::new`] → [`Deployment::into_live_parts`]), so a fault-free
+/// live run starts from the sim executor's shards and initial model. With
+/// `config.shards > 1` one server per shard replaces the full-model server
+/// (validation already confined sharding to the single-server systems with
+/// coordinate-decomposable GARs), each sliced out of the template server's
+/// initial model. Shard servers are not replicas — no model pulls, no state
+/// serving between them, only the sticky-OR speculation-trip channel — so
+/// the other server ids are their `shard_siblings`, not their `peer_ids`;
+/// and since accuracy evaluation needs the full model, only an unsharded
+/// server 0 gets the test batch (a sharded run's trace carries losses but
+/// no accuracy points).
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] for systems the live runtime does
+/// not implement (see [`garfield_core::live_supported`]) and for configs
+/// that fail [`ExperimentConfig::validate`].
+pub fn assemble(
+    system: SystemKind,
+    config: &ExperimentConfig,
+    options: &LiveOptions,
+    faults: &FaultPlan,
+) -> CoreResult<LiveNodes> {
+    if !garfield_core::live_supported(system) {
+        return Err(CoreError::InvalidConfig(format!(
+            "the live runtime implements {} (requested {system})",
+            garfield_core::system_names(|plan| plan.live)
+        )));
+    }
+    config.validate(system)?;
+    let parts = Deployment::new(config.clone())?.into_live_parts();
+    let layout = NodeLayout::of(system, config);
+    let shard_map = (config.shards > 1)
+        .then(|| ShardMap::new(parts.dimension, config.shards))
+        .transpose()?;
+    let gradient_quorum = options
+        .gradient_quorum
+        .unwrap_or_else(|| config.gradient_quorum(system));
+    let (worker_rngs, server_rngs) = fault_rng_streams(config, layout.server_ids.len());
+
+    let workers = parts
+        .workers
+        .into_iter()
+        .zip(worker_rngs)
+        .enumerate()
+        .map(|(j, (worker, fault_rng))| WorkerNode {
+            worker,
+            fault: faults.worker(j),
+            fault_rng,
+            idle_timeout: options.idle_timeout,
+            shards: config.shards.max(1),
+            dimension: parts.dimension,
+        })
+        .collect();
+
+    let mut servers = parts.servers;
+    if let Some(map) = &shard_map {
+        let template = servers
+            .first()
+            .ok_or_else(|| CoreError::InvalidConfig("deployment produced no server".into()))?;
+        let initial = template.honest().parameters();
+        servers = map
+            .specs()
+            .iter()
+            .map(|&spec| shard_server(spec, initial.data(), config))
+            .collect();
+    }
+    let servers = servers
+        .into_iter()
+        .zip(server_rngs)
+        .enumerate()
+        .map(|(i, (server, fault_rng))| {
+            let others: Vec<NodeId> = layout
+                .server_ids
+                .iter()
+                .copied()
+                .filter(|&id| id != layout.server_ids[i])
+                .collect();
+            let (peer_ids, shard_siblings) = match shard_map {
+                Some(_) => (Vec::new(), others),
+                None => (others, Vec::new()),
+            };
+            ServerNode {
+                index: i,
+                server,
+                system,
+                config: config.clone(),
+                worker_ids: layout.worker_ids.clone(),
+                peer_ids,
+                shard: shard_map.as_ref().map(|map| map.spec(i)),
+                shard_siblings,
+                gradient_quorum,
+                round_deadline: options.round_deadline,
+                fault: faults.server(i),
+                fault_rng,
+                test_batch: (i == 0 && shard_map.is_none()).then(|| parts.test_batch.clone()),
+                shutdown_targets: Vec::new(),
+                request_retry: options.request_retry,
+                checkpoint: None,
+                resume: None,
+            }
+        })
+        .collect();
+    Ok(LiveNodes {
+        layout,
+        workers,
+        servers,
+        shard_map,
+    })
+}
+
 /// One worker replica, ready to run over a transport.
 pub struct WorkerNode {
     /// The (possibly Byzantine) worker object, from
@@ -120,27 +255,7 @@ impl WorkerNode {
     /// Runs the worker loop to completion (blocking) and returns the node's
     /// network counters, including the transport's per-peer on-wire bytes.
     pub fn run(self, transport: Box<dyn Transport>) -> NodeTelemetry {
-        let fault_attack = match self.fault {
-            Some(Fault::Byzantine { attack }) => Some(attack.build()),
-            _ => None,
-        };
-        let actor = WorkerActor {
-            telemetry: NodeTelemetry::new(transport.local_id().0, Role::Worker),
-            transport,
-            worker: self.worker,
-            fault: self.fault,
-            fault_attack,
-            fault_rng: self.fault_rng,
-            idle_timeout: self.idle_timeout,
-            restarted: false,
-            seq: 0,
-            attack_history: Vec::new(),
-            shards: self.shards,
-            dimension: self.dimension,
-            pending_slices: Vec::new(),
-            sent_cache: Vec::new(),
-        };
-        actor.run()
+        WorkerActor::new(self, transport).run()
     }
 }
 

@@ -16,11 +16,11 @@
 //!   laid out servers-first (`NodeLayout`): server replica `i` is node `i`,
 //!   worker `j` is node `servers + j`.
 //! * `--config` — an `ExperimentConfig` as JSON (`ExperimentConfig::to_json`).
-//! * `--system` — `vanilla`, `ssmw`, `msmw` or `speculative` (the systems
-//!   the live runtime implements). The speculative form accepts its robust
-//!   fallback inline — `speculative(multi-krum)` overrides the config's
-//!   `gradient_gar` — while bare `speculative` falls back to the config's
-//!   `gradient_gar` as-is.
+//! * `--system` — one of the systems the live runtime implements (the usage
+//!   message lists them, from the system plans). The speculative form accepts
+//!   its robust fallback inline — `speculative(multi-krum)` overrides the
+//!   config's `gradient_gar` — while bare `speculative` falls back to the
+//!   config's `gradient_gar` as-is.
 //! * `--gradient-quorum` — override `q`; `n − f` exercises the asynchronous
 //!   liveness condition (the run survives `f` dead workers).
 //! * `--shards` — override the config's `shards`: split the parameter vector
@@ -67,14 +67,11 @@
 //! Exit status: `0` on success, `1` on a runtime/liveness failure, `2` on
 //! bad usage.
 
-use garfield_core::{
-    shard_server, Checkpoint, CheckpointPolicy, Deployment, ExperimentConfig, ShardMap, SystemSpec,
-};
+use garfield_core::{Checkpoint, CheckpointPolicy, ExperimentConfig, SystemSpec};
 use garfield_net::NodeId;
 use garfield_obs::flight;
 use garfield_obs::http::MetricsServer;
-use garfield_runtime::node::{fault_rng_streams, NodeLayout};
-use garfield_runtime::{Fault, ServerNode, WorkerNode};
+use garfield_runtime::{node, Fault, FaultPlan, LiveOptions};
 use garfield_transport::{result_json, ClusterSpec, TcpOptions, TcpTransport};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -85,11 +82,10 @@ struct Args {
     cluster: String,
     config: String,
     system: SystemSpec,
-    gradient_quorum: Option<usize>,
     shards: Option<usize>,
-    round_deadline: Duration,
-    idle_timeout: Duration,
-    request_retry: Duration,
+    /// `--gradient-quorum`, `--round-deadline-ms`, `--idle-timeout-ms` and
+    /// `--retry-ms`, over the in-process defaults.
+    options: LiveOptions,
     delay: Option<u64>,
     checkpoint: Option<String>,
     checkpoint_every: usize,
@@ -102,12 +98,13 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: garfield-node --role <server|worker> --rank <n> --cluster <file> \
-         --config <file> --system <vanilla|ssmw|msmw|speculative[(<gar>)]> \
+         --config <file> --system <one of: {}; or speculative(<gar>)> \
          [--gradient-quorum <q>] [--shards <s>] \
          [--round-deadline-ms <ms>] [--idle-timeout-ms <ms>] [--retry-ms <ms>] \
          [--delay-ms <ms>] [--checkpoint <dir>] [--checkpoint-every <k>] \
          [--resume <dir>] [--out <file>] [--metrics-addr <host:port>] \
-         [--flight-dir <dir>]"
+         [--flight-dir <dir>]",
+        garfield_core::system_names(|plan| plan.live)
     );
     std::process::exit(2);
 }
@@ -132,6 +129,10 @@ fn parse_args() -> Args {
             usage();
         })
     };
+    let millis = |name: &str, default: Duration| -> Duration {
+        value(name).map_or(default, |v| Duration::from_millis(parsed(name, v) as u64))
+    };
+    let defaults = LiveOptions::default();
     let role = required("--role").to_string();
     if role != "server" && role != "worker" {
         eprintln!("--role must be 'server' or 'worker', got '{role}'");
@@ -145,17 +146,13 @@ fn parse_args() -> Args {
             eprintln!("{e}");
             usage();
         }),
-        gradient_quorum: value("--gradient-quorum").map(|v| parsed("--gradient-quorum", v)),
         shards: value("--shards").map(|v| parsed("--shards", v)),
-        round_deadline: Duration::from_millis(
-            value("--round-deadline-ms").map_or(5_000, |v| parsed("--round-deadline-ms", v) as u64),
-        ),
-        idle_timeout: Duration::from_millis(
-            value("--idle-timeout-ms").map_or(10_000, |v| parsed("--idle-timeout-ms", v) as u64),
-        ),
-        request_retry: Duration::from_millis(
-            value("--retry-ms").map_or(1_250, |v| parsed("--retry-ms", v) as u64),
-        ),
+        options: LiveOptions {
+            gradient_quorum: value("--gradient-quorum").map(|v| parsed("--gradient-quorum", v)),
+            round_deadline: millis("--round-deadline-ms", defaults.round_deadline),
+            idle_timeout: millis("--idle-timeout-ms", defaults.idle_timeout),
+            request_retry: millis("--retry-ms", defaults.request_retry),
+        },
         delay: value("--delay-ms").map(|v| parsed("--delay-ms", v) as u64),
         checkpoint: value("--checkpoint").map(str::to_string),
         checkpoint_every: value("--checkpoint-every")
@@ -222,12 +219,6 @@ fn dump_flight(dump: &Option<PathBuf>) -> Result<(), String> {
 
 fn run(args: Args) -> Result<(), String> {
     let system = args.system.system;
-    if !garfield_core::live_supported(system) {
-        return Err(format!(
-            "the live runtime implements {} (requested {system})",
-            garfield_core::system_names(|plan| plan.live)
-        ));
-    }
     let config_text =
         std::fs::read_to_string(&args.config).map_err(|e| format!("{}: {e}", args.config))?;
     let mut config = ExperimentConfig::from_json(&config_text).map_err(|e| e.to_string())?;
@@ -235,7 +226,6 @@ fn run(args: Args) -> Result<(), String> {
     if let Some(shards) = args.shards {
         config.shards = shards;
     }
-    config.validate(system).map_err(|e| e.to_string())?;
     if config.shards > 1 && (args.checkpoint.is_some() || args.resume.is_some()) {
         // A checkpoint records full-model training state; shard servers own
         // slices. Refuse loudly instead of resuming into a dimension error.
@@ -245,9 +235,16 @@ fn run(args: Args) -> Result<(), String> {
                 .to_string(),
         );
     }
-    let spec = ClusterSpec::load(&args.cluster).map_err(|e| format!("{}: {e}", args.cluster))?;
+    // Same assembly as the in-process executor: every process builds the
+    // full deployment from the shared config (identical shards, initial
+    // model, attack installation, ids and RNG streams), then keeps only its
+    // node. Faults are per process here: `--delay-ms`, set below.
+    let nodes = node::assemble(system, &config, &args.options, &FaultPlan::new())
+        .map_err(|e| e.to_string())?;
+    let layout = nodes.layout;
+    let fault = args.delay.map(|millis| Fault::Delay { millis });
 
-    let layout = NodeLayout::of(system, &config);
+    let spec = ClusterSpec::load(&args.cluster).map_err(|e| format!("{}: {e}", args.cluster))?;
     if spec.len() < layout.len() {
         return Err(format!(
             "cluster spec names {} nodes but the experiment deploys {} ({} servers + {} workers)",
@@ -258,23 +255,16 @@ fn run(args: Args) -> Result<(), String> {
         ));
     }
 
-    // Same construction path as the in-process executor: every process
-    // builds the full deployment from the shared config (identical shards,
-    // initial model and attack installation), then keeps only its node.
-    let parts = Deployment::new(config.clone())
-        .map_err(|e| e.to_string())?
-        .into_live_parts();
-    let (mut worker_rngs, mut server_rngs) = fault_rng_streams(&config, layout.server_ids.len());
-
     match args.role.as_str() {
         "worker" => {
-            if args.rank >= layout.worker_ids.len() {
-                return Err(format!(
+            let mut node = nodes.workers.into_iter().nth(args.rank).ok_or_else(|| {
+                format!(
                     "worker rank {} out of range (nw = {})",
                     args.rank,
                     layout.worker_ids.len()
-                ));
-            }
+                )
+            })?;
+            node.fault = fault;
             let id = layout.worker_ids[args.rank];
             if args.resume.is_some() {
                 // Workers are stateless repliers: the model arrives with
@@ -293,20 +283,6 @@ fn run(args: Args) -> Result<(), String> {
                 args.rank,
                 transport.local_addr()
             );
-            let node = WorkerNode {
-                worker: parts
-                    .workers
-                    .into_iter()
-                    .nth(args.rank)
-                    .expect("rank checked"),
-                fault: args.delay.map(|millis| Fault::Delay { millis }),
-                fault_rng: worker_rngs.swap_remove(args.rank),
-                idle_timeout: args.idle_timeout,
-                // Validation confines shards > 1 to single-replica systems,
-                // so the max(1) covers MSMW too.
-                shards: config.shards.max(1),
-                dimension: parts.dimension,
-            };
             let telemetry = node.run(Box::new(transport));
             eprintln!(
                 "garfield-node: worker {} done — {} msgs / {} B sent, {} msgs / {} B received, {} on-wire B, {} dropped",
@@ -321,54 +297,60 @@ fn run(args: Args) -> Result<(), String> {
             dump_flight(&obs.flight_dump)
         }
         "server" => {
-            if args.rank >= layout.server_ids.len() {
-                return Err(format!(
+            let mut node = nodes.servers.into_iter().nth(args.rank).ok_or_else(|| {
+                format!(
                     "server rank {} out of range ({} replicas run live under {})",
                     args.rank,
                     layout.server_ids.len(),
                     system
-                ));
-            }
+                )
+            })?;
             let id = layout.server_ids[args.rank];
             // Load the resume checkpoint *before* binding the port, so a
             // corrupt or foreign checkpoint fails fast. A missing file is a
             // fresh start: the same command line serves first launch and
             // respawn.
-            let resume = match &args.resume {
-                Some(dir) => {
-                    let loaded = Checkpoint::load_if_present(dir).map_err(|e| e.to_string())?;
-                    match &loaded {
-                        Some(cp) => {
-                            cp.validate_for(system.as_str(), config.seed)
-                                .map_err(|e| e.to_string())?;
-                            if cp.round >= config.iterations as u64 {
-                                // A supervisor blindly restarting after a
-                                // *successful* run lands here: every
-                                // iteration is already done. Exit cleanly
-                                // without touching --out — rewriting it
-                                // would clobber the recorded result with an
-                                // empty zero-accuracy trace.
-                                eprintln!(
-                                    "garfield-node: server {} checkpoint in {dir} is already \
-                                     complete (round {} of {}); nothing to resume",
-                                    args.rank, cp.round, config.iterations
-                                );
-                                return Ok(());
-                            }
+            if let Some(dir) = &args.resume {
+                node.resume = Checkpoint::load_if_present(dir).map_err(|e| e.to_string())?;
+                match &node.resume {
+                    Some(cp) => {
+                        cp.validate_for(system.as_str(), config.seed)
+                            .map_err(|e| e.to_string())?;
+                        if cp.round >= config.iterations as u64 {
+                            // A supervisor blindly restarting after a
+                            // *successful* run lands here: every iteration
+                            // is already done. Exit cleanly without touching
+                            // --out — rewriting it would clobber the
+                            // recorded result with an empty zero-accuracy
+                            // trace.
                             eprintln!(
-                                "garfield-node: server {} resuming from {dir} at round {}",
-                                args.rank, cp.round
+                                "garfield-node: server {} checkpoint in {dir} is already \
+                                 complete (round {} of {}); nothing to resume",
+                                args.rank, cp.round, config.iterations
                             );
+                            return Ok(());
                         }
-                        None => eprintln!(
-                            "garfield-node: server {} found no checkpoint in {dir}, starting fresh",
-                            args.rank
-                        ),
+                        eprintln!(
+                            "garfield-node: server {} resuming from {dir} at round {}",
+                            args.rank, cp.round
+                        );
                     }
-                    loaded
+                    None => eprintln!(
+                        "garfield-node: server {} found no checkpoint in {dir}, starting fresh",
+                        args.rank
+                    ),
                 }
-                None => None,
-            };
+            }
+            node.fault = fault;
+            node.checkpoint = args
+                .checkpoint
+                .as_ref()
+                .map(|dir| CheckpointPolicy::new(dir, args.checkpoint_every));
+            if args.rank == 0 {
+                // No controller process exists: the coordinating replica
+                // winds every worker down when it exits.
+                node.shutdown_targets = layout.worker_ids.clone();
+            }
             let obs = setup_obs(&args, id)?;
             let transport =
                 TcpTransport::bind(&spec, id, TcpOptions::default()).map_err(|e| e.to_string())?;
@@ -377,73 +359,6 @@ fn run(args: Args) -> Result<(), String> {
                 args.rank,
                 transport.local_addr()
             );
-            // Parameter sharding: this rank's server owns one slice of the
-            // template server's initial model, built through the same
-            // constructor as the in-process executor (bit-identity depends
-            // on it). Shard servers are not replicas — the other server ids
-            // become sticky-OR siblings rather than model-merge peers.
-            let shard_map = (config.shards > 1)
-                .then(|| ShardMap::new(parts.dimension, config.shards))
-                .transpose()
-                .map_err(|e| e.to_string())?;
-            let server = match &shard_map {
-                Some(map) => {
-                    let template = parts
-                        .servers
-                        .into_iter()
-                        .next()
-                        .expect("deployments build at least one server");
-                    let initial = template.honest().parameters();
-                    shard_server(map.spec(args.rank), initial.data(), &config)
-                }
-                None => parts
-                    .servers
-                    .into_iter()
-                    .nth(args.rank)
-                    .expect("rank checked"),
-            };
-            let others: Vec<NodeId> = layout
-                .server_ids
-                .iter()
-                .copied()
-                .filter(|&p| p != id)
-                .collect();
-            let (peer_ids, shard_siblings) = if shard_map.is_some() {
-                (Vec::new(), others)
-            } else {
-                (others, Vec::new())
-            };
-            let node = ServerNode {
-                index: args.rank,
-                server,
-                system,
-                config: config.clone(),
-                worker_ids: layout.worker_ids.clone(),
-                peer_ids,
-                shard: shard_map.as_ref().map(|map| map.spec(args.rank)),
-                shard_siblings,
-                gradient_quorum: args
-                    .gradient_quorum
-                    .unwrap_or_else(|| config.gradient_quorum(system)),
-                round_deadline: args.round_deadline,
-                fault: args.delay.map(|millis| Fault::Delay { millis }),
-                fault_rng: server_rngs.swap_remove(args.rank),
-                // Accuracy needs the full model: no shard server evaluates.
-                test_batch: (args.rank == 0 && shard_map.is_none()).then_some(parts.test_batch),
-                // No controller process exists: the coordinating replica
-                // winds every worker down when it exits.
-                shutdown_targets: if args.rank == 0 {
-                    layout.worker_ids.clone()
-                } else {
-                    Vec::new()
-                },
-                request_retry: args.request_retry,
-                checkpoint: args
-                    .checkpoint
-                    .as_ref()
-                    .map(|dir| CheckpointPolicy::new(dir, args.checkpoint_every)),
-                resume,
-            };
             let run = node.run(Box::new(transport)).map_err(|e| e.to_string())?;
             eprintln!(
                 "garfield-node: server {} done — {} iterations{}, final accuracy {:.4}, mean round {:.1} ms, {} on-wire B sent, {} checkpoints, {} retried requests",

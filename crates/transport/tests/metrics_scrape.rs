@@ -213,13 +213,12 @@ fn live_run_serves_metrics_mid_training_and_dumps_flight_records() {
     assert!(exposition.contains("text/plain; version=0.0.4"));
 
     // The families the issue calls out, each with a live sample: round
-    // spans, per-peer queue depth, kernel throughput, fast-math fallback.
+    // spans, per-peer queue depth, kernel throughput.
     for family in [
         "garfield_round_seconds_count",
         "garfield_phase_seconds_bucket",
         "garfield_outbound_queue_depth",
         "garfield_kernel_gelem_s",
-        "garfield_fastmath_fallback_total",
         "garfield_rounds_total",
     ] {
         assert!(
