@@ -2,7 +2,7 @@
 //!
 //! Garfield's evaluation shows the GAR is the dominant server-side cost:
 //! Multi-Krum and Bulyan are `O(n² d)` in pairwise distances, and the old
-//! implementations re-derived those distances from freshly cloned [`Tensor`]s
+//! implementations re-derived those distances from freshly cloned [`Tensor`](garfield_tensor::Tensor)s
 //! on every call (Bulyan even re-ran Krum from scratch per selection round).
 //! This module removes both costs:
 //!

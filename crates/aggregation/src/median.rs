@@ -24,7 +24,7 @@ pub fn sort3_branchless(v: [f32; 3]) -> [f32; 3] {
     [v[i0], v[3 - i0 - i1], v[i1]]
 }
 
-/// The coordinate-wise median GAR (Xie et al., referenced as [55] in the paper).
+/// The coordinate-wise median GAR (Xie et al., referenced as \[55\] in the paper).
 ///
 /// Requires `n ≥ 2f + 1`. Complexity `O(n d)` in the best case.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 //! Each function returns the rows that the `expfig` binary prints and writes
 //! to `results/`. Convergence experiments (Figs. 4, 5, 11, 12, Table 2) run
 //! the real training stack on scaled-down settings; throughput sweeps use the
-//! analytic [`crate::throughput`] module at the paper's exact model sizes.
+//! analytic [`mod@crate::throughput`] module at the paper's exact model sizes.
 
 use crate::report::Row;
 use crate::throughput::throughput;
@@ -533,5 +533,39 @@ mod tests {
         assert!(!fig8(Device::Gpu).is_empty());
         assert!(!fig9().is_empty());
         assert_eq!(fig10(Device::Cpu).len(), 8);
+    }
+
+    /// FNV-1a over every row: the label's bytes, then each value's bits.
+    fn fingerprint(rows: &[Row]) -> u64 {
+        let bytes = rows.iter().flat_map(|row| {
+            let values = row
+                .values
+                .iter()
+                .flat_map(|(_, v)| v.to_bits().to_le_bytes());
+            row.label.bytes().chain(values)
+        });
+        bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn analytic_figures_match_their_recorded_fingerprints() {
+        // Recorded on the commit before `Trainer` started reading its clock
+        // from `SystemPlan::timing`; a paper figure that moves fails here. A
+        // deliberate change to the cost model re-records them, and says so.
+        let figures = [
+            ("fig6 cpu", fig6(Device::Cpu), 0x527371a6dbd10710u64),
+            ("fig6 gpu", fig6(Device::Gpu), 0x4f9b5782c8336e1d),
+            ("fig7 cpu", fig7(Device::Cpu), 0xf18a3c313c731fc1),
+            ("fig8 cpu", fig8(Device::Cpu), 0x1109225fa5b9f06b),
+            ("fig9", fig9(), 0x5c773ade950cd827),
+            ("fig10 cpu", fig10(Device::Cpu), 0x22ab734c54dba002),
+            ("dec-scaling", decentralized_scaling(), 0x4129c8863cbe905f),
+        ];
+        for (name, rows, recorded) in figures {
+            let got = fingerprint(&rows);
+            assert_eq!(got, recorded, "{name}: got {got:#018x}");
+        }
     }
 }

@@ -6,15 +6,17 @@
 //! their models afterwards. Those facts are a [`SystemPlan`]; the
 //! [`Trainer`] drives a [`Deployment`] through the one loop they all share,
 //! records a [`TrainingTrace`] with the per-iteration computation /
-//! communication / aggregation breakdown, and evaluates accuracy on the
-//! held-out test set at the configured cadence.
+//! communication / aggregation breakdown — read from the plan's one simulated
+//! clock, [`SystemPlan::timing`] — and evaluates accuracy on the held-out test
+//! set at the configured cadence.
 
 use crate::system::{MergePhase, SystemPlan, Topology};
 use crate::{
     alignment_sample, AccuracyPoint, AlignmentSample, CoreError, CoreResult, Deployment,
-    ExperimentConfig, IterationTiming, SystemKind, TrainingTrace,
+    ExperimentConfig, SystemKind, TrainingTrace,
 };
 use garfield_aggregation::build_gar;
+use garfield_net::CostModel;
 use garfield_tensor::Tensor;
 
 /// Runs one system's training loop on the simulated substrate.
@@ -106,26 +108,28 @@ impl Trainer {
         let config = self.deployment.config().clone();
         let plan = self.plan.clone();
         let dimension = self.deployment.dimension();
-        let cost = *self.deployment.cost_model();
+        let cost = CostModel::default();
+        let nominal = plan.timing(dimension, config.batch_size, config.device, &cost);
         let gar = build_gar(&plan.gradient_gar, plan.gradient_quorum, plan.gradient_f)?;
         let mut trace = TrainingTrace::new(plan.system.as_str(), config.effective_batch());
         self.alignment.clear();
 
         for iteration in 0..config.iterations {
-            // A primary change costs one extra model broadcast to tell the
-            // workers whom to follow.
-            let mut failover = 0.0;
+            let mut timing = nominal;
             if self.crash_primary_at == Some(iteration) {
                 if let Some(victim) = self.primary() {
                     self.deployment.crash_server(victim);
                 }
-                failover = cost.parallel_pull_time(dimension, config.nw, config.device);
+                // A primary change costs one extra model broadcast to tell
+                // the workers whom to follow.
+                let failover = cost.parallel_pull_time(dimension, config.nw, config.device);
+                let unscaled = plan.unscaled_communication(dimension, config.device, &cost);
+                timing.communication = (unscaled + failover) * plan.communication_factor;
             }
             let replicas = self.active_replicas();
             let primary = *replicas.first().ok_or_else(|| {
                 CoreError::Net(format!("no live correct replica at iteration {iteration}"))
             })?;
-            let mut timing = IterationTiming::default();
             let mut loss = 0.0f32;
 
             // Phase 1 — gradients = get_gradients(i, q); update = gar(gradients),
@@ -134,20 +138,14 @@ impl Trainer {
             // own, so no replica contracts towards a mix of old and new models.
             let mut updates = Vec::with_capacity(replicas.len());
             for &replica in &replicas {
-                let round = self.deployment.gradient_round(
-                    replica,
-                    iteration,
-                    plan.gradient_quorum,
-                    plan.servers,
-                )?;
+                let round =
+                    self.deployment
+                        .gradient_round(replica, iteration, plan.gradient_quorum)?;
                 let server = self.deployment.server(replica).honest();
                 let mut update = server.aggregate(gar.as_ref(), &round.gradients)?;
-                let mut contraction = 0.0;
                 if let Some(merge) = &plan.merge {
                     for _ in 0..merge.contraction_steps {
-                        let (contracted, pull) =
-                            merge_models(&mut self.deployment, replica, merge)?;
-                        contraction += pull;
+                        let contracted = merge_models(&mut self.deployment, replica, merge)?;
                         // Move the update direction towards the contracted model.
                         let current = self.deployment.server(replica).honest().parameters();
                         let drift = current.try_sub(&contracted).map_err(ml_error)?;
@@ -155,8 +153,6 @@ impl Trainer {
                     }
                 }
                 if replica == primary {
-                    timing.computation = round.computation_time;
-                    timing.communication = round.communication_time + contraction;
                     loss = round.mean_loss;
                 }
                 updates.push(update);
@@ -187,11 +183,7 @@ impl Trainer {
             if let Some(merge) = &plan.merge {
                 let mut merged = Vec::with_capacity(replicas.len());
                 for &replica in &replicas {
-                    let (model, pull) = merge_models(&mut self.deployment, replica, merge)?;
-                    if replica == primary {
-                        timing.communication += pull;
-                    }
-                    merged.push(model);
+                    merged.push(merge_models(&mut self.deployment, replica, merge)?);
                 }
                 for (&replica, model) in replicas.iter().zip(&merged) {
                     self.deployment
@@ -201,7 +193,6 @@ impl Trainer {
                 }
             }
 
-            timing.communication = (timing.communication + failover) * plan.communication_factor;
             // Cost the round for what it was: a speculative rule is cheap
             // until its latch trips, robust afterwards.
             let tripped = gar.fell_back() == Some(true);
@@ -225,19 +216,17 @@ impl Trainer {
 }
 
 /// `replica` pulls `merge.quorum` peer models and aggregates them together
-/// with its own; returns the merged model and the simulated pull time.
+/// with its own.
 fn merge_models(
     deployment: &mut Deployment,
     replica: usize,
     merge: &MergePhase,
-) -> CoreResult<(Tensor, f64)> {
-    let pulled = deployment.model_round(replica, merge.quorum)?;
+) -> CoreResult<Tensor> {
+    let mut inputs = deployment.model_round(replica, merge.quorum)?;
     let server = deployment.server(replica).honest();
-    let mut inputs = pulled.models;
     inputs.push(server.parameters());
     let rule = build_gar(&merge.gar, inputs.len(), merge.f)?;
-    let merged = server.aggregate(rule.as_ref(), &inputs)?;
-    Ok((merged, pulled.communication_time))
+    server.aggregate(rule.as_ref(), &inputs)
 }
 
 fn ml_error(e: impl std::fmt::Display) -> CoreError {

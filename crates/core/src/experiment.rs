@@ -72,7 +72,10 @@ impl std::str::FromStr for SystemKind {
         SystemKind::all()
             .into_iter()
             .find(|k| k.as_str() == s.to_ascii_lowercase())
-            .ok_or_else(|| format!("unknown system '{s}' (expected one of vanilla, crash-tolerant, ssmw, msmw, decentralized, aggregathor, speculative)"))
+            .ok_or_else(|| {
+                let names = crate::system_names(|_| true);
+                format!("unknown system '{s}' (expected one of {names})")
+            })
     }
 }
 
@@ -560,7 +563,11 @@ mod tests {
         for kind in SystemKind::all() {
             assert_eq!(kind.as_str().parse::<SystemKind>().unwrap(), kind);
         }
-        assert!("warp-drive".parse::<SystemKind>().is_err());
+        assert_eq!(
+            "warp-drive".parse::<SystemKind>().unwrap_err(),
+            "unknown system 'warp-drive' (expected one of vanilla, crash-tolerant, ssmw, msmw, \
+             decentralized, aggregathor, speculative)"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! The stack underneath is entirely in-workspace: tensors
 //! ([`garfield_tensor`]), models/datasets/optimizers ([`garfield_ml`]), robust
 //! aggregation rules ([`garfield_aggregation`]), Byzantine attacks
-//! ([`garfield_attacks`]) and the simulated cluster fabric
-//! ([`garfield_net`]).
+//! ([`garfield_attacks`]) and the analytic cost model plus the live message
+//! fabric ([`garfield_net`]).
 //!
 //! # Quick example
 //!
@@ -55,7 +55,7 @@ pub use alignment::{alignment_sample, AlignmentSample};
 pub use apps::Trainer;
 pub use checkpoint::{Checkpoint, CheckpointPolicy};
 pub use controller::Controller;
-pub use deployment::{Deployment, GradientRound, LiveParts, ModelRound};
+pub use deployment::{Deployment, GradientRound, LiveParts};
 pub use error::{CoreError, CoreResult};
 pub use executor::{ExecMode, Executor, SimExecutor};
 pub use experiment::{ExperimentConfig, SystemKind};

@@ -54,7 +54,7 @@ impl ParameterServer {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Ml`] when the gradient length is wrong.
+    /// Returns [`CoreError::Ml`](crate::CoreError::Ml) when the gradient length is wrong.
     pub fn update_model(&mut self, aggregated_gradient: &Tensor) -> CoreResult<()> {
         self.optimizer
             .step(self.model.as_mut(), aggregated_gradient)?;
@@ -66,7 +66,7 @@ impl ParameterServer {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Ml`] when the parameter length is wrong.
+    /// Returns [`CoreError::Ml`](crate::CoreError::Ml) when the parameter length is wrong.
     pub fn write_model(&mut self, params: &Tensor) -> CoreResult<()> {
         self.model.set_parameters(params)?;
         Ok(())
@@ -76,7 +76,7 @@ impl ParameterServer {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Aggregation`] when the GAR rejects the inputs.
+    /// Returns [`CoreError::Aggregation`](crate::CoreError::Aggregation) when the GAR rejects the inputs.
     pub fn aggregate(&self, gar: &dyn Gar, inputs: &[Tensor]) -> CoreResult<Tensor> {
         Ok(gar.aggregate(inputs)?)
     }

@@ -4,9 +4,10 @@
 //! replicas run the loop and the fan-out that imposes on the workers, the
 //! gradient GAR and its `f`, the optional model-merge phase, what the cost
 //! model charges, and whether the live runtime hosts the system. The sim
-//! [`Trainer`](crate::Trainer) interprets the plan over a deployment, the
-//! analytic cost model is [`SystemPlan::timing`], config validation and the
-//! live actors read the same fields — so adding a system is one arm here, and
+//! [`Trainer`](crate::Trainer) interprets the plan over a deployment and reads
+//! its simulated clock from [`SystemPlan::timing`] (the analytic cost model
+//! the throughput figures use), config validation and the live actors read
+//! the same fields — so adding a system is one arm here, and
 //! no other module of `core`, `runtime` or `bench::throughput` branches on a
 //! `SystemKind` (`experiment.rs` keeps only the name table).
 
@@ -195,24 +196,12 @@ impl SystemPlan {
         cost.aggregation_time(d, self.gradient_quorum, order, device) + merge
     }
 
-    /// Analytic per-iteration timing for a `d`-parameter model: what the
-    /// [`Trainer`](crate::Trainer) records on a fault-free deployment of the
-    /// same shape (`analytic_timing_equals_sim_trace` holds the two together).
-    ///
-    /// * computation — one gradient estimate on `device`;
-    /// * communication — the model broadcast, the gradient pulls fanned to
-    ///   every replica (latency overlaps, bytes serialize — see
-    ///   [`CostModel::fanout_pull_time`]), one model pull per contraction
-    ///   step and one for the merge, times the communication factor;
-    /// * aggregation — [`SystemPlan::aggregation_time`] with the speculative
-    ///   check never tripping (the fault-free common case).
-    pub fn timing(
-        &self,
-        d: usize,
-        batch: usize,
-        device: Device,
-        cost: &CostModel,
-    ) -> IterationTiming {
+    /// Simulated seconds of one round's data movement, before the
+    /// communication factor: the model broadcast, the gradient pulls fanned to
+    /// every replica (latency overlaps, bytes serialize — see
+    /// [`CostModel::fanout_pull_time`]), one model pull per contraction step
+    /// and one for the merge.
+    pub fn unscaled_communication(&self, d: usize, device: Device, cost: &CostModel) -> f64 {
         let pull = |count: usize| cost.parallel_pull_time(d, count, device);
         let mut communication = pull(self.gradient_quorum)
             + cost.fanout_pull_time(d, self.gradient_quorum, self.servers, device);
@@ -223,9 +212,29 @@ impl SystemPlan {
             }
             communication = communication + contraction + pull(merge.quorum);
         }
+        communication
+    }
+
+    /// Per-iteration timing for a `d`-parameter model: the simulated clock.
+    /// The [`Trainer`](crate::Trainer) records exactly this for every
+    /// iteration, except that a fail-over adds one model broadcast to the
+    /// communication and a tripped speculative rule is charged its fallback.
+    ///
+    /// * computation — one gradient estimate on `device`;
+    /// * communication — [`SystemPlan::unscaled_communication`] times the
+    ///   communication factor;
+    /// * aggregation — [`SystemPlan::aggregation_time`] with the speculative
+    ///   check never tripping (the fault-free common case).
+    pub fn timing(
+        &self,
+        d: usize,
+        batch: usize,
+        device: Device,
+        cost: &CostModel,
+    ) -> IterationTiming {
         IterationTiming {
             computation: cost.gradient_time(d, batch, device),
-            communication: communication * self.communication_factor,
+            communication: self.unscaled_communication(d, device, cost) * self.communication_factor,
             aggregation: self.aggregation_time(d, device, cost, false),
         }
     }
@@ -375,28 +384,69 @@ mod tests {
 
     #[test]
     fn analytic_timing_equals_sim_trace() {
-        // The cost model and the trainer describe the same round: on a
-        // fault-free synchronous run every recorded iteration equals the
-        // analytic timing, bit for bit, contraction pulls included.
+        // The trainer reads its clock from the plan, so every recorded
+        // iteration is `timing` — except the fail-over one, which pays one
+        // extra model broadcast to the workers *inside* the communication
+        // factor.
         let cost = CostModel::default();
-        for system in SystemKind::all() {
-            for contraction_steps in 0..=2 {
-                let mut cfg = ExperimentConfig::small();
-                cfg.iterations = 2;
-                cfg.eval_every = 0;
-                cfg.contraction_steps = contraction_steps;
-                let mut trainer = Trainer::new(system, cfg.clone()).unwrap();
-                let trace = trainer.run().unwrap();
-                let d = trainer.deployment().dimension();
-                let analytic =
-                    SystemPlan::of(system, &cfg).timing(d, cfg.batch_size, cfg.device, &cost);
-                for recorded in &trace.iterations {
-                    assert_eq!(
-                        *recorded, analytic,
-                        "{system} with {contraction_steps} contraction steps"
-                    );
-                }
+        for system in [SystemKind::CrashTolerant, SystemKind::Msmw] {
+            let mut cfg = ExperimentConfig::small();
+            cfg.iterations = 5;
+            cfg.eval_every = 0;
+            // Enough replicas that a model quorum survives the crash.
+            (cfg.nps, cfg.fps) = (7, 2);
+            let mut trainer = Trainer::new(system, cfg.clone())
+                .unwrap()
+                .with_primary_crash_at(3);
+            let trace = trainer.run().unwrap();
+            let d = trainer.deployment().dimension();
+            let plan = SystemPlan::of(system, &cfg);
+            let analytic = plan.timing(d, cfg.batch_size, cfg.device, &cost);
+            let broadcast = cost.parallel_pull_time(d, cfg.nw, cfg.device);
+            let failover = IterationTiming {
+                communication: (plan.unscaled_communication(d, cfg.device, &cost) + broadcast)
+                    * plan.communication_factor,
+                ..analytic
+            };
+            assert!(failover.communication > analytic.communication);
+            for (iteration, recorded) in trace.iterations.iter().enumerate() {
+                let expected = if iteration == 3 { failover } else { analytic };
+                assert_eq!(*recorded, expected, "{system} iteration {iteration}");
             }
+        }
+    }
+
+    #[test]
+    fn speculative_aggregation_is_charged_by_the_latch() {
+        // Cheap while the fast path holds, the robust price from the
+        // iteration the latch trips on; a fault-free run never trips.
+        let cost = CostModel::default();
+        let mut cfg = ExperimentConfig::small();
+        cfg.iterations = 6;
+        cfg.eval_every = 0;
+        let aggregation = |cfg: &ExperimentConfig| {
+            let mut trainer = Trainer::new(SystemKind::Speculative, cfg.clone()).unwrap();
+            let trace = trainer.run().unwrap();
+            let d = trainer.deployment().dimension();
+            let plan = SystemPlan::of(SystemKind::Speculative, cfg);
+            let recorded: Vec<f64> = trace.iterations.iter().map(|t| t.aggregation).collect();
+            let [cheap, robust] =
+                [false, true].map(|tripped| plan.aggregation_time(d, cfg.device, &cost, tripped));
+            (recorded, cheap, robust)
+        };
+
+        let (recorded, cheap, robust) = aggregation(&cfg);
+        assert!(robust > cheap);
+        assert_eq!(recorded, vec![cheap; 6]);
+
+        cfg.actual_byzantine_workers = cfg.fw;
+        cfg.worker_attack = Some(garfield_attacks::AttackKind::Reversed);
+        let (recorded, cheap, robust) = aggregation(&cfg);
+        let trip = recorded.iter().position(|&t| t == robust);
+        let trip = trip.expect("reversed gradients trip the latch");
+        for (iteration, &t) in recorded.iter().enumerate() {
+            let expected = if iteration < trip { cheap } else { robust };
+            assert_eq!(t, expected, "iteration {iteration}, tripped at {trip}");
         }
     }
 

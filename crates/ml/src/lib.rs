@@ -50,6 +50,6 @@ pub use data::{Batch, Dataset, DatasetKind, Partition, ShardStrategy};
 pub use layers::{Activation, DenseLayer};
 pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossKind};
 pub use metrics::{accuracy, top1_accuracy};
-pub use model::{LinearModel, MlError, MlResult, Mlp, Model, SyntheticWorkloadModel};
+pub use model::{MlError, MlResult, Mlp, Model};
 pub use optim::{Optimizer, Sgd};
 pub use zoo::{paper_models, ModelSpec};

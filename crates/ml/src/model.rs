@@ -7,10 +7,10 @@
 //! mirroring how the paper's library wraps TensorFlow / PyTorch models.
 
 use crate::data::Batch;
-use crate::layers::{Activation, DenseLayer};
+use crate::layers::{Activation, DenseCache, DenseLayer};
 use crate::loss::softmax_cross_entropy;
 use crate::DatasetKind;
-use garfield_tensor::{Shape, Tensor, TensorRng};
+use garfield_tensor::{Tensor, TensorRng};
 use std::fmt;
 
 /// Result alias for the ml crate.
@@ -93,83 +93,8 @@ impl Clone for Box<dyn Model> {
     }
 }
 
-/// A multinomial logistic-regression model (single dense layer + softmax).
-#[derive(Debug, Clone)]
-pub struct LinearModel {
-    layer: DenseLayer,
-    name: String,
-}
-
-impl LinearModel {
-    /// Creates a linear classifier for the given dataset kind.
-    pub fn new(kind: DatasetKind, rng: &mut TensorRng) -> Self {
-        LinearModel {
-            layer: DenseLayer::new(kind.features(), kind.classes(), Activation::Linear, rng),
-            name: format!("linear-{}", kind.name()),
-        }
-    }
-
-    /// Creates a linear classifier with explicit dimensions.
-    pub fn with_dims(features: usize, classes: usize, rng: &mut TensorRng) -> Self {
-        LinearModel {
-            layer: DenseLayer::new(features, classes, Activation::Linear, rng),
-            name: format!("linear-{features}x{classes}"),
-        }
-    }
-}
-
-impl Model for LinearModel {
-    fn num_parameters(&self) -> usize {
-        self.layer.num_parameters()
-    }
-
-    fn parameters(&self) -> Tensor {
-        let mut flat = Vec::with_capacity(self.num_parameters());
-        self.layer.write_parameters(&mut flat);
-        Tensor::from(flat)
-    }
-
-    fn set_parameters(&mut self, params: &Tensor) -> MlResult<()> {
-        if params.len() != self.num_parameters() {
-            return Err(MlError::ParameterMismatch {
-                expected: self.num_parameters(),
-                got: params.len(),
-            });
-        }
-        self.layer.read_parameters(params.data())?;
-        Ok(())
-    }
-
-    fn gradient(&self, batch: &Batch) -> (f32, Tensor) {
-        let (logits, cache) = self
-            .layer
-            .forward(&batch.inputs)
-            .expect("batch inputs match the model's feature count");
-        let (loss, dlogits) = softmax_cross_entropy(&logits, &batch.labels);
-        let (gw, gb, _) = self.layer.backward(&cache, &dlogits);
-        let mut flat = Vec::with_capacity(self.num_parameters());
-        flat.extend_from_slice(gw.data());
-        flat.extend_from_slice(gb.data());
-        (loss, Tensor::from(flat))
-    }
-
-    fn predict(&self, inputs: &Tensor) -> Tensor {
-        self.layer
-            .forward(inputs)
-            .expect("inputs match feature count")
-            .0
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn clone_boxed(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-}
-
-/// A multi-layer perceptron with ReLU hidden layers and a linear output layer.
+/// A multi-layer perceptron with ReLU hidden layers and a linear output layer;
+/// with no hidden layer, multinomial logistic regression.
 ///
 /// The small trainable models standing in for the paper's MNIST CNN and
 /// CifarNet are [`Mlp::mnist_cnn_lite`] and [`Mlp::cifarnet_lite`].
@@ -241,6 +166,21 @@ impl Mlp {
         dims.extend(self.layers.iter().map(|l| l.output_dim()));
         dims
     }
+
+    /// Forward pass through every layer — the first borrows `inputs` — giving
+    /// the logits and each layer's cache for the backward pass.
+    fn forward(&self, inputs: &Tensor) -> (Tensor, Vec<DenseCache>) {
+        let mut caches = Vec::with_capacity(self.layers.len());
+        let mut activ: Option<Tensor> = None;
+        for layer in &self.layers {
+            let (out, cache) = layer
+                .forward(activ.as_ref().unwrap_or(inputs))
+                .expect("inputs match the model's feature count");
+            caches.push(cache);
+            activ = Some(out);
+        }
+        (activ.expect("an MLP has at least one layer"), caches)
+    }
 }
 
 impl Model for Mlp {
@@ -271,17 +211,8 @@ impl Model for Mlp {
     }
 
     fn gradient(&self, batch: &Batch) -> (f32, Tensor) {
-        // Forward pass, caching every layer.
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut activ = batch.inputs.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer
-                .forward(&activ)
-                .expect("batch inputs match the model's feature count");
-            caches.push(cache);
-            activ = out;
-        }
-        let (loss, mut upstream) = softmax_cross_entropy(&activ, &batch.labels);
+        let (logits, caches) = self.forward(&batch.inputs);
+        let (loss, mut upstream) = softmax_cross_entropy(&logits, &batch.labels);
 
         // Backward pass, collecting per-layer gradients in forward order.
         let mut grads: Vec<(Tensor, Tensor)> = Vec::with_capacity(self.layers.len());
@@ -301,76 +232,7 @@ impl Model for Mlp {
     }
 
     fn predict(&self, inputs: &Tensor) -> Tensor {
-        let mut activ = inputs.clone();
-        for layer in &self.layers {
-            activ = layer.forward(&activ).expect("inputs match feature count").0;
-        }
-        activ
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn clone_boxed(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-}
-
-/// A non-trainable model of a given parameter count, used as a pure
-/// *throughput workload* for the paper's large architectures (ResNet-50/200,
-/// VGG, Inception) whose full topology is irrelevant to the distributed-layer
-/// measurements — only the parameter-vector dimension `d` matters there.
-#[derive(Debug, Clone)]
-pub struct SyntheticWorkloadModel {
-    params: Tensor,
-    name: String,
-    classes: usize,
-}
-
-impl SyntheticWorkloadModel {
-    /// Creates a workload model with `d` parameters.
-    pub fn new(name: impl Into<String>, d: usize, rng: &mut TensorRng) -> Self {
-        SyntheticWorkloadModel {
-            params: rng.tensor(d, garfield_tensor::Initializer::Normal { std_dev: 0.01 }),
-            name: name.into(),
-            classes: 10,
-        }
-    }
-}
-
-impl Model for SyntheticWorkloadModel {
-    fn num_parameters(&self) -> usize {
-        self.params.len()
-    }
-
-    fn parameters(&self) -> Tensor {
-        self.params.clone()
-    }
-
-    fn set_parameters(&mut self, params: &Tensor) -> MlResult<()> {
-        if params.len() != self.params.len() {
-            return Err(MlError::ParameterMismatch {
-                expected: self.params.len(),
-                got: params.len(),
-            });
-        }
-        self.params = params.clone();
-        Ok(())
-    }
-
-    fn gradient(&self, batch: &Batch) -> (f32, Tensor) {
-        // A deterministic pseudo-gradient: scaled, sign-alternating copy of the
-        // parameters perturbed by the batch contents. It exercises the exact
-        // communication and aggregation paths without a real backward pass.
-        let seed = batch.labels.iter().sum::<usize>() as f32 + 1.0;
-        let grad = self.params.map(|v| 0.01 * v + 1e-4 * seed);
-        (seed, grad)
-    }
-
-    fn predict(&self, inputs: &Tensor) -> Tensor {
-        let rows = inputs.matrix_dims().map(|(r, _)| r).unwrap_or(1);
-        Tensor::zeros(Shape::matrix(rows, self.classes))
+        self.forward(inputs).0
     }
 
     fn name(&self) -> &str {
@@ -408,7 +270,7 @@ mod tests {
     #[test]
     fn linear_model_param_count_matches_formula() {
         let mut rng = TensorRng::seed_from(1);
-        let m = LinearModel::with_dims(20, 5, &mut rng);
+        let m = Mlp::new("linear-20x5", &[20, 5], &mut rng);
         assert_eq!(m.num_parameters(), 20 * 5 + 5);
         assert_eq!(m.parameters().len(), 105);
     }
@@ -485,18 +347,6 @@ mod tests {
                 "coordinate {i}: numeric {numeric} vs analytic {analytic}"
             );
         }
-    }
-
-    #[test]
-    fn synthetic_workload_model_has_exact_dimension() {
-        let mut rng = TensorRng::seed_from(3);
-        let m = SyntheticWorkloadModel::new("resnet-ish", 1000, &mut rng);
-        assert_eq!(m.num_parameters(), 1000);
-        let batch = Dataset::synthetic(DatasetKind::Tiny, 8, &mut rng)
-            .batch(0, 4)
-            .unwrap();
-        let (_, g) = m.gradient(&batch);
-        assert_eq!(g.len(), 1000);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! MNIST CNN (79 510 parameters) to VGG (128 807 306 parameters). For the
 //! distributed-layer experiments only the flat parameter-vector dimension `d`
 //! matters, so each entry is exposed both as a [`ModelSpec`] (exact paper
-//! parameter count, for workload generation) and — for the two smallest — as a
-//! trainable model for convergence experiments.
+//! parameter count, for the analytic throughput model) and — for the two
+//! smallest — as a trainable model for convergence experiments.
 
-use crate::model::{Mlp, Model, SyntheticWorkloadModel};
+use crate::model::{Mlp, Model};
 use crate::{DatasetKind, MlError, MlResult};
 use garfield_tensor::TensorRng;
 
@@ -88,29 +88,6 @@ pub fn spec_by_name(name: &str) -> MlResult<ModelSpec> {
         .ok_or_else(|| MlError::UnknownModel(name.to_string()))
 }
 
-/// Builds a non-trainable throughput workload with the exact parameter count
-/// of the named Table 1 model, optionally scaled down by `scale_divisor` to
-/// keep simulation memory reasonable (the scaling is recorded by the caller).
-///
-/// # Errors
-///
-/// Returns [`MlError::UnknownModel`] for unknown names and
-/// [`MlError::InvalidData`] for a zero divisor.
-pub fn workload_model(
-    name: &str,
-    scale_divisor: usize,
-    rng: &mut TensorRng,
-) -> MlResult<SyntheticWorkloadModel> {
-    if scale_divisor == 0 {
-        return Err(MlError::InvalidData(
-            "scale divisor must be positive".into(),
-        ));
-    }
-    let spec = spec_by_name(name)?;
-    let d = (spec.parameters / scale_divisor).max(1);
-    Ok(SyntheticWorkloadModel::new(spec.name, d, rng))
-}
-
 /// Builds a small *trainable* model by name for convergence experiments.
 ///
 /// Supported names: `mnist-cnn-lite`, `cifarnet-lite`, `tiny`,
@@ -124,11 +101,17 @@ pub fn trainable_model(name: &str, rng: &mut TensorRng) -> MlResult<Box<dyn Mode
         "mnist-cnn-lite" | "mnist_cnn" => Box::new(Mlp::mnist_cnn_lite(rng)),
         "cifarnet-lite" | "cifarnet" => Box::new(Mlp::cifarnet_lite(rng)),
         "tiny" => Box::new(Mlp::tiny(rng)),
-        "linear-mnist" => Box::new(crate::model::LinearModel::new(DatasetKind::MnistLike, rng)),
-        "linear-cifar" => Box::new(crate::model::LinearModel::new(DatasetKind::CifarLike, rng)),
+        "linear-mnist" => Box::new(linear(DatasetKind::MnistLike, rng)),
+        "linear-cifar" => Box::new(linear(DatasetKind::CifarLike, rng)),
         other => return Err(MlError::UnknownModel(other.to_string())),
     };
     Ok(boxed)
+}
+
+/// Multinomial logistic regression on `kind`: an [`Mlp`] with no hidden layer.
+fn linear(kind: DatasetKind, rng: &mut TensorRng) -> Mlp {
+    let dims = [kind.features(), kind.classes()];
+    Mlp::new(format!("linear-{}", kind.name()), &dims, rng)
 }
 
 /// The dataset a trainable model expects.
@@ -179,16 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_model_scales_dimension() {
-        let mut rng = TensorRng::seed_from(1);
-        let full = workload_model("MNIST_CNN", 1, &mut rng).unwrap();
-        assert_eq!(full.num_parameters(), 79_510);
-        let scaled = workload_model("VGG", 1000, &mut rng).unwrap();
-        assert_eq!(scaled.num_parameters(), 128_807);
-        assert!(workload_model("VGG", 0, &mut rng).is_err());
-    }
-
-    #[test]
     fn trainable_models_build_and_have_consistent_dims() {
         let mut rng = TensorRng::seed_from(2);
         for name in [
@@ -204,6 +177,9 @@ mod tests {
             assert!(m.parameters().len() == m.num_parameters());
             assert!(kind.features() > 0);
         }
+        let linear = trainable_model("linear-mnist", &mut rng).unwrap();
+        assert_eq!(linear.name(), "linear-mnist-like");
+        assert_eq!(linear.num_parameters(), 784 * 10 + 10);
         assert!(trainable_model("nope", &mut rng).is_err());
         assert!(dataset_for("nope").is_err());
     }

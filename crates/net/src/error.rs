@@ -6,7 +6,7 @@ use std::fmt;
 /// Result alias for fabric operations.
 pub type NetResult<T> = Result<T, NetError>;
 
-/// Errors produced by the simulated cluster fabric.
+/// Errors produced by the message fabric and the pull primitive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// A node id is not registered in the cluster.

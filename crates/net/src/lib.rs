@@ -1,29 +1,25 @@
 //! # garfield-net
 //!
-//! Simulated cluster fabric for the Garfield-rs reproduction of
+//! Node ids, the analytic cost model and the live message fabric of the
+//! Garfield-rs reproduction of
 //! *"Garfield: System Support for Byzantine Machine Learning"* (DSN 2021).
 //!
 //! The paper deploys on Grid5000 over gRPC (TensorFlow) and gloo/nccl
-//! collectives (PyTorch). This crate replaces that physical substrate with an
-//! in-process simulation that preserves what the paper's evaluation actually
-//! measures — message counts × sizes × link characteristics, not wall-clock
-//! on one particular testbed (README "Architecture", the `sim` column):
+//! collectives (PyTorch). This crate stands in for that substrate twice over
+//! (README "Architecture"):
 //!
-//! * a [`Cluster`] topology of [`NodeId`]s, each with a [`Device`] (CPU/GPU),
-//!   a link profile and an optional straggler factor;
-//! * a [`CostModel`] translating *bytes moved* and *work done* into simulated
-//!   seconds, so message counts × sizes × link characteristics drive the
-//!   throughput results exactly as they do in the paper;
-//! * a [`SimClock`] accumulating simulated time per node;
-//! * fault injection: crash a node, delay it, or partition links;
-//! * [`PullRound`]: the "fastest `q` out of `n` replies" primitive behind the
-//!   paper's `get_gradients()` / `get_models()` abstractions;
-//! * a real, thread-safe [`Router`] of byte messages (pull-based
-//!   request/response over channels) used by the integration tests and the
-//!   quickstart example to demonstrate the communication layer end to end;
+//! * for the simulator, a [`CostModel`] translating *bytes moved* and *work
+//!   done* on a [`Device`] into simulated seconds, so message counts × sizes ×
+//!   link characteristics drive the throughput results exactly as they do in
+//!   the paper, and [`PullRound`]: the "fastest `q` out of `n` replies"
+//!   primitive behind the paper's `get_gradients()` / `get_models()`
+//!   abstractions;
+//! * for live training, a real, thread-safe [`Router`] of byte messages
+//!   between [`NodeId`]s (point-to-point over channels, silent when a node is
+//!   crashed);
 //! * the compact binary [`WireMessage`] format (version byte, round tag,
 //!   length-prefixed `f32` payload) that the threaded `garfield-runtime`
-//!   actors exchange over the router when training runs for real;
+//!   actors exchange when training runs for real;
 //! * the [`Transport`] trait abstracting the message substrate (send/recv
 //!   of [`Envelope`]s, crash silence, per-peer [`PeerCounters`]) with
 //!   [`RouterTransport`] as the in-process implementation — the TCP
@@ -33,41 +29,35 @@
 //! # Quick example
 //!
 //! ```rust
-//! use garfield_net::{Cluster, Device, CostModel, PullRound};
+//! use garfield_net::{CostModel, Device, NodeId, PullRound};
 //!
-//! let cluster = Cluster::builder()
-//!     .servers(2, Device::Cpu)
-//!     .workers(4, Device::Cpu)
-//!     .build();
-//! assert_eq!(cluster.workers().len(), 4);
-//!
-//! // Fastest 3 of 4 replies with per-reply simulated latencies.
-//! let round = PullRound::new(vec![(cluster.workers()[0], 0.3), (cluster.workers()[1], 0.1),
-//!                                 (cluster.workers()[2], 0.2), (cluster.workers()[3], 0.9)]);
+//! // Fastest 3 of 4 replies with per-reply simulated arrival times.
+//! let round = PullRound::new(vec![(NodeId(0), 0.3), (NodeId(1), 0.1),
+//!                                 (NodeId(2), 0.2), (NodeId(3), 0.9)]);
 //! let (chosen, elapsed) = round.fastest(3);
-//! assert_eq!(chosen.len(), 3);
+//! assert_eq!(chosen, vec![NodeId(1), NodeId(2), NodeId(0)]);
 //! assert!((elapsed - 0.3).abs() < 1e-9);
-//! let _ = CostModel::default();
+//!
+//! // Pulling those three 1M-parameter vectors costs simulated seconds.
+//! assert!(CostModel::default().parallel_pull_time(1_000_000, 3, Device::Cpu) > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cluster;
 mod cost;
 mod error;
+mod ids;
 mod pull;
 mod router;
-mod time;
 mod transport;
 mod wire;
 
-pub use cluster::{Cluster, ClusterBuilder, NodeId, NodeInfo, Role};
 pub use cost::{CostModel, Device, LinkProfile};
 pub use error::{NetError, NetResult};
+pub use ids::{NodeId, Role};
 pub use pull::PullRound;
 pub use router::{Envelope, Router, RouterHandle};
-pub use time::SimClock;
 pub use transport::{
     record_wire_recv, record_wire_send, PeerCounterMap, PeerCounters, RouterTransport, Transport,
 };

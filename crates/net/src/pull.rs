@@ -41,7 +41,7 @@ impl PullRound {
     /// [`PullRound::try_fastest`].
     pub fn fastest(&self, q: usize) -> (Vec<NodeId>, f64) {
         let mut sorted = self.replies.clone();
-        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
         sorted.truncate(q.min(sorted.len()));
         let elapsed = sorted.last().map(|&(_, t)| t).unwrap_or(0.0);
         (sorted.into_iter().map(|(id, _)| id).collect(), elapsed)
@@ -62,11 +62,6 @@ impl PullRound {
             });
         }
         Ok(self.fastest(q))
-    }
-
-    /// The time the slowest reply arrives (the fully synchronous wait).
-    pub fn slowest_arrival(&self) -> f64 {
-        self.replies.iter().map(|&(_, t)| t).fold(0.0, f64::max)
     }
 }
 
@@ -95,7 +90,6 @@ mod tests {
         let (ids, elapsed) = round().fastest(4);
         assert_eq!(ids.len(), 4);
         assert!((elapsed - 0.9).abs() < 1e-12);
-        assert!((round().slowest_arrival() - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`ml`] | models, losses, SGD, synthetic datasets, the Table 1 model zoo |
 //! | [`aggregation`] | Average, Median, Krum, Multi-Krum, MDA, Bulyan + the variance probe |
 //! | [`attacks`] | random / reversed / little-is-enough / fall-of-empires … |
-//! | [`net`] | simulated cluster fabric, cost model, pull rounds, message router, wire format |
+//! | [`net`] | node ids, cost model, pull rounds, message router, transport trait, wire format |
 //! | [`core`] | Server/Worker objects, Controller, the `SystemPlan` of every system and the one `Trainer` running them |
 //! | [`runtime`] | threaded actor runtime: live training over real router messages, fault injection |
 //! | [`transport`] | TCP transport + the `garfield-node` binary: one process per node on real sockets |

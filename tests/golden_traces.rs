@@ -6,8 +6,11 @@
 //! run — every timing and accuracy point of the trace (FNV-1a of
 //! `TrainingTrace::to_json()`) and every replica's final model bits — so a
 //! change to the loop that reorders one RNG draw, one float addition or one
-//! `gradient_round` / `model_round` call fails here. A deliberate behaviour
-//! change re-records them, and says so.
+//! `gradient_round` / `model_round` call fails here. The timings are
+//! `SystemPlan::timing` plus the fail-over broadcast and the speculative
+//! trip; `Deployment`'s jitter draws only rank the replies, which decides
+//! quorum membership in the asynchronous and contraction cells below. A
+//! deliberate behaviour change re-records the hashes, and says so.
 
 use garfield::core::Trainer;
 use garfield::{AttackKind, ExperimentConfig, GarKind, SystemKind};
