@@ -17,12 +17,11 @@
 //!
 //! Recognised experiment ids: `table1`, `fig3a`, `fig3b`, `fig4a`, `fig4b`,
 //! `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig10`, `fig11`, `fig12`,
-//! `fig13`, `fig14`, `fig15`, `fig16`, `table2`, `variance`, `dec-scaling`,
-//! `runtime` (live-vs-sim executor comparison).
+//! `fig13`, `fig14`, `fig15`, `fig16`, `table2`, `variance`, `dec-scaling`.
 //! Each prints its rows and writes `results/<id>.csv`.
 //!
 //! `perf` is the GAR-engine micro-benchmark: it times the distance kernels
-//! (scalar / chunked / blocked / Gram), sweeps every GAR over d × n on the
+//! (scalar / chunked / blocked), sweeps every GAR over d × n on the
 //! sequential and parallel engines, asserts bit-identical outputs, and
 //! writes `BENCH_aggregation.json` stamped with the effective thread count.
 //!
@@ -92,7 +91,6 @@ fn run_one(id: &str) -> Option<(String, Vec<Row>)> {
         "table2" => figures::table2(),
         "fig12" => figures::fig12(),
         "variance" => figures::variance_report(),
-        "runtime" => garfield_bench::runtime_report(),
         "dec-scaling" => figures::decentralized_scaling(),
         other => {
             eprintln!("unknown experiment '{other}'");
@@ -169,8 +167,7 @@ fn run_perf(args: &[String]) -> i32 {
         None => garfield_aggregation::Engine::auto(),
     };
     println!(
-        "perf sweep: {} mode, effective engine: {} thread{} ({}), \
-         fast-math off, d={:?}, n={:?}",
+        "perf sweep: {} mode, effective engine: {} thread{} ({}), d={:?}, n={:?}",
         if config.quick { "quick" } else { "full" },
         engine.threads(),
         if engine.threads() == 1 { "" } else { "s" },
@@ -614,7 +611,6 @@ fn main() {
         "table2",
         "variance",
         "dec-scaling",
-        "runtime",
     ];
     let ids: Vec<String> = if args.len() == 1 && args[0] == "all" {
         quick_all.iter().map(|s| s.to_string()).collect()

@@ -848,6 +848,80 @@ mod tests {
         }
     }
 
+    /// Serializes tests that toggle or read the process-global `garfield-obs`
+    /// enabled flag (the default test runner is multi-threaded).
+    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Seconds per round of `speculative(multi-krum)` and of pure Multi-Krum
+    /// at shape `(d, n, f)`, each timed by the sweep's [`time_cell`] for
+    /// `budget_secs` on one seeded honest input set, so the speculative check
+    /// never trips and every round is the fused average sweep.
+    fn fast_path_secs(d: usize, n: usize, f: usize, budget_secs: f64) -> (f64, f64) {
+        let config = PerfConfig {
+            dims: vec![d],
+            ns: vec![n],
+            target_secs: budget_secs,
+            max_reps: usize::MAX,
+            quick: true,
+        };
+        let mut rng = TensorRng::seed_from(0x5bec ^ (d as u64) ^ ((n as u64) << 32));
+        let inputs: Vec<Vec<f32>> = (0..n).map(|_| rng.normal_tensor(d).into_vec()).collect();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let engine = Engine::auto();
+        let secs = |kind: GarKind| {
+            let gar = build_gar(&kind, n, f).expect("measurement shape is well-formed");
+            let (secs, _) = time_cell(gar.as_ref(), &views, &engine, &config);
+            assert!(
+                !gar.fell_back().unwrap_or(false),
+                "honest inputs must stay on the fast path"
+            );
+            secs
+        };
+        let fast = secs(GarKind::Speculative {
+            fallback: Box::new(GarKind::MultiKrum),
+        });
+        (fast, secs(GarKind::MultiKrum))
+    }
+
+    #[test]
+    fn fast_path_measurement_reports_sane_rates_at_a_small_shape() {
+        // The full paper shape is a release-build measurement (below); this
+        // keeps the measurement itself exercised in debug runs.
+        let (fast, robust) = fast_path_secs(4096, 9, 1, 0.05);
+        assert!(fast > 0.0 && robust > 0.0);
+        assert!((robust / fast).is_finite());
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "throughput acceptance is a release-build measurement: run with \
+                  `cargo test --release -p garfield-bench fast_path_is_3x`"
+    )]
+    fn fast_path_is_3x_multi_krum_at_the_paper_shape() {
+        // d = 10⁶, n = 25: the evaluation shape the speculation claim of
+        // arXiv:1911.07537 is stated at — the fast path reads the n·d payload
+        // once per round where Multi-Krum pays the O(n²d) distance matrix.
+        // Best-of-3 damps scheduler noise: the claim is about the machine's
+        // capability, not about a single timing sample.
+        let mut best: f64 = 0.0;
+        for _ in 0..3 {
+            let (fast, robust) = fast_path_secs(1_000_000, 25, 5, 1.0);
+            best = best.max(robust / fast);
+            if best >= 3.0 {
+                break;
+            }
+        }
+        assert!(
+            best >= 3.0,
+            "speculative fast path must be ≥3× Multi-Krum rounds/s at d=1e6 n=25, got {best:.2}×"
+        );
+    }
+
     #[test]
     fn sweep_covers_every_gar_and_outputs_are_identical() {
         let points = run(&tiny_config());
@@ -1034,7 +1108,7 @@ mod tests {
 
     #[test]
     fn obs_overhead_times_both_states_and_restores_the_flag() {
-        let _lock = crate::obs_test_lock();
+        let _lock = obs_test_lock();
         garfield_obs::disable();
         let m = obs_overhead(&tiny_config());
         assert_eq!(m.gar, "multi-krum");

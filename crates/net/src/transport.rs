@@ -21,9 +21,8 @@
 //!   emitting; peers only notice through their own quorums and timeouts
 //!   (no error is propagated on their side).
 //! * **Per-peer accounting** ([`Transport::peer_counters`]): on-wire message
-//!   and byte counts per remote peer, surfaced in
-//!   `RuntimeTelemetry`/`expfig runtime` so live-vs-sim reports cover TCP
-//!   runs too.
+//!   and byte counts per remote peer, surfaced in `RuntimeTelemetry` so
+//!   live reports cover TCP runs too.
 
 use crate::{Envelope, NetResult, NodeId, Router, RouterHandle};
 use bytes::Bytes;

@@ -153,7 +153,7 @@ impl Histogram {
 }
 
 /// A point-in-time copy of a histogram's buckets, for quantile reads and
-/// interval deltas (`expfig runtime` snapshots around each measured system).
+/// interval deltas.
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     buckets: [u64; HISTOGRAM_BUCKETS],

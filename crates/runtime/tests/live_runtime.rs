@@ -177,7 +177,13 @@ fn same_seed_live_runs_produce_identical_final_models() {
 fn fault_free_live_matches_sim_accuracy_on_every_system() {
     // Same deployment objects, same aggregation inputs in the same order:
     // the live substrate must reproduce the sim learning trajectory.
-    for system in [SystemKind::Vanilla, SystemKind::Ssmw, SystemKind::Msmw] {
+    let mut bytes = Vec::new();
+    for system in [
+        SystemKind::Vanilla,
+        SystemKind::Ssmw,
+        SystemKind::Msmw,
+        SystemKind::Speculative,
+    ] {
         let cfg = live_config();
         let sim_trace = SimExecutor::new(cfg.clone()).run(system).unwrap();
         let mut live = LiveExecutor::new(cfg);
@@ -194,7 +200,23 @@ fn fault_free_live_matches_sim_accuracy_on_every_system() {
         );
         assert!(report.telemetry.total_bytes() > 0);
         assert_eq!(report.telemetry.round_latencies.len(), cfg_iterations());
+        let telemetry = &report.telemetry;
+        // The router frames nothing, so on-wire bytes equal payload bytes;
+        // a healthy fault-free run drops, re-asks and recovers nothing.
+        assert_eq!(
+            telemetry.total_wire_bytes(),
+            telemetry.total_bytes(),
+            "{system}"
+        );
+        assert_eq!(telemetry.total_dropped(), 0, "{system}");
+        assert_eq!(telemetry.total_requests_retried(), 0, "{system}");
+        assert_eq!(telemetry.total_resumes(), 0, "{system}");
+        bytes.push(telemetry.total_bytes());
     }
+    assert!(
+        bytes[2] > bytes[1],
+        "MSMW replicates the server, so it must move more bytes than SSMW"
+    );
 }
 
 fn cfg_iterations() -> usize {
