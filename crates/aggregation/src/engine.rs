@@ -804,12 +804,12 @@ mod tests {
 
     #[test]
     fn parallel_cache_is_bit_identical_to_sequential() {
+        // 36 pairs × 2d = 2.4 M operations: past the fan-out floor, so the
+        // 4-thread engine really splits the fill across 4 threads.
+        let d = 1 << 15;
+        assert_eq!(Engine::with_threads(4).threads_for(36, 2 * d), 4);
         let data: Vec<Vec<f32>> = (0..9)
-            .map(|i| {
-                (0..4096)
-                    .map(|c| ((i * 31 + c) as f32 * 0.1).sin())
-                    .collect()
-            })
+            .map(|i| (0..d).map(|c| ((i * 31 + c) as f32 * 0.1).sin()).collect())
             .collect();
         let v = views(&data);
         let seq = DistanceCache::build(&v, &Engine::sequential());

@@ -45,6 +45,32 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The proptests' shapes sit below the engine's fan-out floor (every spawned
+/// thread must carry 2^18 operations), so there the parallel engine runs the
+/// sequential path. At n = 15, d = 2^16 every rule's fills — the 105-pair
+/// distance matrix and the d-wide coordinate passes — split across threads.
+#[test]
+fn engines_agree_at_a_shape_that_fans_out() {
+    let (n, d) = (15, 1 << 16);
+    let data = payloads(n, d, 0xfa0_0075, false);
+    let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
+    let par = Engine::with_threads(4);
+    let seq = Engine::sequential();
+    let speculative = GarKind::Speculative {
+        fallback: Box::new(GarKind::MultiKrum),
+    };
+    for kind in GarKind::all().into_iter().chain([speculative]) {
+        let f = if kind == GarKind::Average { 0 } else { 2 };
+        let gar = build_gar(&kind, n, f).unwrap();
+        let a = gar.aggregate_views(&views, &seq).unwrap();
+        let b = gar.aggregate_views(&views, &par).unwrap();
+        assert!(
+            bits(a.data()) == bits(b.data()),
+            "{kind} diverged between engines at n={n}, f={f}, d={d}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 

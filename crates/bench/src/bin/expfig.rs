@@ -5,11 +5,7 @@
 //! ```text
 //! cargo run --release -p garfield-bench --bin expfig -- <experiment> [...]
 //! cargo run --release -p garfield-bench --bin expfig -- all
-//! cargo run --release -p garfield-bench --bin expfig -- perf \
-//!     [--quick] [--out BENCH_aggregation.json] \
-//!     [--check results/perf_baseline.json] [--tolerance 0.20] \
-//!     [--merge-baseline results/perf_baseline.json] \
-//!     [--threads N] [--require-baseline] [--obs-gate]
+//! cargo run --release -p garfield-bench --bin expfig -- perf [--quick] [--out BENCH_aggregation.json]
 //! cargo run --release -p garfield-bench --bin expfig -- trace <flight-dir>
 //! cargo run --release -p garfield-bench --bin expfig -- watch <spec> \
 //!     [--interval-ms 1000] [--csv results/watch.csv] [--once]
@@ -22,26 +18,11 @@
 //!
 //! `perf` is the GAR-engine micro-benchmark: it times the distance kernels
 //! (scalar / chunked / blocked), sweeps every GAR over d × n on the
-//! sequential and parallel engines, asserts bit-identical outputs, and
-//! writes `BENCH_aggregation.json` stamped with the effective thread count.
-//!
-//! With `--check` it gates against a baseline file holding one recorded
-//! report per `(threads, quick)` key: entries recorded at a *different*
-//! thread count are never compared (throughput is not comparable across
-//! machine shapes) — if the file has no entry for this machine's thread
-//! count the gate prints a notice and passes (or, with `--require-baseline`,
-//! fails with recording instructions — the CI arming step), and
-//! `--merge-baseline PATH` records the current report into the file so CI
-//! can capture a multi-core baseline as an artifact. On multi-thread runs
-//! the gate additionally fails if `Engine::auto` lost to
-//! `Engine::sequential` by more than 10% on any cell (the fan-out heuristic
-//! regression assertion). `--threads N` pins the parallel engine's thread
-//! count (for recording a baseline under another machine shape's key; the
-//! fan-out gate is skipped, since an oversubscribed engine tells you
-//! nothing about the heuristic). `--obs-gate` additionally times a
-//! representative aggregation cell with the `garfield-obs` layer disabled
-//! vs enabled and fails if the instrumentation costs more than 2% of
-//! aggregation throughput.
+//! sequential and parallel engines, and writes `BENCH_aggregation.json`
+//! stamped with `Engine::auto`'s thread count. `--quick` runs the CI sweep,
+//! `--out` names the report file. Timings are printed and recorded, never
+//! gated: the command exits 1 only when some cell's engines produced
+//! outputs that are not bit-identical.
 //!
 //! `trace <dir>` merges the `flight-*.jsonl` dumps that `garfield-node
 //! --flight-dir` processes wrote into one per-round cross-node timeline
@@ -100,54 +81,20 @@ fn run_one(id: &str) -> Option<(String, Vec<Row>)> {
     Some((id.to_string(), rows))
 }
 
-/// Runs the `perf` subcommand; returns the process exit code.
+/// Runs the `perf` subcommand; returns the process exit code: 1 when any
+/// cell's engines diverged or the report could not be written, 2 on a bad
+/// flag.
 fn run_perf(args: &[String]) -> i32 {
     let mut config = perf::PerfConfig::full();
     let mut out_path = String::from("BENCH_aggregation.json");
-    let mut check_path: Option<String> = None;
-    let mut merge_path: Option<String> = None;
-    let mut tolerance = perf::DEFAULT_TOLERANCE;
-    let mut threads_override: Option<usize> = None;
-    let mut require_baseline = false;
-    let mut obs_gate = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => config = perf::PerfConfig::quick(),
-            "--threads" => match it.next().and_then(|t| t.parse::<usize>().ok()) {
-                Some(t) if t >= 1 => threads_override = Some(t),
-                _ => {
-                    eprintln!("--threads requires an integer ≥ 1");
-                    return 2;
-                }
-            },
-            "--require-baseline" => require_baseline = true,
-            "--obs-gate" => obs_gate = true,
             "--out" => match it.next() {
                 Some(p) => out_path = p.clone(),
                 None => {
                     eprintln!("--out requires a path");
-                    return 2;
-                }
-            },
-            "--check" => match it.next() {
-                Some(p) => check_path = Some(p.clone()),
-                None => {
-                    eprintln!("--check requires a baseline path");
-                    return 2;
-                }
-            },
-            "--merge-baseline" => match it.next() {
-                Some(p) => merge_path = Some(p.clone()),
-                None => {
-                    eprintln!("--merge-baseline requires a path");
-                    return 2;
-                }
-            },
-            "--tolerance" => match it.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => tolerance = t,
-                _ => {
-                    eprintln!("--tolerance requires a fraction in [0, 1)");
                     return 2;
                 }
             },
@@ -158,28 +105,15 @@ fn run_perf(args: &[String]) -> i32 {
         }
     }
 
-    // The effective engine shape, logged and recorded in the report so every
-    // entry is self-describing: Engine::with_threads clamps a requested 0 to
-    // 1 in exactly one place, so what it reports here is what every sweep
-    // cell actually ran with.
-    let engine = match threads_override {
-        Some(t) => garfield_aggregation::Engine::with_threads(t),
-        None => garfield_aggregation::Engine::auto(),
-    };
+    let threads = garfield_aggregation::Engine::auto().threads();
     println!(
-        "perf sweep: {} mode, effective engine: {} thread{} ({}), d={:?}, n={:?}",
+        "perf sweep: {} mode, Engine::auto: {threads} thread{}, d={:?}, n={:?}",
         if config.quick { "quick" } else { "full" },
-        engine.threads(),
-        if engine.threads() == 1 { "" } else { "s" },
-        if threads_override.is_some() {
-            "--threads override"
-        } else {
-            "Engine::auto"
-        },
+        if threads == 1 { "" } else { "s" },
         config.dims,
         config.ns
     );
-    let report = perf::run_report_with(&config, &engine);
+    let report = perf::run_report(&config);
     print_table(
         "kernels (pairwise distance fill, 1 thread)",
         &perf::kernel_rows(&report.kernels),
@@ -197,171 +131,16 @@ fn run_perf(args: &[String]) -> i32 {
         );
     }
 
-    let json = perf::report_to_json(&report);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, perf::report_to_json(&report)) {
         eprintln!("could not write {out_path}: {e}");
         return 1;
     }
     println!("(written to {out_path})");
-
-    if !divergent.is_empty() {
-        return 1;
-    }
-
-    // The fan-out sanity gate needs no baseline: parallel vs sequential is
-    // measured within this very sweep. Skipped under a --threads override —
-    // a pinned thread count can oversubscribe this machine, and losing to
-    // sequential then says nothing about the `threads_for` heuristic.
-    let fanout = if threads_override.is_some() {
-        println!("fan-out gate skipped under --threads override");
-        Vec::new()
+    if divergent.is_empty() {
+        0
     } else {
-        perf::parallel_regressions(&report, perf::PARALLEL_LOSS_TOLERANCE)
-    };
-    if !fanout.is_empty() {
-        eprintln!(
-            "parallel-engine fan-out regression (Engine::auto must stay within {:.0}% of \
-             sequential):",
-            perf::PARALLEL_LOSS_TOLERANCE * 100.0
-        );
-        for p in &fanout {
-            eprintln!("  {p}");
-        }
-        return 1;
+        1
     }
-
-    if obs_gate {
-        let m = perf::obs_overhead(&config);
-        println!(
-            "obs overhead ({} n={} d={}): disabled {:.3} ms, enabled {:.3} ms — {:+.2}%",
-            m.gar,
-            m.n,
-            m.d,
-            m.disabled_secs * 1e3,
-            m.enabled_secs * 1e3,
-            m.overhead() * 100.0
-        );
-        if m.overhead() > perf::OBS_OVERHEAD_TOLERANCE {
-            eprintln!(
-                "obs gate FAILED: enabled observability costs {:.2}% of aggregation \
-                 throughput (limit {:.0}%)",
-                m.overhead() * 100.0,
-                perf::OBS_OVERHEAD_TOLERANCE * 100.0
-            );
-            return 1;
-        }
-        println!(
-            "obs gate passed: instrumentation overhead within {:.0}%",
-            perf::OBS_OVERHEAD_TOLERANCE * 100.0
-        );
-    }
-
-    let mut code = 0;
-    if let Some(baseline_path) = check_path {
-        let baseline_text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("could not read baseline {baseline_path}: {e}");
-                return 1;
-            }
-        };
-        let baselines = match perf::parse_baselines(&baseline_text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("malformed baseline {baseline_path}: {e}");
-                return 1;
-            }
-        };
-        match perf::matching_baseline(&baselines, &report) {
-            None => {
-                // Refuse to compare across machine shapes: a 1-core baseline
-                // says nothing about an 8-core run. Without
-                // --require-baseline this is not an error — record a
-                // baseline for this shape with --merge-baseline.
-                let shapes: Vec<String> = baselines
-                    .iter()
-                    .map(|b| {
-                        format!(
-                            "{} thread{}/{}",
-                            b.threads,
-                            if b.threads == 1 { "" } else { "s" },
-                            if b.quick { "quick" } else { "full" }
-                        )
-                    })
-                    .collect();
-                let notice = format!(
-                    "{baseline_path} has no baseline recorded at {} threads ({} mode); \
-                     recorded shapes: [{}]. Refusing to compare across thread counts — \
-                     run `expfig perf --quick --merge-baseline {baseline_path}` on this \
-                     machine (or `--threads {} --merge-baseline …` elsewhere) and commit \
-                     the result to record one.",
-                    report.threads,
-                    if report.quick { "quick" } else { "full" },
-                    shapes.join(", "),
-                    report.threads,
-                );
-                if require_baseline {
-                    eprintln!("perf gate UNARMED (--require-baseline): {notice}");
-                    code = 1;
-                } else {
-                    println!("perf gate SKIPPED: {notice}");
-                }
-            }
-            Some(base) => {
-                let mut problems = perf::regressions(&report.entries, &base.entries, tolerance);
-                problems.extend(perf::kernel_regressions(
-                    &report.kernels,
-                    &base.kernels,
-                    tolerance,
-                ));
-                if !problems.is_empty() {
-                    eprintln!(
-                        "perf regression vs {baseline_path} at {} threads (tolerance {:.0}%):",
-                        base.threads,
-                        tolerance * 100.0
-                    );
-                    for p in &problems {
-                        eprintln!("  {p}");
-                    }
-                    code = 1;
-                } else {
-                    println!(
-                        "perf gate passed: no GAR or kernel regressed more than {:.0}% vs \
-                         {baseline_path} at {} threads",
-                        tolerance * 100.0,
-                        base.threads
-                    );
-                }
-            }
-        }
-    }
-
-    if let Some(merge_path) = merge_path {
-        let mut baselines = match std::fs::read_to_string(&merge_path) {
-            Ok(text) => match perf::parse_baselines(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("malformed baseline {merge_path}: {e}");
-                    return 1;
-                }
-            },
-            Err(_) => Vec::new(), // new file
-        };
-        perf::merge_baseline(&mut baselines, report);
-        if let Err(e) = std::fs::write(&merge_path, perf::baselines_to_json(&baselines)) {
-            eprintln!("could not write {merge_path}: {e}");
-            return 1;
-        }
-        println!(
-            "(baseline for {} recorded into {merge_path})",
-            baselines
-                .iter()
-                .map(|b| format!("{}t", b.threads))
-                .collect::<Vec<_>>()
-                .join("+")
-        );
-    }
-    code
 }
 
 /// Runs the `trace` subcommand: merge a directory of flight dumps into a
@@ -580,7 +359,7 @@ fn run_watch(args: &[String]) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: expfig <experiment id ...> | all | perf [flags] | trace <dir> | watch <spec> [flags]   (see --help in the doc comment)");
+        eprintln!("usage: expfig <experiment id ...> | all | perf [--quick] [--out PATH] | trace <dir> | watch <spec> [flags]   (see the doc comment)");
         std::process::exit(2);
     }
     if args[0] == "perf" {
