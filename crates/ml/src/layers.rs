@@ -59,9 +59,9 @@ pub struct DenseLayer {
 
 /// Cached forward-pass values needed by the backward pass.
 #[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// Layer input `(batch, input_dim)`.
-    pub input: Tensor,
+pub struct DenseCache<'a> {
+    /// Layer input `(batch, input_dim)`, borrowed from the caller.
+    pub input: &'a Tensor,
     /// Pre-activation output `(batch, output_dim)`.
     pub pre_activation: Tensor,
 }
@@ -148,7 +148,7 @@ impl DenseLayer {
     ///
     /// Returns [`MlError::ParameterMismatch`] if the input's column count is
     /// not `input_dim`.
-    pub fn forward(&self, input: &Tensor) -> MlResult<(Tensor, DenseCache)> {
+    pub fn forward<'a>(&self, input: &'a Tensor) -> MlResult<(Tensor, DenseCache<'a>)> {
         let (_, cols) = input
             .matrix_dims()
             .map_err(|_| MlError::InvalidData("dense layer input must be a matrix".into()))?;
@@ -171,7 +171,7 @@ impl DenseLayer {
         Ok((
             activated,
             DenseCache {
-                input: input.clone(),
+                input,
                 pre_activation: pre,
             },
         ))
@@ -179,19 +179,25 @@ impl DenseLayer {
 
     /// Backward pass: given the gradient of the loss w.r.t. this layer's
     /// activated output, computes `(grad_weights, grad_bias, grad_input)`.
-    pub fn backward(&self, cache: &DenseCache, upstream: &Tensor) -> (Tensor, Tensor, Tensor) {
+    /// `grad_input` is computed only when `input_grad` asks for it: a
+    /// network's first layer has no upstream layer to pass it to.
+    pub fn backward(
+        &self,
+        cache: &DenseCache<'_>,
+        upstream: &Tensor,
+        input_grad: bool,
+    ) -> (Tensor, Tensor, Option<Tensor>) {
         // d pre-activation
         let dpre = self.activation.backward(&cache.pre_activation, upstream);
         let grad_weights = cache
             .input
-            .transpose()
-            .expect("cache input is a matrix")
-            .matmul(&dpre)
+            .matmul_tn(&dpre)
             .expect("dims agree by construction");
         let grad_bias = dpre.sum_rows().expect("dpre is a matrix");
-        let grad_input = dpre
-            .matmul(&self.weights.transpose().expect("weights are a matrix"))
-            .expect("dims agree by construction");
+        let grad_input = input_grad.then(|| {
+            dpre.matmul(&self.weights.transpose().expect("weights are a matrix"))
+                .expect("dims agree by construction")
+        });
         (grad_weights, grad_bias, grad_input)
     }
 }
@@ -262,12 +268,13 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], Shape::matrix(2, 3)).unwrap();
         let (_, cache) = layer.forward(&x).unwrap();
         let upstream = Tensor::ones(Shape::matrix(2, 2));
-        let (gw, gb, gx) = layer.backward(&cache, &upstream);
+        let (gw, gb, gx) = layer.backward(&cache, &upstream, true);
         // grad bias = column sums of upstream = [2, 2]
         assert_eq!(gb.data(), &[2.0, 2.0]);
         // grad weights = X^T * upstream
         let expected_gw = x.transpose().unwrap().matmul(&upstream).unwrap();
         assert_eq!(gw, expected_gw);
-        assert_eq!(gx.shape().dims(), &[2, 3]);
+        assert_eq!(gx.expect("requested").shape().dims(), &[2, 3]);
+        assert!(layer.backward(&cache, &upstream, false).2.is_none());
     }
 }

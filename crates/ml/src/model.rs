@@ -7,7 +7,7 @@
 //! mirroring how the paper's library wraps TensorFlow / PyTorch models.
 
 use crate::data::Batch;
-use crate::layers::{Activation, DenseCache, DenseLayer};
+use crate::layers::{Activation, DenseLayer};
 use crate::loss::softmax_cross_entropy;
 use crate::DatasetKind;
 use garfield_tensor::{Tensor, TensorRng};
@@ -166,21 +166,33 @@ impl Mlp {
         dims.extend(self.layers.iter().map(|l| l.output_dim()));
         dims
     }
+}
 
-    /// Forward pass through every layer — the first borrows `inputs` — giving
-    /// the logits and each layer's cache for the backward pass.
-    fn forward(&self, inputs: &Tensor) -> (Tensor, Vec<DenseCache>) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut activ: Option<Tensor> = None;
-        for layer in &self.layers {
-            let (out, cache) = layer
-                .forward(activ.as_ref().unwrap_or(inputs))
-                .expect("inputs match the model's feature count");
-            caches.push(cache);
-            activ = Some(out);
-        }
-        (activ.expect("an MLP has at least one layer"), caches)
-    }
+/// Back-propagation through `layers` from `input`: forward through every
+/// layer (each cache borrows its input, which lives in this frame or the
+/// caller's), softmax cross-entropy on the logits, then backward. Pushes
+/// each layer's `(grad_weights, grad_bias)`, last layer first, and returns
+/// the loss and — only when `input_grad` asks — the gradient w.r.t. `input`.
+fn backprop(
+    layers: &[DenseLayer],
+    input: &Tensor,
+    labels: &[usize],
+    input_grad: bool,
+    grads: &mut Vec<(Tensor, Tensor)>,
+) -> (f32, Option<Tensor>) {
+    let (layer, rest) = layers.split_first().expect("an MLP has at least one layer");
+    let (out, cache) = layer
+        .forward(input)
+        .expect("inputs match the model's feature count");
+    let (loss, upstream) = if rest.is_empty() {
+        softmax_cross_entropy(&out, labels)
+    } else {
+        let (loss, upstream) = backprop(rest, &out, labels, true, grads);
+        (loss, upstream.expect("requested above"))
+    };
+    let (gw, gb, gx) = layer.backward(&cache, &upstream, input_grad);
+    grads.push((gw, gb));
+    (loss, gx)
 }
 
 impl Model for Mlp {
@@ -211,20 +223,16 @@ impl Model for Mlp {
     }
 
     fn gradient(&self, batch: &Batch) -> (f32, Tensor) {
-        let (logits, caches) = self.forward(&batch.inputs);
-        let (loss, mut upstream) = softmax_cross_entropy(&logits, &batch.labels);
-
-        // Backward pass, collecting per-layer gradients in forward order.
-        let mut grads: Vec<(Tensor, Tensor)> = Vec::with_capacity(self.layers.len());
-        for (layer, cache) in self.layers.iter().zip(caches.iter()).rev() {
-            let (gw, gb, gx) = layer.backward(cache, &upstream);
-            grads.push((gw, gb));
-            upstream = gx;
-        }
-        grads.reverse();
-
+        let mut grads = Vec::with_capacity(self.layers.len());
+        let (loss, _) = backprop(
+            &self.layers,
+            &batch.inputs,
+            &batch.labels,
+            false,
+            &mut grads,
+        );
         let mut flat = Vec::with_capacity(self.num_parameters());
-        for (gw, gb) in grads {
+        for (gw, gb) in grads.iter().rev() {
             flat.extend_from_slice(gw.data());
             flat.extend_from_slice(gb.data());
         }
@@ -232,7 +240,14 @@ impl Model for Mlp {
     }
 
     fn predict(&self, inputs: &Tensor) -> Tensor {
-        self.forward(inputs).0
+        let mut activ: Option<Tensor> = None;
+        for layer in &self.layers {
+            let (out, _) = layer
+                .forward(activ.as_ref().unwrap_or(inputs))
+                .expect("inputs match the model's feature count");
+            activ = Some(out);
+        }
+        activ.expect("an MLP has at least one layer")
     }
 
     fn name(&self) -> &str {

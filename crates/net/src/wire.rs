@@ -360,8 +360,12 @@ impl WireMessage {
         buf.extend_from_slice(&0u64.to_le_bytes()); // seq (stamped on send)
         buf.extend_from_slice(&0u64.to_le_bytes()); // sent_unix_us (stamped on send)
         buf.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
-        for v in &self.values {
-            buf.extend_from_slice(&v.to_le_bytes());
+        buf.resize(self.encoded_len(), 0);
+        for (dst, v) in buf[WIRE_HEADER_BYTES..]
+            .chunks_exact_mut(4)
+            .zip(&self.values)
+        {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
         buf
     }
@@ -739,6 +743,28 @@ mod tests {
         let bits: Vec<u32> = back.values.iter().map(|v| v.to_bits()).collect();
         let expected: Vec<u32> = msg.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, expected);
+    }
+
+    #[test]
+    fn payload_encodes_like_one_le_word_per_value() {
+        let quiet_payload = f32::from_bits(0x7fc0_1234);
+        let signalling = f32::from_bits(0xff80_0001);
+        let mut values = vec![
+            1.5,
+            -0.0,
+            f32::INFINITY,
+            quiet_payload,
+            signalling,
+            f32::NAN,
+        ];
+        values.extend((0..37).map(|i| i as f32 * -0.37));
+        let msg = WireMessage::new(MsgKind::GradientReply, 4, 0.5, values);
+        let mut want = msg.encode_vec()[..WIRE_HEADER_BYTES].to_vec();
+        for v in &msg.values {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(msg.encode_vec(), want);
+        assert_eq!(want.len(), msg.encoded_len());
     }
 
     #[test]

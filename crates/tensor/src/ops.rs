@@ -179,33 +179,19 @@ impl Tensor {
     /// Returns [`TensorError::NotAMatrix`] for non rank-2 operands and
     /// [`TensorError::MatmulMismatch`] when inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> TensorResult<Tensor> {
-        let (r, k1) = self.matrix_dims()?;
-        let (k2, c) = other.matrix_dims()?;
-        if k1 != k2 {
-            return Err(TensorError::MatmulMismatch {
-                left: self.shape().dims().to_vec(),
-                right: other.shape().dims().to_vec(),
-            });
-        }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; r * c];
-        // Simple ikj loop order: keeps the inner loop sequential over `b` and
-        // `out`, which the optimiser vectorises well enough for our model sizes.
-        for i in 0..r {
-            for k in 0..k1 {
-                let aik = a[i * k1 + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[k * c..(k + 1) * c];
-                let orow = &mut out[i * c..(i + 1) * c];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aik * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, Shape::matrix(r, c))
+        matmul_kernel(self, false, other)
+    }
+
+    /// Transposed-left matrix multiplication `selfᵀ (r x k) * other (k x c)
+    /// -> (r x c)` for `self` stored as `(k x r)`, without materialising the
+    /// transpose. Bit-identical to `self.transpose()?.matmul(other)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] for non rank-2 operands and
+    /// [`TensorError::MatmulMismatch`] when the row counts disagree.
+    pub fn matmul_tn(&self, other: &Tensor) -> TensorResult<Tensor> {
+        matmul_kernel(self, true, other)
     }
 
     /// Matrix transpose.
@@ -240,6 +226,100 @@ impl Tensor {
         }
         Ok(Tensor::from(out))
     }
+}
+
+/// Column-block width of [`matmul_kernel`]: a block of an output row lives
+/// in a local `[f32; MATMUL_BLOCK]`, which the optimiser keeps in registers
+/// across the whole `k` loop instead of loading and storing the output row
+/// once per `k`.
+const MATMUL_BLOCK: usize = 16;
+
+/// The one matrix-multiplication kernel: `A (r x k) * b (k x c)` with `A`
+/// the matrix `a`, or its transpose read in place when `transposed`.
+///
+/// Summation-order contract: every output element starts at `0.0` and adds
+/// `A[i][k] * b[k][j]` for `k` ascending, skipping zero `A[i][k]`, with a
+/// separate multiply and add (no fused multiply-add). That is the plain ikj
+/// loop's order, so the blocking below never changes a bit, and `matmul_tn`
+/// equals `transpose` followed by `matmul`.
+///
+/// Output rows go two at a time, so each `b` block loaded serves both; an odd
+/// last row is paired with itself.
+fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tensor> {
+    let (a_rows, a_cols) = a.matrix_dims()?;
+    let (k2, c) = b.matrix_dims()?;
+    // `A[i][k]` is `a.data()[i * row_step + k * k_step]`.
+    let (r, k, row_step, k_step) = if transposed {
+        (a_cols, a_rows, 1, a_cols)
+    } else {
+        (a_rows, a_cols, a_cols, 1)
+    };
+    if k != k2 {
+        return Err(TensorError::MatmulMismatch {
+            left: a.shape().dims().to_vec(),
+            right: b.shape().dims().to_vec(),
+        });
+    }
+    let (a, b) = (a.data(), b.data());
+    let mut out = vec![0.0f32; r * c];
+    if k == 0 {
+        return Tensor::from_vec(out, Shape::matrix(r, c));
+    }
+    // Full blocks are read from `b` in place; a narrow last block is copied
+    // into zero-padded full-width rows first.
+    let full = c - c % MATMUL_BLOCK;
+    let mut tail = Vec::new();
+    if full < c {
+        tail = vec![0.0f32; k * MATMUL_BLOCK];
+        for (lanes, b_row) in tail.chunks_exact_mut(MATMUL_BLOCK).zip(b.chunks_exact(c)) {
+            lanes[..c - full].copy_from_slice(&b_row[full..]);
+        }
+    }
+    let (tail_rows, _) = tail.as_chunks::<MATMUL_BLOCK>();
+    let coeffs = |i: usize| a[i * row_step..].iter().step_by(k_step);
+    for i0 in (0..r).step_by(2) {
+        let i1 = (i0 + 1).min(r - 1);
+        for j0 in (0..full).step_by(MATMUL_BLOCK) {
+            let b_rows = b.chunks_exact(c).map(|b_row| {
+                <&[f32; MATMUL_BLOCK]>::try_from(&b_row[j0..j0 + MATMUL_BLOCK])
+                    .expect("a full block")
+            });
+            let [acc0, acc1] = accumulate_row_pair(coeffs(i0), coeffs(i1), b_rows);
+            out[i0 * c + j0..][..MATMUL_BLOCK].copy_from_slice(&acc0);
+            out[i1 * c + j0..][..MATMUL_BLOCK].copy_from_slice(&acc1);
+        }
+        if full < c {
+            let [acc0, acc1] = accumulate_row_pair(coeffs(i0), coeffs(i1), tail_rows.iter());
+            out[i0 * c + full..(i0 + 1) * c].copy_from_slice(&acc0[..c - full]);
+            out[i1 * c + full..(i1 + 1) * c].copy_from_slice(&acc1[..c - full]);
+        }
+    }
+    Tensor::from_vec(out, Shape::matrix(r, c))
+}
+
+/// One column block of two output rows: `acc[lane] += coeff * b_row[lane]`
+/// over the rows of `b` in `k` order, skipping each zero coefficient.
+#[inline(always)]
+fn accumulate_row_pair<'a>(
+    coeffs0: impl Iterator<Item = &'a f32>,
+    coeffs1: impl Iterator<Item = &'a f32>,
+    b_rows: impl Iterator<Item = &'a [f32; MATMUL_BLOCK]>,
+) -> [[f32; MATMUL_BLOCK]; 2] {
+    let mut acc0 = [0.0f32; MATMUL_BLOCK];
+    let mut acc1 = [0.0f32; MATMUL_BLOCK];
+    for ((&x0, &x1), b_row) in coeffs0.zip(coeffs1).zip(b_rows) {
+        if x0 != 0.0 {
+            for (lane, &bv) in acc0.iter_mut().zip(b_row) {
+                *lane += x0 * bv;
+            }
+        }
+        if x1 != 0.0 {
+            for (lane, &bv) in acc1.iter_mut().zip(b_row) {
+                *lane += x1 * bv;
+            }
+        }
+    }
+    [acc0, acc1]
 }
 
 impl Add<&Tensor> for &Tensor {
