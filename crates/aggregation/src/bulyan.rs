@@ -1,12 +1,13 @@
 //! Bulyan GAR (El Mhamdi et al., ICML 2018).
 
+use crate::column_sort::map_sorted_columns;
 use crate::engine::{bulyan_select_cached, COLUMN_TILE};
 use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
     SelectionOutcome, SelectionScratch,
 };
-use garfield_tensor::{total_order_key_f32, total_order_unkey_f32, GradientView, Tensor};
+use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
 
 /// Bulyan of Multi-Krum.
 ///
@@ -93,87 +94,63 @@ impl Bulyan {
     }
 
     /// Phase 2 over an already-selected set: per-coordinate trimmed average
-    /// around the selection set's median, chunked across threads by
-    /// coordinate range. Each chunk owns a private column buffer; every
-    /// coordinate is computed with the same scalar sequence on any engine.
+    /// around the selection set's median, on the sorted tiles of
+    /// [`map_sorted_columns`] (chunked across threads by coordinate range).
     ///
-    /// The column is processed on order-preserving integer keys
-    /// (`total_order_key_f32` — the workspace-wide total order, so a NaN
-    /// coordinate lands in the same trailing position here as in every other
-    /// GAR sort): one native `u32` sort gives the median at the middle index,
-    /// and because "the β values closest to the median" are always a
-    /// *contiguous window* of the sorted column, the trim is a β−1-step
-    /// two-pointer expansion around the median instead of a second selection
-    /// pass. Candidate distances `|v − m|` are non-negative (or NaN), so
-    /// comparing their raw bits IS the total order: NaN distances (from NaN
-    /// coordinates, or ∞−∞) lose every comparison until only they remain,
-    /// exactly where the old `sort_by(total_cmp)` reference placed them. Ties
-    /// pick the left (smaller-key) candidate — deterministic on every engine.
-    /// The sum accumulates in the expansion order, i.e. ascending `|v − m|`,
-    /// as the sort-based reference did.
+    /// The keys are `total_order_key_f32`, the workspace-wide total order,
+    /// so a NaN coordinate lands in the same position here as in every other
+    /// GAR sort. The median is row `mid`. "The β values closest to the
+    /// median" are a *contiguous window* of the sorted column, so the trim is
+    /// a β−1-step greedy two-pointer expansion around the median, run step
+    /// by step across the tile's lanes. Each step compares the raw bits of
+    /// the two candidate distances `|v − m|`; they are non-negative (or NaN),
+    /// so that IS the total order. A side that has run out offers
+    /// `u32::MAX`, which no distance reaches. Ties pick the left
+    /// (smaller-key) candidate. The sum accumulates in expansion order. The
+    /// choices are masks and clamped indices, so no step branches on data.
     ///
-    /// Coordinates are processed through an L2-resident transpose tile:
-    /// gathering a column straight from `sel` multi-megabyte inputs is `sel`
-    /// concurrent strided streams — more than the hardware prefetchers
-    /// track — so each input's tile segment is first copied sequentially
-    /// (prefetch-friendly) and the per-coordinate column then read
-    /// contiguously from the tile. Every per-coordinate result is a pure
-    /// function of the column *multiset*, so chunk/tile boundaries (which
-    /// differ across engines) cannot change the output bits.
+    /// The expansion must stay greedy: NaN distances are not monotone along
+    /// one side (on x86-64 a nearer `-sNaN 0xff800001` yields distance bits
+    /// `0x7fc00001`, a farther `-qNaN 0xffc00000` yields `0x7fc00000`), so a
+    /// formula that ranks all distances at once picks other values, or sums
+    /// them in another order, on Byzantine input.
     fn trimmed_average(
         &self,
         inputs: &[GradientView<'_>],
         selected: &[usize],
         engine: &Engine,
     ) -> Tensor {
-        let d = inputs[0].len();
+        let rows: Vec<&[f32]> = selected.iter().map(|&i| inputs[i].data()).collect();
         let beta = self.trimmed_size();
-        let sel = selected.len();
-        let mid = (sel - 1) / 2;
-        let mut out = vec![0.0f32; d];
-        engine.fill_chunks(&mut out, sel, |base, chunk| {
-            let mut tile: Vec<u32> = vec![0; sel * COLUMN_TILE];
-            let mut t0 = 0;
-            while t0 < chunk.len() {
-                let t_len = COLUMN_TILE.min(chunk.len() - t0);
-                for (si, &i) in selected.iter().enumerate() {
-                    let src = &inputs[i].data()[base + t0..base + t0 + t_len];
-                    for (t, &v) in src.iter().enumerate() {
-                        tile[t * sel + si] = total_order_key_f32(v);
-                    }
+        let last = rows.len() - 1;
+        let mid = last / 2;
+        map_sorted_columns(&rows, engine, |tile, out| {
+            let sorted: Vec<[f32; COLUMN_TILE]> = tile
+                .iter()
+                .map(|keys| keys.map(total_order_unkey_f32))
+                .collect();
+            // All ones when a side's clamped index did not move: it has run out.
+            let run_out = |stuck: bool| u32::from(stuck).wrapping_neg();
+            let m = sorted[mid];
+            let (mut lo, mut sum) = ([mid; COLUMN_TILE], m);
+            for taken in 1..beta {
+                // All lanes, stale ones included: a fixed trip count, and the
+                // selects below keep every index in `0..=last`.
+                for t in 0..COLUMN_TILE {
+                    let hi = lo[t] + taken - 1;
+                    let (l, r) = (lo[t].saturating_sub(1), (hi + 1).min(last));
+                    let (lv, rv) = (sorted[l][t], sorted[r][t]);
+                    let l_bits = (lv - m[t]).abs().to_bits() | run_out(l == lo[t]);
+                    let r_bits = (rv - m[t]).abs().to_bits() | run_out(r == hi);
+                    let left = usize::from(l_bits <= r_bits).wrapping_neg();
+                    lo[t] -= left & (lo[t] - l);
+                    sum[t] += sorted[r - (left & (r - l))][t];
                 }
-                for (t, slot) in chunk[t0..t0 + t_len].iter_mut().enumerate() {
-                    let col = &mut tile[t * sel..t * sel + sel];
-                    col.sort_unstable();
-                    let m = total_order_unkey_f32(col[mid]);
-                    let mut lo = mid;
-                    let mut hi = mid;
-                    let mut sum = m;
-                    for _ in 1..beta {
-                        let l_bits = if lo > 0 {
-                            (total_order_unkey_f32(col[lo - 1]) - m).abs().to_bits()
-                        } else {
-                            u32::MAX
-                        };
-                        let r_bits = if hi + 1 < sel {
-                            (total_order_unkey_f32(col[hi + 1]) - m).abs().to_bits()
-                        } else {
-                            u32::MAX
-                        };
-                        if l_bits <= r_bits {
-                            lo -= 1;
-                            sum += total_order_unkey_f32(col[lo]);
-                        } else {
-                            hi += 1;
-                            sum += total_order_unkey_f32(col[hi]);
-                        }
-                    }
-                    *slot = sum / beta as f32;
-                }
-                t0 += t_len;
             }
-        });
-        Tensor::from(out)
+            for (slot, s) in out.iter_mut().zip(sum) {
+                *slot = s / beta as f32;
+            }
+        })
     }
 }
 
@@ -335,6 +312,32 @@ mod tests {
                 assert!(v.is_finite(), "coordinate {c} became {v}");
             }
         }
+    }
+
+    #[test]
+    fn trim_window_grows_greedily_through_non_monotone_nan_distances() {
+        // Sorted column around m = 1: -qNaN 0xffc00001 (distance bits
+        // 0x7fc00001), -sNaN 0xff800009 (0x7fc00009), 1, 2 (0x3f800000),
+        // +qNaN 0x7fc00005 (0x7fc00005). β = 3: the greedy expansion takes
+        // 2, then compares 0x7fc00009 with 0x7fc00005 and takes +qNaN.
+        // Ranking all distances at once would take the farther -qNaN
+        // instead. One NaN enters the sum, so its payload is exact.
+        let column = [
+            0x7fc0_0005u32,
+            0x3f80_0000,
+            0xffc0_0001,
+            0x4000_0000,
+            0xff80_0009,
+        ];
+        let inputs: Vec<Tensor> = column
+            .iter()
+            .chain(&[0, 0])
+            .map(|&b| Tensor::from_slice(&[f32::from_bits(b)]))
+            .collect();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let b = Bulyan::new(7, 1).unwrap();
+        let out = b.trimmed_average(&views, &[0, 1, 2, 3, 4], &Engine::sequential());
+        assert_eq!(out.data()[0].to_bits(), 0x7fc0_0005);
     }
 
     #[test]

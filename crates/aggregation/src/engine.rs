@@ -157,13 +157,12 @@ impl Default for Engine {
 /// `n(n−1)·d` floats of traffic, the blocked one `n·d` per thread.
 const DISTANCE_BLOCK_BUDGET_BYTES: usize = 1 << 18;
 
-/// Coordinates per transpose tile in the coordinate-wise kernels
-/// (Median, Bulyan phase 2). Gathering one coordinate straight from `n`
-/// multi-megabyte gradients is `n` concurrent strided streams — more than
-/// the hardware prefetchers track — so the kernels first copy each input's
-/// tile segment sequentially into an L2-resident `n × COLUMN_TILE` scratch
-/// and then read per-coordinate columns contiguously. 256 coordinates keeps
-/// the tile at `n · 1 KiB` (51 inputs → 51 KiB), well inside L2.
+/// Coordinates per tile in the coordinate-wise kernels (Median, Bulyan
+/// phase 2; see `column_sort`). Each input's tile segment is copied
+/// sequentially into one row of an L2-resident `n × COLUMN_TILE` key tile,
+/// and the sorting network then runs over whole rows, 256 lanes at a time.
+/// 256 coordinates keeps the tile at `n · 1 KiB` (51 inputs → 51 KiB), well
+/// inside L2.
 pub(crate) const COLUMN_TILE: usize = 256;
 
 /// Block length (in elements) for a blocked pairwise fill over `n` inputs:

@@ -9,7 +9,7 @@
 //! | Rule | Requirement | Complexity |
 //! |------|-------------|------------|
 //! | [`Average`] | none (not Byzantine-resilient) | `O(n d)` |
-//! | [`Median`] | `n ≥ 2f + 1` | `O(n d)` best case |
+//! | [`Median`] | `n ≥ 2f + 1` | `O(n log² n · d)` |
 //! | [`Krum`] / [`MultiKrum`] | `n ≥ 2f + 3` | `O(n² d)` |
 //! | [`Mda`] | `n ≥ 2f + 1` | `O(C(n, f) + n² d)` |
 //! | [`Bulyan`] | `n ≥ 4f + 3` | `O(n² d)` |
@@ -48,6 +48,7 @@
 
 mod average;
 mod bulyan;
+mod column_sort;
 pub mod engine;
 mod error;
 mod gar;
@@ -68,7 +69,7 @@ pub use error::{AggregationError, AggregationResult};
 pub use gar::{build_gar, Gar, GarKind, SelectionOutcome};
 pub use krum::{Krum, MultiKrum};
 pub use mda::Mda;
-pub use median::{sort3_branchless, Median};
+pub use median::Median;
 pub use speculative::SpeculativeGar;
 pub use suspicion::{PeerSuspicion, SuspicionLedger};
 pub use variance::{VarianceProbe, VarianceReport, VarianceStep};

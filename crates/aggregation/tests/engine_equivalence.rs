@@ -10,8 +10,10 @@ use garfield_aggregation::{build_gar, Bulyan, Engine, GarKind, Krum, Mda, MultiK
 use garfield_tensor::GradientView;
 use proptest::prelude::*;
 
-/// Deterministic pseudo-random payload with optional non-finite values mixed
-/// in (NaN / +inf / −inf land on a seed-dependent subset of coordinates).
+/// Deterministic pseudo-random payload with optional special values mixed in
+/// on a seed-dependent subset of coordinates: ±inf, `-0.0`, and NaNs of both
+/// signs, quiet and signalling, with seed-dependent payloads — everything a
+/// Byzantine sender can put on the wire.
 fn payloads(n: usize, d: usize, seed: u64, non_finite: bool) -> Vec<Vec<f32>> {
     let mut state = seed | 1;
     let mut next = move || {
@@ -27,10 +29,16 @@ fn payloads(n: usize, d: usize, seed: u64, non_finite: bool) -> Vec<Vec<f32>> {
                 .map(|_| {
                     let r = next();
                     if non_finite && r % 31 == 0 {
-                        match r % 3 {
-                            0 => f32::NAN,
-                            1 => f32::INFINITY,
-                            _ => f32::NEG_INFINITY,
+                        let sign = ((r >> 40) as u32 & 1) << 31;
+                        // A nonzero payload below the quiet bit: a
+                        // signalling NaN, or a quiet one with the bit set.
+                        let snan = sign | 0x7f80_0000 | ((r >> 8) as u32 & 0x3f_ffff).max(1);
+                        match r % 5 {
+                            0 => f32::from_bits(snan | 0x40_0000),
+                            1 => f32::from_bits(snan),
+                            2 => f32::INFINITY,
+                            3 => f32::NEG_INFINITY,
+                            _ => -0.0,
                         }
                     } else {
                         ((r % 10_000) as f32 - 5_000.0) / 250.0

@@ -198,13 +198,4 @@ proptest! {
         prop_assert_eq!(&shouted, &kind);
         prop_assert_eq!(parsed.to_string(), text);
     }
-
-    #[test]
-    fn sort3_always_sorts(a in -1e6f32..1e6, b in -1e6f32..1e6, c in -1e6f32..1e6) {
-        let sorted = garfield_aggregation::sort3_branchless([a, b, c]);
-        prop_assert!(sorted[0] <= sorted[1] && sorted[1] <= sorted[2]);
-        let mut expected = [a, b, c];
-        expected.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        prop_assert_eq!(sorted, expected);
-    }
 }

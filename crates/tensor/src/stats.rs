@@ -61,9 +61,9 @@ pub fn median_inplace(values: &mut [f32]) -> f32 {
 /// The map is a bijection, so selecting the `k`-th key and mapping back with
 /// [`total_order_unkey_f32`] returns exactly the element that
 /// `select_nth_unstable_by(k, total_cmp_f32)` would — but the selection runs
-/// on branch-predictable integer compares instead of comparator calls, which
-/// is what makes the coordinate-wise Median/Bulyan trimmed-median kernels
-/// `O(n)`-per-coordinate in practice and not comparator-call-bound.
+/// on plain integer compares instead of comparator calls. The coordinate-wise
+/// Median/Bulyan kernels sort these keys with a branch-free `u32` min/max
+/// network.
 #[inline]
 pub fn total_order_key_f32(x: f32) -> u32 {
     let b = x.to_bits();
