@@ -285,6 +285,10 @@ pub struct NodeTelemetry {
     /// idempotent re-ask that lets a respawned peer contribute to a round
     /// whose original request died with its previous incarnation).
     pub requests_retried: u64,
+    /// Gradient requests this worker answered from its previous request's
+    /// gradient instead of recomputing it (an MSMW replica asking for the
+    /// same round at byte-identical model parameters as the one before).
+    pub gradients_reused: u64,
 }
 
 impl NodeTelemetry {
@@ -303,6 +307,7 @@ impl NodeTelemetry {
             state_chunks_served: 0,
             state_chunks_received: 0,
             requests_retried: 0,
+            gradients_reused: 0,
         }
     }
 

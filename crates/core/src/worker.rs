@@ -178,10 +178,15 @@ impl ByzantineWorker {
     /// honest gradients when omniscient, the worker's own recent honest
     /// gradients when not).
     pub fn sent_gradient(&mut self, honest: Tensor, peers: &[Tensor]) -> Tensor {
-        match &self.attack {
-            None => honest,
-            Some(attack) => attack.corrupt(&honest, peers, &mut self.rng),
-        }
+        self.corrupted(&honest, peers).unwrap_or(honest)
+    }
+
+    /// What this worker sends instead of `honest` (see
+    /// [`ByzantineWorker::sent_gradient`]), read from a borrowed gradient;
+    /// `None` when no attack is installed and the honest vector goes out.
+    pub fn corrupted(&mut self, honest: &Tensor, peers: &[Tensor]) -> Option<Tensor> {
+        let attack = self.attack.as_ref()?;
+        Some(attack.corrupt(honest, peers, &mut self.rng))
     }
 }
 

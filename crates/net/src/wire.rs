@@ -343,28 +343,48 @@ impl WireMessage {
     ///
     /// Same as [`WireMessage::encode`].
     pub fn encode_vec(&self) -> Vec<u8> {
+        let shard = (self.shard, self.coord_offset, self.coord_len);
+        WireMessage::encode_parts(self.kind, self.round, self.aux, shard, &self.values)
+    }
+
+    /// Encodes a message from its parts, reading the payload from a borrowed
+    /// slice: the one encoder behind [`WireMessage::encode_vec`], for send
+    /// paths whose values live elsewhere (a cached gradient, a slice of one).
+    /// `shard` is the `(shard, coord_offset, coord_len)` triple, `(0, 0, 0)`
+    /// for a full vector; a non-zero `coord_len` must equal `values.len()`,
+    /// as [`WireMessage::with_shard`] requires. The payload is copied once,
+    /// into the returned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`WireMessage::encode`].
+    pub fn encode_parts(
+        kind: MsgKind,
+        round: u64,
+        aux: f32,
+        (shard, coord_offset, coord_len): (u16, u32, u32),
+        values: &[f32],
+    ) -> Vec<u8> {
         assert!(
-            self.values.len() <= MAX_WIRE_VALUES,
+            values.len() <= MAX_WIRE_VALUES,
             "wire payload of {} values exceeds the {MAX_WIRE_VALUES}-value cap",
-            self.values.len()
+            values.len()
         );
-        let mut buf = Vec::with_capacity(self.encoded_len());
+        let len = WIRE_HEADER_BYTES + 4 * values.len();
+        let mut buf = Vec::with_capacity(len);
         buf.push(WIRE_VERSION);
-        buf.push(self.kind.to_byte());
-        buf.extend_from_slice(&self.round.to_le_bytes());
-        buf.extend_from_slice(&self.aux.to_le_bytes());
-        buf.extend_from_slice(&self.shard.to_le_bytes());
-        buf.extend_from_slice(&self.coord_offset.to_le_bytes());
-        buf.extend_from_slice(&self.coord_len.to_le_bytes());
+        buf.push(kind.to_byte());
+        buf.extend_from_slice(&round.to_le_bytes());
+        buf.extend_from_slice(&aux.to_le_bytes());
+        buf.extend_from_slice(&shard.to_le_bytes());
+        buf.extend_from_slice(&coord_offset.to_le_bytes());
+        buf.extend_from_slice(&coord_len.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes()); // origin (stamped on send)
         buf.extend_from_slice(&0u64.to_le_bytes()); // seq (stamped on send)
         buf.extend_from_slice(&0u64.to_le_bytes()); // sent_unix_us (stamped on send)
-        buf.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
-        buf.resize(self.encoded_len(), 0);
-        for (dst, v) in buf[WIRE_HEADER_BYTES..]
-            .chunks_exact_mut(4)
-            .zip(&self.values)
-        {
+        buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        buf.resize(len, 0);
+        for (dst, v) in buf[WIRE_HEADER_BYTES..].chunks_exact_mut(4).zip(values) {
             dst.copy_from_slice(&v.to_le_bytes());
         }
         buf
@@ -765,6 +785,15 @@ mod tests {
         }
         assert_eq!(msg.encode_vec(), want);
         assert_eq!(want.len(), msg.encoded_len());
+    }
+
+    #[test]
+    fn encode_parts_is_encode_vec_over_a_borrowed_payload() {
+        let values = [1.5, -0.0, f32::from_bits(0x7fc0_1234), f32::INFINITY];
+        let msg =
+            WireMessage::new(MsgKind::GradientReply, 7, 0.25, values.to_vec()).with_shard(2, 40, 4);
+        let parts = WireMessage::encode_parts(msg.kind, 7, 0.25, (2, 40, 4), &values);
+        assert_eq!(parts, msg.encode_vec());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use garfield_core::{
 };
 use garfield_net::{
     Envelope, MsgKind, NetError, NetResult, NodeId, PayloadPool, Role, Transport, WireHeader,
-    WireMessage,
+    WireMessage, WIRE_HEADER_BYTES,
 };
 use garfield_obs::flight::{self, EventKind};
 use garfield_tensor::{GradientView, Tensor};
@@ -108,16 +108,15 @@ fn next_frame(
     Ok(header.map(|header| (envelope, header)))
 }
 
-/// Encodes `msg`, stamps the wire header's trace fields (origin node,
-/// per-sender sequence number, send timestamp) and freezes the buffer for
-/// sending. Broadcasts clone the returned bytes, so every recipient of one
-/// logical message observes the same `(origin, seq)` — `expfig trace` can
-/// attribute all of a broadcast's per-peer one-way delays to a single send.
-/// Retried requests reuse the original stamp: the inflated delay a late
-/// replier then reports *is* the silence it rode out.
-fn encode_stamped(msg: &WireMessage, origin: u32, seq: &mut u64) -> bytes::Bytes {
+/// Stamps an encoded message's trace fields (origin node, per-sender
+/// sequence number, send timestamp) and freezes the buffer for sending.
+/// Broadcasts clone the returned bytes, so every recipient of one logical
+/// message observes the same `(origin, seq)` — `expfig trace` can attribute
+/// all of a broadcast's per-peer one-way delays to a single send. Retried
+/// requests reuse the original stamp: the inflated delay a late replier then
+/// reports *is* the silence it rode out.
+fn stamped(mut buf: Vec<u8>, origin: u32, seq: &mut u64) -> bytes::Bytes {
     *seq += 1;
-    let mut buf = msg.encode_vec();
     garfield_net::stamp_trace(&mut buf, origin, *seq, garfield_net::unix_micros());
     bytes::Bytes::from(buf)
 }
@@ -164,6 +163,10 @@ const SENT_CACHE_ROUNDS: usize = 4;
 /// offset and its parameter slice once that shard's request has landed.
 type PendingShardRound = (u64, Vec<Option<(NodeId, usize, Vec<f32>)>>);
 
+/// A worker's last full-vector request and what it computed for it:
+/// `(round, request wire bytes, loss, honest gradient)`.
+type GradientMemo = (u64, bytes::Bytes, f32, Tensor);
+
 /// A worker node running over a transport: the [`WorkerNode`] description
 /// plus the loop's own state.
 pub(crate) struct WorkerActor {
@@ -186,6 +189,10 @@ pub(crate) struct WorkerActor {
     /// shard server's retry is answered by re-slicing this cache — never by
     /// recomputing, which would double-draw the attack RNG streams.
     sent_cache: Vec<(u64, f32, Tensor)>,
+    /// The last full-vector request and its honest gradient: MSMW replicas
+    /// asking for the same round at the same model reuse it (see
+    /// `serve_full`).
+    memo: Option<GradientMemo>,
 }
 
 impl WorkerActor {
@@ -200,6 +207,7 @@ impl WorkerActor {
             attack_history: Vec::new(),
             pending_slices: Vec::new(),
             sent_cache: Vec::new(),
+            memo: None,
         }
     }
 
@@ -261,14 +269,8 @@ impl WorkerActor {
                     if self.node.shards > 1 && header.coord_len != 0 {
                         // Parameter-sharded request: a slice, not the model.
                         self.serve_shard_slice(envelope.from, &header, &values);
-                    } else if let Some((loss, sent)) = self.compute(&values, header.round) {
-                        self.reply(
-                            envelope.from,
-                            header.round,
-                            loss,
-                            sent.into_vec(),
-                            (0, 0, 0),
-                        );
+                    } else {
+                        self.serve_full(envelope.from, header.round, envelope.payload, &values);
                     }
                 }
                 _ => {} // server-to-server traffic never addresses a worker
@@ -298,9 +300,11 @@ impl WorkerActor {
             return; // mis-tagged request: a correct node ignores it
         }
         if let Some((_, loss, sent)) = self.sent_cache.iter().find(|(r, _, _)| *r == round) {
-            let (loss, values) = (*loss, sent.data()[offset..offset + slice.len()].to_vec());
             let triple = (header.shard, header.coord_offset, header.coord_len);
-            self.reply(from, round, loss, values, triple);
+            let values = &sent.data()[offset..offset + slice.len()];
+            let reply =
+                WireMessage::encode_parts(MsgKind::GradientReply, round, *loss, triple, values);
+            self.reply(from, round, reply);
             return;
         }
         if !self.pending_slices.iter().any(|(r, _)| *r == round) {
@@ -337,14 +341,17 @@ impl WorkerActor {
         if covered != self.node.dimension {
             return; // gapped shard map: hostile or misconfigured, drop the round
         }
-        let Some((loss, sent)) = self.compute(&params, round) else {
+        let Some((loss, honest)) = self.honest_gradient(&params, round) else {
             return;
         };
+        let sent = self.corrupted(&honest).unwrap_or(honest);
         for (k, slot) in slots.iter().enumerate() {
             let (requester, off, vals) = slot.as_ref().expect("all slots filled");
-            let values = sent.data()[*off..*off + vals.len()].to_vec();
             let triple = (k as u16, *off as u32, vals.len() as u32);
-            self.reply(*requester, round, loss, values, triple);
+            let values = &sent.data()[*off..*off + vals.len()];
+            let reply =
+                WireMessage::encode_parts(MsgKind::GradientReply, round, loss, triple, values);
+            self.reply(*requester, round, reply);
         }
         self.sent_cache.push((round, loss, sent));
         if self.sent_cache.len() > SENT_CACHE_ROUNDS {
@@ -352,58 +359,84 @@ impl WorkerActor {
         }
     }
 
+    /// Answers one full-vector `GradientRequest` (wire bytes `request`,
+    /// decoded `params`). A request for the memoised round whose payload
+    /// bytes equal the memoised request's reuses its honest gradient: at
+    /// full quorum every MSMW replica asks at the same merged model, so a
+    /// worker computes once per round instead of once per replica. Only the
+    /// payload is compared — the header's trace stamps differ per sender —
+    /// and byte for byte: a hash could be collided by a Byzantine server,
+    /// and f32 `==` would equate `0.0` with `-0.0` and never a NaN with
+    /// itself. A Byzantine worker still corrupts once per request.
+    fn serve_full(&mut self, from: NodeId, round: u64, request: bytes::Bytes, params: &[f32]) {
+        let same = |(r, memo, ..): &GradientMemo| {
+            *r == round && memo[WIRE_HEADER_BYTES..] == request[WIRE_HEADER_BYTES..]
+        };
+        let memo = match self.memo.take() {
+            Some(memo) if same(&memo) => {
+                self.telemetry.gradients_reused += 1;
+                memo
+            }
+            stale => {
+                drop(stale); // never hold two gradients at once
+                let Some((loss, honest)) = self.honest_gradient(params, round) else {
+                    return;
+                };
+                (round, request, loss, honest)
+            }
+        };
+        let (_, _, loss, honest) = &memo;
+        let sent = self.corrupted(honest);
+        let values = sent.as_ref().unwrap_or(honest).data();
+        let reply =
+            WireMessage::encode_parts(MsgKind::GradientReply, round, *loss, (0, 0, 0), values);
+        self.memo = Some(memo);
+        self.reply(from, round, reply);
+    }
+
     /// The one compute step of both request shapes: the honest gradient at
-    /// `params`, then the gradient actually put on the wire — the honest
-    /// vector on honest workers; on Byzantine ones the config attack's
-    /// output, further corrupted by the fault-plan attack if present. Draws
-    /// each attack RNG stream exactly once per call — callers invoke this
-    /// once per round, whatever the number of shards asking. `None` is a
-    /// malformed request (wrong dimension): dropped.
-    fn compute(&mut self, params: &[f32], round: u64) -> Option<(f32, Tensor)> {
+    /// `params` on the `round`-th mini-batch. `None` is a malformed request
+    /// (wrong dimension): dropped.
+    fn honest_gradient(&mut self, params: &[f32], round: u64) -> Option<(f32, Tensor)> {
         let compute_span = garfield_obs::span_start();
-        let (loss, honest) = self
+        let computed = self
             .node
             .worker
             .honest_compute(&Tensor::from_slice(params), round as usize)
             .ok()?;
         garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
-        if !self.node.worker.is_byzantine() && self.fault_attack.is_none() {
-            return Some((loss, honest));
-        }
-        let mut sent = self
-            .node
-            .worker
-            .sent_gradient(honest.clone(), &self.attack_history);
-        if let Some(attack) = &self.fault_attack {
-            sent = attack.corrupt(&sent, &self.attack_history, &mut self.node.fault_rng);
-        }
+        Some(computed)
+    }
+
+    /// The vector a Byzantine worker puts on the wire instead of `honest`:
+    /// the config attack's output, further corrupted by the fault-plan
+    /// attack if present; `None` on honest workers, which send `honest`.
+    /// Draws each attack RNG stream and extends the self-history exactly
+    /// once per call — once per unsharded request, once per sharded round.
+    fn corrupted(&mut self, honest: &Tensor) -> Option<Tensor> {
+        let config = self.node.worker.corrupted(honest, &self.attack_history);
+        let sent = match &self.fault_attack {
+            Some(attack) => {
+                let input = config.as_ref().unwrap_or(honest);
+                attack.corrupt(input, &self.attack_history, &mut self.node.fault_rng)
+            }
+            None => config?,
+        };
         // Remember the honest trajectory *after* corrupting: the history
-        // holds previous rounds only, the current honest vector enters the
+        // holds previous requests only, the current honest vector enters the
         // moment estimate via the attack's own `honest` argument.
         if self.attack_history.len() >= ATTACK_HISTORY_ROUNDS {
             self.attack_history.remove(0);
         }
-        self.attack_history.push(honest);
-        Some((loss, sent))
+        self.attack_history.push(honest.clone());
+        Some(sent)
     }
 
-    /// Encodes, stamps and sends one `GradientReply` tagged with the shard
-    /// `triple` it answers (`(0, 0, 0)` for a full vector), counting the
-    /// bytes; send failures are tolerated (a crashed requester is what
-    /// quorums absorb).
-    fn reply(
-        &mut self,
-        to: NodeId,
-        round: u64,
-        loss: f32,
-        values: Vec<f32>,
-        triple: (u16, u32, u32),
-    ) {
-        let msg = tagged(
-            WireMessage::new(MsgKind::GradientReply, round, loss, values),
-            triple,
-        );
-        let payload = encode_stamped(&msg, self.transport.local_id().0, &mut self.seq);
+    /// Stamps and sends one encoded `GradientReply`, counting the bytes;
+    /// send failures are tolerated (a crashed requester is what quorums
+    /// absorb).
+    fn reply(&mut self, to: NodeId, round: u64, reply: Vec<u8>) {
+        let payload = stamped(reply, self.transport.local_id().0, &mut self.seq);
         let bytes = payload.len();
         if self.transport.send(to, round, payload).is_ok() {
             self.telemetry.record_send(bytes);
@@ -450,11 +483,15 @@ pub(crate) struct ServerActor {
     // Protocol state.
     round: usize,
     phase1_done: bool,
-    /// The model this replica serves to peers: snapshotted once per round,
-    /// right after the gradient update and before the model merge, so a
-    /// request for round `r` always observes the same post-update state no
-    /// matter when it arrives relative to this replica's own progress.
-    served_snapshot: Option<Tensor>,
+    /// The models this replica serves to peers, `(round, model)`, for its
+    /// last two rounds: snapshotted once per round, right after the gradient
+    /// update and before the model merge, so a request for round `r` always
+    /// observes the same post-update state no matter when it arrives
+    /// relative to this replica's own progress. Round `r` stays servable
+    /// after round `r + 1`'s update, because a peer descheduled between
+    /// serving its own round-`r` model and asking for ours can still be
+    /// merging round `r` by then.
+    served_snapshots: Vec<(u64, Tensor)>,
     deferred_requests: Vec<(NodeId, u64)>,
     done_peers: HashSet<NodeId>,
     round_latencies: Vec<f64>,
@@ -496,7 +533,7 @@ impl ServerActor {
             spec_trip_announced: false,
             round: 0,
             phase1_done: false,
-            served_snapshot: None,
+            served_snapshots: Vec::new(),
             deferred_requests: Vec::new(),
             done_peers: HashSet::new(),
             round_latencies: Vec::new(),
@@ -791,8 +828,9 @@ impl ServerActor {
     /// round deadline passed, servicing protocol traffic along the way.
     ///
     /// Peers that have not replied after `request_retry` are re-sent the
-    /// request. Requests are idempotent (a worker recomputes the same
-    /// gradient for the same round; model pulls answer from snapshots), so
+    /// request. Requests are idempotent (a worker answers the same round at
+    /// the same model with the same gradient; model pulls answer from
+    /// snapshots), so
     /// re-asking never changes what a live peer contributes — it exists for
     /// the peer whose first request died with a crashed incarnation and who
     /// can only contribute to this round if asked again.
@@ -1087,21 +1125,32 @@ impl ServerActor {
             Some(attack) => attack.corrupt(&served, &[], &mut self.node.fault_rng),
             None => served,
         };
-        self.served_snapshot = Some(served);
+        if self.served_snapshots.len() == 2 {
+            self.served_snapshots.remove(0);
+        }
+        self.served_snapshots.push((self.round as u64, served));
     }
 
-    /// Replies to a peer's `get_models()` with the snapshotted served model.
+    /// Replies to a peer's `get_models()` with the model snapshotted for the
+    /// requested round, encoded straight from the snapshot.
     ///
-    /// Requests for rounds older than the snapshot (possible only in
-    /// sub-quorum asynchronous regimes, where a replica can outrun a slow
-    /// peer) are answered with the latest snapshot — the freshest state the
-    /// replica can still offer.
+    /// Requests for a round no longer kept (possible only in sub-quorum
+    /// asynchronous regimes, where a replica can outrun a slow peer) are
+    /// answered with the latest snapshot — the freshest state the replica
+    /// can still offer.
     fn serve_model(&mut self, to: NodeId, round: u64) {
-        let Some(model) = self.served_snapshot.clone() else {
+        let snapshots = &self.served_snapshots;
+        let Some((_, model)) = snapshots
+            .iter()
+            .find(|(r, _)| *r == round)
+            .or(snapshots.last())
+        else {
             return; // no completed phase 1 yet: the peer's deadline handles it
         };
-        let reply = WireMessage::new(MsgKind::ModelReply, round, 0.0, model.into_vec());
-        self.broadcast(&reply, &[to]);
+        let reply =
+            WireMessage::encode_parts(MsgKind::ModelReply, round, 0.0, (0, 0, 0), model.data());
+        let payload = stamped(reply, self.transport.local_id().0, &mut self.seq);
+        self.send(to, round, payload);
     }
 
     /// Serves the deferred model requests whose round this replica has now
@@ -1166,11 +1215,11 @@ impl ServerActor {
         self.broadcast(&trip, &siblings);
     }
 
-    /// Encodes and stamps `msg` once ([`encode_stamped`] with this replica's
-    /// origin id and sequence counter) and sends it to every node in `to`.
-    /// Returns the bytes, for re-sending to silent peers.
+    /// Encodes and stamps `msg` once ([`stamped`] with this replica's origin
+    /// id and sequence counter) and sends it to every node in `to`. Returns
+    /// the bytes, for re-sending to silent peers.
     fn broadcast(&mut self, msg: &WireMessage, to: &[NodeId]) -> bytes::Bytes {
-        let payload = encode_stamped(msg, self.transport.local_id().0, &mut self.seq);
+        let payload = stamped(msg.encode_vec(), self.transport.local_id().0, &mut self.seq);
         for &to in to {
             self.send(to, msg.round, payload.clone());
         }
@@ -1266,6 +1315,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_model_request_is_served_the_snapshot_of_its_round() {
+        let cfg = ExperimentConfig::small();
+        let options = LiveOptions::default();
+        let mut nodes = assemble(SystemKind::Msmw, &cfg, &options, &FaultPlan::new()).unwrap();
+        let router = Router::new();
+        let peer = RouterTransport::connect(&router, NodeId(1)).unwrap();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(0)).unwrap());
+        let mut actor = ServerActor::from_node(nodes.servers.swap_remove(0), transport).unwrap();
+        // This replica finished round 3's update while a descheduled peer
+        // still merges round 2 (full quorum, no fault: just a late request).
+        actor.served_snapshots = vec![
+            (2, Tensor::from_slice(&[2.0])),
+            (3, Tensor::from_slice(&[3.0])),
+        ];
+        actor.round = 3;
+        actor.phase1_done = true;
+        // A kept round gets its own snapshot; one no longer kept the latest.
+        for (asked, served) in [(2, 2.0), (3, 3.0), (0, 3.0)] {
+            actor.handle_protocol(NodeId(1), MsgKind::ModelRequest, asked);
+            let env = peer.recv_timeout(Duration::from_secs(1)).unwrap();
+            let reply = WireMessage::decode(&env.payload).unwrap();
+            assert_eq!((reply.kind, reply.round), (MsgKind::ModelReply, asked));
+            assert_eq!(reply.values, vec![served]);
+        }
+    }
+
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
     }
@@ -1357,5 +1433,89 @@ mod tests {
             telemetry.messages_sent, 3,
             "two first replies plus one cached retry"
         );
+    }
+
+    /// Runs a fresh unsharded worker, sends it each `(server, params, seq)`
+    /// as a round-0 `GradientRequest` from node `server` stamped with `seq`,
+    /// and returns its `(loss, gradient)` replies in order plus its
+    /// telemetry.
+    fn serve_requests(requests: &[(u32, &[f32], u64)]) -> (Vec<(f32, Vec<f32>)>, NodeTelemetry) {
+        let router = Router::new();
+        let servers: Vec<_> = (0..2)
+            .map(|id| RouterTransport::connect(&router, NodeId(id)).unwrap())
+            .collect();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(2)).unwrap());
+        let mut node = sharded_nodes(1).workers.remove(0);
+        node.idle_timeout = Duration::from_secs(5);
+        let handle = std::thread::spawn(move || WorkerActor::new(node, transport).run());
+        let replies = requests
+            .iter()
+            .map(|&(server, params, seq)| {
+                let request = WireMessage::new(MsgKind::GradientRequest, 0, 0.0, params.to_vec());
+                let mut buf = request.encode_vec();
+                garfield_net::stamp_trace(&mut buf, server, seq, seq);
+                let from = &servers[server as usize];
+                from.send(NodeId(2), 0, buf.into()).unwrap();
+                let env = from.recv_timeout(Duration::from_secs(5)).unwrap();
+                let reply = WireMessage::decode(&env.payload).unwrap();
+                assert_eq!((reply.kind, reply.coord_len), (MsgKind::GradientReply, 0));
+                (reply.aux, reply.values)
+            })
+            .collect();
+        let shutdown = WireMessage::control(MsgKind::Shutdown, 1).encode();
+        servers[0].send(NodeId(2), 1, shutdown).unwrap();
+        (replies, handle.join().unwrap())
+    }
+
+    #[test]
+    fn worker_reuses_a_gradient_only_for_a_byte_identical_request_payload() {
+        let initial = sharded_nodes(1).servers[0]
+            .server
+            .honest()
+            .parameters()
+            .into_vec();
+        let with = |head: &[f32]| {
+            let mut params = initial.clone();
+            params[..head.len()].copy_from_slice(head);
+            params
+        };
+        let mut reference = sharded_nodes(1).workers.remove(0).worker;
+        let mut fresh = |params: &[f32]| {
+            let (loss, grad) = reference
+                .honest_compute(&Tensor::from_slice(params), 0)
+                .unwrap();
+            (loss.to_bits(), bits(grad.data()))
+        };
+        let got = |(loss, grad): &(f32, Vec<f32>)| (loss.to_bits(), bits(grad));
+
+        // Two same-round requests a keyed memo would confuse: f32 `==`
+        // calls 0.0 and -0.0 equal, and the two 12-byte heads below are a
+        // forged FNV-1a 64 collision (the whole payloads hash equal, since
+        // they share every later byte). Each must be computed afresh.
+        let forged = |words: [u32; 3]| with(&words.map(f32::from_bits));
+        let pairs = [
+            (with(&[0.0]), with(&[-0.0])),
+            (
+                forged([0x3e06_0fe6, 0x3e14_53ff, 0x3e15_3dfb]),
+                forged([0x3e34_7eb6, 0x3e1e_2931, 0x3e17_0b14]),
+            ),
+        ];
+        for (a, b) in &pairs {
+            let (replies, telemetry) = serve_requests(&[(0, a, 1), (1, b, 1)]);
+            assert_eq!(telemetry.gradients_reused, 0);
+            assert_eq!(got(&replies[0]), fresh(a));
+            assert_eq!(got(&replies[1]), fresh(b));
+        }
+
+        // Two NaN payloads differ, and `==` equates no NaN with itself: the
+        // second payload again, under another sender's stamps, is the one
+        // reuse, answered with the identical reply.
+        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+        let (a, b) = (with(&[nan(1)]), with(&[nan(2)]));
+        let (replies, telemetry) = serve_requests(&[(0, &a, 1), (1, &b, 1), (0, &b, 2)]);
+        assert_eq!(telemetry.gradients_reused, 1);
+        assert_eq!(got(&replies[0]), fresh(&a));
+        assert_eq!(got(&replies[1]), fresh(&b));
+        assert_eq!(got(&replies[2]), got(&replies[1]));
     }
 }

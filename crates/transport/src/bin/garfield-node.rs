@@ -285,7 +285,7 @@ fn run(args: Args) -> Result<(), String> {
             );
             let telemetry = node.run(Box::new(transport));
             eprintln!(
-                "garfield-node: worker {} done — {} msgs / {} B sent, {} msgs / {} B received, {} on-wire B, {} dropped",
+                "garfield-node: worker {} done — {} msgs / {} B sent, {} msgs / {} B received, {} on-wire B, {} dropped, {} gradients reused",
                 args.rank,
                 telemetry.messages_sent,
                 telemetry.bytes_sent,
@@ -293,6 +293,7 @@ fn run(args: Args) -> Result<(), String> {
                 telemetry.bytes_received,
                 telemetry.wire_bytes_sent(),
                 telemetry.messages_dropped(),
+                telemetry.gradients_reused,
             );
             dump_flight(&obs.flight_dump)
         }
