@@ -13,7 +13,13 @@
 //!   computed once, chunked across OS threads (vendored crossbeam scoped
 //!   threads), and reused across Krum scoring and the whole Bulyan selection
 //!   loop, whose repeated-Krum inner loop becomes incremental score updates
-//!   on pre-sorted neighbour lists.
+//!   on pre-sorted neighbour lists. The same fill also takes every input's
+//!   squared norm (`n` diagonal items beside the pairs, on the same
+//!   blocks), so the forensic magnitude channel costs no second pass.
+//! * **Row-wise averaging** — averages sum each input's contiguous
+//!   [`KERNEL_LANES`]-coordinate segment into a register-resident lane
+//!   array, a loop that vectorises, instead of gathering one float per
+//!   input per coordinate.
 //! * **Deterministic parallelism** — every parallel fill computes element `k`
 //!   with exactly the scalar code the sequential path runs, each element on
 //!   one thread, so parallel and sequential engines are **bit-identical** by
@@ -22,8 +28,8 @@
 
 use crossbeam::thread as cb_thread;
 use garfield_tensor::{
-    accumulate_squared_l2, reduce_kernel_lanes, total_cmp_f32 as cmp_f32, GradientView,
-    KERNEL_LANES,
+    accumulate_dot, accumulate_squared_l2, reduce_kernel_lanes, total_cmp_f32 as cmp_f32,
+    GradientView, KERNEL_LANES,
 };
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -174,12 +180,17 @@ fn distance_block_len(n: usize) -> usize {
 }
 
 /// Fills `out[p] = ‖inputs[i_p] − inputs[j_p]‖²` (exact chunked kernel) for a
-/// slice of pairs, blocked over cache-sized `d`-ranges.
+/// slice of pairs, blocked over cache-sized `d`-ranges; a diagonal item
+/// `(i, i)` gets the squared norm `‖inputs[i]‖²` instead.
 ///
 /// Per-pair lane accumulators persist across blocks and every block boundary
 /// is [`KERNEL_LANES`]-aligned, so the result is bit-identical to calling
-/// [`squared_l2_distance_slices`] on each whole pair — the blocking only
+/// [`squared_l2_distance_slices`] on each whole pair (and
+/// [`squared_norm_slices`] on each diagonal input) — the blocking only
 /// changes memory traffic, never the accumulation order.
+///
+/// [`squared_l2_distance_slices`]: garfield_tensor::squared_l2_distance_slices
+/// [`squared_norm_slices`]: garfield_tensor::squared_norm_slices
 fn fill_pair_distances_exact(inputs: &[GradientView<'_>], pairs: &[(u32, u32)], out: &mut [f32]) {
     let d = inputs.first().map(|v| v.len()).unwrap_or(0);
     let block = distance_block_len(inputs.len());
@@ -188,11 +199,12 @@ fn fill_pair_distances_exact(inputs: &[GradientView<'_>], pairs: &[(u32, u32)], 
     while start < d {
         let end = (start + block).min(d);
         for (&(i, j), lanes) in pairs.iter().zip(acc.iter_mut()) {
-            accumulate_squared_l2(
-                &inputs[i as usize].data()[start..end],
-                &inputs[j as usize].data()[start..end],
-                lanes,
-            );
+            let a = &inputs[i as usize].data()[start..end];
+            if i == j {
+                accumulate_dot(a, a, lanes);
+            } else {
+                accumulate_squared_l2(a, &inputs[j as usize].data()[start..end], lanes);
+            }
         }
         start = end;
     }
@@ -210,11 +222,13 @@ fn fill_pair_distances_exact(inputs: &[GradientView<'_>], pairs: &[(u32, u32)], 
 /// the chunked multi-lane kernel, so every input block is read from memory
 /// once per thread instead of once per pair. Each pair is computed entirely
 /// on one thread with a fixed accumulation order — bit-identical to the
-/// sequential engine by construction.
+/// sequential engine by construction. The `n` squared norms ride along as
+/// diagonal items of the same fill, while every input block is cache-hot.
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     n: usize,
     dist: Vec<f32>,
+    norms: Vec<f32>,
     finite: bool,
 }
 
@@ -244,15 +258,18 @@ fn fill_obs() -> &'static FillObs {
 }
 
 impl DistanceCache {
-    /// Computes all pairwise squared distances of `inputs` under `engine`.
+    /// Computes all pairwise squared distances of `inputs` under `engine`,
+    /// and every input's squared norm in the same fill.
     pub fn build(inputs: &[GradientView<'_>], engine: &Engine) -> Self {
         let obs = fill_obs();
         let span = garfield_obs::span_start();
         let n = inputs.len();
         let d = inputs.first().map(|v| v.len()).unwrap_or(0);
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        // Row by row, each row's diagonal (norm) item first, so norms spread
+        // over the chunks like the pairs do.
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n * (n + 1) / 2);
         for i in 0..n {
-            for j in (i + 1)..n {
+            for j in i..n {
                 pairs.push((i as u32, j as u32));
             }
         }
@@ -265,21 +282,33 @@ impl DistanceCache {
         });
 
         let mut dist = vec![0.0f32; n * n];
+        let mut norms = vec![0.0f32; n];
+        let mut finite = true;
         for (&(i, j), &v) in pairs.iter().zip(vals.iter()) {
-            dist[i as usize * n + j as usize] = v;
-            dist[j as usize * n + i as usize] = v;
+            let (i, j) = (i as usize, j as usize);
+            if i == j {
+                norms[i] = v;
+            } else {
+                dist[i * n + j] = v;
+                dist[j * n + i] = v;
+                finite &= v.is_finite();
+            }
         }
-        let finite = vals.iter().all(|v| v.is_finite());
 
         if let Some(elapsed) = garfield_obs::span_end(span, &obs.fill_seconds) {
             let secs = elapsed.as_secs_f64();
             if secs > 0.0 {
-                let pair_elems = pairs.len() as f64 * d as f64;
+                let pair_elems = (n * n.saturating_sub(1) / 2) as f64 * d as f64;
                 obs.gelem_s.set(pair_elems / secs / 1.0e9);
             }
         }
 
-        DistanceCache { n, dist, finite }
+        DistanceCache {
+            n,
+            dist,
+            norms,
+            finite,
+        }
     }
 
     /// Number of cached inputs.
@@ -291,6 +320,13 @@ impl DistanceCache {
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f32 {
         self.dist[i * self.n + j]
+    }
+
+    /// Every input's squared L2 norm, from the same fill: bit-identical to
+    /// [`squared_norm_slices`](garfield_tensor::squared_norm_slices) on
+    /// finite inputs (a NaN norm's payload bits may differ).
+    pub(crate) fn norms(&self) -> &[f32] {
+        &self.norms
     }
 
     /// Whether every cached distance is finite (NaN inputs poison distances;
@@ -503,6 +539,15 @@ pub(crate) fn bulyan_select_cached(
 /// Averages the views at `indices` into `out` (sum accumulated from 0.0 in
 /// `indices` order per coordinate, then scaled — the accumulation order of
 /// the original tensor loop, chunked across threads by coordinate range).
+///
+/// Row-wise: each [`KERNEL_LANES`]-coordinate block keeps its sums in a lane
+/// array and adds one contiguous segment of every input in `indices` order,
+/// so the loads are sequential and the adds vectorise. Every coordinate
+/// still sees `0.0 + x_{i0} + x_{i1} + …` then `× inv`, with the running
+/// sum as the left operand, so the result is bit-identical to the scalar
+/// loop the chunk's ragged tail keeps — NaN payloads included. (Adding each
+/// input into the output slice in memory instead lets codegen commute the
+/// operands and keep the other NaN of a two-NaN coordinate.)
 pub(crate) fn average_indices_into(
     inputs: &[GradientView<'_>],
     indices: &[usize],
@@ -514,11 +559,27 @@ pub(crate) fn average_indices_into(
     out.resize(d, 0.0);
     let inv = 1.0 / indices.len().max(1) as f32;
     engine.fill_chunks(out, indices.len(), |base, chunk| {
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            let c = base + k;
+        let tail_base = base + chunk.len() / KERNEL_LANES * KERNEL_LANES;
+        let mut blocks = chunk.chunks_exact_mut(KERNEL_LANES);
+        for (b, block) in blocks.by_ref().enumerate() {
+            let start = base + b * KERNEL_LANES;
+            let mut sums = [0.0f32; KERNEL_LANES];
+            for &i in indices {
+                let x: &[f32; KERNEL_LANES] = inputs[i].data()[start..start + KERNEL_LANES]
+                    .try_into()
+                    .expect("block length");
+                for l in 0..KERNEL_LANES {
+                    sums[l] += x[l];
+                }
+            }
+            for (slot, sum) in block.iter_mut().zip(sums) {
+                *slot = sum * inv;
+            }
+        }
+        for (k, slot) in blocks.into_remainder().iter_mut().enumerate() {
             let mut sum = 0.0f32;
             for &i in indices {
-                sum += inputs[i].data()[c];
+                sum += inputs[i].data()[tail_base + k];
             }
             *slot = sum * inv;
         }
@@ -803,10 +864,11 @@ mod tests {
 
     #[test]
     fn parallel_cache_is_bit_identical_to_sequential() {
-        // 36 pairs × 2d = 2.4 M operations: past the fan-out floor, so the
-        // 4-thread engine really splits the fill across 4 threads.
+        // 45 items (36 pairs + 9 norms) × 2d = 2.9 M operations: past the
+        // fan-out floor, so the 4-thread engine really splits the fill
+        // across 4 threads.
         let d = 1 << 15;
-        assert_eq!(Engine::with_threads(4).threads_for(36, 2 * d), 4);
+        assert_eq!(Engine::with_threads(4).threads_for(45, 2 * d), 4);
         let data: Vec<Vec<f32>> = (0..9)
             .map(|i| (0..d).map(|c| ((i * 31 + c) as f32 * 0.1).sin()).collect())
             .collect();
@@ -850,6 +912,74 @@ mod tests {
                 };
                 assert_eq!(cache.get(i, j).to_bits(), direct.to_bits(), "({i},{j})");
             }
+        }
+    }
+
+    #[test]
+    fn cache_norms_are_bit_identical_to_the_norm_kernel() {
+        // Same shape as the blocked-fill test: several cache blocks plus a
+        // ragged tail, and enough work that the 4-thread engine splits the
+        // 21 items (15 pairs + 6 norms) across threads.
+        let d = distance_block_len(6) * 3 + 13;
+        assert!(Engine::with_threads(4).threads_for(21, 2 * d) > 1);
+        let data: Vec<Vec<f32>> = (0..6)
+            .map(|i| {
+                (0..d)
+                    .map(|c| ((i * 131 + c) as f32 * 0.01).sin())
+                    .collect()
+            })
+            .collect();
+        let v = views(&data);
+        for engine in [Engine::sequential(), Engine::with_threads(4)] {
+            let cache = DistanceCache::build(&v, &engine);
+            assert_eq!(cache.norms().len(), 6);
+            for (i, input) in data.iter().enumerate() {
+                assert_eq!(
+                    cache.norms()[i].to_bits(),
+                    squared_norm_slices(input).to_bits(),
+                    "input {i} on {engine:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_overflowing_norm_leaves_finite_distances_finite() {
+        // Equal huge inputs: every norm overflows to +inf, every distance is
+        // 0. The finiteness flag (Bulyan's incremental path) reads distances
+        // only.
+        let data = vec![vec![1.0e20f32; 4]; 3];
+        let cache = DistanceCache::build(&views(&data), &Engine::sequential());
+        assert!(cache.is_finite());
+        assert!(cache.norms().iter().all(|v| *v == f32::INFINITY));
+    }
+
+    #[test]
+    fn row_wise_average_is_bit_identical_to_a_per_coordinate_sum() {
+        // A subset in non-ascending order, a ragged tail, and a shape at
+        // which the 4-thread engine splits the coordinates.
+        let (n, d) = (7, (1 << 17) + 13);
+        assert!(Engine::with_threads(4).threads_for(d, 5) > 1);
+        let data: Vec<Vec<f32>> = (0..n)
+            .map(|i| (0..d).map(|c| ((i * 37 + c) as f32 * 0.3).cos()).collect())
+            .collect();
+        let v = views(&data);
+        let indices = [4, 0, 6, 2, 3];
+        let inv = 1.0 / indices.len() as f32;
+        let reference: Vec<u32> = (0..d)
+            .map(|c| {
+                let mut sum = 0.0f32;
+                for &i in &indices {
+                    sum += data[i][c];
+                }
+                (sum * inv).to_bits()
+            })
+            .collect();
+        for engine in [Engine::sequential(), Engine::with_threads(4)] {
+            let mut out = Vec::new();
+            average_indices_into(&v, &indices, &engine, &mut out);
+            let bits: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+            assert!(bits == reference, "{engine:?}");
         }
     }
 

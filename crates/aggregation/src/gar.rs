@@ -31,6 +31,14 @@ pub struct SelectionOutcome {
     pub distance: Vec<f64>,
     /// Per-input squared L2 norm (may be empty when the outcome was built by
     /// hand; the observed aggregation paths always fill it).
+    ///
+    /// On finite inputs every rule reports the bits of
+    /// [`squared_norm_slices`](garfield_tensor::squared_norm_slices),
+    /// whether the norm came from the rule's distance fill or from a
+    /// stand-alone pass. A NaN norm is NaN on every path, but its payload
+    /// bits may depend on the path and the build profile: test it with
+    /// `is_nan` / `is_finite` (as [`SuspicionLedger`](crate::SuspicionLedger)
+    /// does), never by bits.
     pub norm: Vec<f64>,
 }
 
@@ -78,8 +86,9 @@ fn fill_distance_profile(cache: &DistanceCache, selected: &[usize], out: &mut Ve
 }
 
 /// Fills `out[i]` with the squared L2 norm of input `i` — the forensic
-/// magnitude channel. `O(n · d)`, one extra row of the distance pass the
-/// distance-based rules already paid for.
+/// magnitude channel — in a stand-alone `O(n · d)` pass. Only the rules
+/// without a distance cache (Average, Median, the speculative fast path)
+/// pay it; the distance-based rules read the norms their fill already took.
 fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>) {
     out.clear();
     out.extend(
@@ -90,12 +99,12 @@ fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>) {
 }
 
 /// Writes a rule's forensic report, when the caller asked for one: the
-/// inputs the rule selected with every input's mean distance to them, read
-/// from the rule's own distance cache (`selection`; rules without a
-/// selection phase pass `None` and report every input selected at distance
-/// zero), and every input's squared norm. With `outcome` absent this does
-/// nothing — in particular it skips the `O(n · d)` norm pass, so the
-/// unobserved path costs exactly the rule.
+/// inputs the rule selected with every input's mean distance to them, and
+/// every input's squared norm, all read from the rule's own distance cache
+/// (`selection`). Rules without a selection phase pass `None`, report every
+/// input selected at distance zero, and pay a stand-alone `O(n · d)` norm
+/// pass. With `outcome` absent this does nothing, so the unobserved path
+/// costs exactly the rule.
 pub(crate) fn report_selection(
     outcome: Option<&mut SelectionOutcome>,
     inputs: &[GradientView<'_>],
@@ -107,10 +116,16 @@ pub(crate) fn report_selection(
             outcome.selected.clear();
             outcome.selected.extend_from_slice(selected);
             fill_distance_profile(cache, selected, &mut outcome.distance);
+            outcome.norm.clear();
+            outcome
+                .norm
+                .extend(cache.norms().iter().map(|&v| f64::from(v)));
         }
-        None => outcome.fill_all_selected(inputs.len()),
+        None => {
+            outcome.fill_all_selected(inputs.len());
+            fill_norm_profile(inputs, &mut outcome.norm);
+        }
     }
-    fill_norm_profile(inputs, &mut outcome.norm);
 }
 
 /// A gradient aggregation rule: a function `(R^d)^n -> R^d`.
@@ -157,8 +172,8 @@ pub trait Gar: Send + Sync {
         outcome: Option<&mut SelectionOutcome>,
     ) -> AggregationResult<Tensor>;
 
-    /// [`Gar::aggregate_views_with`] without the forensic report (and
-    /// without its `O(n · d)` norm pass).
+    /// [`Gar::aggregate_views_with`] without the forensic report (and, for
+    /// Average and Median, without their `O(n · d)` norm pass).
     ///
     /// # Errors
     ///
@@ -190,9 +205,10 @@ pub trait Gar: Send + Sync {
 
     /// [`Gar::aggregate_views_with`] with the forensic report, for per-peer
     /// suspicion scoring. Outputs are **bit-identical** to
-    /// [`Gar::aggregate_views`]; the distance-based rules derive the report
-    /// from the pairwise-distance cache they already built, so the
-    /// observation costs `O(n · |selected|)` scalar reads plus the norm pass.
+    /// [`Gar::aggregate_views`]; the distance-based rules derive the whole
+    /// report, norms included, from the pairwise-distance cache they already
+    /// built, so the observation costs `O(n · |selected|)` scalar reads.
+    /// Average and Median add a stand-alone `O(n · d)` norm pass.
     ///
     /// # Errors
     ///

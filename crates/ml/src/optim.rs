@@ -104,12 +104,11 @@ impl Optimizer for Sgd {
             v.scale_inplace(self.momentum);
             v.axpy(1.0, gradient)
                 .expect("velocity and gradient share length");
-            self.velocity = Some(v.clone());
-            v
+            &*self.velocity.insert(v)
         } else {
-            gradient.clone()
+            gradient
         };
-        params.axpy(-lr, &update).expect("length checked above");
+        params.axpy(-lr, update).expect("length checked above");
         model.set_parameters(&params)?;
         self.steps += 1;
         Ok(())
