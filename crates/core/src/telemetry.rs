@@ -390,11 +390,6 @@ impl RuntimeTelemetry {
         self.nodes.iter().map(|n| n.requests_retried).sum()
     }
 
-    /// Total state chunks served to recovering peers across all nodes.
-    pub fn total_state_chunks_served(&self) -> u64 {
-        self.nodes.iter().map(|n| n.state_chunks_served).sum()
-    }
-
     /// The nodes that played the given role.
     pub fn nodes_with_role(&self, role: Role) -> impl Iterator<Item = &NodeTelemetry> {
         self.nodes.iter().filter(move |n| n.role == role)

@@ -21,8 +21,8 @@
 //!   path: call sites cache handles in `OnceLock` statics and never touch
 //!   the registry again.
 //!
-//! The perf harness (`expfig perf`) measures the enabled-vs-disabled
-//! aggregation throughput delta and CI gates it below 2%.
+//! What that costs a whole live round is the benchmark's `obs.overhead_pct`
+//! per-layer metric (`--trace 1`), measured end to end on every workload.
 //!
 //! ## Turning it on
 //!

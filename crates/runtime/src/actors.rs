@@ -11,13 +11,15 @@
 //! [`LiveExecutor`](crate::LiveExecutor) spawns one thread per node, a TCP
 //! socket mesh when `garfield-node` runs each actor in its own OS process.
 //!
-//! Each step of the round is written once: [`next_frame`] is the only place
-//! a frame leaves a transport, [`admit`] the only place a server decides
-//! whether to look at it, `ServerActor::pull` the only quorum wait and
+//! Each step of the round is written once: [`Endpoint`] is the only place a
+//! frame leaves a transport or is stamped and sent onto one, [`Fault::step`]
+//! the only fault gate, [`admit`] the only place a server decides whether to
+//! look at a frame, `ServerActor::receive` the only server receive loop —
+//! the pull, the catch-up and the linger are three calls of it — and
 //! `ServerActor::aggregate_observed` the only path into a GAR.
 
 use crate::admission::{admit, Pull, ServerView, Verdict};
-use crate::fault::Fault;
+use crate::fault::{Fault, Step};
 use crate::node::{ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
 use garfield_attacks::Attack;
@@ -93,41 +95,85 @@ fn actor_obs() -> &'static ActorObs {
     })
 }
 
-/// Takes the next frame off `transport`, waiting at most `wait`: counts it and
-/// peeks its header without materialising the payload. `Ok(None)` is a frame
-/// whose header does not parse — garbage on the wire, which a correct node
-/// drops at the cost of the `recv`.
-fn next_frame(
-    transport: &dyn Transport,
-    telemetry: &mut NodeTelemetry,
-    wait: Duration,
-) -> NetResult<Option<(Envelope, WireHeader)>> {
-    let envelope = transport.recv_timeout(wait)?;
-    telemetry.record_recv(envelope.payload.len());
-    let header = WireMessage::peek(&envelope.payload).ok();
-    Ok(header.map(|header| (envelope, header)))
+/// One node's end of the wire: its transport, its counters, its per-sender
+/// sequence number and its one restart. Both actors take, stamp, send and
+/// count every frame through it.
+struct Endpoint {
+    transport: Box<dyn Transport>,
+    telemetry: NodeTelemetry,
+    /// Per-sender wire sequence number (trace header fields).
+    seq: u64,
+    /// Whether a `RestartAt` fault already fired (one restart per run).
+    restarted: bool,
 }
 
-/// Stamps an encoded message's trace fields (origin node, per-sender
-/// sequence number, send timestamp) and freezes the buffer for sending.
-/// Broadcasts clone the returned bytes, so every recipient of one logical
-/// message observes the same `(origin, seq)` — `expfig trace` can attribute
-/// all of a broadcast's per-peer one-way delays to a single send. Retried
-/// requests reuse the original stamp: the inflated delay a late replier then
-/// reports *is* the silence it rode out.
-fn stamped(mut buf: Vec<u8>, origin: u32, seq: &mut u64) -> bytes::Bytes {
-    *seq += 1;
-    garfield_net::stamp_trace(&mut buf, origin, *seq, garfield_net::unix_micros());
-    bytes::Bytes::from(buf)
-}
+impl Endpoint {
+    fn new(transport: Box<dyn Transport>, role: Role) -> Self {
+        Endpoint {
+            telemetry: NodeTelemetry::new(transport.local_id().0, role),
+            transport,
+            seq: 0,
+            restarted: false,
+        }
+    }
 
-/// Tags `msg` with the shard triple `(shard, coord_offset, coord_len)` its
-/// payload covers; `(0, 0, 0)` is the untagged full-vector form.
-fn tagged(msg: WireMessage, (shard, offset, len): (u16, u32, u32)) -> WireMessage {
-    if len == 0 {
-        msg
-    } else {
-        msg.with_shard(shard, offset, len)
+    /// Takes the next frame off the transport, waiting at most `wait`: counts
+    /// it and peeks its header without materialising the payload. `Ok(None)`
+    /// is a frame whose header does not parse — garbage on the wire, which a
+    /// correct node drops at the cost of the `recv`.
+    fn recv(&mut self, wait: Duration) -> NetResult<Option<(Envelope, WireHeader)>> {
+        let envelope = self.transport.recv_timeout(wait)?;
+        self.telemetry.record_recv(envelope.payload.len());
+        let header = WireMessage::peek(&envelope.payload).ok();
+        Ok(header.map(|header| (envelope, header)))
+    }
+
+    /// The one stamp-and-send path: stamps an encoded `frame`'s trace fields
+    /// (origin node, per-sender sequence number, send timestamp) once and
+    /// sends the bytes to every node in `to`. Every recipient of one logical
+    /// message observes the same `(origin, seq)` — `expfig trace` can
+    /// attribute all of a broadcast's per-peer one-way delays to a single
+    /// send. Returns the stamped bytes: retried requests reuse the original
+    /// stamp, so the inflated delay a late replier then reports *is* the
+    /// silence it rode out.
+    fn send(&mut self, to: &[NodeId], round: u64, mut frame: Vec<u8>) -> bytes::Bytes {
+        self.seq += 1;
+        let (origin, now) = (self.transport.local_id().0, garfield_net::unix_micros());
+        garfield_net::stamp_trace(&mut frame, origin, self.seq, now);
+        let payload = bytes::Bytes::from(frame);
+        for &to in to {
+            self.send_bytes(to, round, payload.clone());
+        }
+        payload
+    }
+
+    /// Sends bytes as they are, counting them; per-peer failures are
+    /// tolerated (a crashed recipient is exactly what quorums exist for).
+    fn send_bytes(&mut self, to: NodeId, tag: u64, payload: bytes::Bytes) {
+        let bytes = payload.len();
+        if self.transport.send(to, tag, payload).is_ok() {
+            self.telemetry.record_send(bytes);
+        }
+    }
+
+    /// Dies for real and comes back as a fresh incarnation: envelopes
+    /// addressed to the dead one are dropped and counted by the transport.
+    /// `false` when the substrate cannot rejoin in place (it rejoins by
+    /// process respawn): the node stays crashed.
+    fn restart(&mut self) -> bool {
+        self.transport.crash();
+        self.restarted = self.transport.rejoin().is_ok();
+        if self.restarted {
+            self.telemetry.resumes += 1;
+        }
+        self.restarted
+    }
+
+    /// Lets an asynchronous transport put the queued tail on the wire, then
+    /// snapshots the per-peer counters, so they cover every message sent.
+    fn flush(&mut self) {
+        self.transport.flush(Duration::from_secs(5));
+        self.telemetry.peers = self.transport.peer_counters();
     }
 }
 
@@ -171,13 +217,8 @@ type GradientMemo = (u64, bytes::Bytes, f32, Tensor);
 /// plus the loop's own state.
 pub(crate) struct WorkerActor {
     node: WorkerNode,
-    transport: Box<dyn Transport>,
+    link: Endpoint,
     fault_attack: Option<Box<dyn Attack>>,
-    telemetry: NodeTelemetry,
-    /// Whether a `RestartAt` fault already fired (one restart per run).
-    restarted: bool,
-    /// Per-sender wire sequence number (trace header fields).
-    seq: u64,
     /// Bounded FIFO of this worker's own recent honest gradients — the
     /// non-omniscient adversary's estimation view (stays empty on honest
     /// workers). See [`ATTACK_HISTORY_ROUNDS`].
@@ -199,11 +240,8 @@ impl WorkerActor {
     pub fn new(node: WorkerNode, transport: Box<dyn Transport>) -> Self {
         WorkerActor {
             fault_attack: fault_attack(node.fault),
-            telemetry: NodeTelemetry::new(transport.local_id().0, Role::Worker),
+            link: Endpoint::new(transport, Role::Worker),
             node,
-            transport,
-            restarted: false,
-            seq: 0,
             attack_history: Vec::new(),
             pending_slices: Vec::new(),
             sent_cache: Vec::new(),
@@ -214,54 +252,38 @@ impl WorkerActor {
     /// The worker loop: serve gradient requests until shutdown, crash or
     /// prolonged silence. Returns the node's network counters.
     pub fn run(mut self) -> NodeTelemetry {
-        flight::set_thread_node(self.transport.local_id().0);
+        flight::set_thread_node(self.link.transport.local_id().0);
         // One payload buffer, reused for every decoded request: steady-state
         // serving allocates nothing on the receive path.
         let mut values: Vec<f32> = Vec::new();
         // Exits on shutdown/crash, or when the inbox stays silent past the
         // idle timeout (transport gone or run abandoned).
-        while let Ok(frame) = next_frame(
-            self.transport.as_ref(),
-            &mut self.telemetry,
-            self.node.idle_timeout,
-        ) {
+        while let Ok(frame) = self.link.recv(self.node.idle_timeout) {
             let Some((envelope, header)) = frame else {
                 continue;
             };
             match header.kind {
                 MsgKind::Shutdown => break,
                 MsgKind::GradientRequest => {
-                    let iteration = header.round as usize;
-                    if let Some(Fault::CrashAt { iteration: at }) = self.node.fault {
-                        if iteration >= at {
-                            // Go silent: peers must survive via quorums, not errors.
-                            self.transport.crash();
+                    let round = header.round as usize;
+                    match Fault::step(self.node.fault, round, self.link.restarted) {
+                        // Go silent: peers must survive via quorums, not errors.
+                        Step::Crash => {
+                            self.link.transport.crash();
                             break;
                         }
-                    }
-                    if let Some(Fault::RestartAt { crash, rejoin }) = self.node.fault {
-                        if !self.restarted && iteration >= crash {
-                            // Die for real, then come back as a fresh
-                            // incarnation: envelopes addressed to the dead
-                            // one (including this request) are dropped and
-                            // counted by the transport.
-                            self.transport.crash();
-                            if self.transport.rejoin().is_err() {
-                                break; // substrate rejoins by process respawn
+                        // This request dies with the old incarnation.
+                        Step::Restart(_) => {
+                            if self.link.restart() {
+                                continue;
                             }
-                            self.restarted = true;
-                            self.telemetry.resumes += 1;
-                            continue;
+                            break; // substrate rejoins by process respawn
                         }
-                        if self.restarted && iteration < rejoin {
-                            // Respawned but not yet rejoined: observationally
-                            // dead — peers ride the silence out via quorums
-                            // and re-requests.
-                            continue;
-                        }
-                    }
-                    if let Some(Fault::Delay { millis }) = self.node.fault {
-                        std::thread::sleep(Duration::from_millis(millis));
+                        // Respawned but not yet rejoined: observationally
+                        // dead — peers ride the silence out via quorums and
+                        // re-requests.
+                        Step::Skip => continue,
+                        Step::Run(delay) => std::thread::sleep(delay),
                     }
                     if WireMessage::decode_into(&envelope.payload, &mut values).is_err() {
                         continue;
@@ -276,11 +298,8 @@ impl WorkerActor {
                 _ => {} // server-to-server traffic never addresses a worker
             }
         }
-        // Let asynchronous transports put the queued tail on the wire so
-        // the per-peer snapshot below covers every message sent above.
-        self.transport.flush(Duration::from_secs(5));
-        self.telemetry.peers = self.transport.peer_counters();
-        self.telemetry
+        self.link.flush();
+        self.link.telemetry
     }
 
     /// Handles one shard server's `GradientRequest` carrying a parameter
@@ -304,7 +323,7 @@ impl WorkerActor {
             let values = &sent.data()[offset..offset + slice.len()];
             let reply =
                 WireMessage::encode_parts(MsgKind::GradientReply, round, *loss, triple, values);
-            self.reply(from, round, reply);
+            self.link.send(&[from], round, reply);
             return;
         }
         if !self.pending_slices.iter().any(|(r, _)| *r == round) {
@@ -351,7 +370,7 @@ impl WorkerActor {
             let values = &sent.data()[*off..*off + vals.len()];
             let reply =
                 WireMessage::encode_parts(MsgKind::GradientReply, round, loss, triple, values);
-            self.reply(*requester, round, reply);
+            self.link.send(&[*requester], round, reply);
         }
         self.sent_cache.push((round, loss, sent));
         if self.sent_cache.len() > SENT_CACHE_ROUNDS {
@@ -374,7 +393,7 @@ impl WorkerActor {
         };
         let memo = match self.memo.take() {
             Some(memo) if same(&memo) => {
-                self.telemetry.gradients_reused += 1;
+                self.link.telemetry.gradients_reused += 1;
                 memo
             }
             stale => {
@@ -391,7 +410,7 @@ impl WorkerActor {
         let reply =
             WireMessage::encode_parts(MsgKind::GradientReply, round, *loss, (0, 0, 0), values);
         self.memo = Some(memo);
-        self.reply(from, round, reply);
+        self.link.send(&[from], round, reply);
     }
 
     /// The one compute step of both request shapes: the honest gradient at
@@ -431,34 +450,37 @@ impl WorkerActor {
         self.attack_history.push(honest.clone());
         Some(sent)
     }
-
-    /// Stamps and sends one encoded `GradientReply`, counting the bytes;
-    /// send failures are tolerated (a crashed requester is what quorums
-    /// absorb).
-    fn reply(&mut self, to: NodeId, round: u64, reply: Vec<u8>) {
-        let payload = stamped(reply, self.transport.local_id().0, &mut self.seq);
-        let bytes = payload.len();
-        if self.transport.send(to, round, payload).is_ok() {
-            self.telemetry.record_send(bytes);
-        }
-    }
 }
 
 /// One collected reply: sender, aux scalar (loss), payload values.
 pub(crate) type Reply = (NodeId, f32, Vec<f32>);
+
+/// A request the server receive loop re-sends every `request_retry` to the
+/// recipients that have not answered yet: its stamped bytes, its round and
+/// its recipients.
+type Ask<'a> = (&'a bytes::Bytes, u64, &'a [NodeId]);
+
+/// What the server receive loop waits for.
+#[derive(Clone, Copy)]
+enum Until<'a> {
+    /// The given number of replies of the given kind to a pull's request.
+    Replies(MsgKind, usize, Ask<'a>),
+    /// A `StateChunk` at or past the given round, polled for with a
+    /// `StateRequest` (the rejoin catch-up).
+    Chunk(usize, Ask<'a>),
+    /// A `ServerDone` from every peer (the linger).
+    PeersDone,
+}
 
 /// A server replica running over a transport: the [`ServerNode`] description
 /// plus the loop's own state.
 pub(crate) struct ServerActor {
     /// The node as assembled (its `resume` record is consumed at start-up).
     node: ServerNode,
-    transport: Box<dyn Transport>,
+    link: Endpoint,
     fault_attack: Option<Box<dyn Attack>>,
-    telemetry: NodeTelemetry,
     /// First iteration to run (non-zero after a `--resume` restore).
     start_round: usize,
-    /// Whether a `RestartAt` fault already fired (one restart per run).
-    restarted: bool,
     /// The encoded `StateChunk` this replica serves to recovering peers:
     /// `(next round, wire bytes)`, refreshed at each iteration boundary.
     state_chunk: Option<(u64, bytes::Bytes)>,
@@ -494,9 +516,10 @@ pub(crate) struct ServerActor {
     served_snapshots: Vec<(u64, Tensor)>,
     deferred_requests: Vec<(NodeId, u64)>,
     done_peers: HashSet<NodeId>,
+    /// The replies the pull in flight collected so far: what admission
+    /// checks for duplicates and the retry skips.
+    replies: Vec<Reply>,
     round_latencies: Vec<f64>,
-    /// Per-sender wire sequence number (trace header fields).
-    seq: u64,
     /// Byzantine forensics: per-peer suspicion accumulated from every GAR
     /// selection this replica performs (gradients and MSMW model merges).
     ledger: SuspicionLedger,
@@ -520,12 +543,10 @@ impl ServerActor {
         let resume = node.resume.take();
         let mut actor = ServerActor {
             fault_attack: fault_attack(node.fault),
-            telemetry: NodeTelemetry::new(transport.local_id().0, Role::Server),
+            link: Endpoint::new(transport, Role::Server),
             merge: plan.merge.filter(|_| !node.peer_ids.is_empty()),
             node,
-            transport,
             start_round: 0,
-            restarted: false,
             state_chunk: None,
             engine: Engine::auto(),
             pool: PayloadPool::default(),
@@ -536,8 +557,8 @@ impl ServerActor {
             served_snapshots: Vec::new(),
             deferred_requests: Vec::new(),
             done_peers: HashSet::new(),
+            replies: Vec::new(),
             round_latencies: Vec::new(),
-            seq: 0,
             ledger: SuspicionLedger::default(),
             outcome: SelectionOutcome::default(),
         };
@@ -545,7 +566,7 @@ impl ServerActor {
             cp.validate_for(actor.node.system.as_str(), actor.node.config.seed)?;
             actor.adopt_state(&cp, true)?;
             actor.start_round = cp.round as usize;
-            actor.telemetry.resumes += 1;
+            actor.link.telemetry.resumes += 1;
         }
         Ok(actor)
     }
@@ -590,7 +611,7 @@ impl ServerActor {
     /// Runs the replica to completion: the training loop, then — success or
     /// liveness failure alike — the worker wind-down this replica owns.
     pub fn run(mut self) -> CoreResult<ServerRun> {
-        flight::set_thread_node(self.transport.local_id().0);
+        flight::set_thread_node(self.link.transport.local_id().0);
         let result = self.train();
         // Shutdown is best-effort and unconditional: after a liveness
         // failure the surviving worker processes must not be left waiting
@@ -598,17 +619,15 @@ impl ServerActor {
         let targets = std::mem::take(&mut self.node.shutdown_targets);
         if !targets.is_empty() {
             let last = self.node.config.iterations as u64;
-            self.broadcast(&WireMessage::control(MsgKind::Shutdown, last), &targets);
+            let shutdown = WireMessage::control(MsgKind::Shutdown, last).encode_vec();
+            self.link.send(&targets, last, shutdown);
         }
-        // Let asynchronous transports put the queued tail (including the
-        // shutdowns just sent) on the wire before the counters are read.
-        self.transport.flush(Duration::from_secs(5));
-        self.telemetry.peers = self.transport.peer_counters();
+        self.link.flush();
         let trace = result?;
         Ok(ServerRun {
             trace,
             final_model: self.node.server.honest().parameters(),
-            telemetry: self.telemetry,
+            telemetry: self.link.telemetry,
             round_latencies: self.round_latencies,
             resumed_from: (self.start_round > 0).then_some(self.start_round),
             suspicion: self.ledger.snapshot(),
@@ -632,35 +651,28 @@ impl ServerActor {
             self.node.config.effective_batch(),
         );
         let merge = self.merge.clone();
-        let mut crashed = false;
 
         let mut iteration = self.start_round;
         while iteration < iterations {
             self.round = iteration;
             self.phase1_done = false;
-            if let Some(Fault::CrashAt { iteration: at }) = self.node.fault {
-                if iteration >= at {
-                    crashed = true;
-                    break;
+            match Fault::step(self.node.fault, iteration, self.link.restarted) {
+                Step::Crash => {
+                    self.link.transport.crash();
+                    return Ok(trace);
                 }
-            }
-            if let Some(Fault::RestartAt { crash, rejoin }) = self.node.fault {
-                if !self.restarted && iteration >= crash {
-                    // Die for real, then come back as a fresh incarnation
-                    // and catch up from the fastest live peer's StateChunk.
-                    self.transport.crash();
-                    if self.transport.rejoin().is_err() {
-                        crashed = true; // substrate rejoins by process respawn
-                        break;
+                // Come back and catch up from the fastest live peer's
+                // StateChunk — or, where the substrate rejoins by process
+                // respawn, stay crashed.
+                Step::Restart(rejoin) => {
+                    if !self.link.restart() {
+                        return Ok(trace);
                     }
-                    self.restarted = true;
-                    self.telemetry.resumes += 1;
                     iteration = self.catch_up(rejoin.max(iteration))?;
                     continue;
                 }
-            }
-            if let Some(Fault::Delay { millis }) = self.node.fault {
-                std::thread::sleep(Duration::from_millis(millis));
+                Step::Run(delay) => std::thread::sleep(delay),
+                Step::Skip => {} // unreachable: catch-up resumes at or past `rejoin`
             }
             let round_start = Instant::now();
             flight::record(EventKind::RoundStart, iteration as u64, None, 0.0);
@@ -673,17 +685,12 @@ impl ServerActor {
             // server's model is its slice, tagged with the coordinate range
             // so workers can assemble the full vector), unblock on the
             // fastest q gradient replies, aggregate, update.
-            let request = tagged(
-                WireMessage::new(
-                    MsgKind::GradientRequest,
-                    iteration as u64,
-                    0.0,
-                    self.node.server.honest().parameters().into_vec(),
-                ),
-                self.shard_triple(),
-            );
+            let (kind, round) = (MsgKind::GradientRequest, iteration as u64);
+            let model = self.node.server.honest().parameters();
+            let request =
+                WireMessage::encode_parts(kind, round, 0.0, self.shard_triple(), model.data());
             let workers = self.node.worker_ids.clone();
-            let replies = self.pull(&request, &workers, self.node.gradient_quorum)?;
+            let replies = self.pull(request, kind, round, &workers, self.node.gradient_quorum)?;
             let mut loss_sum = 0.0f32;
             for (_, loss, _) in &replies {
                 loss_sum += loss;
@@ -732,9 +739,10 @@ impl ServerActor {
             // with this replica's own model and written (not stepped) back.
             if let Some(merge) = &merge {
                 let pull_start = Instant::now();
-                let request = WireMessage::control(MsgKind::ModelRequest, iteration as u64);
+                let kind = MsgKind::ModelRequest;
+                let request = WireMessage::control(kind, iteration as u64).encode_vec();
                 let peers = self.node.peer_ids.clone();
-                let models = self.pull(&request, &peers, merge.quorum)?;
+                let models = self.pull(request, kind, iteration as u64, &peers, merge.quorum)?;
                 communication += pull_start.elapsed().as_secs_f64();
 
                 let merge_start = Instant::now();
@@ -780,12 +788,7 @@ impl ServerActor {
             self.record_recovery_state(iteration)?;
             iteration += 1;
         }
-
-        if crashed {
-            self.transport.crash();
-        } else {
-            self.linger();
-        }
+        self.linger();
         Ok(trace)
     }
 
@@ -798,42 +801,16 @@ impl ServerActor {
         })
     }
 
-    /// One step of every server receive loop: the next frame, if [`admit`]
-    /// lets it in — with its verdict, [`Verdict::Reply`] or
-    /// [`Verdict::Protocol`]. `Ok(None)` is a frame that was dropped.
-    fn admitted(
-        &mut self,
-        wait: Duration,
-        pull: Option<Pull<'_>>,
-    ) -> NetResult<Option<(Verdict, Envelope, WireHeader)>> {
-        let frame = next_frame(self.transport.as_ref(), &mut self.telemetry, wait)?;
-        let Some((envelope, header)) = frame else {
-            return Ok(None);
-        };
-        let view = ServerView {
-            pull,
-            shard: self.shard_triple(),
-            dimension: self.node.server.honest().dimension(),
-            peers: &self.node.peer_ids,
-            siblings: &self.node.shard_siblings,
-        };
-        Ok(match admit(envelope.from, &header, &view) {
-            Verdict::Drop => None,
-            verdict => Some((verdict, envelope, header)),
-        })
-    }
-
-    /// The paper's `get_gradients()` / `get_models()`: broadcasts `request`
-    /// to `recipients` and receives until `want` replies arrived or the
-    /// round deadline passed, servicing protocol traffic along the way.
+    /// The paper's `get_gradients()` / `get_models()`: sends the encoded
+    /// `request` (of `kind`, for `round`) to `recipients` and receives until
+    /// `want` replies arrived or the round deadline passed.
     ///
-    /// Peers that have not replied after `request_retry` are re-sent the
-    /// request. Requests are idempotent (a worker answers the same round at
-    /// the same model with the same gradient; model pulls answer from
-    /// snapshots), so
-    /// re-asking never changes what a live peer contributes — it exists for
-    /// the peer whose first request died with a crashed incarnation and who
-    /// can only contribute to this round if asked again.
+    /// Requests are idempotent (a worker answers the same round at the same
+    /// model with the same gradient; model pulls answer from snapshots), so
+    /// the receive loop's re-asking never changes what a live peer
+    /// contributes — it exists for the peer whose first request died with a
+    /// crashed incarnation and who can only contribute to this round if
+    /// asked again.
     ///
     /// The result is sorted by sender id, which makes the aggregation input
     /// independent of message arrival *order*. Note the quorum *membership*
@@ -847,66 +824,128 @@ impl ServerActor {
     /// time — a liveness violation.
     fn pull(
         &mut self,
-        request: &WireMessage,
+        request: Vec<u8>,
+        kind: MsgKind,
+        round: u64,
         recipients: &[NodeId],
         want: usize,
     ) -> CoreResult<Vec<Reply>> {
-        let round = request.round;
-        let (kind, what) = match request.kind {
+        let (reply, what) = match kind {
             MsgKind::GradientRequest => (MsgKind::GradientReply, "gradient"),
             _ => (MsgKind::ModelReply, "model"),
         };
-        let request = self.broadcast(request, recipients);
+        let request = self.link.send(recipients, round, request);
         flight::record(EventKind::PullIssued, round, None, want as f64);
+        self.receive(Until::Replies(reply, want, (&request, round, recipients)));
+        let mut replies = std::mem::take(&mut self.replies);
+        replies.sort_by_key(|(id, _, _)| *id);
+        flight::record(EventKind::QuorumFormed, round, None, replies.len() as f64);
+        if replies.len() < want {
+            return Err(self.liveness_error(what, round as usize, replies.len(), want));
+        }
+        Ok(replies)
+    }
+
+    /// The one server receive loop: services admitted frames until `until`
+    /// is met or the round deadline passes, handing protocol traffic to
+    /// [`handle_protocol`](Self::handle_protocol) along the way. Every
+    /// `request_retry`, the already-stamped request of `until`, if any, is
+    /// re-sent to those of its recipients not yet in `self.replies`; a pull
+    /// counts these as retries. A pull's replies are decoded into
+    /// `self.replies`.
+    ///
+    /// Returns the adopted checkpoint when catching up, `None` otherwise:
+    /// each caller judges its own outcome.
+    fn receive(&mut self, until: Until<'_>) -> Option<Checkpoint> {
         let deadline = Instant::now() + self.node.round_deadline;
-        let mut next_retry = Instant::now() + self.node.request_retry;
-        let mut collected: Vec<Reply> = Vec::with_capacity(want);
-        while collected.len() < want {
+        let mut next_ask = Instant::now() + self.node.request_retry;
+        let (pull, ask) = match until {
+            Until::Replies(kind, _, ask) => (Some(kind), Some(ask)),
+            Until::Chunk(_, ask) => (None, Some(ask)),
+            Until::PeersDone => (None, None),
+        };
+        loop {
+            let met = match until {
+                Until::Replies(_, want, _) => self.replies.len() >= want,
+                Until::Chunk(..) => false,
+                Until::PeersDone => self.done_peers.len() >= self.node.peer_ids.len(),
+            };
             let now = Instant::now();
-            if now >= deadline {
-                break;
+            if met || now >= deadline {
+                return None;
             }
-            if now >= next_retry {
-                for &to in recipients {
-                    if !collected.iter().any(|(id, _, _)| *id == to) {
-                        self.send(to, round, request.clone());
-                        self.telemetry.requests_retried += 1;
-                        actor_obs().pull_retries.inc();
-                        flight::record(EventKind::PullRetried, round, Some(to.0), 0.0);
+            if now >= next_ask {
+                if let Some((request, round, recipients)) = ask {
+                    for &to in recipients {
+                        if self.replies.iter().any(|(id, _, _)| *id == to) {
+                            continue;
+                        }
+                        self.link.send_bytes(to, round, request.clone());
+                        if pull.is_some() {
+                            self.link.telemetry.requests_retried += 1;
+                            actor_obs().pull_retries.inc();
+                            flight::record(EventKind::PullRetried, round, Some(to.0), 0.0);
+                        }
                     }
                 }
-                next_retry = now + self.node.request_retry;
+                next_ask = now + self.node.request_retry;
             }
-            let wait = deadline.min(next_retry).saturating_duration_since(now);
-            let pull = Pull {
-                kind,
-                round,
-                recipients,
-                collected: &collected,
+            let wait = deadline.min(next_ask).saturating_duration_since(now);
+            let (envelope, header) = match self.link.recv(wait) {
+                Ok(Some(frame)) => frame,
+                Ok(None) | Err(NetError::Timeout) => continue,
+                Err(_) => return None,
             };
-            match self.admitted(wait, Some(pull)) {
-                Ok(Some((Verdict::Reply, envelope, header))) => {
+            let view = ServerView {
+                pull: pull.zip(ask).map(|(kind, (_, round, recipients))| Pull {
+                    kind,
+                    round,
+                    recipients,
+                    collected: &self.replies,
+                }),
+                shard: self.shard_triple(),
+                dimension: self.node.server.honest().dimension(),
+                peers: &self.node.peer_ids,
+                siblings: &self.node.shard_siblings,
+            };
+            match (admit(envelope.from, &header, &view), until) {
+                (Verdict::Drop, _) => {}
+                (Verdict::Reply, _) => {
                     let mut values = self.pool.checkout();
                     if WireMessage::decode_into(&envelope.payload, &mut values).is_ok() {
-                        collected.push((envelope.from, header.aux, values));
-                        flight::record(EventKind::PullSatisfied, round, Some(envelope.from.0), 0.0);
+                        self.replies.push((envelope.from, header.aux, values));
+                        let from = Some(envelope.from.0);
+                        flight::record(EventKind::PullSatisfied, header.round, from, 0.0);
                     } else {
                         self.pool.restore(values); // unreachable: peek accepted
                     }
                 }
-                Ok(Some((_, envelope, header))) => {
-                    self.handle_protocol(envelope.from, header.kind, header.round)
+                (_, Until::Chunk(min_round, _)) if header.kind == MsgKind::StateChunk => {
+                    // A chunk is adopted only if it survives every shape
+                    // check a Byzantine peer could fail: decodable state,
+                    // experiment identity, model and velocity dimensions,
+                    // freshness (a peer not there yet: keep polling). A
+                    // hostile chunk must cost this replica nothing but the
+                    // poll — never an aborted run.
+                    let d = self.node.server.honest().dimension();
+                    let fresh = WireMessage::decode(&envelope.payload)
+                        .ok()
+                        .and_then(|chunk| Checkpoint::from_wire_words(&chunk.values).ok())
+                        .filter(|cp| {
+                            cp.validate_for(self.node.system.as_str(), self.node.config.seed)
+                                .is_ok()
+                                && cp.model.len() == d
+                                && cp.velocity.as_ref().is_none_or(|v| v.len() == d)
+                                && cp.round as usize >= min_round
+                        });
+                    if fresh.is_some() {
+                        self.link.telemetry.state_chunks_received += 1;
+                        return fresh;
+                    }
                 }
-                Ok(None) | Err(NetError::Timeout) => {} // retry or deadline
-                Err(_) => break,
+                (_, _) => self.handle_protocol(envelope.from, header.kind, header.round),
             }
         }
-        collected.sort_by_key(|(id, _, _)| *id);
-        flight::record(EventKind::QuorumFormed, round, None, collected.len() as f64);
-        if collected.len() < want {
-            return Err(self.liveness_error(what, round as usize, collected.len(), want));
-        }
-        Ok(collected)
     }
 
     /// Aggregates one pull's `replies` straight from the decoded wire
@@ -930,7 +969,7 @@ impl ServerActor {
             .collect();
         let own = merge.map(|_| self.node.server.honest().parameters());
         if let Some(own) = &own {
-            peers.push(self.transport.local_id().0);
+            peers.push(self.link.transport.local_id().0);
             views.push(GradientView::from(own));
         }
         let model_gar = merge
@@ -990,8 +1029,8 @@ impl ServerActor {
                 // harmless — the requester keeps polling until the cluster
                 // has advanced far enough.
                 if let Some((next_round, chunk)) = self.state_chunk.clone() {
-                    self.send(from, next_round, chunk);
-                    self.telemetry.state_chunks_served += 1;
+                    self.link.send_bytes(from, next_round, chunk);
+                    self.link.telemetry.state_chunks_served += 1;
                     actor_obs().state_chunks_served.inc();
                     flight::record(EventKind::StateChunkServed, next_round, Some(from.0), 0.0);
                 }
@@ -1030,7 +1069,7 @@ impl ServerActor {
             let span = garfield_obs::span_start();
             cp.save(policy.dir.clone())?;
             let spent = garfield_obs::span_end(span, &actor_obs().phase_checkpoint);
-            self.telemetry.checkpoints_written += 1;
+            self.link.telemetry.checkpoints_written += 1;
             actor_obs().checkpoints_written.inc();
             flight::record(
                 EventKind::CheckpointWritten,
@@ -1061,56 +1100,12 @@ impl ServerActor {
         // training loop resets both fields when it resumes.
         self.round = usize::MAX;
         self.phase1_done = true;
-        let deadline = Instant::now() + self.node.round_deadline;
-        let mut next_ask = Instant::now() + self.node.request_retry;
-        let peers = self.node.peer_ids.clone();
-        let request = WireMessage::control(MsgKind::StateRequest, min_round as u64);
-        let request = self.broadcast(&request, &peers);
-        let mut values = self.pool.checkout();
-        let adopted = loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self.liveness_error("state", min_round, 0, 1));
-            }
-            if now >= next_ask {
-                for &to in &peers {
-                    self.send(to, min_round as u64, request.clone());
-                }
-                next_ask = now + self.node.request_retry;
-            }
-            let wait = deadline.min(next_ask).saturating_duration_since(now);
-            match self.admitted(wait, None) {
-                Ok(Some((_, envelope, header))) if header.kind == MsgKind::StateChunk => {
-                    // A chunk is adopted only if it survives every shape
-                    // check a Byzantine peer could fail: decodable state,
-                    // experiment identity, model and velocity dimensions,
-                    // freshness (a peer not there yet: keep polling). A
-                    // hostile chunk must cost this replica nothing but the
-                    // poll — never an aborted run.
-                    let d = self.node.server.honest().dimension();
-                    let fresh = WireMessage::decode_into(&envelope.payload, &mut values)
-                        .ok()
-                        .and_then(|_| Checkpoint::from_wire_words(&values).ok())
-                        .filter(|cp| {
-                            cp.validate_for(self.node.system.as_str(), self.node.config.seed)
-                                .is_ok()
-                                && cp.model.len() == d
-                                && cp.velocity.as_ref().is_none_or(|v| v.len() == d)
-                                && cp.round as usize >= min_round
-                        });
-                    if let Some(cp) = fresh {
-                        self.telemetry.state_chunks_received += 1;
-                        break cp;
-                    }
-                }
-                Ok(Some((_, envelope, header))) => {
-                    self.handle_protocol(envelope.from, header.kind, header.round)
-                }
-                Ok(None) | Err(NetError::Timeout) => {}
-                Err(_) => return Err(self.liveness_error("state", min_round, 0, 1)),
-            }
+        let (peers, round) = (self.node.peer_ids.clone(), min_round as u64);
+        let request = WireMessage::control(MsgKind::StateRequest, round).encode_vec();
+        let request = self.link.send(&peers, round, request);
+        let Some(adopted) = self.receive(Until::Chunk(min_round, (&request, round, &peers))) else {
+            return Err(self.liveness_error("state", min_round, 0, 1));
         };
-        self.pool.restore(values);
         self.adopt_state(&adopted, false)?;
         Ok((adopted.round as usize).min(self.node.config.iterations))
     }
@@ -1149,8 +1144,7 @@ impl ServerActor {
         };
         let reply =
             WireMessage::encode_parts(MsgKind::ModelReply, round, 0.0, (0, 0, 0), model.data());
-        let payload = stamped(reply, self.transport.local_id().0, &mut self.seq);
-        self.send(to, round, payload);
+        self.link.send(&[to], round, reply);
     }
 
     /// Serves the deferred model requests whose round this replica has now
@@ -1178,22 +1172,9 @@ impl ServerActor {
         self.phase1_done = true;
         self.flush_deferred();
         let last = self.node.config.iterations as u64;
-        let peers = self.node.peer_ids.clone();
-        self.broadcast(&WireMessage::control(MsgKind::ServerDone, last), &peers);
-        let deadline = Instant::now() + self.node.round_deadline;
-        while self.done_peers.len() < peers.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.admitted(deadline - now, None) {
-                Ok(Some((_, envelope, header))) => {
-                    self.handle_protocol(envelope.from, header.kind, header.round)
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
+        let done = WireMessage::control(MsgKind::ServerDone, last).encode_vec();
+        self.link.send(&self.node.peer_ids, last, done);
+        self.receive(Until::PeersDone);
     }
 
     /// Tells the shard siblings this replica's speculative fast path tripped
@@ -1206,33 +1187,9 @@ impl ServerActor {
             return;
         }
         self.spec_trip_announced = true;
-        let trip = WireMessage::control(MsgKind::SpeculationTrip, round).with_shard(
-            self.shard_triple().0,
-            0,
-            0,
-        );
-        let siblings = self.node.shard_siblings.clone();
-        self.broadcast(&trip, &siblings);
-    }
-
-    /// Encodes and stamps `msg` once ([`stamped`] with this replica's origin
-    /// id and sequence counter) and sends it to every node in `to`. Returns
-    /// the bytes, for re-sending to silent peers.
-    fn broadcast(&mut self, msg: &WireMessage, to: &[NodeId]) -> bytes::Bytes {
-        let payload = stamped(msg.encode_vec(), self.transport.local_id().0, &mut self.seq);
-        for &to in to {
-            self.send(to, msg.round, payload.clone());
-        }
-        payload
-    }
-
-    /// Sends one payload, counting it; per-peer failures are tolerated (a
-    /// crashed recipient is exactly what quorums exist for).
-    fn send(&mut self, to: NodeId, tag: u64, payload: bytes::Bytes) {
-        let bytes = payload.len();
-        if self.transport.send(to, tag, payload).is_ok() {
-            self.telemetry.record_send(bytes);
-        }
+        let shard = (self.shard_triple().0, 0, 0);
+        let trip = WireMessage::encode_parts(MsgKind::SpeculationTrip, round, 0.0, shard, &[]);
+        self.link.send(&self.node.shard_siblings, round, trip);
     }
 
     fn liveness_error(&self, what: &str, iteration: usize, got: usize, want: usize) -> CoreError {

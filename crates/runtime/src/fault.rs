@@ -2,6 +2,7 @@
 
 use garfield_attacks::AttackKind;
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// A fault installed on one node of a live deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +45,39 @@ pub enum Fault {
         /// First iteration at which the node participates again.
         rejoin: usize,
     },
+}
+
+/// What a node does at one round, by its [`Fault`]: the decision both actors
+/// take from [`Fault::step`] before serving a request or starting a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Take part, after sleeping the given delay (zero unless the node
+    /// straggles).
+    Run(Duration),
+    /// Go silent for the rest of the run.
+    Crash,
+    /// Crash, come back as a fresh incarnation, and take part again from the
+    /// given round on.
+    Restart(usize),
+    /// Restarted but not yet rejoined: stay silent this round.
+    Skip,
+}
+
+impl Fault {
+    /// The one fault gate: what a node carrying `fault` does at `round`,
+    /// given whether its one restart already happened. Pure — the actors
+    /// perform the crash, rejoin, sleep and resume count themselves.
+    pub(crate) fn step(fault: Option<Fault>, round: usize, restarted: bool) -> Step {
+        match fault {
+            Some(Fault::CrashAt { iteration }) if round >= iteration => Step::Crash,
+            Some(Fault::RestartAt { crash, rejoin }) if !restarted && round >= crash => {
+                Step::Restart(rejoin)
+            }
+            Some(Fault::RestartAt { rejoin, .. }) if restarted && round < rejoin => Step::Skip,
+            Some(Fault::Delay { millis }) => Step::Run(Duration::from_millis(millis)),
+            _ => Step::Run(Duration::ZERO),
+        }
+    }
 }
 
 /// Which nodes of a live run misbehave, and how.
@@ -114,12 +148,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delays every round of server replica `index` by `millis` milliseconds.
-    pub fn delay_server(mut self, index: usize, millis: u64) -> Self {
-        self.servers.insert(index, Fault::Delay { millis });
-        self
-    }
-
     /// Makes server replica `index` rewrite the models it serves with `attack`.
     pub fn byzantine_server(mut self, index: usize, attack: AttackKind) -> Self {
         self.servers.insert(index, Fault::Byzantine { attack });
@@ -168,6 +196,47 @@ mod tests {
         assert!(plan.worker(0).is_none());
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
+    }
+
+    #[test]
+    fn the_gate_decides_each_round_by_fault_and_restart_state() {
+        let run = Step::Run(Duration::ZERO);
+        let crash_at = Some(Fault::CrashAt { iteration: 3 });
+        let restart = Some(Fault::RestartAt {
+            crash: 2,
+            rejoin: 5,
+        });
+        let byzantine = Some(Fault::Byzantine {
+            attack: AttackKind::Reversed,
+        });
+        let table = [
+            (None, 0, false, run),
+            (crash_at, 2, false, run),
+            (crash_at, 3, false, Step::Crash),
+            (crash_at, 4, false, Step::Crash),
+            (restart, 1, false, run),
+            (restart, 2, false, Step::Restart(5)),
+            (restart, 3, false, Step::Restart(5)),
+            (restart, 2, true, Step::Skip),
+            (restart, 4, true, Step::Skip),
+            (restart, 5, true, run),
+            (restart, 9, true, run),
+            (
+                Some(Fault::Delay { millis: 40 }),
+                0,
+                false,
+                Step::Run(Duration::from_millis(40)),
+            ),
+            (byzantine, 0, false, run),
+            (byzantine, 7, true, run),
+        ];
+        for (fault, round, restarted, want) in table {
+            assert_eq!(
+                Fault::step(fault, round, restarted),
+                want,
+                "{fault:?} at round {round}, restarted {restarted}"
+            );
+        }
     }
 
     #[test]

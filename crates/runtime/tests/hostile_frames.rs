@@ -98,9 +98,10 @@ fn a_wrong_length_reply_costs_its_sender_the_round_not_the_run() {
                 MsgKind::GradientRequest => {
                     let reply =
                         WireMessage::new(MsgKind::GradientReply, header.round, 0.0, vec![0.5; 3]);
-                    endpoint
-                        .send(envelope.from, header.round, reply.encode())
-                        .unwrap();
+                    // The server may already have closed the last round on
+                    // q honest replies and dropped its inbox: a failed send
+                    // is what a real worker tolerates too.
+                    let _ = endpoint.send(envelope.from, header.round, reply.encode());
                     answered += 1;
                 }
                 _ => {}

@@ -137,6 +137,35 @@ fn restarted_server_replica_catches_up_via_state_transfer_bit_exactly() {
 }
 
 #[test]
+fn a_crashed_server_ends_its_run_early_and_every_worker_still_winds_down() {
+    // The server's own CrashAt: the replica goes silent at iteration 3 and
+    // returns the three rounds it completed — a crash, not a liveness
+    // error. The idle timeout is far above the run, so finishing well
+    // inside it proves every worker was shut down, not timed out.
+    let cfg = live_config();
+    let nw = cfg.nw;
+    let idle_timeout = std::time::Duration::from_secs(60);
+    let started = std::time::Instant::now();
+    let report = LiveExecutor::new(cfg)
+        .with_options(LiveOptions {
+            idle_timeout,
+            ..LiveOptions::default()
+        })
+        .with_faults(FaultPlan::new().crash_server_at(0, 3))
+        .run_live(SystemKind::Ssmw)
+        .unwrap();
+    assert!(started.elapsed() < idle_timeout / 2, "workers idled out");
+    assert_eq!(report.trace.len(), 3, "the rounds before the crash");
+    let workers: Vec<_> = report.telemetry.nodes_with_role(Role::Worker).collect();
+    assert_eq!(workers.len(), nw);
+    for worker in workers {
+        // Three requests answered, plus the shutdown.
+        assert!(worker.messages_sent >= 3, "{worker:?}");
+        assert!(worker.messages_received >= 4, "{worker:?}");
+    }
+}
+
+#[test]
 fn live_run_without_quorum_reports_a_liveness_failure() {
     // q = n with a crashed worker can never gather the quorum: the deadline
     // must convert the stall into an error instead of blocking forever.

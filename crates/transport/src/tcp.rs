@@ -14,7 +14,7 @@
 //!
 //! * a send to a slow or dead peer never blocks the actor — the bounded
 //!   queue absorbs bursts and overflow is *dropped* (counted per peer), so
-//!   a stalled socket cannot stall `PullRound`;
+//!   a stalled socket cannot stall the server's pull;
 //! * receives respect their deadline no matter what any peer does;
 //! * [`Transport::crash`] silences the endpoint: writer threads stop, the
 //!   listener closes, and peers notice only through their own quorums.
