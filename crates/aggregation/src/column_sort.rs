@@ -7,8 +7,10 @@
 //! nothing scattered). Batcher's odd–even merge sort then runs over whole
 //! rows: comparator `(a, b)` with `a < b` sets `row_a[t], row_b[t]` to the
 //! min and max of the two for every lane `t`. That loop has no
-//! data-dependent branch and autovectorises on the SSE2 baseline. Afterwards
-//! row `r` holds the `r`-th smallest key of every coordinate's column.
+//! data-dependent branch and autovectorises: eight `u32` lanes per
+//! instruction on the workspace's x86-64-v3 (AVX2) build, four on a portable
+//! x86-64 (SSE2) build. Afterwards row `r` holds the `r`-th smallest key of
+//! every coordinate's column.
 //!
 //! The output is bit-identical to sorting each column on its own: equal
 //! `u32` keys are equal bits, so a sorted key column is unique whichever

@@ -286,6 +286,11 @@ impl DistanceCache {
         let mut finite = true;
         for (&(i, j), &v) in pairs.iter().zip(vals.iter()) {
             let (i, j) = (i as usize, j as usize);
+            // The sign and payload of a computed NaN follow codegen, and
+            // selection ranks by total order, which reads both. Stored as
+            // the one positive quiet NaN, a NaN distance sorts above +inf on
+            // every engine and target, so its input always ranks worst.
+            let v = if v.is_nan() { f32::NAN } else { v };
             if i == j {
                 norms[i] = v;
             } else {
@@ -324,7 +329,7 @@ impl DistanceCache {
 
     /// Every input's squared L2 norm, from the same fill: bit-identical to
     /// [`squared_norm_slices`](garfield_tensor::squared_norm_slices) on
-    /// finite inputs (a NaN norm's payload bits may differ).
+    /// finite inputs. A NaN norm is stored as the canonical `f32::NAN`.
     pub(crate) fn norms(&self) -> &[f32] {
         &self.norms
     }

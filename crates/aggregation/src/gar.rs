@@ -35,10 +35,8 @@ pub struct SelectionOutcome {
     /// On finite inputs every rule reports the bits of
     /// [`squared_norm_slices`](garfield_tensor::squared_norm_slices),
     /// whether the norm came from the rule's distance fill or from a
-    /// stand-alone pass. A NaN norm is NaN on every path, but its payload
-    /// bits may depend on the path and the build profile: test it with
-    /// `is_nan` / `is_finite` (as [`SuspicionLedger`](crate::SuspicionLedger)
-    /// does), never by bits.
+    /// stand-alone pass. A NaN norm is the canonical `f64::NAN` on every
+    /// path, engine and build profile.
     pub norm: Vec<f64>,
 }
 
@@ -89,13 +87,17 @@ fn fill_distance_profile(cache: &DistanceCache, selected: &[usize], out: &mut Ve
 /// magnitude channel — in a stand-alone `O(n · d)` pass. Only the rules
 /// without a distance cache (Average, Median, the speculative fast path)
 /// pay it; the distance-based rules read the norms their fill already took.
+/// A NaN norm is stored canonical, as [`DistanceCache`] stores it.
 fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>) {
     out.clear();
-    out.extend(
-        inputs
-            .iter()
-            .map(|v| f64::from(garfield_tensor::squared_norm_slices(v.data()))),
-    );
+    out.extend(inputs.iter().map(|v| {
+        let norm = garfield_tensor::squared_norm_slices(v.data());
+        if norm.is_nan() {
+            f64::NAN
+        } else {
+            f64::from(norm)
+        }
+    }));
 }
 
 /// Writes a rule's forensic report, when the caller asked for one: the

@@ -5,7 +5,7 @@ use crate::{
     validate_inputs, validate_views, AggregationError, AggregationResult, DistanceCache, Engine,
     Gar, SelectionOutcome,
 };
-use garfield_tensor::{GradientView, Tensor};
+use garfield_tensor::{total_cmp_f32, GradientView, Tensor};
 
 /// Minimum-Diameter Averaging.
 ///
@@ -81,15 +81,17 @@ impl Mda {
         let mut best: Option<(f32, Vec<usize>)> = None;
         let mut subset: Vec<usize> = (0..keep).collect();
         loop {
-            // Diameter of the current subset.
+            // Diameter of the current subset, in total order: the cache's
+            // canonical NaN distance is larger than every finite one, so a
+            // subset holding a NaN input never beats one without.
             let mut diameter = 0.0f32;
             'outer: for a in 0..keep {
                 for b in (a + 1)..keep {
                     let d = dist(subset[a], subset[b]);
-                    if d > diameter {
+                    if total_cmp_f32(&d, &diameter).is_gt() {
                         diameter = d;
                         if let Some((best_d, _)) = &best {
-                            if diameter >= *best_d {
+                            if total_cmp_f32(&diameter, best_d).is_ge() {
                                 break 'outer; // cannot beat the incumbent
                             }
                         }
@@ -97,7 +99,7 @@ impl Mda {
                 }
             }
             match &best {
-                Some((best_d, _)) if diameter >= *best_d => {}
+                Some((best_d, _)) if total_cmp_f32(&diameter, best_d).is_ge() => {}
                 _ => best = Some((diameter, subset.clone())),
             }
 

@@ -4,14 +4,16 @@
 //! (FNV-1a 64) the output bits. On finite payloads it also hashes the
 //! [`SelectionOutcome`]'s `selected`, `distance` and `norm` bits; on
 //! NaN-laden payloads it hashes `selected` and the NaN mask of the norms
-//! only, because the payload bits of a NaN norm depend on which operand
-//! codegen puts first in `NaN + NaN`.
+//! only, because the distance profile's NaNs are computed sums, whose
+//! payload bits Rust leaves unspecified.
 //!
-//! The finite table holds under every profile. NaN payloads and signs reach
-//! the outputs (a NaN sum keeps one operand's bits) and the selections (the
-//! distance-based rules rank NaN distances by total order, which reads the
-//! sign), and debug and release codegen pick different operands, so each
-//! profile has its own NaN table.
+//! The finite table holds under every profile. Selection never reads a
+//! NaN's bits: the distance cache stores every NaN distance and norm as the
+//! canonical `f32::NAN`, so the outcome column of the two NaN tables is the
+//! same. Output NaNs still carry the payload and sign of whichever operand
+//! of `NaN + NaN` each profile's codegen keeps, so each profile has its own
+//! NaN table. Both tables hold whether the crate is built for `x86-64` or
+//! `x86-64-v3`.
 //!
 //! The expected values were recorded by this same test body on the
 //! column-by-column averaging kernel and the stand-alone norm pass, so a
@@ -179,33 +181,33 @@ const FINITE: &[(&str, u64, u64)] = &[
 #[cfg(debug_assertions)]
 #[rustfmt::skip]
 const NAN_LADEN: &[(&str, u64, u64)] = &[
-    ("bulyan n=7 d=12288 nan", 0x03e96e94d3d0d217, 0xddab9b78b378672b),
+    ("bulyan n=7 d=12288 nan", 0xc3d6ba97a2142ca4, 0xfac300a6cecfd472),
     ("bulyan n=7 d=12365 nan", 0x66512825a7e84364, 0xfac300a6cecfd472),
-    ("bulyan n=11 d=12288 nan", 0x671019b14871c28c, 0x4cdc723f06624a69),
-    ("bulyan n=11 d=12365 nan", 0x55fb88c860482758, 0x1291a671457e71bf),
+    ("bulyan n=11 d=12288 nan", 0xe3268ff435adc314, 0xff3898d6e2f7f172),
+    ("bulyan n=11 d=12365 nan", 0x4594b4c87cb8205d, 0xff3898d6e2f7f172),
     ("mda n=3 d=12288 nan", 0x719e6ec20f7aaff1, 0x4e8fde1e3f1220a1),
     ("mda n=3 d=12365 nan", 0x478f1f82c108f5f9, 0x4e8fde1e3f1220a1),
     ("mda n=11 d=12288 nan", 0x8d59a788f032636a, 0x1fee5fa8c5986b49),
     ("mda n=11 d=12365 nan", 0xca12c7bd559a71da, 0x1fee5fa8c5986b49),
     ("multi-krum n=5 d=12288 nan", 0x8531f57e0712ef98, 0x7e1ba3e96e151b53),
-    ("multi-krum n=5 d=12365 nan", 0xac1a44f386492b2f, 0xa473a10dfd11ce79),
-    ("multi-krum n=11 d=12288 nan", 0x928a35af238ad5a8, 0xa06d0de7bbf1daab),
-    ("multi-krum n=11 d=12365 nan", 0x28023aa4920ae1eb, 0xad0c2f7e02f45328),
+    ("multi-krum n=5 d=12365 nan", 0x82bc13e496a5842d, 0x7e1ba3e96e151b53),
+    ("multi-krum n=11 d=12288 nan", 0x661fbf23f218fc07, 0x73558ac7baf3ad3a),
+    ("multi-krum n=11 d=12365 nan", 0xb5205c25fad93899, 0x73558ac7baf3ad3a),
     ("median n=3 d=12288 nan", 0xb65fdc1f58470b86, 0x0c48879b33d84a37),
     ("median n=3 d=12365 nan", 0xc07869a5fcc7bfb2, 0x0c48879b33d84a37),
     ("median n=11 d=12288 nan", 0x0d322ab8144266d8, 0x6966700193028ef7),
     ("median n=11 d=12365 nan", 0x1e0dfdfab10f59f4, 0x6966700193028ef7),
-    ("krum n=5 d=12288 nan", 0xf1b270387fd5d63e, 0x61ff0a47426f5f73),
+    ("krum n=5 d=12288 nan", 0xf73585908b300f7a, 0x073bca7d36dc1e28),
     ("krum n=5 d=12365 nan", 0xb640bc558b698794, 0x073bca7d36dc1e28),
-    ("krum n=11 d=12288 nan", 0x14f5b790518d73eb, 0x317ea44ecb8e04f0),
+    ("krum n=11 d=12288 nan", 0xb72fc4aa0aa8ddda, 0x8c08f653a3f0a21a),
     ("krum n=11 d=12365 nan", 0x5e6be016e6c5f25d, 0x8c08f653a3f0a21a),
     ("average n=1 d=12288 nan", 0xb3253528c731dd89, 0xe604813a2490280c),
     ("average n=1 d=12365 nan", 0xd59efb5b0417edce, 0xe604813a2490280c),
     ("average n=11 d=12288 nan", 0x495928b669c948aa, 0x6966700193028ef7),
     ("average n=11 d=12365 nan", 0x264296b9660ae715, 0x6966700193028ef7),
-    ("speculative(multi-krum) n=5 d=12288 nan", 0x3eb7e258b10250b5, 0xa473a10dfd11ce79),
+    ("speculative(multi-krum) n=5 d=12288 nan", 0xdd3e01b2d5b18eff, 0x7e1ba3e96e151b53),
     ("speculative(multi-krum) n=5 d=12365 nan", 0x9b302ee31adbf5a1, 0x7e1ba3e96e151b53),
-    ("speculative(multi-krum) n=11 d=12288 nan", 0xf695c589669ef07f, 0x8d8a4dacb2c35975),
+    ("speculative(multi-krum) n=11 d=12288 nan", 0x95dcf5954e52fad6, 0x73558ac7baf3ad3a),
     ("speculative(multi-krum) n=11 d=12365 nan", 0x8eb160ab2ef473e3, 0x73558ac7baf3ad3a),
 ];
 
@@ -213,32 +215,32 @@ const NAN_LADEN: &[(&str, u64, u64)] = &[
 #[cfg(not(debug_assertions))]
 #[rustfmt::skip]
 const NAN_LADEN: &[(&str, u64, u64)] = &[
-    ("bulyan n=7 d=12288 nan", 0xc3d6ba97a2142ca4, 0x463a9c57676baef2),
-    ("bulyan n=7 d=12365 nan", 0xad607c4de72cef98, 0xa681aa94ecaeb469),
-    ("bulyan n=11 d=12288 nan", 0xe3268ff435adc314, 0x9bd9cb3ca6ca0872),
-    ("bulyan n=11 d=12365 nan", 0x0a29dfe314eb28fa, 0xf72a31e1989f961a),
+    ("bulyan n=7 d=12288 nan", 0xc3d6ba97a2142ca4, 0xfac300a6cecfd472),
+    ("bulyan n=7 d=12365 nan", 0x66512825a7e84364, 0xfac300a6cecfd472),
+    ("bulyan n=11 d=12288 nan", 0xe3268ff435adc314, 0xff3898d6e2f7f172),
+    ("bulyan n=11 d=12365 nan", 0x4594b4c87cb8205d, 0xff3898d6e2f7f172),
     ("mda n=3 d=12288 nan", 0x575d4360e28b15f9, 0x4e8fde1e3f1220a1),
     ("mda n=3 d=12365 nan", 0xfc9046f8002fe4a5, 0x4e8fde1e3f1220a1),
     ("mda n=11 d=12288 nan", 0xdf5b77487eb7a8dd, 0x1fee5fa8c5986b49),
     ("mda n=11 d=12365 nan", 0xd9f360f2fb332021, 0x1fee5fa8c5986b49),
     ("multi-krum n=5 d=12288 nan", 0xbb28d07f0faec493, 0x7e1ba3e96e151b53),
-    ("multi-krum n=5 d=12365 nan", 0xc8b1c067dc6bf24d, 0x433b1913fb56838e),
-    ("multi-krum n=11 d=12288 nan", 0x5f50d197d7430367, 0x9272f9ff1a2a0a5d),
-    ("multi-krum n=11 d=12365 nan", 0xefbdd63466e107cf, 0x739d033e474419d0),
+    ("multi-krum n=5 d=12365 nan", 0xa93b9e345675674b, 0x7e1ba3e96e151b53),
+    ("multi-krum n=11 d=12288 nan", 0x2621c5d947d2968a, 0x73558ac7baf3ad3a),
+    ("multi-krum n=11 d=12365 nan", 0x217e4e2dc7efd837, 0x73558ac7baf3ad3a),
     ("median n=3 d=12288 nan", 0xb65fdc1f58470b86, 0x0c48879b33d84a37),
     ("median n=3 d=12365 nan", 0xc07869a5fcc7bfb2, 0x0c48879b33d84a37),
     ("median n=11 d=12288 nan", 0x0d322ab8144266d8, 0x6966700193028ef7),
     ("median n=11 d=12365 nan", 0x1e0dfdfab10f59f4, 0x6966700193028ef7),
     ("krum n=5 d=12288 nan", 0xf73585908b300f7a, 0x073bca7d36dc1e28),
-    ("krum n=5 d=12365 nan", 0xa9e98b1f63c6814e, 0x61ff0a47426f5f73),
+    ("krum n=5 d=12365 nan", 0xb640bc558b698794, 0x073bca7d36dc1e28),
     ("krum n=11 d=12288 nan", 0xb72fc4aa0aa8ddda, 0x8c08f653a3f0a21a),
     ("krum n=11 d=12365 nan", 0x5e6be016e6c5f25d, 0x8c08f653a3f0a21a),
     ("average n=1 d=12288 nan", 0xb3253528c731dd89, 0xe604813a2490280c),
     ("average n=1 d=12365 nan", 0xd59efb5b0417edce, 0xe604813a2490280c),
     ("average n=11 d=12288 nan", 0x18aba362de80c5bc, 0x6966700193028ef7),
     ("average n=11 d=12365 nan", 0x197fc552201d4693, 0x6966700193028ef7),
-    ("speculative(multi-krum) n=5 d=12288 nan", 0x5d5f2893e4275392, 0xa473a10dfd11ce79),
-    ("speculative(multi-krum) n=5 d=12365 nan", 0x3449e960b5f5cfdb, 0x44cb82303293d1e7),
+    ("speculative(multi-krum) n=5 d=12288 nan", 0xb53cb16aaae194b0, 0x7e1ba3e96e151b53),
+    ("speculative(multi-krum) n=5 d=12365 nan", 0x3678bdc7ae30ab0b, 0x7e1ba3e96e151b53),
     ("speculative(multi-krum) n=11 d=12288 nan", 0x78879d7eb1ba14ca, 0x73558ac7baf3ad3a),
     ("speculative(multi-krum) n=11 d=12365 nan", 0x2979dbf23c6f1fc0, 0x73558ac7baf3ad3a),
 ];

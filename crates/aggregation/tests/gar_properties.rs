@@ -9,13 +9,15 @@ use garfield_aggregation::{build_gar, GarKind};
 use garfield_tensor::{Tensor, TensorRng};
 use proptest::prelude::*;
 
-/// Generates a cluster of `honest` similar vectors plus `byz` adversarial ones.
+/// Generates a cluster of `honest` similar vectors plus `byz` adversarial
+/// ones, placed after the honest ones or, with `byz_first`, before them.
 fn adversarial_setup(
     honest: usize,
     byz: usize,
     d: usize,
     seed: u64,
     byz_value: f32,
+    byz_first: bool,
 ) -> (Vec<Tensor>, f32, f32) {
     let mut rng = TensorRng::seed_from(seed);
     let mut inputs: Vec<Tensor> = (0..honest)
@@ -30,8 +32,11 @@ fn adversarial_setup(
         .iter()
         .map(|t| t.max())
         .fold(f32::NEG_INFINITY, f32::max);
-    for _ in 0..byz {
-        inputs.push(Tensor::full(d, byz_value));
+    let attackers = (0..byz).map(|_| Tensor::full(d, byz_value));
+    if byz_first {
+        inputs.splice(0..0, attackers);
+    } else {
+        inputs.extend(attackers);
     }
     (inputs, honest_min, honest_max)
 }
@@ -44,12 +49,23 @@ proptest! {
         f in 1usize..3,
         d in 1usize..24,
         seed in 0u64..10_000,
-        byz_value in prop_oneof![Just(1e9f32), Just(-1e9f32), Just(1e4f32)],
+        // Quiet NaNs of both signs with a payload, and both infinities: a
+        // NaN or inf attacker must rank worst, whatever its bits.
+        byz_value in prop_oneof![
+            Just(1e9f32),
+            Just(-1e9f32),
+            Just(1e4f32),
+            Just(f32::from_bits(0x7fc0_0001)),
+            Just(f32::from_bits(0xffc0_0001)),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY)
+        ],
+        byz_first in prop_oneof![Just(false), Just(true)],
     ) {
         for kind in [GarKind::Median, GarKind::Krum, GarKind::MultiKrum, GarKind::Mda, GarKind::Bulyan] {
             let n = kind.minimum_inputs(f).max(2 * f + 3);
             let honest = n - f;
-            let (inputs, lo, hi) = adversarial_setup(honest, f, d, seed, byz_value);
+            let (inputs, lo, hi) = adversarial_setup(honest, f, d, seed, byz_value, byz_first);
             let gar = build_gar(&kind, n, f).unwrap();
             let out = gar.aggregate(&inputs).unwrap();
             // The output must stay within a small margin of the honest envelope.

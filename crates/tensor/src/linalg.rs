@@ -30,8 +30,9 @@ use crate::Tensor;
 ///
 /// Element `k` of an input pair always accumulates into lane
 /// `k % KERNEL_LANES`; the lane array is reduced with
-/// [`reduce_kernel_lanes`]. Sixteen `f32` lanes fill four SSE2 registers (two
-/// AVX2 registers): enough independent FP-add dependency chains to cover the
+/// [`reduce_kernel_lanes`]. Sixteen `f32` lanes fill two AVX2 registers on
+/// the workspace's x86-64-v3 build (four SSE2 registers on a portable x86-64
+/// build): enough independent FP-add dependency chains to cover the
 /// 3–4-cycle add latency that kept the old scalar kernel at ~1 element per
 /// 4–5 cycles. (Measured on the perf container: 16 lanes beat both 8 and 32.)
 pub const KERNEL_LANES: usize = 16;
