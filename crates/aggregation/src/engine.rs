@@ -600,188 +600,6 @@ pub fn average_views(inputs: &[GradientView<'_>], engine: &Engine) -> Vec<f32> {
     out
 }
 
-/// Coordinates per tile of the fused average-plus-norms sweep: a multiple of
-/// [`KERNEL_LANES`], sized so one input's tile segment (64 KiB) plus the
-/// average accumulator tile stay cache-resident while all `n` inputs stream
-/// through it once.
-const NORM_TILE: usize = 1 << 14;
-
-/// Everything the speculative fast path needs from one sweep over the
-/// gradient data: the plain average, every input's squared L2 norm, and a
-/// compact gather of a strided coordinate sample.
-pub struct FusedSweep {
-    /// The coordinate-wise average — bit-identical to [`average_views`].
-    pub average: Vec<f32>,
-    /// Per-input squared L2 norms (fixed-tile blocked evaluation, `f64`
-    /// cross-tile totals) — engine-independent bit for bit.
-    pub square_norms: Vec<f64>,
-    /// The sampled coordinates `j = 0, stride, 2·stride, …`, gathered
-    /// row-by-row: `samples[k * n + i]` is input `i` at the `k`-th sampled
-    /// coordinate. Empty when the sweep was built with `sample_stride = 0`.
-    pub samples: Vec<f32>,
-}
-
-impl FusedSweep {
-    /// Number of sampled coordinates per input.
-    pub fn sample_count(&self, n: usize) -> usize {
-        self.samples.len().checked_div(n).unwrap_or(0)
-    }
-}
-
-/// Fused single-pass kernel for the speculative fast path: the plain average
-/// of all views, every input's squared L2 norm, and (when `sample_stride >
-/// 0`) a strided coordinate sample, in one sweep over the gradient data.
-///
-/// At large `d` all three outputs are memory-bound, so computing them in
-/// separate passes multiplies the DRAM traffic for no extra information —
-/// and a strided sample gathered *after* the sweep pays a cold cache miss
-/// per coordinate per input. This kernel walks fixed [`NORM_TILE`]-
-/// coordinate tiles; per tile each input's segment is read once, folded
-/// into the average accumulator, into a 16-lane norm partial
-/// ([`garfield_tensor::accumulate_dot`]'s lane structure exactly), and its
-/// sampled coordinates are copied out while the segment is cache-hot.
-///
-/// Determinism contracts, all independent of the engine's thread count:
-///
-/// * the average is **bit-identical** to [`average_views`]: each coordinate
-///   is the `f32` sum over inputs in ascending index order, scaled once —
-///   tiling changes which thread computes a coordinate, never how;
-/// * the norms are the fixed-tile blocked evaluation (per-tile `f32` kernel
-///   lanes, tiles summed in ascending order as `f64`) — the tile grid is a
-///   constant, and every tile is computed whole by one thread, so a
-///   consistency check built on these norms makes the same decision on
-///   sequential and parallel engines;
-/// * the samples are exact copies of the input values, so any check over
-///   them is trivially engine-independent.
-pub fn fused_average_sweep(
-    inputs: &[GradientView<'_>],
-    engine: &Engine,
-    sample_stride: usize,
-) -> FusedSweep {
-    let n = inputs.len();
-    let d = inputs.first().map(|v| v.len()).unwrap_or(0);
-    let mut out = vec![0.0f32; d];
-    let mut norms = vec![0.0f64; n];
-    if d == 0 || n == 0 {
-        return FusedSweep {
-            average: out,
-            square_norms: norms,
-            samples: Vec::new(),
-        };
-    }
-    let tiles = d.div_ceil(NORM_TILE);
-    let mut partials = vec![0.0f64; tiles * n];
-    let sample_count = if sample_stride == 0 {
-        0
-    } else {
-        d.div_ceil(sample_stride)
-    };
-    let mut samples = vec![0.0f32; sample_count * n];
-    {
-        // Each tile owns a disjoint block of the sample buffer: the rows of
-        // the sampled coordinates that fall inside it.
-        let mut blocks: Vec<&mut [f32]> = Vec::with_capacity(tiles);
-        let mut rest: &mut [f32] = &mut samples;
-        for t in 0..tiles {
-            let start = t * NORM_TILE;
-            let end = (start + NORM_TILE).min(d);
-            let rows = if sample_stride == 0 {
-                0
-            } else {
-                end.div_ceil(sample_stride) - start.div_ceil(sample_stride)
-            };
-            let (block, tail) = rest.split_at_mut(rows * n);
-            blocks.push(block);
-            rest = tail;
-        }
-        // (tile index, average accumulator, norm partials row, sample block).
-        type TileWork<'a> = (usize, &'a mut [f32], &'a mut [f64], &'a mut [f32]);
-        let mut work: Vec<TileWork<'_>> = out
-            .chunks_mut(NORM_TILE)
-            .zip(partials.chunks_mut(n))
-            .zip(blocks)
-            .enumerate()
-            .map(|(t, ((acc, row), block))| (t, acc, row, block))
-            .collect();
-        let inv = 1.0 / n as f32;
-        engine.fill_chunks(&mut work, NORM_TILE * n * 3, |_, items| {
-            for (t, acc, row, block) in items.iter_mut() {
-                let start = *t * NORM_TILE;
-                for (i, v) in inputs.iter().enumerate() {
-                    let data = &v.data()[start..start + acc.len()];
-                    let mut lanes = [0.0f32; KERNEL_LANES];
-                    accumulate_sum_and_squares(acc, data, &mut lanes);
-                    row[i] = f64::from(reduce_kernel_lanes(lanes));
-                    if sample_stride > 0 {
-                        // Gather this input's sampled coordinates while its
-                        // segment is still cache-hot.
-                        let mut j = start.div_ceil(sample_stride) * sample_stride;
-                        let mut k = 0usize;
-                        while j < start + acc.len() {
-                            block[k * n + i] = data[j - start];
-                            k += 1;
-                            j += sample_stride;
-                        }
-                    }
-                }
-                for slot in acc.iter_mut() {
-                    *slot *= inv;
-                }
-            }
-        });
-    }
-    // Cross-tile reduction in fixed ascending tile order, in `f64`.
-    for row in partials.chunks(n) {
-        for (total, &partial) in norms.iter_mut().zip(row.iter()) {
-            *total += partial;
-        }
-    }
-    FusedSweep {
-        average: out,
-        square_norms: norms,
-        samples,
-    }
-}
-
-/// The fused sweep without the sample gather: the plain average of all views
-/// and every input's squared L2 norm in one pass. See [`fused_average_sweep`]
-/// for the determinism contracts.
-pub fn average_and_square_norms(
-    inputs: &[GradientView<'_>],
-    engine: &Engine,
-) -> (Vec<f32>, Vec<f64>) {
-    let sweep = fused_average_sweep(inputs, engine, 0);
-    (sweep.average, sweep.square_norms)
-}
-
-/// Folds one tile of one input into the average accumulator and a norm lane
-/// array: `acc[k] += x[k]` and `lanes[k % KERNEL_LANES] += x[k]²` for
-/// ascending `k` — the norm side is bit-identical to
-/// [`garfield_tensor::accumulate_dot`]`(x, x, lanes)`, fused with the sum so
-/// the tile is read once.
-#[inline]
-fn accumulate_sum_and_squares(acc: &mut [f32], data: &[f32], lanes: &mut [f32; KERNEL_LANES]) {
-    let mut ca = acc.chunks_exact_mut(KERNEL_LANES);
-    let mut cx = data.chunks_exact(KERNEL_LANES);
-    for (a, x) in ca.by_ref().zip(cx.by_ref()) {
-        let a: &mut [f32; KERNEL_LANES] = a.try_into().expect("chunks_exact length");
-        let x: &[f32; KERNEL_LANES] = x.try_into().expect("chunks_exact length");
-        for l in 0..KERNEL_LANES {
-            a[l] += x[l];
-            lanes[l] += x[l] * x[l];
-        }
-    }
-    for (l, (a, &x)) in ca
-        .into_remainder()
-        .iter_mut()
-        .zip(cx.remainder())
-        .enumerate()
-    {
-        *a += x;
-        lanes[l] += x * x;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,34 +859,5 @@ mod tests {
         assert_eq!(out, vec![3.0, 4.0]);
         let par = average_views(&views(&data), &Engine::with_threads(3));
         assert_eq!(out, par);
-    }
-
-    #[test]
-    fn fused_average_and_norms_is_bit_identical_and_engine_independent() {
-        // Odd length exercises partial tiles and the kernel-lane remainder.
-        let d = 3 * super::NORM_TILE + 777;
-        let mut rng = garfield_tensor::TensorRng::seed_from(0xfa57);
-        let data: Vec<Vec<f32>> = (0..5)
-            .map(|_| rng.normal_tensor(d).data().to_vec())
-            .collect();
-        let v = views(&data);
-        let (avg_seq, norms_seq) = average_and_square_norms(&v, &Engine::sequential());
-        let (avg_par, norms_par) = average_and_square_norms(&v, &Engine::with_threads(4));
-        // The average half must be bit-identical to the plain average kernel,
-        // on both engines.
-        let reference = average_views(&v, &Engine::sequential());
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(bits(&avg_seq), bits(&reference));
-        assert_eq!(bits(&avg_par), bits(&reference));
-        // The norms must be engine-independent bit for bit, and agree with
-        // the whole-slice norm kernel up to tiling rounding.
-        assert_eq!(
-            norms_seq.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(),
-            norms_par.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(),
-        );
-        for (input, &norm) in data.iter().zip(&norms_seq) {
-            let whole = f64::from(squared_norm_slices(input));
-            assert!((norm - whole).abs() <= 1e-3 * whole.max(1.0));
-        }
     }
 }

@@ -1,6 +1,5 @@
 //! The [`Gar`] trait and the paper's `init()`-style factory.
 
-use crate::speculative::SpeculativeGar;
 use crate::{
     AggregationError, AggregationResult, Average, Bulyan, DistanceCache, Engine, Krum, Mda, Median,
     MultiKrum,
@@ -85,8 +84,8 @@ fn fill_distance_profile(cache: &DistanceCache, selected: &[usize], out: &mut Ve
 
 /// Fills `out[i]` with the squared L2 norm of input `i` — the forensic
 /// magnitude channel — in a stand-alone `O(n · d)` pass. Only the rules
-/// without a distance cache (Average, Median, the speculative fast path)
-/// pay it; the distance-based rules read the norms their fill already took.
+/// without a distance cache (Average, Median) pay it; the distance-based
+/// rules read the norms their fill already took.
 /// A NaN norm is stored canonical, as [`DistanceCache`] stores it.
 fn fill_norm_profile(inputs: &[GradientView<'_>], out: &mut Vec<f64>) {
     out.clear();
@@ -228,21 +227,6 @@ pub trait Gar: Send + Sync {
     fn is_byzantine_resilient(&self) -> bool {
         true
     }
-
-    /// For speculative rules: whether the fast path has permanently yielded
-    /// to the robust fallback. `None` for non-speculative rules.
-    fn fell_back(&self) -> Option<bool> {
-        None
-    }
-
-    /// Forces a speculative rule onto its robust fallback as if its own
-    /// consistency check had tripped. No-op for non-speculative rules.
-    ///
-    /// This is the receiving end of the sharded runtime's cluster-wide
-    /// sticky OR: when one shard's fast path trips, its siblings are told to
-    /// fall back too, so every slice of the model is aggregated by the same
-    /// rule from that round on.
-    fn force_fallback(&self) {}
 }
 
 /// The aggregation rules shipped with Garfield.
@@ -250,8 +234,7 @@ pub trait Gar: Send + Sync {
 /// `GarKind` is the single source of truth for GAR construction: CLI flags,
 /// config JSON and bench sweeps all parse into it (via [`FromStr`]) and
 /// [`build_gar`] consumes it. The canonical text form round-trips through
-/// [`fmt::Display`], including the composite
-/// `speculative(<fallback>)` shape.
+/// [`fmt::Display`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GarKind {
     /// Plain averaging (the vanilla, non-resilient baseline).
@@ -266,19 +249,11 @@ pub enum GarKind {
     Mda,
     /// Bulyan of Multi-Krum.
     Bulyan,
-    /// Speculative fast path: plain averaging plus a cheap consistency
-    /// check, replaying the round through `fallback` once the check trips
-    /// (arXiv:1911.07537). Written `speculative(<fallback>)`.
-    Speculative {
-        /// The robust rule the speculative path falls back to on suspicion.
-        fallback: Box<GarKind>,
-    },
 }
 
 impl GarKind {
-    /// All primitive kinds, in the order the paper's micro-benchmark
-    /// (Fig. 3) plots them. The composite `Speculative` shape is not listed:
-    /// it wraps a primitive rather than standing on its own.
+    /// All kinds, in the order the paper's micro-benchmark (Fig. 3) plots
+    /// them.
     pub fn all() -> [GarKind; 6] {
         [
             GarKind::Bulyan,
@@ -290,8 +265,7 @@ impl GarKind {
         ]
     }
 
-    /// The canonical lowercase head name (`"speculative"` for the composite
-    /// shape — use [`fmt::Display`] for the full parseable form).
+    /// The canonical lowercase name, as [`fmt::Display`] writes it.
     pub fn as_str(&self) -> &'static str {
         match self {
             GarKind::Average => "average",
@@ -300,7 +274,6 @@ impl GarKind {
             GarKind::MultiKrum => "multi-krum",
             GarKind::Mda => "mda",
             GarKind::Bulyan => "bulyan",
-            GarKind::Speculative { .. } => "speculative",
         }
     }
 
@@ -313,37 +286,28 @@ impl GarKind {
     /// per-coordinate mean) and Median (per-coordinate by definition)
     /// qualify; the distance-based rules (Krum, Multi-Krum, MDA, Bulyan)
     /// score whole vectors by pairwise L2 distances, so their selection on a
-    /// slice can differ from their selection on the full vector. The
-    /// speculative composite decomposes iff its fallback does (its fast path
-    /// is an average).
+    /// slice can differ from their selection on the full vector.
     pub fn is_coordinate_decomposable(&self) -> bool {
         match self {
             GarKind::Average | GarKind::Median => true,
             GarKind::Krum | GarKind::MultiKrum | GarKind::Mda | GarKind::Bulyan => false,
-            GarKind::Speculative { fallback } => fallback.is_coordinate_decomposable(),
         }
     }
 
     /// The minimum number of inputs required to tolerate `f` Byzantine ones.
-    /// The speculative shape inherits its fallback's requirement (the replay
-    /// path must be able to run on the same inputs).
     pub fn minimum_inputs(&self, f: usize) -> usize {
         match self {
             GarKind::Average => 1,
             GarKind::Median | GarKind::Mda => 2 * f + 1,
             GarKind::Krum | GarKind::MultiKrum => 2 * f + 3,
             GarKind::Bulyan => 4 * f + 3,
-            GarKind::Speculative { fallback } => fallback.minimum_inputs(f),
         }
     }
 }
 
 impl fmt::Display for GarKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GarKind::Speculative { fallback } => write!(f, "speculative({fallback})"),
-            other => f.write_str(other.as_str()),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -351,20 +315,7 @@ impl FromStr for GarKind {
     type Err = AggregationError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim();
-        let lower = trimmed.to_ascii_lowercase();
-        if let Some(rest) = lower.strip_prefix("speculative") {
-            let inner = rest
-                .trim()
-                .strip_prefix('(')
-                .and_then(|r| r.strip_suffix(')'))
-                .ok_or_else(|| AggregationError::UnknownRule(trimmed.to_string()))?;
-            let fallback = inner.parse::<GarKind>()?;
-            return Ok(GarKind::Speculative {
-                fallback: Box::new(fallback),
-            });
-        }
-        match lower.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "average" | "mean" => Ok(GarKind::Average),
             "median" => Ok(GarKind::Median),
             "krum" => Ok(GarKind::Krum),
@@ -411,14 +362,6 @@ impl Gar for CountedGar {
     fn is_byzantine_resilient(&self) -> bool {
         self.inner.is_byzantine_resilient()
     }
-
-    fn fell_back(&self) -> Option<bool> {
-        self.inner.fell_back()
-    }
-
-    fn force_fallback(&self) {
-        self.inner.force_fallback();
-    }
 }
 
 /// Builds a GAR from its kind, total input count `n` and Byzantine bound `f`.
@@ -430,16 +373,13 @@ impl Gar for CountedGar {
 /// # Errors
 ///
 /// Returns [`AggregationError::ResilienceViolated`] when `(n, f)` does not
-/// satisfy the rule's requirement, or when a `Speculative` fallback is not a
-/// primitive Byzantine-resilient rule.
+/// satisfy the rule's requirement.
 ///
 /// ```rust
 /// use garfield_aggregation::{build_gar, GarKind};
 /// let gar = build_gar(&GarKind::Bulyan, 7, 1).unwrap();
 /// assert_eq!(gar.name(), "bulyan");
 /// assert!(build_gar(&GarKind::Bulyan, 6, 1).is_err());
-/// let spec = "speculative(multi-krum)".parse().unwrap();
-/// assert_eq!(build_gar(&spec, 7, 1).unwrap().name(), "speculative");
 /// ```
 pub fn build_gar(kind: &GarKind, n: usize, f: usize) -> AggregationResult<Box<dyn Gar>> {
     let inner: Box<dyn Gar> = match kind {
@@ -449,20 +389,6 @@ pub fn build_gar(kind: &GarKind, n: usize, f: usize) -> AggregationResult<Box<dy
         GarKind::MultiKrum => Box::new(MultiKrum::new(n, f)?),
         GarKind::Mda => Box::new(Mda::new(n, f)?),
         GarKind::Bulyan => Box::new(Bulyan::new(n, f)?),
-        GarKind::Speculative { fallback } => {
-            if matches!(
-                fallback.as_ref(),
-                GarKind::Average | GarKind::Speculative { .. }
-            ) {
-                return Err(AggregationError::ResilienceViolated {
-                    rule: "speculative",
-                    n,
-                    f,
-                    requirement: "fallback must be a primitive Byzantine-resilient rule",
-                });
-            }
-            Box::new(SpeculativeGar::new(build_gar(fallback, n, f)?, n, f))
-        }
     };
     let selections = garfield_obs::metrics::counter(
         "garfield_gar_selections_total",
@@ -484,32 +410,8 @@ mod tests {
             assert_eq!(kind.to_string(), kind.as_str());
         }
         assert!("nonsense".parse::<GarKind>().is_err());
+        assert!("speculative(multi-krum)".parse::<GarKind>().is_err());
         assert_eq!("MultiKrum".parse::<GarKind>().unwrap(), GarKind::MultiKrum);
-    }
-
-    #[test]
-    fn speculative_kind_parses_and_round_trips() {
-        let spec: GarKind = "speculative(multi-krum)".parse().unwrap();
-        assert_eq!(
-            spec,
-            GarKind::Speculative {
-                fallback: Box::new(GarKind::MultiKrum)
-            }
-        );
-        assert_eq!(spec.to_string(), "speculative(multi-krum)");
-        assert_eq!(spec.as_str(), "speculative");
-        assert_eq!(spec.to_string().parse::<GarKind>().unwrap(), spec);
-        // Whitespace and case are forgiven; the fallback alias table applies.
-        assert_eq!(
-            " Speculative( MultiKrum ) ".parse::<GarKind>().unwrap(),
-            spec
-        );
-        // The requirement is the fallback's: the replay must be able to run.
-        assert_eq!(spec.minimum_inputs(3), GarKind::MultiKrum.minimum_inputs(3));
-        // A bare head or unbalanced parens are not a rule.
-        assert!("speculative".parse::<GarKind>().is_err());
-        assert!("speculative(".parse::<GarKind>().is_err());
-        assert!("speculative(warp)".parse::<GarKind>().is_err());
     }
 
     #[test]
@@ -530,12 +432,6 @@ mod tests {
             assert_eq!(gar.n(), n);
             assert_eq!(gar.name(), kind.as_str());
         }
-        let spec = GarKind::Speculative {
-            fallback: Box::new(GarKind::Median),
-        };
-        let gar = build_gar(&spec, 5, 1).unwrap();
-        assert_eq!(gar.name(), "speculative");
-        assert_eq!(gar.fell_back(), Some(false));
     }
 
     #[test]
@@ -545,33 +441,6 @@ mod tests {
         assert!(build_gar(&GarKind::Median, 2, 1).is_err());
         assert!(build_gar(&"median".parse::<GarKind>().unwrap(), 3, 1).is_ok());
         assert!("wat".parse::<GarKind>().is_err());
-    }
-
-    #[test]
-    fn factory_rejects_degenerate_speculative_fallbacks() {
-        // The fallback requirement propagates: n too small for the replay.
-        let spec = GarKind::Speculative {
-            fallback: Box::new(GarKind::Krum),
-        };
-        assert!(build_gar(&spec, 4, 1).is_err());
-        // A non-resilient or nested fallback defeats the point of falling back.
-        for fallback in [
-            GarKind::Average,
-            GarKind::Speculative {
-                fallback: Box::new(GarKind::Median),
-            },
-        ] {
-            let spec = GarKind::Speculative {
-                fallback: Box::new(fallback),
-            };
-            assert!(matches!(
-                build_gar(&spec, 9, 1),
-                Err(AggregationError::ResilienceViolated {
-                    rule: "speculative",
-                    ..
-                })
-            ));
-        }
     }
 
     #[test]
@@ -631,7 +500,6 @@ mod tests {
                     assert!(outcome.distance.iter().all(|&d| d == 0.0));
                     assert!(outcome.excluded().is_empty());
                 }
-                GarKind::Speculative { .. } => unreachable!("all() lists primitives only"),
             }
         }
     }
@@ -648,39 +516,6 @@ mod tests {
         ] {
             assert!(!kind.is_coordinate_decomposable(), "{kind}");
         }
-        // The speculative composite inherits its fallback's property.
-        let spec_median = GarKind::Speculative {
-            fallback: Box::new(GarKind::Median),
-        };
-        assert!(spec_median.is_coordinate_decomposable());
-        let spec_krum = GarKind::Speculative {
-            fallback: Box::new(GarKind::MultiKrum),
-        };
-        assert!(!spec_krum.is_coordinate_decomposable());
-    }
-
-    #[test]
-    fn force_fallback_latches_speculative_rules_and_is_inert_elsewhere() {
-        let spec = build_gar(
-            &GarKind::Speculative {
-                fallback: Box::new(GarKind::Median),
-            },
-            5,
-            1,
-        )
-        .unwrap();
-        assert_eq!(spec.fell_back(), Some(false));
-        // Forwarded through the CountedGar wrapper to the latch.
-        spec.force_fallback();
-        assert_eq!(spec.fell_back(), Some(true));
-        // Idempotent.
-        spec.force_fallback();
-        assert_eq!(spec.fell_back(), Some(true));
-
-        // Non-speculative rules ignore the hook.
-        let median = build_gar(&GarKind::Median, 5, 1).unwrap();
-        median.force_fallback();
-        assert_eq!(median.fell_back(), None);
     }
 
     #[test]

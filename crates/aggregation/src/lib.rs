@@ -55,22 +55,17 @@ mod gar;
 mod krum;
 mod mda;
 mod median;
-mod speculative;
 pub mod suspicion;
 pub mod variance;
 
 pub use average::Average;
 pub use bulyan::Bulyan;
-pub use engine::{
-    average_and_square_norms, average_views, fused_average_sweep, DistanceCache, Engine,
-    FusedSweep, SelectionScratch,
-};
+pub use engine::{average_views, DistanceCache, Engine, SelectionScratch};
 pub use error::{AggregationError, AggregationResult};
 pub use gar::{build_gar, Gar, GarKind, SelectionOutcome};
 pub use krum::{Krum, MultiKrum};
 pub use mda::Mda;
 pub use median::Median;
-pub use speculative::SpeculativeGar;
 pub use suspicion::{PeerSuspicion, SuspicionLedger};
 pub use variance::{VarianceProbe, VarianceReport, VarianceStep};
 

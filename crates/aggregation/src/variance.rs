@@ -20,12 +20,8 @@ use garfield_tensor::{squared_l2_distance_slices, GradientView, Tensor};
 ///
 /// Returns `None` for GARs the paper gives no formula for (Average, Bulyan);
 /// Bulyan inherits Multi-Krum's condition through its selection phase, which
-/// callers can request explicitly. A speculative shape inherits its
-/// fallback's condition — the fallback is what must hold when it matters.
+/// callers can request explicitly.
 pub fn delta_factor(gar: &GarKind, n: usize, f: usize) -> Option<f64> {
-    if let GarKind::Speculative { fallback } = gar {
-        return delta_factor(fallback, n, f);
-    }
     let n = n as f64;
     let f = f as f64;
     match gar {
@@ -46,7 +42,7 @@ pub fn delta_factor(gar: &GarKind, n: usize, f: usize) -> Option<f64> {
             }
         }
         GarKind::Median => Some((n - f).max(0.0).sqrt()),
-        GarKind::Average | GarKind::Bulyan | GarKind::Speculative { .. } => None,
+        GarKind::Average | GarKind::Bulyan => None,
     }
 }
 
@@ -206,14 +202,6 @@ mod tests {
         assert!((krum - (36.0_f64).sqrt()).abs() < 1e-9);
         assert!(delta_factor(&GarKind::Average, 10, 2).is_none());
         assert!(delta_factor(&GarKind::Krum, 6, 2).is_none());
-        // The speculative shape inherits the fallback's condition.
-        let spec = GarKind::Speculative {
-            fallback: Box::new(GarKind::Krum),
-        };
-        assert_eq!(
-            delta_factor(&spec, 10, 2),
-            delta_factor(&GarKind::Krum, 10, 2)
-        );
     }
 
     #[test]

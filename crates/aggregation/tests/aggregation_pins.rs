@@ -23,10 +23,10 @@
 //! commuted and pick the other NaN of a double-NaN column, disagreeing with
 //! every kernel at once.
 //!
-//! Cells: every [`GarKind`] plus `speculative(multi-krum)`, at the rule's
-//! minimum n for f = 1 and at n = 11, at d = 3·4096 and 3·4096 + 77, on
-//! finite and NaN-laden payloads. Every cell runs on the sequential engine
-//! and on a 4-thread one, which must agree bit for bit.
+//! Cells: every [`GarKind`], at the rule's minimum n for f = 1 and at
+//! n = 11, at d = 3·4096 and 3·4096 + 77, on finite and NaN-laden payloads.
+//! Every cell runs on the sequential engine and on a 4-thread one, which
+//! must agree bit for bit.
 
 use garfield_aggregation::{build_gar, Engine, GarKind, SelectionOutcome};
 use garfield_tensor::GradientView;
@@ -90,7 +90,6 @@ fn payloads(n: usize, d: usize, seed: u64, nan_laden: bool) -> Vec<Vec<f32>> {
 /// `(output hash, outcome hash)` of one rule on one payload set.
 fn run_cell(kind: &GarKind, n: usize, data: &[Vec<f32>], engine: &Engine, nan: bool) -> (u64, u64) {
     let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
-    // A fresh rule per run: the speculative latch is stateful.
     let gar = build_gar(kind, n, 1).unwrap();
     let mut outcome = SelectionOutcome::default();
     let out = gar
@@ -120,11 +119,8 @@ fn run_cell(kind: &GarKind, n: usize, data: &[Vec<f32>], engine: &Engine, nan: b
 /// `(cell, NaN-laden, output hash, outcome hash)` for every cell, in table
 /// order.
 fn compute() -> Vec<(String, bool, u64, u64)> {
-    let speculative = GarKind::Speculative {
-        fallback: Box::new(GarKind::MultiKrum),
-    };
     let mut rows = Vec::new();
-    for (k, kind) in GarKind::all().into_iter().chain([speculative]).enumerate() {
+    for (k, kind) in GarKind::all().into_iter().enumerate() {
         for n in [kind.minimum_inputs(1), 11] {
             for d in [3 * 4096, 3 * 4096 + 77] {
                 for nan in [false, true] {
@@ -171,10 +167,6 @@ const FINITE: &[(&str, u64, u64)] = &[
     ("average n=1 d=12365 finite", 0xccd0636afb6f7980, 0xb765ec01779fdd7a),
     ("average n=11 d=12288 finite", 0x427bd209a4d6984d, 0xf937f024bcbe4666),
     ("average n=11 d=12365 finite", 0xdf97630a7a4b51bb, 0xeb01096fb2bb1fe5),
-    ("speculative(multi-krum) n=5 d=12288 finite", 0x9f730102c72a4e5a, 0x6f53af915c2f3c9a),
-    ("speculative(multi-krum) n=5 d=12365 finite", 0x64fe656498bcff85, 0xee4ce5dee65f44f8),
-    ("speculative(multi-krum) n=11 d=12288 finite", 0x3ab3e395393c3f51, 0xf627bbf680175583),
-    ("speculative(multi-krum) n=11 d=12365 finite", 0x5f01ff198dc2a214, 0xc907e111ed3e3b49),
 ];
 
 /// NaN-laden payloads under the debug profile.
@@ -205,10 +197,6 @@ const NAN_LADEN: &[(&str, u64, u64)] = &[
     ("average n=1 d=12365 nan", 0xd59efb5b0417edce, 0xe604813a2490280c),
     ("average n=11 d=12288 nan", 0x495928b669c948aa, 0x6966700193028ef7),
     ("average n=11 d=12365 nan", 0x264296b9660ae715, 0x6966700193028ef7),
-    ("speculative(multi-krum) n=5 d=12288 nan", 0xdd3e01b2d5b18eff, 0x7e1ba3e96e151b53),
-    ("speculative(multi-krum) n=5 d=12365 nan", 0x9b302ee31adbf5a1, 0x7e1ba3e96e151b53),
-    ("speculative(multi-krum) n=11 d=12288 nan", 0x95dcf5954e52fad6, 0x73558ac7baf3ad3a),
-    ("speculative(multi-krum) n=11 d=12365 nan", 0x8eb160ab2ef473e3, 0x73558ac7baf3ad3a),
 ];
 
 /// NaN-laden payloads under the release profile.
@@ -239,10 +227,6 @@ const NAN_LADEN: &[(&str, u64, u64)] = &[
     ("average n=1 d=12365 nan", 0xd59efb5b0417edce, 0xe604813a2490280c),
     ("average n=11 d=12288 nan", 0x18aba362de80c5bc, 0x6966700193028ef7),
     ("average n=11 d=12365 nan", 0x197fc552201d4693, 0x6966700193028ef7),
-    ("speculative(multi-krum) n=5 d=12288 nan", 0xb53cb16aaae194b0, 0x7e1ba3e96e151b53),
-    ("speculative(multi-krum) n=5 d=12365 nan", 0x3678bdc7ae30ab0b, 0x7e1ba3e96e151b53),
-    ("speculative(multi-krum) n=11 d=12288 nan", 0x78879d7eb1ba14ca, 0x73558ac7baf3ad3a),
-    ("speculative(multi-krum) n=11 d=12365 nan", 0x2979dbf23c6f1fc0, 0x73558ac7baf3ad3a),
 ];
 
 #[test]

@@ -64,10 +64,7 @@ fn engines_agree_at_a_shape_that_fans_out() {
     let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
     let par = Engine::with_threads(4);
     let seq = Engine::sequential();
-    let speculative = GarKind::Speculative {
-        fallback: Box::new(GarKind::MultiKrum),
-    };
-    for kind in GarKind::all().into_iter().chain([speculative]) {
+    for kind in GarKind::all() {
         let f = if kind == GarKind::Average { 0 } else { 2 };
         let gar = build_gar(&kind, n, f).unwrap();
         let a = gar.aggregate_views(&views, &seq).unwrap();

@@ -529,7 +529,7 @@ mod tests {
                 assert!(*slowdown >= 1.0, "{row:?}");
             }
         }
-        assert_eq!(fig7(Device::Cpu).len(), 6);
+        assert_eq!(fig7(Device::Cpu).len(), 5);
         assert!(!fig8(Device::Gpu).is_empty());
         assert!(!fig9().is_empty());
         assert_eq!(fig10(Device::Cpu).len(), 8);
@@ -557,7 +557,7 @@ mod tests {
         let figures = [
             ("fig6 cpu", fig6(Device::Cpu), 0x527371a6dbd10710u64),
             ("fig6 gpu", fig6(Device::Gpu), 0x4f9b5782c8336e1d),
-            ("fig7 cpu", fig7(Device::Cpu), 0xf18a3c313c731fc1),
+            ("fig7 cpu", fig7(Device::Cpu), 0x82aedb59c3dc87d1),
             ("fig8 cpu", fig8(Device::Cpu), 0x1109225fa5b9f06b),
             ("fig9", fig9(), 0x5c773ade950cd827),
             ("fig10 cpu", fig10(Device::Cpu), 0x22ab734c54dba002),

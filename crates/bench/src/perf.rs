@@ -132,21 +132,7 @@ pub fn sweep_f(kind: &GarKind, n: usize) -> usize {
         GarKind::Mda => 2.min((n.saturating_sub(1)) / 2),
         GarKind::Median => (n.saturating_sub(1)) / 2,
         GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan => (n.saturating_sub(3)) / 4,
-        // The composite is swept with whatever its fallback tolerates — the
-        // fast path itself is f-independent.
-        GarKind::Speculative { fallback } => sweep_f(fallback, n),
     }
-}
-
-/// Every kind the perf sweep measures: the six primitives plus one
-/// speculative composite cell, whose honest random inputs keep the check on
-/// the fast path — the fault-free fast-path throughput.
-pub fn sweep_kinds() -> Vec<GarKind> {
-    let mut kinds: Vec<GarKind> = GarKind::all().to_vec();
-    kinds.push(GarKind::Speculative {
-        fallback: Box::new(GarKind::MultiKrum),
-    });
-    kinds
 }
 
 /// Shard count of the sharded sweep cells (`<gar>@4sh`): every
@@ -273,7 +259,7 @@ pub fn run(config: &PerfConfig) -> Vec<PerfPoint> {
             let mut rng = TensorRng::seed_from(0x9a2f_0000 ^ (d as u64) ^ ((n as u64) << 32));
             let inputs: Vec<Vec<f32>> = (0..n).map(|_| rng.normal_tensor(d).into_vec()).collect();
             let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-            for kind in sweep_kinds() {
+            for kind in GarKind::all() {
                 let f = sweep_f(&kind, n);
                 let gar = build_gar(&kind, n, f).expect("sweep (n, f) satisfies every rule");
                 points.push(measure(
@@ -300,7 +286,7 @@ pub fn run(config: &PerfConfig) -> Vec<PerfPoint> {
                         .collect()
                 })
                 .collect();
-            for kind in sweep_kinds() {
+            for kind in GarKind::all() {
                 if !kind.is_coordinate_decomposable() {
                     continue;
                 }
@@ -435,87 +421,17 @@ mod tests {
         }
     }
 
-    /// Seconds per round of `speculative(multi-krum)` and of pure Multi-Krum
-    /// at shape `(d, n, f)`, each timed by the sweep's [`time_reps`] for
-    /// `budget_secs` on one seeded honest input set, so the speculative check
-    /// never trips and every round is the fused average sweep.
-    fn fast_path_secs(d: usize, n: usize, f: usize, budget_secs: f64) -> (f64, f64) {
-        let config = PerfConfig {
-            dims: vec![d],
-            ns: vec![n],
-            target_secs: budget_secs,
-            max_reps: usize::MAX,
-            quick: true,
-        };
-        let mut rng = TensorRng::seed_from(0x5bec ^ (d as u64) ^ ((n as u64) << 32));
-        let inputs: Vec<Vec<f32>> = (0..n).map(|_| rng.normal_tensor(d).into_vec()).collect();
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        let engine = Engine::auto();
-        let secs = |kind: GarKind| {
-            let gar = build_gar(&kind, n, f).expect("measurement shape is well-formed");
-            let (secs, _) = time_reps(&config, || aggregate(gar.as_ref(), &views, &engine));
-            assert!(
-                !gar.fell_back().unwrap_or(false),
-                "honest inputs must stay on the fast path"
-            );
-            secs
-        };
-        let fast = secs(GarKind::Speculative {
-            fallback: Box::new(GarKind::MultiKrum),
-        });
-        (fast, secs(GarKind::MultiKrum))
-    }
-
-    #[test]
-    fn fast_path_measurement_reports_sane_rates_at_a_small_shape() {
-        // The full paper shape is a release-build measurement (below); this
-        // keeps the measurement itself exercised in debug runs.
-        let (fast, robust) = fast_path_secs(4096, 9, 1, 0.05);
-        assert!(fast > 0.0 && robust > 0.0);
-        assert!((robust / fast).is_finite());
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "throughput acceptance is a release-build measurement: run with \
-                  `cargo test --release -p garfield-bench fast_path_is_3x`"
-    )]
-    fn fast_path_is_3x_multi_krum_at_the_paper_shape() {
-        // d = 10⁶, n = 25: the evaluation shape the speculation claim of
-        // arXiv:1911.07537 is stated at — the fast path reads the n·d payload
-        // once per round where Multi-Krum pays the O(n²d) distance matrix.
-        // Best-of-3 damps scheduler noise: the claim is about the machine's
-        // capability, not about a single timing sample.
-        let mut best: f64 = 0.0;
-        for _ in 0..3 {
-            let (fast, robust) = fast_path_secs(1_000_000, 25, 5, 1.0);
-            best = best.max(robust / fast);
-            if best >= 3.0 {
-                break;
-            }
-        }
-        assert!(
-            best >= 3.0,
-            "speculative fast path must be ≥3× Multi-Krum rounds/s at d=1e6 n=25, got {best:.2}×"
-        );
-    }
-
     #[test]
     fn sweep_covers_every_gar_and_outputs_are_identical() {
         let points = run(&tiny_config());
-        let decomposable = sweep_kinds()
+        let decomposable = GarKind::all()
             .iter()
             .filter(|k| k.is_coordinate_decomposable())
             .count();
-        assert_eq!(points.len(), sweep_kinds().len() + decomposable);
-        assert!(
-            points.iter().any(|p| p.gar == "speculative"),
-            "the speculative fast-path cell is part of the sweep"
-        );
+        assert_eq!(points.len(), GarKind::all().len() + decomposable);
         // Every decomposable GAR also gets a sharded cell, whose `identical`
         // flag asserts stitched shard aggregates == the full aggregate.
-        for kind in sweep_kinds()
+        for kind in GarKind::all()
             .iter()
             .filter(|k| k.is_coordinate_decomposable())
         {
@@ -598,7 +514,7 @@ mod tests {
 
     #[test]
     fn sweep_f_respects_every_rule_requirement() {
-        for kind in sweep_kinds() {
+        for kind in GarKind::all() {
             for n in [15usize, 25, 51] {
                 let f = sweep_f(&kind, n);
                 assert!(

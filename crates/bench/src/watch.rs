@@ -286,9 +286,6 @@ pub struct NodeView {
     pub queue: f64,
     /// Messages dropped, summed over peers.
     pub drops: f64,
-    /// `garfield_speculation_fallback_total` — nonzero once a speculative
-    /// node's check tripped and it latched onto its robust fallback.
-    pub spec_fallback: f64,
     /// Lowest round any `garfield_shard_round{shard}` gauge on this node
     /// reports — the trailing shard's progress. −1 when the node publishes
     /// no shard gauges (an unsharded deployment).
@@ -333,7 +330,6 @@ pub fn view(node: u32, healthz: Option<&str>, metrics: Option<&str>) -> NodeView
         p99_ms: quantile_ms(&samples, "garfield_round_seconds", 0.99),
         queue: family_sum(&samples, "garfield_outbound_queue_depth"),
         drops: family_sum(&samples, "garfield_messages_dropped_total"),
-        spec_fallback: family_sum(&samples, "garfield_speculation_fallback_total"),
         shard_lo,
         shard_hi,
         suspects,
@@ -395,14 +391,14 @@ pub fn render_table(views: &[NodeView], rates: &[f64]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>5} {:>6} {:>8} {:>8} {:>9} {:>9} {:>6} {:>6} {:>5} {:>8}  top suspicion",
-        "node", "state", "round", "r/s", "p50_ms", "p99_ms", "queue", "drops", "fback", "shard"
+        "{:>5} {:>6} {:>8} {:>8} {:>9} {:>9} {:>6} {:>6} {:>8}  top suspicion",
+        "node", "state", "round", "r/s", "p50_ms", "p99_ms", "queue", "drops", "shard"
     );
     for (i, v) in views.iter().enumerate() {
         let rate = rates.get(i).copied().unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "{:>5} {:>6} {:>8} {:>8.2} {:>9.1} {:>9.1} {:>6} {:>6} {:>5} {:>8}  {}",
+            "{:>5} {:>6} {:>8} {:>8.2} {:>9.1} {:>9.1} {:>6} {:>6} {:>8}  {}",
             v.node,
             if v.up { "up" } else { "DOWN" },
             v.round,
@@ -411,7 +407,6 @@ pub fn render_table(views: &[NodeView], rates: &[f64]) -> String {
             v.p99_ms,
             v.queue as u64,
             v.drops as u64,
-            v.spec_fallback as u64,
             shard_cell(v),
             suspects_cell(&v.suspects, 3),
         );
@@ -434,9 +429,8 @@ pub fn view_json(v: &NodeView, rate: f64) -> String {
     json::write_f64(&mut out, v.p99_ms);
     let _ = write!(
         out,
-        ",\"queue\":{},\"drops\":{},\"spec_fallback\":{},\"shard_lo\":{},\"shard_hi\":{},\
-         \"suspects\":[",
-        v.queue, v.drops, v.spec_fallback, v.shard_lo, v.shard_hi
+        ",\"queue\":{},\"drops\":{},\"shard_lo\":{},\"shard_hi\":{},\"suspects\":[",
+        v.queue, v.drops, v.shard_lo, v.shard_hi
     );
     for (i, (peer, score)) in v.suspects.iter().enumerate() {
         if i > 0 {
@@ -452,8 +446,8 @@ pub fn view_json(v: &NodeView, rate: f64) -> String {
 
 /// The CSV sink's header line.
 pub fn csv_header() -> &'static str {
-    "poll,node,up,round,rounds_total,rounds_per_s,p50_ms,p99_ms,queue,drops,spec_fallback,\
-     shard_lo,shard_hi,top_suspect,top_score"
+    "poll,node,up,round,rounds_total,rounds_per_s,p50_ms,p99_ms,queue,drops,shard_lo,shard_hi,\
+     top_suspect,top_score"
 }
 
 /// One CSV line per node per poll (the sink `expfig watch` appends to).
@@ -463,7 +457,7 @@ pub fn csv_line(poll: u64, v: &NodeView, rate: f64) -> String {
         .first()
         .map_or((-1i64, 0.0), |&(p, s)| (i64::from(p), s));
     format!(
-        "{poll},{},{},{},{},{rate},{},{},{},{},{},{},{},{top_suspect},{top_score}",
+        "{poll},{},{},{},{},{rate},{},{},{},{},{},{},{top_suspect},{top_score}",
         v.node,
         v.up,
         v.round,
@@ -472,7 +466,6 @@ pub fn csv_line(poll: u64, v: &NodeView, rate: f64) -> String {
         v.p99_ms,
         v.queue,
         v.drops,
-        v.spec_fallback,
         v.shard_lo,
         v.shard_hi
     )

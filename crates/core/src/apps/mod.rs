@@ -193,10 +193,6 @@ impl Trainer {
                 }
             }
 
-            // Cost the round for what it was: a speculative rule is cheap
-            // until its latch trips, robust afterwards.
-            let tripped = gar.fell_back() == Some(true);
-            timing.aggregation = plan.aggregation_time(dimension, config.device, &cost, tripped);
             trace.iterations.push(timing);
 
             let last = iteration + 1 == config.iterations;
@@ -317,44 +313,6 @@ mod ssmw {
 }
 
 #[cfg(test)]
-mod speculative {
-    mod tests {
-        use super::super::*;
-        use garfield_attacks::AttackKind;
-
-        fn final_model_bits(system: SystemKind, cfg: &ExperimentConfig) -> Vec<u32> {
-            let mut trainer = Trainer::new(system, cfg.clone()).unwrap();
-            trainer.run().unwrap();
-            let model = trainer.deployment().server(0).honest().parameters();
-            model.data().iter().map(|v| v.to_bits()).collect()
-        }
-
-        #[test]
-        fn fault_free_speculative_is_bit_identical_to_vanilla() {
-            let cfg = config(12);
-            assert_eq!(
-                final_model_bits(SystemKind::Speculative, &cfg),
-                final_model_bits(SystemKind::Vanilla, &cfg),
-            );
-        }
-
-        #[test]
-        fn every_attack_falls_back_to_the_exact_robust_run() {
-            for attack in AttackKind::all() {
-                let mut cfg = config(12);
-                cfg.actual_byzantine_workers = cfg.fw;
-                cfg.worker_attack = Some(attack);
-                assert_eq!(
-                    final_model_bits(SystemKind::Speculative, &cfg),
-                    final_model_bits(SystemKind::Ssmw, &cfg),
-                    "{attack:?} did not land the pure-robust model"
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod aggregathor {
     mod tests {
         use super::super::*;
@@ -457,6 +415,16 @@ mod msmw {
                 "MSMW should survive 1 Byzantine worker + 1 Byzantine server, got {}",
                 trace.final_accuracy()
             );
+        }
+
+        #[test]
+        fn msmw_without_byzantine_servers_waits_only_for_existing_peers() {
+            // fps = 0 would ask for nps model replies; a replica has nps − 1.
+            let mut cfg = config(10);
+            (cfg.nps, cfg.fps) = (3, 0);
+            cfg.validate(SystemKind::Msmw).unwrap();
+            assert_eq!(cfg.model_quorum(), 2);
+            assert_eq!(run(SystemKind::Msmw, &cfg).len(), 10);
         }
 
         #[test]

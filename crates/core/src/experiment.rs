@@ -23,17 +23,11 @@ pub enum SystemKind {
     Msmw,
     /// Decentralized (peer-to-peer) learning (§5.3).
     Decentralized,
-    /// Speculative fast-path aggregation (arXiv:1911.07537): SSMW topology,
-    /// but each round takes the cheap average path plus a consistency check
-    /// and permanently falls back to the configured robust `gradient_gar` on
-    /// suspicion. Written `speculative` or `speculative(<gar>)` on the CLI.
-    Speculative,
 }
 
 impl SystemKind {
-    /// All systems, in the order the paper's figures list them (the
-    /// speculative extension last).
-    pub fn all() -> [SystemKind; 7] {
+    /// All systems, in the order the paper's figures list them.
+    pub fn all() -> [SystemKind; 6] {
         [
             SystemKind::Vanilla,
             SystemKind::CrashTolerant,
@@ -41,7 +35,6 @@ impl SystemKind {
             SystemKind::Msmw,
             SystemKind::Decentralized,
             SystemKind::AggregaThor,
-            SystemKind::Speculative,
         ]
     }
 
@@ -54,7 +47,6 @@ impl SystemKind {
             SystemKind::Ssmw => "ssmw",
             SystemKind::Msmw => "msmw",
             SystemKind::Decentralized => "decentralized",
-            SystemKind::Speculative => "speculative",
         }
     }
 }
@@ -236,9 +228,13 @@ impl ExperimentConfig {
         SystemPlan::of(system, self).gradient_quorum
     }
 
-    /// Number of model replies a server waits for from its peers.
+    /// Number of model replies a server waits for from its peers: `nps − fps`,
+    /// but never more than the `nps − 1` peers a replica has.
     pub fn model_quorum(&self) -> usize {
-        self.nps.saturating_sub(self.fps).max(1)
+        self.nps
+            .saturating_sub(self.fps)
+            .min(self.nps.saturating_sub(1))
+            .max(1)
     }
 
     /// Serializes the configuration to JSON.
@@ -430,16 +426,6 @@ impl ExperimentConfig {
             )));
         }
         let gradient_gar = &plan.gradient_gar;
-        // A speculative rule needs a primitive Byzantine-resilient rule to
-        // fall back to.
-        if let GarKind::Speculative { fallback } = gradient_gar {
-            if matches!(**fallback, GarKind::Average | GarKind::Speculative { .. }) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "speculative needs a primitive Byzantine-resilient gradient_gar \
-                     to fall back to, not '{fallback}'"
-                )));
-            }
-        }
         // Parameter sharding: only sound when applying the gradient GAR to
         // each slice independently equals slicing it applied to the full
         // vectors, and only wired for the single-server live topologies
@@ -462,7 +448,7 @@ impl ExperimentConfig {
                 return Err(CoreError::InvalidConfig(format!(
                     "gradient GAR '{gradient_gar}' is not coordinate-decomposable: \
                      per-shard selection would diverge from full-vector selection; \
-                     use average or median (or their speculative forms) with shards > 1"
+                     use average or median with shards > 1"
                 )));
             }
         }
@@ -559,36 +545,16 @@ mod tests {
     #[test]
     fn system_kind_names_are_stable() {
         assert_eq!(SystemKind::Msmw.to_string(), "msmw");
-        assert_eq!(SystemKind::all().len(), 7);
+        assert_eq!(SystemKind::all().len(), 6);
         for kind in SystemKind::all() {
             assert_eq!(kind.as_str().parse::<SystemKind>().unwrap(), kind);
         }
+        assert!("speculative".parse::<SystemKind>().is_err());
         assert_eq!(
             "warp-drive".parse::<SystemKind>().unwrap_err(),
             "unknown system 'warp-drive' (expected one of vanilla, crash-tolerant, ssmw, msmw, \
-             decentralized, aggregathor, speculative)"
+             decentralized, aggregathor)"
         );
-    }
-
-    #[test]
-    fn speculative_validation_demands_a_robust_fallback() {
-        // The default small() config falls back to Multi-Krum: fine.
-        ExperimentConfig::small()
-            .validate(SystemKind::Speculative)
-            .unwrap();
-        // Averaging (or nesting) is nothing to fall back to.
-        let mut cfg = ExperimentConfig::small();
-        cfg.gradient_gar = GarKind::Average;
-        assert!(cfg.validate(SystemKind::Speculative).is_err());
-        let mut cfg = ExperimentConfig::small();
-        cfg.gradient_gar = GarKind::Speculative {
-            fallback: Box::new(GarKind::Median),
-        };
-        assert!(cfg.validate(SystemKind::Speculative).is_err());
-        // The fallback's (n, f) requirement applies to the speculative system.
-        let mut cfg = ExperimentConfig::small();
-        cfg.fw = 3; // Multi-Krum needs 2f+3 = 9 inputs, nw is 7
-        assert!(cfg.validate(SystemKind::Speculative).is_err());
     }
 
     #[test]
@@ -599,7 +565,6 @@ mod tests {
         cfg.gradient_gar = GarKind::Median;
         cfg.validate(SystemKind::Ssmw).unwrap();
         cfg.validate(SystemKind::Vanilla).unwrap();
-        cfg.validate(SystemKind::Speculative).unwrap();
 
         // Distance-based selection does not decompose.
         let mut cfg = ExperimentConfig::small();
@@ -607,9 +572,6 @@ mod tests {
         cfg.gradient_gar = GarKind::MultiKrum;
         let err = cfg.validate(SystemKind::Ssmw).unwrap_err();
         assert!(err.to_string().contains("coordinate-decomposable"), "{err}");
-        // ... including as a speculative fallback (the replay path must
-        // decompose too).
-        assert!(cfg.validate(SystemKind::Speculative).is_err());
         // But vanilla ignores gradient_gar entirely (it always averages),
         // so sharding it is sound regardless.
         cfg.validate(SystemKind::Vanilla).unwrap();
@@ -662,6 +624,10 @@ mod tests {
             .to_json()
             .replace("multi-krum", "mega-krum");
         assert!(ExperimentConfig::from_json(&bad_gar).is_err());
+        let composite_gar = ExperimentConfig::small()
+            .to_json()
+            .replace("\"multi-krum\"", "\"speculative(multi-krum)\"");
+        assert!(ExperimentConfig::from_json(&composite_gar).is_err());
         let bad_attack = {
             let mut cfg = ExperimentConfig::small();
             cfg.worker_attack = Some(garfield_attacks::AttackKind::Drop);

@@ -62,8 +62,7 @@ pub use experiment::{ExperimentConfig, SystemKind};
 pub use server::{ByzantineServer, ParameterServer};
 pub use shard::{shard_server, ShardMap, ShardSliceModel, ShardSpec};
 pub use system::{
-    gradient_gar, live_supported, system_names, AggregationCost, MergePhase, SystemPlan,
-    SystemSpec, Topology,
+    gradient_gar, live_supported, system_names, AggregationCost, MergePhase, SystemPlan, Topology,
 };
 pub use telemetry::{
     AccuracyPoint, IterationTiming, NodeTelemetry, RuntimeTelemetry, TrainingTrace,

@@ -11,10 +11,9 @@
 //! no other module of `core`, `runtime` or `bench::throughput` branches on a
 //! `SystemKind` (`experiment.rs` keeps only the name table).
 
-use crate::{CoreError, ExperimentConfig, IterationTiming, SystemKind};
+use crate::{ExperimentConfig, IterationTiming, SystemKind};
 use garfield_aggregation::GarKind;
 use garfield_net::{CostModel, Device};
-use std::str::FromStr;
 
 /// Where the model lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +33,6 @@ pub enum AggregationCost {
     Linear,
     /// `O(n²·d)`: the price of a robust rule.
     Quadratic,
-    /// Linear while the speculative fast path holds, quadratic once it trips.
-    Speculative,
 }
 
 /// The model-merge phase of a round: each replica pulls `quorum` peer models,
@@ -131,13 +128,6 @@ impl SystemPlan {
                 live: false,
                 ..ssmw
             },
-            SystemKind::Speculative => SystemPlan {
-                gradient_gar: GarKind::Speculative {
-                    fallback: Box::new(config.gradient_gar.clone()),
-                },
-                gradient_cost: AggregationCost::Speculative,
-                ..ssmw
-            },
             SystemKind::Msmw => SystemPlan {
                 topology: Topology::ReplicatedServer,
                 servers: nps,
@@ -176,19 +166,11 @@ impl SystemPlan {
         }
     }
 
-    /// Simulated seconds one replica spends aggregating per round; `tripped`
-    /// says whether a speculative fast path has fallen back.
-    pub fn aggregation_time(
-        &self,
-        d: usize,
-        device: Device,
-        cost: &CostModel,
-        tripped: bool,
-    ) -> f64 {
+    /// Simulated seconds one replica spends aggregating per round.
+    pub fn aggregation_time(&self, d: usize, device: Device, cost: &CostModel) -> f64 {
         let order = match self.gradient_cost {
             AggregationCost::Linear => 1,
             AggregationCost::Quadratic => 2,
-            AggregationCost::Speculative => 1 + u32::from(tripped),
         };
         let merge = self.merge.as_ref().map_or(0.0, |merge| {
             cost.aggregation_time(d, merge.quorum + 1, 1, device) * merge.cost_weight
@@ -218,13 +200,12 @@ impl SystemPlan {
     /// Per-iteration timing for a `d`-parameter model: the simulated clock.
     /// The [`Trainer`](crate::Trainer) records exactly this for every
     /// iteration, except that a fail-over adds one model broadcast to the
-    /// communication and a tripped speculative rule is charged its fallback.
+    /// communication.
     ///
     /// * computation — one gradient estimate on `device`;
     /// * communication — [`SystemPlan::unscaled_communication`] times the
     ///   communication factor;
-    /// * aggregation — [`SystemPlan::aggregation_time`] with the speculative
-    ///   check never tripping (the fault-free common case).
+    /// * aggregation — [`SystemPlan::aggregation_time`].
     pub fn timing(
         &self,
         d: usize,
@@ -235,7 +216,7 @@ impl SystemPlan {
         IterationTiming {
             computation: cost.gradient_time(d, batch, device),
             communication: self.unscaled_communication(d, device, cost) * self.communication_factor,
-            aggregation: self.aggregation_time(d, device, cost, false),
+            aggregation: self.aggregation_time(d, device, cost),
         }
     }
 }
@@ -259,80 +240,6 @@ pub fn system_names(keep: impl Fn(&SystemPlan) -> bool) -> String {
         .into_iter()
         .filter(|&system| keep(&SystemPlan::of(system, &config)));
     kept.map(SystemKind::as_str).collect::<Vec<_>>().join(", ")
-}
-
-/// A parsed `--system` argument: the system, plus the gradient-GAR override
-/// the `speculative(<gar>)` form carries.
-///
-/// `"ssmw"` → SSMW with the config's GARs; `"speculative"` → speculative
-/// falling back to the config's `gradient_gar`; `"speculative(multi-krum)"` →
-/// speculative with the config's `gradient_gar` overridden to Multi-Krum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemSpec {
-    /// The system to run.
-    pub system: SystemKind,
-    /// Gradient-GAR override carried by the argument, if any.
-    pub gradient_gar: Option<GarKind>,
-}
-
-impl SystemSpec {
-    /// Writes the override (if any) into `config`.
-    pub fn apply(&self, config: &mut ExperimentConfig) {
-        if let Some(gar) = &self.gradient_gar {
-            config.gradient_gar = gar.clone();
-        }
-    }
-}
-
-impl std::fmt::Display for SystemSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.gradient_gar {
-            Some(gar) => write!(f, "{}({gar})", self.system),
-            None => write!(f, "{}", self.system),
-        }
-    }
-}
-
-impl FromStr for SystemSpec {
-    type Err = CoreError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim();
-        if let Some(inner) = trimmed
-            .to_ascii_lowercase()
-            .strip_prefix("speculative")
-            .filter(|rest| !rest.is_empty())
-        {
-            let gar = inner
-                .trim()
-                .strip_prefix('(')
-                .and_then(|r| r.strip_suffix(')'))
-                .ok_or_else(|| {
-                    CoreError::InvalidConfig(format!(
-                        "unknown system '{trimmed}' (speculative takes its fallback as \
-                         'speculative(<gar>)')"
-                    ))
-                })?
-                .parse::<GarKind>()
-                .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
-            if matches!(gar, GarKind::Average | GarKind::Speculative { .. }) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "speculative needs a primitive Byzantine-resilient fallback, not '{gar}'"
-                )));
-            }
-            return Ok(SystemSpec {
-                system: SystemKind::Speculative,
-                gradient_gar: Some(gar),
-            });
-        }
-        let system = trimmed
-            .parse::<SystemKind>()
-            .map_err(CoreError::InvalidConfig)?;
-        Ok(SystemSpec {
-            system,
-            gradient_gar: None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -371,15 +278,6 @@ mod tests {
             gradient_gar(SystemKind::Ssmw, &cfg),
             (cfg.gradient_gar.clone(), cfg.fw)
         );
-        assert_eq!(
-            gradient_gar(SystemKind::Speculative, &cfg),
-            (
-                GarKind::Speculative {
-                    fallback: Box::new(cfg.gradient_gar.clone())
-                },
-                cfg.fw
-            )
-        );
     }
 
     #[test]
@@ -417,84 +315,17 @@ mod tests {
     }
 
     #[test]
-    fn speculative_aggregation_is_charged_by_the_latch() {
-        // Cheap while the fast path holds, the robust price from the
-        // iteration the latch trips on; a fault-free run never trips.
-        let cost = CostModel::default();
-        let mut cfg = ExperimentConfig::small();
-        cfg.iterations = 6;
-        cfg.eval_every = 0;
-        let aggregation = |cfg: &ExperimentConfig| {
-            let mut trainer = Trainer::new(SystemKind::Speculative, cfg.clone()).unwrap();
-            let trace = trainer.run().unwrap();
-            let d = trainer.deployment().dimension();
-            let plan = SystemPlan::of(SystemKind::Speculative, cfg);
-            let recorded: Vec<f64> = trace.iterations.iter().map(|t| t.aggregation).collect();
-            let [cheap, robust] =
-                [false, true].map(|tripped| plan.aggregation_time(d, cfg.device, &cost, tripped));
-            (recorded, cheap, robust)
-        };
-
-        let (recorded, cheap, robust) = aggregation(&cfg);
-        assert!(robust > cheap);
-        assert_eq!(recorded, vec![cheap; 6]);
-
-        cfg.actual_byzantine_workers = cfg.fw;
-        cfg.worker_attack = Some(garfield_attacks::AttackKind::Reversed);
-        let (recorded, cheap, robust) = aggregation(&cfg);
-        let trip = recorded.iter().position(|&t| t == robust);
-        let trip = trip.expect("reversed gradients trip the latch");
-        for (iteration, &t) in recorded.iter().enumerate() {
-            let expected = if iteration < trip { cheap } else { robust };
-            assert_eq!(t, expected, "iteration {iteration}, tripped at {trip}");
-        }
-    }
-
-    #[test]
     fn live_support_covers_the_runtime_topologies() {
         assert!(live_supported(SystemKind::Vanilla));
         assert!(live_supported(SystemKind::Ssmw));
         assert!(live_supported(SystemKind::Msmw));
-        assert!(live_supported(SystemKind::Speculative));
         assert!(!live_supported(SystemKind::AggregaThor));
         assert!(!live_supported(SystemKind::CrashTolerant));
         assert!(!live_supported(SystemKind::Decentralized));
-        assert_eq!(
-            system_names(|plan| plan.live),
-            "vanilla, ssmw, msmw, speculative"
-        );
+        assert_eq!(system_names(|plan| plan.live), "vanilla, ssmw, msmw");
         assert_eq!(
             system_names(|plan| plan.topology == Topology::PeerToPeer),
             "decentralized"
         );
-    }
-
-    #[test]
-    fn system_specs_parse_apply_and_round_trip() {
-        let plain: SystemSpec = "msmw".parse().unwrap();
-        assert_eq!(plain.system, SystemKind::Msmw);
-        assert_eq!(plain.gradient_gar, None);
-        assert_eq!(plain.to_string(), "msmw");
-
-        let bare: SystemSpec = "speculative".parse().unwrap();
-        assert_eq!(bare.system, SystemKind::Speculative);
-        assert_eq!(bare.gradient_gar, None);
-
-        let spec: SystemSpec = "speculative(median)".parse().unwrap();
-        assert_eq!(spec.system, SystemKind::Speculative);
-        assert_eq!(spec.gradient_gar, Some(GarKind::Median));
-        assert_eq!(spec.to_string(), "speculative(median)");
-        assert_eq!(spec.to_string().parse::<SystemSpec>().unwrap(), spec);
-
-        let mut cfg = ExperimentConfig::small();
-        spec.apply(&mut cfg);
-        assert_eq!(cfg.gradient_gar, GarKind::Median);
-
-        assert!("speculative(average)".parse::<SystemSpec>().is_err());
-        assert!("speculative(speculative(median))"
-            .parse::<SystemSpec>()
-            .is_err());
-        assert!("speculative(".parse::<SystemSpec>().is_err());
-        assert!("warp-drive".parse::<SystemSpec>().is_err());
     }
 }

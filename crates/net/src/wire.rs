@@ -172,12 +172,6 @@ msg_kinds! {
     /// chunk index (always 0 today — state fits one frame, the field exists
     /// so multi-chunk transfer stays wire-compatible).
     StateChunk = 7,
-    /// Shard server → sibling shard servers: "my speculative fast path
-    /// tripped at this round" (empty payload; the header's shard id names
-    /// the tripping shard). Receivers force their own speculative latch so
-    /// the whole shard group falls back together — the cluster-wide sticky
-    /// OR over per-shard latches.
-    SpeculationTrip = 8,
 }
 
 /// The fixed header of a wire message, validated without touching the
@@ -668,9 +662,9 @@ mod tests {
         assert_eq!(back, sharded);
 
         // Empty-payload control messages may carry a shard tag with a zero
-        // range (SpeculationTrip names the tripping shard this way).
-        let trip = WireMessage::control(MsgKind::SpeculationTrip, 4).with_shard(1, 0, 0);
-        let back = WireMessage::decode(&trip.encode()).unwrap();
+        // range.
+        let done = WireMessage::control(MsgKind::ServerDone, 4).with_shard(1, 0, 0);
+        let back = WireMessage::decode(&done.encode()).unwrap();
         assert_eq!(back.shard, 1);
         assert_eq!(back.coord_len, 0);
     }

@@ -55,13 +55,6 @@ pub enum EventKind {
     /// (`peer` = sender, `value` = one-way delay in milliseconds, sender's
     /// clock vs this process's clock).
     WireRecv,
-    /// A speculative round's fast path held — the consistency check passed
-    /// and the cheap average was kept (`value` = aggregation seconds).
-    SpeculationHit,
-    /// A speculative round fell back — the check tripped (or the sticky
-    /// latch was already set) and the robust rule ran
-    /// (`value` = aggregation seconds).
-    SpeculationFallback,
 }
 
 impl EventKind {
@@ -80,8 +73,6 @@ impl EventKind {
             EventKind::PeerExcluded => "peer_excluded",
             EventKind::WireSend => "wire_send",
             EventKind::WireRecv => "wire_recv",
-            EventKind::SpeculationHit => "speculation_hit",
-            EventKind::SpeculationFallback => "speculation_fallback",
         }
     }
 
@@ -100,8 +91,6 @@ impl EventKind {
             "peer_excluded" => EventKind::PeerExcluded,
             "wire_send" => EventKind::WireSend,
             "wire_recv" => EventKind::WireRecv,
-            "speculation_hit" => EventKind::SpeculationHit,
-            "speculation_fallback" => EventKind::SpeculationFallback,
             _ => return None,
         })
     }
@@ -344,8 +333,6 @@ mod tests {
             EventKind::PeerExcluded,
             EventKind::WireSend,
             EventKind::WireRecv,
-            EventKind::SpeculationHit,
-            EventKind::SpeculationFallback,
         ] {
             assert_eq!(EventKind::parse(kind.as_str()), Some(kind));
         }

@@ -24,8 +24,8 @@ use crate::node::{ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
 use garfield_attacks::Attack;
 use garfield_core::{
-    AccuracyPoint, Checkpoint, CoreError, CoreResult, IterationTiming, MergePhase, NodeTelemetry,
-    SystemPlan, TrainingTrace,
+    AccuracyPoint, Checkpoint, CoreError, CoreResult, IterationTiming, NodeTelemetry, SystemPlan,
+    TrainingTrace,
 };
 use garfield_net::{
     Envelope, MsgKind, NetError, NetResult, NodeId, PayloadPool, Role, Transport, WireHeader,
@@ -490,18 +490,13 @@ pub(crate) struct ServerActor {
     // full-quorum reproducibility guarantees are unaffected).
     engine: Engine,
     pool: PayloadPool,
-    /// The gradient GAR, owned by the actor (not the training loop) so that
-    /// protocol handlers can latch its speculative fast path off when a
-    /// sibling shard announces a `SpeculationTrip` mid-pull.
+    /// The gradient GAR, built once over the gradient quorum.
     gradient_gar: Box<dyn Gar>,
-    /// The model-merge phase this replica runs after the gradient update:
-    /// the system plan's, where the replica has peers to pull from (shard
-    /// servers and a lone replica have none).
-    merge: Option<MergePhase>,
-    /// Whether this replica already told its shard siblings that its
-    /// speculative fast path tripped (one broadcast per run; receivers never
-    /// re-broadcast, so the sticky OR converges without message storms).
-    spec_trip_announced: bool,
+    /// The model merge this replica runs after the gradient update, where it
+    /// has peers to pull from (shard servers and a lone replica have none):
+    /// the peer quorum, and the merge GAR built once over the `quorum + 1`
+    /// models it aggregates (the peers' and its own).
+    merge: Option<(usize, Box<dyn Gar>)>,
     // Protocol state.
     round: usize,
     phase1_done: bool,
@@ -540,18 +535,24 @@ impl ServerActor {
     pub fn from_node(mut node: ServerNode, transport: Box<dyn Transport>) -> CoreResult<Self> {
         let plan = SystemPlan::of(node.system, &node.config);
         let gradient_gar = build_gar(&plan.gradient_gar, node.gradient_quorum, plan.gradient_f)?;
+        let merge = match plan.merge.filter(|_| !node.peer_ids.is_empty()) {
+            Some(merge) => {
+                let gar = build_gar(&merge.gar, merge.quorum + 1, merge.f)?;
+                Some((merge.quorum, gar))
+            }
+            None => None,
+        };
         let resume = node.resume.take();
         let mut actor = ServerActor {
             fault_attack: fault_attack(node.fault),
             link: Endpoint::new(transport, Role::Server),
-            merge: plan.merge.filter(|_| !node.peer_ids.is_empty()),
+            merge,
             node,
             start_round: 0,
             state_chunk: None,
             engine: Engine::auto(),
             pool: PayloadPool::default(),
             gradient_gar,
-            spec_trip_announced: false,
             round: 0,
             phase1_done: false,
             served_snapshots: Vec::new(),
@@ -650,7 +651,7 @@ impl ServerActor {
             self.node.system.as_str(),
             self.node.config.effective_batch(),
         );
-        let merge = self.merge.clone();
+        let merge_quorum = self.merge.as_ref().map(|(quorum, _)| *quorum);
 
         let mut iteration = self.start_round;
         while iteration < iterations {
@@ -699,31 +700,9 @@ impl ServerActor {
             let mut communication = round_start.elapsed().as_secs_f64();
 
             let aggregate_start = Instant::now();
-            let aggregated = self.aggregate_observed(replies, None)?;
+            let aggregated = self.aggregate_observed(replies, false)?;
             self.node.server.honest_mut().update_model(&aggregated)?;
             let mut aggregation = aggregate_start.elapsed().as_secs_f64();
-            // Speculative rounds leave a wire-level trail: one event per
-            // round, hit (fast path held) or fallback (robust replay).
-            match self.gradient_gar.fell_back() {
-                Some(false) => {
-                    flight::record(
-                        EventKind::SpeculationHit,
-                        iteration as u64,
-                        None,
-                        aggregation,
-                    );
-                }
-                Some(true) => {
-                    flight::record(
-                        EventKind::SpeculationFallback,
-                        iteration as u64,
-                        None,
-                        aggregation,
-                    );
-                    self.announce_speculation_trip(iteration as u64);
-                }
-                None => {}
-            }
 
             // The model is now the post-update state of this round: snapshot
             // it as the vector served to peers (one Byzantine corruption per
@@ -737,16 +716,16 @@ impl ServerActor {
 
             // --- get_models(q): the same pull over the peer replicas, merged
             // with this replica's own model and written (not stepped) back.
-            if let Some(merge) = &merge {
+            if let Some(quorum) = merge_quorum {
                 let pull_start = Instant::now();
                 let kind = MsgKind::ModelRequest;
                 let request = WireMessage::control(kind, iteration as u64).encode_vec();
                 let peers = self.node.peer_ids.clone();
-                let models = self.pull(request, kind, iteration as u64, &peers, merge.quorum)?;
+                let models = self.pull(request, kind, iteration as u64, &peers, quorum)?;
                 communication += pull_start.elapsed().as_secs_f64();
 
                 let merge_start = Instant::now();
-                let merged = self.aggregate_observed(models, Some(merge))?;
+                let merged = self.aggregate_observed(models, true)?;
                 self.node.server.honest_mut().write_model(&merged)?;
                 aggregation += merge_start.elapsed().as_secs_f64();
             }
@@ -906,7 +885,6 @@ impl ServerActor {
                 shard: self.shard_triple(),
                 dimension: self.node.server.honest().dimension(),
                 peers: &self.node.peer_ids,
-                siblings: &self.node.shard_siblings,
             };
             match (admit(envelope.from, &header, &view), until) {
                 (Verdict::Drop, _) => {}
@@ -951,15 +929,11 @@ impl ServerActor {
     /// Aggregates one pull's `replies` straight from the decoded wire
     /// payloads — the GAR reads the pooled buffers through borrowed views,
     /// no per-reply `Tensor` on the hot path — and scores every contributor
-    /// in the suspicion ledger. A gradient pull (`merge = None`) runs the
-    /// replica's gradient GAR over the replies alone; a model pull runs the
-    /// merge phase's GAR over the replies plus this replica's own model,
-    /// which takes the last index.
-    fn aggregate_observed(
-        &mut self,
-        replies: Vec<Reply>,
-        merge: Option<&MergePhase>,
-    ) -> CoreResult<Tensor> {
+    /// in the suspicion ledger. A gradient pull runs the replica's gradient
+    /// GAR over the replies alone; a model pull (`models`) runs the merge
+    /// GAR over the replies plus this replica's own model, which takes the
+    /// last index.
+    fn aggregate_observed(&mut self, replies: Vec<Reply>, models: bool) -> CoreResult<Tensor> {
         // Replies are sorted by sender id (see `pull`), so view index `i` of
         // the outcome belongs to `peers[i]`.
         let mut peers: Vec<u32> = replies.iter().map(|(id, _, _)| id.0).collect();
@@ -967,16 +941,17 @@ impl ServerActor {
             .iter()
             .map(|(_, _, values)| GradientView::from(values))
             .collect();
-        let own = merge.map(|_| self.node.server.honest().parameters());
+        let own = models.then(|| self.node.server.honest().parameters());
         if let Some(own) = &own {
             peers.push(self.link.transport.local_id().0);
             views.push(GradientView::from(own));
         }
-        let model_gar = merge
-            .map(|merge| build_gar(&merge.gar, views.len(), merge.f))
-            .transpose()?;
+        let gar = match &self.merge {
+            Some((_, model_gar)) if models => model_gar.as_ref(),
+            _ => self.gradient_gar.as_ref(),
+        };
         let aggregated = self.node.server.honest().aggregate_views_observed(
-            model_gar.as_deref().unwrap_or(self.gradient_gar.as_ref()),
+            gar,
             &views,
             &self.engine,
             &mut self.outcome,
@@ -1010,17 +985,6 @@ impl ServerActor {
             }
             MsgKind::ServerDone => {
                 self.done_peers.insert(from);
-            }
-            MsgKind::SpeculationTrip => {
-                // A sibling shard's speculative fast path tripped: latch this
-                // replica's GAR onto the robust fallback too (the sticky OR —
-                // suspicion anywhere in the cluster disables speculation
-                // everywhere). Marking the trip as announced stops this
-                // replica from re-broadcasting when its own next round
-                // reports the (now forced) fallback: the originator already
-                // reached every sibling.
-                self.gradient_gar.force_fallback();
-                self.spec_trip_announced = true;
             }
             MsgKind::StateRequest => {
                 // A recovering peer wants to catch up. Serve the latest
@@ -1177,21 +1141,6 @@ impl ServerActor {
         self.receive(Until::PeersDone);
     }
 
-    /// Tells the shard siblings this replica's speculative fast path tripped
-    /// (once per run): the receiving end of the cluster-wide sticky OR. The
-    /// broadcast is fire-and-forget — a sibling that misses it only stays on
-    /// the fast path until its own slice shows suspicion, which is the
-    /// per-shard behaviour sharding starts from anyway.
-    fn announce_speculation_trip(&mut self, round: u64) {
-        if self.spec_trip_announced || self.node.shard_siblings.is_empty() {
-            return;
-        }
-        self.spec_trip_announced = true;
-        let shard = (self.shard_triple().0, 0, 0);
-        let trip = WireMessage::encode_parts(MsgKind::SpeculationTrip, round, 0.0, shard, &[]);
-        self.link.send(&self.node.shard_siblings, round, trip);
-    }
-
     fn liveness_error(&self, what: &str, iteration: usize, got: usize, want: usize) -> CoreError {
         CoreError::Net(format!(
             "live {}: server {} collected only {got}/{want} {what} replies for iteration \
@@ -1210,8 +1159,7 @@ mod tests {
     use garfield_net::{Router, RouterTransport};
 
     /// The nodes of a one-worker deployment split over `shards` shard
-    /// servers, under the speculative system (so a server's gradient GAR
-    /// exposes the fast-path latch).
+    /// servers.
     fn sharded_nodes(shards: usize) -> LiveNodes {
         let mut cfg = ExperimentConfig::small();
         cfg.nw = 1;
@@ -1220,56 +1168,7 @@ mod tests {
         cfg.gradient_gar = garfield_aggregation::GarKind::Median;
         cfg.iterations = 2;
         let options = LiveOptions::default();
-        assemble(SystemKind::Speculative, &cfg, &options, &FaultPlan::new()).unwrap()
-    }
-
-    /// The actor of shard server 0 of `shards`, connected to `router`.
-    fn shard_actor(router: &Router, shards: usize) -> ServerActor {
-        let node = sharded_nodes(shards).servers.swap_remove(0);
-        let transport = Box::new(RouterTransport::connect(router, NodeId(0)).unwrap());
-        ServerActor::from_node(node, transport).unwrap()
-    }
-
-    #[test]
-    fn a_sibling_speculation_trip_latches_the_fallback_without_rebroadcast() {
-        let router = Router::new();
-        let sibling = RouterTransport::connect(&router, NodeId(1)).unwrap();
-        let mut actor = shard_actor(&router, 2);
-        assert_eq!(actor.gradient_gar.fell_back(), Some(false));
-        actor.handle_protocol(NodeId(1), MsgKind::SpeculationTrip, 3);
-        assert_eq!(
-            actor.gradient_gar.fell_back(),
-            Some(true),
-            "the sticky-OR receive must latch the robust fallback"
-        );
-        // Receiving also arms the announce guard: the originator already
-        // reached every sibling, so echoing would only ping-pong trips.
-        actor.announce_speculation_trip(4);
-        assert!(matches!(
-            sibling.recv_timeout(Duration::from_millis(100)),
-            Err(garfield_net::NetError::Timeout)
-        ));
-    }
-
-    #[test]
-    fn an_own_trip_is_broadcast_to_every_sibling_exactly_once() {
-        let router = Router::new();
-        let s1 = RouterTransport::connect(&router, NodeId(1)).unwrap();
-        let s2 = RouterTransport::connect(&router, NodeId(2)).unwrap();
-        let mut actor = shard_actor(&router, 3);
-        actor.announce_speculation_trip(5);
-        actor.announce_speculation_trip(6); // latched: must not send again
-        for t in [&s1, &s2] {
-            let env = t.recv_timeout(Duration::from_secs(1)).unwrap();
-            let header = WireMessage::peek(&env.payload).unwrap();
-            assert_eq!(header.kind, MsgKind::SpeculationTrip);
-            assert_eq!(header.round, 5);
-            assert_eq!(header.shard, 0, "the trip names the tripping shard");
-            assert!(matches!(
-                t.recv_timeout(Duration::from_millis(100)),
-                Err(garfield_net::NetError::Timeout)
-            ));
-        }
+        assemble(SystemKind::Ssmw, &cfg, &options, &FaultPlan::new()).unwrap()
     }
 
     #[test]

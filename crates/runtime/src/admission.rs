@@ -34,8 +34,6 @@ pub(crate) struct ServerView<'a> {
     pub dimension: usize,
     /// The peer replicas (model pulls, done-markers, state transfer).
     pub peers: &'a [NodeId],
-    /// The sibling shard servers (speculation-trip broadcasts).
-    pub siblings: &'a [NodeId],
 }
 
 /// The verdict on one frame.
@@ -60,7 +58,6 @@ pub(crate) enum Verdict {
 ///   members, and the `n ≥ 2f + 3`-style preconditions count real nodes.
 /// * `ModelRequest`, `ServerDone`, `StateRequest` and `StateChunk` are
 ///   replica-to-replica traffic: admitted from peer replicas only.
-/// * `SpeculationTrip` is admitted from sibling shard servers only.
 /// * `GradientRequest` and `Shutdown` address workers; a server drops them.
 pub(crate) fn admit(from: NodeId, header: &WireHeader, view: &ServerView<'_>) -> Verdict {
     let entitled = |senders: &[NodeId]| {
@@ -88,7 +85,6 @@ pub(crate) fn admit(from: NodeId, header: &WireHeader, view: &ServerView<'_>) ->
         | MsgKind::ServerDone
         | MsgKind::StateRequest
         | MsgKind::StateChunk => entitled(view.peers),
-        MsgKind::SpeculationTrip => entitled(view.siblings),
         MsgKind::GradientRequest | MsgKind::Shutdown => Verdict::Drop,
     }
 }
@@ -99,7 +95,6 @@ mod tests {
 
     const WORKERS: [NodeId; 3] = [NodeId(3), NodeId(4), NodeId(5)];
     const PEERS: [NodeId; 2] = [NodeId(1), NodeId(2)];
-    const SIBLINGS: [NodeId; 1] = [NodeId(7)];
     const STRANGER: NodeId = NodeId(99);
     const ROUND: u64 = 5;
     const DIMENSION: usize = 10;
@@ -139,7 +134,6 @@ mod tests {
             shard: own,
             dimension: DIMENSION,
             peers: &PEERS,
-            siblings: &SIBLINGS,
         };
         admit(from, frame, &view)
     }
@@ -163,10 +157,9 @@ mod tests {
             // Kind: the other pull's reply, even from a legitimate node.
             (gradient_pull, unsharded, PEERS[0], ModelReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
             (model_pull, unsharded, WORKERS[0], GradientReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
-            // Sender: a peer or sibling is not a worker, a worker not a peer,
-            // a stranger is nobody, and nobody answers twice.
+            // Sender: a peer is not a worker, a worker not a peer, a
+            // stranger is nobody, and nobody answers twice.
             (gradient_pull, unsharded, PEERS[0], GradientReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
-            (gradient_pull, unsharded, SIBLINGS[0], GradientReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
             (gradient_pull, unsharded, STRANGER, GradientReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
             (gradient_pull, unsharded, WORKERS[1], GradientReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
             (model_pull, unsharded, WORKERS[0], ModelReply, ROUND, unsharded, DIMENSION, Verdict::Drop),
@@ -205,12 +198,11 @@ mod tests {
                 | MsgKind::ServerDone
                 | MsgKind::StateRequest
                 | MsgKind::StateChunk => &PEERS,
-                MsgKind::SpeculationTrip => &SIBLINGS,
                 MsgKind::GradientRequest | MsgKind::Shutdown => &[],
                 // Replies are never control traffic; covered above.
                 MsgKind::GradientReply | MsgKind::ModelReply => continue,
             };
-            for from in [WORKERS[0], WORKERS[1], PEERS[0], SIBLINGS[0], STRANGER] {
+            for from in [WORKERS[0], WORKERS[1], PEERS[0], STRANGER] {
                 let want = if entitled.contains(&from) {
                     Verdict::Protocol
                 } else {

@@ -126,11 +126,9 @@ pub struct LiveNodes {
 /// (validation already confined sharding to the single-server systems with
 /// coordinate-decomposable GARs), each sliced out of the template server's
 /// initial model. Shard servers are not replicas — no model pulls, no state
-/// serving between them, only the sticky-OR speculation-trip channel — so
-/// the other server ids are their `shard_siblings`, not their `peer_ids`;
-/// and since accuracy evaluation needs the full model, only an unsharded
-/// server 0 gets the test batch (a sharded run's trace carries losses but
-/// no accuracy points).
+/// serving between them — so their `peer_ids` are empty; and since accuracy
+/// evaluation needs the full model, only an unsharded server 0 gets the
+/// test batch (a sharded run's trace carries losses but no accuracy points).
 ///
 /// # Errors
 ///
@@ -192,15 +190,14 @@ pub fn assemble(
         .zip(server_rngs)
         .enumerate()
         .map(|(i, (server, fault_rng))| {
-            let others: Vec<NodeId> = layout
-                .server_ids
-                .iter()
-                .copied()
-                .filter(|&id| id != layout.server_ids[i])
-                .collect();
-            let (peer_ids, shard_siblings) = match shard_map {
-                Some(_) => (Vec::new(), others),
-                None => (others, Vec::new()),
+            let peer_ids: Vec<NodeId> = match shard_map {
+                Some(_) => Vec::new(),
+                None => layout
+                    .server_ids
+                    .iter()
+                    .copied()
+                    .filter(|&id| id != layout.server_ids[i])
+                    .collect(),
             };
             ServerNode {
                 index: i,
@@ -210,7 +207,7 @@ pub fn assemble(
                 worker_ids: layout.worker_ids.clone(),
                 peer_ids,
                 shard: shard_map.as_ref().map(|map| map.spec(i)),
-                shard_siblings,
+                shard_siblings: Vec::new(),
                 gradient_quorum,
                 round_deadline: options.round_deadline,
                 fault: faults.server(i),
@@ -276,8 +273,9 @@ pub struct ServerNode {
     /// The parameter shard this server owns when the model is split across
     /// server shards (`None`: this server holds the full vector).
     pub shard: Option<garfield_core::ShardSpec>,
-    /// The other shard servers of a sharded deployment (empty otherwise):
-    /// recipients of this server's `SpeculationTrip` sticky-OR broadcast.
+    /// Ignored: the runtime never reads it, and [`assemble`] leaves it
+    /// empty. It stays only so code that builds a `ServerNode` as a struct
+    /// literal keeps compiling.
     pub shard_siblings: Vec<NodeId>,
     /// Gradient replies to wait for each round.
     pub gradient_quorum: usize,

@@ -17,17 +17,14 @@
 //!   worker `j` is node `servers + j`.
 //! * `--config` — an `ExperimentConfig` as JSON (`ExperimentConfig::to_json`).
 //! * `--system` — one of the systems the live runtime implements (the usage
-//!   message lists them, from the system plans). The speculative form accepts
-//!   its robust fallback inline — `speculative(multi-krum)` overrides the
-//!   config's `gradient_gar` — while bare `speculative` falls back to the
-//!   config's `gradient_gar` as-is.
+//!   message lists them, from the system plans). The gradient GAR is the
+//!   config's `gradient_gar`.
 //! * `--gradient-quorum` — override `q`; `n − f` exercises the asynchronous
 //!   liveness condition (the run survives `f` dead workers).
 //! * `--shards` — override the config's `shards`: split the parameter vector
 //!   across that many shard servers (server rank `i` owns shard `i`).
 //!   Requires a single-replica system and a coordinate-decomposable gradient
-//!   GAR (average, median, or speculative over one of those) — enforced by
-//!   config validation. Each shard server writes its *slice* to `--out`;
+//!   GAR (average or median) — enforced by config validation. Each shard server writes its *slice* to `--out`;
 //!   stitching the slices together in rank order yields the full model,
 //!   bit-identical to an unsharded run of the same seed at full quorum.
 //!   Sharded servers reject `--checkpoint`/`--resume` (checkpoints hold
@@ -67,7 +64,7 @@
 //! Exit status: `0` on success, `1` on a runtime/liveness failure, `2` on
 //! bad usage.
 
-use garfield_core::{Checkpoint, CheckpointPolicy, ExperimentConfig, SystemSpec};
+use garfield_core::{Checkpoint, CheckpointPolicy, ExperimentConfig, SystemKind};
 use garfield_net::NodeId;
 use garfield_obs::flight;
 use garfield_obs::http::MetricsServer;
@@ -81,7 +78,7 @@ struct Args {
     rank: usize,
     cluster: String,
     config: String,
-    system: SystemSpec,
+    system: SystemKind,
     shards: Option<usize>,
     /// `--gradient-quorum`, `--round-deadline-ms`, `--idle-timeout-ms` and
     /// `--retry-ms`, over the in-process defaults.
@@ -98,7 +95,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: garfield-node --role <server|worker> --rank <n> --cluster <file> \
-         --config <file> --system <one of: {}; or speculative(<gar>)> \
+         --config <file> --system <one of: {}> \
          [--gradient-quorum <q>] [--shards <s>] \
          [--round-deadline-ms <ms>] [--idle-timeout-ms <ms>] [--retry-ms <ms>] \
          [--delay-ms <ms>] [--checkpoint <dir>] [--checkpoint-every <k>] \
@@ -218,11 +215,10 @@ fn dump_flight(dump: &Option<PathBuf>) -> Result<(), String> {
 }
 
 fn run(args: Args) -> Result<(), String> {
-    let system = args.system.system;
+    let system = args.system;
     let config_text =
         std::fs::read_to_string(&args.config).map_err(|e| format!("{}: {e}", args.config))?;
     let mut config = ExperimentConfig::from_json(&config_text).map_err(|e| e.to_string())?;
-    args.system.apply(&mut config);
     if let Some(shards) = args.shards {
         config.shards = shards;
     }

@@ -7,10 +7,10 @@
 //! `TrainingTrace::to_json()`) and every replica's final model bits — so a
 //! change to the loop that reorders one RNG draw, one float addition or one
 //! `gradient_round` / `model_round` call fails here. The timings are
-//! `SystemPlan::timing` plus the fail-over broadcast and the speculative
-//! trip; `Deployment`'s jitter draws only rank the replies, which decides
-//! quorum membership in the asynchronous and contraction cells below. A
-//! deliberate behaviour change re-records the hashes, and says so.
+//! `SystemPlan::timing` plus the fail-over broadcast; `Deployment`'s jitter
+//! draws only rank the replies, which decides quorum membership in the
+//! asynchronous and contraction cells below. A deliberate behaviour change
+//! re-records the hashes, and says so.
 
 use garfield::core::Trainer;
 use garfield::{AttackKind, ExperimentConfig, GarKind, SystemKind};
@@ -55,25 +55,23 @@ fn assert_golden(what: &str, got: (u64, u64), trace: u64, model: u64) {
 }
 
 #[rustfmt::skip]
-const FAULT_FREE: [(SystemKind, u64, u64); 7] = [
+const FAULT_FREE: [(SystemKind, u64, u64); 6] = [
     (SystemKind::Vanilla,       0xed17a919719d7f5d, 0xf01ed0130c9f1c16),
     (SystemKind::CrashTolerant, 0x5ff6d4d09fab1cf5, 0xecb928856dc594fa),
     (SystemKind::Ssmw,          0x207ee0871452928c, 0xc4738483a4e266d5),
     (SystemKind::Msmw,          0x2956f7c1f9f03a3c, 0x93cb88b2922835d9),
     (SystemKind::Decentralized, 0xf614d0b0cebb1e11, 0x82500b2758a48159),
     (SystemKind::AggregaThor,   0xd27ba0ce9671c987, 0xc4738483a4e266d5),
-    (SystemKind::Speculative,   0x7d7050626de3011d, 0xf01ed0130c9f1c16),
 ];
 
 #[rustfmt::skip]
-const REVERSED_ATTACK: [(SystemKind, u64, u64); 7] = [
+const REVERSED_ATTACK: [(SystemKind, u64, u64); 6] = [
     (SystemKind::Vanilla,       0x4e69c5b1bf17c6f7, 0xc1f1d9024bc1710d),
     (SystemKind::CrashTolerant, 0xbf7aa2d45dfa5331, 0xbac3d80ca23cf791),
     (SystemKind::Ssmw,          0xe950be0de7f284c8, 0xd3c812ff7e072356),
     (SystemKind::Msmw,          0xa930e06525f44ca4, 0x846434e382a4d5fe),
     (SystemKind::Decentralized, 0x1fa4fdf5a029bd27, 0x20145c97bdba7043),
     (SystemKind::AggregaThor,   0xd741ce2cd111f3d9, 0xd3c812ff7e072356),
-    (SystemKind::Speculative,   0x1d5efaba541a9edf, 0xd3c812ff7e072356),
 ];
 
 #[test]
