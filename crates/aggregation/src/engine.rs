@@ -93,11 +93,6 @@ impl Engine {
         self.threads
     }
 
-    /// Whether this engine ever spawns worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
     /// Fan-out for a fill of `items` elements costing `work_per_item` scalar
     /// operations each: as many threads as the machine allows, capped so
     /// every thread's chunk carries at least [`PAR_WORK_PER_THREAD`]
@@ -621,7 +616,6 @@ mod tests {
     #[test]
     fn engines_report_their_shape() {
         assert_eq!(Engine::sequential().threads(), 1);
-        assert!(!Engine::sequential().is_parallel());
         assert_eq!(Engine::with_threads(0).threads(), 1);
         assert_eq!(Engine::with_threads(4).threads(), 4);
         assert!(Engine::auto().threads() >= 1);

@@ -8,8 +8,8 @@
 use crate::engine::{krum_best_cached, multi_krum_cached};
 use crate::gar::report_selection;
 use crate::{
-    validate_inputs, validate_views, AggregationError, AggregationResult, DistanceCache, Engine,
-    Gar, SelectionOutcome, SelectionScratch,
+    validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
+    SelectionOutcome, SelectionScratch,
 };
 use garfield_tensor::{GradientView, Tensor};
 
@@ -38,17 +38,6 @@ impl Krum {
             });
         }
         Ok(Krum { n, f })
-    }
-
-    /// Returns the index of the gradient Krum would select.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate`].
-    pub fn select_index(&self, inputs: &[Tensor]) -> AggregationResult<usize> {
-        validate_inputs(inputs, self.n)?;
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        self.select_index_views(&views, &Engine::auto())
     }
 
     /// Zero-copy selection: the index Krum selects among `inputs`.
@@ -136,17 +125,6 @@ impl MultiKrum {
     /// Number of gradients averaged by the selection phase.
     pub fn selection_size(&self) -> usize {
         self.m
-    }
-
-    /// Returns the indices of the gradients Multi-Krum selects, best first.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate`].
-    pub fn select_indices(&self, inputs: &[Tensor]) -> AggregationResult<Vec<usize>> {
-        validate_inputs(inputs, self.n)?;
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        self.select_indices_views(&views, &Engine::auto())
     }
 
     /// Zero-copy selection: the indices Multi-Krum selects, best first.
@@ -246,7 +224,10 @@ mod tests {
         let mut inputs = honest_cluster(4, 8, 1);
         inputs.push(Tensor::full(8usize, 1e6)); // Byzantine outlier
         let krum = Krum::new(5, 1).unwrap();
-        let idx = krum.select_index(&inputs).unwrap();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let idx = krum
+            .select_index_views(&views, &Engine::sequential())
+            .unwrap();
         assert!(idx < 4, "Krum selected the Byzantine input");
         let out = krum.aggregate(&inputs).unwrap();
         assert!(out.data().iter().all(|&v| v.abs() < 10.0));
@@ -266,7 +247,10 @@ mod tests {
         inputs.push(Tensor::full(8usize, -1e6));
         let mk = MultiKrum::new(7, 1).unwrap();
         assert_eq!(mk.selection_size(), 4);
-        let selected = mk.select_indices(&inputs).unwrap();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let selected = mk
+            .select_indices_views(&views, &Engine::sequential())
+            .unwrap();
         assert_eq!(selected.len(), 4);
         assert!(
             !selected.contains(&6),
@@ -303,14 +287,14 @@ mod tests {
         let inputs = honest_cluster(7, 32, 6);
         let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
         let krum = Krum::new(7, 1).unwrap();
-        assert_eq!(
-            krum.select_index(&inputs).unwrap(),
-            krum.select_index_views(&views, &Engine::sequential())
-                .unwrap()
-        );
+        let idx = krum
+            .select_index_views(&views, &Engine::sequential())
+            .unwrap();
+        assert_eq!(krum.aggregate(&inputs).unwrap(), inputs[idx]);
         let mk = MultiKrum::new(7, 1).unwrap();
         assert_eq!(
-            mk.select_indices(&inputs).unwrap(),
+            mk.select_indices_views(&views, &Engine::sequential())
+                .unwrap(),
             mk.select_indices_views(&views, &Engine::with_threads(3))
                 .unwrap()
         );

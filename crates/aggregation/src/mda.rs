@@ -2,8 +2,8 @@
 
 use crate::gar::report_selection;
 use crate::{
-    validate_inputs, validate_views, AggregationError, AggregationResult, DistanceCache, Engine,
-    Gar, SelectionOutcome,
+    validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
+    SelectionOutcome,
 };
 use garfield_tensor::{total_cmp_f32, GradientView, Tensor};
 
@@ -39,17 +39,6 @@ impl Mda {
             });
         }
         Ok(Mda { n, f })
-    }
-
-    /// Returns the indices of the minimum-diameter subset of size `n - f`.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate`].
-    pub fn select_indices(&self, inputs: &[Tensor]) -> AggregationResult<Vec<usize>> {
-        validate_inputs(inputs, self.n)?;
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        self.select_indices_views(&views, &Engine::auto())
     }
 
     /// Zero-copy selection: the minimum-diameter subset over borrowed views.
@@ -170,7 +159,10 @@ mod tests {
             .collect();
         inputs.push(Tensor::from_slice(&[100.0, -100.0]));
         let mda = Mda::new(5, 1).unwrap();
-        let selected = mda.select_indices(&inputs).unwrap();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let selected = mda
+            .select_indices_views(&views, &Engine::sequential())
+            .unwrap();
         assert_eq!(selected.len(), 4);
         assert!(!selected.contains(&4));
         let out = mda.aggregate(&inputs).unwrap();

@@ -2,13 +2,16 @@
 //!
 //! Each function returns the rows that the `expfig` binary prints and writes
 //! to `results/`. Convergence experiments (Figs. 4, 5, 11, 12, Table 2) run
-//! the real training stack on scaled-down settings; throughput sweeps use the
-//! analytic [`mod@crate::throughput`] module at the paper's exact model sizes.
+//! the real training stack on scaled-down settings; throughput sweeps evaluate
+//! [`SystemPlan::timing`] — the clock the training runtime reads — at the
+//! paper's exact model sizes: their per-iteration time is a function of the
+//! model dimension, the cluster shape and the device alone.
 
 use crate::report::Row;
-use crate::throughput::throughput;
 use garfield_aggregation::{build_gar, GarKind, VarianceProbe};
-use garfield_core::{Controller, ExperimentConfig, SystemKind, Trainer};
+use garfield_core::{
+    Executor, ExperimentConfig, IterationTiming, SimExecutor, SystemKind, SystemPlan, Trainer,
+};
 use garfield_ml::{zoo, Dataset, DatasetKind, Mlp};
 use garfield_net::{CostModel, Device};
 use garfield_tensor::{Tensor, TensorRng};
@@ -18,6 +21,33 @@ use std::time::Instant;
 const CPU_CLUSTER: (usize, usize, usize, usize) = (18, 3, 6, 1);
 /// The paper's default GPU cluster shape (10 workers / 3 Byzantine, 3 servers / 1 Byzantine).
 const GPU_CLUSTER: (usize, usize, usize, usize) = (10, 3, 3, 1);
+
+/// A synchronous cluster of `nw` / `fw` workers and `nps` / `fps` servers.
+fn cluster((nw, fw, nps, fps): (usize, usize, usize, usize)) -> ExperimentConfig {
+    ExperimentConfig {
+        nw,
+        fw,
+        nps,
+        fps,
+        ..ExperimentConfig::default()
+    }
+}
+
+/// Analytic per-iteration timing of `system` for a `d`-parameter model on
+/// `shape`, at the paper's per-worker batch of 32.
+fn timing(
+    system: SystemKind,
+    d: usize,
+    shape: &ExperimentConfig,
+    device: Device,
+) -> IterationTiming {
+    SystemPlan::of(system, shape).timing(d, 32, device, &CostModel::default())
+}
+
+/// Model updates per second of an iteration taking `timing`.
+fn updates_per_second(timing: IterationTiming) -> f64 {
+    1.0 / timing.total().max(1e-12)
+}
 
 /// Quick, CI-friendly convergence settings used by the `expfig` binary.
 fn convergence_config() -> ExperimentConfig {
@@ -110,10 +140,10 @@ pub fn fig3b(max_d: usize) -> Vec<Row> {
 pub fn fig4(synchronous: bool) -> Vec<Row> {
     let mut cfg = convergence_config();
     cfg.synchronous = synchronous;
-    let controller = Controller::new(cfg);
+    let mut sim = SimExecutor::new(cfg);
     let mut rows = Vec::new();
     for system in SystemKind::all() {
-        let trace = match controller.run(system) {
+        let trace = match sim.run(system) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("skipping {system}: {e}");
@@ -147,13 +177,13 @@ pub fn fig5() -> Vec<Row> {
         cfg.worker_attack = Some(attack);
         cfg.actual_byzantine_servers = 1;
         cfg.server_attack = Some(attack);
-        let controller = Controller::new(cfg);
+        let mut sim = SimExecutor::new(cfg);
         for system in [
             SystemKind::Vanilla,
             SystemKind::CrashTolerant,
             SystemKind::Msmw,
         ] {
-            let trace = controller.run(system).expect("configuration is valid");
+            let trace = sim.run(system).expect("configuration is valid");
             rows.push(Row::new(
                 format!("{attack_name}/{system}"),
                 vec![
@@ -169,25 +199,15 @@ pub fn fig5() -> Vec<Row> {
 /// Fig. 6 (and Fig. 15): throughput slowdown of each fault-tolerant system
 /// relative to vanilla, for every Table 1 model, on the given device.
 pub fn fig6(device: Device) -> Vec<Row> {
-    let (nw, fw, nps, fps) = if device == Device::Cpu {
+    let shape = cluster(if device == Device::Cpu {
         CPU_CLUSTER
     } else {
         GPU_CLUSTER
-    };
-    let cost = CostModel::default();
+    });
     let mut rows = Vec::new();
     for model in zoo::paper_models() {
-        let vanilla = throughput(
-            SystemKind::Vanilla,
-            model.parameters,
-            nw,
-            fw,
-            nps,
-            fps,
-            32,
-            device,
-            &cost,
-        );
+        let ups = |system| updates_per_second(timing(system, model.parameters, &shape, device));
+        let vanilla = ups(SystemKind::Vanilla);
         let mut values = Vec::new();
         for system in [
             SystemKind::CrashTolerant,
@@ -195,21 +215,7 @@ pub fn fig6(device: Device) -> Vec<Row> {
             SystemKind::Msmw,
             SystemKind::Decentralized,
         ] {
-            let point = throughput(
-                system,
-                model.parameters,
-                nw,
-                fw,
-                nps,
-                fps,
-                32,
-                device,
-                &cost,
-            );
-            values.push((
-                system.as_str(),
-                vanilla.updates_per_second / point.updates_per_second,
-            ));
+            values.push((system.as_str(), vanilla / ups(system)));
         }
         rows.push(Row::new(model.name, values));
     }
@@ -218,21 +224,19 @@ pub fn fig6(device: Device) -> Vec<Row> {
 
 /// Fig. 7 (CPU) / Fig. 16 (GPU): per-iteration overhead breakdown for ResNet-50.
 pub fn fig7(device: Device) -> Vec<Row> {
-    let (nw, fw, nps, fps) = if device == Device::Cpu {
+    let shape = cluster(if device == Device::Cpu {
         CPU_CLUSTER
     } else {
         GPU_CLUSTER
-    };
+    });
     let d = zoo::spec_by_name("ResNet-50")
         .expect("ResNet-50 is in Table 1")
         .parameters;
-    let cost = CostModel::default();
     SystemKind::all()
         .into_iter()
         .filter(|s| *s != SystemKind::AggregaThor)
         .map(|system| {
-            let t =
-                crate::throughput::iteration_time(system, d, nw, fw, nps, fps, 32, device, &cost);
+            let t = timing(system, d, &shape, device);
             Row::new(
                 system.as_str(),
                 vec![
@@ -262,10 +266,10 @@ pub fn fig8(device: Device) -> Vec<Row> {
     } else {
         GPU_CLUSTER
     };
-    let cost = CostModel::default();
     range
         .into_iter()
         .map(|nw| {
+            let shape = cluster((nw, fw.min(nw.saturating_sub(1)), nps, fps));
             let mut values = Vec::new();
             for system in [
                 SystemKind::Vanilla,
@@ -274,9 +278,8 @@ pub fn fig8(device: Device) -> Vec<Row> {
                 SystemKind::Msmw,
                 SystemKind::Decentralized,
             ] {
-                let fw = fw.min(nw.saturating_sub(1));
-                let point = throughput(system, d, nw, fw, nps, fps, 32, device, &cost);
-                values.push((system.as_str(), point.batches_per_second));
+                let total = timing(system, d, &shape, device).total().max(1e-12);
+                values.push((system.as_str(), nw as f64 / total));
             }
             Row::new(format!("nw={nw}"), values)
         })
@@ -287,70 +290,32 @@ pub fn fig8(device: Device) -> Vec<Row> {
 /// baseline versus the number of nodes (9a, d = 10⁶) and versus the model
 /// dimension (9b, n = 6), on GPUs.
 pub fn fig9() -> Vec<Row> {
-    let cost = CostModel::default();
-    let mut rows = Vec::new();
-    for n in 2..=6usize {
-        let dec = crate::throughput::iteration_time(
-            SystemKind::Decentralized,
-            1_000_000,
-            n,
-            1.min(n - 1),
-            0,
-            0,
-            32,
-            Device::Gpu,
-            &cost,
-        );
-        let van = crate::throughput::iteration_time(
-            SystemKind::Vanilla,
-            1_000_000,
-            n,
-            0,
-            1,
-            0,
-            32,
-            Device::Gpu,
-            &cost,
-        );
-        rows.push(Row::new(
-            format!("n={n}"),
+    // Decentralized learning with one declared Byzantine node against
+    // vanilla with one server, both over `n` nodes and a `d`-parameter model.
+    let row = |label: String, n: usize, d: usize| {
+        let communication =
+            |system, shape| timing(system, d, &cluster(shape), Device::Gpu).communication;
+        let decentralized = (n, 1.min(n - 1), 0, 0);
+        Row::new(
+            label,
             vec![
-                ("decentralized_s", dec.communication),
-                ("vanilla_s", van.communication),
+                (
+                    "decentralized_s",
+                    communication(SystemKind::Decentralized, decentralized),
+                ),
+                (
+                    "vanilla_s",
+                    communication(SystemKind::Vanilla, (n, 0, 1, 0)),
+                ),
             ],
-        ));
-    }
+        )
+    };
+    let mut rows: Vec<Row> = (2..=6usize)
+        .map(|n| row(format!("n={n}"), n, 1_000_000))
+        .collect();
     let mut d = 10_000usize;
     while d <= 100_000_000 {
-        let dec = crate::throughput::iteration_time(
-            SystemKind::Decentralized,
-            d,
-            6,
-            1,
-            0,
-            0,
-            32,
-            Device::Gpu,
-            &cost,
-        );
-        let van = crate::throughput::iteration_time(
-            SystemKind::Vanilla,
-            d,
-            6,
-            0,
-            1,
-            0,
-            32,
-            Device::Gpu,
-            &cost,
-        );
-        rows.push(Row::new(
-            format!("d={d}"),
-            vec![
-                ("decentralized_s", dec.communication),
-                ("vanilla_s", van.communication),
-            ],
-        ));
+        rows.push(row(format!("d={d}"), 6, d));
         d *= 10;
     }
     rows
@@ -363,36 +328,27 @@ pub fn fig10(device: Device) -> Vec<Row> {
     let d = zoo::spec_by_name("ResNet-50")
         .expect("in Table 1")
         .parameters;
-    let cost = CostModel::default();
     let (nw, _, nps, _) = if device == Device::Cpu {
         CPU_CLUSTER
     } else {
         GPU_CLUSTER
     };
+    let msmw = |fw, nps, fps| {
+        let shape = cluster((nw, fw, nps, fps));
+        vec![(
+            "updates_per_s",
+            updates_per_second(timing(SystemKind::Msmw, d, &shape, device)),
+        )]
+    };
     let mut rows = Vec::new();
     for fw in 0..=3usize {
-        let p = throughput(SystemKind::Msmw, d, nw, fw, nps, 1, 32, device, &cost);
-        rows.push(Row::new(
-            format!("fw={fw}"),
-            vec![("updates_per_s", p.updates_per_second)],
-        ));
+        rows.push(Row::new(format!("fw={fw}"), msmw(fw, nps, 1)));
     }
     for fps in 0..=3usize {
         let nps = 3 * fps + 1;
-        let p = throughput(
-            SystemKind::Msmw,
-            d,
-            nw,
-            3.min(nw - 1),
-            nps,
-            fps,
-            32,
-            device,
-            &cost,
-        );
         rows.push(Row::new(
             format!("fps={fps} (nps={nps})"),
-            vec![("updates_per_s", p.updates_per_second)],
+            msmw(3.min(nw - 1), nps, fps),
         ));
     }
     rows
@@ -403,14 +359,14 @@ pub fn fig10(device: Device) -> Vec<Row> {
 pub fn fig12() -> Vec<Row> {
     let mut cfg = convergence_config();
     cfg.gradient_gar = GarKind::Mda;
-    let controller = Controller::new(cfg);
+    let mut sim = SimExecutor::new(cfg);
     let mut rows = Vec::new();
     for system in [
         SystemKind::Vanilla,
         SystemKind::CrashTolerant,
         SystemKind::Msmw,
     ] {
-        let trace = controller.run(system).expect("configuration is valid");
+        let trace = sim.run(system).expect("configuration is valid");
         for point in &trace.accuracy {
             rows.push(Row::new(
                 format!("{system}"),
@@ -484,7 +440,7 @@ pub fn decentralized_scaling() -> Vec<Row> {
         cfg.gradient_gar = GarKind::Median;
         cfg.iterations = 5;
         cfg.eval_every = 0;
-        let trace = Controller::new(cfg)
+        let trace = SimExecutor::new(cfg)
             .run(SystemKind::Decentralized)
             .expect("decentralized runs");
         rows.push(Row::new(
@@ -533,6 +489,96 @@ mod tests {
         assert!(!fig8(Device::Gpu).is_empty());
         assert!(!fig9().is_empty());
         assert_eq!(fig10(Device::Cpu).len(), 8);
+    }
+
+    const RESNET50: usize = 23_539_850;
+
+    /// ResNet-50 on the paper's CPU cluster shape, on `device`.
+    fn point(system: SystemKind, device: Device) -> IterationTiming {
+        timing(system, RESNET50, &cluster(CPU_CLUSTER), device)
+    }
+
+    #[test]
+    fn ordering_matches_the_paper_cpu() {
+        let ups = |system| updates_per_second(point(system, Device::Cpu));
+        let vanilla = ups(SystemKind::Vanilla);
+        let ssmw = ups(SystemKind::Ssmw);
+        let crash = ups(SystemKind::CrashTolerant);
+        let msmw = ups(SystemKind::Msmw);
+        let dec = ups(SystemKind::Decentralized);
+        assert!(vanilla > ssmw, "vanilla should be the fastest");
+        assert!(
+            ssmw > crash,
+            "tolerating Byzantine workers should cost less than crash tolerance"
+        );
+        assert!(
+            crash > msmw,
+            "tolerating Byzantine servers should cost more than crash tolerance"
+        );
+        assert!(msmw > dec, "decentralized should be the slowest");
+    }
+
+    #[test]
+    fn communication_dominates_and_gpu_is_faster() {
+        let p = point(SystemKind::Msmw, Device::Cpu);
+        assert!(p.communication > 0.6 * p.total());
+        assert!(p.aggregation < 0.25 * p.total());
+        let gpu = point(SystemKind::Msmw, Device::Gpu);
+        assert!(updates_per_second(gpu) > 3.0 * updates_per_second(p));
+    }
+
+    #[test]
+    fn slowdown_grows_then_saturates_with_model_dimension() {
+        // Paper Fig. 6: the Byzantine-resilience overhead grows with d only up
+        // to a point, after which communication (O(d) for everyone) dominates.
+        let shape = cluster(CPU_CLUSTER);
+        let slowdown = |d: usize| {
+            let v = timing(SystemKind::Vanilla, d, &shape, Device::Cpu);
+            let m = timing(SystemKind::Msmw, d, &shape, Device::Cpu);
+            updates_per_second(v) / updates_per_second(m)
+        };
+        let small = slowdown(79_510);
+        let big = slowdown(62_697_610);
+        let huge = slowdown(128_807_306);
+        assert!(big > small, "slowdown should grow with model size");
+        assert!(
+            (huge - big).abs() / big < 0.35,
+            "slowdown should saturate for huge models"
+        );
+    }
+
+    #[test]
+    fn decentralized_communication_grows_quadratically_with_n() {
+        let comm =
+            |system, shape| timing(system, 1_000_000, &cluster(shape), Device::Gpu).communication;
+        let ratio = comm(SystemKind::Decentralized, (6, 1, 0, 0))
+            / comm(SystemKind::Decentralized, (3, 1, 0, 0));
+        assert!(
+            ratio > 3.0,
+            "doubling n should ~quadruple decentralized communication, got {ratio}"
+        );
+        let vr = comm(SystemKind::Vanilla, (6, 0, 1, 0)) / comm(SystemKind::Vanilla, (3, 0, 1, 0));
+        assert!(
+            vr < 2.5,
+            "vanilla communication should grow roughly linearly, got {vr}"
+        );
+    }
+
+    #[test]
+    fn byzantine_servers_cost_more_than_byzantine_workers() {
+        // Paper: +53% over SSMW for server tolerance, +22% over crash tolerance (GPU numbers).
+        let ssmw = point(SystemKind::Ssmw, Device::Gpu).total();
+        let msmw = point(SystemKind::Msmw, Device::Gpu).total();
+        let crash = point(SystemKind::CrashTolerant, Device::Gpu).total();
+        assert!(
+            msmw > ssmw * 1.2,
+            "server tolerance should add substantial overhead over SSMW"
+        );
+        assert!(
+            msmw > crash,
+            "Byzantine server tolerance should cost more than crash tolerance"
+        );
+        assert!(msmw < crash * 2.0, "but not catastrophically more");
     }
 
     /// FNV-1a over every row: the label's bytes, then each value's bits.

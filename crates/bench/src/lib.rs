@@ -20,10 +20,8 @@
 pub mod figures;
 pub mod perf;
 pub mod report;
-pub mod throughput;
 pub mod trace;
 pub mod watch;
 
 pub use perf::{PerfConfig, PerfPoint};
 pub use report::{write_csv, Row};
-pub use throughput::{iteration_time, throughput, ThroughputPoint};

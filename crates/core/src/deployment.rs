@@ -15,7 +15,6 @@ use crate::server::{ByzantineServer, ParameterServer};
 use crate::worker::{ByzantineWorker, Worker};
 use crate::{CoreError, CoreResult, ExperimentConfig};
 use garfield_ml::{zoo, Batch, Dataset, Sgd};
-use garfield_net::{NodeId, PullRound};
 use garfield_tensor::{Tensor, TensorRng};
 
 /// Result of one `get_gradients()` round as seen by one server.
@@ -72,6 +71,15 @@ impl Deployment {
     /// Returns [`CoreError::InvalidConfig`] / [`CoreError::Ml`] when the
     /// configuration cannot be instantiated.
     pub fn new(config: ExperimentConfig) -> CoreResult<Self> {
+        let byz_worker_start = config
+            .nw
+            .checked_sub(config.actual_byzantine_workers)
+            .ok_or_else(|| {
+                CoreError::InvalidConfig(format!(
+                    "{} actual Byzantine workers among {} workers",
+                    config.actual_byzantine_workers, config.nw
+                ))
+            })?;
         let mut rng = TensorRng::seed_from(config.seed);
         let kind = zoo::dataset_for(&config.model)?;
         // Train and test are carved from one generation so they share the same
@@ -91,7 +99,6 @@ impl Deployment {
         // Workers: shard the data, clone the reference model as the replica.
         let shards = train.shard(config.nw, config.shard_strategy)?;
         let mut workers = Vec::with_capacity(config.nw);
-        let byz_worker_start = config.nw - config.actual_byzantine_workers;
         for (i, shard) in shards.into_iter().enumerate() {
             let worker = Worker::new(i, reference.clone_boxed(), shard.data, config.batch_size)?;
             let attack = if i >= byz_worker_start {
@@ -259,12 +266,12 @@ impl Deployment {
                 replies.len()
             )));
         }
-        let arrivals = (0..replies.len() as u32)
-            .map(|position| (NodeId(position), f64::from(self.rng.uniform01())))
-            .collect();
+        let arrival: Vec<f32> = replies.iter().map(|_| self.rng.uniform01()).collect();
+        let mut order: Vec<usize> = (0..replies.len()).collect();
+        order.sort_by(|&a, &b| arrival[a].total_cmp(&arrival[b]));
         let mut chosen = vec![false; replies.len()];
-        for NodeId(position) in PullRound::new(arrivals).fastest(quorum.max(1)).0 {
-            chosen[position as usize] = true;
+        for &position in order.iter().take(quorum.max(1)) {
+            chosen[position] = true;
         }
         let kept = replies
             .into_iter()
@@ -370,6 +377,17 @@ mod tests {
         assert!(d.model_round(0, d.server_count() - 1).is_err());
         let ok = d.model_round(0, d.server_count() - 2).unwrap();
         assert_eq!(ok.len(), d.server_count() - 2);
+    }
+
+    #[test]
+    fn more_actual_byzantine_workers_than_workers_is_a_config_error() {
+        // Used to underflow `nw - actual_byzantine_workers`: a panic in debug
+        // builds, and in release a wrap that installed no Byzantine worker.
+        let mut cfg = ExperimentConfig::small();
+        cfg.actual_byzantine_workers = cfg.nw + 1;
+        cfg.worker_attack = Some(AttackKind::Reversed);
+        let err = Deployment::new(cfg).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

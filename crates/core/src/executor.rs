@@ -16,18 +16,14 @@
 //!   the *system* claims: pull-based `get_gradients()` / `get_models()` that
 //!   stay live despite crashed, delayed or Byzantine nodes.
 //!
-//! Examples and tests pick a substrate through the shared [`Executor`] trait
-//! (often via an [`ExecMode`] parsed from the command line), so the same
-//! experiment can be validated analytically and executed for real.
+//! Examples and tests that compare the two hold them behind the shared
+//! [`Executor`] trait, so the same experiment can be validated analytically
+//! and executed for real.
 
-use crate::{Controller, CoreError, CoreResult, ExperimentConfig, SystemKind, TrainingTrace};
-use std::str::FromStr;
+use crate::{CoreResult, ExperimentConfig, SystemKind, Trainer, TrainingTrace};
 
 /// A substrate that can run a configured Garfield system to completion.
 pub trait Executor {
-    /// Short name of the substrate (`"sim"` or `"live"`).
-    fn name(&self) -> &'static str;
-
     /// Runs the named system and returns its training trace.
     ///
     /// # Errors
@@ -36,73 +32,27 @@ pub trait Executor {
     fn run(&mut self, system: SystemKind) -> CoreResult<TrainingTrace>;
 }
 
-/// The analytic, single-threaded executor (a thin wrapper over
-/// [`Controller`]): real math, simulated time.
+/// The analytic, single-threaded executor: real math, simulated time.
+///
+/// Every run validates the configuration, builds a fresh
+/// [`Deployment`](crate::Deployment) and lets the [`Trainer`] interpret the
+/// system's [`SystemPlan`](crate::SystemPlan), so runs of one executor are
+/// independent of each other.
 #[derive(Debug, Clone)]
 pub struct SimExecutor {
-    controller: Controller,
+    config: ExperimentConfig,
 }
 
 impl SimExecutor {
     /// Creates a sim executor for the given configuration.
     pub fn new(config: ExperimentConfig) -> Self {
-        SimExecutor {
-            controller: Controller::new(config),
-        }
-    }
-
-    /// The configuration this executor runs.
-    pub fn config(&self) -> &ExperimentConfig {
-        self.controller.config()
+        SimExecutor { config }
     }
 }
 
 impl Executor for SimExecutor {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
     fn run(&mut self, system: SystemKind) -> CoreResult<TrainingTrace> {
-        self.controller.run(system)
-    }
-}
-
-/// Which execution substrate to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// Sequential, cost-modelled execution ([`SimExecutor`]).
-    Sim,
-    /// Threaded execution over real messages (`garfield_runtime::LiveExecutor`).
-    Live,
-}
-
-impl ExecMode {
-    /// Canonical lowercase name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecMode::Sim => "sim",
-            ExecMode::Live => "live",
-        }
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for ExecMode {
-    type Err = CoreError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sim" => Ok(ExecMode::Sim),
-            "live" => Ok(ExecMode::Live),
-            other => Err(CoreError::InvalidConfig(format!(
-                "unknown execution mode '{other}' (expected 'sim' or 'live')"
-            ))),
-        }
+        Trainer::new(system, self.config.clone())?.run()
     }
 }
 
@@ -112,23 +62,38 @@ mod tests {
 
     #[test]
     fn sim_executor_matches_the_controller() {
+        // The executor is the trainer on a fresh deployment, nothing more.
         let mut cfg = ExperimentConfig::small();
         cfg.iterations = 4;
         cfg.eval_every = 2;
-        let mut executor = SimExecutor::new(cfg.clone());
-        assert_eq!(executor.name(), "sim");
-        assert_eq!(executor.config().iterations, 4);
-        let trace = executor.run(SystemKind::Vanilla).unwrap();
-        let reference = Controller::new(cfg).run(SystemKind::Vanilla).unwrap();
+        let trace = SimExecutor::new(cfg.clone())
+            .run(SystemKind::Vanilla)
+            .unwrap();
+        let reference = Trainer::new(SystemKind::Vanilla, cfg)
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(trace.iterations, reference.iterations);
         assert_eq!(trace.accuracy, reference.accuracy);
     }
 
     #[test]
-    fn exec_mode_parses_and_prints() {
-        assert_eq!("sim".parse::<ExecMode>().unwrap(), ExecMode::Sim);
-        assert_eq!("live".parse::<ExecMode>().unwrap(), ExecMode::Live);
-        assert!("grpc".parse::<ExecMode>().is_err());
-        assert_eq!(ExecMode::Live.to_string(), "live");
+    fn sim_executor_runs_every_system_on_a_small_config() {
+        let mut cfg = ExperimentConfig::small();
+        cfg.iterations = 8;
+        cfg.eval_every = 4;
+        let mut executor = SimExecutor::new(cfg);
+        for system in SystemKind::all() {
+            let trace = executor.run(system).unwrap();
+            assert_eq!(trace.len(), 8, "{system} should record every iteration");
+            assert!(trace.updates_per_second() > 0.0);
+        }
+    }
+
+    #[test]
+    fn invalid_configuration_is_rejected_before_deployment() {
+        let mut cfg = ExperimentConfig::small();
+        cfg.fw = 3; // needs 9 inputs for Multi-Krum, nw is 7
+        assert!(SimExecutor::new(cfg).run(SystemKind::Msmw).is_err());
     }
 }

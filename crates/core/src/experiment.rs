@@ -185,37 +185,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// The paper's TensorFlow/CPU setup: 18 workers (3 Byzantine), 6 servers (1 Byzantine).
-    pub fn paper_cpu() -> Self {
-        ExperimentConfig {
-            nw: 18,
-            fw: 3,
-            nps: 6,
-            fps: 1,
-            batch_size: 32,
-            gradient_gar: GarKind::Bulyan,
-            model_gar: GarKind::Median,
-            device: Device::Cpu,
-            synchronous: false,
-            ..ExperimentConfig::default()
-        }
-    }
-
-    /// The paper's PyTorch/GPU setup: 10 workers (3 Byzantine), 3 servers (1 Byzantine).
-    pub fn paper_gpu() -> Self {
-        ExperimentConfig {
-            nw: 10,
-            fw: 3,
-            nps: 3,
-            fps: 1,
-            batch_size: 100,
-            gradient_gar: GarKind::MultiKrum,
-            model_gar: GarKind::Median,
-            device: Device::Gpu,
-            ..ExperimentConfig::default()
-        }
-    }
-
     /// Effective batch size per model update (`nw × batch_size`).
     pub fn effective_batch(&self) -> usize {
         self.nw * self.batch_size
@@ -464,6 +433,12 @@ impl ExperimentConfig {
         // GAR requirements on the model path: a replica aggregates the models it
         // pulled from `quorum` peers *plus its own*, hence the `+ 1`.
         if let Some(merge) = &plan.merge {
+            if plan.servers < 2 {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{system} merges models between replicas, but only {} exists",
+                    plan.servers
+                )));
+            }
             if merge.quorum + 1 < merge.gar.minimum_inputs(merge.f) {
                 return Err(CoreError::InvalidConfig(format!(
                     "{} needs at least {} model inputs to tolerate f_ps = {}, but only {} are collected",
@@ -482,13 +457,24 @@ impl ExperimentConfig {
 mod tests {
     use super::*;
 
+    /// The paper's TensorFlow/CPU setup: 18 workers (3 Byzantine), 6 servers
+    /// (1 Byzantine), asynchronous Bulyan.
+    fn paper_cpu() -> ExperimentConfig {
+        ExperimentConfig {
+            nw: 18,
+            fw: 3,
+            nps: 6,
+            fps: 1,
+            batch_size: 32,
+            gradient_gar: GarKind::Bulyan,
+            synchronous: false,
+            ..ExperimentConfig::default()
+        }
+    }
+
     #[test]
     fn defaults_and_presets_are_valid() {
-        for cfg in [
-            ExperimentConfig::default(),
-            ExperimentConfig::small(),
-            ExperimentConfig::paper_gpu(),
-        ] {
+        for cfg in [ExperimentConfig::default(), ExperimentConfig::small()] {
             for system in [
                 SystemKind::Vanilla,
                 SystemKind::Ssmw,
@@ -497,10 +483,8 @@ mod tests {
                 cfg.validate(system).unwrap();
             }
         }
-        // The CPU preset uses Bulyan with n_w - f_w = 15 >= 4*3+3 = 15.
-        ExperimentConfig::paper_cpu()
-            .validate(SystemKind::Msmw)
-            .unwrap();
+        // The CPU setup uses Bulyan with n_w - f_w = 15 >= 4*3+3 = 15.
+        paper_cpu().validate(SystemKind::Msmw).unwrap();
     }
 
     #[test]
@@ -540,6 +524,32 @@ mod tests {
         cfg.nps = 0;
         assert!(cfg.validate(SystemKind::Msmw).is_err());
         assert!(cfg.validate(SystemKind::Ssmw).is_ok());
+    }
+
+    #[test]
+    fn msmw_needs_a_peer_replica_to_merge_with() {
+        // Sim MSMW at nps = 1 used to pass validation and fail round 0 with
+        // "only 0 live server peers can reply", while the live run skipped
+        // the merge: the two substrates disagreed.
+        let mut cfg = ExperimentConfig::small();
+        cfg.nps = 1;
+        cfg.fps = 0;
+        let err = cfg.validate(SystemKind::Msmw).unwrap_err();
+        assert!(err.to_string().contains("only 1 exists"), "{err}");
+        cfg.nps = 2;
+        cfg.validate(SystemKind::Msmw).unwrap();
+    }
+
+    #[test]
+    fn decentralized_learning_needs_a_peer_to_merge_with() {
+        let mut cfg = ExperimentConfig::small();
+        cfg.nw = 1;
+        cfg.fw = 0;
+        cfg.gradient_gar = GarKind::Median;
+        let err = cfg.validate(SystemKind::Decentralized).unwrap_err();
+        assert!(err.to_string().contains("only 1 exists"), "{err}");
+        cfg.nw = 2;
+        cfg.validate(SystemKind::Decentralized).unwrap();
     }
 
     #[test]
@@ -602,7 +612,7 @@ mod tests {
 
     #[test]
     fn config_json_round_trips_every_field() {
-        let mut cfg = ExperimentConfig::paper_cpu();
+        let mut cfg = paper_cpu();
         cfg.worker_attack = Some(garfield_attacks::AttackKind::LittleIsEnough);
         cfg.server_attack = None;
         cfg.shard_strategy = ShardStrategy::ByLabel;

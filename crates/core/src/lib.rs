@@ -4,10 +4,12 @@
 //! *"Garfield: System Support for Byzantine Machine Learning"* (DSN 2021):
 //! the paper's object-oriented design (Server, Worker and their Byzantine
 //! variants), its pull-based communication abstractions
-//! (`get_gradients()` / `get_models()`), the Controller and Experiment
-//! modules, and the three applications of §5 (SSMW, MSMW, decentralized
-//! learning) plus the evaluation baselines of §6.2 (vanilla, crash-tolerant,
-//! AggregaThor) — each a [`SystemPlan`] interpreted by the one [`Trainer`].
+//! (`get_gradients()` / `get_models()`), the Experiment module, and the
+//! three applications of §5 (SSMW, MSMW, decentralized learning) plus the
+//! evaluation baselines of §6.2 (vanilla, crash-tolerant, AggregaThor) — each
+//! a [`SystemPlan`] interpreted by the one [`Trainer`]. The paper's
+//! Controller, which launches nodes from a cluster description, is
+//! `garfield-node` with a `ClusterSpec` (crate `garfield-transport`).
 //!
 //! The stack underneath is entirely in-workspace: tensors
 //! ([`garfield_tensor`]), models/datasets/optimizers ([`garfield_ml`]), robust
@@ -21,14 +23,14 @@
 //! gradients, tolerated by Multi-Krum:
 //!
 //! ```rust
-//! use garfield_core::{Controller, ExperimentConfig, SystemKind};
+//! use garfield_core::{ExperimentConfig, SystemKind, Trainer};
 //! use garfield_attacks::AttackKind;
 //!
 //! let mut config = ExperimentConfig::small();
 //! config.iterations = 10;
 //! config.actual_byzantine_workers = 1;
 //! config.worker_attack = Some(AttackKind::Reversed);
-//! let trace = Controller::new(config).run(SystemKind::Ssmw)?;
+//! let trace = Trainer::new(SystemKind::Ssmw, config)?.run()?;
 //! assert_eq!(trace.len(), 10);
 //! # Ok::<(), garfield_core::CoreError>(())
 //! ```
@@ -39,7 +41,6 @@
 mod alignment;
 pub mod apps;
 pub mod checkpoint;
-mod controller;
 mod deployment;
 mod error;
 mod executor;
@@ -54,10 +55,9 @@ mod worker;
 pub use alignment::{alignment_sample, AlignmentSample};
 pub use apps::Trainer;
 pub use checkpoint::{Checkpoint, CheckpointPolicy};
-pub use controller::Controller;
 pub use deployment::{Deployment, GradientRound, LiveParts};
 pub use error::{CoreError, CoreResult};
-pub use executor::{ExecMode, Executor, SimExecutor};
+pub use executor::{Executor, SimExecutor};
 pub use experiment::{ExperimentConfig, SystemKind};
 pub use server::{ByzantineServer, ParameterServer};
 pub use shard::{shard_server, ShardMap, ShardSliceModel, ShardSpec};

@@ -8,7 +8,7 @@
 //! its simulated clock from [`SystemPlan::timing`] (the analytic cost model
 //! the throughput figures use), config validation and the live actors read
 //! the same fields — so adding a system is one arm here, and
-//! no other module of `core`, `runtime` or `bench::throughput` branches on a
+//! no other module of `core`, `runtime` or `bench::figures` branches on a
 //! `SystemKind` (`experiment.rs` keeps only the name table).
 
 use crate::{ExperimentConfig, IterationTiming, SystemKind};

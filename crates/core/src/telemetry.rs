@@ -7,7 +7,6 @@
 //! sum.
 
 use crate::json;
-use crate::{CoreError, CoreResult};
 use garfield_net::{PeerCounters, Role};
 
 /// Simulated time spent in each phase of one training iteration, in seconds.
@@ -134,14 +133,6 @@ impl TrainingTrace {
         self.accuracy.iter().map(|p| p.accuracy).fold(0.0, f32::max)
     }
 
-    /// Simulated time (seconds) at which accuracy first reached `target`, if ever.
-    pub fn time_to_accuracy(&self, target: f32) -> Option<f64> {
-        self.accuracy
-            .iter()
-            .find(|p| p.accuracy >= target)
-            .map(|p| p.sim_time)
-    }
-
     /// Serializes the trace to JSON, in the same shape `serde_json` would
     /// produce for these structs (used by the experiment reports).
     pub fn to_json(&self) -> String {
@@ -180,70 +171,6 @@ impl TrainingTrace {
         json::write_f64(&mut out, self.effective_batch as f64);
         out.push('}');
         out
-    }
-
-    /// Parses a trace previously produced by [`TrainingTrace::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Serialization`] on malformed JSON or a document
-    /// whose fields do not match the trace schema.
-    pub fn from_json(input: &str) -> CoreResult<Self> {
-        let bad = |what: &str| CoreError::Serialization(format!("trace JSON: {what}"));
-        let doc = json::parse(input).map_err(CoreError::Serialization)?;
-        let system = doc
-            .get("system")
-            .and_then(json::Value::as_str)
-            .ok_or_else(|| bad("missing string field 'system'"))?
-            .to_string();
-        let effective_batch = doc
-            .get("effective_batch")
-            .and_then(json::Value::as_usize)
-            .ok_or_else(|| bad("missing integer field 'effective_batch'"))?;
-        // `to_json` writes non-finite floats as `null` (like serde_json), so
-        // the reader maps `null` back to NaN rather than rejecting a document
-        // the writer itself produced.
-        let f64_field = |v: &json::Value, key: &str| match v.get(key) {
-            Some(json::Value::Null) => Ok(f64::NAN),
-            Some(field) => field
-                .as_f64()
-                .ok_or_else(|| bad(&format!("missing number field '{key}'"))),
-            None => Err(bad(&format!("missing number field '{key}'"))),
-        };
-        let mut iterations = Vec::new();
-        for it in doc
-            .get("iterations")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| bad("missing array field 'iterations'"))?
-        {
-            iterations.push(IterationTiming {
-                computation: f64_field(it, "computation")?,
-                communication: f64_field(it, "communication")?,
-                aggregation: f64_field(it, "aggregation")?,
-            });
-        }
-        let mut accuracy = Vec::new();
-        for p in doc
-            .get("accuracy")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| bad("missing array field 'accuracy'"))?
-        {
-            accuracy.push(AccuracyPoint {
-                iteration: p
-                    .get("iteration")
-                    .and_then(json::Value::as_usize)
-                    .ok_or_else(|| bad("missing integer field 'iteration'"))?,
-                sim_time: f64_field(p, "sim_time")?,
-                accuracy: f64_field(p, "accuracy")? as f32,
-                loss: f64_field(p, "loss")? as f32,
-            });
-        }
-        Ok(TrainingTrace {
-            system,
-            iterations,
-            accuracy,
-            effective_batch,
-        })
     }
 }
 
@@ -315,11 +242,6 @@ impl NodeTelemetry {
     /// over peers (0 when the transport reported no per-peer counters).
     pub fn wire_bytes_sent(&self) -> u64 {
         self.peers.iter().map(|p| p.bytes_sent).sum()
-    }
-
-    /// Total on-wire bytes this node's transport received, summed over peers.
-    pub fn wire_bytes_received(&self) -> u64 {
-        self.peers.iter().map(|p| p.bytes_received).sum()
     }
 
     /// Messages this node's transport dropped under backpressure (bounded
@@ -432,37 +354,53 @@ mod tests {
         t
     }
 
+    /// The `key` number of every element of the `list` array in `doc`.
+    fn column(doc: &json::Value, list: &str, key: &str) -> Vec<json::Value> {
+        let items = doc.get(list).and_then(json::Value::as_array).unwrap();
+        items
+            .iter()
+            .map(|item| item.get(key).unwrap().clone())
+            .collect()
+    }
+
     #[test]
     fn json_round_trip_preserves_the_trace() {
         let t = trace();
-        let back = TrainingTrace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.system, t.system);
-        assert_eq!(back.effective_batch, t.effective_batch);
-        assert_eq!(back.iterations, t.iterations);
-        assert_eq!(back.accuracy, t.accuracy);
+        let doc = json::parse(&t.to_json()).unwrap();
+        assert_eq!(
+            doc.get("system").and_then(json::Value::as_str),
+            Some("test")
+        );
+        let batch = doc.get("effective_batch").and_then(json::Value::as_usize);
+        assert_eq!(batch, Some(t.effective_batch));
+        let numbers = |list, key| -> Vec<f64> {
+            let values = column(&doc, list, key);
+            values.iter().map(|v| v.as_f64().unwrap()).collect()
+        };
+        let computation: Vec<f64> = t.iterations.iter().map(|it| it.computation).collect();
+        assert_eq!(numbers("iterations", "computation"), computation);
+        assert_eq!(numbers("iterations", "aggregation"), vec![0.5; 4]);
+        let sim_time: Vec<f64> = t.accuracy.iter().map(|p| p.sim_time).collect();
+        assert_eq!(numbers("accuracy", "sim_time"), sim_time);
+        for (read, point) in numbers("accuracy", "loss").into_iter().zip(&t.accuracy) {
+            assert_eq!((read as f32).to_bits(), point.loss.to_bits());
+        }
     }
 
     #[test]
     fn non_finite_floats_survive_a_json_round_trip_as_nan() {
         // A diverging run can record NaN losses; the writer emits `null`
-        // (like serde_json) and the reader must accept its own output.
+        // (like serde_json), and the document stays valid JSON.
         let mut t = trace();
         t.accuracy[0].loss = f32::NAN;
         t.iterations[0].computation = f64::INFINITY;
-        let json = t.to_json();
-        assert!(json.contains("null"));
-        let back = TrainingTrace::from_json(&json).unwrap();
-        assert!(back.accuracy[0].loss.is_nan());
-        assert!(back.iterations[0].computation.is_nan());
-        assert_eq!(back.len(), t.len());
-    }
-
-    #[test]
-    fn from_json_rejects_schema_mismatches() {
-        assert!(TrainingTrace::from_json("{").is_err());
-        assert!(TrainingTrace::from_json("{}").is_err());
-        let no_loss = r#"{"system":"x","iterations":[],"accuracy":[{"iteration":0,"sim_time":1.0,"accuracy":0.5}],"effective_batch":8}"#;
-        assert!(TrainingTrace::from_json(no_loss).is_err());
+        let doc = json::parse(&t.to_json()).unwrap();
+        assert_eq!(column(&doc, "accuracy", "loss")[0], json::Value::Null);
+        assert_eq!(
+            column(&doc, "iterations", "computation")[0],
+            json::Value::Null
+        );
+        assert_eq!(column(&doc, "iterations", "communication").len(), t.len());
     }
 
     #[test]
@@ -488,8 +426,6 @@ mod tests {
         let t = trace();
         assert!((t.final_accuracy() - 0.8).abs() < 1e-6);
         assert!((t.best_accuracy() - 0.8).abs() < 1e-6);
-        assert_eq!(t.time_to_accuracy(0.4).unwrap(), 7.0);
-        assert!(t.time_to_accuracy(0.99).is_none());
         assert_eq!(TrainingTrace::new("x", 1).final_accuracy(), 0.0);
     }
 
@@ -542,7 +478,6 @@ mod tests {
         toward_2.bytes_received = 12;
         node.peers = vec![toward_1, toward_2];
         assert_eq!(node.wire_bytes_sent(), 100);
-        assert_eq!(node.wire_bytes_received(), 12);
         assert_eq!(node.messages_dropped(), 1);
         let telemetry = RuntimeTelemetry {
             nodes: vec![node],

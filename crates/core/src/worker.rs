@@ -54,11 +54,6 @@ impl Worker {
         self.batch_size
     }
 
-    /// Number of samples in this worker's shard.
-    pub fn shard_size(&self) -> usize {
-        self.data.len()
-    }
-
     /// Computes a gradient estimate at the given model state, using the
     /// `iteration`-th mini-batch of this worker's shard.
     ///
@@ -128,33 +123,6 @@ impl ByzantineWorker {
         &self.inner
     }
 
-    /// Computes the gradient this worker *sends* for `iteration`.
-    ///
-    /// Honest workers return their true estimate; Byzantine workers corrupt it
-    /// with the installed attack. `peer_gradients` carries the honest
-    /// gradients visible to an omniscient adversary this round.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ml`] when `params` does not match the replica.
-    pub fn reply_gradient(
-        &mut self,
-        params: &Tensor,
-        iteration: usize,
-        peer_gradients: &[Tensor],
-    ) -> CoreResult<(f32, Tensor)> {
-        let (loss, honest) = self.inner.compute_gradient(params, iteration)?;
-        match &self.attack {
-            None => Ok((loss, honest)),
-            Some(attack) => {
-                let byz = attack.corrupt(&honest, peer_gradients, &mut self.rng);
-                Ok((loss, byz))
-            }
-        }
-    }
-}
-
-impl ByzantineWorker {
     /// The honest gradient this worker computes, bypassing any installed attack.
     ///
     /// Used by the deployment to build the omniscient adversary's view of the
@@ -245,7 +213,6 @@ mod tests {
         assert!(grad.is_finite());
         assert_eq!(worker.batch_size(), 8);
         assert_eq!(worker.index(), 0);
-        assert!(worker.shard_size() > 0);
     }
 
     #[test]
@@ -270,9 +237,8 @@ mod tests {
         let (worker, params) = setup();
         let mut byz = ByzantineWorker::new(worker, None, TensorRng::seed_from(1));
         assert!(!byz.is_byzantine());
-        let (_, sent) = byz.reply_gradient(&params, 0, &[]).unwrap();
-        let (_, honest) = byz.inner.compute_gradient(&params, 0).unwrap();
-        assert_eq!(sent, honest);
+        let (_, honest) = byz.honest_compute(&params, 0).unwrap();
+        assert_eq!(byz.sent_gradient(honest.clone(), &[]), honest);
     }
 
     #[test]
@@ -281,7 +247,8 @@ mod tests {
         let attack = Box::new(ReversedVectorAttack::amplified(100.0));
         let mut byz = ByzantineWorker::new(worker, Some(attack), TensorRng::seed_from(1));
         assert!(byz.is_byzantine());
-        let (_, sent) = byz.reply_gradient(&params, 0, &[]).unwrap();
+        let (_, computed) = byz.honest_compute(&params, 0).unwrap();
+        let sent = byz.sent_gradient(computed, &[]);
         let (_, honest) = byz.honest().replica_gradient_for_test(&params);
         for (s, h) in sent.iter().zip(honest.iter()) {
             assert!((s + 100.0 * h).abs() < 1e-3);

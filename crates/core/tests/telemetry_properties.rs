@@ -6,7 +6,7 @@
 //! than the invalid literals `NaN`/`inf` that ad-hoc `write!("{}")`
 //! formatting produces. Every emitted document must therefore (a) parse as
 //! well-formed JSON and (b) round-trip: finite values exactly, non-finite
-//! values as NaN.
+//! values as `null`.
 
 use garfield_core::json;
 use garfield_core::{AccuracyPoint, IterationTiming, TrainingTrace};
@@ -33,22 +33,24 @@ fn special_f32(sel: u8, finite: f32) -> f32 {
     special_f64(sel, finite as f64) as f32
 }
 
-/// Exact equality that treats every NaN as equal (round-tripping maps all
-/// non-finite inputs to NaN, by design).
-fn roundtrips_f64(written: f64, read: f64) -> bool {
-    if written.is_finite() {
-        written.to_bits() == read.to_bits()
-    } else {
-        read.is_nan()
+/// The number field `key` of `item` as written: finite values exactly,
+/// `None` for the `null` that stands for every non-finite input.
+fn read(item: &json::Value, key: &str) -> Option<f64> {
+    match item.get(key).expect("every field is written") {
+        json::Value::Null => None,
+        value => Some(value.as_f64().expect("a number or null")),
     }
 }
 
-fn roundtrips_f32(written: f32, read: f32) -> bool {
-    if written.is_finite() {
-        written.to_bits() == read.to_bits()
-    } else {
-        read.is_nan()
+fn roundtrips_f64(written: f64, read: Option<f64>) -> bool {
+    match read {
+        Some(read) => written.is_finite() && written.to_bits() == read.to_bits(),
+        None => !written.is_finite(),
     }
+}
+
+fn roundtrips_f32(written: f32, read: Option<f64>) -> bool {
+    roundtrips_f64(f64::from(written), read.map(|v| f64::from(v as f32)))
 }
 
 proptest! {
@@ -91,25 +93,27 @@ proptest! {
 
         let text = trace.to_json();
         // (a) The emission is well-formed JSON no matter what floats went in.
-        prop_assert!(json::parse(&text).is_ok(), "emitted invalid JSON: {text}");
+        let doc = json::parse(&text);
+        prop_assert!(doc.is_ok(), "emitted invalid JSON: {text}");
+        let doc = doc.unwrap();
 
-        // (b) The reader accepts its own writer's output and preserves
-        // every value (non-finite ↦ NaN).
-        let back = TrainingTrace::from_json(&text).unwrap();
-        prop_assert_eq!(&back.system, &trace.system);
-        prop_assert_eq!(back.effective_batch, trace.effective_batch);
-        prop_assert_eq!(back.iterations.len(), trace.iterations.len());
-        prop_assert_eq!(back.accuracy.len(), trace.accuracy.len());
-        for (w, r) in trace.iterations.iter().zip(back.iterations.iter()) {
-            prop_assert!(roundtrips_f64(w.computation, r.computation));
-            prop_assert!(roundtrips_f64(w.communication, r.communication));
-            prop_assert!(roundtrips_f64(w.aggregation, r.aggregation));
+        // (b) It preserves every value (non-finite ↦ null).
+        prop_assert_eq!(doc.get("system").and_then(json::Value::as_str), Some(system.as_str()));
+        let effective_batch = doc.get("effective_batch").and_then(json::Value::as_usize);
+        prop_assert_eq!(effective_batch, Some(batch));
+        let list = |key| doc.get(key).and_then(json::Value::as_array).unwrap();
+        prop_assert_eq!(list("iterations").len(), trace.iterations.len());
+        prop_assert_eq!(list("accuracy").len(), trace.accuracy.len());
+        for (w, r) in trace.iterations.iter().zip(list("iterations")) {
+            prop_assert!(roundtrips_f64(w.computation, read(r, "computation")));
+            prop_assert!(roundtrips_f64(w.communication, read(r, "communication")));
+            prop_assert!(roundtrips_f64(w.aggregation, read(r, "aggregation")));
         }
-        for (w, r) in trace.accuracy.iter().zip(back.accuracy.iter()) {
-            prop_assert_eq!(w.iteration, r.iteration);
-            prop_assert!(roundtrips_f64(w.sim_time, r.sim_time));
-            prop_assert!(roundtrips_f32(w.accuracy, r.accuracy));
-            prop_assert!(roundtrips_f32(w.loss, r.loss));
+        for (w, r) in trace.accuracy.iter().zip(list("accuracy")) {
+            prop_assert_eq!(read(r, "iteration"), Some(w.iteration as f64));
+            prop_assert!(roundtrips_f64(w.sim_time, read(r, "sim_time")));
+            prop_assert!(roundtrips_f32(w.accuracy, read(r, "accuracy")));
+            prop_assert!(roundtrips_f32(w.loss, read(r, "loss")));
         }
     }
 
@@ -146,7 +150,7 @@ proptest! {
                         // Non-finite numbers degrade to null by design.
                         (Value::Number(n), Value::Null) => prop_assert!(!n.is_finite()),
                         (Value::Number(w), Value::Number(r)) => {
-                            prop_assert!(roundtrips_f64(*w, *r));
+                            prop_assert!(roundtrips_f64(*w, Some(*r)));
                         }
                         (w, r) => prop_assert_eq!(w, r),
                     }

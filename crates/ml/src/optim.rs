@@ -17,18 +17,17 @@ pub trait Optimizer: Send {
     fn learning_rate(&self) -> f32;
 }
 
-/// Plain SGD with optional Polyak momentum and learning-rate decay.
+/// Plain SGD with optional Polyak momentum.
 ///
 /// ```rust
 /// use garfield_ml::{Sgd, Optimizer};
-/// let opt = Sgd::new(0.1).with_momentum(0.9).with_decay(1e-4);
+/// let opt = Sgd::new(0.1).with_momentum(0.9);
 /// assert_eq!(opt.learning_rate(), 0.1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
     learning_rate: f32,
     momentum: f32,
-    decay: f32,
     steps: u64,
     velocity: Option<Tensor>,
 }
@@ -39,7 +38,6 @@ impl Sgd {
         Sgd {
             learning_rate,
             momentum: 0.0,
-            decay: 0.0,
             steps: 0,
             velocity: None,
         }
@@ -48,13 +46,6 @@ impl Sgd {
     /// Sets the momentum coefficient.
     pub fn with_momentum(mut self, momentum: f32) -> Self {
         self.momentum = momentum;
-        self
-    }
-
-    /// Sets a multiplicative inverse-time learning-rate decay
-    /// (`lr_t = lr / (1 + decay * t)`).
-    pub fn with_decay(mut self, decay: f32) -> Self {
-        self.decay = decay;
         self
     }
 
@@ -71,7 +62,7 @@ impl Sgd {
     /// Restores the optimizer's mutable state (step count and velocity) from
     /// a checkpoint.
     ///
-    /// The hyper-parameters (learning rate, momentum, decay) are *not*
+    /// The hyper-parameters (learning rate, momentum) are *not*
     /// restored: they are derived from the experiment configuration when the
     /// optimizer is rebuilt, and a resumed run must use the same config. With
     /// the state restored, the next [`Sgd::step`] is bit-identical to the one
@@ -79,10 +70,6 @@ impl Sgd {
     pub fn restore(&mut self, steps: u64, velocity: Option<Tensor>) {
         self.steps = steps;
         self.velocity = velocity;
-    }
-
-    fn effective_lr(&self) -> f32 {
-        self.learning_rate / (1.0 + self.decay * self.steps as f32)
     }
 }
 
@@ -95,7 +82,7 @@ impl Optimizer for Sgd {
                 got: gradient.len(),
             });
         }
-        let lr = self.effective_lr();
+        let lr = self.learning_rate;
         let update = if self.momentum > 0.0 {
             let mut v = match self.velocity.take() {
                 Some(v) if v.len() == gradient.len() => v,
@@ -166,15 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn decay_reduces_effective_learning_rate() {
-        let opt = Sgd::new(1.0).with_decay(1.0);
-        assert_eq!(opt.effective_lr(), 1.0);
-        let mut opt2 = Sgd::new(1.0).with_decay(1.0);
-        opt2.steps = 4;
-        assert!((opt2.effective_lr() - 0.2).abs() < 1e-6);
-    }
-
-    #[test]
     fn restored_optimizer_steps_bit_identically() {
         // Run 3 steps, checkpoint (steps + velocity), rebuild a fresh
         // optimizer from the same hyper-parameters, restore, run 2 more
@@ -187,14 +165,14 @@ mod tests {
             .map(|k| Tensor::full(n, 0.25 * (k as f32 + 1.0)))
             .collect();
 
-        let mut opt_a = Sgd::new(0.1).with_momentum(0.9).with_decay(1e-3);
+        let mut opt_a = Sgd::new(0.1).with_momentum(0.9);
         for g in &grads[..3] {
             opt_a.step(&mut model_a, g).unwrap();
         }
         let steps = opt_a.steps();
         let velocity = opt_a.velocity().cloned();
 
-        let mut opt_b = Sgd::new(0.1).with_momentum(0.9).with_decay(1e-3);
+        let mut opt_b = Sgd::new(0.1).with_momentum(0.9);
         model_b.set_parameters(&model_a.parameters()).unwrap();
         opt_b.restore(steps, velocity);
 

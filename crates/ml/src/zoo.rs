@@ -22,13 +22,6 @@ pub struct ModelSpec {
     pub size_mb: f64,
 }
 
-impl ModelSpec {
-    /// Serialized size in bytes (4 bytes per `f32` parameter).
-    pub fn size_bytes(&self) -> usize {
-        self.parameters * 4
-    }
-}
-
 /// The six models of Table 1, in the paper's order.
 pub fn paper_models() -> Vec<ModelSpec> {
     vec![
@@ -144,7 +137,7 @@ mod tests {
         assert_eq!(models[5].parameters, 128_807_306);
         // Sizes are within rounding of 4 bytes/parameter.
         for m in &models {
-            let mb = m.size_bytes() as f64 / 1_048_576.0;
+            let mb = (m.parameters * 4) as f64 / 1_048_576.0;
             assert!(
                 (mb - m.size_mb).abs() / m.size_mb < 0.05,
                 "{}: {mb} vs {}",

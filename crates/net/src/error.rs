@@ -22,13 +22,6 @@ pub enum NetError {
     Timeout,
     /// The router has been shut down.
     RouterClosed,
-    /// A request asked for more replies than there are live peers.
-    NotEnoughReplies {
-        /// Number of replies requested.
-        requested: usize,
-        /// Number of peers that could possibly reply.
-        available: usize,
-    },
     /// A wire payload declared an unsupported format version.
     WireVersion(u8),
     /// A wire payload used an unknown message-kind byte.
@@ -78,15 +71,6 @@ impl fmt::Display for NetError {
             NetError::Unreachable { from, to } => write!(f, "node {to} is unreachable from {from}"),
             NetError::Timeout => write!(f, "receive timed out"),
             NetError::RouterClosed => write!(f, "router has been shut down"),
-            NetError::NotEnoughReplies {
-                requested,
-                available,
-            } => {
-                write!(
-                    f,
-                    "requested {requested} replies but only {available} peers are available"
-                )
-            }
             NetError::WireVersion(v) => write!(f, "unsupported wire format version {v}"),
             NetError::WireKind(k) => write!(f, "unknown wire message kind {k}"),
             NetError::WireSize { expected, actual } => {
@@ -131,11 +115,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = NetError::NotEnoughReplies {
-            requested: 5,
-            available: 3,
-        };
-        assert!(e.to_string().contains('5'));
         assert!(!NetError::Timeout.to_string().is_empty());
         assert!(!NetError::RouterClosed.to_string().is_empty());
         assert!(!NetError::UnknownNode(NodeId(3)).to_string().is_empty());

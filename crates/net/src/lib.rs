@@ -11,9 +11,7 @@
 //! * for the simulator, a [`CostModel`] translating *bytes moved* and *work
 //!   done* on a [`Device`] into simulated seconds, so message counts × sizes ×
 //!   link characteristics drive the throughput results exactly as they do in
-//!   the paper, and [`PullRound`]: the "fastest `q` out of `n` replies"
-//!   primitive behind the paper's `get_gradients()` / `get_models()`
-//!   abstractions;
+//!   the paper;
 //! * for live training, a real, thread-safe [`Router`] of byte messages
 //!   between [`NodeId`]s (point-to-point over channels, silent when a node is
 //!   crashed);
@@ -29,17 +27,14 @@
 //! # Quick example
 //!
 //! ```rust
-//! use garfield_net::{CostModel, Device, NodeId, PullRound};
+//! use garfield_net::{CostModel, Device};
 //!
-//! // Fastest 3 of 4 replies with per-reply simulated arrival times.
-//! let round = PullRound::new(vec![(NodeId(0), 0.3), (NodeId(1), 0.1),
-//!                                 (NodeId(2), 0.2), (NodeId(3), 0.9)]);
-//! let (chosen, elapsed) = round.fastest(3);
-//! assert_eq!(chosen, vec![NodeId(1), NodeId(2), NodeId(0)]);
-//! assert!((elapsed - 0.3).abs() < 1e-9);
-//!
-//! // Pulling those three 1M-parameter vectors costs simulated seconds.
-//! assert!(CostModel::default().parallel_pull_time(1_000_000, 3, Device::Cpu) > 0.0);
+//! // Pulling the fastest three of a round's 1M-parameter vectors costs
+//! // simulated seconds, more of them for more vectors.
+//! let cost = CostModel::default();
+//! let three = cost.parallel_pull_time(1_000_000, 3, Device::Cpu);
+//! assert!(three > 0.0);
+//! assert!(cost.parallel_pull_time(1_000_000, 4, Device::Cpu) > three);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +43,6 @@
 mod cost;
 mod error;
 mod ids;
-mod pull;
 mod router;
 mod transport;
 mod wire;
@@ -56,7 +50,6 @@ mod wire;
 pub use cost::{CostModel, Device, LinkProfile};
 pub use error::{NetError, NetResult};
 pub use ids::{NodeId, Role};
-pub use pull::PullRound;
 pub use router::{Envelope, Router, RouterHandle};
 pub use transport::{
     record_wire_recv, record_wire_send, PeerCounterMap, PeerCounters, RouterTransport, Transport,

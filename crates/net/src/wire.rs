@@ -155,7 +155,7 @@ msg_kinds! {
     ModelRequest = 2,
     /// Server → server: the served model vector (payload = model).
     ModelReply = 3,
-    /// Controller → worker: stop the actor loop (empty payload).
+    /// Sent to a worker once training is over: stop the actor loop (empty payload).
     Shutdown = 4,
     /// Server → server: "I finished my last iteration" (empty payload);
     /// lets peers stop serving model requests without a timeout.

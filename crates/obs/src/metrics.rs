@@ -152,8 +152,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a histogram's buckets, for quantile reads and
-/// interval deltas.
+/// A point-in-time copy of a histogram's buckets, as [`render`] exposes them.
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -170,38 +169,6 @@ impl HistogramSnapshot {
     /// Sum of observed values, in seconds.
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// The observations recorded *since* `earlier` (pointwise saturating
-    /// difference), for per-interval quantiles over a shared histogram.
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistogramSnapshot {
-            buckets,
-            sum: self.sum - earlier.sum,
-            count: self.count.saturating_sub(earlier.count),
-        }
-    }
-
-    /// The upper bound (seconds) of the bucket containing quantile
-    /// `q ∈ [0, 1]`, or `None` when the histogram is empty. Observations in
-    /// the `+Inf` bucket report the largest finite bound.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(bucket_bound(i.min(HISTOGRAM_BUCKETS - 2)));
-            }
-        }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 2))
     }
 }
 
@@ -461,24 +428,25 @@ mod tests {
         let _g = crate::test_guard();
         crate::enable();
         let h = histogram("obs_m_hist_seconds", "test", &[]);
-        let before = h.snapshot();
         for _ in 0..90 {
             h.observe(0.001); // ≤ 1.024 ms bucket
         }
         for _ in 0..10 {
             h.observe(0.1); // ≤ 0.131 s bucket
         }
-        let snap = h.snapshot().since(&before);
+        let snap = h.snapshot();
         assert_eq!(snap.count(), 100);
         assert!((snap.sum() - 1.09).abs() < 1e-9);
-        let p50 = snap.quantile(0.50).unwrap();
-        let p99 = snap.quantile(0.99).unwrap();
-        assert!(p50 <= 0.0011, "p50 {p50} should land in the ~1 ms bucket");
-        assert!(
-            (0.05..=0.14).contains(&p99),
-            "p99 {p99} should land in the ~0.1 s bucket"
-        );
-        assert!(snap.quantile(0.0).unwrap() <= p50);
+        // The cumulative buckets a scraper reads its quantiles from: p50
+        // falls in the ~1 ms bucket, p99 in the ~0.1 s one.
+        let text = render();
+        let bucket = |i: usize, n: u64| {
+            let le = fmt_f64(bucket_bound(i));
+            format!("obs_m_hist_seconds_bucket{{le=\"{le}\"}} {n}\n")
+        };
+        for (i, n) in [(9, 0), (10, 90), (16, 90), (17, 100)] {
+            assert!(text.contains(&bucket(i, n)), "missing {}", bucket(i, n));
+        }
     }
 
     #[test]
@@ -487,54 +455,13 @@ mod tests {
         crate::enable();
         let h = histogram("obs_m_hist_inf_seconds", "test", &[]);
         h.observe(1.0e9);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1);
-        // Quantile clamps to the largest finite bound rather than +Inf.
-        assert!(snap.quantile(0.99).unwrap().is_finite());
-    }
-
-    #[test]
-    fn quantile_of_an_empty_snapshot_is_none() {
-        let _g = crate::test_guard();
-        crate::enable();
-        let h = histogram("obs_m_hist_empty_seconds", "test", &[]);
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 0);
-        assert_eq!(snap.quantile(0.5), None);
-        assert_eq!(snap.quantile(0.0), None);
-        assert_eq!(snap.quantile(1.0), None);
-    }
-
-    #[test]
-    fn quantile_of_a_single_observation_is_its_bucket_at_every_q() {
-        let _g = crate::test_guard();
-        crate::enable();
-        let h = histogram("obs_m_hist_single_seconds", "test", &[]);
-        h.observe(0.002); // ≤ 2.048 ms bucket
-        let snap = h.snapshot();
-        let bound = snap.quantile(0.5).unwrap();
-        assert!((0.002..0.0041).contains(&bound), "bound {bound}");
-        // Every quantile of a one-sample histogram reads the same bucket,
-        // including the q = 0 and q = 1 extremes (and out-of-range q clamps).
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0, -3.0, 7.0] {
-            assert_eq!(snap.quantile(q), Some(bound), "q = {q}");
-        }
-    }
-
-    #[test]
-    fn quantile_with_all_observations_in_one_bucket() {
-        let _g = crate::test_guard();
-        crate::enable();
-        let h = histogram("obs_m_hist_onebucket_seconds", "test", &[]);
-        for _ in 0..1000 {
-            h.observe(0.01); // all land in the ≤ 16.4 ms bucket
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1000);
-        let p50 = snap.quantile(0.5).unwrap();
-        let p999 = snap.quantile(0.999).unwrap();
-        assert_eq!(p50, p999, "one bucket ⇒ every quantile reads its bound");
-        assert!((0.01..0.017).contains(&p50), "p50 {p50}");
+        assert_eq!(h.snapshot().count(), 1);
+        let text = render();
+        let last = fmt_f64(bucket_bound(HISTOGRAM_BUCKETS - 2));
+        assert!(text.contains(&format!(
+            "obs_m_hist_inf_seconds_bucket{{le=\"{last}\"}} 0\n"
+        )));
+        assert!(text.contains("obs_m_hist_inf_seconds_bucket{le=\"+Inf\"} 1\n"));
     }
 
     #[test]

@@ -24,8 +24,8 @@ use crate::node::{ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
 use garfield_attacks::Attack;
 use garfield_core::{
-    AccuracyPoint, Checkpoint, CoreError, CoreResult, IterationTiming, NodeTelemetry, SystemPlan,
-    TrainingTrace,
+    AccuracyPoint, Checkpoint, CoreError, CoreResult, IterationTiming, NodeTelemetry, ShardMap,
+    SystemPlan, TrainingTrace,
 };
 use garfield_net::{
     Envelope, MsgKind, NetError, NetResult, NodeId, PayloadPool, Role, Transport, WireHeader,
@@ -223,6 +223,9 @@ pub(crate) struct WorkerActor {
     /// non-omniscient adversary's estimation view (stays empty on honest
     /// workers). See [`ATTACK_HISTORY_ROUNDS`].
     attack_history: Vec<Tensor>,
+    /// The partition of the model over the shard servers: a sharded request
+    /// must carry exactly its shard's coordinate range.
+    shard_map: Option<ShardMap>,
     /// Sharded rounds in flight. The gradient is computed once, when the last
     /// slice of a round lands and the full parameter vector can be assembled.
     pending_slices: Vec<PendingShardRound>,
@@ -239,6 +242,7 @@ pub(crate) struct WorkerActor {
 impl WorkerActor {
     pub fn new(node: WorkerNode, transport: Box<dyn Transport>) -> Self {
         WorkerActor {
+            shard_map: ShardMap::new(node.dimension, node.shards).ok(),
             fault_attack: fault_attack(node.fault),
             link: Endpoint::new(transport, Role::Worker),
             node,
@@ -315,7 +319,11 @@ impl WorkerActor {
         let round = header.round;
         let shard = header.shard as usize;
         let offset = header.coord_offset as usize;
-        if shard >= self.node.shards || offset + slice.len() > self.node.dimension {
+        let expected = self
+            .shard_map
+            .as_ref()
+            .and_then(|map| map.specs().get(shard));
+        if expected.map(|spec| (spec.offset, spec.len)) != Some((offset, slice.len())) {
             return; // mis-tagged request: a correct node ignores it
         }
         if let Some((_, loss, sent)) = self.sent_cache.iter().find(|(r, _, _)| *r == round) {
@@ -350,15 +358,12 @@ impl WorkerActor {
             return; // wait for the round's remaining slices
         }
         let (_, slots) = self.pending_slices.remove(pos);
+        // Every slot holds its own shard's range, so together they tile
+        // `[0, d)` exactly.
         let mut params = vec![0.0f32; self.node.dimension];
-        let mut covered = 0usize;
         for slot in &slots {
             let (_, off, vals) = slot.as_ref().expect("all slots filled");
             params[*off..*off + vals.len()].copy_from_slice(vals);
-            covered += vals.len();
-        }
-        if covered != self.node.dimension {
-            return; // gapped shard map: hostile or misconfigured, drop the round
         }
         let Some((loss, honest)) = self.honest_gradient(&params, round) else {
             return;
@@ -1289,6 +1294,69 @@ mod tests {
             telemetry.messages_sent, 3,
             "two first replies plus one cached retry"
         );
+    }
+
+    #[test]
+    fn worker_ignores_a_slice_tagged_with_another_shards_range() {
+        let LiveNodes {
+            mut workers,
+            servers,
+            ..
+        } = sharded_nodes(2);
+        let specs: Vec<ShardSpec> = servers.iter().map(|s| s.shard.unwrap()).collect();
+        let initial: Vec<f32> = servers
+            .iter()
+            .flat_map(|s| s.server.honest().parameters().into_vec())
+            .collect();
+        let router = Router::new();
+        let s0 = RouterTransport::connect(&router, NodeId(0)).unwrap();
+        let s1 = RouterTransport::connect(&router, NodeId(1)).unwrap();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(2)).unwrap());
+        let mut node = workers.remove(0);
+        node.idle_timeout = Duration::from_secs(5);
+        let handle = std::thread::spawn(move || WorkerActor::new(node, transport).run());
+        // Shard `spec`'s values, tagged as starting at coordinate `offset`.
+        let request = |spec: ShardSpec, offset: usize| {
+            WireMessage::new(
+                MsgKind::GradientRequest,
+                0,
+                0.0,
+                spec.slice(&initial).to_vec(),
+            )
+            .with_shard(spec.index as u16, offset as u32, spec.len as u32)
+            .encode()
+        };
+
+        // Shard 1's slice tagged at shard 0's offset: the lengths still sum
+        // to d, but the assembled vector would overwrite shard 0's range and
+        // leave shard 1's coordinates zero. Nobody is answered.
+        s0.send(NodeId(2), 0, request(specs[0], specs[0].offset))
+            .unwrap();
+        s1.send(NodeId(2), 0, request(specs[1], specs[0].offset))
+            .unwrap();
+        for server in [&s0, &s1] {
+            assert!(matches!(
+                server.recv_timeout(Duration::from_millis(150)),
+                Err(garfield_net::NetError::Timeout)
+            ));
+        }
+        // The correctly tagged slice completes the round for both servers.
+        s1.send(NodeId(2), 0, request(specs[1], specs[1].offset))
+            .unwrap();
+        for (server, spec) in [(&s0, specs[0]), (&s1, specs[1])] {
+            let env = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            let header = WireMessage::peek(&env.payload).unwrap();
+            assert_eq!(header.kind, MsgKind::GradientReply);
+            assert_eq!(header.coord_offset as usize, spec.offset);
+        }
+
+        s0.send(
+            NodeId(2),
+            1,
+            WireMessage::control(MsgKind::Shutdown, 1).encode(),
+        )
+        .unwrap();
+        assert_eq!(handle.join().unwrap().messages_sent, 2);
     }
 
     /// Runs a fresh unsharded worker, sends it each `(server, params, seq)`

@@ -4,8 +4,8 @@ use crate::fault::FaultPlan;
 use crate::node::{self, LiveNodes, ServerRun};
 use garfield_aggregation::PeerSuspicion;
 use garfield_core::{
-    CoreError, CoreResult, ExecMode, Executor, ExperimentConfig, NodeTelemetry, RuntimeTelemetry,
-    SimExecutor, SystemKind, TrainingTrace,
+    CoreError, CoreResult, Executor, ExperimentConfig, NodeTelemetry, RuntimeTelemetry, SystemKind,
+    TrainingTrace,
 };
 use garfield_net::{MsgKind, NodeId, Router, RouterTransport, Transport, WireMessage};
 use garfield_tensor::Tensor;
@@ -242,10 +242,6 @@ impl LiveExecutor {
 }
 
 impl Executor for LiveExecutor {
-    fn name(&self) -> &'static str {
-        "live"
-    }
-
     fn run(&mut self, system: SystemKind) -> CoreResult<TrainingTrace> {
         self.run_live(system).map(|report| report.trace)
     }
@@ -258,14 +254,5 @@ impl std::fmt::Debug for LiveExecutor {
             .field("nps", &self.config.nps)
             .field("faults", &self.faults.fault_count())
             .finish()
-    }
-}
-
-/// Builds the executor for a mode: the analytic sim path or the threaded
-/// live path, behind one trait object so call sites stay substrate-agnostic.
-pub fn executor_for(mode: ExecMode, config: ExperimentConfig) -> Box<dyn Executor> {
-    match mode {
-        ExecMode::Sim => Box::new(SimExecutor::new(config)),
-        ExecMode::Live => Box::new(LiveExecutor::new(config)),
     }
 }

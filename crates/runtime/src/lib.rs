@@ -74,7 +74,7 @@ mod executor;
 mod fault;
 pub mod node;
 
-pub use executor::{executor_for, LiveExecutor, LiveOptions, LiveReport};
+pub use executor::{LiveExecutor, LiveOptions, LiveReport};
 pub use fault::{Fault, FaultPlan};
 pub use garfield_aggregation::PeerSuspicion;
 pub use node::{NodeLayout, ServerNode, ServerRun, WorkerNode};

@@ -3,7 +3,7 @@
 
 use garfield_core::{Executor, ExperimentConfig, SimExecutor, SystemKind};
 use garfield_net::Role;
-use garfield_runtime::{executor_for, FaultPlan, LiveExecutor, LiveOptions};
+use garfield_runtime::{FaultPlan, LiveExecutor, LiveOptions};
 
 /// A small, fast live configuration: 5 workers, tiny model.
 fn live_config() -> ExperimentConfig {
@@ -318,10 +318,12 @@ fn executor_trait_selects_sim_or_live_for_the_same_experiment() {
     let mut cfg = live_config();
     cfg.iterations = 4;
     cfg.eval_every = 2;
+    let executors: [Box<dyn Executor>; 2] = [
+        Box::new(SimExecutor::new(cfg.clone())),
+        Box::new(LiveExecutor::new(cfg)),
+    ];
     let mut by_mode = Vec::new();
-    for mode in [garfield_core::ExecMode::Sim, garfield_core::ExecMode::Live] {
-        let mut executor = executor_for(mode, cfg.clone());
-        assert_eq!(executor.name(), mode.as_str());
+    for mut executor in executors {
         let trace = executor.run(SystemKind::Ssmw).unwrap();
         assert_eq!(trace.len(), 4);
         by_mode.push(trace);

@@ -138,15 +138,6 @@ impl Tensor {
         self.data().iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Index of the largest element, or `None` for empty tensors.
-    pub fn argmax(&self) -> Option<usize> {
-        self.data()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
-
     /// Dot product of two tensors viewed as flat vectors.
     ///
     /// # Errors
@@ -426,8 +417,6 @@ mod tests {
         assert_eq!(a.mean(), 2.5);
         assert_eq!(a.max(), 4.0);
         assert_eq!(a.min(), 1.0);
-        assert_eq!(a.argmax(), Some(3));
-        assert_eq!(Tensor::from(Vec::<f32>::new()).argmax(), None);
     }
 
     #[test]

@@ -213,14 +213,6 @@ impl Tensor {
         self.data.iter()
     }
 
-    /// Approximate number of bytes occupied by the tensor payload.
-    ///
-    /// Used by the simulated network fabric to charge bandwidth costs, mirroring
-    /// the serialized-tensor sizes the paper reports in Table 1.
-    pub fn size_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-
     /// Returns `true` when every element is finite (no NaN / infinity).
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -342,11 +334,6 @@ mod tests {
             v.matrix_dims().unwrap_err(),
             TensorError::NotAMatrix { rank: 1 }
         );
-    }
-
-    #[test]
-    fn size_bytes_counts_f32() {
-        assert_eq!(Tensor::zeros(10usize).size_bytes(), 40);
     }
 
     #[test]

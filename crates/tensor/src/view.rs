@@ -7,7 +7,7 @@
 //! wire payload, a tensor's storage, a pooled scratch buffer). GARs score and
 //! select over views and copy *only* the winning data into their output.
 
-use crate::{Shape, Tensor};
+use crate::Tensor;
 
 /// A borrowed flat `f32` vector: the zero-copy currency of the GAR engine.
 ///
@@ -56,11 +56,6 @@ impl<'a> GradientView<'a> {
         Tensor::from_slice(self.data)
     }
 
-    /// Materialises the view with an explicit shape (element counts must match).
-    pub fn to_tensor_shaped(self, shape: Shape) -> Option<Tensor> {
-        Tensor::from_vec(self.data.to_vec(), shape).ok()
-    }
-
     /// Returns `true` when every element is finite (no NaN / infinity).
     pub fn is_finite(self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -105,14 +100,6 @@ mod tests {
         let t = v.to_tensor();
         assert_eq!(t.data(), &data[..]);
         assert_ne!(t.data().as_ptr(), data.as_ptr());
-    }
-
-    #[test]
-    fn shaped_materialisation_checks_element_count() {
-        let data = vec![1.0f32, 2.0, 3.0, 4.0];
-        let v = GradientView::new(&data);
-        assert!(v.to_tensor_shaped(Shape::matrix(2, 2)).is_some());
-        assert!(v.to_tensor_shaped(Shape::matrix(2, 3)).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example byzantine_servers`
 
-use garfield::{AttackKind, Controller, ExperimentConfig, GarKind, SystemKind};
+use garfield::{AttackKind, Executor, ExperimentConfig, GarKind, SimExecutor, SystemKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::small();
@@ -32,10 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.nps, config.actual_byzantine_servers, config.nw, config.actual_byzantine_workers
     );
 
-    let controller = Controller::new(config);
-    let msmw = controller.run(SystemKind::Msmw)?;
-    let crash = controller.run(SystemKind::CrashTolerant)?;
-    let vanilla = controller.run(SystemKind::Vanilla)?;
+    let mut sim = SimExecutor::new(config);
+    let msmw = sim.run(SystemKind::Msmw)?;
+    let crash = sim.run(SystemKind::CrashTolerant)?;
+    let vanilla = sim.run(SystemKind::Vanilla)?;
 
     println!(
         "{:<16} {:>10} {:>14} {:>16}",

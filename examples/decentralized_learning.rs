@@ -10,7 +10,9 @@
 //!
 //! Run with: `cargo run --release --example decentralized_learning`
 
-use garfield::{AttackKind, Controller, ExperimentConfig, GarKind, ShardStrategy, SystemKind};
+use garfield::{
+    AttackKind, Executor, ExperimentConfig, GarKind, ShardStrategy, SimExecutor, SystemKind,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::small();
@@ -30,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.nw, config.actual_byzantine_workers
     );
 
-    let trace = Controller::new(config).run(SystemKind::Decentralized)?;
+    let trace = SimExecutor::new(config).run(SystemKind::Decentralized)?;
 
     for point in &trace.accuracy {
         println!(

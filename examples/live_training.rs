@@ -11,7 +11,7 @@
 //! is a length-prefixed byte message through the router. The telemetry block
 //! printed per system is the proof: nonzero per-node message/byte counts.
 
-use garfield::core::{ExecMode, Executor, SimExecutor, SystemKind};
+use garfield::core::{Executor, SimExecutor, SystemKind};
 use garfield::runtime::{FaultPlan, LiveExecutor, LiveOptions};
 use garfield::{AttackKind, ExperimentConfig};
 use std::time::Duration;
@@ -55,15 +55,15 @@ fn fault_for(system: SystemKind) -> (FaultPlan, LiveOptions, &'static str) {
 }
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    let mode: Option<ExecMode> = arg.as_deref().map(|s| {
-        s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
+    let (run_sim, run_live) = match std::env::args().nth(1).as_deref() {
+        None => (true, true),
+        Some("sim") => (true, false),
+        Some("live") => (false, true),
+        Some(other) => {
+            eprintln!("unknown execution mode '{other}' (expected 'sim' or 'live')");
             std::process::exit(2);
-        })
-    });
-    let run_sim = mode != Some(ExecMode::Live);
-    let run_live = mode != Some(ExecMode::Sim);
+        }
+    };
 
     println!("== live_training: threaded actor runtime vs analytic simulation ==");
     let cfg = config();

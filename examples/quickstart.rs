@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use garfield::{AttackKind, Controller, ExperimentConfig, GarKind, SystemKind};
+use garfield::{AttackKind, Executor, ExperimentConfig, GarKind, SimExecutor, SystemKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::small();
@@ -24,10 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.nw, config.actual_byzantine_workers, config.model
     );
 
-    let controller = Controller::new(config.clone());
+    let mut sim = SimExecutor::new(config);
 
     // Byzantine-resilient deployment (SSMW, Multi-Krum).
-    let robust = controller.run(SystemKind::Ssmw)?;
+    let robust = sim.run(SystemKind::Ssmw)?;
     println!("SSMW with Multi-Krum (Byzantine-resilient):");
     for point in &robust.accuracy {
         println!(
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The same cluster with vanilla averaging collapses under the attack.
-    let vanilla = controller.run(SystemKind::Vanilla)?;
+    let vanilla = sim.run(SystemKind::Vanilla)?;
     println!("Vanilla averaging under the same attack:");
     println!("  final accuracy {:.3}", vanilla.final_accuracy());
     println!(

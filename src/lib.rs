@@ -17,19 +17,20 @@
 //! | [`ml`] | models, losses, SGD, synthetic datasets, the Table 1 model zoo |
 //! | [`aggregation`] | Average, Median, Krum, Multi-Krum, MDA, Bulyan + the variance probe |
 //! | [`attacks`] | random / reversed / little-is-enough / fall-of-empires … |
-//! | [`net`] | node ids, cost model, pull rounds, message router, transport trait, wire format |
-//! | [`core`] | Server/Worker objects, Controller, the `SystemPlan` of every system and the one `Trainer` running them |
+//! | [`net`] | node ids, cost model, message router, transport trait, wire format |
+//! | [`core`] | Server/Worker objects, the `SystemPlan` of every system and the one `Trainer` running them |
 //! | [`runtime`] | threaded actor runtime: live training over real router messages, fault injection |
 //! | [`transport`] | TCP transport + the `garfield-node` binary: one process per node on real sockets |
 //!
-//! The most common entry point is [`Controller`]:
+//! The most common entry point is [`SimExecutor`] (or [`LiveExecutor`] for
+//! the same experiment on real threads and messages):
 //!
 //! ```rust
-//! use garfield::{Controller, ExperimentConfig, SystemKind};
+//! use garfield::{Executor, ExperimentConfig, SimExecutor, SystemKind};
 //!
 //! let mut config = ExperimentConfig::small();
 //! config.iterations = 5;
-//! let trace = Controller::new(config).run(SystemKind::Ssmw)?;
+//! let trace = SimExecutor::new(config).run(SystemKind::Ssmw)?;
 //! assert_eq!(trace.len(), 5);
 //! # Ok::<(), garfield::CoreError>(())
 //! ```
@@ -55,7 +56,7 @@ pub use garfield_attacks as attacks;
 /// Simulated cluster fabric, cost model and message router.
 pub use garfield_net as net;
 
-/// Garfield core: Server/Worker objects, Controller, system plans and the trainer.
+/// Garfield core: Server/Worker objects, system plans and the trainer.
 pub use garfield_core as core;
 
 /// Threaded actor runtime: live Byzantine training over real messages.
@@ -67,10 +68,10 @@ pub use garfield_transport as transport;
 pub use garfield_aggregation::{build_gar, Gar, GarKind};
 pub use garfield_attacks::{Attack, AttackKind};
 pub use garfield_core::{
-    Controller, CoreError, CoreResult, Deployment, ExecMode, Executor, ExperimentConfig,
-    SimExecutor, SystemKind, TrainingTrace,
+    CoreError, CoreResult, Deployment, Executor, ExperimentConfig, SimExecutor, SystemKind,
+    TrainingTrace,
 };
 pub use garfield_ml::{Dataset, DatasetKind, Model, ShardStrategy};
 pub use garfield_net::Device;
-pub use garfield_runtime::{executor_for, FaultPlan, LiveExecutor};
+pub use garfield_runtime::{FaultPlan, LiveExecutor};
 pub use garfield_tensor::{Tensor, TensorRng};

@@ -2,7 +2,8 @@
 //! data synthesis → sharding → distributed training → robust aggregation →
 //! attack tolerance → telemetry.
 
-use garfield::{AttackKind, Controller, ExperimentConfig, GarKind, SystemKind};
+use garfield::core::json::{self, Value};
+use garfield::{AttackKind, Executor, ExperimentConfig, GarKind, SimExecutor, SystemKind};
 
 fn base_config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small();
@@ -15,9 +16,9 @@ fn base_config() -> ExperimentConfig {
 fn every_system_trains_end_to_end_without_faults() {
     let mut cfg = base_config();
     cfg.iterations = 12;
-    let controller = Controller::new(cfg);
+    let mut sim = SimExecutor::new(cfg);
     for system in SystemKind::all() {
-        let trace = controller.run(system).expect("system should run");
+        let trace = sim.run(system).expect("system should run");
         assert_eq!(trace.len(), 12, "{system}");
         assert!(trace.total_time() > 0.0, "{system}");
         assert!(!trace.accuracy.is_empty(), "{system}");
@@ -32,11 +33,11 @@ fn byzantine_resilience_beats_averaging_under_attack() {
     cfg.iterations = 50;
     cfg.actual_byzantine_workers = 1;
     cfg.worker_attack = Some(AttackKind::Reversed);
-    let controller = Controller::new(cfg);
+    let mut sim = SimExecutor::new(cfg);
 
-    let robust = controller.run(SystemKind::Ssmw).unwrap();
-    let vanilla = controller.run(SystemKind::Vanilla).unwrap();
-    let crash = controller.run(SystemKind::CrashTolerant).unwrap();
+    let robust = sim.run(SystemKind::Ssmw).unwrap();
+    let vanilla = sim.run(SystemKind::Vanilla).unwrap();
+    let crash = sim.run(SystemKind::CrashTolerant).unwrap();
 
     assert!(
         robust.final_accuracy() > vanilla.final_accuracy() + 0.15,
@@ -64,9 +65,9 @@ fn msmw_survives_byzantine_servers_where_crash_tolerance_fails() {
     cfg.server_attack = Some(AttackKind::Random);
     cfg.actual_byzantine_workers = 1;
     cfg.worker_attack = Some(AttackKind::Random);
-    let controller = Controller::new(cfg);
+    let mut sim = SimExecutor::new(cfg);
 
-    let msmw = controller.run(SystemKind::Msmw).unwrap();
+    let msmw = sim.run(SystemKind::Msmw).unwrap();
     assert!(
         msmw.final_accuracy() > 0.5,
         "MSMW should converge despite 1 Byzantine server + 1 Byzantine worker, got {}",
@@ -81,21 +82,12 @@ fn throughput_ordering_matches_the_paper() {
     let mut cfg = base_config();
     cfg.iterations = 10;
     cfg.eval_every = 0;
-    let controller = Controller::new(cfg);
+    let mut sim = SimExecutor::new(cfg);
 
-    let vanilla = controller
-        .run(SystemKind::Vanilla)
-        .unwrap()
-        .updates_per_second();
-    let ssmw = controller
-        .run(SystemKind::Ssmw)
-        .unwrap()
-        .updates_per_second();
-    let msmw = controller
-        .run(SystemKind::Msmw)
-        .unwrap()
-        .updates_per_second();
-    let decentralized = controller
+    let vanilla = sim.run(SystemKind::Vanilla).unwrap().updates_per_second();
+    let ssmw = sim.run(SystemKind::Ssmw).unwrap().updates_per_second();
+    let msmw = sim.run(SystemKind::Msmw).unwrap().updates_per_second();
+    let decentralized = sim
         .run(SystemKind::Decentralized)
         .unwrap()
         .updates_per_second();
@@ -121,8 +113,8 @@ fn communication_dominates_the_overhead_breakdown() {
     cfg.model = "mnist-cnn-lite".into();
     cfg.dataset_samples = 128;
     cfg.test_samples = 64;
-    let controller = Controller::new(cfg);
-    let trace = controller.run(SystemKind::Msmw).unwrap();
+    let mut sim = SimExecutor::new(cfg);
+    let trace = sim.run(SystemKind::Msmw).unwrap();
     let timing = trace.mean_timing();
     assert!(
         timing.communication > 0.5 * timing.total(),
@@ -151,11 +143,11 @@ fn gpu_deployments_are_roughly_an_order_of_magnitude_faster() {
     let mut gpu_cfg = cpu_cfg.clone();
     gpu_cfg.device = garfield::Device::Gpu;
 
-    let cpu = Controller::new(cpu_cfg)
+    let cpu = SimExecutor::new(cpu_cfg)
         .run(SystemKind::Ssmw)
         .unwrap()
         .updates_per_second();
-    let gpu = Controller::new(gpu_cfg)
+    let gpu = SimExecutor::new(gpu_cfg)
         .run(SystemKind::Ssmw)
         .unwrap()
         .updates_per_second();
@@ -169,11 +161,22 @@ fn gpu_deployments_are_roughly_an_order_of_magnitude_faster() {
 fn traces_serialize_to_json_for_the_experiment_reports() {
     let mut cfg = base_config();
     cfg.iterations = 5;
-    let trace = Controller::new(cfg).run(SystemKind::Ssmw).unwrap();
+    let trace = SimExecutor::new(cfg).run(SystemKind::Ssmw).unwrap();
     let json = trace.to_json();
     assert!(json.contains("\"system\":\"ssmw\""));
-    let back = garfield::TrainingTrace::from_json(&json).unwrap();
-    assert_eq!(back.len(), trace.len());
-    assert_eq!(back.final_accuracy(), trace.final_accuracy());
-    assert!((back.total_time() - trace.total_time()).abs() < 1e-12);
+    // Any JSON reader sees the same run: its rounds, its final accuracy and
+    // its simulated duration.
+    let doc = json::parse(&json).unwrap();
+    let list = |key| doc.get(key).and_then(Value::as_array).unwrap();
+    let number = |item: &Value, key| item.get(key).and_then(Value::as_f64).unwrap();
+    assert_eq!(list("iterations").len(), trace.len());
+    let last = list("accuracy").last().unwrap();
+    assert_eq!(number(last, "accuracy") as f32, trace.final_accuracy());
+    let total: f64 = list("iterations")
+        .iter()
+        .map(|it| {
+            number(it, "computation") + number(it, "communication") + number(it, "aggregation")
+        })
+        .sum();
+    assert!((total - trace.total_time()).abs() < 1e-12);
 }

@@ -1,9 +1,9 @@
 //! Facade-level check that the two execution substrates are interchangeable:
-//! the same experiment, run through `garfield::executor_for`, learns the same
-//! model whether iterations are simulated or executed by real threads.
+//! the same experiment, run through the `garfield::Executor` trait, learns the
+//! same model whether iterations are simulated or executed by real threads.
 
 use garfield::net::Role;
-use garfield::{executor_for, ExecMode, ExperimentConfig, LiveExecutor, SystemKind};
+use garfield::{Executor, ExperimentConfig, LiveExecutor, SimExecutor, SystemKind};
 
 fn config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small();
@@ -15,11 +15,14 @@ fn config() -> ExperimentConfig {
 
 #[test]
 fn the_facade_exposes_both_substrates_behind_one_trait() {
+    let executors: [(&str, Box<dyn Executor>); 2] = [
+        ("sim", Box::new(SimExecutor::new(config()))),
+        ("live", Box::new(LiveExecutor::new(config()))),
+    ];
     let mut accuracies = Vec::new();
-    for mode in [ExecMode::Sim, ExecMode::Live] {
-        let mut executor = executor_for(mode, config());
+    for (name, mut executor) in executors {
         let trace = executor.run(SystemKind::Vanilla).unwrap();
-        assert_eq!(trace.len(), 6, "{mode}");
+        assert_eq!(trace.len(), 6, "{name}");
         accuracies.push(trace.final_accuracy());
     }
     assert_eq!(accuracies[0], accuracies[1]);
