@@ -198,7 +198,7 @@ impl Trainer {
             let last = iteration + 1 == config.iterations;
             let every = config.eval_every;
             if every != 0 && (iteration.is_multiple_of(every) || last) {
-                let (accuracy, _) = self.deployment.evaluate(primary);
+                let accuracy = self.deployment.evaluate(primary);
                 trace.accuracy.push(AccuracyPoint {
                     iteration,
                     sim_time: trace.total_time(),

@@ -280,13 +280,12 @@ impl Deployment {
         Ok(kept.map(|(vector, _)| vector).collect())
     }
 
-    /// Evaluates the `server_index`-th replica's model on the held-out test batch.
-    pub fn evaluate(&self, server_index: usize) -> (f32, f32) {
-        let server = self.servers[server_index].honest();
-        (
-            server.compute_accuracy(&self.test_batch),
-            server.compute_loss(&self.test_batch),
-        )
+    /// Top-1 accuracy of the `server_index`-th replica's model on the
+    /// held-out test batch.
+    pub fn evaluate(&self, server_index: usize) -> f32 {
+        self.servers[server_index]
+            .honest()
+            .compute_accuracy(&self.test_batch)
     }
 
     /// Consumes the deployment and hands out its node objects for the live
@@ -391,10 +390,8 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_returns_probabilities_and_finite_loss() {
+    fn evaluate_returns_a_probability() {
         let d = deployment(ExperimentConfig::small());
-        let (acc, loss) = d.evaluate(0);
-        assert!((0.0..=1.0).contains(&acc));
-        assert!(loss.is_finite());
+        assert!((0.0..=1.0).contains(&d.evaluate(0)));
     }
 }

@@ -113,7 +113,10 @@ fn mlp_gradient_is_bit_identical_to_the_materialised_transpose_reference() {
     for (model, kind) in &models {
         let data = Dataset::synthetic(*kind, 128, &mut rng);
         let params = model.parameters();
-        for (step, batch_size) in [1, 2, 8, 64].into_iter().enumerate() {
+        // The batch is the forward products' row count: these leave every
+        // remainder 1..=5 after the kernel's 6-row groups, with 0, 1, 2 and
+        // 10 full groups before it.
+        for (step, batch_size) in [1, 2, 3, 5, 7, 8, 13, 64, 65].into_iter().enumerate() {
             let batch = data.batch(step, batch_size).unwrap();
             let (loss, grad) = model.gradient(&batch);
             let (want_loss, want) =

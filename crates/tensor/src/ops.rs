@@ -225,6 +225,12 @@ impl Tensor {
 /// once per `k`.
 const MATMUL_BLOCK: usize = 16;
 
+/// Output rows per pass of [`matmul_kernel`]: each `b` block loaded serves
+/// this many rows. Six rows of one 16-lane block are twelve AVX2
+/// accumulators, which leaves registers for the two halves of the `b` block
+/// and the broadcast coefficient.
+const MATMUL_ROWS: usize = 6;
+
 /// The one matrix-multiplication kernel: `A (r x k) * b (k x c)` with `A`
 /// the matrix `a`, or its transpose read in place when `transposed`.
 ///
@@ -234,16 +240,16 @@ const MATMUL_BLOCK: usize = 16;
 /// loop's order, so the blocking below never changes a bit, and `matmul_tn`
 /// equals `transpose` followed by `matmul`.
 ///
-/// Output rows go two at a time, so each `b` block loaded serves both; an odd
-/// last row is paired with itself.
+/// Output rows go [`MATMUL_ROWS`] at a time; the last rows that do not fill
+/// a group go two at a time, and an odd last row is paired with a row of
+/// zero coefficients whose output is never written.
 fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tensor> {
     let (a_rows, a_cols) = a.matrix_dims()?;
     let (k2, c) = b.matrix_dims()?;
-    // `A[i][k]` is `a.data()[i * row_step + k * k_step]`.
-    let (r, k, row_step, k_step) = if transposed {
-        (a_cols, a_rows, 1, a_cols)
+    let (r, k) = if transposed {
+        (a_cols, a_rows)
     } else {
-        (a_rows, a_cols, a_cols, 1)
+        (a_rows, a_cols)
     };
     if k != k2 {
         return Err(TensorError::MatmulMismatch {
@@ -251,13 +257,15 @@ fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tenso
             right: b.shape().dims().to_vec(),
         });
     }
-    let (a, b) = (a.data(), b.data());
     let mut out = vec![0.0f32; r * c];
-    if k == 0 {
+    // Nothing to accumulate; `c = 0` would also make the row chunks below
+    // zero-sized.
+    if k == 0 || c == 0 {
         return Tensor::from_vec(out, Shape::matrix(r, c));
     }
     // Full blocks are read from `b` in place; a narrow last block is copied
     // into zero-padded full-width rows first.
+    let b = b.data();
     let full = c - c % MATMUL_BLOCK;
     let mut tail = Vec::new();
     if full < c {
@@ -266,51 +274,112 @@ fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tenso
             lanes[..c - full].copy_from_slice(&b_row[full..]);
         }
     }
-    let (tail_rows, _) = tail.as_chunks::<MATMUL_BLOCK>();
-    let coeffs = |i: usize| a[i * row_step..].iter().step_by(k_step);
-    for i0 in (0..r).step_by(2) {
-        let i1 = (i0 + 1).min(r - 1);
-        for j0 in (0..full).step_by(MATMUL_BLOCK) {
-            let b_rows = b.chunks_exact(c).map(|b_row| {
-                <&[f32; MATMUL_BLOCK]>::try_from(&b_row[j0..j0 + MATMUL_BLOCK])
-                    .expect("a full block")
-            });
-            let [acc0, acc1] = accumulate_row_pair(coeffs(i0), coeffs(i1), b_rows);
-            out[i0 * c + j0..][..MATMUL_BLOCK].copy_from_slice(&acc0);
-            out[i1 * c + j0..][..MATMUL_BLOCK].copy_from_slice(&acc1);
-        }
-        if full < c {
-            let [acc0, acc1] = accumulate_row_pair(coeffs(i0), coeffs(i1), tail_rows.iter());
-            out[i0 * c + full..(i0 + 1) * c].copy_from_slice(&acc0[..c - full]);
-            out[i1 * c + full..(i1 + 1) * c].copy_from_slice(&acc1[..c - full]);
-        }
+    let product = Product {
+        a: a.data(),
+        transposed,
+        r,
+        k,
+        b,
+        c,
+        full,
+        tail: tail.as_chunks().0,
+    };
+    let grouped = r - r % MATMUL_ROWS;
+    let (groups, rest) = out.split_at_mut(grouped * c);
+    let mut packed = Vec::new();
+    for (i0, rows) in (0..)
+        .step_by(MATMUL_ROWS)
+        .zip(groups.chunks_exact_mut(MATMUL_ROWS * c))
+    {
+        product.row_group::<MATMUL_ROWS>(i0, rows, &mut packed);
+    }
+    let mut packed = Vec::new();
+    for (i0, rows) in (grouped..).step_by(2).zip(rest.chunks_mut(2 * c)) {
+        product.row_group::<2>(i0, rows, &mut packed);
     }
     Tensor::from_vec(out, Shape::matrix(r, c))
 }
 
-/// One column block of two output rows: `acc[lane] += coeff * b_row[lane]`
-/// over the rows of `b` in `k` order, skipping each zero coefficient.
-#[inline(always)]
-fn accumulate_row_pair<'a>(
-    coeffs0: impl Iterator<Item = &'a f32>,
-    coeffs1: impl Iterator<Item = &'a f32>,
-    b_rows: impl Iterator<Item = &'a [f32; MATMUL_BLOCK]>,
-) -> [[f32; MATMUL_BLOCK]; 2] {
-    let mut acc0 = [0.0f32; MATMUL_BLOCK];
-    let mut acc1 = [0.0f32; MATMUL_BLOCK];
-    for ((&x0, &x1), b_row) in coeffs0.zip(coeffs1).zip(b_rows) {
-        if x0 != 0.0 {
-            for (lane, &bv) in acc0.iter_mut().zip(b_row) {
-                *lane += x0 * bv;
+/// The operands of one [`matmul_kernel`] call.
+struct Product<'a> {
+    /// `A[i][kk]` is `a[i * k + kk]`, or `a[kk * r + i]` when `transposed`.
+    a: &'a [f32],
+    transposed: bool,
+    r: usize,
+    k: usize,
+    b: &'a [f32],
+    c: usize,
+    /// Columns covered by full blocks of `b`.
+    full: usize,
+    /// The columns past `full`, zero-padded to a full block per `b` row.
+    tail: &'a [[f32; MATMUL_BLOCK]],
+}
+
+impl Product<'_> {
+    /// Computes output rows `i0..` into `out` (at most `R` rows of `c`).
+    /// Their coefficients are packed first, `R` per `k`, into `packed`.
+    fn row_group<const R: usize>(&self, i0: usize, out: &mut [f32], packed: &mut Vec<[f32; R]>) {
+        let (k, c, full) = (self.k, self.c, self.full);
+        let rows = out.len() / c;
+        packed.clear();
+        if self.transposed {
+            // The group's coefficients for one `k` are contiguous in `a`;
+            // only an odd last row (`rows < R`) needs zero padding.
+            packed.extend(self.a[i0..].chunks(self.r).map(
+                |column| match column[..rows].try_into() {
+                    Ok(x) => x,
+                    Err(_) => {
+                        let mut x = [0.0f32; R];
+                        x[..rows].copy_from_slice(&column[..rows]);
+                        x
+                    }
+                },
+            ));
+        } else {
+            packed.resize(k, [0.0; R]);
+            for (i, row) in self.a[i0 * k..].chunks(k).take(rows).enumerate() {
+                for (x, &v) in packed.iter_mut().zip(row) {
+                    x[i] = v;
+                }
             }
         }
-        if x1 != 0.0 {
-            for (lane, &bv) in acc1.iter_mut().zip(b_row) {
-                *lane += x1 * bv;
+        for j0 in (0..full).step_by(MATMUL_BLOCK) {
+            let b_rows = self.b[j0..]
+                .chunks(c)
+                .map(|b_row| b_row.first_chunk::<MATMUL_BLOCK>().expect("a full block"));
+            let acc = accumulate_rows(packed, b_rows);
+            for (out_row, acc) in out.chunks_exact_mut(c).zip(&acc) {
+                out_row[j0..j0 + MATMUL_BLOCK].copy_from_slice(acc);
+            }
+        }
+        if full < c {
+            let acc = accumulate_rows(packed, self.tail.iter());
+            for (out_row, acc) in out.chunks_exact_mut(c).zip(&acc) {
+                out_row[full..].copy_from_slice(&acc[..c - full]);
             }
         }
     }
-    [acc0, acc1]
+}
+
+/// One column block of `R` output rows: `acc[i][lane] += x[i] * b_row[lane]`
+/// over the packed coefficients `x` and the rows of `b` in `k` order,
+/// skipping each zero coefficient.
+#[inline(always)]
+fn accumulate_rows<'a, const R: usize>(
+    packed: &[[f32; R]],
+    b_rows: impl Iterator<Item = &'a [f32; MATMUL_BLOCK]>,
+) -> [[f32; MATMUL_BLOCK]; R] {
+    let mut acc = [[0.0f32; MATMUL_BLOCK]; R];
+    for (x, b_row) in packed.iter().zip(b_rows) {
+        for (acc_row, &coeff) in acc.iter_mut().zip(x) {
+            if coeff != 0.0 {
+                for (lane, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *lane += coeff * bv;
+                }
+            }
+        }
+    }
+    acc
 }
 
 impl Add<&Tensor> for &Tensor {

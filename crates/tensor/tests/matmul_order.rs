@@ -6,7 +6,8 @@
 //! product rounded before it is added (no fused multiply-add). That is the
 //! plain ikj loop, written out below as the reference; `matmul_tn` must equal
 //! `transpose()` followed by it. Shapes cover output widths below, at and
-//! above the kernel's 16-column block, and odd row counts. Inputs are half
+//! above the kernel's 16-column block, every row count through two full
+//! 6-row groups plus one, and zero-sized dimensions. Inputs are half
 //! zeros (ReLU-like), with `-0.0` and ±inf/NaN mixed in. Results are compared
 //! bit for bit except that any two NaNs are equal, because Rust does not
 //! specify NaN payloads (see `kernel_properties.rs`).
@@ -106,6 +107,35 @@ fn every_block_width_and_odd_row_counts_follow_the_ikj_order() {
             for k in [1, 7] {
                 check(r, k, c, (c * 131 + r * 7 + k) as u64);
             }
+        }
+    }
+}
+
+/// Every row count from 1 through two full row groups of the kernel (6 rows
+/// each) plus one, so full groups, pairs and an odd last row all run, at
+/// output widths below, at and above one 16-column block.
+#[test]
+fn every_row_group_remainder_follows_the_ikj_order() {
+    for r in 1..=13 {
+        for k in [1, 2, 7, 64] {
+            for c in [3, 16, 35] {
+                check(r, k, c, (r * 1009 + k * 31 + c) as u64);
+            }
+        }
+    }
+}
+
+/// A zero-sized `r`, `k` or `c` gives an `r x c` result, all zeros when
+/// `k = 0`, for both entry points.
+#[test]
+fn zero_sized_dims_give_the_right_shape() {
+    for (r, k, c) in [(0, 3, 5), (4, 0, 5), (4, 3, 0), (0, 0, 0), (7, 0, 21)] {
+        check(r, k, c, 11);
+        let b = matrix(k, c, 12);
+        for got in [matrix(r, k, 13).matmul(&b), matrix(k, r, 14).matmul_tn(&b)] {
+            let got = got.unwrap();
+            assert_eq!(got.shape().dims(), &[r, c], "{r}x{k} * {k}x{c}");
+            assert!(got.data().iter().all(|&v| v.to_bits() == 0));
         }
     }
 }
