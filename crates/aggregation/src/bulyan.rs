@@ -1,7 +1,7 @@
 //! Bulyan GAR (El Mhamdi et al., ICML 2018).
 
 use crate::column_sort::map_sorted_columns;
-use crate::engine::{bulyan_select_cached, COLUMN_TILE};
+use crate::engine::bulyan_select_cached;
 use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
@@ -58,9 +58,9 @@ impl Bulyan {
     }
 
     /// Number of values averaged per coordinate in the second phase
-    /// (`selection_size - 2f`, at least 1).
+    /// (`selection_size - 2f` = `n - 4f`, at least 3).
     pub fn trimmed_size(&self) -> usize {
-        self.selection_size().saturating_sub(2 * self.f).max(1)
+        self.selection_size() - 2 * self.f
     }
 
     /// Zero-copy selection phase: the chosen input indices, in selection
@@ -101,13 +101,26 @@ impl Bulyan {
     /// so a NaN coordinate lands in the same position here as in every other
     /// GAR sort. The median is row `mid`. "The β values closest to the
     /// median" are a *contiguous window* of the sorted column, so the trim is
-    /// a β−1-step greedy two-pointer expansion around the median, run step
-    /// by step across the tile's lanes. Each step compares the raw bits of
-    /// the two candidate distances `|v − m|`; they are non-negative (or NaN),
-    /// so that IS the total order. A side that has run out offers
-    /// `u32::MAX`, which no distance reaches. Ties pick the left
-    /// (smaller-key) candidate. The sum accumulates in expansion order. The
-    /// choices are masks and clamped indices, so no step branches on data.
+    /// a β−1-step greedy two-pointer expansion around the median. Each step
+    /// compares the raw bits of the two candidate distances `|v − m|`; they
+    /// are non-negative (or NaN), so that IS the total order. A side that has
+    /// run out offers `u32::MAX`, which no distance reaches. Ties pick the
+    /// left (smaller-key) candidate. The sum accumulates in expansion order
+    /// and is divided by β.
+    ///
+    /// The walk runs eight coordinates at a time (`TRIM_LANES`), every
+    /// lane's state in a `[_; TRIM_LANES]` local: the median `m`, the
+    /// left-step count `j`, the sum, and the two candidates. A lane that has
+    /// stepped left `j` times has its window at rows
+    /// `mid − j ..= mid − j + taken − 1`, so at step `taken` its candidates
+    /// are rows `mid − j − 1` and `mid − j + taken`. The step reads those
+    /// rows for every `j` a lane can have and blends them in by mask,
+    /// `(a & m) | (b & !m)`: no gather, no branch on data.
+    ///
+    /// NaN rule: a NaN value replaces the sum with its quieted bits, and any
+    /// other value is added, `sum + v`. With at most one NaN operand the add
+    /// keeps that NaN whichever operand order codegen picks, so the output
+    /// bits, NaN payloads included, are fixed by this code.
     ///
     /// The expansion must stay greedy: NaN distances are not monotone along
     /// one side (on x86-64 a nearer `-sNaN 0xff800001` yields distance bits
@@ -125,33 +138,71 @@ impl Bulyan {
         let last = rows.len() - 1;
         let mid = last / 2;
         map_sorted_columns(&rows, engine, |tile, out| {
-            let sorted: Vec<[f32; COLUMN_TILE]> = tile
-                .iter()
-                .map(|keys| keys.map(total_order_unkey_f32))
-                .collect();
-            // All ones when a side's clamped index did not move: it has run out.
-            let run_out = |stuck: bool| u32::from(stuck).wrapping_neg();
-            let m = sorted[mid];
-            let (mut lo, mut sum) = ([mid; COLUMN_TILE], m);
-            for taken in 1..beta {
-                // All lanes, stale ones included: a fixed trip count, and the
-                // selects below keep every index in `0..=last`.
-                for t in 0..COLUMN_TILE {
-                    let hi = lo[t] + taken - 1;
-                    let (l, r) = (lo[t].saturating_sub(1), (hi + 1).min(last));
-                    let (lv, rv) = (sorted[l][t], sorted[r][t]);
-                    let l_bits = (lv - m[t]).abs().to_bits() | run_out(l == lo[t]);
-                    let r_bits = (rv - m[t]).abs().to_bits() | run_out(r == hi);
-                    let left = usize::from(l_bits <= r_bits).wrapping_neg();
-                    lo[t] -= left & (lo[t] - l);
-                    sum[t] += sorted[r - (left & (r - l))][t];
+            for (block, slots) in out.chunks_mut(TRIM_LANES).enumerate() {
+                let row = |r: usize| -> [u32; TRIM_LANES] {
+                    *tile[r][block * TRIM_LANES..]
+                        .first_chunk()
+                        .expect("TRIM_LANES divides the tile width")
+                };
+                let m = row(mid).map(total_order_unkey_f32);
+                let (mut steps, mut sum) = ([0u32; TRIM_LANES], m);
+                for taken in 1..beta {
+                    // Every lane has j < taken and j ≤ mid. A side that has
+                    // run out reads a clamped row, masked to u32::MAX below:
+                    // the left in lanes with j = mid, the right in lanes with
+                    // j < first_right (mid − j + taken > last). One loop for
+                    // both sides: with a loop per side, LLVM scalarised the
+                    // right one into per-lane branches.
+                    let (mut left, mut right) = ([0u32; TRIM_LANES], [0u32; TRIM_LANES]);
+                    for j in 0..taken.min(mid + 1) {
+                        let at_j = steps.map(|s| mask(s == j as u32));
+                        left = blend(at_j, row((mid - j).saturating_sub(1)), left);
+                        right = blend(at_j, row((mid + taken - j).min(last)), right);
+                    }
+                    let first_right = (mid + taken).saturating_sub(last);
+                    let (lv, rv) = (
+                        left.map(total_order_unkey_f32),
+                        right.map(total_order_unkey_f32),
+                    );
+                    for t in 0..TRIM_LANES {
+                        let l_bits = (lv[t] - m[t]).abs().to_bits() | mask(steps[t] == mid as u32);
+                        let r_bits =
+                            (rv[t] - m[t]).abs().to_bits() | mask(steps[t] < first_right as u32);
+                        let go_left = mask(l_bits <= r_bits);
+                        steps[t] += go_left & 1;
+                        let v = select(go_left, lv[t].to_bits(), rv[t].to_bits());
+                        let nan = mask(f32::from_bits(v).is_nan());
+                        let added = (sum[t] + f32::from_bits(v)).to_bits();
+                        sum[t] = f32::from_bits(select(nan, v | QUIET_BIT, added));
+                    }
                 }
-            }
-            for (slot, s) in out.iter_mut().zip(sum) {
-                *slot = s / beta as f32;
+                for (slot, s) in slots.iter_mut().zip(sum.map(|s| s / beta as f32)) {
+                    *slot = s;
+                }
             }
         })
     }
+}
+
+/// Coordinates per block of Bulyan's trim: one AVX2 register of `u32`s.
+const TRIM_LANES: usize = 8;
+
+/// The bit that makes a NaN quiet.
+const QUIET_BIT: u32 = 0x0040_0000;
+
+/// All ones when `b`, zero otherwise.
+fn mask(b: bool) -> u32 {
+    u32::from(b).wrapping_neg()
+}
+
+/// `a` where `m` is all ones, `b` where it is zero.
+fn select(m: u32, a: u32, b: u32) -> u32 {
+    (a & m) | (b & !m)
+}
+
+/// `a` in the lanes where `m` is all ones, `b` in the others.
+fn blend(m: [u32; TRIM_LANES], a: [u32; TRIM_LANES], b: [u32; TRIM_LANES]) -> [u32; TRIM_LANES] {
+    std::array::from_fn(|t| select(m[t], a[t], b[t]))
 }
 
 impl Gar for Bulyan {
@@ -338,6 +389,32 @@ mod tests {
         let b = Bulyan::new(7, 1).unwrap();
         let out = b.trimmed_average(&views, &[0, 1, 2, 3, 4], &Engine::sequential());
         assert_eq!(out.data()[0].to_bits(), 0x7fc0_0005);
+    }
+
+    #[test]
+    fn a_nan_entering_the_window_replaces_the_sum_with_its_quieted_bits() {
+        // Sorted column around m = 1: -qNaN 0xffc00010, -sNaN 0xff800003
+        // (distance bits 0x7fc00003), 1, +qNaN 0x7fc00001 (0x7fc00001),
+        // +qNaN 0x7fc00020. β = 3: the walk takes +qNaN 0x7fc00001, then
+        // compares 0x7fc00003 with 0x7fc00020 and takes the -sNaN. Two NaNs
+        // enter the sum; the output is the last one, quieted, whatever
+        // operand order the add compiles to.
+        let column = [
+            0x7fc0_0020u32,
+            0xff80_0003,
+            0x3f80_0000,
+            0xffc0_0010,
+            0x7fc0_0001,
+        ];
+        let inputs: Vec<Tensor> = column
+            .iter()
+            .chain(&[0, 0])
+            .map(|&b| Tensor::from_slice(&[f32::from_bits(b)]))
+            .collect();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let b = Bulyan::new(7, 1).unwrap();
+        let out = b.trimmed_average(&views, &[0, 1, 2, 3, 4], &Engine::sequential());
+        assert_eq!(out.data()[0].to_bits(), 0xffc0_0003);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! same. Output NaNs still carry the payload and sign of whichever operand
 //! of `NaN + NaN` each profile's codegen keeps, so each profile has its own
 //! NaN table. Both tables hold whether the crate is built for `x86-64` or
-//! `x86-64-v3`.
+//! `x86-64-v3`. Bulyan is the exception: its trim never adds two NaNs (a
+//! NaN value replaces the sum with its quieted bits), so its NaN payloads
+//! are fixed by the code rather than by codegen: its NaN rows are the same
+//! in both tables.
 //!
 //! The expected values were recorded by this same test body on the
 //! column-by-column averaging kernel and the stand-alone norm pass, so a

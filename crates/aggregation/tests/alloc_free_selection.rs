@@ -1,4 +1,5 @@
-//! Regression test: steady-state GAR selection is allocation-free.
+//! Regression tests: steady-state GAR selection is allocation-free, and
+//! Bulyan's allocations do not grow with the dimension.
 //!
 //! The original implementations cloned tensors on the hot path — Bulyan
 //! cloned its full candidate pool every selection round and Krum cloned its
@@ -7,55 +8,54 @@
 //! and reuses [`SelectionScratch`] buffers, so once the buffers are warm a
 //! selection performs **zero** heap allocations. A counting global-allocator
 //! shim asserts exactly that; any future clone sneaking back into the
-//! selection loop fails this test.
+//! selection loop fails this test. A whole Bulyan call allocates its
+//! output, cache and scratch, a fixed number of buffers; one per
+//! 256-coordinate tile would make the count grow with d.
 
-use garfield_aggregation::{Bulyan, DistanceCache, Engine, Krum, MultiKrum, SelectionScratch};
+use garfield_aggregation::{Bulyan, DistanceCache, Engine, Gar, Krum, MultiKrum, SelectionScratch};
 use garfield_tensor::GradientView;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Forwards to the system allocator, counting every allocation (alloc,
 /// alloc_zeroed, realloc) made while the gate is open.
 ///
-/// The gate is *thread-local*, not a process-wide flag: the libtest harness
-/// thread concurrently blocks in its result-channel `recv()`, and whether
-/// that park path allocates depends on scheduling. A global gate
+/// The gate and the count are *thread-local*, not process-wide: the libtest
+/// harness thread concurrently blocks in its result-channel `recv()`, and
+/// whether that park path allocates depends on scheduling. A global gate
 /// intermittently charged those harness allocations to the selection loop
 /// (a rare-flake "allocated 2 times" failure); a thread-local gate counts
-/// only the thread running the gated `work`, which is what this test is
-/// actually asserting about. The `const` initializer keeps the TLS access
-/// itself allocation-free, so it is safe to consult inside the allocator.
+/// only the thread running the gated `work`, which is what these tests are
+/// actually asserting about, and a thread-local count keeps the tests of
+/// this file from counting each other's allocations. The `const`
+/// initializers keep the TLS accesses themselves allocation-free, so they
+/// are safe inside the allocator.
 struct CountingAllocator;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
-fn gate_open() -> bool {
-    COUNTING.with(Cell::get)
+fn count_if_open() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if gate_open() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_open();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if gate_open() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_open();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if gate_open() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_open();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -70,11 +70,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// Runs `work` with this thread's counting gate open and returns how many
 /// heap allocations it performed.
 fn count_allocations(work: impl FnOnce()) -> usize {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ALLOCATIONS.with(|count| count.set(0));
     COUNTING.with(|gate| gate.set(true));
     work();
     COUNTING.with(|gate| gate.set(false));
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn payloads(n: usize, d: usize) -> Vec<Vec<f32>> {
@@ -87,9 +87,6 @@ fn payloads(n: usize, d: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// This file holds a single test on purpose: the counter is process-global,
-/// and the default multi-threaded test runner would cross-count allocations
-/// from sibling tests.
 #[test]
 fn steady_state_selection_performs_zero_heap_allocations() {
     let n = 11;
@@ -134,4 +131,25 @@ fn steady_state_selection_performs_zero_heap_allocations() {
     assert_eq!(steady_multi_len, warm_multi.len());
     assert_eq!(selected, warm_bulyan);
     assert_eq!(selected.len(), bulyan.selection_size());
+}
+
+#[test]
+fn bulyan_allocations_do_not_grow_with_d() {
+    let (n, f) = (11, 2);
+    let bulyan = Bulyan::new(n, f).unwrap();
+    let engine = Engine::sequential();
+    let counts = [4_096, 65_536].map(|d| {
+        let data = payloads(n, d);
+        let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
+        // Warm-up: first-call setup is not what this test is about.
+        bulyan.aggregate_views(&views, &engine).unwrap();
+        count_allocations(|| {
+            bulyan.aggregate_views(&views, &engine).unwrap();
+        })
+    });
+    assert_eq!(
+        counts[0], counts[1],
+        "one Bulyan call allocated {} times at d = 4096 and {} times at d = 65536",
+        counts[0], counts[1]
+    );
 }
