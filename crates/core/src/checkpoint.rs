@@ -165,10 +165,14 @@ impl Checkpoint {
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.opt_steps.to_le_bytes());
+        // Grow once, then fill whole words: a loop the optimiser
+        // vectorises, where one `extend_from_slice` per float does not.
         let write_f32s = |out: &mut Vec<u8>, values: &[f32]| {
             out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
+            let start = out.len();
+            out.resize(start + 4 * values.len(), 0);
+            for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
         };
         write_f32s(&mut out, &self.model);
@@ -246,10 +250,14 @@ impl Checkpoint {
         let bytes = self.encode();
         let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(4));
         words.push(f32::from_bits(bytes.len() as u32));
-        for chunk in bytes.chunks(4) {
-            let mut w = [0u8; 4];
-            w[..chunk.len()].copy_from_slice(chunk);
-            words.push(f32::from_bits(u32::from_le_bytes(w)));
+        let word = |b: &[u8]| f32::from_bits(u32::from_le_bytes(b.try_into().expect("4")));
+        let chunks = bytes.chunks_exact(4);
+        let tail = chunks.remainder();
+        words.extend(chunks.map(word));
+        if !tail.is_empty() {
+            let mut padded = [0u8; 4];
+            padded[..tail.len()].copy_from_slice(tail);
+            words.push(word(&padded));
         }
         words
     }

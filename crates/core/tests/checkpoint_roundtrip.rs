@@ -178,3 +178,70 @@ fn corrupt_file_on_disk_fails_loudly() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One small fixed record: every optional field present, hostile floats
+/// (a payload NaN, a signed zero, an infinity, a subnormal), and a system
+/// name that leaves the record 1 byte past a word boundary, so the wire
+/// encoding pads.
+fn pinned_record() -> Checkpoint {
+    Checkpoint {
+        system: "msmw".to_string(),
+        seed: 0x0123_4567_89AB_CDEF,
+        round: 42,
+        opt_steps: 41,
+        model: vec![1.5, -0.0, f32::from_bits(0x7FC0_0001)],
+        velocity: Some(vec![f32::INFINITY, f32::from_bits(1), -2.25]),
+        fault_rng: Some([1, u64::MAX, 0x8000_0000_0000_0000, 7]),
+        attack_rng: Some([0xDEAD_BEEF, 2, 3, 0x0F0F_0F0F_0F0F_0F0F]),
+    }
+}
+
+/// The record's bytes as recorded by the original per-value encoder. A
+/// `--resume` directory and a `StateChunk` in flight are read by whatever
+/// build is running, so the layout may never move; round trips cannot see a
+/// change that both sides make. Never re-record this literal.
+const PINNED_RECORD_HEX: &str = concat!(
+    // magic "GFCK", version 1, name length 4, "msmw"
+    "4746434b01046d736d77",
+    // seed, round, optimizer steps
+    "efcdab8967452301",
+    "2a00000000000000",
+    "2900000000000000",
+    // model: length 3, then 1.5, -0.0, NaN with payload 1
+    "030000000000c03f000000800100c07f",
+    // velocity flag, length 3, then +inf, the smallest subnormal, -2.25
+    "01030000000000807f01000000000010c0",
+    // fault-RNG flag and words
+    "010100000000000000ffffffffffffffff00000000000000800700000000000000",
+    // attack-RNG flag and words
+    "01efbeadde00000000020000000000000003000000000000000f0f0f0f0f0f0f0f",
+);
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn the_record_layout_is_pinned_byte_for_byte() {
+    let cp = pinned_record();
+    let encoded = cp.encode();
+    assert_eq!(encoded.len() % 4, 1, "the pin must exercise wire padding");
+    assert_eq!(hex(&encoded), PINNED_RECORD_HEX);
+    assert_eq!(Checkpoint::decode(&encoded).unwrap().encode(), encoded);
+
+    // The StateChunk payload: the byte length, then the record in
+    // little-endian words, zero-padded to the last word.
+    let words = cp.to_wire_words();
+    assert_eq!(words[0].to_bits() as usize, encoded.len());
+    let mut padded = encoded.clone();
+    padded.resize(encoded.len().div_ceil(4) * 4, 0);
+    let body: Vec<u8> = words[1..]
+        .iter()
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .collect();
+    assert_eq!(hex(&body), hex(&padded));
+    assert_eq!(
+        Checkpoint::from_wire_words(&words).unwrap().encode(),
+        encoded
+    );
+}

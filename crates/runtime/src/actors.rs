@@ -289,14 +289,13 @@ impl WorkerActor {
                         Step::Skip => continue,
                         Step::Run(delay) => std::thread::sleep(delay),
                     }
-                    if WireMessage::decode_into(&envelope.payload, &mut values).is_err() {
-                        continue;
-                    }
                     if self.node.shards > 1 && header.coord_len != 0 {
                         // Parameter-sharded request: a slice, not the model.
-                        self.serve_shard_slice(envelope.from, &header, &values);
+                        if WireMessage::decode_into(&envelope.payload, &mut values).is_ok() {
+                            self.serve_shard_slice(envelope.from, &header, &values);
+                        }
                     } else {
-                        self.serve_full(envelope.from, header.round, envelope.payload, &values);
+                        self.serve_full(envelope.from, header.round, envelope.payload, &mut values);
                     }
                 }
                 _ => {} // server-to-server traffic never addresses a worker
@@ -384,15 +383,22 @@ impl WorkerActor {
     }
 
     /// Answers one full-vector `GradientRequest` (wire bytes `request`,
-    /// decoded `params`). A request for the memoised round whose payload
-    /// bytes equal the memoised request's reuses its honest gradient: at
-    /// full quorum every MSMW replica asks at the same merged model, so a
-    /// worker computes once per round instead of once per replica. Only the
-    /// payload is compared — the header's trace stamps differ per sender —
-    /// and byte for byte: a hash could be collided by a Byzantine server,
-    /// and f32 `==` would equate `0.0` with `-0.0` and never a NaN with
-    /// itself. A Byzantine worker still corrupts once per request.
-    fn serve_full(&mut self, from: NodeId, round: u64, request: bytes::Bytes, params: &[f32]) {
+    /// which the receive path's `peek` accepted). A request for the
+    /// memoised round whose payload bytes equal the memoised request's
+    /// reuses its honest gradient: at full quorum every MSMW replica asks at
+    /// the same merged model, so a worker computes once per round instead of
+    /// once per replica. Only the payload is compared — the header's trace
+    /// stamps differ per sender — and byte for byte: a hash could be
+    /// collided by a Byzantine server, and f32 `==` would equate `0.0` with
+    /// `-0.0` and never a NaN with itself. Only a miss decodes the request,
+    /// into `params`. A Byzantine worker still corrupts once per request.
+    fn serve_full(
+        &mut self,
+        from: NodeId,
+        round: u64,
+        request: bytes::Bytes,
+        params: &mut Vec<f32>,
+    ) {
         let same = |(r, memo, ..): &GradientMemo| {
             *r == round && memo[WIRE_HEADER_BYTES..] == request[WIRE_HEADER_BYTES..]
         };
@@ -403,6 +409,9 @@ impl WorkerActor {
             }
             stale => {
                 drop(stale); // never hold two gradients at once
+                if WireMessage::decode_into(&request, params).is_err() {
+                    return;
+                }
                 let Some((loss, honest)) = self.honest_gradient(params, round) else {
                     return;
                 };
@@ -486,9 +495,9 @@ pub(crate) struct ServerActor {
     fault_attack: Option<Box<dyn Attack>>,
     /// First iteration to run (non-zero after a `--resume` restore).
     start_round: usize,
-    /// The encoded `StateChunk` this replica serves to recovering peers:
-    /// `(next round, wire bytes)`, refreshed at each iteration boundary.
-    state_chunk: Option<(u64, bytes::Bytes)>,
+    /// The state this replica serves to recovering peers, captured at each
+    /// iteration boundary and encoded only when a `StateRequest` asks.
+    recovery_state: Option<Checkpoint>,
     // Zero-copy aggregation machinery: decoded payloads live in pooled
     // buffers and the GAR reads them through borrowed views under the
     // machine-sized engine (bit-identical to the sequential engine, so
@@ -554,7 +563,7 @@ impl ServerActor {
             merge,
             node,
             start_round: 0,
-            state_chunk: None,
+            recovery_state: None,
             engine: Engine::auto(),
             pool: PayloadPool::default(),
             gradient_gar,
@@ -767,8 +776,8 @@ impl ServerActor {
             }
 
             // The iteration boundary is the recoverable state: refresh the
-            // StateChunk served to catching-up peers and, on the configured
-            // cadence, persist the same record to disk.
+            // record a StateChunk serves to catching-up peers and, on the
+            // configured cadence, persist the same record to disk.
             self.record_recovery_state(iteration)?;
             iteration += 1;
         }
@@ -997,8 +1006,19 @@ impl ServerActor {
                 // the requester will accept, but serving an older one is
                 // harmless — the requester keeps polling until the cluster
                 // has advanced far enough.
-                if let Some((next_round, chunk)) = self.state_chunk.clone() {
-                    self.link.send_bytes(from, next_round, chunk);
+                if let Some(cp) = &self.recovery_state {
+                    let next_round = cp.round;
+                    let message = WireMessage::new(
+                        MsgKind::StateChunk,
+                        next_round,
+                        0.0, // chunk index: state fits a single frame today
+                        cp.to_wire_words(),
+                    );
+                    // Deliberately unstamped (zero trace fields): every
+                    // request for one boundary gets the same bytes, the
+                    // record's encoding and nothing else. Transports skip
+                    // unstamped payloads when recording wire trace events.
+                    self.link.send_bytes(from, next_round, message.encode());
                     self.link.telemetry.state_chunks_served += 1;
                     actor_obs().state_chunks_served.inc();
                     flight::record(EventKind::StateChunkServed, next_round, Some(from.0), 0.0);
@@ -1009,9 +1029,9 @@ impl ServerActor {
     }
 
     /// Refreshes the recovery artefacts at the boundary of the completed
-    /// `iteration`: the in-memory `StateChunk` served to catching-up peers
-    /// (only where peers exist to request it) and, on the configured
-    /// cadence, the on-disk checkpoint.
+    /// `iteration`: the in-memory state served to catching-up peers (only
+    /// where peers exist to request it) and, on the configured cadence, the
+    /// on-disk checkpoint.
     fn record_recovery_state(&mut self, iteration: usize) -> CoreResult<()> {
         let serve_peers = !self.node.peer_ids.is_empty();
         let disk = self.node.checkpoint.as_ref().filter(|p| p.due(iteration));
@@ -1021,19 +1041,6 @@ impl ServerActor {
         // One state capture feeds both transports: the model (and velocity)
         // copy is the expensive part at large d, so never take it twice.
         let cp = self.build_checkpoint(iteration);
-        if serve_peers {
-            let message = WireMessage::new(
-                MsgKind::StateChunk,
-                cp.round,
-                0.0, // chunk index: state fits a single frame today
-                cp.to_wire_words(),
-            );
-            // Deliberately unstamped (zero trace fields): the chunk is
-            // encoded once and served arbitrarily later, so a build-time
-            // timestamp would fabricate one-way delays. Transports skip
-            // unstamped payloads when recording wire trace events.
-            self.state_chunk = Some((cp.round, message.encode()));
-        }
         if let Some(policy) = disk {
             let span = garfield_obs::span_start();
             cp.save(policy.dir.clone())?;
@@ -1046,6 +1053,9 @@ impl ServerActor {
                 None,
                 spent.map(|d| d.as_secs_f64()).unwrap_or(0.0),
             );
+        }
+        if serve_peers {
+            self.recovery_state = Some(cp);
         }
         Ok(())
     }
@@ -1201,6 +1211,34 @@ mod tests {
             assert_eq!((reply.kind, reply.round), (MsgKind::ModelReply, asked));
             assert_eq!(reply.values, vec![served]);
         }
+    }
+
+    #[test]
+    fn a_state_chunk_holds_the_boundary_state() {
+        let cfg = ExperimentConfig::small();
+        let options = LiveOptions::default();
+        let mut nodes = assemble(SystemKind::Msmw, &cfg, &options, &FaultPlan::new()).unwrap();
+        let router = Router::new();
+        let peer = RouterTransport::connect(&router, NodeId(1)).unwrap();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(0)).unwrap());
+        let mut actor = ServerActor::from_node(nodes.servers.swap_remove(0), transport).unwrap();
+        actor.record_recovery_state(3).unwrap();
+        let boundary = actor.build_checkpoint(3).encode();
+        // The model moves on before any peer asks.
+        let dimension = actor.node.server.honest().parameters().len();
+        let step = Tensor::from_slice(&vec![0.5; dimension]);
+        actor.node.server.honest_mut().update_model(&step).unwrap();
+        assert_ne!(actor.build_checkpoint(3).encode(), boundary);
+
+        actor.handle_protocol(NodeId(1), MsgKind::StateRequest, 4);
+        let env = peer.recv_timeout(Duration::from_secs(1)).unwrap();
+        let header = WireMessage::peek(&env.payload).unwrap();
+        assert_eq!((header.kind, header.round), (MsgKind::StateChunk, 4));
+        assert_eq!((header.origin, header.seq, header.sent_unix_us), (0, 0, 0));
+        let reply = WireMessage::decode(&env.payload).unwrap();
+        let served = Checkpoint::from_wire_words(&reply.values).unwrap();
+        assert_eq!(served.encode(), boundary);
+        assert_eq!(actor.link.telemetry.state_chunks_served, 1);
     }
 
     fn bits(values: &[f32]) -> Vec<u32> {
