@@ -13,7 +13,7 @@
 //! holds. [`VarianceProbe`] is the Rust equivalent.
 
 use crate::{average_views, Engine, GarKind};
-use garfield_ml::{Dataset, Model, Optimizer, Sgd};
+use garfield_ml::{Dataset, Model, Sgd};
 use garfield_tensor::{squared_l2_distance_slices, GradientView, Tensor};
 
 /// The GAR-specific factor `Δ` of the bounded-variance condition (§3.1).

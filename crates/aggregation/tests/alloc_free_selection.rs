@@ -7,75 +7,18 @@
 //! call. The engine rewrite returns indices over a shared [`DistanceCache`]
 //! and reuses [`SelectionScratch`] buffers, so once the buffers are warm a
 //! selection performs **zero** heap allocations. A counting global-allocator
-//! shim asserts exactly that; any future clone sneaking back into the
+//! shim (`support/counting_alloc.rs`) asserts exactly that; any future clone sneaking back into the
 //! selection loop fails this test. A whole Bulyan call allocates its
 //! output, cache and scratch, a fixed number of buffers; one per
 //! 256-coordinate tile would make the count grow with d.
 
 use garfield_aggregation::{Bulyan, DistanceCache, Engine, Gar, Krum, MultiKrum, SelectionScratch};
 use garfield_tensor::GradientView;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Forwards to the system allocator, counting every allocation (alloc,
-/// alloc_zeroed, realloc) made while the gate is open.
-///
-/// The gate and the count are *thread-local*, not process-wide: the libtest
-/// harness thread concurrently blocks in its result-channel `recv()`, and
-/// whether that park path allocates depends on scheduling. A global gate
-/// intermittently charged those harness allocations to the selection loop
-/// (a rare-flake "allocated 2 times" failure); a thread-local gate counts
-/// only the thread running the gated `work`, which is what these tests are
-/// actually asserting about, and a thread-local count keeps the tests of
-/// this file from counting each other's allocations. The `const`
-/// initializers keep the TLS accesses themselves allocation-free, so they
-/// are safe inside the allocator.
-struct CountingAllocator;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_if_open() {
-    if COUNTING.with(Cell::get) {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_open();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_open();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_open();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `work` with this thread's counting gate open and returns how many
-/// heap allocations it performed.
-fn count_allocations(work: impl FnOnce()) -> usize {
-    ALLOCATIONS.with(|count| count.set(0));
-    COUNTING.with(|gate| gate.set(true));
-    work();
-    COUNTING.with(|gate| gate.set(false));
-    ALLOCATIONS.with(Cell::get)
-}
+use counting_alloc::count_allocations;
 
 fn payloads(n: usize, d: usize) -> Vec<Vec<f32>> {
     (0..n)

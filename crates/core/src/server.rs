@@ -3,7 +3,7 @@
 use crate::CoreResult;
 use garfield_aggregation::{Engine, Gar, SelectionOutcome};
 use garfield_attacks::Attack;
-use garfield_ml::{Batch, Model, Optimizer, Sgd};
+use garfield_ml::{Batch, Model, Sgd};
 use garfield_tensor::{GradientView, Tensor, TensorRng};
 
 /// A parameter-server replica: owns the model state, updates it with
@@ -32,7 +32,7 @@ impl ParameterServer {
 
     /// The current flat model state (what `get_models()` serves to peers).
     pub fn parameters(&self) -> Tensor {
-        self.model.parameters()
+        self.model.parameters().clone()
     }
 
     /// Number of model parameters.

@@ -16,7 +16,7 @@
 //! `shards > 1` are rejected at validation time.
 
 use crate::{CoreError, CoreResult};
-use garfield_ml::{MlError, MlResult, Model};
+use garfield_ml::Model;
 use garfield_tensor::Tensor;
 use std::ops::Range;
 
@@ -159,7 +159,7 @@ impl ShardMap {
 /// A shard server never runs a forward or backward pass — workers compute
 /// gradients against the reassembled full model — so this model only
 /// implements the parameter-vector surface ([`Model::parameters`] /
-/// [`Model::set_parameters`]); the compute entry points return inert values
+/// [`Model::parameters_mut`]); the compute entry points return inert values
 /// and accuracy evaluation is skipped for shard servers.
 #[derive(Debug, Clone)]
 pub struct ShardSliceModel {
@@ -183,23 +183,12 @@ impl ShardSliceModel {
 }
 
 impl Model for ShardSliceModel {
-    fn num_parameters(&self) -> usize {
-        self.params.len()
+    fn parameters(&self) -> &Tensor {
+        &self.params
     }
 
-    fn parameters(&self) -> Tensor {
-        self.params.clone()
-    }
-
-    fn set_parameters(&mut self, params: &Tensor) -> MlResult<()> {
-        if params.len() != self.params.len() {
-            return Err(MlError::ParameterMismatch {
-                expected: self.params.len(),
-                got: params.len(),
-            });
-        }
-        self.params = params.clone();
-        Ok(())
+    fn parameters_mut(&mut self) -> &mut [f32] {
+        self.params.data_mut()
     }
 
     fn gradient(&self, _batch: &garfield_ml::Batch) -> (f32, Tensor) {
@@ -316,7 +305,7 @@ mod tests {
         assert_eq!(model.parameters().data(), &[3.0, 4.0, 5.0]);
         let updated = Tensor::from(vec![1.0, 2.0, 3.0]);
         model.set_parameters(&updated).unwrap();
-        assert_eq!(model.parameters(), updated);
+        assert_eq!(model.parameters(), &updated);
         assert!(model.set_parameters(&Tensor::zeros(4usize)).is_err());
     }
 }

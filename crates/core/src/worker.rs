@@ -190,7 +190,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(3);
         let data = Dataset::synthetic(DatasetKind::Tiny, 64, &mut rng);
         let model = Mlp::tiny(&mut rng);
-        let params = model.parameters();
+        let params = model.parameters().clone();
         (Worker::new(0, Box::new(model), data, 8).unwrap(), params)
     }
 

@@ -10,10 +10,6 @@ pub enum Activation {
     Linear,
     /// Rectified linear unit `max(0, x)`.
     Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
 }
 
 impl Activation {
@@ -22,8 +18,6 @@ impl Activation {
         match self {
             Activation::Linear => x.clone(),
             Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Sigmoid => x.map(|v| 1.0 / (1.0 + (-v).exp())),
         }
     }
 
@@ -33,11 +27,6 @@ impl Activation {
         let deriv = match self {
             Activation::Linear => return upstream.clone(),
             Activation::Relu => x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Tanh => x.map(|v| 1.0 - v.tanh() * v.tanh()),
-            Activation::Sigmoid => x.map(|v| {
-                let s = 1.0 / (1.0 + (-v).exp());
-                s * (1.0 - s)
-            }),
         };
         upstream
             .try_mul(&deriv)
@@ -46,15 +35,15 @@ impl Activation {
 }
 
 /// A fully connected layer `y = x W + b` followed by an [`Activation`].
+///
+/// The layer holds no parameters: its [`DenseLayer::num_parameters`] values
+/// are a slice of the model's flat vector, the `(input_dim, output_dim)`
+/// weights in row-major order and then the `output_dim` bias.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     input_dim: usize,
     output_dim: usize,
     activation: Activation,
-    /// Weights, `(input_dim, output_dim)`.
-    weights: Tensor,
-    /// Bias, length `output_dim`.
-    bias: Tensor,
 }
 
 /// Cached forward-pass values needed by the backward pass.
@@ -67,27 +56,12 @@ pub struct DenseCache<'a> {
 }
 
 impl DenseLayer {
-    /// Creates a layer with Xavier-initialised weights and zero bias.
-    pub fn new(
-        input_dim: usize,
-        output_dim: usize,
-        activation: Activation,
-        rng: &mut TensorRng,
-    ) -> Self {
-        let weights = rng.tensor(
-            Shape::matrix(input_dim, output_dim),
-            Initializer::Xavier {
-                fan_in: input_dim,
-                fan_out: output_dim,
-            },
-        );
-        let bias = Tensor::zeros(output_dim);
+    /// Describes a layer of the given widths and activation.
+    pub fn new(input_dim: usize, output_dim: usize, activation: Activation) -> Self {
         DenseLayer {
             input_dim,
             output_dim,
             activation,
-            weights,
-            bias,
         }
     }
 
@@ -111,44 +85,35 @@ impl DenseLayer {
         self.input_dim * self.output_dim + self.output_dim
     }
 
-    /// Appends the layer parameters (weights then bias) to `out`.
-    pub fn write_parameters(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.weights.data());
-        out.extend_from_slice(self.bias.data());
+    /// Appends the layer's initial parameters to `params`: Xavier weights
+    /// drawn from `rng`, then a zero bias.
+    pub(crate) fn init_parameters(&self, rng: &mut TensorRng, params: &mut Vec<f32>) {
+        let shape = Shape::matrix(self.input_dim, self.output_dim);
+        let init = Initializer::Xavier {
+            fan_in: self.input_dim,
+            fan_out: self.output_dim,
+        };
+        params.extend_from_slice(rng.tensor(shape, init).data());
+        params.resize(params.len() + self.output_dim, 0.0);
     }
 
-    /// Reads the layer parameters back from a flat slice, returning how many
-    /// values were consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::ParameterMismatch`] if the slice is too short.
-    pub fn read_parameters(&mut self, flat: &[f32]) -> MlResult<usize> {
-        let need = self.num_parameters();
-        if flat.len() < need {
-            return Err(MlError::ParameterMismatch {
-                expected: need,
-                got: flat.len(),
-            });
-        }
-        let w = self.input_dim * self.output_dim;
-        self.weights = Tensor::from_vec(
-            flat[..w].to_vec(),
-            Shape::matrix(self.input_dim, self.output_dim),
-        )
-        .expect("length checked above");
-        self.bias = Tensor::from(flat[w..need].to_vec());
-        Ok(need)
-    }
-
-    /// Forward pass over a batch, returning the activated output and the cache
-    /// required by [`DenseLayer::backward`].
+    /// Forward pass over a batch at the layer's parameters `params`,
+    /// returning the activated output and the cache required by
+    /// [`DenseLayer::backward`].
     ///
     /// # Errors
     ///
     /// Returns [`MlError::ParameterMismatch`] if the input's column count is
     /// not `input_dim`.
-    pub fn forward<'a>(&self, input: &'a Tensor) -> MlResult<(Tensor, DenseCache<'a>)> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` does not hold [`DenseLayer::num_parameters`] values.
+    pub fn forward<'a>(
+        &self,
+        params: &[f32],
+        input: &'a Tensor,
+    ) -> MlResult<(Tensor, DenseCache<'a>)> {
         let (_, cols) = input
             .matrix_dims()
             .map_err(|_| MlError::InvalidData("dense layer input must be a matrix".into()))?;
@@ -158,13 +123,14 @@ impl DenseLayer {
                 got: cols,
             });
         }
-        let mut pre = input.matmul(&self.weights).expect("dimensions validated");
+        let (weights, bias) = self.split(params);
+        let mut pre = input
+            .matmul_slice(weights, self.input_dim, self.output_dim)
+            .expect("dimensions validated");
         // broadcast-add bias over rows
-        let (rows, out_cols) = pre.matrix_dims().expect("matmul yields a matrix");
-        for r in 0..rows {
-            for c in 0..out_cols {
-                let idx = r * out_cols + c;
-                pre.data_mut()[idx] += self.bias.data()[c];
+        for row in pre.data_mut().chunks_exact_mut(self.output_dim) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
             }
         }
         let activated = self.activation.forward(&pre);
@@ -177,12 +143,14 @@ impl DenseLayer {
         ))
     }
 
-    /// Backward pass: given the gradient of the loss w.r.t. this layer's
-    /// activated output, computes `(grad_weights, grad_bias, grad_input)`.
-    /// `grad_input` is computed only when `input_grad` asks for it: a
-    /// network's first layer has no upstream layer to pass it to.
+    /// Backward pass at the layer's parameters `params`: given the gradient
+    /// of the loss w.r.t. this layer's activated output, computes
+    /// `(grad_weights, grad_bias, grad_input)`. `grad_input` is computed only
+    /// when `input_grad` asks for it: a network's first layer has no upstream
+    /// layer to pass it to.
     pub fn backward(
         &self,
+        params: &[f32],
         cache: &DenseCache<'_>,
         upstream: &Tensor,
         input_grad: bool,
@@ -195,10 +163,24 @@ impl DenseLayer {
             .expect("dims agree by construction");
         let grad_bias = dpre.sum_rows().expect("dpre is a matrix");
         let grad_input = input_grad.then(|| {
-            dpre.matmul(&self.weights.transpose().expect("weights are a matrix"))
+            let (weights, _) = self.split(params);
+            let shape = Shape::matrix(self.input_dim, self.output_dim);
+            let weights =
+                Tensor::from_vec(weights.to_vec(), shape).expect("split checked the length");
+            dpre.matmul(&weights.transpose().expect("weights are a matrix"))
                 .expect("dims agree by construction")
         });
         (grad_weights, grad_bias, grad_input)
+    }
+
+    /// Splits the layer's parameters into its weights and its bias.
+    fn split<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
+        assert_eq!(
+            params.len(),
+            self.num_parameters(),
+            "a dense layer's parameter slice"
+        );
+        params.split_at(self.input_dim * self.output_dim)
     }
 }
 
@@ -206,15 +188,24 @@ impl DenseLayer {
 mod tests {
     use super::*;
 
+    /// A layer and its initial parameters.
+    fn layer_with_params(
+        input_dim: usize,
+        output_dim: usize,
+        activation: Activation,
+        seed: u64,
+    ) -> (DenseLayer, Vec<f32>) {
+        let layer = DenseLayer::new(input_dim, output_dim, activation);
+        let mut params = Vec::new();
+        layer.init_parameters(&mut TensorRng::seed_from(seed), &mut params);
+        (layer, params)
+    }
+
     #[test]
     fn activation_forward_values() {
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
         assert_eq!(Activation::Relu.forward(&x).data(), &[0.0, 0.0, 2.0]);
         assert_eq!(Activation::Linear.forward(&x).data(), x.data());
-        let s = Activation::Sigmoid.forward(&Tensor::from_slice(&[0.0]));
-        assert!((s.data()[0] - 0.5).abs() < 1e-6);
-        let t = Activation::Tanh.forward(&Tensor::from_slice(&[0.0]));
-        assert!(t.data()[0].abs() < 1e-6);
     }
 
     #[test]
@@ -226,55 +217,39 @@ mod tests {
 
     #[test]
     fn dense_layer_shapes_and_param_count() {
-        let mut rng = TensorRng::seed_from(1);
-        let layer = DenseLayer::new(4, 3, Activation::Relu, &mut rng);
+        let (layer, params) = layer_with_params(4, 3, Activation::Relu, 1);
         assert_eq!(layer.num_parameters(), 4 * 3 + 3);
         let x = Tensor::from_vec(vec![0.5; 8], Shape::matrix(2, 4)).unwrap();
-        let (y, cache) = layer.forward(&x).unwrap();
+        let (y, cache) = layer.forward(&params, &x).unwrap();
         assert_eq!(y.shape().dims(), &[2, 3]);
         assert_eq!(cache.pre_activation.shape().dims(), &[2, 3]);
     }
 
     #[test]
     fn dense_layer_rejects_wrong_input_width() {
-        let mut rng = TensorRng::seed_from(1);
-        let layer = DenseLayer::new(4, 3, Activation::Relu, &mut rng);
+        let (layer, params) = layer_with_params(4, 3, Activation::Relu, 1);
         let x = Tensor::from_vec(vec![0.5; 6], Shape::matrix(2, 3)).unwrap();
-        assert!(layer.forward(&x).is_err());
-    }
-
-    #[test]
-    fn parameter_round_trip() {
-        let mut rng = TensorRng::seed_from(2);
-        let layer = DenseLayer::new(5, 2, Activation::Tanh, &mut rng);
-        let mut flat = Vec::new();
-        layer.write_parameters(&mut flat);
-        assert_eq!(flat.len(), layer.num_parameters());
-
-        let mut other = DenseLayer::new(5, 2, Activation::Tanh, &mut rng);
-        assert_ne!(other, layer);
-        let consumed = other.read_parameters(&flat).unwrap();
-        assert_eq!(consumed, flat.len());
-        assert_eq!(other, layer);
-        assert!(other.read_parameters(&flat[..3]).is_err());
+        assert!(layer.forward(&params, &x).is_err());
     }
 
     #[test]
     fn numerical_gradient_check_linear_layer() {
         // For a Linear activation and a scalar loss L = sum(y), the analytic
         // gradient of the weights is X^T * ones.
-        let mut rng = TensorRng::seed_from(3);
-        let layer = DenseLayer::new(3, 2, Activation::Linear, &mut rng);
+        let (layer, params) = layer_with_params(3, 2, Activation::Linear, 3);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], Shape::matrix(2, 3)).unwrap();
-        let (_, cache) = layer.forward(&x).unwrap();
+        let (_, cache) = layer.forward(&params, &x).unwrap();
         let upstream = Tensor::ones(Shape::matrix(2, 2));
-        let (gw, gb, gx) = layer.backward(&cache, &upstream, true);
+        let (gw, gb, gx) = layer.backward(&params, &cache, &upstream, true);
         // grad bias = column sums of upstream = [2, 2]
         assert_eq!(gb.data(), &[2.0, 2.0]);
         // grad weights = X^T * upstream
         let expected_gw = x.transpose().unwrap().matmul(&upstream).unwrap();
         assert_eq!(gw, expected_gw);
         assert_eq!(gx.expect("requested").shape().dims(), &[2, 3]);
-        assert!(layer.backward(&cache, &upstream, false).2.is_none());
+        assert!(layer
+            .backward(&params, &cache, &upstream, false)
+            .2
+            .is_none());
     }
 }

@@ -8,10 +8,11 @@
 //! needs:
 //!
 //! * dense layers, activations and a multi-layer perceptron [`Mlp`] with
-//!   manual back-propagation (models exchange *flat parameter vectors*, which
-//!   is all the Byzantine-resilient machinery ever sees);
-//! * softmax cross-entropy and mean-squared-error losses;
-//! * an [`Sgd`] optimizer with optional momentum;
+//!   manual back-propagation. Each model stores its parameters as *one flat
+//!   vector*, which is all the Byzantine-resilient machinery ever sees;
+//! * the softmax cross-entropy loss;
+//! * an [`Sgd`] optimizer with optional momentum, updating that vector in
+//!   place;
 //! * synthetic, seeded classification datasets standing in for MNIST and
 //!   CIFAR-10 (same shapes and class counts — the experiments compare how
 //!   systems converge under attack, not accuracy on a particular image set),
@@ -22,7 +23,7 @@
 //! # Quick example
 //!
 //! ```rust
-//! use garfield_ml::{Dataset, DatasetKind, Mlp, Sgd, Model, Optimizer};
+//! use garfield_ml::{Dataset, DatasetKind, Mlp, Model, Sgd};
 //! use garfield_tensor::TensorRng;
 //!
 //! let mut rng = TensorRng::seed_from(1);
@@ -48,8 +49,8 @@ pub mod zoo;
 
 pub use data::{Batch, Dataset, DatasetKind, Partition, ShardStrategy};
 pub use layers::{Activation, DenseLayer};
-pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossKind};
+pub use loss::{softmax, softmax_cross_entropy};
 pub use metrics::{accuracy, top1_accuracy};
 pub use model::{MlError, MlResult, Mlp, Model};
-pub use optim::{Optimizer, Sgd};
+pub use optim::Sgd;
 pub use zoo::{paper_models, ModelSpec};

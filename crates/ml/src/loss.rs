@@ -1,15 +1,6 @@
-//! Loss functions: softmax cross-entropy and mean squared error.
+//! The classification loss: softmax cross-entropy.
 
 use garfield_tensor::Tensor;
-
-/// Which loss a model trains with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LossKind {
-    /// Softmax + cross-entropy, the classification loss used by every paper experiment.
-    CrossEntropy,
-    /// Mean squared error (used by a few unit tests and the regression example).
-    MeanSquaredError,
-}
 
 /// Row-wise softmax of a `(batch, classes)` logit matrix.
 ///
@@ -63,25 +54,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     let scale = 1.0 / rows as f32;
     grad.scale_inplace(scale);
     (loss * scale, grad)
-}
-
-/// Mean squared error between predictions and targets, plus its gradient with
-/// respect to the predictions (including the `2 / n` factor).
-///
-/// # Panics
-///
-/// Panics if the two tensors differ in length.
-pub fn mse_loss(predictions: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-    assert_eq!(
-        predictions.len(),
-        targets.len(),
-        "mse requires equal-length tensors"
-    );
-    let n = predictions.len().max(1) as f32;
-    let diff = predictions.try_sub(targets).expect("lengths checked");
-    let loss = diff.data().iter().map(|&d| d * d).sum::<f32>() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
 }
 
 #[cfg(test)]
@@ -156,18 +128,6 @@ mod tests {
                 grad.data()[i]
             );
         }
-    }
-
-    #[test]
-    fn mse_loss_and_gradient() {
-        let pred = Tensor::from_slice(&[1.0, 2.0]);
-        let target = Tensor::from_slice(&[0.0, 0.0]);
-        let (loss, grad) = mse_loss(&pred, &target);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, 2.0]);
-        let (zero_loss, zero_grad) = mse_loss(&pred, &pred);
-        assert_eq!(zero_loss, 0.0);
-        assert!(zero_grad.iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Model`] trait and its concrete implementations.
 //!
-//! A model is anything that can (1) expose its parameters as one flat
-//! [`Tensor`], (2) accept a new flat parameter vector, and (3) compute a loss
+//! A model is anything that can (1) lend out its parameters as one flat
+//! [`Tensor`], (2) let that vector be written in place, and (3) compute a loss
 //! and flat gradient on a mini-batch. The whole Byzantine-resilience stack —
 //! GARs, servers, workers, attacks — operates only on those flat vectors,
 //! mirroring how the paper's library wraps TensorFlow / PyTorch models.
@@ -52,17 +52,32 @@ impl std::error::Error for MlError {}
 /// A trainable model operating on flat parameter vectors.
 pub trait Model: Send {
     /// Total number of trainable scalars.
-    fn num_parameters(&self) -> usize;
+    fn num_parameters(&self) -> usize {
+        self.parameters().len()
+    }
 
     /// The current parameters as one flat vector.
-    fn parameters(&self) -> Tensor;
+    fn parameters(&self) -> &Tensor;
+
+    /// The current parameters, writable in place.
+    fn parameters_mut(&mut self) -> &mut [f32];
 
     /// Overwrites the parameters from a flat vector.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::ParameterMismatch`] when the length is wrong.
-    fn set_parameters(&mut self, params: &Tensor) -> MlResult<()>;
+    fn set_parameters(&mut self, params: &Tensor) -> MlResult<()> {
+        let own = self.parameters_mut();
+        if own.len() != params.len() {
+            return Err(MlError::ParameterMismatch {
+                expected: own.len(),
+                got: params.len(),
+            });
+        }
+        own.copy_from_slice(params.data());
+        Ok(())
+    }
 
     /// Computes `(loss, flat_gradient)` on a mini-batch at the current parameters.
     fn gradient(&self, batch: &Batch) -> (f32, Tensor);
@@ -96,16 +111,22 @@ impl Clone for Box<dyn Model> {
 /// A multi-layer perceptron with ReLU hidden layers and a linear output layer;
 /// with no hidden layer, multinomial logistic regression.
 ///
+/// All parameters live in one flat vector, in the order the wire, the GARs
+/// and the checkpoints see them: layer by layer, each layer's row-major
+/// weights and then its bias.
+///
 /// The small trainable models standing in for the paper's MNIST CNN and
 /// CifarNet are [`Mlp::mnist_cnn_lite`] and [`Mlp::cifarnet_lite`].
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
+    params: Tensor,
     name: String,
 }
 
 impl Mlp {
-    /// Builds an MLP with the given layer widths.
+    /// Builds an MLP with the given layer widths: Xavier-initialised
+    /// weights, drawn layer by layer, and zero biases.
     ///
     /// `dims` must contain at least an input and an output width; hidden
     /// layers use ReLU and the final layer is linear (logits).
@@ -118,17 +139,23 @@ impl Mlp {
             dims.len() >= 2,
             "an MLP needs at least input and output widths"
         );
-        let mut layers = Vec::with_capacity(dims.len() - 1);
-        for i in 0..dims.len() - 1 {
-            let activation = if i + 2 == dims.len() {
-                Activation::Linear
-            } else {
-                Activation::Relu
-            };
-            layers.push(DenseLayer::new(dims[i], dims[i + 1], activation, rng));
+        let layers: Vec<DenseLayer> = (0..dims.len() - 1)
+            .map(|i| {
+                let activation = if i + 2 == dims.len() {
+                    Activation::Linear
+                } else {
+                    Activation::Relu
+                };
+                DenseLayer::new(dims[i], dims[i + 1], activation)
+            })
+            .collect();
+        let mut params = Vec::with_capacity(layers.iter().map(DenseLayer::num_parameters).sum());
+        for layer in &layers {
+            layer.init_parameters(rng, &mut params);
         }
         Mlp {
             layers,
+            params: Tensor::from(params),
             name: name.into(),
         }
     }
@@ -168,82 +195,69 @@ impl Mlp {
     }
 }
 
-/// Back-propagation through `layers` from `input`: forward through every
-/// layer (each cache borrows its input, which lives in this frame or the
-/// caller's), softmax cross-entropy on the logits, then backward. Pushes
-/// each layer's `(grad_weights, grad_bias)`, last layer first, and returns
-/// the loss and — only when `input_grad` asks — the gradient w.r.t. `input`.
+/// Back-propagation through `layers`, whose parameters are `params`, from
+/// `input`: forward through every layer (each cache borrows its input,
+/// which lives in this frame or the caller's), softmax cross-entropy on the
+/// logits, then backward, writing each layer's weight and bias gradients
+/// into its slice of `grad`. Returns the loss and — only when `input_grad`
+/// asks — the gradient w.r.t. `input`.
 fn backprop(
     layers: &[DenseLayer],
+    params: &[f32],
+    grad: &mut [f32],
     input: &Tensor,
     labels: &[usize],
     input_grad: bool,
-    grads: &mut Vec<(Tensor, Tensor)>,
 ) -> (f32, Option<Tensor>) {
     let (layer, rest) = layers.split_first().expect("an MLP has at least one layer");
+    let (own, rest_params) = params.split_at(layer.num_parameters());
+    let (own_grad, rest_grad) = grad.split_at_mut(layer.num_parameters());
     let (out, cache) = layer
-        .forward(input)
+        .forward(own, input)
         .expect("inputs match the model's feature count");
     let (loss, upstream) = if rest.is_empty() {
         softmax_cross_entropy(&out, labels)
     } else {
-        let (loss, upstream) = backprop(rest, &out, labels, true, grads);
+        let (loss, upstream) = backprop(rest, rest_params, rest_grad, &out, labels, true);
         (loss, upstream.expect("requested above"))
     };
-    let (gw, gb, gx) = layer.backward(&cache, &upstream, input_grad);
-    grads.push((gw, gb));
+    let (gw, gb, gx) = layer.backward(own, &cache, &upstream, input_grad);
+    let (grad_weights, grad_bias) = own_grad.split_at_mut(gw.len());
+    grad_weights.copy_from_slice(gw.data());
+    grad_bias.copy_from_slice(gb.data());
     (loss, gx)
 }
 
 impl Model for Mlp {
-    fn num_parameters(&self) -> usize {
-        self.layers.iter().map(DenseLayer::num_parameters).sum()
+    fn parameters(&self) -> &Tensor {
+        &self.params
     }
 
-    fn parameters(&self) -> Tensor {
-        let mut flat = Vec::with_capacity(self.num_parameters());
-        for layer in &self.layers {
-            layer.write_parameters(&mut flat);
-        }
-        Tensor::from(flat)
-    }
-
-    fn set_parameters(&mut self, params: &Tensor) -> MlResult<()> {
-        if params.len() != self.num_parameters() {
-            return Err(MlError::ParameterMismatch {
-                expected: self.num_parameters(),
-                got: params.len(),
-            });
-        }
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            offset += layer.read_parameters(&params.data()[offset..])?;
-        }
-        Ok(())
+    fn parameters_mut(&mut self) -> &mut [f32] {
+        self.params.data_mut()
     }
 
     fn gradient(&self, batch: &Batch) -> (f32, Tensor) {
-        let mut grads = Vec::with_capacity(self.layers.len());
+        let mut grad = vec![0.0f32; self.params.len()];
         let (loss, _) = backprop(
             &self.layers,
+            self.params.data(),
+            &mut grad,
             &batch.inputs,
             &batch.labels,
             false,
-            &mut grads,
         );
-        let mut flat = Vec::with_capacity(self.num_parameters());
-        for (gw, gb) in grads.iter().rev() {
-            flat.extend_from_slice(gw.data());
-            flat.extend_from_slice(gb.data());
-        }
-        (loss, Tensor::from(flat))
+        (loss, Tensor::from(grad))
     }
 
     fn predict(&self, inputs: &Tensor) -> Tensor {
         let mut activ: Option<Tensor> = None;
+        let mut rest = self.params.data();
         for layer in &self.layers {
+            let (own, tail) = rest.split_at(layer.num_parameters());
+            rest = tail;
             let (out, _) = layer
-                .forward(activ.as_ref().unwrap_or(inputs))
+                .forward(own, activ.as_ref().unwrap_or(inputs))
                 .expect("inputs match the model's feature count");
             activ = Some(out);
         }
@@ -274,11 +288,11 @@ mod tests {
     #[test]
     fn parameter_round_trip_mlp() {
         let (_, mut model) = tiny_setup();
-        let p = model.parameters();
+        let p = model.parameters().clone();
         assert_eq!(p.len(), model.num_parameters());
         let doubled = p.scale(2.0);
         model.set_parameters(&doubled).unwrap();
-        assert_eq!(model.parameters(), doubled);
+        assert_eq!(model.parameters(), &doubled);
         assert!(model.set_parameters(&Tensor::zeros(3usize)).is_err());
     }
 
@@ -307,7 +321,7 @@ mod tests {
         let initial = model.loss(&batch);
         for _ in 0..30 {
             let (_, grad) = model.gradient(&batch);
-            let mut p = model.parameters();
+            let mut p = model.parameters().clone();
             p.axpy(-0.1, &grad).unwrap();
             model.set_parameters(&p).unwrap();
         }
@@ -325,7 +339,7 @@ mod tests {
         for step in 0..60 {
             let batch = ds.batch(step, 32).unwrap();
             let (_, grad) = model.gradient(&batch);
-            let mut p = model.parameters();
+            let mut p = model.parameters().clone();
             p.axpy(-0.1, &grad).unwrap();
             model.set_parameters(&p).unwrap();
         }

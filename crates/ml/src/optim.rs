@@ -1,28 +1,22 @@
-//! Optimizers applying aggregated gradients to model parameters.
+//! The optimizer applying aggregated gradients to model parameters.
 
 use crate::{MlError, MlResult, Model};
 use garfield_tensor::Tensor;
 
-/// An optimizer that updates a [`Model`] in place from a flat gradient.
-pub trait Optimizer: Send {
-    /// Applies one update step with the given flat gradient.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::ParameterMismatch`] when the gradient length does
-    /// not match the model's parameter count.
-    fn step(&mut self, model: &mut dyn Model, gradient: &Tensor) -> MlResult<()>;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-}
-
-/// Plain SGD with optional Polyak momentum.
+/// Plain SGD with optional Polyak momentum, updating a [`Model`]'s flat
+/// parameters in place.
 ///
 /// ```rust
-/// use garfield_ml::{Sgd, Optimizer};
-/// let opt = Sgd::new(0.1).with_momentum(0.9);
-/// assert_eq!(opt.learning_rate(), 0.1);
+/// use garfield_ml::{Mlp, Model, Sgd};
+/// use garfield_tensor::{Tensor, TensorRng};
+///
+/// let mut model = Mlp::tiny(&mut TensorRng::seed_from(1));
+/// let before = model.parameters().clone();
+/// let gradient = Tensor::ones(model.num_parameters());
+/// let mut opt = Sgd::new(0.1).with_momentum(0.9);
+/// opt.step(&mut model, &gradient).unwrap();
+/// assert_eq!(model.parameters().data()[0], before.data()[0] - 0.1);
+/// assert_eq!(opt.steps(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
@@ -71,18 +65,23 @@ impl Sgd {
         self.steps = steps;
         self.velocity = velocity;
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Model, gradient: &Tensor) -> MlResult<()> {
-        let mut params = model.parameters();
+    /// Applies one update step with the given flat gradient:
+    /// `p += -lr * u`, where `u` is the gradient, or with momentum the
+    /// velocity `v = momentum * v + gradient`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::ParameterMismatch`] when the gradient length does
+    /// not match the model's parameter count.
+    pub fn step(&mut self, model: &mut dyn Model, gradient: &Tensor) -> MlResult<()> {
+        let params = model.parameters_mut();
         if gradient.len() != params.len() {
             return Err(MlError::ParameterMismatch {
                 expected: params.len(),
                 got: gradient.len(),
             });
         }
-        let lr = self.learning_rate;
         let update = if self.momentum > 0.0 {
             let mut v = match self.velocity.take() {
                 Some(v) if v.len() == gradient.len() => v,
@@ -95,14 +94,12 @@ impl Optimizer for Sgd {
         } else {
             gradient
         };
-        params.axpy(-lr, update).expect("length checked above");
-        model.set_parameters(&params)?;
+        let scale = -self.learning_rate;
+        for (p, &u) in params.iter_mut().zip(update.data()) {
+            *p += scale * u;
+        }
         self.steps += 1;
         Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.learning_rate
     }
 }
 
@@ -117,7 +114,7 @@ mod tests {
     fn sgd_moves_parameters_against_the_gradient() {
         let mut rng = TensorRng::seed_from(5);
         let mut model = Mlp::tiny(&mut rng);
-        let before = model.parameters();
+        let before = model.parameters().clone();
         let grad = Tensor::ones(model.num_parameters());
         let mut opt = Sgd::new(0.5);
         opt.step(&mut model, &grad).unwrap();
@@ -141,7 +138,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(5);
         let mut model = Mlp::tiny(&mut rng);
         let n = model.num_parameters();
-        let before = model.parameters();
+        let before = model.parameters().clone();
         let grad = Tensor::ones(n);
         let mut opt = Sgd::new(0.1).with_momentum(0.9);
         opt.step(&mut model, &grad).unwrap();
@@ -173,7 +170,7 @@ mod tests {
         let velocity = opt_a.velocity().cloned();
 
         let mut opt_b = Sgd::new(0.1).with_momentum(0.9);
-        model_b.set_parameters(&model_a.parameters()).unwrap();
+        model_b.set_parameters(model_a.parameters()).unwrap();
         opt_b.restore(steps, velocity);
 
         for g in &grads[3..] {

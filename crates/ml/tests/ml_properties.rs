@@ -39,9 +39,9 @@ proptest! {
     fn model_parameter_round_trip_is_identity(seed in 0u64..500) {
         let mut rng = TensorRng::seed_from(seed);
         let mut model = Mlp::tiny(&mut rng);
-        let original = model.parameters();
+        let original = model.parameters().clone();
         model.set_parameters(&original).unwrap();
-        prop_assert_eq!(model.parameters(), original);
+        prop_assert_eq!(model.parameters(), &original);
     }
 
     #[test]
@@ -75,7 +75,7 @@ proptest! {
 
     #[test]
     fn scaling_gradient_scales_update_linearly(seed in 0u64..200) {
-        use garfield_ml::{Optimizer, Sgd};
+        use garfield_ml::Sgd;
         let mut rng = TensorRng::seed_from(seed);
         let model_a = Mlp::tiny(&mut rng);
         let mut model_b = model_a.clone();

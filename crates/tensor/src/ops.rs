@@ -170,7 +170,22 @@ impl Tensor {
     /// Returns [`TensorError::NotAMatrix`] for non rank-2 operands and
     /// [`TensorError::MatmulMismatch`] when inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> TensorResult<Tensor> {
-        matmul_kernel(self, false, other)
+        let (rows, cols) = other.matrix_dims()?;
+        matmul_kernel(self, false, other.data(), rows, cols)
+    }
+
+    /// [`Tensor::matmul`] with the right operand borrowed: `b` holds a
+    /// `(rows x cols)` matrix in row-major order, read in place. Same kernel,
+    /// same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] when `self` is not rank 2,
+    /// [`TensorError::DataShapeMismatch`] when `b.len() != rows * cols` and
+    /// [`TensorError::MatmulMismatch`] when `rows` is not `self`'s column
+    /// count.
+    pub fn matmul_slice(&self, b: &[f32], rows: usize, cols: usize) -> TensorResult<Tensor> {
+        matmul_kernel(self, false, b, rows, cols)
     }
 
     /// Transposed-left matrix multiplication `selfᵀ (r x k) * other (k x c)
@@ -182,7 +197,8 @@ impl Tensor {
     /// Returns [`TensorError::NotAMatrix`] for non rank-2 operands and
     /// [`TensorError::MatmulMismatch`] when the row counts disagree.
     pub fn matmul_tn(&self, other: &Tensor) -> TensorResult<Tensor> {
-        matmul_kernel(self, true, other)
+        let (rows, cols) = other.matrix_dims()?;
+        matmul_kernel(self, true, other.data(), rows, cols)
     }
 
     /// Matrix transpose.
@@ -232,7 +248,8 @@ const MATMUL_BLOCK: usize = 16;
 const MATMUL_ROWS: usize = 6;
 
 /// The one matrix-multiplication kernel: `A (r x k) * b (k x c)` with `A`
-/// the matrix `a`, or its transpose read in place when `transposed`.
+/// the matrix `a`, or its transpose read in place when `transposed`, and `b`
+/// the row-major `(k2 x c)` slice.
 ///
 /// Summation-order contract: every output element starts at `0.0` and adds
 /// `A[i][k] * b[k][j]` for `k` ascending, skipping zero `A[i][k]`, with a
@@ -243,9 +260,20 @@ const MATMUL_ROWS: usize = 6;
 /// Output rows go [`MATMUL_ROWS`] at a time; the last rows that do not fill
 /// a group go two at a time, and an odd last row is paired with a row of
 /// zero coefficients whose output is never written.
-fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tensor> {
+fn matmul_kernel(
+    a: &Tensor,
+    transposed: bool,
+    b: &[f32],
+    k2: usize,
+    c: usize,
+) -> TensorResult<Tensor> {
     let (a_rows, a_cols) = a.matrix_dims()?;
-    let (k2, c) = b.matrix_dims()?;
+    if b.len() != k2 * c {
+        return Err(TensorError::DataShapeMismatch {
+            data_len: b.len(),
+            shape_len: k2 * c,
+        });
+    }
     let (r, k) = if transposed {
         (a_cols, a_rows)
     } else {
@@ -254,7 +282,7 @@ fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tenso
     if k != k2 {
         return Err(TensorError::MatmulMismatch {
             left: a.shape().dims().to_vec(),
-            right: b.shape().dims().to_vec(),
+            right: vec![k2, c],
         });
     }
     let mut out = vec![0.0f32; r * c];
@@ -265,7 +293,6 @@ fn matmul_kernel(a: &Tensor, transposed: bool, b: &Tensor) -> TensorResult<Tenso
     }
     // Full blocks are read from `b` in place; a narrow last block is copied
     // into zero-padded full-width rows first.
-    let b = b.data();
     let full = c - c % MATMUL_BLOCK;
     let mut tail = Vec::new();
     if full < c {

@@ -1,13 +1,14 @@
-//! Property tests pinning `Tensor::matmul` and `Tensor::matmul_tn` to their
-//! documented summation order.
+//! Property tests pinning `Tensor::matmul`, `Tensor::matmul_slice` and
+//! `Tensor::matmul_tn` to their documented summation order.
 //!
 //! The contract is exact: every output element is `0.0` plus
 //! `a[i][k] * b[k][j]` for `k` ascending, zero coefficients skipped, each
 //! product rounded before it is added (no fused multiply-add). That is the
-//! plain ikj loop, written out below as the reference; `matmul_tn` must equal
-//! `transpose()` followed by it. Shapes cover output widths below, at and
-//! above the kernel's 16-column block, every row count through two full
-//! 6-row groups plus one, and zero-sized dimensions. Inputs are half
+//! plain ikj loop, written out below as the reference; `matmul_slice` must
+//! equal it too, and `matmul_tn` must equal `transpose()` followed by it.
+//! Shapes cover output widths below, at and above the kernel's 16-column
+//! block, every row count through two full 6-row groups plus one, and
+//! zero-sized dimensions. Inputs are half
 //! zeros (ReLU-like), with `-0.0` and ±inf/NaN mixed in. Results are compared
 //! bit for bit except that any two NaNs are equal, because Rust does not
 //! specify NaN payloads (see `kernel_properties.rs`).
@@ -78,6 +79,12 @@ fn check(r: usize, k: usize, c: usize, seed: u64) {
     let b = matrix(k, c, seed.wrapping_add(1));
     let shape = format!("{r}x{k} * {k}x{c}, seed {seed}");
     assert_same(&a.matmul(&b).unwrap(), &reference_matmul(&a, &b), &shape);
+    let borrowed = a.matmul_slice(b.data(), k, c).unwrap();
+    assert_same(
+        &borrowed,
+        &reference_matmul(&a, &b),
+        &format!("borrowed {shape}"),
+    );
 
     let stored = matrix(k, r, seed.wrapping_add(2));
     let want = reference_matmul(&stored.transpose().unwrap(), &b);

@@ -9,8 +9,8 @@
 //! after the PR has left. This file spells out the same literals and
 //! signatures; nothing here runs.
 //!
-//! **If this file stops compiling, `benchmark/src/{live,replay,bench,micro}.rs`
-//! stopped compiling too.** Restore the old name or signature, or make the
+//! **If this file stops compiling, `benchmark/src/{live,replay,bench,micro,
+//! main,report}.rs` stopped compiling too.** Restore the old name or signature, or make the
 //! change in a benchmark-archetype PR that may touch `benchmark/`.
 //! `benchmark/Cargo.lock` also pins the crate graph: `vendor/{bytes,
 //! crossbeam,parking_lot,rand,rand_distr}` and every crate-to-crate edge
@@ -20,14 +20,16 @@
 
 use bytes::Bytes;
 use garfield::aggregation::{
-    build_gar, Engine, Gar, GarKind, PeerSuspicion, SelectionOutcome, SuspicionLedger,
+    build_gar, DistanceCache, Engine, Gar, GarKind, PeerSuspicion, SelectionOutcome,
+    SuspicionLedger,
 };
+use garfield::core::json::{self, Value};
 use garfield::core::{
     self, ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreResult, Deployment,
     Executor, ExperimentConfig, LiveParts, NodeTelemetry, ParameterServer, RuntimeTelemetry,
     ShardSpec, SimExecutor, SystemKind, TrainingTrace,
 };
-use garfield::ml::Batch;
+use garfield::ml::{Batch, DatasetKind, Mlp};
 use garfield::net::{
     stamp_trace, unix_micros, Envelope, MsgKind, NetResult, NodeId, PayloadPool, Router,
     RouterTransport, Transport, WireHeader, WireMessage, WIRE_HEADER_BYTES,
@@ -36,8 +38,13 @@ use garfield::runtime::node::fault_rng_streams;
 use garfield::runtime::{
     Fault, LiveExecutor, LiveOptions, LiveReport, NodeLayout, ServerNode, ServerRun, WorkerNode,
 };
-use garfield::tensor::{GradientView, Tensor, TensorRng};
+use garfield::tensor::{squared_l2_distance_slices, GradientView, Tensor, TensorRng};
+use garfield::transport::frame::{read_frame, write_frame};
 use garfield::transport::{ClusterSpec, TcpOptions, TcpTransport};
+use garfield_obs::flight::{self, EventKind};
+use garfield_obs::Histogram;
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::time::Duration;
 
 /// `benchmark/src/live.rs::run_tcp`: every field of both node literals.
@@ -179,6 +186,88 @@ fn observed_aggregation(
         .aggregate_views_observed(inputs, engine, outcome)
         .map_err(core::CoreError::from)?;
     server.aggregate_views_observed(gar, inputs, engine, outcome)
+}
+
+/// `benchmark/src/replay.rs`: the replayed server's model state and update
+/// calls, and the views its GARs read.
+fn replay_calls(own: &Tensor, replies: &[Vec<f32>]) {
+    let _: fn(&ByzantineServer) -> &ParameterServer = ByzantineServer::honest;
+    let _: fn(&mut ByzantineServer) -> &mut ParameterServer = ByzantineServer::honest_mut;
+    let _: fn(&ParameterServer) -> Tensor = ParameterServer::parameters;
+    let _: fn(&mut ParameterServer, &Tensor) -> CoreResult<()> = ParameterServer::update_model;
+    let _: fn(&mut ParameterServer, &Tensor) -> CoreResult<()> = ParameterServer::write_model;
+    let _: fn(&ParameterServer, &Batch) -> f32 = ParameterServer::compute_accuracy;
+    let _: fn(&[f32]) -> Tensor = Tensor::from_slice;
+    let _: fn(&Tensor) -> &[f32] = Tensor::data;
+    let _: fn(Tensor) -> Vec<f32> = Tensor::into_vec;
+    let _: [GradientView<'_>; 2] = [GradientView::from(own), GradientView::from(&replies[0])];
+}
+
+/// `benchmark/src/micro.rs`: the single calls it times.
+fn micro_calls(
+    gradients: &[Vec<f32>],
+    encoded: &[u8],
+    model: &[f32],
+    dir: &Path,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let dims: Vec<usize> = Mlp::cifarnet_lite(&mut TensorRng::seed_from(0)).dims();
+    let kind = DatasetKind::MnistLike;
+    let (features, width): (usize, usize) = (kind.features(), kind.classes());
+    let mut rng = TensorRng::seed_from(1);
+    let inputs: Tensor = rng.normal_tensor((dims[0], features));
+    let weights: Tensor = rng.normal_tensor((features, width));
+    let _: Tensor = inputs.matmul(&weights)?;
+    let _: f32 = squared_l2_distance_slices(&gradients[0], &gradients[1]);
+    let views: Vec<GradientView<'_>> = gradients.iter().map(GradientView::from).collect();
+    let _: DistanceCache = DistanceCache::build(&views, &Engine::auto());
+
+    let mut wire = Vec::with_capacity(encoded.len() + 64);
+    let _: usize = write_frame(&mut wire, NodeId(1), 7, encoded)?;
+    let _: (NodeId, u64, Bytes, usize) = read_frame(&mut wire.as_slice())?;
+
+    let checkpoint = Checkpoint {
+        system: "ssmw".into(),
+        seed: 1,
+        round: 1,
+        opt_steps: 1,
+        model: model.to_vec(),
+        velocity: None,
+        fault_rng: None,
+        attack_rng: None,
+    };
+    checkpoint.save(dir)?;
+    let _: Checkpoint = Checkpoint::load(dir)?;
+
+    let _: fn() = garfield_obs::enable;
+    let _: fn() = garfield_obs::disable;
+    let _: fn(EventKind, u64, Option<u32>, f64) = flight::record;
+    let probe: Histogram = garfield_obs::metrics::histogram("probe_seconds", "A probe.", &[]);
+    probe.observe(0.0123);
+    let _: fn() -> String = garfield_obs::metrics::render;
+    Ok(())
+}
+
+/// `benchmark/src/{main,report}.rs`: the engine width it records and the
+/// JSON it writes and reads back.
+fn report_calls() {
+    let _: usize = Engine::auto().threads();
+    let _: fn(&str) -> Result<Value, String> = json::parse;
+    let _: fn(&mut String, &Value) = json::write_value;
+    let _: [Value; 6] = [
+        Value::Null,
+        Value::Bool(true),
+        Value::Number(1.0),
+        Value::String(String::new()),
+        Value::Array(Vec::new()),
+        Value::Object(BTreeMap::new()),
+    ];
+    let _: fn(&Value) -> Option<f64> = Value::as_f64;
+    let _: fn(&Value) -> Option<usize> = Value::as_usize;
+    let _: fn(&Value) -> Option<bool> = Value::as_bool;
+    let _: fn(&Value) -> Option<&str> = Value::as_str;
+    let _: fn(&Value) -> Option<&[Value]> = Value::as_array;
+    let _: for<'a> fn(&'a Value, &str) -> Option<&'a Value> = Value::get;
+    let _: fn(&Value) -> Value = Value::clone;
 }
 
 /// The envelope's payload is what `peek` / `decode_into` read.
