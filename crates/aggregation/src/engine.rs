@@ -11,11 +11,15 @@
 //!   copied.
 //! * **One shared [`DistanceCache`]** — the n×n squared-distance matrix is
 //!   computed once, chunked across OS threads (vendored crossbeam scoped
-//!   threads), and reused across Krum scoring and the whole Bulyan selection
-//!   loop, whose repeated-Krum inner loop becomes incremental score updates
-//!   on pre-sorted neighbour lists. The same fill also takes every input's
-//!   squared norm (`n` diagonal items beside the pairs, on the same
-//!   blocks), so the forensic magnitude channel costs no second pass.
+//!   threads), and read by every distance-based decision. Krum, Multi-Krum
+//!   and Bulyan score from one table of per-candidate neighbour distances,
+//!   sorted once in total order ([`SelectionScratch`]): a Krum score is a
+//!   prefix sum of it, and Bulyan's repeated-Krum loop deletes each
+//!   winner's distance from the survivors' lists instead of re-sorting. The
+//!   cache stores every NaN as one canonical NaN, so no path branches on
+//!   NaN. The same fill also takes every input's squared norm (`n` diagonal
+//!   items beside the pairs, on the same blocks), so the forensic magnitude
+//!   channel costs no second pass.
 //! * **Row-wise averaging** — averages sum each input's contiguous
 //!   [`KERNEL_LANES`]-coordinate segment into a register-resident lane
 //!   array, a loop that vectorises, instead of gathering one float per
@@ -219,12 +223,13 @@ fn fill_pair_distances_exact(inputs: &[GradientView<'_>], pairs: &[(u32, u32)], 
 /// on one thread with a fixed accumulation order — bit-identical to the
 /// sequential engine by construction. The `n` squared norms ride along as
 /// diagonal items of the same fill, while every input block is cache-hot.
+/// Every NaN distance and norm is stored as the canonical `f32::NAN`, so the
+/// matrix is totally ordered by bits and selection needs no finiteness flag.
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     n: usize,
     dist: Vec<f32>,
     norms: Vec<f32>,
-    finite: bool,
 }
 
 /// Cached `garfield-obs` handles for the fill instrumentation: one registry
@@ -278,7 +283,6 @@ impl DistanceCache {
 
         let mut dist = vec![0.0f32; n * n];
         let mut norms = vec![0.0f32; n];
-        let mut finite = true;
         for (&(i, j), &v) in pairs.iter().zip(vals.iter()) {
             let (i, j) = (i as usize, j as usize);
             // The sign and payload of a computed NaN follow codegen, and
@@ -291,7 +295,6 @@ impl DistanceCache {
             } else {
                 dist[i * n + j] = v;
                 dist[j * n + i] = v;
-                finite &= v.is_finite();
             }
         }
 
@@ -303,12 +306,7 @@ impl DistanceCache {
             }
         }
 
-        DistanceCache {
-            n,
-            dist,
-            norms,
-            finite,
-        }
+        DistanceCache { n, dist, norms }
     }
 
     /// Number of cached inputs.
@@ -328,29 +326,27 @@ impl DistanceCache {
     pub(crate) fn norms(&self) -> &[f32] {
         &self.norms
     }
-
-    /// Whether every cached distance is finite (NaN inputs poison distances;
-    /// the incremental Bulyan path requires a totally ordered matrix and
-    /// falls back to per-round rescoring otherwise).
-    pub fn is_finite(&self) -> bool {
-        self.finite
-    }
 }
 
 /// Reusable scratch buffers for cache-based selection.
 ///
+/// Krum, Multi-Krum and Bulyan score from one table: each candidate's
+/// distances to the other inputs, sorted once in total order. A Krum score
+/// is a prefix sum of that list, and nothing else computes one.
+///
 /// All selection entry points write into these pre-sized buffers and sort
-/// in place with `sort_unstable`, so steady-state selection (after the first
-/// warm-up call) performs **zero heap allocations** — asserted by the
-/// counting-allocator regression test.
+/// in place with `sort_unstable`, so selection through `select_cached` with
+/// a reused scratch performs **zero heap allocations** after the first
+/// warm-up call — asserted by the counting-allocator regression test. The
+/// [`Gar`](crate::Gar) path builds a fresh scratch per call, so the
+/// guarantee does not extend to it.
 #[derive(Debug, Default)]
 pub struct SelectionScratch {
-    row: Vec<f32>,
     scores: Vec<f32>,
     order: Vec<usize>,
     remaining: Vec<usize>,
-    /// Flattened per-candidate sorted neighbour-distance lists (stride n−1),
-    /// used by the incremental Bulyan selection loop.
+    /// Flattened per-candidate sorted neighbour-distance lists (stride
+    /// n−1); `neighbour_len[i]` of list `i` are live.
     neighbours: Vec<f32>,
     neighbour_len: Vec<usize>,
 }
@@ -371,37 +367,59 @@ impl SelectionScratch {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
-}
 
-/// Computes every candidate's Krum score — the sum of its squared distances
-/// to its `n − f − 2` closest neighbours — from the cache into
-/// `scratch.scores`.
-pub(crate) fn krum_scores_cached(cache: &DistanceCache, f: usize, scratch: &mut SelectionScratch) {
-    let n = cache.n();
-    let neighbours = n.saturating_sub(f + 2).max(1);
-    scratch.scores.clear();
-    scratch.scores.reserve(n);
-    for i in 0..n {
-        scratch.row.clear();
-        scratch.row.reserve(n.saturating_sub(1));
-        for j in 0..n {
-            if j != i {
-                scratch.row.push(cache.get(i, j));
+    /// Fills one list per candidate with its distances to every other input
+    /// and sorts each list in total order. The cache stores every NaN as the
+    /// one canonical NaN, so equal distances have equal bits and the lists
+    /// are totally ordered, NaN caches included.
+    fn sort_neighbours(&mut self, cache: &DistanceCache) {
+        let n = cache.n();
+        let stride = n.saturating_sub(1);
+        self.neighbours.clear();
+        self.neighbours.resize(n * stride, 0.0);
+        self.neighbour_len.clear();
+        self.neighbour_len.resize(n, stride);
+        for i in 0..n {
+            let list = &mut self.neighbours[i * stride..(i + 1) * stride];
+            let others = (0..n).filter(|&j| j != i);
+            for (slot, j) in list.iter_mut().zip(others) {
+                *slot = cache.get(i, j);
             }
+            list.sort_unstable_by(cmp_f32);
         }
-        scratch.row.sort_unstable_by(cmp_f32);
-        scratch
-            .scores
-            .push(scratch.row.iter().take(neighbours).sum());
+    }
+
+    /// Candidate `i`'s Krum score: the sum of the first `nb` live entries
+    /// of its sorted list, i.e. of its squared distances to its `nb`
+    /// closest live neighbours.
+    fn score(&self, i: usize, nb: usize) -> f32 {
+        let start = i * self.neighbour_len.len().saturating_sub(1);
+        self.neighbours[start..start + self.neighbour_len[i]]
+            .iter()
+            .take(nb)
+            .sum()
     }
 }
 
-/// Writes the indices of the `m` smallest scores into `scratch.order`
-/// (ascending score, ties broken by index — the stable-sort order the
-/// original implementation produced).
-pub(crate) fn smallest_scores_cached(m: usize, scratch: &mut SelectionScratch) {
+/// Multi-Krum's selection over the shared cache: every candidate's Krum
+/// score (its `n − f − 2` closest neighbours) into `scratch.scores`, and the
+/// indices of the `m` smallest into `scratch.order` (ascending score, ties
+/// broken by index). Krum is `m = 1`.
+pub(crate) fn multi_krum_cached(
+    cache: &DistanceCache,
+    f: usize,
+    m: usize,
+    scratch: &mut SelectionScratch,
+) {
+    let n = cache.n();
+    let nb = n.saturating_sub(f + 2).max(1);
+    scratch.sort_neighbours(cache);
+    scratch.scores.clear();
+    for i in 0..n {
+        scratch.scores.push(scratch.score(i, nb));
+    }
     scratch.order.clear();
-    scratch.order.extend(0..scratch.scores.len());
+    scratch.order.extend(0..n);
     let scores = &scratch.scores;
     scratch
         .order
@@ -409,40 +427,17 @@ pub(crate) fn smallest_scores_cached(m: usize, scratch: &mut SelectionScratch) {
     scratch.order.truncate(m);
 }
 
-/// Cache-based Krum selection: the single smallest-scoring index.
-pub(crate) fn krum_best_cached(
-    cache: &DistanceCache,
-    f: usize,
-    scratch: &mut SelectionScratch,
-) -> usize {
-    krum_scores_cached(cache, f, scratch);
-    smallest_scores_cached(1, scratch);
-    scratch.order[0]
-}
-
-/// The selected indices (ascending score order) of Multi-Krum, left in
-/// `scratch.order`.
-pub(crate) fn multi_krum_cached(
-    cache: &DistanceCache,
-    f: usize,
-    m: usize,
-    scratch: &mut SelectionScratch,
-) {
-    krum_scores_cached(cache, f, scratch);
-    smallest_scores_cached(m, scratch);
-}
-
 /// Bulyan's selection phase over the shared cache: iterate Krum `k` times,
 /// moving the winner out of the candidate pool each round.
 ///
-/// On a finite cache the repeated-Krum inner loop is *incremental*: each
-/// candidate's neighbour distances are sorted once, the selected candidate's
-/// distance is deleted from every survivor's sorted list in `O(n)`, and each
-/// round's score is a prefix sum — `O(n² log n)` once plus `O(n²)` per round,
-/// with no dependence on the gradient dimension `d`. Non-finite distances
-/// (NaN payloads) break total ordering, so those fall back to per-round
-/// rescoring from the cache, which is what the old clone-the-pool code
-/// computed — still without touching `d` again.
+/// The repeated-Krum inner loop is *incremental*: each candidate's
+/// neighbour distances are sorted once, the selected candidate's distance
+/// is deleted from every survivor's sorted list in `O(n)`, and each round's
+/// score is a prefix sum — `O(n² log n)` once plus `O(n²)` per round, with
+/// no dependence on the gradient dimension `d`. The lists are totally
+/// ordered (see [`SelectionScratch::sort_neighbours`]), so this is exactly
+/// what re-sorting the pool's distances every round computes, NaN caches
+/// included.
 pub(crate) fn bulyan_select_cached(
     cache: &DistanceCache,
     f: usize,
@@ -454,25 +449,8 @@ pub(crate) fn bulyan_select_cached(
     selected.clear();
     scratch.remaining.clear();
     scratch.remaining.extend(0..n);
-    let incremental = cache.is_finite();
+    scratch.sort_neighbours(cache);
     let stride = n.saturating_sub(1);
-    if incremental {
-        scratch.neighbours.clear();
-        scratch.neighbours.resize(n * stride, 0.0);
-        scratch.neighbour_len.clear();
-        scratch.neighbour_len.resize(n, stride);
-        for i in 0..n {
-            let list = &mut scratch.neighbours[i * stride..(i + 1) * stride];
-            let mut w = 0;
-            for j in 0..n {
-                if j != i {
-                    list[w] = cache.get(i, j);
-                    w += 1;
-                }
-            }
-            list.sort_unstable_by(cmp_f32);
-        }
-    }
     for _ in 0..k {
         let m = scratch.remaining.len();
         if m <= 1 {
@@ -485,53 +463,30 @@ pub(crate) fn bulyan_select_cached(
         let f_eff = f.min(m.saturating_sub(3));
         let nb = m.saturating_sub(f_eff + 2).max(1);
 
-        // Score every remaining candidate.
-        let mut best_pos = 0usize;
-        let mut best_score = f32::INFINITY;
-        let mut have_best = false;
-        for (pos, &i) in scratch.remaining.iter().enumerate() {
-            let score: f32 = if incremental {
-                let len = scratch.neighbour_len[i];
-                scratch.neighbours[i * stride..i * stride + len]
-                    .iter()
-                    .take(nb)
-                    .sum()
-            } else {
-                scratch.row.clear();
-                scratch.row.reserve(m.saturating_sub(1));
-                for &j in &scratch.remaining {
-                    if j != i {
-                        scratch.row.push(cache.get(i, j));
-                    }
-                }
-                scratch.row.sort_unstable_by(cmp_f32);
-                scratch.row.iter().take(nb).sum()
-            };
-            // First index wins ties, exactly like the stable argmin of the
-            // original smallest-scores path.
-            if !have_best || cmp_f32(&score, &best_score) == Ordering::Less {
-                best_pos = pos;
-                best_score = score;
-                have_best = true;
-            }
-        }
+        // The argmin in total order; `min_by` keeps the first of equal
+        // scores, so the first index wins ties.
+        let (best_pos, _) = scratch
+            .remaining
+            .iter()
+            .map(|&i| scratch.score(i, nb))
+            .enumerate()
+            .min_by(|a, b| cmp_f32(&a.1, &b.1))
+            .expect("the pool holds at least two candidates");
         let winner = scratch.remaining.remove(best_pos);
         selected.push(winner);
 
-        if incremental {
-            // Delete the winner's distance from every survivor's sorted
-            // list: binary search to its first occurrence, shift left.
-            // Duplicate distances are interchangeable (equal values), so
-            // removing the first occurrence preserves every prefix sum.
-            for &i in &scratch.remaining {
-                let len = scratch.neighbour_len[i];
-                let list = &mut scratch.neighbours[i * stride..i * stride + len];
-                let v = cache.get(i, winner);
-                let pos = list.partition_point(|x| cmp_f32(x, &v) == Ordering::Less);
-                debug_assert!(pos < len && list[pos].to_bits() == v.to_bits());
-                list.copy_within(pos + 1.., pos);
-                scratch.neighbour_len[i] = len - 1;
-            }
+        // Delete the winner's distance from every survivor's sorted list:
+        // binary search to its first occurrence, shift left. Duplicate
+        // distances are interchangeable (equal bits), so removing the first
+        // occurrence preserves every prefix sum.
+        for &i in &scratch.remaining {
+            let len = scratch.neighbour_len[i];
+            let list = &mut scratch.neighbours[i * stride..i * stride + len];
+            let v = cache.get(i, winner);
+            let pos = list.partition_point(|x| cmp_f32(x, &v) == Ordering::Less);
+            debug_assert!(pos < len && list[pos].to_bits() == v.to_bits());
+            list.copy_within(pos + 1.., pos);
+            scratch.neighbour_len[i] = len - 1;
         }
     }
 }
@@ -664,7 +619,6 @@ mod tests {
         let v = views(&data);
         let cache = DistanceCache::build(&v, &Engine::sequential());
         assert_eq!(cache.n(), 5);
-        assert!(cache.is_finite());
         for i in 0..5 {
             assert_eq!(cache.get(i, i), 0.0);
             for j in 0..5 {
@@ -697,13 +651,6 @@ mod tests {
                 assert_eq!(seq.get(i, j).to_bits(), par.get(i, j).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn nan_payloads_mark_the_cache_non_finite() {
-        let data = vec![vec![0.0f32, f32::NAN], vec![1.0, 2.0], vec![3.0, 4.0]];
-        let cache = DistanceCache::build(&views(&data), &Engine::sequential());
-        assert!(!cache.is_finite());
     }
 
     #[test]
@@ -763,11 +710,15 @@ mod tests {
     #[test]
     fn an_overflowing_norm_leaves_finite_distances_finite() {
         // Equal huge inputs: every norm overflows to +inf, every distance is
-        // 0. The finiteness flag (Bulyan's incremental path) reads distances
-        // only.
+        // 0. An overflowing norm must not leak into the distances selection
+        // reads.
         let data = vec![vec![1.0e20f32; 4]; 3];
         let cache = DistanceCache::build(&views(&data), &Engine::sequential());
-        assert!(cache.is_finite());
+        for i in 0..3 {
+            for j in 0..3 {
+                assert!(cache.get(i, j).is_finite(), "({i},{j})");
+            }
+        }
         assert!(cache.norms().iter().all(|v| *v == f32::INFINITY));
     }
 
@@ -800,35 +751,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_bulyan_selection_matches_per_round_rescoring() {
-        // Same cache, both paths: force the fallback by scoring through a
-        // synthetic non-finite flag is impossible from outside, so instead
-        // compare the incremental path against a hand-rolled per-round
-        // re-sort over the same cache.
-        let data: Vec<Vec<f32>> = (0..9)
-            .map(|i| (0..12).map(|c| ((i * 7 + c) as f32).cos()).collect())
-            .collect();
-        let v = views(&data);
-        let cache = DistanceCache::build(&v, &Engine::sequential());
-        let f = 1usize;
-        let k = 7usize;
-        let mut scratch = SelectionScratch::new();
-        let mut fast = Vec::new();
-        bulyan_select_cached(&cache, f, k, &mut scratch, &mut fast);
+    /// `n` inputs of dimension `d` from a seeded xorshift stream: mostly
+    /// finite values, and about 15 % specials — quiet and signalling NaNs
+    /// of both signs with varied payloads, `±inf`, `±0` and `1e30` (whose
+    /// squared distances overflow).
+    fn special_payloads(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| {
+                        let r = next();
+                        let sign = ((r >> 40) as u32 & 1) << 31;
+                        let payload = ((r >> 8) as u32 & 0x3f_ffff).max(1);
+                        match r % 100 {
+                            0..=3 => f32::from_bits(sign | 0x7fc0_0000 | payload),
+                            4..=6 => f32::from_bits(sign | 0x7f80_0000 | payload),
+                            7..=9 => f32::from_bits(sign | 0x7f80_0000),
+                            10..=12 => f32::from_bits(sign),
+                            13 | 14 => f32::from_bits(sign | 1.0e30f32.to_bits()),
+                            _ => ((r >> 16) % 10_000) as f32 / 250.0 - 20.0,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
-        // Reference: per-round recompute.
-        let mut remaining: Vec<usize> = (0..9).collect();
-        let mut slow = Vec::new();
+    /// Bulyan's selection the slow way: every round, re-sort each pool
+    /// member's distances to the rest of the pool and take the total-order
+    /// argmin of the prefix sums, the first index winning ties.
+    fn rescored_bulyan_selection(cache: &DistanceCache, f: usize, k: usize) -> Vec<usize> {
+        let mut remaining: Vec<usize> = (0..cache.n()).collect();
+        let mut selected = Vec::new();
         for _ in 0..k {
             if remaining.len() <= 1 {
-                slow.append(&mut remaining);
+                selected.append(&mut remaining);
                 break;
             }
             let m = remaining.len();
             let f_eff = f.min(m.saturating_sub(3));
             let nb = m.saturating_sub(f_eff + 2).max(1);
-            let mut best = (0usize, f32::INFINITY);
+            let mut best: Option<(usize, f32)> = None;
             for (pos, &i) in remaining.iter().enumerate() {
                 let mut row: Vec<f32> = remaining
                     .iter()
@@ -837,13 +807,74 @@ mod tests {
                     .collect();
                 row.sort_unstable_by(cmp_f32);
                 let s: f32 = row.iter().take(nb).sum();
-                if s < best.1 {
-                    best = (pos, s);
+                if best.is_none_or(|(_, b)| cmp_f32(&s, &b) == Ordering::Less) {
+                    best = Some((pos, s));
                 }
             }
-            slow.push(remaining.remove(best.0));
+            selected.push(remaining.remove(best.expect("non-empty pool").0));
         }
-        assert_eq!(fast, slow);
+        selected
+    }
+
+    /// Multi-Krum's scores and full order the slow way: each cache row
+    /// sorted on its own, ranked by a stable sort on the score alone.
+    fn row_sorted_multi_krum(cache: &DistanceCache, f: usize) -> (Vec<u32>, Vec<usize>) {
+        let n = cache.n();
+        let nb = n.saturating_sub(f + 2).max(1);
+        let scores: Vec<f32> = (0..n)
+            .map(|i| {
+                let mut row: Vec<f32> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| cache.get(i, j))
+                    .collect();
+                row.sort_unstable_by(cmp_f32);
+                row.iter().take(nb).sum()
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| cmp_f32(&scores[a], &scores[b]));
+        (scores.iter().map(|s| s.to_bits()).collect(), order)
+    }
+
+    #[test]
+    fn incremental_bulyan_selection_matches_per_round_rescoring() {
+        // One finite data set, then seeded ones laced with NaNs and ±inf, at
+        // several (n, f) with n ≥ 4f + 3. The incremental path sorts each
+        // list once and deletes winners; the reference re-sorts every round.
+        let mut sets = vec![(
+            1usize,
+            (0..9)
+                .map(|i| (0..12).map(|c| ((i * 7 + c) as f32).cos()).collect())
+                .collect::<Vec<Vec<f32>>>(),
+        )];
+        for seed in 0..600u64 {
+            let n = 7 + (seed % 12) as usize;
+            let f = (1 + (seed / 12 % 3) as usize).min((n - 3) / 4);
+            let d = 1 + (seed / 36 % 9) as usize;
+            sets.push((f, special_payloads(n, d, seed)));
+        }
+        let mut scratch = SelectionScratch::new();
+        let mut selected = Vec::new();
+        let mut with_nan = 0;
+        for (f, data) in &sets {
+            let (f, n) = (*f, data.len());
+            let cache = DistanceCache::build(&views(data), &Engine::sequential());
+            with_nan += (0..n).any(|i| (0..n).any(|j| cache.get(i, j).is_nan())) as usize;
+            for k in [n - 2 * f, n] {
+                bulyan_select_cached(&cache, f, k, &mut scratch, &mut selected);
+                let slow = rescored_bulyan_selection(&cache, f, k);
+                assert_eq!(selected, slow, "n {n} f {f} k {k}: {data:?}");
+            }
+            multi_krum_cached(&cache, f, n, &mut scratch);
+            let scores: Vec<u32> = scratch.scores().iter().map(|s| s.to_bits()).collect();
+            let (ref_scores, ref_order) = row_sorted_multi_krum(&cache, f);
+            assert_eq!(scores, ref_scores, "n {n} f {f}: {data:?}");
+            assert_eq!(scratch.order(), ref_order, "n {n} f {f}: {data:?}");
+        }
+        assert!(
+            with_nan >= 300,
+            "only {with_nan} caches hold a NaN distance"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the [`Engine`]) and every scoring decision reads from it. Selection
 //! returns *indices*; the only data copied is the output vector.
 
-use crate::engine::{krum_best_cached, multi_krum_cached};
+use crate::engine::multi_krum_cached;
 use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
@@ -59,7 +59,8 @@ impl Krum {
     /// call the scratch buffers are sized and repeated calls perform zero
     /// heap allocations (asserted by the counting-allocator test).
     pub fn select_cached(&self, cache: &DistanceCache, scratch: &mut SelectionScratch) -> usize {
-        krum_best_cached(cache, self.f, scratch)
+        multi_krum_cached(cache, self.f, 1, scratch);
+        scratch.order()[0]
     }
 }
 
@@ -207,7 +208,7 @@ mod tests {
         let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
         let cache = DistanceCache::build(&views, &Engine::sequential());
         let mut scratch = SelectionScratch::new();
-        crate::engine::krum_scores_cached(&cache, f, &mut scratch);
+        multi_krum_cached(&cache, f, 1, &mut scratch);
         scratch.scores().to_vec()
     }
 

@@ -34,11 +34,14 @@
 use crate::SelectionOutcome;
 use std::collections::BTreeMap;
 
-/// Mean and (population) standard deviation of `values`.
+/// Mean and (population) standard deviation of the finite entries of
+/// `values`: one NaN or `±inf` must not turn the round's statistics into NaN
+/// and with them every peer's z-score into 0.
 fn population_stats(values: &[f64]) -> (f64, f64) {
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+    let finite = || values.iter().filter(|v| v.is_finite());
+    let n = finite().count() as f64;
+    let mean = finite().sum::<f64>() / n;
+    let var = finite().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
     (mean, var.sqrt())
 }
 
@@ -177,7 +180,11 @@ impl SuspicionLedger {
         let norm_stats = norms.map(population_stats);
 
         for (i, &peer) in peers.iter().enumerate() {
-            let z = if dist_std > f64::EPSILON && distances[i].is_finite() {
+            // A non-finite distance or norm is as anomalous as a z-score can
+            // be: it is scored at the clamp, whatever the population.
+            let z = if !distances[i].is_finite() {
+                Z_CLAMP
+            } else if dist_std > f64::EPSILON {
                 ((distances[i] - dist_mean) / dist_std).clamp(-Z_CLAMP, Z_CLAMP)
             } else {
                 0.0
@@ -186,7 +193,8 @@ impl SuspicionLedger {
             // tails matter: a zeroed gradient is as Byzantine as an amplified
             // one, and the distance channel sees neither at convergence.
             let norm_term = match (norms, norm_stats) {
-                (Some(ns), Some((m, s))) if s > f64::EPSILON && ns[i].is_finite() => {
+                (Some(ns), _) if !ns[i].is_finite() => (Z_CLAMP - NORM_DEADBAND) * NORM_WEIGHT,
+                (Some(ns), Some((m, s))) if s > f64::EPSILON => {
                     (((ns[i] - m) / s).abs().min(Z_CLAMP) - NORM_DEADBAND).max(0.0) * NORM_WEIGHT
                 }
                 _ => 0.0,
@@ -384,6 +392,29 @@ mod tests {
             bad > best_honest + 0.5,
             "attacker {bad} vs honest {best_honest}"
         );
+    }
+
+    #[test]
+    fn a_non_finite_norm_neither_blinds_the_round_nor_hides_its_sender() {
+        // Median-style rounds: every input selected, every distance 0, so
+        // the norm channel is the only signal. Peer 5 sends a zeroed
+        // gradient and peer 6 a NaN one; the NaN norm must not turn the
+        // round's statistics into NaN and every peer's evidence into 0.
+        let mut ledger = SuspicionLedger::default();
+        let peers = [0u32, 1, 2, 3, 4, 5, 6];
+        for round in 0..20 {
+            let o = SelectionOutcome {
+                selected: (0..7).collect(),
+                distance: vec![0.0; 7],
+                norm: vec![1.0, 1.1, 0.9, 1.0, 1.05, 0.0, f64::NAN],
+            };
+            ledger.observe_round(round, &peers, &o);
+        }
+        assert_eq!(ledger.ranking()[0], 6, "ranking {:?}", ledger.snapshot());
+        let snap = ledger.snapshot();
+        let score = |peer: u32| snap.iter().find(|p| p.peer == peer).unwrap().score;
+        assert!(score(5) > 0.0, "zeroed peer {}", score(5));
+        assert!((0..5).all(|p| score(p) < score(5)), "{snap:?}");
     }
 
     #[test]

@@ -392,6 +392,8 @@ impl WorkerActor {
     /// collided by a Byzantine server, and f32 `==` would equate `0.0` with
     /// `-0.0` and never a NaN with itself. Only a miss decodes the request,
     /// into `params`. A Byzantine worker still corrupts once per request.
+    /// A request of the wrong dimension is dropped before the memo is
+    /// touched, so no node can evict it with one.
     fn serve_full(
         &mut self,
         from: NodeId,
@@ -399,6 +401,9 @@ impl WorkerActor {
         request: bytes::Bytes,
         params: &mut Vec<f32>,
     ) {
+        if request.len() != WIRE_HEADER_BYTES + 4 * self.node.dimension {
+            return;
+        }
         let same = |(r, memo, ..): &GradientMemo| {
             *r == round && memo[WIRE_HEADER_BYTES..] == request[WIRE_HEADER_BYTES..]
         };
@@ -1400,7 +1405,8 @@ mod tests {
     /// Runs a fresh unsharded worker, sends it each `(server, params, seq)`
     /// as a round-0 `GradientRequest` from node `server` stamped with `seq`,
     /// and returns its `(loss, gradient)` replies in order plus its
-    /// telemetry.
+    /// telemetry. A request of the wrong dimension gets no reply, so none is
+    /// awaited.
     fn serve_requests(requests: &[(u32, &[f32], u64)]) -> (Vec<(f32, Vec<f32>)>, NodeTelemetry) {
         let router = Router::new();
         let servers: Vec<_> = (0..2)
@@ -1409,19 +1415,23 @@ mod tests {
         let transport = Box::new(RouterTransport::connect(&router, NodeId(2)).unwrap());
         let mut node = sharded_nodes(1).workers.remove(0);
         node.idle_timeout = Duration::from_secs(5);
+        let dimension = node.dimension;
         let handle = std::thread::spawn(move || WorkerActor::new(node, transport).run());
         let replies = requests
             .iter()
-            .map(|&(server, params, seq)| {
+            .filter_map(|&(server, params, seq)| {
                 let request = WireMessage::new(MsgKind::GradientRequest, 0, 0.0, params.to_vec());
                 let mut buf = request.encode_vec();
                 garfield_net::stamp_trace(&mut buf, server, seq, seq);
                 let from = &servers[server as usize];
                 from.send(NodeId(2), 0, buf.into()).unwrap();
+                if params.len() != dimension {
+                    return None;
+                }
                 let env = from.recv_timeout(Duration::from_secs(5)).unwrap();
                 let reply = WireMessage::decode(&env.payload).unwrap();
                 assert_eq!((reply.kind, reply.coord_len), (MsgKind::GradientReply, 0));
-                (reply.aux, reply.values)
+                Some((reply.aux, reply.values))
             })
             .collect();
         let shutdown = WireMessage::control(MsgKind::Shutdown, 1).encode();
@@ -1479,5 +1489,31 @@ mod tests {
         assert_eq!(got(&replies[0]), fresh(&a));
         assert_eq!(got(&replies[1]), fresh(&b));
         assert_eq!(got(&replies[2]), got(&replies[1]));
+    }
+
+    #[test]
+    fn a_wrong_length_request_leaves_the_gradient_memo_in_place() {
+        // Server 1 first sends a well-framed request one value short: it is
+        // dropped unanswered, and server 1's valid request after it still
+        // reuses the gradient memoised for server 0.
+        let params = sharded_nodes(1).servers[0]
+            .server
+            .honest()
+            .parameters()
+            .into_vec();
+        let short = &params[..params.len() - 1];
+        let (replies, telemetry) =
+            serve_requests(&[(0, &params, 1), (1, short, 1), (1, &params, 2)]);
+        assert_eq!(telemetry.gradients_reused, 1);
+        let (loss, grad) = sharded_nodes(1)
+            .workers
+            .remove(0)
+            .worker
+            .honest_compute(&Tensor::from_slice(&params), 0)
+            .unwrap();
+        assert_eq!(replies.len(), 2);
+        for (l, g) in &replies {
+            assert_eq!((l.to_bits(), bits(g)), (loss.to_bits(), bits(grad.data())));
+        }
     }
 }
