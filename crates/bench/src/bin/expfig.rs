@@ -11,10 +11,12 @@
 //!     [--interval-ms 1000] [--csv results/watch.csv] [--once]
 //! ```
 //!
-//! Recognised experiment ids: `table1`, `fig3a`, `fig3b`, `fig4a`, `fig4b`,
-//! `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig10`, `fig11`, `fig12`,
-//! `fig13`, `fig14`, `fig15`, `fig16`, `table2`, `variance`, `dec-scaling`.
-//! Each prints its rows and writes `results/<id>.csv`.
+//! Recognised experiment ids: `table1`, `fig3a`, `fig3b`, `fig4a` (alias
+//! `fig11a`), `fig4b` (`fig11b`), `fig5`, `fig6` (`fig6a`), `fig7`, `fig8`
+//! (`fig8a`), `fig9`, `fig10` (`fig10a`, `fig10b`, `fig13`, `fig14`),
+//! `fig12`, `table2`, `variance`, `dec-scaling`. Each prints its rows and
+//! writes `results/<id>.csv`. The paper's GPU figures (6b/15, 8b, 16) have
+//! no id: no GPU was ever measured here.
 //!
 //! `perf` is the GAR-engine micro-benchmark: it times the distance kernels
 //! (scalar / chunked / blocked), sweeps every GAR over d × n on the
@@ -46,7 +48,6 @@ use garfield_bench::perf;
 use garfield_bench::report::{print_table, write_csv, Row};
 use garfield_bench::trace;
 use garfield_bench::watch;
-use garfield_net::Device;
 use std::time::{Duration, Instant};
 
 fn run_one(id: &str) -> Option<(String, Vec<Row>)> {
@@ -61,14 +62,11 @@ fn run_one(id: &str) -> Option<(String, Vec<Row>)> {
         "fig4a" | "fig11a" => figures::fig4(false),
         "fig4b" | "fig11b" => figures::fig4(true),
         "fig5" => figures::fig5(),
-        "fig6" | "fig6a" => figures::fig6(Device::Cpu),
-        "fig6b" | "fig15" => figures::fig6(Device::Gpu),
-        "fig7" => figures::fig7(Device::Cpu),
-        "fig16" => figures::fig7(Device::Gpu),
-        "fig8" | "fig8a" => figures::fig8(Device::Cpu),
-        "fig8b" => figures::fig8(Device::Gpu),
+        "fig6" | "fig6a" => figures::fig6(),
+        "fig7" => figures::fig7(),
+        "fig8" | "fig8a" => figures::fig8(),
         "fig9" => figures::fig9(),
-        "fig10" | "fig10a" | "fig10b" | "fig13" | "fig14" => figures::fig10(Device::Cpu),
+        "fig10" | "fig10a" | "fig10b" | "fig13" | "fig14" => figures::fig10(),
         "table2" => figures::table2(),
         "fig12" => figures::fig12(),
         "variance" => figures::variance_report(),
@@ -379,14 +377,11 @@ fn main() {
         "fig4b",
         "fig5",
         "fig6",
-        "fig6b",
         "fig7",
         "fig8",
-        "fig8b",
         "fig9",
         "fig10",
         "fig12",
-        "fig16",
         "table2",
         "variance",
         "dec-scaling",

@@ -5,7 +5,9 @@
 //! the real training stack on scaled-down settings; throughput sweeps evaluate
 //! [`SystemPlan::timing`] — the clock the training runtime reads — at the
 //! paper's exact model sizes: their per-iteration time is a function of the
-//! model dimension, the cluster shape and the device alone.
+//! model dimension and the cluster shape alone, on the paper's CPU cluster
+//! cost model. The paper's GPU variants (Figs. 6b/15, 8b, 16) are not
+//! reproduced: no GPU was ever measured here.
 
 use crate::report::Row;
 use garfield_aggregation::{build_gar, GarKind, VarianceProbe};
@@ -13,14 +15,11 @@ use garfield_core::{
     Executor, ExperimentConfig, IterationTiming, SimExecutor, SystemKind, SystemPlan, Trainer,
 };
 use garfield_ml::{zoo, Dataset, DatasetKind, Mlp};
-use garfield_net::{CostModel, Device};
 use garfield_tensor::{Tensor, TensorRng};
 use std::time::Instant;
 
 /// The paper's default CPU cluster shape (18 workers / 3 Byzantine, 6 servers / 1 Byzantine).
 const CPU_CLUSTER: (usize, usize, usize, usize) = (18, 3, 6, 1);
-/// The paper's default GPU cluster shape (10 workers / 3 Byzantine, 3 servers / 1 Byzantine).
-const GPU_CLUSTER: (usize, usize, usize, usize) = (10, 3, 3, 1);
 
 /// A synchronous cluster of `nw` / `fw` workers and `nps` / `fps` servers.
 fn cluster((nw, fw, nps, fps): (usize, usize, usize, usize)) -> ExperimentConfig {
@@ -35,13 +34,8 @@ fn cluster((nw, fw, nps, fps): (usize, usize, usize, usize)) -> ExperimentConfig
 
 /// Analytic per-iteration timing of `system` for a `d`-parameter model on
 /// `shape`, at the paper's per-worker batch of 32.
-fn timing(
-    system: SystemKind,
-    d: usize,
-    shape: &ExperimentConfig,
-    device: Device,
-) -> IterationTiming {
-    SystemPlan::of(system, shape).timing(d, 32, device, &CostModel::default())
+fn timing(system: SystemKind, d: usize, shape: &ExperimentConfig) -> IterationTiming {
+    SystemPlan::of(system, shape).timing(d, 32)
 }
 
 /// Model updates per second of an iteration taking `timing`.
@@ -77,6 +71,27 @@ pub fn table1() -> Vec<Row> {
         .collect()
 }
 
+/// Wall-clock seconds of one `aggregate` over `inputs` by each Fig. 3 rule,
+/// tolerating `f` Byzantine inputs (Average tolerates none).
+fn time_gars(inputs: &[Tensor], f: usize) -> Vec<(&'static str, f64)> {
+    [
+        GarKind::Bulyan,
+        GarKind::Mda,
+        GarKind::MultiKrum,
+        GarKind::Median,
+        GarKind::Average,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let f = if kind == GarKind::Average { 0 } else { f };
+        let gar = build_gar(&kind, inputs.len(), f).expect("n >= 4f + 3 satisfies every rule");
+        let start = Instant::now();
+        gar.aggregate(inputs).expect("inputs are well formed");
+        (kind.as_str(), start.elapsed().as_secs_f64())
+    })
+    .collect()
+}
+
 /// Fig. 3a: GAR aggregation time versus the number of inputs `n`.
 ///
 /// Measures the real CPU kernels. `d` defaults to 10⁵ (the paper uses 10⁷ on
@@ -87,21 +102,7 @@ pub fn fig3a(d: usize) -> Vec<Row> {
     for n in (7..=23).step_by(2) {
         let f = (n - 3) / 4;
         let inputs: Vec<Tensor> = (0..n).map(|_| rng.normal_tensor(d)).collect();
-        let mut values = Vec::new();
-        for kind in [
-            GarKind::Bulyan,
-            GarKind::Mda,
-            GarKind::MultiKrum,
-            GarKind::Median,
-            GarKind::Average,
-        ] {
-            let gar = build_gar(&kind, n, if kind == GarKind::Average { 0 } else { f })
-                .expect("n >= 7 satisfies every rule for f = (n-3)/4");
-            let start = Instant::now();
-            gar.aggregate(&inputs).expect("inputs are well formed");
-            values.push((kind.as_str(), start.elapsed().as_secs_f64()));
-        }
-        rows.push(Row::new(format!("n={n}"), values));
+        rows.push(Row::new(format!("n={n}"), time_gars(&inputs, f)));
     }
     rows
 }
@@ -115,21 +116,7 @@ pub fn fig3b(max_d: usize) -> Vec<Row> {
     let mut d = 1_000usize;
     while d <= max_d {
         let inputs: Vec<Tensor> = (0..n).map(|_| rng.normal_tensor(d)).collect();
-        let mut values = Vec::new();
-        for kind in [
-            GarKind::Bulyan,
-            GarKind::Mda,
-            GarKind::MultiKrum,
-            GarKind::Median,
-            GarKind::Average,
-        ] {
-            let gar = build_gar(&kind, n, if kind == GarKind::Average { 0 } else { f })
-                .expect("n = 17 satisfies every rule for f = 3");
-            let start = Instant::now();
-            gar.aggregate(&inputs).expect("inputs are well formed");
-            values.push((kind.as_str(), start.elapsed().as_secs_f64()));
-        }
-        rows.push(Row::new(format!("d={d}"), values));
+        rows.push(Row::new(format!("d={d}"), time_gars(&inputs, f)));
         d *= 10;
     }
     rows
@@ -196,17 +183,13 @@ pub fn fig5() -> Vec<Row> {
     rows
 }
 
-/// Fig. 6 (and Fig. 15): throughput slowdown of each fault-tolerant system
-/// relative to vanilla, for every Table 1 model, on the given device.
-pub fn fig6(device: Device) -> Vec<Row> {
-    let shape = cluster(if device == Device::Cpu {
-        CPU_CLUSTER
-    } else {
-        GPU_CLUSTER
-    });
+/// Fig. 6: throughput slowdown of each fault-tolerant system relative to
+/// vanilla, for every Table 1 model.
+pub fn fig6() -> Vec<Row> {
+    let shape = cluster(CPU_CLUSTER);
     let mut rows = Vec::new();
     for model in zoo::paper_models() {
-        let ups = |system| updates_per_second(timing(system, model.parameters, &shape, device));
+        let ups = |system| updates_per_second(timing(system, model.parameters, &shape));
         let vanilla = ups(SystemKind::Vanilla);
         let mut values = Vec::new();
         for system in [
@@ -222,13 +205,9 @@ pub fn fig6(device: Device) -> Vec<Row> {
     rows
 }
 
-/// Fig. 7 (CPU) / Fig. 16 (GPU): per-iteration overhead breakdown for ResNet-50.
-pub fn fig7(device: Device) -> Vec<Row> {
-    let shape = cluster(if device == Device::Cpu {
-        CPU_CLUSTER
-    } else {
-        GPU_CLUSTER
-    });
+/// Fig. 7: per-iteration overhead breakdown for ResNet-50.
+pub fn fig7() -> Vec<Row> {
+    let shape = cluster(CPU_CLUSTER);
     let d = zoo::spec_by_name("ResNet-50")
         .expect("ResNet-50 is in Table 1")
         .parameters;
@@ -236,7 +215,7 @@ pub fn fig7(device: Device) -> Vec<Row> {
         .into_iter()
         .filter(|s| *s != SystemKind::AggregaThor)
         .map(|system| {
-            let t = timing(system, d, &shape, device);
+            let t = timing(system, d, &shape);
             Row::new(
                 system.as_str(),
                 vec![
@@ -250,24 +229,13 @@ pub fn fig7(device: Device) -> Vec<Row> {
         .collect()
 }
 
-/// Fig. 8: throughput (batches/s) versus the number of workers, CifarNet on
-/// CPU (8a) or ResNet-50 on GPU (8b).
-pub fn fig8(device: Device) -> Vec<Row> {
-    let (model, range): (&str, Vec<usize>) = if device == Device::Cpu {
-        ("CifarNet", (3..=20).collect())
-    } else {
-        ("ResNet-50", (5..=13).step_by(2).collect())
-    };
-    let d = zoo::spec_by_name(model)
-        .expect("model is in Table 1")
+/// Fig. 8a: throughput (batches/s) versus the number of workers, CifarNet.
+pub fn fig8() -> Vec<Row> {
+    let d = zoo::spec_by_name("CifarNet")
+        .expect("CifarNet is in Table 1")
         .parameters;
-    let (_, fw, nps, fps) = if device == Device::Cpu {
-        CPU_CLUSTER
-    } else {
-        GPU_CLUSTER
-    };
-    range
-        .into_iter()
+    let (_, fw, nps, fps) = CPU_CLUSTER;
+    (3..=20)
         .map(|nw| {
             let shape = cluster((nw, fw.min(nw.saturating_sub(1)), nps, fps));
             let mut values = Vec::new();
@@ -278,7 +246,7 @@ pub fn fig8(device: Device) -> Vec<Row> {
                 SystemKind::Msmw,
                 SystemKind::Decentralized,
             ] {
-                let total = timing(system, d, &shape, device).total().max(1e-12);
+                let total = timing(system, d, &shape).total().max(1e-12);
                 values.push((system.as_str(), nw as f64 / total));
             }
             Row::new(format!("nw={nw}"), values)
@@ -288,13 +256,13 @@ pub fn fig8(device: Device) -> Vec<Row> {
 
 /// Fig. 9: communication time of decentralized learning and the vanilla
 /// baseline versus the number of nodes (9a, d = 10⁶) and versus the model
-/// dimension (9b, n = 6), on GPUs.
+/// dimension (9b, n = 6). The paper measured it on GPUs; this is the CPU
+/// cost model.
 pub fn fig9() -> Vec<Row> {
     // Decentralized learning with one declared Byzantine node against
     // vanilla with one server, both over `n` nodes and a `d`-parameter model.
     let row = |label: String, n: usize, d: usize| {
-        let communication =
-            |system, shape| timing(system, d, &cluster(shape), Device::Gpu).communication;
+        let communication = |system, shape| timing(system, d, &cluster(shape)).communication;
         let decentralized = (n, 1.min(n - 1), 0, 0);
         Row::new(
             label,
@@ -324,20 +292,16 @@ pub fn fig9() -> Vec<Row> {
 /// Fig. 10 (and Figs. 13/14): throughput versus the number of declared
 /// Byzantine workers (`fw`, fixed cluster) and Byzantine servers (`fps`,
 /// which grows the replica group as `nps = 3 fps + 1`).
-pub fn fig10(device: Device) -> Vec<Row> {
+pub fn fig10() -> Vec<Row> {
     let d = zoo::spec_by_name("ResNet-50")
         .expect("in Table 1")
         .parameters;
-    let (nw, _, nps, _) = if device == Device::Cpu {
-        CPU_CLUSTER
-    } else {
-        GPU_CLUSTER
-    };
+    let (nw, _, nps, _) = CPU_CLUSTER;
     let msmw = |fw, nps, fps| {
         let shape = cluster((nw, fw, nps, fps));
         vec![(
             "updates_per_s",
-            updates_per_second(timing(SystemKind::Msmw, d, &shape, device)),
+            updates_per_second(timing(SystemKind::Msmw, d, &shape)),
         )]
     };
     let mut rows = Vec::new();
@@ -477,7 +441,7 @@ mod tests {
 
     #[test]
     fn throughput_figures_have_expected_shapes() {
-        let rows = fig6(Device::Gpu);
+        let rows = fig6();
         assert_eq!(rows.len(), 6);
         // Every slowdown is at least 1 (vanilla is the fastest).
         for row in &rows {
@@ -485,22 +449,22 @@ mod tests {
                 assert!(*slowdown >= 1.0, "{row:?}");
             }
         }
-        assert_eq!(fig7(Device::Cpu).len(), 5);
-        assert!(!fig8(Device::Gpu).is_empty());
+        assert_eq!(fig7().len(), 5);
+        assert!(!fig8().is_empty());
         assert!(!fig9().is_empty());
-        assert_eq!(fig10(Device::Cpu).len(), 8);
+        assert_eq!(fig10().len(), 8);
     }
 
     const RESNET50: usize = 23_539_850;
 
-    /// ResNet-50 on the paper's CPU cluster shape, on `device`.
-    fn point(system: SystemKind, device: Device) -> IterationTiming {
-        timing(system, RESNET50, &cluster(CPU_CLUSTER), device)
+    /// ResNet-50 on the paper's CPU cluster shape.
+    fn point(system: SystemKind) -> IterationTiming {
+        timing(system, RESNET50, &cluster(CPU_CLUSTER))
     }
 
     #[test]
     fn ordering_matches_the_paper_cpu() {
-        let ups = |system| updates_per_second(point(system, Device::Cpu));
+        let ups = |system| updates_per_second(point(system));
         let vanilla = ups(SystemKind::Vanilla);
         let ssmw = ups(SystemKind::Ssmw);
         let crash = ups(SystemKind::CrashTolerant);
@@ -519,12 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn communication_dominates_and_gpu_is_faster() {
-        let p = point(SystemKind::Msmw, Device::Cpu);
+    fn communication_dominates_the_msmw_round() {
+        let p = point(SystemKind::Msmw);
         assert!(p.communication > 0.6 * p.total());
         assert!(p.aggregation < 0.25 * p.total());
-        let gpu = point(SystemKind::Msmw, Device::Gpu);
-        assert!(updates_per_second(gpu) > 3.0 * updates_per_second(p));
     }
 
     #[test]
@@ -533,8 +495,8 @@ mod tests {
         // to a point, after which communication (O(d) for everyone) dominates.
         let shape = cluster(CPU_CLUSTER);
         let slowdown = |d: usize| {
-            let v = timing(SystemKind::Vanilla, d, &shape, Device::Cpu);
-            let m = timing(SystemKind::Msmw, d, &shape, Device::Cpu);
+            let v = timing(SystemKind::Vanilla, d, &shape);
+            let m = timing(SystemKind::Msmw, d, &shape);
             updates_per_second(v) / updates_per_second(m)
         };
         let small = slowdown(79_510);
@@ -549,8 +511,7 @@ mod tests {
 
     #[test]
     fn decentralized_communication_grows_quadratically_with_n() {
-        let comm =
-            |system, shape| timing(system, 1_000_000, &cluster(shape), Device::Gpu).communication;
+        let comm = |system, shape| timing(system, 1_000_000, &cluster(shape)).communication;
         let ratio = comm(SystemKind::Decentralized, (6, 1, 0, 0))
             / comm(SystemKind::Decentralized, (3, 1, 0, 0));
         assert!(
@@ -566,10 +527,11 @@ mod tests {
 
     #[test]
     fn byzantine_servers_cost_more_than_byzantine_workers() {
-        // Paper: +53% over SSMW for server tolerance, +22% over crash tolerance (GPU numbers).
-        let ssmw = point(SystemKind::Ssmw, Device::Gpu).total();
-        let msmw = point(SystemKind::Msmw, Device::Gpu).total();
-        let crash = point(SystemKind::CrashTolerant, Device::Gpu).total();
+        // Paper: +53% over SSMW for server tolerance, +22% over crash
+        // tolerance (GPU numbers); the bounds hold on the CPU model too.
+        let ssmw = point(SystemKind::Ssmw).total();
+        let msmw = point(SystemKind::Msmw).total();
+        let crash = point(SystemKind::CrashTolerant).total();
         assert!(
             msmw > ssmw * 1.2,
             "server tolerance should add substantial overhead over SSMW"
@@ -601,12 +563,11 @@ mod tests {
         // from `SystemPlan::timing`; a paper figure that moves fails here. A
         // deliberate change to the cost model re-records them, and says so.
         let figures = [
-            ("fig6 cpu", fig6(Device::Cpu), 0x527371a6dbd10710u64),
-            ("fig6 gpu", fig6(Device::Gpu), 0x4f9b5782c8336e1d),
-            ("fig7 cpu", fig7(Device::Cpu), 0x82aedb59c3dc87d1),
-            ("fig8 cpu", fig8(Device::Cpu), 0x1109225fa5b9f06b),
-            ("fig9", fig9(), 0x5c773ade950cd827),
-            ("fig10 cpu", fig10(Device::Cpu), 0x22ab734c54dba002),
+            ("fig6 cpu", fig6(), 0x527371a6dbd10710u64),
+            ("fig7 cpu", fig7(), 0x82aedb59c3dc87d1),
+            ("fig8 cpu", fig8(), 0x1109225fa5b9f06b),
+            ("fig9", fig9(), 0xfbec497fcca0aff0),
+            ("fig10 cpu", fig10(), 0x22ab734c54dba002),
             ("dec-scaling", decentralized_scaling(), 0x4129c8863cbe905f),
         ];
         for (name, rows, recorded) in figures {

@@ -449,6 +449,26 @@ mod tests {
     }
 
     #[test]
+    fn the_committed_trajectory_names_existing_rules_with_identical_engines() {
+        // The repo root's record, as `expfig perf --quick` wrote it: a deleted
+        // rule must not leave rows behind, and no cell may have diverged.
+        let doc = json::parse(include_str!("../../../BENCH_aggregation.json")).unwrap();
+        let entries = doc.get("entries").and_then(Value::as_array).unwrap();
+        assert!(!entries.is_empty());
+        let sharded = format!("@{SHARD_SWEEP}sh");
+        for e in entries {
+            let gar = e.get("gar").and_then(Value::as_str).unwrap();
+            let rule = gar.strip_suffix(sharded.as_str()).unwrap_or(gar);
+            assert!(rule.parse::<GarKind>().is_ok(), "{gar} is no GarKind");
+            assert_eq!(
+                e.get("identical").and_then(Value::as_bool),
+                Some(true),
+                "{gar}"
+            );
+        }
+    }
+
+    #[test]
     fn kernel_sweep_measures_every_kernel() {
         let points = run_kernels(&tiny_config());
         let names: Vec<&str> = points.iter().map(|k| k.kernel.as_str()).collect();

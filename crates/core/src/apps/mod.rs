@@ -16,7 +16,7 @@ use crate::{
     ExperimentConfig, SystemKind, TrainingTrace,
 };
 use garfield_aggregation::build_gar;
-use garfield_net::CostModel;
+use garfield_net::cost;
 use garfield_tensor::Tensor;
 
 /// Runs one system's training loop on the simulated substrate.
@@ -108,8 +108,7 @@ impl Trainer {
         let config = self.deployment.config().clone();
         let plan = self.plan.clone();
         let dimension = self.deployment.dimension();
-        let cost = CostModel::default();
-        let nominal = plan.timing(dimension, config.batch_size, config.device, &cost);
+        let nominal = plan.timing(dimension, config.batch_size);
         let gar = build_gar(&plan.gradient_gar, plan.gradient_quorum, plan.gradient_f)?;
         let mut trace = TrainingTrace::new(plan.system.as_str(), config.effective_batch());
         self.alignment.clear();
@@ -122,8 +121,8 @@ impl Trainer {
                 }
                 // A primary change costs one extra model broadcast to tell
                 // the workers whom to follow.
-                let failover = cost.parallel_pull_time(dimension, config.nw, config.device);
-                let unscaled = plan.unscaled_communication(dimension, config.device, &cost);
+                let failover = cost::parallel_pull_time(dimension, config.nw);
+                let unscaled = plan.unscaled_communication(dimension);
                 timing.communication = (unscaled + failover) * plan.communication_factor;
             }
             let replicas = self.active_replicas();

@@ -6,7 +6,7 @@
 //!
 //! * the **sim** executor ([`SimExecutor`]) drives every node sequentially
 //!   from one thread and charges an analytic
-//!   [`CostModel`](garfield_net::CostModel) for data movement — this is the
+//!   [cost model](garfield_net::cost) for data movement — this is the
 //!   substrate behind the paper's throughput sweeps, where per-iteration
 //!   time is a deterministic function of model size and cluster shape;
 //! * the **live** executor (`garfield_runtime::LiveExecutor`) runs each node

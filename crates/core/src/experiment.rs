@@ -5,7 +5,6 @@ use crate::{json, CoreError, CoreResult};
 use garfield_aggregation::GarKind;
 use garfield_attacks::AttackKind;
 use garfield_ml::ShardStrategy;
-use garfield_net::Device;
 use std::fmt::Write as _;
 
 /// The deployments evaluated in the paper (§5 and §6.2).
@@ -109,8 +108,6 @@ pub struct ExperimentConfig {
     pub gradient_gar: GarKind,
     /// GAR used to aggregate models between server replicas.
     pub model_gar: GarKind,
-    /// Device class of every node.
-    pub device: Device,
     /// How the dataset is partitioned across workers.
     pub shard_strategy: ShardStrategy,
     /// Number of contiguous *parameter* shards the model is split across on
@@ -155,7 +152,6 @@ impl Default for ExperimentConfig {
             server_attack: None,
             gradient_gar: GarKind::MultiKrum,
             model_gar: GarKind::Median,
-            device: Device::Cpu,
             shard_strategy: ShardStrategy::Iid,
             shards: 1,
             iterations: 30,
@@ -247,8 +243,6 @@ impl ExperimentConfig {
         json::write_string(&mut out, self.gradient_gar.as_str());
         out.push_str(",\"model_gar\":");
         json::write_string(&mut out, self.model_gar.as_str());
-        out.push_str(",\"device\":");
-        json::write_string(&mut out, self.device.as_str());
         out.push_str(",\"shard_strategy\":");
         json::write_string(&mut out, self.shard_strategy.as_str());
         let _ = write!(
@@ -332,7 +326,6 @@ impl ExperimentConfig {
             model_gar: str_field("model_gar")?
                 .parse::<GarKind>()
                 .map_err(|e| bad(e.to_string()))?,
-            device: str_field("device")?.parse::<Device>().map_err(bad)?,
             shard_strategy: str_field("shard_strategy")?
                 .parse::<ShardStrategy>()
                 .map_err(bad)?,
@@ -619,6 +612,13 @@ mod tests {
         cfg.seed = u64::MAX - 3; // beyond f64's 2^53 integer range
         let back = ExperimentConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back, cfg);
+        // Documents written when configs still named a device parse too.
+        let old = cfg.to_json().replace(
+            ",\"shard_strategy\"",
+            ",\"device\":\"cpu\",\"shard_strategy\"",
+        );
+        assert!(old.contains("\"device\""));
+        assert_eq!(ExperimentConfig::from_json(&old).unwrap(), cfg);
     }
 
     #[test]

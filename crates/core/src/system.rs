@@ -13,7 +13,7 @@
 
 use crate::{ExperimentConfig, IterationTiming, SystemKind};
 use garfield_aggregation::GarKind;
-use garfield_net::{CostModel, Device};
+use garfield_net::cost;
 
 /// Where the model lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,26 +167,26 @@ impl SystemPlan {
     }
 
     /// Simulated seconds one replica spends aggregating per round.
-    pub fn aggregation_time(&self, d: usize, device: Device, cost: &CostModel) -> f64 {
+    pub fn aggregation_time(&self, d: usize) -> f64 {
         let order = match self.gradient_cost {
             AggregationCost::Linear => 1,
             AggregationCost::Quadratic => 2,
         };
         let merge = self.merge.as_ref().map_or(0.0, |merge| {
-            cost.aggregation_time(d, merge.quorum + 1, 1, device) * merge.cost_weight
+            cost::aggregation_time(d, merge.quorum + 1, 1) * merge.cost_weight
         });
-        cost.aggregation_time(d, self.gradient_quorum, order, device) + merge
+        cost::aggregation_time(d, self.gradient_quorum, order) + merge
     }
 
     /// Simulated seconds of one round's data movement, before the
     /// communication factor: the model broadcast, the gradient pulls fanned to
     /// every replica (latency overlaps, bytes serialize — see
-    /// [`CostModel::fanout_pull_time`]), one model pull per contraction step
+    /// [`cost::fanout_pull_time`]), one model pull per contraction step
     /// and one for the merge.
-    pub fn unscaled_communication(&self, d: usize, device: Device, cost: &CostModel) -> f64 {
-        let pull = |count: usize| cost.parallel_pull_time(d, count, device);
+    pub fn unscaled_communication(&self, d: usize) -> f64 {
+        let pull = |count: usize| cost::parallel_pull_time(d, count);
         let mut communication = pull(self.gradient_quorum)
-            + cost.fanout_pull_time(d, self.gradient_quorum, self.servers, device);
+            + cost::fanout_pull_time(d, self.gradient_quorum, self.servers);
         if let Some(merge) = &self.merge {
             let mut contraction = 0.0;
             for _ in 0..merge.contraction_steps {
@@ -202,21 +202,15 @@ impl SystemPlan {
     /// iteration, except that a fail-over adds one model broadcast to the
     /// communication.
     ///
-    /// * computation — one gradient estimate on `device`;
+    /// * computation — one gradient estimate;
     /// * communication — [`SystemPlan::unscaled_communication`] times the
     ///   communication factor;
     /// * aggregation — [`SystemPlan::aggregation_time`].
-    pub fn timing(
-        &self,
-        d: usize,
-        batch: usize,
-        device: Device,
-        cost: &CostModel,
-    ) -> IterationTiming {
+    pub fn timing(&self, d: usize, batch: usize) -> IterationTiming {
         IterationTiming {
-            computation: cost.gradient_time(d, batch, device),
-            communication: self.unscaled_communication(d, device, cost) * self.communication_factor,
-            aggregation: self.aggregation_time(d, device, cost),
+            computation: cost::gradient_time(d, batch),
+            communication: self.unscaled_communication(d) * self.communication_factor,
+            aggregation: self.aggregation_time(d),
         }
     }
 }
@@ -286,7 +280,6 @@ mod tests {
         // iteration is `timing` — except the fail-over one, which pays one
         // extra model broadcast to the workers *inside* the communication
         // factor.
-        let cost = CostModel::default();
         for system in [SystemKind::CrashTolerant, SystemKind::Msmw] {
             let mut cfg = ExperimentConfig::small();
             cfg.iterations = 5;
@@ -299,10 +292,10 @@ mod tests {
             let trace = trainer.run().unwrap();
             let d = trainer.deployment().dimension();
             let plan = SystemPlan::of(system, &cfg);
-            let analytic = plan.timing(d, cfg.batch_size, cfg.device, &cost);
-            let broadcast = cost.parallel_pull_time(d, cfg.nw, cfg.device);
+            let analytic = plan.timing(d, cfg.batch_size);
+            let broadcast = cost::parallel_pull_time(d, cfg.nw);
             let failover = IterationTiming {
-                communication: (plan.unscaled_communication(d, cfg.device, &cost) + broadcast)
+                communication: (plan.unscaled_communication(d) + broadcast)
                     * plan.communication_factor,
                 ..analytic
             };

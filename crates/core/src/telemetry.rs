@@ -117,12 +117,6 @@ impl TrainingTrace {
         }
     }
 
-    /// Mini-batches processed per simulated second (used by Fig. 8, where more
-    /// workers means more batches per update).
-    pub fn batches_per_second(&self, workers: usize) -> f64 {
-        self.updates_per_second() * workers as f64
-    }
-
     /// The last recorded accuracy (0.0 if never evaluated).
     pub fn final_accuracy(&self) -> f32 {
         self.accuracy.last().map(|p| p.accuracy).unwrap_or(0.0)
@@ -176,7 +170,7 @@ impl TrainingTrace {
 
 /// Network counters of one live-runtime node (a worker or server thread).
 ///
-/// The simulated path charges an analytic [`CostModel`](garfield_net::CostModel)
+/// The simulated path charges an analytic [cost model](garfield_net::cost)
 /// instead of moving bytes; the live runtime actually routes every gradient
 /// and model over the wire, and these counters are the proof — they must be
 /// nonzero for every participating node after a live run.
@@ -417,7 +411,6 @@ mod tests {
     fn throughput_metrics() {
         let t = trace();
         assert!((t.updates_per_second() - 4.0 / 14.0).abs() < 1e-9);
-        assert!((t.batches_per_second(10) - 40.0 / 14.0).abs() < 1e-9);
         assert_eq!(TrainingTrace::new("x", 1).updates_per_second(), 0.0);
     }
 

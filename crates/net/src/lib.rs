@@ -8,10 +8,10 @@
 //! collectives (PyTorch). This crate stands in for that substrate twice over
 //! (README "Architecture"):
 //!
-//! * for the simulator, a [`CostModel`] translating *bytes moved* and *work
-//!   done* on a [`Device`] into simulated seconds, so message counts × sizes ×
-//!   link characteristics drive the throughput results exactly as they do in
-//!   the paper;
+//! * for the simulator, the [`cost`] model translating *bytes moved* and
+//!   *work done* into simulated seconds, so message counts × sizes × link
+//!   characteristics drive the throughput results exactly as they do in the
+//!   paper;
 //! * for live training, a real, thread-safe [`Router`] of byte messages
 //!   between [`NodeId`]s (point-to-point over channels, silent when a node is
 //!   crashed);
@@ -27,27 +27,25 @@
 //! # Quick example
 //!
 //! ```rust
-//! use garfield_net::{CostModel, Device};
+//! use garfield_net::cost;
 //!
 //! // Pulling the fastest three of a round's 1M-parameter vectors costs
 //! // simulated seconds, more of them for more vectors.
-//! let cost = CostModel::default();
-//! let three = cost.parallel_pull_time(1_000_000, 3, Device::Cpu);
+//! let three = cost::parallel_pull_time(1_000_000, 3);
 //! assert!(three > 0.0);
-//! assert!(cost.parallel_pull_time(1_000_000, 4, Device::Cpu) > three);
+//! assert!(cost::parallel_pull_time(1_000_000, 4) > three);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost;
+pub mod cost;
 mod error;
 mod ids;
 mod router;
 mod transport;
 mod wire;
 
-pub use cost::{CostModel, Device, LinkProfile};
 pub use error::{NetError, NetResult};
 pub use ids::{NodeId, Role};
 pub use router::{Envelope, Router, RouterHandle};

@@ -218,6 +218,10 @@ type GradientMemo = (u64, bytes::Bytes, f32, Tensor);
 pub(crate) struct WorkerActor {
     node: WorkerNode,
     link: Endpoint,
+    /// The number of servers, `local id − worker index` under the
+    /// [`NodeLayout`](crate::NodeLayout) convention: only ids below it may
+    /// ask this worker for a gradient.
+    servers: u32,
     fault_attack: Option<Box<dyn Attack>>,
     /// Bounded FIFO of this worker's own recent honest gradients — the
     /// non-omniscient adversary's estimation view (stays empty on honest
@@ -244,6 +248,10 @@ impl WorkerActor {
         WorkerActor {
             shard_map: ShardMap::new(node.dimension, node.shards).ok(),
             fault_attack: fault_attack(node.fault),
+            servers: transport
+                .local_id()
+                .0
+                .saturating_sub(node.worker.index() as u32),
             link: Endpoint::new(transport, Role::Worker),
             node,
             attack_history: Vec::new(),
@@ -268,7 +276,9 @@ impl WorkerActor {
             };
             match header.kind {
                 MsgKind::Shutdown => break,
-                MsgKind::GradientRequest => {
+                // A request from a non-server is dropped: a Byzantine worker
+                // must not collect honest gradients at a model of its choosing.
+                MsgKind::GradientRequest if envelope.from.0 < self.servers => {
                     let round = header.round as usize;
                     match Fault::step(self.node.fault, round, self.link.restarted) {
                         // Go silent: peers must survive via quorums, not errors.

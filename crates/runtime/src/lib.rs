@@ -16,9 +16,9 @@
 //! | | `sim` ([`garfield_core::SimExecutor`]) | `live` ([`LiveExecutor`]) |
 //! |---|---|---|
 //! | Concurrency | one thread drives all nodes | one OS thread per node |
-//! | Communication | analytic `CostModel` charges | real router messages (bytes on the wire) |
+//! | Communication | analytic cost-model charges | real router messages (bytes on the wire) |
 //! | Time | simulated seconds (deterministic, `SystemPlan::timing`) | wall-clock seconds |
-//! | Reproduces | the paper's throughput/overhead studies (Figs. 6–10, 13–16) | the paper's *system* claims (§3.2): pull-based `get_gradients()` / `get_models()` RPCs that unblock on the fastest `q` of `n` replies and stay live under crashes, stragglers and Byzantine payloads when `n ≥ q + f` |
+//! | Reproduces | the paper's throughput/overhead studies (Figs. 6–10, 13, 14) | the paper's *system* claims (§3.2): pull-based `get_gradients()` / `get_models()` RPCs that unblock on the fastest `q` of `n` replies and stay live under crashes, stragglers and Byzantine payloads when `n ≥ q + f` |
 //!
 //! Both substrates build their nodes through the same
 //! [`Deployment`](garfield_core::Deployment), so a fault-free live run

@@ -341,6 +341,18 @@ impl ServerNode {
 mod tests {
     use super::*;
 
+    /// The convention a worker admits `GradientRequest`s by: servers take
+    /// ids `0..s` and worker `j` takes `s + j`, so a worker's id minus its
+    /// index is the server count.
+    fn assert_servers_then_workers(layout: &NodeLayout) {
+        let s = layout.server_ids.len();
+        let servers: Vec<_> = (0..s as u32).map(NodeId).collect();
+        assert_eq!(layout.server_ids, servers);
+        for (j, id) in layout.worker_ids.iter().enumerate() {
+            assert_eq!(id.0 as usize, s + j, "worker {j}");
+        }
+    }
+
     #[test]
     fn layout_places_servers_before_workers() {
         let mut cfg = ExperimentConfig::small();
@@ -354,12 +366,26 @@ mod tests {
         );
         assert_eq!(msmw.len(), 7);
         assert!(!msmw.is_empty());
+        assert_servers_then_workers(&msmw);
 
         // Single trusted server for the non-replicated systems.
         let ssmw = NodeLayout::of(SystemKind::Ssmw, &cfg);
         assert_eq!(ssmw.server_ids, vec![NodeId(0)]);
         assert_eq!(ssmw.worker_ids[0], NodeId(1));
         assert_eq!(live_server_count(SystemKind::Vanilla, &cfg), 1);
+        assert_servers_then_workers(&ssmw);
+        // Assembled workers carry the index their id is offset by.
+        let nodes = assemble(
+            SystemKind::Vanilla,
+            &cfg,
+            &LiveOptions::default(),
+            &FaultPlan::new(),
+        )
+        .unwrap();
+        assert_servers_then_workers(&nodes.layout);
+        for (j, worker) in nodes.workers.iter().enumerate() {
+            assert_eq!(worker.worker.index(), j);
+        }
 
         // One server per parameter shard for the sharded single-replica
         // systems; workers still come after every server.
@@ -367,6 +393,7 @@ mod tests {
         let sharded = NodeLayout::of(SystemKind::Ssmw, &cfg);
         assert_eq!(sharded.server_ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(sharded.worker_ids[0], NodeId(3));
+        assert_servers_then_workers(&sharded);
         assert_eq!(live_server_count(SystemKind::Vanilla, &cfg), 3);
         // MSMW replica count is untouched by the shard setting.
         assert_eq!(live_server_count(SystemKind::Msmw, &cfg), 3);

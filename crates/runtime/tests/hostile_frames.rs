@@ -1,7 +1,7 @@
-//! Hostile frames: what a Byzantine node can put on a server's inbox must
-//! cost the server a `recv` and nothing else.
+//! Hostile frames: what a Byzantine node can put on a server's or a
+//! worker's inbox must cost the receiver a `recv` and nothing else.
 //!
-//! Both scenarios run real [`WorkerNode`](garfield_runtime::WorkerNode)s and
+//! Every scenario runs real [`WorkerNode`](garfield_runtime::WorkerNode)s and
 //! a real server over the in-process router, plus one hand-driven endpoint
 //! that speaks the wire format but not the protocol, and compare the final
 //! model bit for bit against the same-seed run without the intruder.
@@ -161,4 +161,67 @@ fn a_stranger_flooding_well_formed_replies_never_enters_a_quorum() {
     let scored: Vec<u32> = run.suspicion.iter().map(|peer| peer.peer).collect();
     assert!(!scored.contains(&99), "the stranger was scored: {scored:?}");
     assert_eq!(scored.len(), cfg.nw, "every worker is scored: {scored:?}");
+}
+
+#[test]
+fn a_worker_asking_a_worker_for_a_gradient_gets_no_reply() {
+    let cfg = config();
+    let hostile_rank = cfg.nw - 1;
+    let options = LiveOptions {
+        gradient_quorum: Some(cfg.nw - cfg.fw),
+        ..LiveOptions::default()
+    };
+
+    // The asked worker is paced, so the run outlasts the hostile's requests.
+    let paced = FaultPlan::new().delay_worker(0, 20);
+
+    // The reference: the hostile worker silent from the first round on.
+    let reference = LiveExecutor::new(cfg.clone())
+        .with_options(options)
+        .with_faults(paced.clone().crash_worker_at(hostile_rank, 0))
+        .run_live(SystemKind::Ssmw)
+        .unwrap();
+
+    let nodes = assemble(SystemKind::Ssmw, &cfg, &options, &paced).unwrap();
+    let honest = nodes.layout.worker_ids[0];
+    let dimension = nodes.workers[0].dimension;
+    let router = Router::new();
+    // The hostile worker never answers the server. On every request it gets,
+    // it asks an honest worker for that round's gradient at a model of its
+    // own choosing, and counts the replies that come back.
+    let endpoint = connect(&router, nodes.layout.worker_ids[hostile_rank]);
+    let hostile = std::thread::spawn(move || {
+        let (mut asked, mut replies) = (0usize, 0usize);
+        while let Ok(envelope) = endpoint.recv_timeout(Duration::from_secs(10)) {
+            let header = WireMessage::peek(&envelope.payload).unwrap();
+            match header.kind {
+                MsgKind::Shutdown => break,
+                MsgKind::GradientRequest => {
+                    let request = WireMessage::new(
+                        MsgKind::GradientRequest,
+                        header.round,
+                        0.0,
+                        vec![0.25; dimension],
+                    );
+                    // The last round's request may find the worker shut down.
+                    if endpoint
+                        .send(honest, header.round, request.encode())
+                        .is_ok()
+                    {
+                        asked += 1;
+                    }
+                }
+                MsgKind::GradientReply => replies += 1,
+                _ => {}
+            }
+        }
+        (asked, replies)
+    });
+
+    let run = run_server(&router, nodes, Some(hostile_rank));
+    let (asked, replies) = hostile.join().unwrap();
+    assert!(asked > 0);
+    assert_eq!(replies, 0, "an honest worker computed for a worker");
+    assert_eq!(run.trace.len(), ITERATIONS);
+    assert_eq!(bits(&run.final_model), bits(&reference.final_models[0]));
 }

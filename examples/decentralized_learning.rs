@@ -1,9 +1,9 @@
 //! Decentralized (peer-to-peer) Byzantine learning on non-IID data (§5.3).
 //!
-//! Eight devices collaborate without any parameter server. Each keeps its own
-//! data — sharded by label, so no device sees every class — and per iteration
+//! Eight nodes collaborate without any parameter server. Each keeps its own
+//! data — sharded by label, so no node sees every class — and per iteration
 //! exchanges gradients and models with its peers, aggregating both robustly.
-//! One device behaves Byzantine (little-is-enough attack). The example prints
+//! One node behaves Byzantine (little-is-enough attack). The example prints
 //! the accuracy trajectory and the communication share, illustrating the
 //! paper's finding that the decentralized topology pays O(n²) messages per
 //! round and therefore does not scale like the parameter-server variants.
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.worker_attack = Some(AttackKind::LittleIsEnough);
 
     println!(
-        "Decentralized learning: {} devices ({} Byzantine), non-IID data, 1 contraction round\n",
+        "Decentralized learning: {} nodes ({} Byzantine), non-IID data, 1 contraction round\n",
         config.nw, config.actual_byzantine_workers
     );
 

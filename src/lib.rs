@@ -72,6 +72,5 @@ pub use garfield_core::{
     TrainingTrace,
 };
 pub use garfield_ml::{Dataset, DatasetKind, Model, ShardStrategy};
-pub use garfield_net::Device;
 pub use garfield_runtime::{FaultPlan, LiveExecutor};
 pub use garfield_tensor::{Tensor, TensorRng};

@@ -131,33 +131,6 @@ fn communication_dominates_the_overhead_breakdown() {
 }
 
 #[test]
-fn gpu_deployments_are_roughly_an_order_of_magnitude_faster() {
-    // The device gap only shows on models large enough that computation and
-    // bandwidth (not per-message latency) dominate the iteration.
-    let mut cpu_cfg = base_config();
-    cpu_cfg.model = "mnist-cnn-lite".into();
-    cpu_cfg.dataset_samples = 128;
-    cpu_cfg.test_samples = 64;
-    cpu_cfg.iterations = 8;
-    cpu_cfg.eval_every = 0;
-    let mut gpu_cfg = cpu_cfg.clone();
-    gpu_cfg.device = garfield::Device::Gpu;
-
-    let cpu = SimExecutor::new(cpu_cfg)
-        .run(SystemKind::Ssmw)
-        .unwrap()
-        .updates_per_second();
-    let gpu = SimExecutor::new(gpu_cfg)
-        .run(SystemKind::Ssmw)
-        .unwrap()
-        .updates_per_second();
-    assert!(
-        gpu > 3.0 * cpu,
-        "gpu {gpu} should be much faster than cpu {cpu}"
-    );
-}
-
-#[test]
 fn traces_serialize_to_json_for_the_experiment_reports() {
     let mut cfg = base_config();
     cfg.iterations = 5;
