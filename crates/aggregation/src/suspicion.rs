@@ -2,9 +2,8 @@
 //!
 //! Robust GARs *mask* Byzantine inputs; they do not tell an operator **which
 //! peer** is attacking. The [`SuspicionLedger`] turns the selection evidence
-//! each distance-based GAR already produces (see
-//! [`SelectionOutcome`](crate::SelectionOutcome)) into a per-peer score that
-//! an operator can rank, scrape and alert on:
+//! each distance-based GAR already produces (see [`SelectionOutcome`]) into
+//! a per-peer score that an operator can rank, scrape and alert on:
 //!
 //! * every round, each peer's mean squared distance to the selected set is
 //!   normalised into a **z-score** across that round's population — this
@@ -124,7 +123,7 @@ impl PeerState {
 /// Accumulates per-peer suspicion evidence across training rounds.
 ///
 /// Feed it once per aggregation with the peer id behind each view index and
-/// the GAR's [`SelectionOutcome`](crate::SelectionOutcome); query it with
+/// the GAR's [`SelectionOutcome`]; query it with
 /// [`snapshot`](SuspicionLedger::snapshot) /
 /// [`ranking`](SuspicionLedger::ranking).
 pub struct SuspicionLedger {

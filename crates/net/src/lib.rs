@@ -13,16 +13,17 @@
 //!   characteristics drive the throughput results exactly as they do in the
 //!   paper;
 //! * for live training, a real, thread-safe [`Router`] of byte messages
-//!   between [`NodeId`]s (point-to-point over channels, silent when a node is
-//!   crashed);
+//!   between [`NodeId`]s: one registry entry (inbox sender + crash flag) per
+//!   node, point-to-point over channels, silent when a node is crashed;
 //! * the compact binary [`WireMessage`] format (version byte, round tag,
 //!   length-prefixed `f32` payload) that the threaded `garfield-runtime`
 //!   actors exchange when training runs for real;
 //! * the [`Transport`] trait abstracting the message substrate (send/recv
 //!   of [`Envelope`]s, crash silence, per-peer [`PeerCounters`]) with
-//!   [`RouterTransport`] as the in-process implementation — the TCP
-//!   implementation lives in `garfield-transport` and lets the same actors
-//!   span OS processes.
+//!   [`RouterTransport`] as the in-process implementation (it owns its
+//!   node's inbox; a rejoin drains that inbox rather than swapping it) —
+//!   the TCP implementation lives in `garfield-transport` and lets the same
+//!   actors span OS processes.
 //!
 //! # Quick example
 //!
@@ -48,10 +49,8 @@ mod wire;
 
 pub use error::{NetError, NetResult};
 pub use ids::{NodeId, Role};
-pub use router::{Envelope, Router, RouterHandle};
-pub use transport::{
-    record_wire_recv, record_wire_send, PeerCounterMap, PeerCounters, RouterTransport, Transport,
-};
+pub use router::{Envelope, Router, RouterTransport};
+pub use transport::{record_wire_recv, record_wire_send, PeerCounterMap, PeerCounters, Transport};
 pub use wire::{
     stamp_trace, unix_micros, MsgKind, PayloadPool, WireHeader, WireMessage, MAX_WIRE_VALUES,
     WIRE_HEADER_BYTES, WIRE_VERSION,

@@ -3,10 +3,12 @@
 //!
 //! Threads and channels stand in for gRPC endpoints: point-to-point
 //! delivery, and silence — not errors — from a crashed peer, which callers
-//! ride out with their own timeouts. The live runtime's in-process
-//! [`RouterTransport`](crate::RouterTransport) sits on it.
+//! ride out with their own timeouts. [`Router`] is the shared registry of
+//! inboxes; each node's [`RouterTransport`] owns its inbox and is the only
+//! way to send or receive on it.
 
-use crate::{NetError, NetResult, NodeId};
+use crate::transport::{record_wire_recv, record_wire_send, PeerCounterMap};
+use crate::{NetError, NetResult, NodeId, PeerCounters, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
@@ -27,19 +29,20 @@ pub struct Envelope {
     pub payload: Bytes,
 }
 
-#[derive(Default)]
-struct Registry {
-    inboxes: HashMap<NodeId, Sender<Envelope>>,
-    crashed: HashMap<NodeId, bool>,
+/// One registered node: the sending side of its inbox and whether it is
+/// crashed.
+struct Inbox {
+    tx: Sender<Envelope>,
+    crashed: bool,
 }
 
 /// The shared router: a registry of per-node inboxes.
 ///
 /// Cloning the router is cheap (it is an `Arc` underneath); each participant
-/// calls [`Router::register`] once to obtain its [`RouterHandle`].
+/// calls [`RouterTransport::connect`] once to obtain its endpoint.
 #[derive(Clone, Default)]
 pub struct Router {
-    registry: Arc<RwLock<Registry>>,
+    registry: Arc<RwLock<HashMap<NodeId, Inbox>>>,
 }
 
 impl Router {
@@ -48,77 +51,14 @@ impl Router {
         Router::default()
     }
 
-    /// Registers a node and returns its handle (inbox + send capability).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::DuplicateNode`] when the id is already registered:
-    /// silently replacing an inbox would leave the previous handle dead while
-    /// its owner keeps waiting on it. A reconnecting node that *wants* to
-    /// replace its endpoint must say so via [`Router::register_replace`].
-    pub fn register(&self, id: NodeId) -> NetResult<RouterHandle> {
-        let mut reg = self.registry.write();
-        if reg.inboxes.contains_key(&id) {
-            return Err(NetError::DuplicateNode(id));
-        }
-        Ok(Self::install(&mut reg, self.clone(), id))
-    }
-
-    /// Registers a node, replacing any previous registration of the same id.
-    ///
-    /// The replaced handle (if any) stops receiving messages immediately —
-    /// this is the reconnect path, where the old endpoint is known dead and
-    /// a fresh inbox must take over its identity.
-    pub fn register_replace(&self, id: NodeId) -> RouterHandle {
-        let mut reg = self.registry.write();
-        Self::install(&mut reg, self.clone(), id)
-    }
-
-    fn install(reg: &mut Registry, router: Router, id: NodeId) -> RouterHandle {
-        let (tx, rx) = unbounded();
-        reg.inboxes.insert(id, tx);
-        reg.crashed.insert(id, false);
-        RouterHandle {
-            id,
-            router,
-            inbox: rx,
-        }
-    }
-
-    /// Marks a node as crashed: messages to it are silently dropped, so
-    /// senders only notice through their own timeouts — exactly the failure
-    /// mode the paper's `get_gradients(q < n)` is designed to ride out.
-    pub fn crash(&self, id: NodeId) {
-        self.registry.write().crashed.insert(id, true);
-    }
-
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.registry.read().inboxes.len()
+        self.registry.read().len()
     }
 
     /// Whether no node is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn send(&self, envelope: Envelope) -> NetResult<()> {
-        let reg = self.registry.read();
-        if reg.crashed.get(&envelope.from).copied().unwrap_or(false) {
-            // A crashed sender produces nothing.
-            return Err(NetError::Unreachable {
-                from: envelope.from,
-                to: envelope.to,
-            });
-        }
-        match reg.inboxes.get(&envelope.to) {
-            None => Err(NetError::UnknownNode(envelope.to)),
-            Some(_) if reg.crashed.get(&envelope.to).copied().unwrap_or(false) => {
-                // Silently dropped: Byzantine-tolerant callers rely on timeouts.
-                Ok(())
-            }
-            Some(tx) => tx.send(envelope).map_err(|_| NetError::RouterClosed),
-        }
     }
 }
 
@@ -130,46 +70,114 @@ impl std::fmt::Debug for Router {
     }
 }
 
-/// A node's endpoint on the router.
+/// The in-process [`Transport`]: one node's inbox on a shared [`Router`],
+/// plus per-peer counters.
+///
+/// Channel sends stand in for sockets. The "on-wire" byte counts are
+/// payload bytes, since the router moves envelopes without framing. The
+/// endpoint owns its receiver, so it is `Send` but not `Sync`: one actor
+/// thread drives it.
 #[derive(Debug)]
-pub struct RouterHandle {
+pub struct RouterTransport {
     id: NodeId,
     router: Router,
     inbox: Receiver<Envelope>,
+    counters: PeerCounterMap,
 }
 
-impl RouterHandle {
-    /// The node id this handle belongs to.
-    pub fn id(&self) -> NodeId {
+impl RouterTransport {
+    /// Registers `id` on the router and returns its transport endpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::DuplicateNode`] when the id is already
+    /// registered: silently replacing an inbox would leave the first
+    /// endpoint dead while its owner keeps waiting on it.
+    pub fn connect(router: &Router, id: NodeId) -> NetResult<Self> {
+        let mut registry = router.registry.write();
+        if registry.contains_key(&id) {
+            return Err(NetError::DuplicateNode(id));
+        }
+        let (tx, inbox) = unbounded();
+        registry.insert(id, Inbox { tx, crashed: false });
+        Ok(RouterTransport {
+            id,
+            router: router.clone(),
+            inbox,
+            counters: PeerCounterMap::new(),
+        })
+    }
+}
+
+impl Transport for RouterTransport {
+    fn local_id(&self) -> NodeId {
         self.id
     }
 
-    /// Sends `payload` to `to` with the given `tag`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownNode`] for unregistered recipients and
-    /// [`NetError::Unreachable`] when this node has been crashed.
-    pub fn send(&self, to: NodeId, tag: u64, payload: Bytes) -> NetResult<()> {
-        self.router.send(Envelope {
-            from: self.id,
-            to,
-            tag,
-            payload,
-        })
+    fn send(&self, to: NodeId, tag: u64, payload: Bytes) -> NetResult<()> {
+        let bytes = payload.len();
+        record_wire_send(to, &payload);
+        let registry = self.router.registry.read();
+        if registry.get(&self.id).is_some_and(|own| own.crashed) {
+            // A crashed sender produces nothing.
+            return Err(NetError::Unreachable { from: self.id, to });
+        }
+        match registry.get(&to) {
+            None => return Err(NetError::UnknownNode(to)),
+            // Silently dropped: Byzantine-tolerant callers rely on timeouts.
+            Some(inbox) if inbox.crashed => {}
+            Some(inbox) => {
+                let envelope = Envelope {
+                    from: self.id,
+                    to,
+                    tag,
+                    payload,
+                };
+                inbox
+                    .tx
+                    .send(envelope)
+                    .map_err(|_| NetError::RouterClosed)?;
+            }
+        }
+        drop(registry);
+        self.counters.record_send(to, bytes);
+        Ok(())
     }
 
-    /// Receives the next message, waiting up to `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Timeout`] when nothing arrives in time and
-    /// [`NetError::RouterClosed`] when the router is gone.
-    pub fn recv_timeout(&self, timeout: Duration) -> NetResult<Envelope> {
-        self.inbox.recv_timeout(timeout).map_err(|e| match e {
+    fn recv_timeout(&self, timeout: Duration) -> NetResult<Envelope> {
+        let envelope = self.inbox.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,
             RecvTimeoutError::Disconnected => NetError::RouterClosed,
-        })
+        })?;
+        self.counters
+            .record_recv(envelope.from, envelope.payload.len());
+        record_wire_recv(envelope.from, &envelope.payload);
+        Ok(envelope)
+    }
+
+    fn crash(&self) {
+        if let Some(inbox) = self.router.registry.write().get_mut(&self.id) {
+            inbox.crashed = true;
+        }
+    }
+
+    fn rejoin(&self) -> NetResult<()> {
+        // Envelopes still in the inbox were addressed to the dead
+        // incarnation: each is dropped and counted on its round, per sending
+        // peer. Sends push while holding the registry's read lock, so with
+        // the write lock held nothing new lands until the flag clears.
+        let mut registry = self.router.registry.write();
+        while let Ok(stale) = self.inbox.try_recv() {
+            self.counters.record_drop_at(stale.from, stale.tag);
+        }
+        if let Some(inbox) = registry.get_mut(&self.id) {
+            inbox.crashed = false;
+        }
+        Ok(())
+    }
+
+    fn peer_counters(&self) -> Vec<PeerCounters> {
+        self.counters.snapshot()
     }
 }
 
@@ -178,14 +186,19 @@ mod tests {
     use super::*;
     use std::thread;
 
+    fn connect(router: &Router, id: u32) -> RouterTransport {
+        RouterTransport::connect(router, NodeId(id)).unwrap()
+    }
+
     #[test]
     fn point_to_point_delivery() {
         let router = Router::new();
-        let a = router.register(NodeId(1)).unwrap();
-        let b = router.register(NodeId(2)).unwrap();
+        let a = connect(&router, 1);
+        let b = connect(&router, 2);
         a.send(NodeId(2), 7, Bytes::from_static(b"hello")).unwrap();
         let msg = b.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(msg.from, NodeId(1));
+        assert_eq!(msg.to, NodeId(2));
         assert_eq!(msg.tag, 7);
         assert_eq!(&msg.payload[..], b"hello");
     }
@@ -193,7 +206,7 @@ mod tests {
     #[test]
     fn unknown_recipient_is_an_error_and_timeout_is_reported() {
         let router = Router::new();
-        let a = router.register(NodeId(1)).unwrap();
+        let a = connect(&router, 1);
         assert!(matches!(
             a.send(NodeId(9), 0, Bytes::new()),
             Err(NetError::UnknownNode(_))
@@ -207,9 +220,9 @@ mod tests {
     #[test]
     fn crashed_recipient_silently_drops_messages() {
         let router = Router::new();
-        let a = router.register(NodeId(1)).unwrap();
-        let b = router.register(NodeId(2)).unwrap();
-        router.crash(NodeId(2));
+        let a = connect(&router, 1);
+        let b = connect(&router, 2);
+        b.crash();
         a.send(NodeId(2), 0, Bytes::from_static(b"x")).unwrap();
         assert!(b.recv_timeout(Duration::from_millis(20)).is_err());
     }
@@ -217,9 +230,9 @@ mod tests {
     #[test]
     fn crashed_sender_cannot_send() {
         let router = Router::new();
-        let a = router.register(NodeId(1)).unwrap();
-        router.register(NodeId(2)).unwrap();
-        router.crash(NodeId(1));
+        let a = connect(&router, 1);
+        let _b = connect(&router, 2);
+        a.crash();
         assert!(matches!(
             a.send(NodeId(2), 0, Bytes::new()),
             Err(NetError::Unreachable { .. })
@@ -229,20 +242,16 @@ mod tests {
     #[test]
     fn pull_round_collects_fastest_replies_despite_a_silent_peer() {
         let router = Router::new();
-        let server = router.register(NodeId(0)).unwrap();
-        let worker_ids = [NodeId(1), NodeId(2), NodeId(3)];
-        let handles: Vec<RouterHandle> = worker_ids
-            .iter()
-            .map(|&id| router.register(id).unwrap())
-            .collect();
-        router.crash(NodeId(3)); // one worker never replies
+        let server = connect(&router, 0);
+        let workers: Vec<RouterTransport> = (1..=3).map(|id| connect(&router, id)).collect();
+        workers[2].crash(); // one worker never replies
 
         // Server "requests" by tag; workers reply on their own threads.
-        let threads: Vec<_> = handles
+        let threads: Vec<_> = workers
             .into_iter()
-            .map(|h| {
+            .map(|w| {
                 thread::spawn(move || {
-                    let _ = h.send(NodeId(0), 42, Bytes::from(vec![h.id().0 as u8]));
+                    let _ = w.send(NodeId(0), 42, Bytes::from(vec![w.local_id().0 as u8]));
                 })
             })
             .collect();
@@ -261,13 +270,13 @@ mod tests {
     #[test]
     fn double_registration_is_an_error_and_keeps_the_first_handle_alive() {
         let router = Router::new();
-        let a = router.register(NodeId(1)).unwrap();
-        let b = router.register(NodeId(2)).unwrap();
+        let a = connect(&router, 1);
+        let b = connect(&router, 2);
         assert_eq!(
-            router.register(NodeId(1)).unwrap_err(),
+            RouterTransport::connect(&router, NodeId(1)).unwrap_err(),
             NetError::DuplicateNode(NodeId(1))
         );
-        // The original handle still receives: no silent replacement happened.
+        // The original endpoint still receives: no silent replacement happened.
         b.send(NodeId(1), 3, Bytes::from_static(b"still here"))
             .unwrap();
         assert_eq!(
@@ -278,34 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn register_replace_redirects_traffic_to_the_new_handle() {
-        let router = Router::new();
-        let old = router.register(NodeId(1)).unwrap();
-        let b = router.register(NodeId(2)).unwrap();
-        let new = router.register_replace(NodeId(1)); // the reconnect path
-        b.send(NodeId(1), 9, Bytes::from_static(b"reconnected"))
-            .unwrap();
-        assert_eq!(
-            &new.recv_timeout(Duration::from_millis(100))
-                .unwrap()
-                .payload[..],
-            b"reconnected"
-        );
-        // The replaced handle is dead: nothing ever reaches it again.
-        assert!(old.recv_timeout(Duration::from_millis(20)).is_err());
-        // Replacing also clears crash state, like a fresh registration.
-        router.crash(NodeId(1));
-        let _fresh = router.register_replace(NodeId(1));
-        b.send(NodeId(1), 10, Bytes::from_static(b"x")).unwrap();
-    }
-
-    #[test]
     fn router_is_cloneable_and_countable() {
         let router = Router::new();
         assert!(router.is_empty());
-        let _a = router.register(NodeId(1)).unwrap();
+        let _a = connect(&router, 1);
         let clone = router.clone();
-        let _b = clone.register(NodeId(2)).unwrap();
+        let _b = connect(&clone, 2);
         assert_eq!(router.len(), 2);
         assert!(format!("{router:?}").contains("Router"));
     }

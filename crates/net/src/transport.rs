@@ -1,7 +1,8 @@
 //! The transport abstraction of the live runtime.
 //!
-//! PR 2 ran every replica on its own thread with messages moving through the
-//! in-process [`Router`]; the multi-process deployment moves the same
+//! The in-process [`RouterTransport`](crate::RouterTransport) runs every
+//! replica on its own thread over a shared [`Router`](crate::Router); the
+//! multi-process deployment moves the same
 //! [`WireMessage`](crate::WireMessage) bytes over TCP sockets
 //! (`garfield-transport`). [`Transport`] is the seam between the two: the
 //! actors in `garfield-runtime` are written against this trait only, so the
@@ -24,7 +25,7 @@
 //!   and byte counts per remote peer, surfaced in `RuntimeTelemetry` so
 //!   live reports cover TCP runs too.
 
-use crate::{Envelope, NetResult, NodeId, Router, RouterHandle};
+use crate::{Envelope, NetResult, NodeId};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -47,9 +48,9 @@ pub struct PeerCounters {
     /// Messages involving `peer` this endpoint dropped: outbound sends shed
     /// because the peer's bounded queue was full (the backpressure signature
     /// of a slow or dead peer), plus stale inbound envelopes from `peer`
-    /// discarded when a rejoining endpoint replaced its inbox
-    /// ([`Transport::rejoin`]) — every message lost at this endpoint is
-    /// accounted for here rather than vanishing.
+    /// discarded when a crashed endpoint rejoins ([`Transport::rejoin`]) —
+    /// every message lost at this endpoint is accounted for here rather than
+    /// vanishing.
     pub messages_dropped: u64,
 }
 
@@ -161,14 +162,9 @@ impl PeerCounterMap {
         });
     }
 
-    /// Records one message to `peer` dropped under backpressure, attributed
-    /// to no particular round (see [`PeerCounterMap::record_drop_at`]).
-    pub fn record_drop(&self, peer: NodeId) {
-        self.record_drop_at(peer, 0);
-    }
-
-    /// Records one dropped message to `peer` carrying the envelope tag
-    /// `round`, so the flight-recorder event lands on the round that shed it.
+    /// Records one message to or from `peer` dropped at this endpoint,
+    /// carrying the envelope tag `round`, so the flight-recorder event lands
+    /// on the round that shed it.
     pub fn record_drop_at(&self, peer: NodeId, round: u64) {
         self.with(peer, |c, m| {
             c.messages_dropped += 1;
@@ -271,10 +267,10 @@ pub trait Transport: Send {
     fn crash(&self);
 
     /// Rejoins the substrate after [`Transport::crash`] under the same id,
-    /// as a *fresh incarnation*: envelopes stranded on the dead incarnation
-    /// are dropped (and counted per sending peer in
-    /// [`PeerCounters::messages_dropped`]), and only messages sent after the
-    /// rejoin reach the endpoint again.
+    /// as a *fresh incarnation*: envelopes still queued for the dead
+    /// incarnation are drained and dropped (each counted per sending peer in
+    /// [`PeerCounters::messages_dropped`] and flight-recorded on its round),
+    /// and only messages sent after the rejoin reach the endpoint again.
     ///
     /// # Errors
     ///
@@ -300,92 +296,10 @@ pub trait Transport: Send {
     fn peer_counters(&self) -> Vec<PeerCounters>;
 }
 
-/// The in-process [`Transport`]: a [`RouterHandle`] plus per-peer counters.
-///
-/// This is PR 2's substrate behind the new trait — one registered endpoint
-/// on a shared [`Router`], with channel sends standing in for sockets. The
-/// "on-wire" byte counts are payload bytes, since the router moves envelopes
-/// without framing.
-///
-/// The handle sits behind a mutex so [`Transport::rejoin`] can swap in a
-/// fresh inbox (via [`Router::register_replace`]) without `&mut self`; a
-/// transport endpoint is driven by a single actor thread, so the lock is
-/// never contended.
-#[derive(Debug)]
-pub struct RouterTransport {
-    id: NodeId,
-    handle: Mutex<RouterHandle>,
-    router: Router,
-    counters: PeerCounterMap,
-}
-
-impl RouterTransport {
-    /// Registers `id` on the router and returns its transport endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::DuplicateNode`](crate::NetError::DuplicateNode)
-    /// when the id is already registered.
-    pub fn connect(router: &Router, id: NodeId) -> NetResult<Self> {
-        Ok(RouterTransport {
-            id,
-            handle: Mutex::new(router.register(id)?),
-            router: router.clone(),
-            counters: PeerCounterMap::new(),
-        })
-    }
-}
-
-impl Transport for RouterTransport {
-    fn local_id(&self) -> NodeId {
-        self.id
-    }
-
-    fn send(&self, to: NodeId, tag: u64, payload: Bytes) -> NetResult<()> {
-        let bytes = payload.len();
-        record_wire_send(to, &payload);
-        self.handle.lock().send(to, tag, payload)?;
-        self.counters.record_send(to, bytes);
-        Ok(())
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> NetResult<Envelope> {
-        let envelope = self.handle.lock().recv_timeout(timeout)?;
-        self.counters
-            .record_recv(envelope.from, envelope.payload.len());
-        record_wire_recv(envelope.from, &envelope.payload);
-        Ok(envelope)
-    }
-
-    fn crash(&self) {
-        self.router.crash(self.id);
-    }
-
-    fn rejoin(&self) -> NetResult<()> {
-        let mut handle = self.handle.lock();
-        // Envelopes stranded on the stale inbox were addressed to the dead
-        // incarnation: they are dropped here, counted per sending peer, so
-        // the accounting never loses a message silently. (While the endpoint
-        // is crashed the router drops new sends on the sender side, so
-        // nothing races this drain.)
-        while let Ok(stale) = handle.recv_timeout(Duration::ZERO) {
-            self.counters.record_drop(stale.from);
-        }
-        // A fresh inbox takes over the identity; replacing also clears the
-        // router-side crash flag, like a node process coming back up.
-        *handle = self.router.register_replace(self.id);
-        Ok(())
-    }
-
-    fn peer_counters(&self) -> Vec<PeerCounters> {
-        self.counters.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetError;
+    use crate::{NetError, Router, RouterTransport};
 
     #[test]
     fn router_transport_sends_receives_and_counts_per_peer() {
@@ -434,10 +348,9 @@ mod tests {
 
     #[test]
     fn rejoin_drops_and_counts_stale_envelopes_then_receives_fresh_ones() {
-        // The satellite claim for the rejoin path: envelopes queued on the
-        // stale handle at the moment of `register_replace` are never
-        // delivered to the new incarnation, and each one is counted as
-        // dropped in the PeerCounters instead of vanishing silently.
+        // Envelopes queued for the dead incarnation at the moment of the
+        // rejoin are never delivered to the new one, and each one is counted
+        // as dropped in the PeerCounters instead of vanishing silently.
         let router = Router::new();
         let a = RouterTransport::connect(&router, NodeId(1)).unwrap();
         let b = RouterTransport::connect(&router, NodeId(2)).unwrap();
@@ -476,7 +389,7 @@ mod tests {
         assert_eq!(from_c.messages_dropped, 1);
         // The fresh envelope was received, not dropped.
         assert_eq!(from_b.messages_received, 1);
-        assert_eq!(router.len(), 3, "rejoin replaces, never duplicates");
+        assert_eq!(router.len(), 3, "rejoin keeps one entry per node");
     }
 
     #[test]
@@ -502,7 +415,7 @@ mod tests {
         let map = PeerCounterMap::new();
         map.record_send(NodeId(7), 10);
         map.record_recv(NodeId(2), 4);
-        map.record_drop(NodeId(7));
+        map.record_drop_at(NodeId(7), 3);
         let snap = map.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].peer, NodeId(2));

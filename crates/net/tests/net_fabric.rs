@@ -1,8 +1,10 @@
-//! Integration tests of the network layer: the cost model's monotonicity and
-//! exact message counts on the real router when nodes go silent.
+//! Integration tests of the network layer: the cost model's monotonicity,
+//! exact message counts on the real router when nodes go silent, and the
+//! flight events of a rejoin's dropped envelopes.
 
 use bytes::Bytes;
-use garfield_net::{cost, NodeId, Router};
+use garfield_net::{cost, NodeId, Router, RouterTransport, Transport};
+use garfield_obs::flight::{self, EventKind};
 use std::time::Duration;
 
 #[test]
@@ -31,20 +33,24 @@ fn cost_model_times_are_monotone_in_count_dimension_and_fanout() {
 #[test]
 fn router_delivers_exactly_the_live_replies() {
     let router = Router::new();
-    let server = router.register(NodeId(0)).unwrap();
+    let server = RouterTransport::connect(&router, NodeId(0)).unwrap();
     let n = 6;
     let crashed = [NodeId(3), NodeId(5)];
-    let handles: Vec<_> = (1..=n)
-        .map(|i| router.register(NodeId(i)).unwrap())
+    let workers: Vec<_> = (1..=n)
+        .map(|i| RouterTransport::connect(&router, NodeId(i)).unwrap())
         .collect();
-    for &id in &crashed {
-        router.crash(id);
+    for worker in &workers {
+        if crashed.contains(&worker.local_id()) {
+            worker.crash();
+        }
     }
 
-    let threads: Vec<_> = handles
+    let threads: Vec<_> = workers
         .into_iter()
-        .map(|h| {
-            std::thread::spawn(move || h.send(NodeId(0), 7, Bytes::from(vec![h.id().0 as u8])))
+        .map(|w| {
+            std::thread::spawn(move || {
+                w.send(NodeId(0), 7, Bytes::from(vec![w.local_id().0 as u8]))
+            })
         })
         .collect();
     let outcomes: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
@@ -64,4 +70,30 @@ fn router_delivers_exactly_the_live_replies() {
         );
     }
     assert!(server.recv_timeout(Duration::from_millis(20)).is_err());
+}
+
+#[test]
+fn rejoin_records_each_stale_drop_on_its_envelopes_round() {
+    garfield_obs::enable();
+    // Events recorded on this thread are attributed to a node no other test
+    // in this binary speaks for.
+    flight::set_thread_node(41);
+    let router = Router::new();
+    let node = RouterTransport::connect(&router, NodeId(41)).unwrap();
+    let b = RouterTransport::connect(&router, NodeId(42)).unwrap();
+    let c = RouterTransport::connect(&router, NodeId(43)).unwrap();
+    b.send(NodeId(41), 5, Bytes::from_static(b"r5")).unwrap();
+    b.send(NodeId(41), 6, Bytes::from_static(b"r6")).unwrap();
+    c.send(NodeId(41), 9, Bytes::from_static(b"r9")).unwrap();
+    node.crash();
+    node.rejoin().unwrap();
+
+    let mut drops: Vec<(u64, Option<u32>)> = flight::snapshot()
+        .0
+        .iter()
+        .filter(|e| e.node == 41 && e.kind == EventKind::FrameDropped)
+        .map(|e| (e.round, e.peer))
+        .collect();
+    drops.sort_unstable();
+    assert_eq!(drops, vec![(5, Some(42)), (6, Some(42)), (9, Some(43))]);
 }

@@ -1,7 +1,7 @@
 //! The live executor: spawn every node, train over real messages, join.
 
 use crate::fault::FaultPlan;
-use crate::node::{self, LiveNodes, ServerRun};
+use crate::node::{self, LiveNodes, NodeLayout, ServerRun};
 use garfield_aggregation::PeerSuspicion;
 use garfield_core::{
     CoreError, CoreResult, Executor, ExperimentConfig, NodeTelemetry, RuntimeTelemetry, SystemKind,
@@ -147,9 +147,7 @@ impl LiveExecutor {
             .collect::<CoreResult<_>>()?;
         // The controller winds the workers down once the servers are done
         // (no assembled server carries `shutdown_targets`).
-        let controller = router
-            .register(NodeId((nps + nw) as u32))
-            .map_err(CoreError::from)?;
+        let controller = connect(NodeLayout::CONTROLLER)?;
 
         let worker_threads: Vec<_> = workers
             .into_iter()

@@ -38,6 +38,13 @@ pub struct NodeLayout {
 }
 
 impl NodeLayout {
+    /// The id the in-process executor's controller speaks as when it winds
+    /// the workers down. No layout assigns it; a worker obeys `Shutdown`
+    /// only from a server or this id. Over TCP no controller runs (the
+    /// coordinating server stops the workers), and an endpoint accepts
+    /// connections only from the ids its cluster spec names.
+    pub const CONTROLLER: NodeId = NodeId(u32::MAX);
+
     /// Computes the layout of `config` under `system`.
     ///
     /// Single-server systems deploy one trusted server no matter what
@@ -328,9 +335,8 @@ impl ServerNode {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Net`](garfield_core::CoreError::Net) when a
-    /// quorum cannot be gathered before the round deadline, and propagates
-    /// ML/aggregation errors. The shutdown duty (if any) is discharged even
+    /// Returns [`CoreError::Net`] when a quorum cannot be gathered before the
+    /// round deadline, and propagates ML/aggregation errors. The shutdown duty (if any) is discharged even
     /// on the error paths.
     pub fn run(self, transport: Box<dyn Transport>) -> CoreResult<ServerRun> {
         ServerActor::from_node(self, transport)?.run()
@@ -351,6 +357,7 @@ mod tests {
         for (j, id) in layout.worker_ids.iter().enumerate() {
             assert_eq!(id.0 as usize, s + j, "worker {j}");
         }
+        assert!(!layout.worker_ids.contains(&NodeLayout::CONTROLLER));
     }
 
     #[test]

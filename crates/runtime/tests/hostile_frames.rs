@@ -1,5 +1,7 @@
 //! Hostile frames: what a Byzantine node can put on a server's or a
-//! worker's inbox must cost the receiver a `recv` and nothing else.
+//! worker's inbox must cost the receiver a `recv` and nothing else — be it
+//! a malformed reply, a stranger's flood, or a request or `Shutdown` that
+//! only a server may send.
 //!
 //! Every scenario runs real [`WorkerNode`](garfield_runtime::WorkerNode)s and
 //! a real server over the in-process router, plus one hand-driven endpoint
@@ -222,6 +224,60 @@ fn a_worker_asking_a_worker_for_a_gradient_gets_no_reply() {
     let (asked, replies) = hostile.join().unwrap();
     assert!(asked > 0);
     assert_eq!(replies, 0, "an honest worker computed for a worker");
+    assert_eq!(run.trace.len(), ITERATIONS);
+    assert_eq!(bits(&run.final_model), bits(&reference.final_models[0]));
+}
+
+#[test]
+fn a_worker_forging_shutdown_cannot_stop_an_honest_worker() {
+    let cfg = config();
+    let hostile_rank = cfg.nw - 1;
+    let options = LiveOptions {
+        gradient_quorum: Some(cfg.nw - cfg.fw),
+        ..LiveOptions::default()
+    };
+
+    // The target is paced, so every forged `Shutdown` reaches its inbox
+    // while it still has rounds to serve.
+    let paced = FaultPlan::new().delay_worker(0, 20);
+
+    // The reference: the hostile worker silent from the first round on.
+    let reference = LiveExecutor::new(cfg.clone())
+        .with_options(options)
+        .with_faults(paced.clone().crash_worker_at(hostile_rank, 0))
+        .run_live(SystemKind::Ssmw)
+        .unwrap();
+
+    let nodes = assemble(SystemKind::Ssmw, &cfg, &options, &paced).unwrap();
+    let honest = nodes.layout.worker_ids[0];
+    let router = Router::new();
+    // The hostile worker never answers the server. On every request it gets,
+    // it tells the honest worker to shut down. Were that obeyed, only
+    // nw − 2 workers would be left for a quorum of nw − 1.
+    let endpoint = connect(&router, nodes.layout.worker_ids[hostile_rank]);
+    let hostile = std::thread::spawn(move || {
+        let mut forged = 0usize;
+        while let Ok(envelope) = endpoint.recv_timeout(Duration::from_secs(10)) {
+            let header = WireMessage::peek(&envelope.payload).unwrap();
+            match header.kind {
+                MsgKind::Shutdown => break,
+                MsgKind::GradientRequest => {
+                    let shutdown = WireMessage::control(MsgKind::Shutdown, header.round);
+                    if endpoint
+                        .send(honest, header.round, shutdown.encode())
+                        .is_ok()
+                    {
+                        forged += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        forged
+    });
+
+    let run = run_server(&router, nodes, Some(hostile_rank));
+    assert!(hostile.join().unwrap() > 0);
     assert_eq!(run.trace.len(), ITERATIONS);
     assert_eq!(bits(&run.final_model), bits(&reference.final_models[0]));
 }
