@@ -1,11 +1,11 @@
 //! Bulyan GAR (El Mhamdi et al., ICML 2018).
 
 use crate::column_sort::map_sorted_columns;
-use crate::engine::bulyan_select_cached;
+use crate::engine::{bulyan_select_cached, with_scratch, with_selected};
 use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
-    SelectionOutcome, SelectionScratch,
+    SelectionOutcome,
 };
 use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
 
@@ -63,34 +63,12 @@ impl Bulyan {
         self.selection_size() - 2 * self.f
     }
 
-    /// Zero-copy selection phase: the chosen input indices, in selection
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate_views`].
-    pub fn select_indices_views(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-    ) -> AggregationResult<Vec<usize>> {
-        validate_views(inputs, self.n)?;
-        let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        let mut selected = Vec::with_capacity(self.selection_size());
-        self.select_cached(&cache, &mut scratch, &mut selected);
-        Ok(selected)
-    }
-
     /// Allocation-free selection over a prebuilt cache (steady state): the
     /// selected indices are written into `selected` in selection order.
-    pub fn select_cached(
-        &self,
-        cache: &DistanceCache,
-        scratch: &mut SelectionScratch,
-        selected: &mut Vec<usize>,
-    ) {
-        bulyan_select_cached(cache, self.f, self.selection_size(), scratch, selected);
+    pub fn select_cached(&self, cache: &DistanceCache, selected: &mut Vec<usize>) {
+        with_scratch(|scratch| {
+            bulyan_select_cached(cache, self.f, self.selection_size(), scratch, selected);
+        });
     }
 
     /// Phase 2 over an already-selected set: per-coordinate trimmed average
@@ -226,10 +204,11 @@ impl Gar for Bulyan {
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let mut selected = Vec::with_capacity(self.selection_size());
-        self.select_cached(&cache, &mut SelectionScratch::new(), &mut selected);
-        report_selection(outcome, inputs, Some((&cache, &selected)));
-        Ok(self.trimmed_average(inputs, &selected, engine))
+        Ok(with_selected(|selected| {
+            self.select_cached(&cache, selected);
+            report_selection(outcome, inputs, Some((&cache, selected)));
+            self.trimmed_average(inputs, selected, engine)
+        }))
     }
 }
 
@@ -318,12 +297,15 @@ mod tests {
         let inputs = honest_cluster(11, 24, 12);
         let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
         let b = Bulyan::new(11, 2).unwrap();
-        let seq = b
-            .select_indices_views(&views, &Engine::sequential())
-            .unwrap();
-        let par = b
-            .select_indices_views(&views, &Engine::with_threads(4))
-            .unwrap();
+        let (mut seq, mut par) = (Vec::new(), Vec::new());
+        b.select_cached(
+            &DistanceCache::build(&views, &Engine::sequential()),
+            &mut seq,
+        );
+        b.select_cached(
+            &DistanceCache::build(&views, &Engine::with_threads(4)),
+            &mut par,
+        );
         assert_eq!(seq, par);
         assert_eq!(seq.len(), b.selection_size());
         // Selection returns distinct input indices.

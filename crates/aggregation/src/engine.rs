@@ -13,13 +13,17 @@
 //!   computed once, chunked across OS threads (vendored crossbeam scoped
 //!   threads), and read by every distance-based decision. Krum, Multi-Krum
 //!   and Bulyan score from one table of per-candidate neighbour distances,
-//!   sorted once in total order ([`SelectionScratch`]): a Krum score is a
-//!   prefix sum of it, and Bulyan's repeated-Krum loop deletes each
-//!   winner's distance from the survivors' lists instead of re-sorting. The
-//!   cache stores every NaN as one canonical NaN, so no path branches on
-//!   NaN. The same fill also takes every input's squared norm (`n` diagonal
-//!   items beside the pairs, on the same blocks), so the forensic magnitude
-//!   channel costs no second pass.
+//!   sorted once in total order: a Krum score is a prefix sum of it, and
+//!   Bulyan's repeated-Krum loop deletes each winner's distance from the
+//!   survivors' lists instead of re-sorting. The cache stores every NaN as
+//!   one canonical NaN, so no path branches on NaN. The same fill also
+//!   takes every input's squared norm (`n` diagonal items beside the pairs,
+//!   on the same blocks), so the forensic magnitude channel costs no second
+//!   pass.
+//! * **Per-thread selection buffers** — the sorted table, the scores and
+//!   the selected indices live in one set of buffers per thread, which
+//!   `select_cached` and the [`Gar`](crate::Gar) path share: a warm
+//!   selection allocates nothing, and there is no scratch to pass around.
 //! * **Row-wise averaging** — averages sum each input's contiguous
 //!   [`KERNEL_LANES`]-coordinate segment into a register-resident lane
 //!   array, a loop that vectorises, instead of gathering one float per
@@ -35,8 +39,10 @@ use garfield_tensor::{
     accumulate_dot, accumulate_squared_l2, reduce_kernel_lanes, total_cmp_f32 as cmp_f32,
     GradientView, KERNEL_LANES,
 };
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 /// Minimum scalar operations every *spawned* thread must carry before a
 /// parallel engine fans out. A thread spawn + scope join costs tens of
@@ -328,22 +334,25 @@ impl DistanceCache {
     }
 }
 
-/// Reusable scratch buffers for cache-based selection.
+/// Selection buffers for cache-based selection, one set per thread.
 ///
 /// Krum, Multi-Krum and Bulyan score from one table: each candidate's
 /// distances to the other inputs, sorted once in total order. A Krum score
 /// is a prefix sum of that list, and nothing else computes one.
 ///
-/// All selection entry points write into these pre-sized buffers and sort
-/// in place with `sort_unstable`, so selection through `select_cached` with
-/// a reused scratch performs **zero heap allocations** after the first
-/// warm-up call — asserted by the counting-allocator regression test. The
-/// [`Gar`](crate::Gar) path builds a fresh scratch per call, so the
-/// guarantee does not extend to it.
+/// Every selection, through `select_cached` or the [`Gar`](crate::Gar)
+/// path, runs on this thread's scratch ([`with_scratch`]). Each kernel
+/// clears the buffers it reads before it writes them, so no state carries
+/// between calls, and sorts in place with `sort_unstable`: once a thread's
+/// buffers are warm, selection performs **zero heap allocations** —
+/// asserted by the counting-allocator regression test, for `select_cached`
+/// and for a whole `Gar` call.
 #[derive(Debug, Default)]
-pub struct SelectionScratch {
-    scores: Vec<f32>,
-    order: Vec<usize>,
+pub(crate) struct SelectionScratch {
+    /// The scores the last scoring pass produced, indexed by candidate.
+    pub(crate) scores: Vec<f32>,
+    /// The index order the last selection pass produced (best first).
+    pub(crate) order: Vec<usize>,
     remaining: Vec<usize>,
     /// Flattened per-candidate sorted neighbour-distance lists (stride
     /// n−1); `neighbour_len[i]` of list `i` are live.
@@ -351,23 +360,37 @@ pub struct SelectionScratch {
     neighbour_len: Vec<usize>,
 }
 
+thread_local! {
+    /// This thread's selection buffers.
+    static SCRATCH: Cell<SelectionScratch> = Cell::default();
+    /// This thread's selected-index list, for the `Gar` paths that go on to
+    /// average or trim the selection.
+    static SELECTED: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
+/// Lends `slot`'s value to `f` and puts it back. A nested call on the same
+/// thread finds the slot empty and works on fresh buffers, so re-entry is
+/// correct, only not allocation-free.
+fn with_slot<T: Default, R>(slot: &'static LocalKey<Cell<T>>, f: impl FnOnce(&mut T) -> R) -> R {
+    slot.with(|cell| {
+        let mut value = cell.take();
+        let out = f(&mut value);
+        cell.set(value);
+        out
+    })
+}
+
+/// Runs `f` on this thread's [`SelectionScratch`].
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SelectionScratch) -> R) -> R {
+    with_slot(&SCRATCH, f)
+}
+
+/// Runs `f` on this thread's selected-index list.
+pub(crate) fn with_selected<R>(f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
+    with_slot(&SELECTED, f)
+}
+
 impl SelectionScratch {
-    /// Creates empty scratch; buffers grow to fit on first use and are
-    /// reused afterwards.
-    pub fn new() -> Self {
-        SelectionScratch::default()
-    }
-
-    /// The scores the last scoring pass produced, indexed by candidate.
-    pub fn scores(&self) -> &[f32] {
-        &self.scores
-    }
-
-    /// The index order the last selection pass produced (best first).
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// Fills one list per candidate with its distances to every other input
     /// and sorts each list in total order. The cache stores every NaN as the
     /// one canonical NaN, so equal distances have equal bits and the lists
@@ -853,7 +876,7 @@ mod tests {
             let d = 1 + (seed / 36 % 9) as usize;
             sets.push((f, special_payloads(n, d, seed)));
         }
-        let mut scratch = SelectionScratch::new();
+        let mut scratch = SelectionScratch::default();
         let mut selected = Vec::new();
         let mut with_nan = 0;
         for (f, data) in &sets {
@@ -866,10 +889,10 @@ mod tests {
                 assert_eq!(selected, slow, "n {n} f {f} k {k}: {data:?}");
             }
             multi_krum_cached(&cache, f, n, &mut scratch);
-            let scores: Vec<u32> = scratch.scores().iter().map(|s| s.to_bits()).collect();
+            let scores: Vec<u32> = scratch.scores.iter().map(|s| s.to_bits()).collect();
             let (ref_scores, ref_order) = row_sorted_multi_krum(&cache, f);
             assert_eq!(scores, ref_scores, "n {n} f {f}: {data:?}");
-            assert_eq!(scratch.order(), ref_order, "n {n} f {f}: {data:?}");
+            assert_eq!(scratch.order, ref_order, "n {n} f {f}: {data:?}");
         }
         assert!(
             with_nan >= 300,

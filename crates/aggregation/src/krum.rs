@@ -5,11 +5,11 @@
 //! the [`Engine`]) and every scoring decision reads from it. Selection
 //! returns *indices*; the only data copied is the output vector.
 
-use crate::engine::multi_krum_cached;
+use crate::engine::{average_indices_into, multi_krum_cached, with_scratch, with_selected};
 use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
-    SelectionOutcome, SelectionScratch,
+    SelectionOutcome,
 };
 use garfield_tensor::{GradientView, Tensor};
 
@@ -40,27 +40,14 @@ impl Krum {
         Ok(Krum { n, f })
     }
 
-    /// Zero-copy selection: the index Krum selects among `inputs`.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate_views`].
-    pub fn select_index_views(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-    ) -> AggregationResult<usize> {
-        validate_views(inputs, self.n)?;
-        let cache = DistanceCache::build(inputs, engine);
-        Ok(self.select_cached(&cache, &mut SelectionScratch::new()))
-    }
-
-    /// Allocation-free selection over a prebuilt cache: after one warm-up
-    /// call the scratch buffers are sized and repeated calls perform zero
-    /// heap allocations (asserted by the counting-allocator test).
-    pub fn select_cached(&self, cache: &DistanceCache, scratch: &mut SelectionScratch) -> usize {
-        multi_krum_cached(cache, self.f, 1, scratch);
-        scratch.order()[0]
+    /// The index Krum selects over a prebuilt cache. After one warm-up call
+    /// on a thread, repeated calls perform zero heap allocations (asserted
+    /// by the counting-allocator test).
+    pub fn select_cached(&self, cache: &DistanceCache) -> usize {
+        with_scratch(|scratch| {
+            multi_krum_cached(cache, self.f, 1, scratch);
+            scratch.order[0]
+        })
     }
 }
 
@@ -85,7 +72,7 @@ impl Gar for Krum {
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let idx = self.select_cached(&cache, &mut SelectionScratch::new());
+        let idx = self.select_cached(&cache);
         report_selection(outcome, inputs, Some((&cache, &[idx])));
         Ok(inputs[idx].to_tensor())
     }
@@ -128,33 +115,14 @@ impl MultiKrum {
         self.m
     }
 
-    /// Zero-copy selection: the indices Multi-Krum selects, best first.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate_views`].
-    pub fn select_indices_views(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-    ) -> AggregationResult<Vec<usize>> {
-        validate_views(inputs, self.n)?;
-        let cache = DistanceCache::build(inputs, engine);
-        Ok(self
-            .select_cached(&cache, &mut SelectionScratch::new())
-            .to_vec())
-    }
-
-    /// Allocation-free selection over a prebuilt cache: the selected indices
-    /// are left in the scratch's order buffer (best first) and returned as a
-    /// slice.
-    pub fn select_cached<'s>(
-        &self,
-        cache: &DistanceCache,
-        scratch: &'s mut SelectionScratch,
-    ) -> &'s [usize] {
-        multi_krum_cached(cache, self.f, self.m, scratch);
-        scratch.order()
+    /// Allocation-free selection over a prebuilt cache (steady state): the
+    /// selected indices are written into `selected`, best first.
+    pub fn select_cached(&self, cache: &DistanceCache, selected: &mut Vec<usize>) {
+        with_scratch(|scratch| {
+            multi_krum_cached(cache, self.f, self.m, scratch);
+            selected.clear();
+            selected.extend_from_slice(&scratch.order);
+        });
     }
 }
 
@@ -179,11 +147,12 @@ impl Gar for MultiKrum {
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let mut scratch = SelectionScratch::new();
-        let selected = self.select_cached(&cache, &mut scratch);
-        report_selection(outcome, inputs, Some((&cache, selected)));
         let mut out = Vec::new();
-        crate::engine::average_indices_into(inputs, selected, engine, &mut out);
+        with_selected(|selected| {
+            self.select_cached(&cache, selected);
+            report_selection(outcome, inputs, Some((&cache, selected)));
+            average_indices_into(inputs, selected, engine, &mut out);
+        });
         Ok(Tensor::from(out))
     }
 }
@@ -203,13 +172,19 @@ mod tests {
             .collect()
     }
 
+    /// The distance cache of owned tensors under `engine`.
+    fn cache_of(inputs: &[Tensor], engine: &Engine) -> DistanceCache {
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        DistanceCache::build(&views, engine)
+    }
+
     /// Krum scores of owned tensors, through the cache path.
     fn krum_scores(inputs: &[Tensor], f: usize) -> Vec<f32> {
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        let cache = DistanceCache::build(&views, &Engine::sequential());
-        let mut scratch = SelectionScratch::new();
-        multi_krum_cached(&cache, f, 1, &mut scratch);
-        scratch.scores().to_vec()
+        let cache = cache_of(inputs, &Engine::sequential());
+        with_scratch(|scratch| {
+            multi_krum_cached(&cache, f, 1, scratch);
+            scratch.scores.clone()
+        })
     }
 
     #[test]
@@ -225,10 +200,7 @@ mod tests {
         let mut inputs = honest_cluster(4, 8, 1);
         inputs.push(Tensor::full(8usize, 1e6)); // Byzantine outlier
         let krum = Krum::new(5, 1).unwrap();
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        let idx = krum
-            .select_index_views(&views, &Engine::sequential())
-            .unwrap();
+        let idx = krum.select_cached(&cache_of(&inputs, &Engine::sequential()));
         assert!(idx < 4, "Krum selected the Byzantine input");
         let out = krum.aggregate(&inputs).unwrap();
         assert!(out.data().iter().all(|&v| v.abs() < 10.0));
@@ -248,10 +220,8 @@ mod tests {
         inputs.push(Tensor::full(8usize, -1e6));
         let mk = MultiKrum::new(7, 1).unwrap();
         assert_eq!(mk.selection_size(), 4);
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        let selected = mk
-            .select_indices_views(&views, &Engine::sequential())
-            .unwrap();
+        let mut selected = Vec::new();
+        mk.select_cached(&cache_of(&inputs, &Engine::sequential()), &mut selected);
         assert_eq!(selected.len(), 4);
         assert!(
             !selected.contains(&6),
@@ -286,19 +256,18 @@ mod tests {
     #[test]
     fn view_and_tensor_selection_agree() {
         let inputs = honest_cluster(7, 32, 6);
-        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let (seq, par) = (
+            cache_of(&inputs, &Engine::sequential()),
+            cache_of(&inputs, &Engine::with_threads(3)),
+        );
         let krum = Krum::new(7, 1).unwrap();
-        let idx = krum
-            .select_index_views(&views, &Engine::sequential())
-            .unwrap();
+        let idx = krum.select_cached(&seq);
         assert_eq!(krum.aggregate(&inputs).unwrap(), inputs[idx]);
         let mk = MultiKrum::new(7, 1).unwrap();
-        assert_eq!(
-            mk.select_indices_views(&views, &Engine::sequential())
-                .unwrap(),
-            mk.select_indices_views(&views, &Engine::with_threads(3))
-                .unwrap()
-        );
+        let (mut from_seq, mut from_par) = (Vec::new(), Vec::new());
+        mk.select_cached(&seq, &mut from_seq);
+        mk.select_cached(&par, &mut from_par);
+        assert_eq!(from_seq, from_par);
     }
 
     #[test]

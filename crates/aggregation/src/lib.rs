@@ -60,7 +60,7 @@ pub mod variance;
 
 pub use average::Average;
 pub use bulyan::Bulyan;
-pub use engine::{average_views, DistanceCache, Engine, SelectionScratch};
+pub use engine::{average_views, DistanceCache, Engine};
 pub use error::{AggregationError, AggregationResult};
 pub use gar::{build_gar, Gar, GarKind, SelectionOutcome};
 pub use krum::{Krum, MultiKrum};

@@ -41,21 +41,6 @@ impl Mda {
         Ok(Mda { n, f })
     }
 
-    /// Zero-copy selection: the minimum-diameter subset over borrowed views.
-    ///
-    /// # Errors
-    ///
-    /// Same validation errors as [`Gar::aggregate_views`].
-    pub fn select_indices_views(
-        &self,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-    ) -> AggregationResult<Vec<usize>> {
-        validate_views(inputs, self.n)?;
-        let cache = DistanceCache::build(inputs, engine);
-        Ok(self.select_cached(&cache))
-    }
-
     /// Minimum-diameter subset selection over a prebuilt distance cache.
     ///
     /// The `C(n, f)` subset enumeration itself is sequential (it is a tiny
@@ -160,9 +145,7 @@ mod tests {
         inputs.push(Tensor::from_slice(&[100.0, -100.0]));
         let mda = Mda::new(5, 1).unwrap();
         let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        let selected = mda
-            .select_indices_views(&views, &Engine::sequential())
-            .unwrap();
+        let selected = mda.select_cached(&DistanceCache::build(&views, &Engine::sequential()));
         assert_eq!(selected.len(), 4);
         assert!(!selected.contains(&4));
         let out = mda.aggregate(&inputs).unwrap();

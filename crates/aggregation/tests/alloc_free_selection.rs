@@ -5,14 +5,17 @@
 //! cloned its full candidate pool every selection round and Krum cloned its
 //! winner — so selection cost included `O(n d)`–`O(n² d)` heap churn per
 //! call. The engine rewrite returns indices over a shared [`DistanceCache`]
-//! and reuses [`SelectionScratch`] buffers, so once the buffers are warm a
-//! selection performs **zero** heap allocations. A counting global-allocator
-//! shim (`support/counting_alloc.rs`) asserts exactly that; any future clone sneaking back into the
-//! selection loop fails this test. A whole Bulyan call allocates its
-//! output, cache and scratch, a fixed number of buffers; one per
-//! 256-coordinate tile would make the count grow with d.
+//! and reuses one set of selection buffers per thread, so once they are
+//! warm a selection performs **zero** heap allocations. A counting
+//! global-allocator shim (`support/counting_alloc.rs`) asserts exactly
+//! that; any future clone sneaking back into the selection loop fails this
+//! test. The `Gar` path draws on the same buffers, so a warm call
+//! allocates an exact, pinned number of buffers: the distance cache and the
+//! output, nothing for selection. A whole Bulyan call allocates a fixed
+//! number of buffers; one per 256-coordinate tile would make the count
+//! grow with d.
 
-use garfield_aggregation::{Bulyan, DistanceCache, Engine, Gar, Krum, MultiKrum, SelectionScratch};
+use garfield_aggregation::{Bulyan, DistanceCache, Engine, Gar, Krum, MultiKrum, SelectionOutcome};
 use garfield_tensor::GradientView;
 
 #[path = "support/counting_alloc.rs"]
@@ -45,23 +48,23 @@ fn steady_state_selection_performs_zero_heap_allocations() {
     let krum = Krum::new(n, f).unwrap();
     let multi_krum = MultiKrum::new(n, f).unwrap();
     let bulyan = Bulyan::new(n, f).unwrap();
-    let mut scratch = SelectionScratch::new();
+    let mut multi = Vec::with_capacity(n);
     let mut selected = Vec::with_capacity(n);
 
-    // Warm-up: sizes every scratch buffer.
-    let warm_krum = krum.select_cached(&cache, &mut scratch);
-    let warm_multi = multi_krum.select_cached(&cache, &mut scratch).to_vec();
-    bulyan.select_cached(&cache, &mut scratch, &mut selected);
+    // Warm-up: sizes this thread's selection buffers.
+    let warm_krum = krum.select_cached(&cache);
+    multi_krum.select_cached(&cache, &mut multi);
+    let warm_multi = multi.clone();
+    bulyan.select_cached(&cache, &mut selected);
     let warm_bulyan = selected.clone();
 
     // Steady state: repeated selections must not touch the heap at all.
     let mut steady_krum = 0usize;
-    let mut steady_multi_len = 0usize;
     let allocations = count_allocations(|| {
         for _ in 0..10 {
-            steady_krum = krum.select_cached(&cache, &mut scratch);
-            steady_multi_len = multi_krum.select_cached(&cache, &mut scratch).len();
-            bulyan.select_cached(&cache, &mut scratch, &mut selected);
+            steady_krum = krum.select_cached(&cache);
+            multi_krum.select_cached(&cache, &mut multi);
+            bulyan.select_cached(&cache, &mut selected);
         }
     });
     assert_eq!(
@@ -71,9 +74,52 @@ fn steady_state_selection_performs_zero_heap_allocations() {
 
     // And the warm results are reproduced exactly.
     assert_eq!(steady_krum, warm_krum);
-    assert_eq!(steady_multi_len, warm_multi.len());
+    assert_eq!(multi, warm_multi);
     assert_eq!(selected, warm_bulyan);
     assert_eq!(selected.len(), bulyan.selection_size());
+}
+
+/// Heap allocations of one warm `aggregate_views_observed` call at the
+/// shape above (sequential engine, observability off, one reused
+/// `SelectionOutcome`). Every rule builds the `DistanceCache`: the pair
+/// list, the fill values, the fill's lane accumulators, the matrix and the
+/// norms (5). Krum copies its winner into the output tensor, and Multi-Krum
+/// averages into one: its data and its shape (2). Bulyan's phase 2 gathers
+/// the selected rows (1), builds the sorting network (3, the vector grows
+/// by push), and fills the output data (1) from one key tile (1) before the
+/// shape (1). The selection itself — the sorted neighbour table, the
+/// scores, the order and the selected indices — allocates nothing.
+const KRUM: usize = 5 + 2;
+const MULTI_KRUM: usize = 5 + 2;
+const BULYAN: usize = 5 + 7;
+
+#[test]
+fn a_warm_gar_call_allocates_only_the_cache_and_the_output() {
+    let (n, f, d) = (11, 2, 64);
+    let data = payloads(n, d);
+    let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
+    let engine = Engine::sequential();
+    let mut outcome = SelectionOutcome::default();
+    let rules: [(Box<dyn Gar>, usize); 3] = [
+        (Box::new(Krum::new(n, f).unwrap()), KRUM),
+        (Box::new(MultiKrum::new(n, f).unwrap()), MULTI_KRUM),
+        (Box::new(Bulyan::new(n, f).unwrap()), BULYAN),
+    ];
+    for (gar, want) in rules {
+        // Warm-up: sizes this thread's selection buffers and the outcome.
+        gar.aggregate_views_observed(&views, &engine, &mut outcome)
+            .unwrap();
+        let got = count_allocations(|| {
+            gar.aggregate_views_observed(&views, &engine, &mut outcome)
+                .unwrap();
+        });
+        assert_eq!(
+            got,
+            want,
+            "one warm {} call allocated {got} times",
+            gar.name()
+        );
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! of the kernels' 256-coordinate tile, on the sequential and a 4-thread
 //! engine. Results are compared bit for bit, NaN payloads included.
 
-use garfield_aggregation::{Bulyan, Engine, Gar, Median};
+use garfield_aggregation::{Bulyan, DistanceCache, Engine, Gar, Median};
 use garfield_tensor::{total_order_key_f32, total_order_unkey_f32, GradientView};
 use proptest::prelude::*;
 
@@ -153,7 +153,8 @@ fn check(n: usize, f: usize, data: &[Vec<f32>], engine: &Engine, what: &str) {
     );
     if let Ok(bulyan) = Bulyan::new(n, f) {
         let got = bulyan.aggregate_views(&views, engine).unwrap();
-        let selected = bulyan.select_indices_views(&views, engine).unwrap();
+        let mut selected = Vec::new();
+        bulyan.select_cached(&DistanceCache::build(&views, engine), &mut selected);
         let chosen: Vec<&[f32]> = selected.iter().map(|&i| rows[i]).collect();
         let want = reference_trimmed_mean(&chosen, bulyan.trimmed_size());
         assert_bits(got.data(), &want, &format!("bulyan {what}"));

@@ -6,7 +6,9 @@
 //! select the same indices, produce **bit-equal** aggregates, and reject
 //! malformed inputs with identical errors.
 
-use garfield_aggregation::{build_gar, Bulyan, Engine, GarKind, Krum, Mda, MultiKrum};
+use garfield_aggregation::{
+    build_gar, Bulyan, DistanceCache, Engine, GarKind, Krum, Mda, MultiKrum, SelectionOutcome,
+};
 use garfield_tensor::GradientView;
 use proptest::prelude::*;
 
@@ -53,26 +55,51 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+fn bits64(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 /// The proptests' shapes sit below the engine's fan-out floor (every spawned
 /// thread must carry 2^18 operations), so there the parallel engine runs the
 /// sequential path. At n = 15, d = 2^16 every rule's fills — the 105-pair
 /// distance matrix and the d-wide coordinate passes — split across threads.
+/// Both engines must agree on the output and on the whole observed outcome:
+/// the selection, and the bits of every distance and norm. The NaN-laden
+/// set replaces two of the finite inputs with payloads full of NaNs and
+/// ±inf, so the rules that select must leave them out.
 #[test]
 fn engines_agree_at_a_shape_that_fans_out() {
     let (n, d) = (15, 1 << 16);
-    let data = payloads(n, d, 0xfa0_0075, false);
-    let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
+    let finite = payloads(n, d, 0xfa0_0075, false);
+    let mut nan_laden = finite.clone();
+    for (slot, row) in [1, 6].into_iter().zip(payloads(2, d, 0x0bad_f00d, true)) {
+        nan_laden[slot] = row;
+    }
     let par = Engine::with_threads(4);
     let seq = Engine::sequential();
-    for kind in GarKind::all() {
-        let f = if kind == GarKind::Average { 0 } else { 2 };
-        let gar = build_gar(&kind, n, f).unwrap();
-        let a = gar.aggregate_views(&views, &seq).unwrap();
-        let b = gar.aggregate_views(&views, &par).unwrap();
-        assert!(
-            bits(a.data()) == bits(b.data()),
-            "{kind} diverged between engines at n={n}, f={f}, d={d}"
-        );
+    for (what, data) in [("finite", &finite), ("NaN-laden", &nan_laden)] {
+        let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
+        for kind in GarKind::all() {
+            let f = if kind == GarKind::Average { 0 } else { 2 };
+            let gar = build_gar(&kind, n, f).unwrap();
+            let (mut from_seq, mut from_par) =
+                (SelectionOutcome::default(), SelectionOutcome::default());
+            let a = gar
+                .aggregate_views_observed(&views, &seq, &mut from_seq)
+                .unwrap();
+            let b = gar
+                .aggregate_views_observed(&views, &par, &mut from_par)
+                .unwrap();
+            let at = format!("{kind} on {what} input at n={n}, f={f}, d={d}");
+            assert!(bits(a.data()) == bits(b.data()), "{at}: outputs diverged");
+            assert_eq!(from_seq.selected, from_par.selected, "{at}: selected");
+            assert_eq!(
+                bits64(&from_seq.distance),
+                bits64(&from_par.distance),
+                "{at}: distance"
+            );
+            assert_eq!(bits64(&from_seq.norm), bits64(&from_par.norm), "{at}: norm");
+        }
     }
 }
 
@@ -119,26 +146,24 @@ proptest! {
         let data = payloads(n, d, seed, non_finite);
         let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
 
+        let (from_seq, from_par) = (
+            DistanceCache::build(&views, &seq),
+            DistanceCache::build(&views, &par),
+        );
+
         let krum = Krum::new(n, f).unwrap();
-        prop_assert_eq!(
-            krum.select_index_views(&views, &seq).unwrap(),
-            krum.select_index_views(&views, &par).unwrap()
-        );
+        prop_assert_eq!(krum.select_cached(&from_seq), krum.select_cached(&from_par));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         let mk = MultiKrum::new(n, f).unwrap();
-        prop_assert_eq!(
-            mk.select_indices_views(&views, &seq).unwrap(),
-            mk.select_indices_views(&views, &par).unwrap()
-        );
+        mk.select_cached(&from_seq, &mut a);
+        mk.select_cached(&from_par, &mut b);
+        prop_assert_eq!(&a, &b);
         let mda = Mda::new(n, f).unwrap();
-        prop_assert_eq!(
-            mda.select_indices_views(&views, &seq).unwrap(),
-            mda.select_indices_views(&views, &par).unwrap()
-        );
+        prop_assert_eq!(mda.select_cached(&from_seq), mda.select_cached(&from_par));
         let bulyan = Bulyan::new(n, f).unwrap();
-        prop_assert_eq!(
-            bulyan.select_indices_views(&views, &seq).unwrap(),
-            bulyan.select_indices_views(&views, &par).unwrap()
-        );
+        bulyan.select_cached(&from_seq, &mut a);
+        bulyan.select_cached(&from_par, &mut b);
+        prop_assert_eq!(&a, &b);
     }
 
     #[test]

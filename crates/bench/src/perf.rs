@@ -364,10 +364,19 @@ fn push_json_f64(out: &mut String, key: &str, v: f64, trailing: bool) {
     }
 }
 
+/// The CPU baseline this build was compiled for, from its target features:
+/// the kernels' timings depend on whether AVX2 is on.
+const TARGET_CPU: &str = if cfg!(target_feature = "avx2") {
+    "x86-64-v3"
+} else {
+    "x86-64"
+};
+
 /// Serialises one recording to the `garfield-bench/aggregation-v2` schema.
 pub fn report_to_json(report: &PerfReport) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"garfield-bench/aggregation-v2\",\n");
+    out.push_str(&format!("  \"target_cpu\": \"{TARGET_CPU}\",\n"));
     out.push_str(&format!("  \"threads\": {},\n", report.threads));
     out.push_str(&format!("  \"quick\": {},\n", report.quick));
     out.push_str("  \"kernels\": [\n");
@@ -453,6 +462,11 @@ mod tests {
         // The repo root's record, as `expfig perf --quick` wrote it: a deleted
         // rule must not leave rows behind, and no cell may have diverged.
         let doc = json::parse(include_str!("../../../BENCH_aggregation.json")).unwrap();
+        let target_cpu = doc.get("target_cpu").and_then(Value::as_str);
+        assert!(
+            matches!(target_cpu, Some("x86-64-v3" | "x86-64")),
+            "target_cpu {target_cpu:?}"
+        );
         let entries = doc.get("entries").and_then(Value::as_array).unwrap();
         assert!(!entries.is_empty());
         let sharded = format!("@{SHARD_SWEEP}sh");
@@ -485,6 +499,10 @@ mod tests {
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
             Some("garfield-bench/aggregation-v2")
+        );
+        assert_eq!(
+            doc.get("target_cpu").and_then(Value::as_str),
+            Some(TARGET_CPU)
         );
         assert_eq!(
             doc.get("threads").and_then(Value::as_usize),

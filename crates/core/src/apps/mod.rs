@@ -140,8 +140,7 @@ impl Trainer {
                 let round =
                     self.deployment
                         .gradient_round(replica, iteration, plan.gradient_quorum)?;
-                let server = self.deployment.server(replica).honest();
-                let mut update = server.aggregate(gar.as_ref(), &round.gradients)?;
+                let mut update = gar.aggregate(&round.gradients)?;
                 if let Some(merge) = &plan.merge {
                     for _ in 0..merge.contraction_steps {
                         let contracted = merge_models(&mut self.deployment, replica, merge)?;
@@ -218,10 +217,9 @@ fn merge_models(
     merge: &MergePhase,
 ) -> CoreResult<Tensor> {
     let mut inputs = deployment.model_round(replica, merge.quorum)?;
-    let server = deployment.server(replica).honest();
-    inputs.push(server.parameters());
+    inputs.push(deployment.server(replica).honest().parameters());
     let rule = build_gar(&merge.gar, inputs.len(), merge.f)?;
-    server.aggregate(rule.as_ref(), &inputs)
+    Ok(rule.aggregate(&inputs)?)
 }
 
 fn ml_error(e: impl std::fmt::Display) -> CoreError {

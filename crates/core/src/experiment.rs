@@ -125,9 +125,10 @@ pub struct ExperimentConfig {
     /// Extra peer-to-peer contraction rounds per iteration (decentralized, non-IID).
     pub contraction_steps: usize,
     /// Whether the network is assumed synchronous. Synchronous deployments
-    /// wait for all `nw` gradients (paper's PyTorch Multi-Krum variant);
-    /// asynchronous ones proceed after `nw − fw` (paper's TensorFlow Bulyan
-    /// variant).
+    /// wait for all `nw` gradients (paper's PyTorch Multi-Krum variant).
+    /// Asynchronous MSMW and decentralized deployments proceed after
+    /// `nw − fw` (paper's TensorFlow Bulyan variant); single-server systems
+    /// wait for all `nw` either way.
     pub synchronous: bool,
     /// RNG seed controlling data synthesis, initialisation, attacks and jitter.
     pub seed: u64,
@@ -186,9 +187,9 @@ impl ExperimentConfig {
         self.nw * self.batch_size
     }
 
-    /// Number of gradient replies a server of `system` waits for: all of them
-    /// in the synchronous case, `nw − fw` when tolerating Byzantine workers
-    /// asynchronously (see [`SystemPlan::of`]).
+    /// Number of gradient replies a server of `system` waits for: all `nw`,
+    /// except asynchronous MSMW and decentralized deployments, which wait
+    /// for `nw − fw` (see [`SystemPlan::of`]).
     pub fn gradient_quorum(&self, system: SystemKind) -> usize {
         SystemPlan::of(system, self).gradient_quorum
     }
@@ -491,6 +492,8 @@ mod tests {
             ..cfg.clone()
         };
         assert_eq!(async_cfg.gradient_quorum(SystemKind::Msmw), cfg.nw - cfg.fw);
+        // A single server waits for every worker, synchronous or not.
+        assert_eq!(async_cfg.gradient_quorum(SystemKind::Ssmw), cfg.nw);
         assert_eq!(cfg.model_quorum(), cfg.nps - cfg.fps);
         assert_eq!(cfg.effective_batch(), cfg.nw * cfg.batch_size);
     }

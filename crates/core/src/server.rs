@@ -72,36 +72,12 @@ impl ParameterServer {
         Ok(())
     }
 
-    /// Aggregates a set of gradients (or models) with the given GAR.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Aggregation`](crate::CoreError::Aggregation) when the GAR rejects the inputs.
-    pub fn aggregate(&self, gar: &dyn Gar, inputs: &[Tensor]) -> CoreResult<Tensor> {
-        Ok(gar.aggregate(inputs)?)
-    }
-
-    /// Zero-copy aggregation: scores and selects over borrowed gradient
-    /// views (e.g. decoded wire payloads) under the given engine, without
-    /// materialising one `Tensor` per input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Aggregation`](crate::CoreError::Aggregation)
-    /// when the GAR rejects the inputs.
-    pub fn aggregate_views(
-        &self,
-        gar: &dyn Gar,
-        inputs: &[GradientView<'_>],
-        engine: &Engine,
-    ) -> CoreResult<Tensor> {
-        Ok(gar.aggregate_views(inputs, engine)?)
-    }
-
-    /// Like [`ParameterServer::aggregate_views`], but also reports which
-    /// inputs the GAR kept and each input's distance to the surviving set
-    /// (see [`SelectionOutcome`]) for per-peer suspicion scoring. Outputs
-    /// are bit-identical to the unobserved path.
+    /// Zero-copy aggregation that also reports which inputs the GAR kept
+    /// and each input's distance to the surviving set (see
+    /// [`SelectionOutcome`]) for per-peer suspicion scoring: scores and
+    /// selects over borrowed gradient views (e.g. decoded wire payloads)
+    /// under the given engine. Outputs are bit-identical to
+    /// [`Gar::aggregate_views`].
     ///
     /// # Errors
     ///
@@ -239,9 +215,15 @@ mod tests {
         let (ps, _) = server();
         let gar = build_gar(&GarKind::Median, 3, 1).unwrap();
         let inputs: Vec<Tensor> = (0..3).map(|i| Tensor::full(4usize, i as f32)).collect();
-        let out = ps.aggregate(gar.as_ref(), &inputs).unwrap();
+        let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
+        let (engine, mut outcome) = (Engine::sequential(), SelectionOutcome::default());
+        let out = ps
+            .aggregate_views_observed(gar.as_ref(), &views, &engine, &mut outcome)
+            .unwrap();
         assert_eq!(out.data(), &[1.0, 1.0, 1.0, 1.0]);
-        assert!(ps.aggregate(gar.as_ref(), &inputs[..2]).is_err());
+        assert!(ps
+            .aggregate_views_observed(gar.as_ref(), &views[..2], &engine, &mut outcome)
+            .is_err());
     }
 
     #[test]

@@ -51,6 +51,14 @@ impl Router {
         Router::default()
     }
 
+    /// Removes `id` from the registry. The entry holds the only sender of
+    /// the node's inbox, so the endpoint's `recv_timeout` returns
+    /// [`NetError::RouterClosed`] once its queue drains, and sends to `id`
+    /// fail with [`NetError::UnknownNode`].
+    pub fn close(&self, id: NodeId) {
+        self.registry.write().remove(&id);
+    }
+
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
         self.registry.read().len()
@@ -284,6 +292,28 @@ mod tests {
             b"still here"
         );
         assert_eq!(router.len(), 2);
+    }
+
+    #[test]
+    fn a_closed_inbox_drains_then_reports_closed() {
+        let router = Router::new();
+        let a = connect(&router, 1);
+        let b = connect(&router, 2);
+        a.send(NodeId(2), 5, Bytes::from_static(b"last")).unwrap();
+        router.close(NodeId(2));
+        assert_eq!(router.len(), 1);
+        assert_eq!(
+            &b.recv_timeout(Duration::from_millis(100)).unwrap().payload[..],
+            b"last"
+        );
+        assert!(matches!(
+            b.recv_timeout(Duration::from_secs(10)),
+            Err(NetError::RouterClosed)
+        ));
+        assert!(matches!(
+            a.send(NodeId(2), 6, Bytes::new()),
+            Err(NetError::UnknownNode(_))
+        ));
     }
 
     #[test]

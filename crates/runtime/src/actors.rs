@@ -20,7 +20,7 @@
 
 use crate::admission::{admit, Pull, ServerView, Verdict};
 use crate::fault::{Fault, Step};
-use crate::node::{NodeLayout, ServerNode, ServerRun, WorkerNode};
+use crate::node::{ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
 use garfield_attacks::Attack;
 use garfield_core::{
@@ -219,8 +219,8 @@ pub(crate) struct WorkerActor {
     node: WorkerNode,
     link: Endpoint,
     /// The number of servers, `local id − worker index` under the
-    /// [`NodeLayout`] convention: only ids below it may ask this worker for a
-    /// gradient, and only they or [`NodeLayout::CONTROLLER`] may stop it.
+    /// [`NodeLayout`](crate::node::NodeLayout) convention: only ids below it
+    /// may ask this worker for a gradient, and only they may stop it.
     servers: u32,
     fault_attack: Option<Box<dyn Attack>>,
     /// Bounded FIFO of this worker's own recent honest gradients — the
@@ -275,8 +275,9 @@ impl WorkerActor {
                 continue;
             };
             match header.kind {
-                // Only a server or the executor's controller may stop a
-                // worker: a Byzantine worker must not silence an honest one.
+                // Only a server may stop a worker: a Byzantine worker must
+                // not silence an honest one. (The in-process executor closes
+                // the inbox instead, which ends this loop.)
                 MsgKind::Shutdown if self.obeys_shutdown_from(envelope.from) => break,
                 // A request from a non-server is dropped: a Byzantine worker
                 // must not collect honest gradients at a model of its choosing.
@@ -317,14 +318,14 @@ impl WorkerActor {
         self.link.telemetry
     }
 
-    /// Whether `from` may stop this worker: a server, or the in-process
-    /// executor's controller. `Shutdown` comes once per run, so the check
-    /// stays out of line: inlined into the serving loop, it cost
-    /// `ssmw_router_small` about 8 % more CPU per round (2-vCPU x86-64 VM).
+    /// Whether `from` may stop this worker: only a server. `Shutdown` comes
+    /// once per run, so the check stays out of line: inlined into the
+    /// serving loop, it cost `ssmw_router_small` about 8 % more CPU per
+    /// round (2-vCPU x86-64 VM).
     #[cold]
     #[inline(never)]
     fn obeys_shutdown_from(&self, from: NodeId) -> bool {
-        from.0 < self.servers || from == NodeLayout::CONTROLLER
+        from.0 < self.servers
     }
 
     /// Handles one shard server's `GradientRequest` carrying a parameter

@@ -1,13 +1,13 @@
 //! The live executor: spawn every node, train over real messages, join.
 
 use crate::fault::FaultPlan;
-use crate::node::{self, LiveNodes, NodeLayout, ServerRun};
+use crate::node::{self, LiveNodes, ServerRun};
 use garfield_aggregation::PeerSuspicion;
 use garfield_core::{
     CoreError, CoreResult, Executor, ExperimentConfig, NodeTelemetry, RuntimeTelemetry, SystemKind,
     TrainingTrace,
 };
-use garfield_net::{MsgKind, NodeId, Router, RouterTransport, Transport, WireMessage};
+use garfield_net::{NodeId, Router, RouterTransport, Transport};
 use garfield_tensor::Tensor;
 use std::time::Duration;
 
@@ -61,7 +61,8 @@ pub struct LiveReport {
 }
 
 /// The threaded executor: each worker and server replica of the experiment
-/// runs as its own OS thread, exchanging [`WireMessage`]s over a [`Router`].
+/// runs as its own OS thread, exchanging
+/// [`WireMessage`](garfield_net::WireMessage)s over a [`Router`].
 ///
 /// Construction of the node objects is shared with the sim path (see
 /// [`node::assemble`]), so a fault-free live run reproduces the sim
@@ -145,9 +146,6 @@ impl LiveExecutor {
             .iter()
             .map(|&id| connect(id))
             .collect::<CoreResult<_>>()?;
-        // The controller winds the workers down once the servers are done
-        // (no assembled server carries `shutdown_targets`).
-        let controller = connect(NodeLayout::CONTROLLER)?;
 
         let worker_threads: Vec<_> = workers
             .into_iter()
@@ -179,9 +177,10 @@ impl LiveExecutor {
                 }
             }
         }
-        let shutdown = WireMessage::control(MsgKind::Shutdown, config.iterations as u64).encode();
+        // No assembled server carries `shutdown_targets`: closing a worker's
+        // inbox ends its loop once the requests still queued are served.
         for &id in &layout.worker_ids {
-            let _ = controller.send(id, config.iterations as u64, shutdown.clone());
+            router.close(id);
         }
         let mut node_telemetry: Vec<NodeTelemetry> = Vec::with_capacity(nps + nw);
         let mut worker_telemetry = Vec::with_capacity(nw);

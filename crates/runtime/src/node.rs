@@ -38,13 +38,6 @@ pub struct NodeLayout {
 }
 
 impl NodeLayout {
-    /// The id the in-process executor's controller speaks as when it winds
-    /// the workers down. No layout assigns it; a worker obeys `Shutdown`
-    /// only from a server or this id. Over TCP no controller runs (the
-    /// coordinating server stops the workers), and an endpoint accepts
-    /// connections only from the ids its cluster spec names.
-    pub const CONTROLLER: NodeId = NodeId(u32::MAX);
-
     /// Computes the layout of `config` under `system`.
     ///
     /// Single-server systems deploy one trusted server no matter what
@@ -295,9 +288,9 @@ pub struct ServerNode {
     /// Held-out batch for accuracy evaluation (observer only).
     pub test_batch: Option<Batch>,
     /// Workers this replica sends `Shutdown` to when it exits. Empty under
-    /// the in-process executor (its controller winds workers down); the
-    /// coordinating server of a multi-process deployment names every worker
-    /// here, since no controller process exists.
+    /// the in-process executor (it closes the workers' inboxes once every
+    /// server is done); the coordinating server of a multi-process
+    /// deployment names every worker here.
     pub shutdown_targets: Vec<NodeId>,
     /// How long a pull waits before re-asking peers that have not replied
     /// (see [`LiveOptions::request_retry`](crate::LiveOptions)).
@@ -357,7 +350,6 @@ mod tests {
         for (j, id) in layout.worker_ids.iter().enumerate() {
             assert_eq!(id.0 as usize, s + j, "worker {j}");
         }
-        assert!(!layout.worker_ids.contains(&NodeLayout::CONTROLLER));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hostile frames: what a Byzantine node can put on a server's or a
 //! worker's inbox must cost the receiver a `recv` and nothing else — be it
 //! a malformed reply, a stranger's flood, or a request or `Shutdown` that
-//! only a server may send.
+//! only a server may send, whatever id the sender holds.
 //!
 //! Every scenario runs real [`WorkerNode`](garfield_runtime::WorkerNode)s and
 //! a real server over the in-process router, plus one hand-driven endpoint
@@ -278,6 +278,50 @@ fn a_worker_forging_shutdown_cannot_stop_an_honest_worker() {
 
     let run = run_server(&router, nodes, Some(hostile_rank));
     assert!(hostile.join().unwrap() > 0);
+    assert_eq!(run.trace.len(), ITERATIONS);
+    assert_eq!(bits(&run.final_model), bits(&reference.final_models[0]));
+}
+
+#[test]
+fn shutdown_from_the_highest_node_id_cannot_stop_an_honest_worker() {
+    let cfg = config();
+    let options = LiveOptions::default(); // full quorum: q = nw
+                                          // The target is paced, so the forged `Shutdown`s reach its inbox while
+                                          // it still has rounds to serve.
+    let paced = FaultPlan::new().delay_worker(0, 20);
+
+    let reference = LiveExecutor::new(cfg.clone())
+        .with_options(options)
+        .with_faults(paced.clone())
+        .run_live(SystemKind::Ssmw)
+        .unwrap();
+
+    let nodes = assemble(SystemKind::Ssmw, &cfg, &options, &paced).unwrap();
+    let honest = nodes.layout.worker_ids[0];
+    let router = Router::new();
+    // No layout assigns u32::MAX, and no id outside the servers may stop a
+    // worker. Were it obeyed, the server would miss the paced worker's
+    // replies and never gather its full quorum.
+    let intruder = connect(&router, NodeId(u32::MAX));
+    let stop = Arc::new(AtomicBool::new(false));
+    let forger = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut forged = 0usize;
+            while !stop.load(Ordering::SeqCst) {
+                let shutdown = WireMessage::control(MsgKind::Shutdown, 0);
+                if intruder.send(honest, 0, shutdown.encode()).is_ok() {
+                    forged += 1;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            forged
+        })
+    };
+
+    let run = run_server(&router, nodes, None);
+    stop.store(true, Ordering::SeqCst);
+    assert!(forger.join().unwrap() > 0);
     assert_eq!(run.trace.len(), ITERATIONS);
     assert_eq!(bits(&run.final_model), bits(&reference.final_models[0]));
 }

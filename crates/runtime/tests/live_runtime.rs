@@ -141,7 +141,8 @@ fn a_crashed_server_ends_its_run_early_and_every_worker_still_winds_down() {
     // The server's own CrashAt: the replica goes silent at iteration 3 and
     // returns the three rounds it completed — a crash, not a liveness
     // error. The idle timeout is far above the run, so finishing well
-    // inside it proves every worker was shut down, not timed out.
+    // inside it proves every worker was wound down (its inbox closed), not
+    // timed out.
     let cfg = live_config();
     let nw = cfg.nw;
     let idle_timeout = std::time::Duration::from_secs(60);
@@ -159,9 +160,10 @@ fn a_crashed_server_ends_its_run_early_and_every_worker_still_winds_down() {
     let workers: Vec<_> = report.telemetry.nodes_with_role(Role::Worker).collect();
     assert_eq!(workers.len(), nw);
     for worker in workers {
-        // Three requests answered, plus the shutdown.
+        // Three requests answered. No `Shutdown` arrives: the executor
+        // closes the worker's inbox instead.
         assert!(worker.messages_sent >= 3, "{worker:?}");
-        assert!(worker.messages_received >= 4, "{worker:?}");
+        assert!(worker.messages_received >= 3, "{worker:?}");
     }
 }
 
