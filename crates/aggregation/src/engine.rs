@@ -351,7 +351,8 @@ impl DistanceCache {
 pub(crate) struct SelectionScratch {
     /// The scores the last scoring pass produced, indexed by candidate.
     pub(crate) scores: Vec<f32>,
-    /// The index order the last selection pass produced (best first).
+    /// The index order the last selection pass produced (best first); MDA's
+    /// running subset.
     pub(crate) order: Vec<usize>,
     remaining: Vec<usize>,
     /// Flattened per-candidate sorted neighbour-distance lists (stride

@@ -1,5 +1,6 @@
 //! MDA — Minimum-Diameter Averaging (Rousseeuw 1985, as used by the paper).
 
+use crate::engine::{average_indices_into, with_scratch, with_selected};
 use crate::gar::report_selection;
 use crate::{
     validate_views, AggregationError, AggregationResult, DistanceCache, Engine, Gar,
@@ -41,58 +42,66 @@ impl Mda {
         Ok(Mda { n, f })
     }
 
-    /// Minimum-diameter subset selection over a prebuilt distance cache.
+    /// Minimum-diameter subset selection over a prebuilt distance cache: the
+    /// selected indices are written into `selected`, ascending.
     ///
     /// The `C(n, f)` subset enumeration itself is sequential (it is a tiny
     /// scan over cached scalars once the `O(n² d)` distance work is paid) and
     /// keeps the original incumbent-pruned lexicographic order, so every
-    /// engine selects the same subset.
-    pub fn select_cached(&self, cache: &DistanceCache) -> Vec<usize> {
+    /// engine selects the same subset. The running subset lives in this
+    /// thread's selection buffers, and `selected` is overwritten only when
+    /// the diameter improves, so a warm call allocates nothing.
+    pub fn select_cached(&self, cache: &DistanceCache, selected: &mut Vec<usize>) {
         let n = self.n;
         let keep = n - self.f;
         let dist = |i: usize, j: usize| cache.get(i, j);
-
-        let mut best: Option<(f32, Vec<usize>)> = None;
-        let mut subset: Vec<usize> = (0..keep).collect();
-        loop {
-            // Diameter of the current subset, in total order: the cache's
-            // canonical NaN distance is larger than every finite one, so a
-            // subset holding a NaN input never beats one without.
-            let mut diameter = 0.0f32;
-            'outer: for a in 0..keep {
-                for b in (a + 1)..keep {
-                    let d = dist(subset[a], subset[b]);
-                    if total_cmp_f32(&d, &diameter).is_gt() {
-                        diameter = d;
-                        if let Some((best_d, _)) = &best {
-                            if total_cmp_f32(&diameter, best_d).is_ge() {
+        // Whether a diameter fails to beat the incumbent's.
+        let no_better =
+            |d: f32, best: Option<f32>| best.is_some_and(|b| total_cmp_f32(&d, &b).is_ge());
+        with_scratch(|scratch| {
+            let subset = &mut scratch.order;
+            subset.clear();
+            subset.extend(0..keep);
+            let mut best: Option<f32> = None;
+            loop {
+                // Diameter of the current subset, in total order: the cache's
+                // canonical NaN distance is larger than every finite one, so
+                // a subset holding a NaN input never beats one without.
+                let mut diameter = 0.0f32;
+                'outer: for a in 0..keep {
+                    for b in (a + 1)..keep {
+                        let d = dist(subset[a], subset[b]);
+                        if total_cmp_f32(&d, &diameter).is_gt() {
+                            diameter = d;
+                            if no_better(diameter, best) {
                                 break 'outer; // cannot beat the incumbent
                             }
                         }
                     }
                 }
-            }
-            match &best {
-                Some((best_d, _)) if total_cmp_f32(&diameter, best_d).is_ge() => {}
-                _ => best = Some((diameter, subset.clone())),
-            }
+                if !no_better(diameter, best) {
+                    best = Some(diameter);
+                    selected.clear();
+                    selected.extend_from_slice(subset);
+                }
 
-            // Advance to the next k-combination in lexicographic order.
-            let mut i = keep;
-            loop {
-                if i == 0 {
-                    return best.expect("at least one subset was evaluated").1;
+                // Advance to the next k-combination in lexicographic order.
+                let mut i = keep;
+                loop {
+                    if i == 0 {
+                        return;
+                    }
+                    i -= 1;
+                    if subset[i] != i + n - keep {
+                        break;
+                    }
                 }
-                i -= 1;
-                if subset[i] != i + n - keep {
-                    break;
+                subset[i] += 1;
+                for j in i + 1..keep {
+                    subset[j] = subset[j - 1] + 1;
                 }
             }
-            subset[i] += 1;
-            for j in i + 1..keep {
-                subset[j] = subset[j - 1] + 1;
-            }
-        }
+        });
     }
 }
 
@@ -117,10 +126,12 @@ impl Gar for Mda {
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         let cache = DistanceCache::build(inputs, engine);
-        let selected = self.select_cached(&cache);
-        report_selection(outcome, inputs, Some((&cache, &selected)));
         let mut out = Vec::new();
-        crate::engine::average_indices_into(inputs, &selected, engine, &mut out);
+        with_selected(|selected| {
+            self.select_cached(&cache, selected);
+            report_selection(outcome, inputs, Some((&cache, selected)));
+            average_indices_into(inputs, selected, engine, &mut out);
+        });
         Ok(Tensor::from(out))
     }
 }
@@ -145,7 +156,11 @@ mod tests {
         inputs.push(Tensor::from_slice(&[100.0, -100.0]));
         let mda = Mda::new(5, 1).unwrap();
         let views: Vec<GradientView<'_>> = inputs.iter().map(GradientView::from).collect();
-        let selected = mda.select_cached(&DistanceCache::build(&views, &Engine::sequential()));
+        let mut selected = Vec::new();
+        mda.select_cached(
+            &DistanceCache::build(&views, &Engine::sequential()),
+            &mut selected,
+        );
         assert_eq!(selected.len(), 4);
         assert!(!selected.contains(&4));
         let out = mda.aggregate(&inputs).unwrap();

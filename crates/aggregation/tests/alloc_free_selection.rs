@@ -15,7 +15,9 @@
 //! number of buffers; one per 256-coordinate tile would make the count
 //! grow with d.
 
-use garfield_aggregation::{Bulyan, DistanceCache, Engine, Gar, Krum, MultiKrum, SelectionOutcome};
+use garfield_aggregation::{
+    Bulyan, DistanceCache, Engine, Gar, Krum, Mda, MultiKrum, SelectionOutcome,
+};
 use garfield_tensor::GradientView;
 
 #[path = "support/counting_alloc.rs"]
@@ -84,13 +86,15 @@ fn steady_state_selection_performs_zero_heap_allocations() {
 /// `SelectionOutcome`). Every rule builds the `DistanceCache`: the pair
 /// list, the fill values, the fill's lane accumulators, the matrix and the
 /// norms (5). Krum copies its winner into the output tensor, and Multi-Krum
-/// averages into one: its data and its shape (2). Bulyan's phase 2 gathers
+/// and MDA average into one: its data and its shape (2). Bulyan's phase 2 gathers
 /// the selected rows (1), builds the sorting network (3, the vector grows
 /// by push), and fills the output data (1) from one key tile (1) before the
 /// shape (1). The selection itself — the sorted neighbour table, the
-/// scores, the order and the selected indices — allocates nothing.
+/// scores, the order, MDA's running subset and the selected indices —
+/// allocates nothing.
 const KRUM: usize = 5 + 2;
 const MULTI_KRUM: usize = 5 + 2;
+const MDA: usize = 5 + 2;
 const BULYAN: usize = 5 + 7;
 
 #[test]
@@ -100,9 +104,10 @@ fn a_warm_gar_call_allocates_only_the_cache_and_the_output() {
     let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
     let engine = Engine::sequential();
     let mut outcome = SelectionOutcome::default();
-    let rules: [(Box<dyn Gar>, usize); 3] = [
+    let rules: [(Box<dyn Gar>, usize); 4] = [
         (Box::new(Krum::new(n, f).unwrap()), KRUM),
         (Box::new(MultiKrum::new(n, f).unwrap()), MULTI_KRUM),
+        (Box::new(Mda::new(n, f).unwrap()), MDA),
         (Box::new(Bulyan::new(n, f).unwrap()), BULYAN),
     ];
     for (gar, want) in rules {

@@ -48,6 +48,7 @@ use garfield_bench::perf;
 use garfield_bench::report::{print_table, write_csv, Row};
 use garfield_bench::trace;
 use garfield_bench::watch;
+use garfield_transport::ClusterSpec;
 use std::time::{Duration, Instant};
 
 fn run_one(id: &str) -> Option<(String, Vec<Row>)> {
@@ -274,8 +275,8 @@ fn run_watch(args: &[String]) -> i32 {
         };
     }
 
-    let targets = match watch::parse_spec(&spec_text) {
-        Ok(t) if !t.is_empty() => t,
+    let spec = match ClusterSpec::parse(&spec_text) {
+        Ok(spec) if !spec.is_empty() => spec,
         Ok(_) => {
             eprintln!("{spec_path} names no node");
             return 2;
@@ -289,7 +290,7 @@ fn run_watch(args: &[String]) -> i32 {
     let mut previous: Option<(Vec<garfield_bench::watch::NodeView>, Instant)> = None;
     let mut seen_up = false;
     for poll_index in 0u64.. {
-        let views = watch::poll(&targets, timeout);
+        let views = watch::poll(&spec, timeout);
         let now = Instant::now();
         let rates: Vec<f64> = views
             .iter()
@@ -334,7 +335,7 @@ fn run_watch(args: &[String]) -> i32 {
         print!("\x1b[2J\x1b[H");
         println!(
             "garfield watch — {} nodes, every {} ms (Ctrl-C to stop, CSV → {csv_path})\n",
-            targets.len(),
+            spec.len(),
             interval.as_millis()
         );
         print!("{}", watch::render_table(&views, &rates));

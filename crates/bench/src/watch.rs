@@ -1,10 +1,10 @@
 //! `expfig watch <spec>`: a live per-node cluster view over the scrape
 //! endpoints `garfield-node --metrics-addr` serves.
 //!
-//! The spec file maps every node id to its *metrics* address, in the same
-//! `id host:port` line format as the cluster spec (comments with `#`,
-//! blank lines ignored) — but listing where each node's `/metrics` endpoint
-//! lives, not its transport port:
+//! The spec file is a cluster spec ([`ClusterSpec`], read by
+//! [`ClusterSpec::parse`]: one `id host:port` line per node, comments with
+//! `#`, blank lines ignored) — but listing where each node's `/metrics`
+//! endpoint lives, not its transport port:
 //!
 //! ```text
 //! # node id → metrics endpoint
@@ -20,58 +20,16 @@
 //! whose `/healthz` does not answer renders as DOWN — distinct from a live
 //! node that has not published metrics yet.
 //!
-//! Everything network-independent (spec parsing, exposition parsing,
-//! quantiles, view derivation, rendering) is a pure function over text so
-//! the whole pipeline unit-tests without sockets.
+//! Everything network-independent (exposition parsing, quantiles, view
+//! derivation, rendering) is a pure function over text so the whole
+//! pipeline unit-tests without sockets.
 
 use garfield_core::json::{self, Value};
+use garfield_transport::ClusterSpec;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-/// One node to watch: its id and the address its metrics endpoint binds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchTarget {
-    /// Node id (the cluster layout's id, echoed by `/healthz`).
-    pub node: u32,
-    /// The `--metrics-addr` socket the node serves scrapes on.
-    pub addr: SocketAddr,
-}
-
-/// Parses a watch spec: one `id host:port` line per node, `#` comments and
-/// blank lines ignored (the cluster-spec file format, pointed at metrics
-/// endpoints).
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line or a duplicate id.
-pub fn parse_spec(text: &str) -> Result<Vec<WatchTarget>, String> {
-    let mut targets: Vec<WatchTarget> = Vec::new();
-    for (number, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |what: &str| format!("watch spec line {}: {what}", number + 1);
-        let mut parts = line.split_whitespace();
-        let (Some(id), Some(addr), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(bad("expected '<node id> <host:port>'"));
-        };
-        let node: u32 = id
-            .parse()
-            .map_err(|e| bad(&format!("node id '{id}': {e}")))?;
-        let addr: SocketAddr = addr
-            .parse()
-            .map_err(|e| bad(&format!("address '{addr}': {e}")))?;
-        if targets.iter().any(|t| t.node == node) {
-            return Err(bad(&format!("node {node} appears twice")));
-        }
-        targets.push(WatchTarget { node, addr });
-    }
-    targets.sort_by_key(|t| t.node);
-    Ok(targets)
-}
 
 /// One blocking HTTP/1.1 GET; returns the body of a `200 OK` response.
 ///
@@ -336,15 +294,14 @@ pub fn view(node: u32, healthz: Option<&str>, metrics: Option<&str>) -> NodeView
     }
 }
 
-/// Scrapes every target once (healthz + metrics, `timeout` each) and
-/// derives the per-node views, in spec order.
-pub fn poll(targets: &[WatchTarget], timeout: Duration) -> Vec<NodeView> {
-    targets
-        .iter()
-        .map(|t| {
-            let healthz = http_get(t.addr, "/healthz", timeout).ok();
-            let metrics = http_get(t.addr, "/metrics", timeout).ok();
-            view(t.node, healthz.as_deref(), metrics.as_deref())
+/// Scrapes every node of the spec once (healthz + metrics, `timeout` each)
+/// and derives the per-node views, in id order.
+pub fn poll(spec: &ClusterSpec, timeout: Duration) -> Vec<NodeView> {
+    spec.nodes()
+        .map(|(node, addr)| {
+            let healthz = http_get(addr, "/healthz", timeout).ok();
+            let metrics = http_get(addr, "/metrics", timeout).ok();
+            view(node.0, healthz.as_deref(), metrics.as_deref())
         })
         .collect()
 }
@@ -479,11 +436,11 @@ pub fn csv_line(poll: u64, v: &NodeView, rate: f64) -> String {
 /// Returns the spec parse error, or a note when the spec is empty — scrape
 /// failures are *not* errors, they render as DOWN nodes.
 pub fn watch_once(spec_text: &str, timeout: Duration) -> Result<String, String> {
-    let targets = parse_spec(spec_text)?;
-    if targets.is_empty() {
+    let spec = ClusterSpec::parse(spec_text).map_err(|e| e.to_string())?;
+    if spec.is_empty() {
         return Err("watch spec names no node".to_string());
     }
-    let views = poll(&targets, timeout);
+    let views = poll(&spec, timeout);
     Ok(views
         .iter()
         .map(|v| view_json(v, 0.0))
@@ -494,23 +451,6 @@ pub fn watch_once(spec_text: &str, timeout: Duration) -> Result<String, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_parses_comments_ids_and_rejects_garbage() {
-        let targets =
-            parse_spec("# metrics endpoints\n\n1 127.0.0.1:9464  # server\n0 127.0.0.1:9465\n")
-                .unwrap();
-        assert_eq!(targets.len(), 2);
-        assert_eq!(targets[0].node, 0, "targets sort by node id");
-        assert_eq!(targets[1].addr.port(), 9464);
-        assert!(parse_spec("0").is_err());
-        assert!(parse_spec("x 127.0.0.1:1").is_err());
-        assert!(parse_spec("0 nope").is_err());
-        assert!(parse_spec("0 127.0.0.1:1\n0 127.0.0.1:2")
-            .unwrap_err()
-            .contains("twice"));
-        assert!(parse_spec("").unwrap().is_empty());
-    }
 
     #[test]
     fn exposition_parses_labels_escapes_and_inf() {

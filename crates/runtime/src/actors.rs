@@ -22,7 +22,6 @@ use crate::admission::{admit, Pull, ServerView, Verdict};
 use crate::fault::{Fault, Step};
 use crate::node::{ServerNode, ServerRun, WorkerNode};
 use garfield_aggregation::{build_gar, Engine, Gar, SelectionOutcome, SuspicionLedger};
-use garfield_attacks::Attack;
 use garfield_core::{
     AccuracyPoint, Checkpoint, CoreError, CoreResult, IterationTiming, NodeTelemetry, ShardMap,
     SystemPlan, TrainingTrace,
@@ -177,14 +176,6 @@ impl Endpoint {
     }
 }
 
-/// The fault-plan attack a node's [`Fault`] installs on its wire path, if any.
-fn fault_attack(fault: Option<Fault>) -> Option<Box<dyn Attack>> {
-    match fault {
-        Some(Fault::Byzantine { attack }) => Some(attack.build()),
-        _ => None,
-    }
-}
-
 /// How many of its own recent honest gradients a Byzantine worker keeps as
 /// the moment-estimation view for collusion attacks (little-is-enough,
 /// fall-of-empires). The live substrate is non-omniscient — no node ever sees
@@ -222,7 +213,6 @@ pub(crate) struct WorkerActor {
     /// [`NodeLayout`](crate::node::NodeLayout) convention: only ids below it
     /// may ask this worker for a gradient, and only they may stop it.
     servers: u32,
-    fault_attack: Option<Box<dyn Attack>>,
     /// Bounded FIFO of this worker's own recent honest gradients — the
     /// non-omniscient adversary's estimation view (stays empty on honest
     /// workers). See [`ATTACK_HISTORY_ROUNDS`].
@@ -247,7 +237,6 @@ impl WorkerActor {
     pub fn new(node: WorkerNode, transport: Box<dyn Transport>) -> Self {
         WorkerActor {
             shard_map: ShardMap::new(node.dimension, node.shards).ok(),
-            fault_attack: fault_attack(node.fault),
             servers: transport
                 .local_id()
                 .0
@@ -470,19 +459,12 @@ impl WorkerActor {
     }
 
     /// The vector a Byzantine worker puts on the wire instead of `honest`:
-    /// the config attack's output, further corrupted by the fault-plan
-    /// attack if present; `None` on honest workers, which send `honest`.
-    /// Draws each attack RNG stream and extends the self-history exactly
-    /// once per call — once per unsharded request, once per sharded round.
+    /// the config attack's output; `None` on honest workers, which send
+    /// `honest`. Draws the attack RNG stream and extends the self-history
+    /// exactly once per call — once per unsharded request, once per sharded
+    /// round.
     fn corrupted(&mut self, honest: &Tensor) -> Option<Tensor> {
-        let config = self.node.worker.corrupted(honest, &self.attack_history);
-        let sent = match &self.fault_attack {
-            Some(attack) => {
-                let input = config.as_ref().unwrap_or(honest);
-                attack.corrupt(input, &self.attack_history, &mut self.node.fault_rng)
-            }
-            None => config?,
-        };
+        let sent = self.node.worker.corrupted(honest, &self.attack_history)?;
         // Remember the honest trajectory *after* corrupting: the history
         // holds previous requests only, the current honest vector enters the
         // moment estimate via the attack's own `honest` argument.
@@ -520,7 +502,6 @@ pub(crate) struct ServerActor {
     /// The node as assembled (its `resume` record is consumed at start-up).
     node: ServerNode,
     link: Endpoint,
-    fault_attack: Option<Box<dyn Attack>>,
     /// First iteration to run (non-zero after a `--resume` restore).
     start_round: usize,
     /// The state this replica serves to recovering peers, captured at each
@@ -586,7 +567,6 @@ impl ServerActor {
         };
         let resume = node.resume.take();
         let mut actor = ServerActor {
-            fault_attack: fault_attack(node.fault),
             link: Endpoint::new(transport, Role::Server),
             merge,
             node,
@@ -615,22 +595,18 @@ impl ServerActor {
     }
 
     /// Installs a checkpoint's training state: model, optimizer, and — for a
-    /// disk resume of this node's *own* state (`own = true`) — the RNG
-    /// streams. Live catch-up adopts a *peer's* chunk, whose RNG streams
-    /// belong to that peer and are skipped.
+    /// disk resume of this node's *own* state (`own = true`) — the attack
+    /// RNG stream. Live catch-up adopts a *peer's* chunk, whose stream
+    /// belongs to that peer and is skipped. The record's `fault_rng` is
+    /// ignored: no live node draws from a fault-plan stream.
     fn adopt_state(&mut self, cp: &Checkpoint, own: bool) -> CoreResult<()> {
         let server = self.node.server.honest_mut();
         server.write_model(&Tensor::from_slice(&cp.model))?;
         server
             .optimizer_mut()
             .restore(cp.opt_steps, cp.velocity.as_deref().map(Tensor::from_slice));
-        if own {
-            if let Some(words) = cp.fault_rng {
-                self.node.fault_rng = garfield_tensor::TensorRng::from_state_words(words);
-            }
-            if let Some(words) = cp.attack_rng {
-                self.node.server.set_rng_state(words);
-            }
+        if let Some(words) = cp.attack_rng.filter(|_| own) {
+            self.node.server.set_rng_state(words);
         }
         Ok(())
     }
@@ -646,7 +622,7 @@ impl ServerActor {
             opt_steps: server.optimizer().steps(),
             model: server.parameters().into_vec(),
             velocity: server.optimizer().velocity().map(|v| v.data().to_vec()),
-            fault_rng: Some(self.node.fault_rng.state_words()),
+            fault_rng: None, // no live node draws from a fault-plan stream
             attack_rng: Some(self.node.server.rng_state()),
         }
     }
@@ -1117,16 +1093,11 @@ impl ServerActor {
         Ok((adopted.round as usize).min(self.node.config.iterations))
     }
 
-    /// Recomputes the vector this replica serves to peers (corrupted if the
-    /// replica is Byzantine — by config attack inside
-    /// [`ByzantineServer::served_model`](garfield_core::ByzantineServer::served_model),
-    /// by fault-plan attack here).
+    /// Recomputes the vector this replica serves to peers (corrupted inside
+    /// [`ByzantineServer::served_model`](garfield_core::ByzantineServer::served_model)
+    /// if the replica is Byzantine).
     fn refresh_served_snapshot(&mut self) {
         let served = self.node.server.served_model(&[]);
-        let served = match &self.fault_attack {
-            Some(attack) => attack.corrupt(&served, &[], &mut self.node.fault_rng),
-            None => served,
-        };
         if self.served_snapshots.len() == 2 {
             self.served_snapshots.remove(0);
         }

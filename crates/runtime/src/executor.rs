@@ -73,7 +73,6 @@ pub struct LiveExecutor {
     config: ExperimentConfig,
     options: LiveOptions,
     faults: FaultPlan,
-    last: Option<LiveReport>,
 }
 
 impl LiveExecutor {
@@ -83,7 +82,6 @@ impl LiveExecutor {
             config,
             options: LiveOptions::default(),
             faults: FaultPlan::new(),
-            last: None,
         }
     }
 
@@ -102,11 +100,6 @@ impl LiveExecutor {
     /// The configuration this executor runs.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
-    }
-
-    /// The full report of the most recent successful run, if any.
-    pub fn last_report(&self) -> Option<&LiveReport> {
-        self.last.as_ref()
     }
 
     /// Runs the named system live and returns the full report.
@@ -224,7 +217,7 @@ impl LiveExecutor {
                 .map(|(_, run)| run.final_model.clone())
                 .collect()
         };
-        let report = LiveReport {
+        Ok(LiveReport {
             trace: observer.trace.clone(),
             telemetry: RuntimeTelemetry {
                 nodes: node_telemetry,
@@ -232,9 +225,7 @@ impl LiveExecutor {
             },
             final_models,
             suspicion: observer.suspicion.clone(),
-        };
-        self.last = Some(report.clone());
-        Ok(report)
+        })
     }
 }
 

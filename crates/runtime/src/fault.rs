@@ -1,10 +1,17 @@
-//! Fault injection for live runs: crash, delay and Byzantine payload rewrite.
+//! Fault injection for live runs: crash, delay and restart.
+//!
+//! A live node is made Byzantine the way a sim node is, by the experiment
+//! config (`ExperimentConfig::{actual_byzantine_workers, worker_attack,
+//! actual_byzantine_servers, server_attack}`): the attack is installed on
+//! the last workers and replicas when the nodes are assembled, so every live
+//! Byzantine run has a sim twin with the same attacker set.
 
-use garfield_attacks::AttackKind;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// A fault installed on one node of a live deployment.
+/// A fault installed on one node of a live deployment: the node crashes,
+/// straggles or restarts. Byzantine behaviour is not a fault here; it comes
+/// from the experiment config (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The node goes silent from the given iteration onward: a worker stops
@@ -22,13 +29,6 @@ pub enum Fault {
     Delay {
         /// Added latency before each reply, in milliseconds.
         millis: u64,
-    },
-    /// The node rewrites the payload it serves with the given attack
-    /// (applied on top of any attack the experiment config installed) — a
-    /// Byzantine node on the wire path.
-    Byzantine {
-        /// The attack used to corrupt outgoing payloads.
-        attack: AttackKind,
     },
     /// The node crashes at iteration `crash` and *comes back* for iteration
     /// `rejoin` — the recovery scenario [`Fault::CrashAt`] cannot express.
@@ -80,19 +80,18 @@ impl Fault {
     }
 }
 
-/// Which nodes of a live run misbehave, and how.
+/// Which nodes of a live run crash, straggle or restart.
 ///
 /// Faults are assigned by node index (worker 0..nw, server 0..nps) with a
 /// builder-style API:
 ///
 /// ```rust
 /// use garfield_runtime::FaultPlan;
-/// use garfield_attacks::AttackKind;
 ///
 /// let plan = FaultPlan::new()
 ///     .crash_worker_at(2, 1)
 ///     .delay_worker(3, 50)
-///     .byzantine_worker(0, AttackKind::Reversed);
+///     .restart_server_at(1, 2, 4);
 /// assert_eq!(plan.fault_count(), 3);
 /// assert!(plan.worker(2).is_some() && plan.server(0).is_none());
 /// ```
@@ -120,12 +119,6 @@ impl FaultPlan {
         self
     }
 
-    /// Makes worker `index` rewrite its gradient payloads with `attack`.
-    pub fn byzantine_worker(mut self, index: usize, attack: AttackKind) -> Self {
-        self.workers.insert(index, Fault::Byzantine { attack });
-        self
-    }
-
     /// Crashes worker `index` at iteration `crash` and rejoins it for
     /// iteration `rejoin`.
     pub fn restart_worker_at(mut self, index: usize, crash: usize, rejoin: usize) -> Self {
@@ -145,12 +138,6 @@ impl FaultPlan {
     pub fn restart_server_at(mut self, index: usize, crash: usize, rejoin: usize) -> Self {
         self.servers
             .insert(index, Fault::RestartAt { crash, rejoin });
-        self
-    }
-
-    /// Makes server replica `index` rewrite the models it serves with `attack`.
-    pub fn byzantine_server(mut self, index: usize, attack: AttackKind) -> Self {
-        self.servers.insert(index, Fault::Byzantine { attack });
         self
     }
 
@@ -184,15 +171,10 @@ mod tests {
         let plan = FaultPlan::new()
             .crash_worker_at(1, 5)
             .delay_worker(1, 10) // overwrite: one fault per node
-            .byzantine_server(0, AttackKind::Random);
+            .crash_server_at(0, 4);
         assert_eq!(plan.fault_count(), 2);
         assert_eq!(plan.worker(1), Some(Fault::Delay { millis: 10 }));
-        assert_eq!(
-            plan.server(0),
-            Some(Fault::Byzantine {
-                attack: AttackKind::Random
-            })
-        );
+        assert_eq!(plan.server(0), Some(Fault::CrashAt { iteration: 4 }));
         assert!(plan.worker(0).is_none());
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
@@ -205,9 +187,6 @@ mod tests {
         let restart = Some(Fault::RestartAt {
             crash: 2,
             rejoin: 5,
-        });
-        let byzantine = Some(Fault::Byzantine {
-            attack: AttackKind::Reversed,
         });
         let table = [
             (None, 0, false, run),
@@ -227,8 +206,6 @@ mod tests {
                 false,
                 Step::Run(Duration::from_millis(40)),
             ),
-            (byzantine, 0, false, run),
-            (byzantine, 7, true, run),
         ];
         for (fault, round, restarted, want) in table {
             assert_eq!(

@@ -35,10 +35,13 @@
 //!
 //! A [`FaultPlan`] installs per-node faults for live runs: crash at an
 //! iteration (the node goes silent), a fixed delay (a straggler the quorum
-//! leaves behind) or a Byzantine payload rewrite using any
-//! [`garfield_attacks::AttackKind`]. The live adversary is *non-omniscient*:
-//! a Byzantine node corrupts its own payload without ever seeing its peers'
-//! honest vectors. The collusion-based attacks (little-is-enough,
+//! leaves behind) or a restart (crash, then rejoin as a fresh incarnation).
+//! A Byzantine node is not a fault: as in the sim, it comes from the
+//! experiment config (`actual_byzantine_workers` / `worker_attack`,
+//! `actual_byzantine_servers` / `server_attack`), which installs any
+//! [`garfield_attacks::AttackKind`] on the last workers and replicas. The
+//! live adversary is *non-omniscient*: a Byzantine node corrupts its own
+//! payload without ever seeing its peers' honest vectors. The collusion-based attacks (little-is-enough,
 //! fall-of-empires) therefore run in their *local-estimate* variant: the
 //! attacker estimates the round's gradient moments from a short history of
 //! its own honest gradients — the honest population it belongs to is its

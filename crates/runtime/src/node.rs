@@ -77,13 +77,12 @@ pub fn live_server_count(system: SystemKind, config: &ExperimentConfig) -> usize
     }
 }
 
-/// Replays the executor's per-node RNG derivation.
+/// One stream per worker and per live server, derived from the seed in a
+/// fixed order (workers first, then the servers).
 ///
-/// [`TensorRng::derive`] advances the parent generator, so the stream a node
-/// receives depends on the *order* of derivation. A `garfield-node` process
-/// hosts a single node but must hand it the exact stream the in-process
-/// executor would: this helper re-derives all of them (workers first, then
-/// the live servers) so both substrates agree.
+/// Only fills the ignored `fault_rng` fields of [`WorkerNode`] and
+/// [`ServerNode`] for code that builds them as struct literals; [`assemble`]
+/// does not call it.
 pub fn fault_rng_streams(
     config: &ExperimentConfig,
     live_servers: usize,
@@ -156,17 +155,15 @@ pub fn assemble(
     let gradient_quorum = options
         .gradient_quorum
         .unwrap_or_else(|| config.gradient_quorum(system));
-    let (worker_rngs, server_rngs) = fault_rng_streams(config, layout.server_ids.len());
 
     let workers = parts
         .workers
         .into_iter()
-        .zip(worker_rngs)
         .enumerate()
-        .map(|(j, (worker, fault_rng))| WorkerNode {
+        .map(|(j, worker)| WorkerNode {
             worker,
             fault: faults.worker(j),
-            fault_rng,
+            fault_rng: TensorRng::seed_from(0),
             idle_timeout: options.idle_timeout,
             shards: config.shards.max(1),
             dimension: parts.dimension,
@@ -185,11 +182,13 @@ pub fn assemble(
             .map(|&spec| shard_server(spec, initial.data(), config))
             .collect();
     }
+    // The deployment builds `nps` replicas; systems with one live server
+    // (or one per shard) deploy only the first `server_ids.len()`.
     let servers = servers
         .into_iter()
-        .zip(server_rngs)
+        .take(layout.server_ids.len())
         .enumerate()
-        .map(|(i, (server, fault_rng))| {
+        .map(|(i, server)| {
             let peer_ids: Vec<NodeId> = match shard_map {
                 Some(_) => Vec::new(),
                 None => layout
@@ -211,7 +210,7 @@ pub fn assemble(
                 gradient_quorum,
                 round_deadline: options.round_deadline,
                 fault: faults.server(i),
-                fault_rng,
+                fault_rng: TensorRng::seed_from(0),
                 test_batch: (i == 0 && shard_map.is_none()).then(|| parts.test_batch.clone()),
                 shutdown_targets: Vec::new(),
                 request_retry: options.request_retry,
@@ -235,7 +234,9 @@ pub struct WorkerNode {
     pub worker: ByzantineWorker,
     /// The injected fault, if any.
     pub fault: Option<Fault>,
-    /// RNG stream for fault-plan attacks (see [`fault_rng_streams`]).
+    /// Ignored: a live worker is Byzantine only by its config attack, which
+    /// draws from `worker`'s own stream. It stays only so code that builds a
+    /// `WorkerNode` as a struct literal keeps compiling.
     pub fault_rng: TensorRng,
     /// How long the worker waits on an empty inbox before assuming the run
     /// is over.
@@ -283,7 +284,9 @@ pub struct ServerNode {
     pub round_deadline: Duration,
     /// The injected fault, if any.
     pub fault: Option<Fault>,
-    /// RNG stream for fault-plan attacks (see [`fault_rng_streams`]).
+    /// Ignored: a live replica is Byzantine only by its config attack, which
+    /// draws from `server`'s own stream. It stays only so code that builds a
+    /// `ServerNode` as a struct literal keeps compiling.
     pub fault_rng: TensorRng,
     /// Held-out batch for accuracy evaluation (observer only).
     pub test_batch: Option<Batch>,

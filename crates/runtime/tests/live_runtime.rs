@@ -266,14 +266,14 @@ fn cfg_iterations() -> usize {
 
 #[test]
 fn byzantine_payload_rewrite_is_tolerated_by_ssmw_but_not_vanilla() {
-    // The FaultPlan's Byzantine rewrite corrupts gradients on the wire path;
-    // Multi-Krum filters it out, plain averaging is destroyed by it.
+    // The last worker, Byzantine by config attack, sends reversed gradients;
+    // Multi-Krum filters them out, plain averaging is destroyed by them.
     let mut cfg = live_config();
     cfg.iterations = 30;
     cfg.eval_every = 10;
-    let faults = || FaultPlan::new().byzantine_worker(0, garfield_attacks::AttackKind::Reversed);
+    cfg.actual_byzantine_workers = 1;
+    cfg.worker_attack = Some(garfield_attacks::AttackKind::Reversed);
     let robust = LiveExecutor::new(cfg.clone())
-        .with_faults(faults())
         .run_live(SystemKind::Ssmw)
         .unwrap();
     assert!(
@@ -282,7 +282,6 @@ fn byzantine_payload_rewrite_is_tolerated_by_ssmw_but_not_vanilla() {
         robust.trace.final_accuracy()
     );
     let fragile = LiveExecutor::new(cfg)
-        .with_faults(faults())
         .run_live(SystemKind::Vanilla)
         .unwrap();
     assert!(
@@ -342,5 +341,4 @@ fn unsupported_systems_are_rejected_up_front() {
     let mut live = LiveExecutor::new(live_config());
     let err = live.run_live(SystemKind::Decentralized).unwrap_err();
     assert!(err.to_string().contains("live runtime"));
-    assert!(live.last_report().is_none());
 }

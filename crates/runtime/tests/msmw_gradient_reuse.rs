@@ -100,10 +100,10 @@ fn msmw_final_models_hold_their_recorded_hashes() {
             0xea47_1267_110a_1e6c,
         ),
         (
-            "fault-plan PartialDrop worker",
-            config(),
-            FaultPlan::new().byzantine_worker(0, AttackKind::PartialDrop),
-            0xae7b_8e0c_27c8_d5ff,
+            "config PartialDrop worker",
+            config_attack(AttackKind::PartialDrop),
+            FaultPlan::new(),
+            0x8ead_477a_025e_2e2c,
         ),
     ];
     let mut failures = Vec::new();

@@ -101,15 +101,11 @@ fn shard_servers_score_suspicion_per_shard() {
     // ledger, where the attacker must rank strictly most-suspicious.
     let mut cfg = config(3);
     cfg.iterations = 12;
-    let byzantine_rank = cfg.nw - 1;
+    cfg.actual_byzantine_workers = 1;
+    cfg.worker_attack = Some(garfield_attacks::AttackKind::Reversed);
+    let byzantine_rank = cfg.nw - 1; // the config attacker is the last worker
     let byzantine_id = (cfg.shards + byzantine_rank) as u32; // servers first
-    let report = LiveExecutor::new(cfg)
-        .with_faults(
-            FaultPlan::new()
-                .byzantine_worker(byzantine_rank, garfield_attacks::AttackKind::Reversed),
-        )
-        .run_live(SystemKind::Ssmw)
-        .unwrap();
+    let report = LiveExecutor::new(cfg).run_live(SystemKind::Ssmw).unwrap();
     let worst = report
         .suspicion
         .iter()

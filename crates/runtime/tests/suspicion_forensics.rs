@@ -5,7 +5,7 @@
 
 use garfield_attacks::AttackKind;
 use garfield_core::{ExperimentConfig, SystemKind};
-use garfield_runtime::{FaultPlan, LiveExecutor};
+use garfield_runtime::LiveExecutor;
 
 /// A configuration sized so forensics separate cleanly. Two things matter:
 /// `nw = 7`, `fw = 1` gives Multi-Krum `m = 4` of 7 — the attacker is refused
@@ -29,12 +29,13 @@ fn forensic_config() -> ExperimentConfig {
 #[test]
 fn every_attack_in_the_catalog_ranks_the_attacker_top_f() {
     for kind in AttackKind::all() {
-        let cfg = forensic_config();
-        let byzantine_worker = 0usize;
-        // SSMW: one trusted server (node 0), workers at node ids 1..=nw.
-        let byzantine_node = 1 + byzantine_worker as u32;
+        let mut cfg = forensic_config();
+        cfg.actual_byzantine_workers = 1;
+        cfg.worker_attack = Some(kind);
+        // SSMW: one trusted server (node 0), workers at node ids 1..=nw; the
+        // config attacker is the last worker.
+        let byzantine_node = cfg.nw as u32;
         let report = LiveExecutor::new(cfg.clone())
-            .with_faults(FaultPlan::new().byzantine_worker(byzantine_worker, kind))
             .run_live(SystemKind::Ssmw)
             .unwrap_or_else(|e| panic!("{kind:?}: live run failed: {e}"));
 

@@ -77,13 +77,14 @@ impl ClusterSpec {
             .ok_or(NetError::UnknownNode(id))
     }
 
+    /// All `(id, addr)` pairs, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, SocketAddr)> + '_ {
+        self.entries.iter().map(|(&n, &a)| (n, a))
+    }
+
     /// All `(id, addr)` pairs except `id` itself, in id order.
     pub fn peers(&self, id: NodeId) -> Vec<(NodeId, SocketAddr)> {
-        self.entries
-            .iter()
-            .filter(|(&n, _)| n != id)
-            .map(|(&n, &a)| (n, a))
-            .collect()
+        self.nodes().filter(|&(n, _)| n != id).collect()
     }
 
     /// All node ids, in order.
@@ -190,6 +191,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.len(), 2);
+        // Nodes come back in id order, whatever the line order.
+        let spec = ClusterSpec::parse("1 127.0.0.1:9464\n0 127.0.0.1:9465\n").unwrap();
+        let nodes: Vec<_> = spec.nodes().map(|(id, addr)| (id.0, addr.port())).collect();
+        assert_eq!(nodes, [(0, 9465), (1, 9464)]);
         assert!(ClusterSpec::parse("0").is_err());
         assert!(ClusterSpec::parse("zero 127.0.0.1:1").is_err());
         assert!(ClusterSpec::parse("0 not-an-addr").is_err());

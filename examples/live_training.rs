@@ -28,17 +28,25 @@ fn config() -> ExperimentConfig {
 }
 
 /// The f ≥ 1 injected fault per system: a straggler for vanilla (which needs
-/// all n replies), a Byzantine gradient rewrite for SSMW, and a crashed
-/// worker for MSMW (ridden out by the q = n − f asynchronous quorum).
-fn fault_for(system: SystemKind) -> (FaultPlan, LiveOptions, &'static str) {
+/// all n replies), a Byzantine worker for SSMW, and a crashed worker for
+/// MSMW (ridden out by the q = n − f asynchronous quorum). The Byzantine
+/// worker is part of the experiment config, so the sim run has it too.
+fn fault_for(system: SystemKind) -> (ExperimentConfig, FaultPlan, LiveOptions, &'static str) {
     let defaults = LiveOptions::default();
+    let mut cfg = config();
     match system {
-        SystemKind::Ssmw => (
-            FaultPlan::new().byzantine_worker(0, AttackKind::Reversed),
-            defaults,
-            "worker 0 sends reversed×100 gradients",
-        ),
+        SystemKind::Ssmw => {
+            cfg.actual_byzantine_workers = 1;
+            cfg.worker_attack = Some(AttackKind::Reversed);
+            (
+                cfg,
+                FaultPlan::new(),
+                defaults,
+                "worker 5 sends reversed×100 gradients",
+            )
+        }
         SystemKind::Msmw => (
+            cfg,
             FaultPlan::new().crash_worker_at(5, 2),
             LiveOptions {
                 gradient_quorum: Some(5), // q = n − f
@@ -47,6 +55,7 @@ fn fault_for(system: SystemKind) -> (FaultPlan, LiveOptions, &'static str) {
             "worker 5 crashes at iteration 2, q = n − f = 5",
         ),
         _ => (
+            cfg,
             FaultPlan::new().delay_worker(5, 3),
             defaults,
             "worker 5 is a 3 ms straggler",
@@ -74,6 +83,7 @@ fn main() {
 
     for system in [SystemKind::Vanilla, SystemKind::Ssmw, SystemKind::Msmw] {
         println!("-- {system} --");
+        let (cfg, faults, options, description) = fault_for(system);
         if run_sim {
             let trace = SimExecutor::new(cfg.clone())
                 .run(system)
@@ -85,8 +95,7 @@ fn main() {
             );
         }
         if run_live {
-            let (faults, options, description) = fault_for(system);
-            let mut live = LiveExecutor::new(cfg.clone())
+            let mut live = LiveExecutor::new(cfg)
                 .with_options(LiveOptions {
                     round_deadline: Duration::from_secs(5),
                     ..options

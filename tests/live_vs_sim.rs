@@ -36,5 +36,5 @@ fn a_live_run_moves_real_bytes_through_every_node() {
     assert_eq!(report.telemetry.nodes_with_role(Role::Server).count(), 1);
     assert_eq!(report.telemetry.nodes_with_role(Role::Worker).count(), 5);
     assert!(report.telemetry.total_bytes() > 0);
-    assert_eq!(live.last_report().unwrap().trace.len(), 6);
+    assert_eq!(report.trace.len(), 6);
 }
