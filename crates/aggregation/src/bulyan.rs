@@ -1,6 +1,6 @@
 //! Bulyan GAR (El Mhamdi et al., ICML 2018).
 
-use crate::column_sort::map_sorted_columns;
+use crate::column_sort::{map_sorted_columns, odd_even_merge_network};
 use crate::engine::{bulyan_select_cached, with_scratch, with_selected};
 use crate::gar::report_selection;
 use crate::{
@@ -32,6 +32,8 @@ use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
 pub struct Bulyan {
     n: usize,
     f: usize,
+    /// The sorting network over phase 2's `n − 2f` selected rows.
+    network: Vec<(usize, usize)>,
 }
 
 impl Bulyan {
@@ -49,7 +51,8 @@ impl Bulyan {
                 requirement: "n >= 4f + 3",
             });
         }
-        Ok(Bulyan { n, f })
+        let network = odd_even_merge_network(n - 2 * f);
+        Ok(Bulyan { n, f, network })
     }
 
     /// Size of the selection set produced by the first phase (`n - 2f`).
@@ -115,7 +118,7 @@ impl Bulyan {
         let beta = self.trimmed_size();
         let last = rows.len() - 1;
         let mid = last / 2;
-        map_sorted_columns(&rows, engine, |tile, out| {
+        map_sorted_columns(&rows, &self.network, engine, |tile, out| {
             for (block, slots) in out.chunks_mut(TRIM_LANES).enumerate() {
                 let row = |r: usize| -> [u32; TRIM_LANES] {
                     *tile[r][block * TRIM_LANES..]

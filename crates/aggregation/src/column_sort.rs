@@ -25,12 +25,13 @@ use garfield_tensor::{total_order_key_f32, Tensor};
 pub(crate) type Tile = [[u32; COLUMN_TILE]];
 
 /// Batcher's odd–even merge sort on `n` wires, as `(a, b)` comparators with
-/// `a < b` (the min goes to `a`).
+/// `a < b` (the min goes to `a`). It depends on `n` alone, so each rule
+/// builds it once, at construction, for the row count it sorts.
 ///
 /// This is the power-of-two network with every comparator that touches a
 /// wire `≥ n` dropped. That is valid for any `n`: a padding wire would hold
 /// +∞, and a min-to-lower comparator never moves +∞ below wire `n`.
-fn odd_even_merge_network(n: usize) -> Vec<(usize, usize)> {
+pub(crate) fn odd_even_merge_network(n: usize) -> Vec<(usize, usize)> {
     let mut network = Vec::new();
     let mut p = 1;
     while p < n {
@@ -65,7 +66,8 @@ fn sort_rows(tile: &mut Tile, network: &[(usize, usize)]) {
 }
 
 /// One output per coordinate of `rows` (non-empty, equal lengths), chunked
-/// across the engine's threads by coordinate range.
+/// across the engine's threads by coordinate range. `network` is
+/// [`odd_even_merge_network`] of `rows.len()`.
 ///
 /// For each tile of a chunk, `finish(tile, out)` receives the sorted tile
 /// and the tile's `out.len() ≤ COLUMN_TILE` output slots: `tile[r][t]` is
@@ -74,12 +76,16 @@ fn sort_rows(tile: &mut Tile, network: &[(usize, usize)]) {
 /// every output is a pure function of its column's multiset, so chunk and
 /// tile boundaries (which differ across engines) cannot change the output
 /// bits.
-pub(crate) fn map_sorted_columns<F>(rows: &[&[f32]], engine: &Engine, finish: F) -> Tensor
+pub(crate) fn map_sorted_columns<F>(
+    rows: &[&[f32]],
+    network: &[(usize, usize)],
+    engine: &Engine,
+    finish: F,
+) -> Tensor
 where
     F: Fn(&Tile, &mut [f32]) + Sync,
 {
     let n = rows.len();
-    let network = odd_even_merge_network(n);
     let mut out = vec![0.0f32; rows[0].len()];
     engine.fill_chunks(&mut out, n, |base, chunk| {
         let mut tile = vec![[0u32; COLUMN_TILE]; n];
@@ -90,7 +96,7 @@ where
                     *key = total_order_key_f32(v);
                 }
             }
-            sort_rows(&mut tile, &network);
+            sort_rows(&mut tile, network);
             finish(&tile, slots);
         }
     });

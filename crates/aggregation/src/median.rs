@@ -1,6 +1,6 @@
 //! Coordinate-wise Median GAR.
 
-use crate::column_sort::map_sorted_columns;
+use crate::column_sort::{map_sorted_columns, odd_even_merge_network};
 use crate::gar::report_selection;
 use crate::{validate_views, AggregationError, AggregationResult, Engine, Gar, SelectionOutcome};
 use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
@@ -13,6 +13,8 @@ use garfield_tensor::{total_order_unkey_f32, GradientView, Tensor};
 pub struct Median {
     n: usize,
     f: usize,
+    /// The sorting network over the `n` rows.
+    network: Vec<(usize, usize)>,
 }
 
 impl Median {
@@ -30,7 +32,8 @@ impl Median {
                 requirement: "n >= 2f + 1",
             });
         }
-        Ok(Median { n, f })
+        let network = odd_even_merge_network(n);
+        Ok(Median { n, f, network })
     }
 }
 
@@ -55,22 +58,22 @@ impl Gar for Median {
     ) -> AggregationResult<Tensor> {
         validate_views(inputs, self.n)?;
         report_selection(outcome, inputs, None);
-        Ok(coordinate_wise_median_views(inputs, engine))
+        // Row `(n − 1) / 2` of the sorted tile, so the selected element (NaN
+        // placement included) is exactly what
+        // `select_nth_unstable_by(total_cmp_f32)` returns on each column.
+        let rows: Vec<&[f32]> = inputs.iter().map(|v| v.data()).collect();
+        let mid = (rows.len() - 1) / 2;
+        Ok(map_sorted_columns(
+            &rows,
+            &self.network,
+            engine,
+            |tile, out| {
+                for (slot, &key) in out.iter_mut().zip(&tile[mid]) {
+                    *slot = total_order_unkey_f32(key);
+                }
+            },
+        ))
     }
-}
-
-/// Coordinate-wise median of a non-empty, equal-length set of views: row
-/// `(n − 1) / 2` of [`map_sorted_columns`]' sorted tile, so the selected
-/// element (NaN placement included) is exactly what
-/// `select_nth_unstable_by(total_cmp_f32)` returns on each column.
-pub(crate) fn coordinate_wise_median_views(inputs: &[GradientView<'_>], engine: &Engine) -> Tensor {
-    let rows: Vec<&[f32]> = inputs.iter().map(|v| v.data()).collect();
-    let mid = (rows.len() - 1) / 2;
-    map_sorted_columns(&rows, engine, |tile, out| {
-        for (slot, &key) in out.iter_mut().zip(&tile[mid]) {
-            *slot = total_order_unkey_f32(key);
-        }
-    })
 }
 
 #[cfg(test)]

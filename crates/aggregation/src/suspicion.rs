@@ -86,13 +86,18 @@ pub struct PeerSuspicion {
     pub last_z: f64,
 }
 
+/// One peer's running state and its two exported series. The counter is
+/// registered before the gauge, so a scrape that sees a peer's suspicion
+/// also sees its exclusion count; each round sets the gauge before it bumps
+/// the counter, so a scrape that sees an exclusion also sees the suspicion
+/// score of that round.
 struct PeerState {
     score: f64,
     excluded_rounds: u64,
     observed_rounds: u64,
     last_z: f64,
-    gauge: garfield_obs::Gauge,
     excluded_total: garfield_obs::Counter,
+    gauge: garfield_obs::Gauge,
 }
 
 impl PeerState {
@@ -104,16 +109,16 @@ impl PeerState {
             excluded_rounds: 0,
             observed_rounds: 0,
             last_z: 0.0,
+            excluded_total: garfield_obs::metrics::counter(
+                "garfield_gar_excluded_total",
+                "Rounds in which the GAR excluded this peer's gradient.",
+                labels,
+            ),
             gauge: garfield_obs::metrics::gauge(
                 "garfield_peer_suspicion",
                 "EWMA Byzantine suspicion score per peer (z-score of distance \
                  to the GAR's selected set, plus norm-deviation and exclusion \
                  terms).",
-                labels,
-            ),
-            excluded_total: garfield_obs::metrics::counter(
-                "garfield_gar_excluded_total",
-                "Rounds in which the GAR excluded this peer's gradient.",
                 labels,
             ),
         }

@@ -16,7 +16,7 @@
 //! grow with d.
 
 use garfield_aggregation::{
-    Bulyan, DistanceCache, Engine, Gar, Krum, Mda, MultiKrum, SelectionOutcome,
+    Bulyan, DistanceCache, Engine, Gar, Krum, Mda, Median, MultiKrum, SelectionOutcome,
 };
 use garfield_tensor::GradientView;
 
@@ -87,15 +87,17 @@ fn steady_state_selection_performs_zero_heap_allocations() {
 /// list, the fill values, the fill's lane accumulators, the matrix and the
 /// norms (5). Krum copies its winner into the output tensor, and Multi-Krum
 /// and MDA average into one: its data and its shape (2). Bulyan's phase 2 gathers
-/// the selected rows (1), builds the sorting network (3, the vector grows
-/// by push), and fills the output data (1) from one key tile (1) before the
-/// shape (1). The selection itself — the sorted neighbour table, the
-/// scores, the order, MDA's running subset and the selected indices —
-/// allocates nothing.
+/// the selected rows (1) and fills the output data (1) from one key tile
+/// (1) before the shape (1). Median builds no cache: it runs the same
+/// column sort over all its rows (4). Both rules build their sorting
+/// network once, in `new`. The selection itself — the sorted neighbour
+/// table, the scores, the order, MDA's running subset and the selected
+/// indices — allocates nothing.
 const KRUM: usize = 5 + 2;
 const MULTI_KRUM: usize = 5 + 2;
 const MDA: usize = 5 + 2;
-const BULYAN: usize = 5 + 7;
+const BULYAN: usize = 5 + 4;
+const MEDIAN: usize = 4;
 
 #[test]
 fn a_warm_gar_call_allocates_only_the_cache_and_the_output() {
@@ -104,11 +106,12 @@ fn a_warm_gar_call_allocates_only_the_cache_and_the_output() {
     let views: Vec<GradientView<'_>> = data.iter().map(GradientView::from).collect();
     let engine = Engine::sequential();
     let mut outcome = SelectionOutcome::default();
-    let rules: [(Box<dyn Gar>, usize); 4] = [
+    let rules: [(Box<dyn Gar>, usize); 5] = [
         (Box::new(Krum::new(n, f).unwrap()), KRUM),
         (Box::new(MultiKrum::new(n, f).unwrap()), MULTI_KRUM),
         (Box::new(Mda::new(n, f).unwrap()), MDA),
         (Box::new(Bulyan::new(n, f).unwrap()), BULYAN),
+        (Box::new(Median::new(n, f).unwrap()), MEDIAN),
     ];
     for (gar, want) in rules {
         // Warm-up: sizes this thread's selection buffers and the outcome.

@@ -10,13 +10,12 @@
 //! clock, [`SystemPlan::timing`] — and evaluates accuracy on the held-out test
 //! set at the configured cadence.
 
-use crate::system::{MergePhase, SystemPlan, Topology};
+use crate::system::{deployed_config, MergePhase, SystemPlan};
 use crate::{
     alignment_sample, AccuracyPoint, AlignmentSample, CoreError, CoreResult, Deployment,
     ExperimentConfig, SystemKind, TrainingTrace,
 };
 use garfield_aggregation::build_gar;
-use garfield_net::cost;
 use garfield_tensor::Tensor;
 
 /// Runs one system's training loop on the simulated substrate.
@@ -25,7 +24,6 @@ pub struct Trainer {
     deployment: Deployment,
     alignment_every: usize,
     alignment: Vec<AlignmentSample>,
-    crash_primary_at: Option<usize>,
 }
 
 impl Trainer {
@@ -34,24 +32,15 @@ impl Trainer {
     /// # Errors
     ///
     /// Propagates configuration errors.
-    pub fn new(system: SystemKind, mut config: ExperimentConfig) -> CoreResult<Self> {
+    pub fn new(system: SystemKind, config: ExperimentConfig) -> CoreResult<Self> {
         config.validate(system)?;
         let plan = SystemPlan::of(system, &config);
-        if plan.topology == Topology::PeerToPeer {
-            // Co-locate one server replica with every worker; a Byzantine
-            // node is Byzantine in both roles.
-            config.nps = config.nw;
-            config.fps = config.fw;
-            config.actual_byzantine_servers = config.actual_byzantine_workers;
-            config.server_attack = config.server_attack.or(config.worker_attack);
-        }
-        let deployment = Deployment::new(config)?;
+        let deployment = Deployment::new(deployed_config(system, config))?;
         Ok(Trainer {
             plan,
             deployment,
             alignment_every: 0,
             alignment: Vec::new(),
-            crash_primary_at: None,
         })
     }
 
@@ -59,13 +48,6 @@ impl Trainer {
     /// every `every` iterations.
     pub fn with_alignment_sampling(mut self, every: usize) -> Self {
         self.alignment_every = every;
-        self
-    }
-
-    /// Schedules a crash of the current primary at the given iteration, to
-    /// exercise the fail-over path of the replicated systems.
-    pub fn with_primary_crash_at(mut self, iteration: usize) -> Self {
-        self.crash_primary_at = Some(iteration);
         self
     }
 
@@ -79,27 +61,7 @@ impl Trainer {
         &self.alignment
     }
 
-    /// The replica whose trace is reported and whose model is evaluated: the
-    /// first live correct one (the paper reports the fastest correct machine;
-    /// under crash tolerance this is the primary the workers follow).
-    pub fn primary(&self) -> Option<usize> {
-        self.active_replicas().first().copied()
-    }
-
-    /// The replicas that run the loop: every live one — minus, where replicas
-    /// exchange models, the Byzantine ones, which serve corrupted models
-    /// instead of training (elsewhere Byzantine servers have no way to act).
-    fn active_replicas(&self) -> Vec<usize> {
-        let byzantine = match self.plan.merge {
-            Some(_) => self.deployment.config().actual_byzantine_servers,
-            None => 0,
-        };
-        (0..self.plan.servers.saturating_sub(byzantine))
-            .filter(|&replica| !self.deployment.server_crashed(replica))
-            .collect()
-    }
-
-    /// Runs the configured number of iterations and returns the primary's trace.
+    /// Runs the configured number of iterations and returns replica 0's trace.
     ///
     /// # Errors
     ///
@@ -107,28 +69,25 @@ impl Trainer {
     pub fn run(&mut self) -> CoreResult<TrainingTrace> {
         let config = self.deployment.config().clone();
         let plan = self.plan.clone();
-        let dimension = self.deployment.dimension();
-        let nominal = plan.timing(dimension, config.batch_size);
+        let timing = plan.timing(self.deployment.dimension(), config.batch_size);
         let gar = build_gar(&plan.gradient_gar, plan.gradient_quorum, plan.gradient_f)?;
         let mut trace = TrainingTrace::new(plan.system.as_str(), config.effective_batch());
         self.alignment.clear();
 
+        // Every replica runs the loop, except where replicas exchange models:
+        // there the Byzantine ones serve corrupted models instead of training
+        // (elsewhere Byzantine servers have no way to act). Byzantine replicas
+        // come last, so replica 0 is the one whose trace is reported and whose
+        // model is evaluated (the paper reports the fastest correct machine).
+        let byzantine = plan
+            .merge
+            .as_ref()
+            .map_or(0, |_| config.actual_byzantine_servers);
+        let replicas: Vec<usize> = (0..plan.servers.saturating_sub(byzantine)).collect();
+        if replicas.is_empty() {
+            return Err(CoreError::Net("no correct replica runs the loop".into()));
+        }
         for iteration in 0..config.iterations {
-            let mut timing = nominal;
-            if self.crash_primary_at == Some(iteration) {
-                if let Some(victim) = self.primary() {
-                    self.deployment.crash_server(victim);
-                }
-                // A primary change costs one extra model broadcast to tell
-                // the workers whom to follow.
-                let failover = cost::parallel_pull_time(dimension, config.nw);
-                let unscaled = plan.unscaled_communication(dimension);
-                timing.communication = (unscaled + failover) * plan.communication_factor;
-            }
-            let replicas = self.active_replicas();
-            let primary = *replicas.first().ok_or_else(|| {
-                CoreError::Net(format!("no live correct replica at iteration {iteration}"))
-            })?;
             let mut loss = 0.0f32;
 
             // Phase 1 — gradients = get_gradients(i, q); update = gar(gradients),
@@ -150,7 +109,7 @@ impl Trainer {
                         update = update.try_add(&drift.scale(0.5)).map_err(ml_error)?;
                     }
                 }
-                if replica == primary {
+                if replica == 0 {
                     loss = round.mean_loss;
                 }
                 updates.push(update);
@@ -196,7 +155,7 @@ impl Trainer {
             let last = iteration + 1 == config.iterations;
             let every = config.eval_every;
             if every != 0 && (iteration.is_multiple_of(every) || last) {
-                let accuracy = self.deployment.evaluate(primary);
+                let accuracy = self.deployment.evaluate(0);
                 trace.accuracy.push(AccuracyPoint {
                     iteration,
                     sim_time: trace.total_time(),
@@ -340,29 +299,6 @@ mod crash_tolerant {
         fn crash_tolerant_learns_without_faults() {
             let trace = run(SystemKind::CrashTolerant, &config(40));
             assert!(trace.final_accuracy() > 0.5, "{}", trace.final_accuracy());
-        }
-
-        #[test]
-        fn crash_tolerant_survives_a_primary_crash() {
-            let mut trainer = Trainer::new(SystemKind::CrashTolerant, config(40))
-                .unwrap()
-                .with_primary_crash_at(10);
-            assert_eq!(trainer.primary(), Some(0));
-            let crashed = trainer.run().unwrap();
-            assert_eq!(
-                trainer.primary(),
-                Some(1),
-                "fail-over should promote the next replica"
-            );
-            assert!(
-                crashed.final_accuracy() > 0.5,
-                "training should keep converging after fail-over, got {}",
-                crashed.final_accuracy()
-            );
-            // The fail-over round, and only it, pays one extra model broadcast.
-            let smooth = run(SystemKind::CrashTolerant, &config(40));
-            assert!(crashed.iterations[10].communication > smooth.iterations[10].communication);
-            assert_eq!(crashed.iterations[11], smooth.iterations[11]);
         }
 
         #[test]

@@ -51,8 +51,6 @@ pub struct Deployment {
     config: ExperimentConfig,
     workers: Vec<ByzantineWorker>,
     servers: Vec<ByzantineServer>,
-    /// Per replica: whether it has crashed and stopped serving pulls.
-    crashed: Vec<bool>,
     test_batch: Batch,
     dimension: usize,
     rng: TensorRng,
@@ -136,7 +134,6 @@ impl Deployment {
             config,
             workers,
             servers,
-            crashed: vec![false; nps],
             test_batch,
             dimension,
             rng,
@@ -175,18 +172,6 @@ impl Deployment {
     /// Panics when the index is out of range.
     pub fn server_mut(&mut self, index: usize) -> &mut ByzantineServer {
         &mut self.servers[index]
-    }
-
-    /// Crashes the `index`-th server replica: it stops serving model pulls.
-    pub fn crash_server(&mut self, index: usize) {
-        if let Some(crashed) = self.crashed.get_mut(index) {
-            *crashed = true;
-        }
-    }
-
-    /// Whether the `index`-th server replica is currently crashed.
-    pub fn server_crashed(&self, index: usize) -> bool {
-        self.crashed.get(index).copied().unwrap_or(false)
     }
 
     /// One `get_gradients(t, q)` round from the point of view of `server_index`.
@@ -231,12 +216,12 @@ impl Deployment {
     }
 
     /// One `get_models(q)` round: `server_index` pulls the model vectors served
-    /// by its live peer replicas and returns the fastest `quorum` of them, in
+    /// by its peer replicas and returns the fastest `quorum` of them, in
     /// replica order. Byzantine replicas serve corrupted vectors.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Net`] when fewer than `quorum` live peers exist.
+    /// Returns [`CoreError::Net`] when fewer than `quorum` peers exist.
     pub fn model_round(&mut self, server_index: usize, quorum: usize) -> CoreResult<Vec<Tensor>> {
         let peer_models_honest: Vec<Tensor> = (0..self.servers.len())
             .filter(|&s| s != server_index)
@@ -244,7 +229,7 @@ impl Deployment {
             .collect();
         let mut served = Vec::with_capacity(self.servers.len());
         for s in 0..self.servers.len() {
-            if s != server_index && !self.crashed[s] {
+            if s != server_index {
                 served.push(self.servers[s].served_model(&peer_models_honest));
             }
         }
@@ -262,7 +247,7 @@ impl Deployment {
     ) -> CoreResult<Vec<Tensor>> {
         if replies.len() < quorum {
             return Err(CoreError::Net(format!(
-                "only {} live {who} can reply, {quorum} required",
+                "only {} {who} can reply, {quorum} required",
                 replies.len()
             )));
         }
@@ -368,12 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn model_round_excludes_the_requester_and_respects_crashes() {
+    fn model_round_excludes_the_requester_and_requires_its_quorum() {
         let mut d = deployment(ExperimentConfig::small());
         let round = d.model_round(0, d.server_count() - 1).unwrap();
         assert_eq!(round.len(), d.server_count() - 1);
-        d.crash_server(1);
-        assert!(d.model_round(0, d.server_count() - 1).is_err());
+        assert!(d.model_round(0, d.server_count()).is_err());
         let ok = d.model_round(0, d.server_count() - 2).unwrap();
         assert_eq!(ok.len(), d.server_count() - 2);
     }

@@ -391,18 +391,17 @@ impl ExperimentConfig {
         let gradient_gar = &plan.gradient_gar;
         // Parameter sharding: only sound when applying the gradient GAR to
         // each slice independently equals slicing it applied to the full
-        // vectors, and only wired for the single-server live topologies
-        // (each shard *is* a server; replicating shards is the MSMW
-        // open item, not this one).
+        // vectors, and only wired for the single-server topology (each
+        // shard *is* a server; replicating shards is the MSMW open item,
+        // not this one).
         if self.shards == 0 {
             return Err(CoreError::InvalidConfig("shards must be at least 1".into()));
         }
         if self.shards > 1 {
-            let shardable =
-                |plan: &SystemPlan| plan.live && plan.topology == Topology::SingleServer;
+            let shardable = |plan: &SystemPlan| plan.topology == Topology::SingleServer;
             if !shardable(&plan) {
                 return Err(CoreError::InvalidConfig(format!(
-                    "parameter sharding requires a single-server live system \
+                    "parameter sharding requires a single-server system \
                      ({}), not {system}",
                     system_names(shardable)
                 )));

@@ -7,7 +7,8 @@
 //! (`get_gradients()` / `get_models()`), the Experiment module, and the
 //! three applications of §5 (SSMW, MSMW, decentralized learning) plus the
 //! evaluation baselines of §6.2 (vanilla, crash-tolerant, AggregaThor) — each
-//! a [`SystemPlan`] interpreted by the one [`Trainer`]. The paper's
+//! a [`SystemPlan`] interpreted by the one [`Trainer`], and by the live
+//! actors of `garfield-runtime`, which host every system. The paper's
 //! Controller, which launches nodes from a cluster description, is
 //! `garfield-node` with a `ClusterSpec` (crate `garfield-transport`).
 //!
@@ -62,7 +63,8 @@ pub use experiment::{ExperimentConfig, SystemKind};
 pub use server::{ByzantineServer, ParameterServer};
 pub use shard::{shard_server, ShardMap, ShardSliceModel, ShardSpec};
 pub use system::{
-    gradient_gar, live_supported, system_names, AggregationCost, MergePhase, SystemPlan, Topology,
+    deployed_config, gradient_gar, live_supported, system_names, AggregationCost, MergePhase,
+    SystemPlan, Topology,
 };
 pub use telemetry::{
     AccuracyPoint, IterationTiming, NodeTelemetry, RuntimeTelemetry, TrainingTrace,

@@ -3,11 +3,12 @@
 //! Everything that varies *by system* lives in [`SystemPlan::of`]: which
 //! replicas run the loop and the fan-out that imposes on the workers, the
 //! gradient GAR and its `f`, the optional model-merge phase, what the cost
-//! model charges, and whether the live runtime hosts the system. The sim
-//! [`Trainer`](crate::Trainer) interprets the plan over a deployment and reads
-//! its simulated clock from [`SystemPlan::timing`] (the analytic cost model
-//! the throughput figures use), config validation and the live actors read
-//! the same fields — so adding a system is one arm here, and
+//! model charges. The sim [`Trainer`](crate::Trainer) interprets the plan over
+//! a deployment and reads its simulated clock from [`SystemPlan::timing`] (the
+//! analytic cost model the throughput figures use), config validation and the
+//! live actors read the same fields, and [`deployed_config`] is the one place
+//! the peer-to-peer topology rewrites the config it deploys — so adding a
+//! system is one arm here, and
 //! no other module of `core`, `runtime` or `bench::figures` branches on a
 //! `SystemKind` (`experiment.rs` keeps only the name table).
 
@@ -75,8 +76,6 @@ pub struct SystemPlan {
     /// Multiplier on the round's communication time: AggregaThor's older
     /// runtime, or the contention of `n` nodes pulling from each other at once.
     pub communication_factor: f64,
-    /// Whether the live (threaded / multi-process) runtime hosts the system.
-    pub live: bool,
 }
 
 impl SystemPlan {
@@ -102,7 +101,6 @@ impl SystemPlan {
             gradient_cost: AggregationCost::Quadratic,
             merge: None,
             communication_factor: 1.0,
-            live: true,
         };
         match system {
             SystemKind::Ssmw => ssmw,
@@ -112,12 +110,12 @@ impl SystemPlan {
                 gradient_cost: AggregationCost::Linear,
                 ..ssmw
             },
-            // Vanilla on every replica; workers follow the first live one.
+            // Vanilla on every replica. Each one aggregates every worker's
+            // gradient, so a backup already holds the model a crashed primary had.
             SystemKind::CrashTolerant => SystemPlan {
                 system,
                 topology: Topology::ReplicatedServer,
                 servers: nps,
-                live: false,
                 ..SystemPlan::of(SystemKind::Vanilla, config)
             },
             // Pinned to Multi-Krum on a runtime whose shared graph and
@@ -125,7 +123,6 @@ impl SystemPlan {
             SystemKind::AggregaThor => SystemPlan {
                 gradient_gar: GarKind::MultiKrum,
                 communication_factor: 1.25,
-                live: false,
                 ..ssmw
             },
             SystemKind::Msmw => SystemPlan {
@@ -159,7 +156,6 @@ impl SystemPlan {
                     // All n nodes pull from all others at once: the shared
                     // fabric carries O(n²) transfers (the wall of Fig. 9).
                     communication_factor: nw as f64,
-                    live: false,
                     ..ssmw
                 }
             }
@@ -199,8 +195,7 @@ impl SystemPlan {
 
     /// Per-iteration timing for a `d`-parameter model: the simulated clock.
     /// The [`Trainer`](crate::Trainer) records exactly this for every
-    /// iteration, except that a fail-over adds one model broadcast to the
-    /// communication.
+    /// iteration.
     ///
     /// * computation — one gradient estimate;
     /// * communication — [`SystemPlan::unscaled_communication`] times the
@@ -222,9 +217,28 @@ pub fn gradient_gar(system: SystemKind, config: &ExperimentConfig) -> (GarKind, 
     (plan.gradient_gar, plan.gradient_f)
 }
 
-/// Whether the live (threaded / multi-process) runtime can host `system`.
-pub fn live_supported(system: SystemKind) -> bool {
-    SystemPlan::of(system, &ExperimentConfig::default()).live
+/// The configuration `system` deploys: `config` itself, except under the
+/// peer-to-peer topology, where one server replica is co-located with every
+/// worker (`nps = nw`, `fps = fw`) and a Byzantine node is Byzantine in both
+/// roles. The sim trainer and the live assembly both build from it.
+pub fn deployed_config(system: SystemKind, mut config: ExperimentConfig) -> ExperimentConfig {
+    if SystemPlan::of(system, &config).topology == Topology::PeerToPeer {
+        config.nps = config.nw;
+        config.fps = config.fw;
+        config.actual_byzantine_servers = config.actual_byzantine_workers;
+        config.server_attack = config.server_attack.or(config.worker_attack);
+    }
+    config
+}
+
+/// Whether the live (threaded / multi-process) runtime can host `system`:
+/// always. Every topology maps onto servers and workers exchanging the same
+/// two pulls, and the peer-to-peer one deploys through [`deployed_config`].
+/// The one plan feature the live merge lacks, contraction steps, is a config
+/// the live assembly rejects, not a system. Kept as a function because
+/// callers outside the workspace still ask.
+pub fn live_supported(_system: SystemKind) -> bool {
+    true
 }
 
 /// The names of the systems whose plan `keep` accepts, for error messages.
@@ -277,48 +291,46 @@ mod tests {
     #[test]
     fn analytic_timing_equals_sim_trace() {
         // The trainer reads its clock from the plan, so every recorded
-        // iteration is `timing` — except the fail-over one, which pays one
-        // extra model broadcast to the workers *inside* the communication
-        // factor.
-        for system in [SystemKind::CrashTolerant, SystemKind::Msmw] {
+        // iteration is `timing`.
+        for system in SystemKind::all() {
             let mut cfg = ExperimentConfig::small();
             cfg.iterations = 5;
             cfg.eval_every = 0;
-            // Enough replicas that a model quorum survives the crash.
-            (cfg.nps, cfg.fps) = (7, 2);
-            let mut trainer = Trainer::new(system, cfg.clone())
-                .unwrap()
-                .with_primary_crash_at(3);
+            let mut trainer = Trainer::new(system, cfg.clone()).unwrap();
             let trace = trainer.run().unwrap();
             let d = trainer.deployment().dimension();
-            let plan = SystemPlan::of(system, &cfg);
-            let analytic = plan.timing(d, cfg.batch_size);
-            let broadcast = cost::parallel_pull_time(d, cfg.nw);
-            let failover = IterationTiming {
-                communication: (plan.unscaled_communication(d) + broadcast)
-                    * plan.communication_factor,
-                ..analytic
-            };
-            assert!(failover.communication > analytic.communication);
+            let analytic = SystemPlan::of(system, &cfg).timing(d, cfg.batch_size);
             for (iteration, recorded) in trace.iterations.iter().enumerate() {
-                let expected = if iteration == 3 { failover } else { analytic };
-                assert_eq!(*recorded, expected, "{system} iteration {iteration}");
+                assert_eq!(*recorded, analytic, "{system} iteration {iteration}");
             }
         }
     }
 
     #[test]
     fn live_support_covers_the_runtime_topologies() {
-        assert!(live_supported(SystemKind::Vanilla));
-        assert!(live_supported(SystemKind::Ssmw));
-        assert!(live_supported(SystemKind::Msmw));
-        assert!(!live_supported(SystemKind::AggregaThor));
-        assert!(!live_supported(SystemKind::CrashTolerant));
-        assert!(!live_supported(SystemKind::Decentralized));
-        assert_eq!(system_names(|plan| plan.live), "vanilla, ssmw, msmw");
+        for system in SystemKind::all() {
+            assert!(live_supported(system), "{system}");
+        }
         assert_eq!(
             system_names(|plan| plan.topology == Topology::PeerToPeer),
             "decentralized"
         );
+    }
+
+    #[test]
+    fn only_the_peer_to_peer_topology_rewrites_the_deployed_config() {
+        let mut cfg = ExperimentConfig::small();
+        cfg.actual_byzantine_workers = 1;
+        cfg.worker_attack = Some(garfield_attacks::AttackKind::Reversed);
+        for system in SystemKind::all() {
+            let deployed = deployed_config(system, cfg.clone());
+            if system == SystemKind::Decentralized {
+                assert_eq!((deployed.nps, deployed.fps), (cfg.nw, cfg.fw));
+                assert_eq!(deployed.actual_byzantine_servers, 1);
+                assert_eq!(deployed.server_attack, cfg.worker_attack);
+            } else {
+                assert_eq!(deployed, cfg, "{system}");
+            }
+        }
     }
 }

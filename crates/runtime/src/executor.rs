@@ -4,8 +4,8 @@ use crate::fault::FaultPlan;
 use crate::node::{self, LiveNodes, ServerRun};
 use garfield_aggregation::PeerSuspicion;
 use garfield_core::{
-    CoreError, CoreResult, Executor, ExperimentConfig, NodeTelemetry, RuntimeTelemetry, SystemKind,
-    TrainingTrace,
+    deployed_config, CoreError, CoreResult, Executor, ExperimentConfig, NodeTelemetry,
+    RuntimeTelemetry, SystemKind, TrainingTrace,
 };
 use garfield_net::{NodeId, Router, RouterTransport, Transport};
 use garfield_tensor::Tensor;
@@ -106,10 +106,10 @@ impl LiveExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for systems the live runtime does
-    /// not implement (see [`garfield_core::live_supported`]) and
-    /// [`CoreError::Net`] when a quorum cannot be gathered before the
-    /// deadline (a liveness violation: fewer than `q` live repliers).
+    /// Returns [`CoreError::InvalidConfig`] for configs [`node::assemble`]
+    /// rejects and [`CoreError::Net`] when a quorum cannot be gathered
+    /// before the deadline (a liveness violation: fewer than `q` live
+    /// repliers).
     pub fn run_live(&mut self, system: SystemKind) -> CoreResult<LiveReport> {
         let LiveNodes {
             layout,
@@ -117,7 +117,6 @@ impl LiveExecutor {
             servers,
             shard_map,
         } = node::assemble(system, &self.config, &self.options, &self.faults)?;
-        let config = &self.config;
         let nps = layout.server_ids.len();
         let nw = layout.worker_ids.len();
 
@@ -200,7 +199,9 @@ impl LiveExecutor {
         }
         node_telemetry.extend(worker_telemetry);
 
-        let honest_servers = nps - config.actual_byzantine_servers.min(nps.saturating_sub(1));
+        // Peer-to-peer, the Byzantine workers are Byzantine replicas too.
+        let byzantine = deployed_config(system, self.config.clone()).actual_byzantine_servers;
+        let honest_servers = nps - byzantine.min(nps.saturating_sub(1));
         let final_models = if let Some(map) = &shard_map {
             // Stitch the shard slices back into the one full model of the
             // deployment — bit-identical to the unsharded same-seed run when

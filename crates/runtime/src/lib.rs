@@ -20,6 +20,10 @@
 //! | Time | simulated seconds (deterministic, `SystemPlan::timing`) | wall-clock seconds |
 //! | Reproduces | the paper's throughput/overhead studies (Figs. 6–10, 13, 14) | the paper's *system* claims (§3.2): pull-based `get_gradients()` / `get_models()` RPCs that unblock on the fastest `q` of `n` replies and stay live under crashes, stragglers and Byzantine payloads when `n ≥ q + f` |
 //!
+//! Every system runs on both. The one sim-only config is decentralized
+//! learning with `contraction_steps > 0`: the live merge has no contraction
+//! steps, and [`node::assemble`] rejects it.
+//!
 //! Both substrates build their nodes through the same
 //! [`Deployment`](garfield_core::Deployment), so a fault-free live run
 //! reproduces the sim executor's learning trajectory exactly. Determinism

@@ -14,9 +14,9 @@ use crate::actors::{ServerActor, WorkerActor};
 use crate::executor::LiveOptions;
 use crate::fault::{Fault, FaultPlan};
 use garfield_core::{
-    shard_server, ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy, CoreError,
-    CoreResult, Deployment, ExperimentConfig, NodeTelemetry, ShardMap, SystemKind, SystemPlan,
-    Topology, TrainingTrace,
+    deployed_config, shard_server, ByzantineServer, ByzantineWorker, Checkpoint, CheckpointPolicy,
+    CoreError, CoreResult, Deployment, ExperimentConfig, NodeTelemetry, ShardMap, SystemKind,
+    SystemPlan, Topology, TrainingTrace,
 };
 use garfield_ml::Batch;
 use garfield_net::{NodeId, Transport};
@@ -43,7 +43,8 @@ impl NodeLayout {
     /// Single-server systems deploy one trusted server no matter what
     /// `config.nps` says — unless the model is parameter-sharded
     /// (`config.shards > 1`), in which case one server per shard runs;
-    /// replicated systems run every replica.
+    /// replicated systems run every replica, and the peer-to-peer one a
+    /// replica per worker.
     pub fn of(system: SystemKind, config: &ExperimentConfig) -> NodeLayout {
         let servers = live_server_count(system, config);
         let workers = config.nw;
@@ -65,15 +66,16 @@ impl NodeLayout {
 }
 
 /// Number of server replicas that actually run live under `system`: every
-/// replica of a replicated server, otherwise one server per parameter shard
-/// (one, when the model is unsharded). Config validation rejects
-/// `shards > 1` on replicated systems, so the two arms never compete.
+/// replica the plan has (`nps`, or `nw` peer-to-peer), except under the
+/// single-server topology, which runs one server per parameter shard (one,
+/// when the model is unsharded). Config validation rejects `shards > 1`
+/// on every other topology, so the two arms never compete.
 pub fn live_server_count(system: SystemKind, config: &ExperimentConfig) -> usize {
     let plan = SystemPlan::of(system, config);
-    if plan.topology == Topology::ReplicatedServer {
-        plan.servers
-    } else {
+    if plan.topology == Topology::SingleServer {
         config.shards.max(1)
+    } else {
+        plan.servers
     }
 }
 
@@ -119,8 +121,9 @@ pub struct LiveNodes {
 /// `resume` and its `--delay-ms` fault.
 ///
 /// Node objects come from the sim path's construction
-/// ([`Deployment::new`] → [`Deployment::into_live_parts`]), so a fault-free
-/// live run starts from the sim executor's shards and initial model. With
+/// ([`deployed_config`] → [`Deployment::new`] →
+/// [`Deployment::into_live_parts`]), so a fault-free live run starts from
+/// the sim executor's shards, initial model and attackers. With
 /// `config.shards > 1` one server per shard replaces the full-model server
 /// (validation already confined sharding to the single-server systems with
 /// coordinate-decomposable GARs), each sliced out of the template server's
@@ -131,22 +134,25 @@ pub struct LiveNodes {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for systems the live runtime does
-/// not implement (see [`garfield_core::live_supported`]) and for configs
-/// that fail [`ExperimentConfig::validate`].
+/// Returns [`CoreError::InvalidConfig`] for configs that fail
+/// [`ExperimentConfig::validate`], and for a merge with contraction steps:
+/// the live merge has none, so `contraction_steps > 0` stays sim-only.
 pub fn assemble(
     system: SystemKind,
     config: &ExperimentConfig,
     options: &LiveOptions,
     faults: &FaultPlan,
 ) -> CoreResult<LiveNodes> {
-    if !garfield_core::live_supported(system) {
+    config.validate(system)?;
+    let merge = SystemPlan::of(system, config).merge;
+    if merge.is_some_and(|merge| merge.contraction_steps > 0) {
         return Err(CoreError::InvalidConfig(format!(
-            "the live runtime implements {} (requested {system})",
-            garfield_core::system_names(|plan| plan.live)
+            "the live {system} merge has no contraction steps \
+             (contraction_steps = {}); run it on the sim executor",
+            config.contraction_steps
         )));
     }
-    config.validate(system)?;
+    let config = &deployed_config(system, config.clone());
     let parts = Deployment::new(config.clone())?.into_live_parts();
     let layout = NodeLayout::of(system, config);
     let shard_map = (config.shards > 1)

@@ -1,9 +1,11 @@
 //! Integration tests of the threaded live runtime: liveness under faults,
 //! determinism of the aggregation path, and agreement with the sim executor.
 
-use garfield_core::{Executor, ExperimentConfig, SimExecutor, SystemKind};
-use garfield_net::Role;
-use garfield_runtime::{FaultPlan, LiveExecutor, LiveOptions};
+use garfield_aggregation::GarKind;
+use garfield_core::{CoreError, Executor, ExperimentConfig, SimExecutor, SystemKind};
+use garfield_net::{Role, WIRE_HEADER_BYTES};
+use garfield_runtime::{node, FaultPlan, LiveExecutor, LiveOptions};
+use std::time::Duration;
 
 /// A small, fast live configuration: 5 workers, tiny model.
 fn live_config() -> ExperimentConfig {
@@ -223,8 +225,7 @@ fn same_seed_live_runs_produce_identical_final_models() {
 fn fault_free_live_matches_sim_accuracy_on_every_system() {
     // Same deployment objects, same aggregation inputs in the same order:
     // the live substrate must reproduce the sim learning trajectory.
-    let mut bytes = Vec::new();
-    for system in [SystemKind::Vanilla, SystemKind::Ssmw, SystemKind::Msmw] {
+    for system in SystemKind::all() {
         let cfg = live_config();
         let sim_trace = SimExecutor::new(cfg.clone()).run(system).unwrap();
         let mut live = LiveExecutor::new(cfg);
@@ -252,10 +253,80 @@ fn fault_free_live_matches_sim_accuracy_on_every_system() {
         assert_eq!(telemetry.total_dropped(), 0, "{system}");
         assert_eq!(telemetry.total_requests_retried(), 0, "{system}");
         assert_eq!(telemetry.total_resumes(), 0, "{system}");
-        bytes.push(telemetry.total_bytes());
     }
+}
+
+/// `(messages, payload bytes)` a fault-free full-quorum live run sends in
+/// `rounds` rounds of a `d`-parameter model, with `servers` replicas and
+/// `workers` workers. Each round, every replica sends its model to every
+/// worker and gets a gradient back from each. Where replicas merge, each
+/// one then asks its `servers − 1` peers for their models (a header-only
+/// request) and gets a model back from each. Every replica with peers
+/// tells them it is done after its last round. A vector message is a
+/// header plus `4d` bytes.
+fn live_round_traffic(servers: u64, workers: u64, merges: bool, rounds: u64, d: u64) -> (u64, u64) {
+    let header = WIRE_HEADER_BYTES as u64;
+    let vector = header + 4 * d;
+    let peers = servers * (servers - 1);
+    let merge = if merges { peers } else { 0 };
+    let messages = rounds * (2 * servers * workers + 2 * merge) + peers;
+    let bytes =
+        rounds * (2 * servers * workers * vector + merge * (header + vector)) + peers * header;
+    (messages, bytes)
+}
+
+/// A fault-free live run, with re-asks pushed far past the run so that
+/// every message counted is one the protocol sends.
+fn counted_run(system: SystemKind, cfg: ExperimentConfig) -> (u64, u64, u64) {
+    let report = LiveExecutor::new(cfg)
+        .with_options(LiveOptions {
+            request_retry: Duration::from_secs(60),
+            ..LiveOptions::default()
+        })
+        .run_live(system)
+        .unwrap();
+    let telemetry = &report.telemetry;
+    assert_eq!(telemetry.total_requests_retried(), 0, "{system}");
+    let d = report.final_models[0].len() as u64;
+    (telemetry.total_messages(), telemetry.total_bytes(), d)
+}
+
+#[test]
+fn decentralized_live_traffic_grows_as_the_square_of_the_node_count() {
+    // Every node is a replica and a worker: n² gradient exchanges and
+    // n(n − 1) model exchanges a round.
+    let mut last = 0;
+    for nw in [4u64, 6, 8] {
+        let mut cfg = live_config();
+        cfg.nw = nw as usize;
+        cfg.gradient_gar = GarKind::Median;
+        let rounds = cfg.iterations as u64;
+        let (messages, bytes, d) = counted_run(SystemKind::Decentralized, cfg);
+        // (4n² − 2n) messages a round, n(n − 1) done notices.
+        assert_eq!(
+            (messages, bytes),
+            live_round_traffic(nw, nw, true, rounds, d),
+            "nw = {nw}"
+        );
+        assert_eq!(messages, rounds * (4 * nw * nw - 2 * nw) + nw * (nw - 1));
+        assert!(bytes > last);
+        last = bytes;
+    }
+}
+
+#[test]
+fn msmw_sends_more_than_ssmw_at_the_same_shape() {
+    let cfg = live_config(); // nps = 3, nw = 5
+    let rounds = cfg.iterations as u64;
+    let (nps, nw) = (cfg.nps as u64, cfg.nw as u64);
+    let (ssmw_messages, ssmw_bytes, d) = counted_run(SystemKind::Ssmw, cfg.clone());
+    let (msmw_messages, msmw_bytes, _) = counted_run(SystemKind::Msmw, cfg);
+    let ssmw = live_round_traffic(1, nw, false, rounds, d);
+    let msmw = live_round_traffic(nps, nw, true, rounds, d);
+    assert_eq!((ssmw_messages, ssmw_bytes), ssmw);
+    assert_eq!((msmw_messages, msmw_bytes), msmw);
     assert!(
-        bytes[2] > bytes[1],
+        msmw_bytes > ssmw_bytes,
         "MSMW replicates the server, so it must move more bytes than SSMW"
     );
 }
@@ -337,8 +408,21 @@ fn executor_trait_selects_sim_or_live_for_the_same_experiment() {
 }
 
 #[test]
-fn unsupported_systems_are_rejected_up_front() {
-    let mut live = LiveExecutor::new(live_config());
-    let err = live.run_live(SystemKind::Decentralized).unwrap_err();
-    assert!(err.to_string().contains("live runtime"));
+fn live_contraction_steps_are_rejected_up_front() {
+    // The live merge has no contraction steps: a decentralized config that
+    // asks for them is refused before any node is built. MSMW's plan never
+    // contracts, so the field does not concern it.
+    let mut cfg = live_config();
+    cfg.contraction_steps = 1;
+    let (options, faults) = (LiveOptions::default(), FaultPlan::new());
+    let err = node::assemble(SystemKind::Decentralized, &cfg, &options, &faults)
+        .err()
+        .expect("contraction steps must be refused");
+    assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+    assert!(err.to_string().contains("contraction steps"), "{err}");
+    let err = LiveExecutor::new(cfg.clone())
+        .run_live(SystemKind::Decentralized)
+        .unwrap_err();
+    assert!(err.to_string().contains("contraction steps"), "{err}");
+    assert!(node::assemble(SystemKind::Msmw, &cfg, &options, &faults).is_ok());
 }

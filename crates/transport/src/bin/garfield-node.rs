@@ -16,9 +16,10 @@
 //!   laid out servers-first (`NodeLayout`): server replica `i` is node `i`,
 //!   worker `j` is node `servers + j`.
 //! * `--config` — an `ExperimentConfig` as JSON (`ExperimentConfig::to_json`).
-//! * `--system` — one of the systems the live runtime implements (the usage
-//!   message lists them, from the system plans). The gradient GAR is the
-//!   config's `gradient_gar`.
+//! * `--system` — any system (the usage message lists them, from the system
+//!   plans). The gradient GAR is the config's `gradient_gar`.
+//!   `decentralized` deploys one replica per worker: launch `nw` servers
+//!   and `nw` workers.
 //! * `--gradient-quorum` — override `q`; `n − f` exercises the asynchronous
 //!   liveness condition (the run survives `f` dead workers).
 //! * `--shards` — override the config's `shards`: split the parameter vector
@@ -101,7 +102,7 @@ fn usage() -> ! {
          [--delay-ms <ms>] [--checkpoint <dir>] [--checkpoint-every <k>] \
          [--resume <dir>] [--out <file>] [--metrics-addr <host:port>] \
          [--flight-dir <dir>]",
-        garfield_core::system_names(|plan| plan.live)
+        garfield_core::system_names(|_| true)
     );
     std::process::exit(2);
 }

@@ -287,14 +287,16 @@ fn an_attacked_run_exports_suspicion_and_the_watcher_sees_it() {
     );
     let addr = discover_metrics_addr(&dir.join("server0.log"), Duration::from_secs(20));
 
-    // Poll until the forensic families carry samples mid-training.
+    // Poll until the attacked peer's exclusion counter has moved
+    // mid-training: the fact asserted below, not merely any forensic sample.
+    let attacked_exclusions = format!("garfield_gar_excluded_total{{peer=\"{attacked_node}\"}}");
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut forensic = None;
     while Instant::now() < deadline {
         let Ok(response) = scrape(&addr, "/metrics") else {
             break;
         };
-        if has_sample(&response, "garfield_peer_suspicion")
+        if sample_value(&response, &attacked_exclusions).is_some_and(|v| v >= 1.0)
             && server.try_wait().expect("poll server").is_none()
         {
             forensic = Some(response);
@@ -302,23 +304,19 @@ fn an_attacked_run_exports_suspicion_and_the_watcher_sees_it() {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+    // Multi-Krum refuses the attacked node's reversed gradient every
+    // round, so its exclusion counter moves mid-training.
     let Some(exposition) = forensic else {
         dump_logs(&dir);
-        panic!("suspicion metrics never appeared mid-training");
+        panic!("attacked peer {attacked_node} had no exclusions mid-training");
     };
+    assert!(
+        has_sample(&exposition, "garfield_peer_suspicion"),
+        "suspicion gauges missing:\n{exposition}"
+    );
     assert!(
         has_sample(&exposition, "garfield_gar_excluded_total"),
         "exclusion counters missing:\n{exposition}"
-    );
-    // Multi-Krum refuses the attacked node's reversed gradient every
-    // round, so its exclusion counter is already moving mid-training.
-    assert!(
-        sample_value(
-            &exposition,
-            &format!("garfield_gar_excluded_total{{peer=\"{attacked_node}\"}}")
-        )
-        .is_some_and(|v| v >= 1.0),
-        "attacked peer {attacked_node} has no exclusions:\n{exposition}"
     );
 
     // `expfig watch --once` over the same endpoint: the machine-readable

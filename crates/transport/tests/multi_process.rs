@@ -7,7 +7,9 @@
 //!   produces a final model **bit-identical** to the in-process
 //!   [`LiveExecutor`] run of the same seed;
 //! * with `q = n − f`, the deployment survives `f` workers being *killed*
-//!   (`SIGKILL`, not a polite crash message) mid-run.
+//!   (`SIGKILL`, not a polite crash message) mid-run;
+//! * decentralized learning, one replica and one worker process per node,
+//!   ends in the in-process run's model bit for bit.
 
 use garfield_aggregation::GarKind;
 use garfield_core::{json, ExperimentConfig, SystemKind};
@@ -80,6 +82,17 @@ fn dump_logs(dir: &Path) {
     }
 }
 
+/// The final model a server's `--out` document records, as exact `f32` bit
+/// patterns.
+fn final_model_bits(doc: &json::Value) -> Vec<u32> {
+    doc.get("final_model_bits")
+        .and_then(json::Value::as_array)
+        .expect("final_model_bits array")
+        .iter()
+        .map(|v| v.as_usize().expect("u32 bit pattern") as u32)
+        .collect()
+}
+
 #[test]
 fn five_process_full_quorum_run_matches_in_process_executor_bit_for_bit() {
     let cfg = config(5); // 1 server + 5 workers = 6 garfield-node processes
@@ -112,13 +125,7 @@ fn five_process_full_quorum_run_matches_in_process_executor_bit_for_bit() {
         doc.get("iterations").and_then(json::Value::as_usize),
         Some(cfg.iterations)
     );
-    let tcp_bits: Vec<u32> = doc
-        .get("final_model_bits")
-        .and_then(json::Value::as_array)
-        .expect("final_model_bits array")
-        .iter()
-        .map(|v| v.as_usize().expect("u32 bit pattern") as u32)
-        .collect();
+    let tcp_bits = final_model_bits(&doc);
     let tcp_accuracy = doc
         .get("final_accuracy")
         .and_then(json::Value::as_f64)
@@ -149,6 +156,61 @@ fn five_process_full_quorum_run_matches_in_process_executor_bit_for_bit() {
     assert!(
         tcp_accuracy > 0.5,
         "the shared model must have learned something (accuracy {tcp_accuracy})"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn decentralized_processes_match_the_in_process_executor_bit_for_bit() {
+    // nw = 4 peers, fw = 1: 4 replica and 4 worker processes. Median on the
+    // gradient path (Multi-Krum would need 2f + 3 = 5 inputs).
+    let mut cfg = config(4);
+    cfg.gradient_gar = GarKind::Median;
+    let nw = cfg.nw;
+    let dir = scratch_dir("decentralized");
+    ClusterSpec::localhost(2 * nw)
+        .unwrap()
+        .save(dir.join("cluster.txt"))
+        .unwrap();
+    std::fs::write(dir.join("config.json"), cfg.to_json()).unwrap();
+
+    let system = "decentralized";
+    let mut workers: Vec<Child> = (0..nw)
+        .map(|j| spawn_node(&dir, "worker", j, system, &[]))
+        .collect();
+    let mut servers: Vec<Child> = (0..nw)
+        .map(|i| match i {
+            0 => spawn_node(&dir, "server", 0, system, &["--out", "result.json"]),
+            _ => spawn_node(&dir, "server", i, system, &[]),
+        })
+        .collect();
+    for (i, server) in servers.iter_mut().enumerate() {
+        let status = server.wait().expect("server exits");
+        if !status.success() {
+            dump_logs(&dir);
+            panic!("server {i} failed: {status}");
+        }
+    }
+    for worker in &mut workers {
+        let status = worker.wait().expect("worker exits");
+        assert!(status.success(), "worker failed: {status}");
+    }
+
+    let report = LiveExecutor::new(cfg)
+        .run_live(SystemKind::Decentralized)
+        .expect("in-process run");
+    assert_eq!(report.final_models.len(), nw);
+    let live_bits: Vec<u32> = report.final_models[0]
+        .data()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let result = std::fs::read_to_string(dir.join("result.json")).unwrap();
+    assert_eq!(
+        final_model_bits(&json::parse(&result).unwrap()),
+        live_bits,
+        "replica 0 over TCP must end where the in-process replica 0 does"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -276,13 +338,7 @@ fn sharded_tcp_run_with_a_killed_worker_matches_the_unsharded_in_process_run() {
             Some(cfg.iterations),
             "shard {rank} must complete every iteration despite the killed worker"
         );
-        tcp_bits.extend(
-            doc.get("final_model_bits")
-                .and_then(json::Value::as_array)
-                .expect("final_model_bits array")
-                .iter()
-                .map(|v| v.as_usize().expect("u32 bit pattern") as u32),
-        );
+        tcp_bits.extend(final_model_bits(&doc));
     }
 
     // Same seed, unsharded, in-process, with the same worker dead from

@@ -1,5 +1,6 @@
-//! Live-mode smoke run: vanilla + SSMW + MSMW on the threaded actor runtime,
-//! each with an injected fault, compared against the sim executor.
+//! Live-mode smoke run: every system that is valid at the example's config,
+//! on the threaded actor runtime, each with an injected fault, compared
+//! against the sim executor.
 //!
 //! ```console
 //! cargo run --release --example live_training          # live + sim comparison
@@ -27,10 +28,11 @@ fn config() -> ExperimentConfig {
     cfg
 }
 
-/// The f ≥ 1 injected fault per system: a straggler for vanilla (which needs
-/// all n replies), a Byzantine worker for SSMW, and a crashed worker for
-/// MSMW (ridden out by the q = n − f asynchronous quorum). The Byzantine
-/// worker is part of the experiment config, so the sim run has it too.
+/// The f ≥ 1 injected fault per system: a Byzantine worker for SSMW, a
+/// crashed worker for MSMW (ridden out by the q = n − f asynchronous
+/// quorum), and a straggler for the rest (which wait for all n replies).
+/// The Byzantine worker is part of the experiment config, so the sim run has
+/// it too.
 fn fault_for(system: SystemKind) -> (ExperimentConfig, FaultPlan, LiveOptions, &'static str) {
     let defaults = LiveOptions::default();
     let mut cfg = config();
@@ -81,8 +83,12 @@ fn main() {
         cfg.nw, cfg.fw, cfg.nps, cfg.iterations
     );
 
-    for system in [SystemKind::Vanilla, SystemKind::Ssmw, SystemKind::Msmw] {
+    for system in SystemKind::all() {
         println!("-- {system} --");
+        if let Err(e) = cfg.validate(system) {
+            println!("   skipped: {e}\n");
+            continue;
+        }
         let (cfg, faults, options, description) = fault_for(system);
         if run_sim {
             let trace = SimExecutor::new(cfg.clone())
