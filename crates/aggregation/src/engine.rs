@@ -196,26 +196,32 @@ fn distance_block_len(n: usize) -> usize {
 ///
 /// [`squared_l2_distance_slices`]: garfield_tensor::squared_l2_distance_slices
 /// [`squared_norm_slices`]: garfield_tensor::squared_norm_slices
+///
+/// The accumulators are this thread's [`LANES`] slot: a warm fill on one
+/// thread allocates nothing.
 fn fill_pair_distances_exact(inputs: &[GradientView<'_>], pairs: &[(u32, u32)], out: &mut [f32]) {
     let d = inputs.first().map(|v| v.len()).unwrap_or(0);
     let block = distance_block_len(inputs.len());
-    let mut acc = vec![[0.0f32; KERNEL_LANES]; pairs.len()];
-    let mut start = 0;
-    while start < d {
-        let end = (start + block).min(d);
-        for (&(i, j), lanes) in pairs.iter().zip(acc.iter_mut()) {
-            let a = &inputs[i as usize].data()[start..end];
-            if i == j {
-                accumulate_dot(a, a, lanes);
-            } else {
-                accumulate_squared_l2(a, &inputs[j as usize].data()[start..end], lanes);
+    with_slot(&LANES, |acc| {
+        acc.clear();
+        acc.resize(pairs.len(), [0.0f32; KERNEL_LANES]);
+        let mut start = 0;
+        while start < d {
+            let end = (start + block).min(d);
+            for (&(i, j), lanes) in pairs.iter().zip(acc.iter_mut()) {
+                let a = &inputs[i as usize].data()[start..end];
+                if i == j {
+                    accumulate_dot(a, a, lanes);
+                } else {
+                    accumulate_squared_l2(a, &inputs[j as usize].data()[start..end], lanes);
+                }
             }
+            start = end;
         }
-        start = end;
-    }
-    for (slot, lanes) in out.iter_mut().zip(acc) {
-        *slot = reduce_kernel_lanes(lanes);
-    }
+        for (slot, &lanes) in out.iter_mut().zip(acc.iter()) {
+            *slot = reduce_kernel_lanes(lanes);
+        }
+    });
 }
 
 /// The n×n squared-distance matrix of a set of gradient views, computed once
@@ -271,38 +277,39 @@ impl DistanceCache {
         let span = garfield_obs::span_start();
         let n = inputs.len();
         let d = inputs.first().map(|v| v.len()).unwrap_or(0);
-        // Row by row, each row's diagonal (norm) item first, so norms spread
-        // over the chunks like the pairs do.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n * (n + 1) / 2);
-        for i in 0..n {
-            for j in i..n {
-                pairs.push((i as u32, j as u32));
-            }
-        }
-
-        let mut vals = vec![0.0f32; pairs.len()];
-        // Each pair costs ~2d scalar ops; the closure fills a contiguous
-        // chunk of pairs with the blocked kernel.
-        engine.fill_chunks(&mut vals, 2 * d, |base, chunk| {
-            fill_pair_distances_exact(inputs, &pairs[base..base + chunk.len()], chunk);
-        });
-
         let mut dist = vec![0.0f32; n * n];
         let mut norms = vec![0.0f32; n];
-        for (&(i, j), &v) in pairs.iter().zip(vals.iter()) {
-            let (i, j) = (i as usize, j as usize);
-            // The sign and payload of a computed NaN follow codegen, and
-            // selection ranks by total order, which reads both. Stored as
-            // the one positive quiet NaN, a NaN distance sorts above +inf on
-            // every engine and target, so its input always ranks worst.
-            let v = if v.is_nan() { f32::NAN } else { v };
-            if i == j {
-                norms[i] = v;
-            } else {
-                dist[i * n + j] = v;
-                dist[j * n + i] = v;
+        with_slot(&PAIRS, |pairs| {
+            // Row by row, each row's diagonal (norm) item first, so norms
+            // spread over the chunks like the pairs do. The list depends on
+            // `n` alone, and its length names `n`: a warm slot is kept.
+            if pairs.len() != n * (n + 1) / 2 {
+                pairs.clear();
+                pairs.extend((0..n as u32).flat_map(|i| (i..n as u32).map(move |j| (i, j))));
             }
-        }
+
+            let mut vals = vec![0.0f32; pairs.len()];
+            // Each pair costs ~2d scalar ops; the closure fills a contiguous
+            // chunk of pairs with the blocked kernel.
+            engine.fill_chunks(&mut vals, 2 * d, |base, chunk| {
+                fill_pair_distances_exact(inputs, &pairs[base..base + chunk.len()], chunk);
+            });
+
+            for (&(i, j), &v) in pairs.iter().zip(vals.iter()) {
+                let (i, j) = (i as usize, j as usize);
+                // The sign and payload of a computed NaN follow codegen, and
+                // selection ranks by total order, which reads both. Stored as
+                // the one positive quiet NaN, a NaN distance sorts above +inf
+                // on every engine and target, so its input always ranks worst.
+                let v = if v.is_nan() { f32::NAN } else { v };
+                if i == j {
+                    norms[i] = v;
+                } else {
+                    dist[i * n + j] = v;
+                    dist[j * n + i] = v;
+                }
+            }
+        });
 
         if let Some(elapsed) = garfield_obs::span_end(span, &obs.fill_seconds) {
             let secs = elapsed.as_secs_f64();
@@ -367,6 +374,10 @@ thread_local! {
     /// This thread's selected-index list, for the `Gar` paths that go on to
     /// average or trim the selection.
     static SELECTED: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+    /// This thread's `(i, j)` item list for [`DistanceCache::build`].
+    static PAIRS: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
+    /// This thread's per-item lane accumulators for a distance fill.
+    static LANES: Cell<Vec<[f32; KERNEL_LANES]>> = const { Cell::new(Vec::new()) };
 }
 
 /// Lends `slot`'s value to `f` and puts it back. A nested call on the same

@@ -83,9 +83,9 @@ fn steady_state_selection_performs_zero_heap_allocations() {
 
 /// Heap allocations of one warm `aggregate_views_observed` call at the
 /// shape above (sequential engine, observability off, one reused
-/// `SelectionOutcome`). Every rule builds the `DistanceCache`: the pair
-/// list, the fill values, the fill's lane accumulators, the matrix and the
-/// norms (5). Krum copies its winner into the output tensor, and Multi-Krum
+/// `SelectionOutcome`). Every rule builds the `DistanceCache`: the fill
+/// values, the matrix and the norms (3); the pair list and the fill's lane
+/// accumulators are per-thread buffers, warm after the first call. Krum copies its winner into the output tensor, and Multi-Krum
 /// and MDA average into one: its data and its shape (2). Bulyan's phase 2 gathers
 /// the selected rows (1) and fills the output data (1) from one key tile
 /// (1) before the shape (1). Median builds no cache: it runs the same
@@ -93,10 +93,10 @@ fn steady_state_selection_performs_zero_heap_allocations() {
 /// network once, in `new`. The selection itself — the sorted neighbour
 /// table, the scores, the order, MDA's running subset and the selected
 /// indices — allocates nothing.
-const KRUM: usize = 5 + 2;
-const MULTI_KRUM: usize = 5 + 2;
-const MDA: usize = 5 + 2;
-const BULYAN: usize = 5 + 4;
+const KRUM: usize = 3 + 2;
+const MULTI_KRUM: usize = 3 + 2;
+const MDA: usize = 3 + 2;
+const BULYAN: usize = 3 + 4;
 const MEDIAN: usize = 4;
 
 #[test]

@@ -376,7 +376,7 @@ impl WorkerActor {
             let (_, off, vals) = slot.as_ref().expect("all slots filled");
             params[*off..*off + vals.len()].copy_from_slice(vals);
         }
-        let Some((loss, honest)) = self.honest_gradient(&params, round) else {
+        let Some((loss, honest)) = self.honest_gradient(&mut params, round) else {
             return;
         };
         let sent = self.corrupted(&honest).unwrap_or(honest);
@@ -446,14 +446,15 @@ impl WorkerActor {
 
     /// The one compute step of both request shapes: the honest gradient at
     /// `params` on the `round`-th mini-batch. `None` is a malformed request
-    /// (wrong dimension): dropped.
-    fn honest_gradient(&mut self, params: &[f32], round: u64) -> Option<(f32, Tensor)> {
+    /// (wrong dimension): dropped. The compute borrows `params` as a tensor
+    /// that owns its buffer, which goes back into `params` afterwards: the
+    /// decoded model is not copied again.
+    fn honest_gradient(&mut self, params: &mut Vec<f32>, round: u64) -> Option<(f32, Tensor)> {
         let compute_span = garfield_obs::span_start();
-        let computed = self
-            .node
-            .worker
-            .honest_compute(&Tensor::from_slice(params), round as usize)
-            .ok()?;
+        let model = Tensor::from(std::mem::take(params));
+        let computed = self.node.worker.honest_compute(&model, round as usize);
+        *params = model.into_vec();
+        let computed = computed.ok()?;
         garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
         Some(computed)
     }
@@ -722,15 +723,7 @@ impl ServerActor {
             self.node.server.honest_mut().update_model(&aggregated)?;
             let mut aggregation = aggregate_start.elapsed().as_secs_f64();
 
-            // The model is now the post-update state of this round: snapshot
-            // it as the vector served to peers (one Byzantine corruption per
-            // round, so the served content is scheduling-independent), then
-            // answer any get_models() that raced ahead of us.
-            self.phase1_done = true;
-            if !self.node.peer_ids.is_empty() {
-                self.refresh_served_snapshot();
-            }
-            self.flush_deferred();
+            self.end_update();
 
             // --- get_models(q): the same pull over the peer replicas, merged
             // with this replica's own model and written (not stepped) back.
@@ -1093,6 +1086,21 @@ impl ServerActor {
         Ok((adopted.round as usize).min(self.node.config.iterations))
     }
 
+    /// Marks this round's gradient update done. The model is now the
+    /// post-update state of the round: a replica with a merge phase
+    /// snapshots it as the vector served to peers (one Byzantine corruption
+    /// per round, so the served content is scheduling-independent), then
+    /// answers any get_models() that raced ahead of it. Only the merge
+    /// phase asks for models, so a replica without one (crash-tolerant,
+    /// shard servers) snapshots nothing.
+    fn end_update(&mut self) {
+        self.phase1_done = true;
+        if self.merge.is_some() {
+            self.refresh_served_snapshot();
+        }
+        self.flush_deferred();
+    }
+
     /// Recomputes the vector this replica serves to peers (corrupted inside
     /// [`ByzantineServer::served_model`](garfield_core::ByzantineServer::served_model)
     /// if the replica is Byzantine).
@@ -1141,7 +1149,9 @@ impl ServerActor {
 
     /// After the last iteration, keep serving peer model requests until every
     /// peer announced completion (or the deadline passes), so slower replicas
-    /// can finish their final `get_models()` round.
+    /// can finish their final `get_models()` round. Replicas without a merge
+    /// phase linger too: the same loop serves `StateChunk`s to a peer that
+    /// restarts late and is still catching up.
     fn linger(&mut self) {
         if self.node.peer_ids.is_empty() {
             return;
@@ -1209,6 +1219,23 @@ mod tests {
             let reply = WireMessage::decode(&env.payload).unwrap();
             assert_eq!((reply.kind, reply.round), (MsgKind::ModelReply, asked));
             assert_eq!(reply.values, vec![served]);
+        }
+    }
+
+    #[test]
+    fn only_a_replica_with_a_merge_phase_snapshots_its_model() {
+        let cfg = ExperimentConfig::small();
+        let options = LiveOptions::default();
+        for (system, snapshots) in [(SystemKind::CrashTolerant, 0), (SystemKind::Msmw, 1)] {
+            let mut nodes = assemble(system, &cfg, &options, &FaultPlan::new()).unwrap();
+            let router = Router::new();
+            let transport = Box::new(RouterTransport::connect(&router, NodeId(0)).unwrap());
+            let mut actor =
+                ServerActor::from_node(nodes.servers.swap_remove(0), transport).unwrap();
+            assert!(!actor.node.peer_ids.is_empty(), "{system:?} has peers");
+            actor.round = 1;
+            actor.end_update();
+            assert_eq!(actor.served_snapshots.len(), snapshots, "{system:?}");
         }
     }
 

@@ -260,6 +260,12 @@ const MATMUL_ROWS: usize = 6;
 /// Output rows go [`MATMUL_ROWS`] at a time; the last rows that do not fill
 /// a group go two at a time, and an odd last row is paired with a row of
 /// zero coefficients whose output is never written.
+///
+/// The zero test runs once per packed `k`: where all of a group's
+/// coefficients for that `k` are nonzero (the common case for a dense input
+/// batch), the update is branch-free; elsewhere each zero is skipped as
+/// before. Both paths add the same products in the same order, so the
+/// contract above holds on either.
 fn matmul_kernel(
     a: &Tensor,
     transposed: bool,
@@ -313,16 +319,16 @@ fn matmul_kernel(
     };
     let grouped = r - r % MATMUL_ROWS;
     let (groups, rest) = out.split_at_mut(grouped * c);
-    let mut packed = Vec::new();
+    let (mut packed, mut dense) = (Vec::new(), Vec::new());
     for (i0, rows) in (0..)
         .step_by(MATMUL_ROWS)
         .zip(groups.chunks_exact_mut(MATMUL_ROWS * c))
     {
-        product.row_group::<MATMUL_ROWS>(i0, rows, &mut packed);
+        product.row_group::<MATMUL_ROWS>(i0, rows, &mut packed, &mut dense);
     }
     let mut packed = Vec::new();
     for (i0, rows) in (grouped..).step_by(2).zip(rest.chunks_mut(2 * c)) {
-        product.row_group::<2>(i0, rows, &mut packed);
+        product.row_group::<2>(i0, rows, &mut packed, &mut dense);
     }
     Tensor::from_vec(out, Shape::matrix(r, c))
 }
@@ -344,8 +350,15 @@ struct Product<'a> {
 
 impl Product<'_> {
     /// Computes output rows `i0..` into `out` (at most `R` rows of `c`).
-    /// Their coefficients are packed first, `R` per `k`, into `packed`.
-    fn row_group<const R: usize>(&self, i0: usize, out: &mut [f32], packed: &mut Vec<[f32; R]>) {
+    /// Their coefficients are packed first, `R` per `k`, into `packed`, and
+    /// `dense[k]` records whether all `R` of them are nonzero.
+    fn row_group<const R: usize>(
+        &self,
+        i0: usize,
+        out: &mut [f32],
+        packed: &mut Vec<[f32; R]>,
+        dense: &mut Vec<bool>,
+    ) {
         let (k, c, full) = (self.k, self.c, self.full);
         let rows = out.len() / c;
         packed.clear();
@@ -370,17 +383,20 @@ impl Product<'_> {
                 }
             }
         }
+        dense.clear();
+        dense.extend(packed.iter().map(|x| x.iter().all(|&v| v != 0.0)));
         for j0 in (0..full).step_by(MATMUL_BLOCK) {
-            let b_rows = self.b[j0..]
-                .chunks(c)
-                .map(|b_row| b_row.first_chunk::<MATMUL_BLOCK>().expect("a full block"));
-            let acc = accumulate_rows(packed, b_rows);
+            let b_rows = self
+                .b
+                .chunks_exact(c)
+                .map(|b_row| &b_row[j0..j0 + MATMUL_BLOCK]);
+            let acc = accumulate_rows(packed, dense, b_rows);
             for (out_row, acc) in out.chunks_exact_mut(c).zip(&acc) {
                 out_row[j0..j0 + MATMUL_BLOCK].copy_from_slice(acc);
             }
         }
         if full < c {
-            let acc = accumulate_rows(packed, self.tail.iter());
+            let acc = accumulate_rows(packed, dense, self.tail.iter().map(|t| &t[..]));
             for (out_row, acc) in out.chunks_exact_mut(c).zip(&acc) {
                 out_row[full..].copy_from_slice(&acc[..c - full]);
             }
@@ -389,19 +405,30 @@ impl Product<'_> {
 }
 
 /// One column block of `R` output rows: `acc[i][lane] += x[i] * b_row[lane]`
-/// over the packed coefficients `x` and the rows of `b` in `k` order,
-/// skipping each zero coefficient.
+/// over the packed coefficients `x` and the `MATMUL_BLOCK`-wide rows of `b`
+/// in `k` order, skipping each zero coefficient. A `k` whose coefficients
+/// are all nonzero (`dense`) has nothing to skip and runs without a branch.
 #[inline(always)]
 fn accumulate_rows<'a, const R: usize>(
     packed: &[[f32; R]],
-    b_rows: impl Iterator<Item = &'a [f32; MATMUL_BLOCK]>,
+    dense: &[bool],
+    b_rows: impl Iterator<Item = &'a [f32]>,
 ) -> [[f32; MATMUL_BLOCK]; R] {
     let mut acc = [[0.0f32; MATMUL_BLOCK]; R];
-    for (x, b_row) in packed.iter().zip(b_rows) {
-        for (acc_row, &coeff) in acc.iter_mut().zip(x) {
-            if coeff != 0.0 {
-                for (lane, &bv) in acc_row.iter_mut().zip(b_row) {
-                    *lane += coeff * bv;
+    let update = |acc_row: &mut [f32; MATMUL_BLOCK], coeff: f32, b_row: &[f32]| {
+        for (lane, &bv) in acc_row.iter_mut().zip(b_row) {
+            *lane += coeff * bv;
+        }
+    };
+    for ((x, &all_nonzero), b_row) in packed.iter().zip(dense).zip(b_rows) {
+        if all_nonzero {
+            for (acc_row, &coeff) in acc.iter_mut().zip(x) {
+                update(acc_row, coeff, b_row);
+            }
+        } else {
+            for (acc_row, &coeff) in acc.iter_mut().zip(x) {
+                if coeff != 0.0 {
+                    update(acc_row, coeff, b_row);
                 }
             }
         }

@@ -9,7 +9,10 @@
 //! Shapes cover output widths below, at and above the kernel's 16-column
 //! block, every row count through two full 6-row groups plus one, and
 //! zero-sized dimensions. Inputs are half
-//! zeros (ReLU-like), with `-0.0` and ±inf/NaN mixed in. Results are compared
+//! zeros (ReLU-like), with `-0.0` and ±inf/NaN mixed in; the kernel's
+//! branch-free path for `k` values whose coefficients are all nonzero gets
+//! its own cases, with no zeros in `A` at all and with dense and sparse `k`
+//! values alternating in one row group. Results are compared
 //! bit for bit except that any two NaNs are equal, because Rust does not
 //! specify NaN payloads (see `kernel_properties.rs`).
 
@@ -77,20 +80,114 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
 fn check(r: usize, k: usize, c: usize, seed: u64) {
     let a = matrix(r, k, seed);
     let b = matrix(k, c, seed.wrapping_add(1));
-    let shape = format!("{r}x{k} * {k}x{c}, seed {seed}");
-    assert_same(&a.matmul(&b).unwrap(), &reference_matmul(&a, &b), &shape);
+    let stored = matrix(k, r, seed.wrapping_add(2));
+    check_operands(&a, &b, &stored, &format!("seed {seed}"));
+}
+
+/// All three entry points against the reference: `a * b`, the same with `b`
+/// borrowed, and `storedᵀ * b` (`stored` is `k x r`).
+fn check_operands(a: &Tensor, b: &Tensor, stored: &Tensor, what: &str) {
+    let (r, k) = a.matrix_dims().unwrap();
+    let (_, c) = b.matrix_dims().unwrap();
+    let shape = format!("{r}x{k} * {k}x{c}, {what}");
+    assert_same(&a.matmul(b).unwrap(), &reference_matmul(a, b), &shape);
     let borrowed = a.matmul_slice(b.data(), k, c).unwrap();
     assert_same(
         &borrowed,
-        &reference_matmul(&a, &b),
+        &reference_matmul(a, b),
         &format!("borrowed {shape}"),
     );
 
-    let stored = matrix(k, r, seed.wrapping_add(2));
-    let want = reference_matmul(&stored.transpose().unwrap(), &b);
-    let got = stored.matmul_tn(&b).unwrap();
+    let want = reference_matmul(&stored.transpose().unwrap(), b);
+    let got = stored.matmul_tn(b).unwrap();
     assert_eq!(got.shape().dims(), &[r, c]);
     assert_same(&got, &want, &format!("transposed {shape}"));
+}
+
+/// A seeded `(rows, cols)` matrix with no zero: finite values of both signs
+/// and, when `special`, about one ±inf or NaN in 16.
+fn dense_matrix(rows: usize, cols: usize, seed: u64, special: bool) -> Tensor {
+    let mut state = seed | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            let magnitude = ((r >> 16) % 100_000 + 1) as f32 / 997.0;
+            match r % 64 {
+                0 if special => f32::NAN,
+                1 if special => f32::INFINITY,
+                2 if special => f32::NEG_INFINITY,
+                v if v % 2 == 0 => magnitude,
+                _ => -magnitude,
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, Shape::matrix(rows, cols)).unwrap()
+}
+
+/// `(rows, cols)`, every entry ±inf, NaN, `0.0` or `-0.0`: a `b` in which
+/// every product with a zero coefficient that is not skipped shows.
+fn hostile_matrix(rows: usize, cols: usize) -> Tensor {
+    let values = [f32::INFINITY, f32::NAN, -0.0, f32::NEG_INFINITY, 0.0];
+    let data = (0..rows * cols)
+        .map(|idx| values[(idx * 7 + idx / 3) % values.len()])
+        .collect();
+    Tensor::from_vec(data, Shape::matrix(rows, cols)).unwrap()
+}
+
+/// Row counts through two full 6-row groups plus one (full groups, the
+/// 2-row remainder and an odd last row, whose zero padding makes every `k`
+/// of its pair sparse), `k` values, and output widths below, at and above
+/// the 16-column block.
+const DENSE_ROWS: std::ops::RangeInclusive<usize> = 1..=13;
+const DENSE_K: [usize; 4] = [1, 2, 7, 64];
+const DENSE_WIDTHS: [usize; 5] = [3, 15, 16, 17, 35];
+
+/// `A` with no zero coefficient, so every full group takes the branch-free
+/// path: finite, and with ±inf/NaN coefficients, against a `b` that mixes
+/// finite values with ±inf/NaN and `-0.0`.
+#[test]
+fn a_without_zeros_follows_the_ikj_order() {
+    for r in DENSE_ROWS {
+        for k in DENSE_K {
+            for c in DENSE_WIDTHS {
+                let seed = (r * 1009 + k * 31 + c) as u64;
+                for special in [false, true] {
+                    let a = dense_matrix(r, k, seed, special);
+                    let stored = dense_matrix(k, r, seed + 2, special);
+                    for b in [matrix(k, c, seed + 1), hostile_matrix(k, c)] {
+                        check_operands(&a, &b, &stored, &format!("dense, special {special}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Within one row group, `k` values whose coefficients are all nonzero
+/// alternate with `k` values holding a zero (`0.0` or `-0.0`, one row at a
+/// time), against a `b` where multiplying that zero instead of skipping it
+/// gives NaN.
+#[test]
+fn dense_and_sparse_k_rows_alternate_in_one_group() {
+    for r in DENSE_ROWS {
+        for k in DENSE_K {
+            for c in DENSE_WIDTHS {
+                let seed = (r * 7919 + k * 17 + c) as u64;
+                let mut a = dense_matrix(r, k, seed, false).into_vec();
+                for kk in (1..k).step_by(2) {
+                    a[(kk / 2) % r * k + kk] = if kk % 4 == 1 { 0.0 } else { -0.0 };
+                }
+                let a = Tensor::from_vec(a, Shape::matrix(r, k)).unwrap();
+                let stored = a.transpose().unwrap();
+                for b in [hostile_matrix(k, c), dense_matrix(k, c, seed + 1, true)] {
+                    check_operands(&a, &b, &stored, "alternating");
+                }
+            }
+        }
+    }
 }
 
 proptest! {
