@@ -5,23 +5,23 @@
 //! ```text
 //! cargo run --release -p garfield-bench --bin expfig -- <experiment> [...]
 //! cargo run --release -p garfield-bench --bin expfig -- all
-//! cargo run --release -p garfield-bench --bin expfig -- perf [--quick] [--out BENCH_aggregation.json]
+//! cargo run --release -p garfield-bench --bin expfig -- perf [--out BENCH_aggregation.json]
 //! cargo run --release -p garfield-bench --bin expfig -- trace <flight-dir>
 //! cargo run --release -p garfield-bench --bin expfig -- watch <spec> \
-//!     [--interval-ms 1000] [--csv results/watch.csv] [--once]
+//!     [--interval-ms 1000] [--log results/watch.jsonl] [--once]
 //! ```
 //!
-//! Recognised experiment ids: `table1`, `fig3a`, `fig3b`, `fig4a` (alias
-//! `fig11a`), `fig4b` (`fig11b`), `fig5`, `fig6` (`fig6a`), `fig7`, `fig8`
-//! (`fig8a`), `fig9`, `fig10` (`fig10a`, `fig10b`, `fig13`, `fig14`),
-//! `fig12`, `table2`, `variance`, `dec-scaling`. Each prints its rows and
-//! writes `results/<id>.csv`. The paper's GPU figures (6b/15, 8b, 16) have
-//! no id: no GPU was ever measured here.
+//! Recognised experiment ids (the `FIGURES` table): `table1`, `fig3a`,
+//! `fig3b`, `fig4a` (alias `fig11a`), `fig4b` (`fig11b`), `fig5`, `fig6`
+//! (`fig6a`), `fig7`, `fig8` (`fig8a`), `fig9`, `fig10` (`fig10a`, `fig10b`,
+//! `fig13`, `fig14`), `fig12`, `table2`, `variance`; `all` runs each once.
+//! Each prints its rows and writes `results/<id>.csv`. The paper's GPU
+//! figures (6b/15, 8b, 16) have no id: no GPU was ever measured here.
 //!
 //! `perf` is the GAR-engine micro-benchmark: it times the distance kernels
-//! (scalar / chunked / blocked), sweeps every GAR over d × n on the
-//! sequential and parallel engines, and writes `BENCH_aggregation.json`
-//! stamped with `Engine::auto`'s thread count. `--quick` runs the CI sweep,
+//! (scalar / chunked / blocked), sweeps every GAR over d ∈ {1e4, 1e5} ×
+//! n ∈ {15, 25} on the sequential and parallel engines, and writes
+//! `BENCH_aggregation.json` stamped with `Engine::auto`'s thread count;
 //! `--out` names the report file. Timings are printed and recorded, never
 //! gated: the command exits 1 only when some cell's engines produced
 //! outputs that are not bit-identical.
@@ -38,8 +38,9 @@
 //! `--metrics-addr` endpoints, and the command polls `/healthz` +
 //! `/metrics` per node, rendering a refreshing table (round, rounds/s,
 //! round-latency p50/p99, queue depth, drops, top-suspicion peers) while
-//! appending every poll to the CSV sink. `--once` scrapes once and prints
-//! one JSON object per node instead — the machine-readable face for tests
+//! appending every poll to the `--log` sink, one JSON object per node per
+//! poll (`watch::view_json`, `poll` last). `--once` scrapes once and prints
+//! the same records to stdout instead — the machine-readable face for tests
 //! and scripts. The watch exits on its own when every node that was up has
 //! gone down.
 
@@ -51,45 +52,45 @@ use garfield_bench::watch;
 use garfield_transport::ClusterSpec;
 use std::time::{Duration, Instant};
 
-fn run_one(id: &str) -> Option<(String, Vec<Row>)> {
-    let rows = match id {
-        "table1" => figures::table1(),
-        "fig3a" => figures::fig3a(100_000),
-        "fig3b" => figures::fig3b(1_000_000),
-        // Fig. 4a (TensorFlow / CPU / asynchronous Bulyan-style) and 4b
-        // (PyTorch / GPU / synchronous Multi-Krum) differ in synchrony here;
-        // Fig. 11 is the same data plotted against simulated time, which the
-        // rows already contain.
-        "fig4a" | "fig11a" => figures::fig4(false),
-        "fig4b" | "fig11b" => figures::fig4(true),
-        "fig5" => figures::fig5(),
-        "fig6" | "fig6a" => figures::fig6(),
-        "fig7" => figures::fig7(),
-        "fig8" | "fig8a" => figures::fig8(),
-        "fig9" => figures::fig9(),
-        "fig10" | "fig10a" | "fig10b" | "fig13" | "fig14" => figures::fig10(),
-        "table2" => figures::table2(),
-        "fig12" => figures::fig12(),
-        "variance" => figures::variance_report(),
-        "dec-scaling" => figures::decentralized_scaling(),
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            return None;
-        }
-    };
-    Some((id.to_string(), rows))
-}
+/// A figure: the ids it answers to (`all` runs the first; each writes
+/// `results/<id>.csv` under the id asked for) and the function producing
+/// its rows.
+type Figure = (&'static [&'static str], fn() -> Vec<Row>);
+
+/// Every figure `expfig` regenerates, in the order `all` runs them.
+const FIGURES: &[Figure] = &[
+    (&["table1"], figures::table1),
+    (&["fig3a"], || figures::fig3a(100_000)),
+    (&["fig3b"], || figures::fig3b(1_000_000)),
+    // Fig. 4a (TensorFlow / CPU / asynchronous Bulyan-style) and 4b
+    // (PyTorch / GPU / synchronous Multi-Krum) differ in synchrony here;
+    // Fig. 11 is the same data plotted against simulated time, which the
+    // rows already contain.
+    (&["fig4a", "fig11a"], || figures::fig4(false)),
+    (&["fig4b", "fig11b"], || figures::fig4(true)),
+    (&["fig5"], figures::fig5),
+    (&["fig6", "fig6a"], figures::fig6),
+    (&["fig7"], figures::fig7),
+    (&["fig8", "fig8a"], figures::fig8),
+    (&["fig9"], figures::fig9),
+    (
+        &["fig10", "fig10a", "fig10b", "fig13", "fig14"],
+        figures::fig10,
+    ),
+    (&["fig12"], figures::fig12),
+    (&["table2"], figures::table2),
+    (&["variance"], figures::variance_report),
+];
 
 /// Runs the `perf` subcommand; returns the process exit code: 1 when any
 /// cell's engines diverged or the report could not be written, 2 on a bad
 /// flag.
 fn run_perf(args: &[String]) -> i32 {
-    let mut config = perf::PerfConfig::full();
+    let config = perf::PerfConfig::default();
     let mut out_path = String::from("BENCH_aggregation.json");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => config = perf::PerfConfig::quick(),
             "--out" => match it.next() {
                 Some(p) => out_path = p.clone(),
                 None => {
@@ -106,8 +107,7 @@ fn run_perf(args: &[String]) -> i32 {
 
     let threads = garfield_aggregation::Engine::auto().threads();
     println!(
-        "perf sweep: {} mode, Engine::auto: {threads} thread{}, d={:?}, n={:?}",
-        if config.quick { "quick" } else { "full" },
+        "perf sweep: Engine::auto: {threads} thread{}, d={:?}, n={:?}",
         if threads == 1 { "" } else { "s" },
         config.dims,
         config.ns
@@ -219,7 +219,7 @@ fn run_watch(args: &[String]) -> i32 {
     let mut spec_path: Option<&String> = None;
     let mut interval = Duration::from_millis(1_000);
     let mut once = false;
-    let mut csv_path = String::from("results/watch.csv");
+    let mut log_path = String::from("results/watch.jsonl");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -231,10 +231,10 @@ fn run_watch(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--csv" => match it.next() {
-                Some(p) => csv_path = p.clone(),
+            "--log" => match it.next() {
+                Some(p) => log_path = p.clone(),
                 None => {
-                    eprintln!("--csv requires a path");
+                    eprintln!("--log requires a path");
                     return 2;
                 }
             },
@@ -248,7 +248,7 @@ fn run_watch(args: &[String]) -> i32 {
     let Some(spec_path) = spec_path else {
         eprintln!(
             "usage: expfig watch <spec: 'node-id metrics-host:port' lines> \
-             [--interval-ms N] [--csv PATH] [--once]"
+             [--interval-ms N] [--log PATH] [--once]"
         );
         return 2;
     };
@@ -286,7 +286,7 @@ fn run_watch(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let mut csv: Option<std::fs::File> = None;
+    let mut log: Option<std::fs::File> = None;
     let mut previous: Option<(Vec<garfield_bench::watch::NodeView>, Instant)> = None;
     let mut seen_up = false;
     for poll_index in 0u64.. {
@@ -307,34 +307,31 @@ fn run_watch(args: &[String]) -> i32 {
             })
             .collect();
 
-        // CSV sink: lazily created so a spec typo never leaves an empty file.
-        if csv.is_none() {
-            if let Some(parent) = std::path::Path::new(&csv_path).parent() {
+        // JSON-lines sink: lazily created so a spec typo never leaves an
+        // empty file.
+        if log.is_none() {
+            if let Some(parent) = std::path::Path::new(&log_path).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            match std::fs::File::create(&csv_path) {
-                Ok(mut file) => {
-                    use std::io::Write as _;
-                    let _ = writeln!(file, "{}", watch::csv_header());
-                    csv = Some(file);
-                }
+            match std::fs::File::create(&log_path) {
+                Ok(file) => log = Some(file),
                 Err(e) => {
-                    eprintln!("could not write {csv_path}: {e}");
+                    eprintln!("could not write {log_path}: {e}");
                     return 1;
                 }
             }
         }
-        if let Some(file) = &mut csv {
+        if let Some(file) = &mut log {
             use std::io::Write as _;
             for (v, rate) in views.iter().zip(&rates) {
-                let _ = writeln!(file, "{}", watch::csv_line(poll_index, v, *rate));
+                let _ = writeln!(file, "{}", watch::view_json(v, *rate, poll_index));
             }
         }
 
         // Refresh the screen in place: clear, home, redraw.
         print!("\x1b[2J\x1b[H");
         println!(
-            "garfield watch — {} nodes, every {} ms (Ctrl-C to stop, CSV → {csv_path})\n",
+            "garfield watch — {} nodes, every {} ms (Ctrl-C to stop, log → {log_path})\n",
             spec.len(),
             interval.as_millis()
         );
@@ -358,7 +355,7 @@ fn run_watch(args: &[String]) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: expfig <experiment id ...> | all | perf [--quick] [--out PATH] | trace <dir> | watch <spec> [flags]   (see the doc comment)");
+        eprintln!("usage: expfig <experiment id ...> | all | perf [--out PATH] | trace <dir> | watch <spec> [flags]   (see the doc comment)");
         std::process::exit(2);
     }
     if args[0] == "perf" {
@@ -370,42 +367,26 @@ fn main() {
     if args[0] == "watch" {
         std::process::exit(run_watch(&args[1..]));
     }
-    let quick_all = [
-        "table1",
-        "fig3a",
-        "fig3b",
-        "fig4a",
-        "fig4b",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig12",
-        "table2",
-        "variance",
-        "dec-scaling",
-    ];
     let ids: Vec<String> = if args.len() == 1 && args[0] == "all" {
-        quick_all.iter().map(|s| s.to_string()).collect()
+        FIGURES.iter().map(|(ids, _)| ids[0].to_string()).collect()
     } else {
         args
     };
 
     let mut failures = 0;
     for id in ids {
-        match run_one(&id) {
-            Some((name, rows)) => {
-                print_table(&name, &rows);
-                let path = format!("results/{name}.csv");
-                if let Err(e) = write_csv(&path, &rows) {
-                    eprintln!("could not write {path}: {e}");
-                } else {
-                    println!("(written to {path})");
-                }
-            }
-            None => failures += 1,
+        let Some((_, figure)) = FIGURES.iter().find(|(ids, _)| ids.contains(&id.as_str())) else {
+            eprintln!("unknown experiment '{id}'");
+            failures += 1;
+            continue;
+        };
+        let rows = figure();
+        print_table(&id, &rows);
+        let path = format!("results/{id}.csv");
+        if let Err(e) = write_csv(&path, &rows) {
+            eprintln!("could not write {path}: {e}");
+        } else {
+            println!("(written to {path})");
         }
     }
     if failures > 0 {

@@ -9,6 +9,7 @@
 //! cost model. The paper's GPU variants (Figs. 6b/15, 8b, 16) are not
 //! reproduced: no GPU was ever measured here.
 
+use crate::perf::{time_reps, PerfConfig};
 use crate::report::Row;
 use garfield_aggregation::{build_gar, GarKind, VarianceProbe};
 use garfield_core::{
@@ -16,7 +17,6 @@ use garfield_core::{
 };
 use garfield_ml::{zoo, Dataset, DatasetKind, Mlp};
 use garfield_tensor::{Tensor, TensorRng};
-use std::time::Instant;
 
 /// The paper's default CPU cluster shape (18 workers / 3 Byzantine, 6 servers / 1 Byzantine).
 const CPU_CLUSTER: (usize, usize, usize, usize) = (18, 3, 6, 1);
@@ -71,9 +71,11 @@ pub fn table1() -> Vec<Row> {
         .collect()
 }
 
-/// Wall-clock seconds of one `aggregate` over `inputs` by each Fig. 3 rule,
-/// tolerating `f` Byzantine inputs (Average tolerates none).
+/// Seconds per `aggregate` over `inputs` by each Fig. 3 rule, tolerating `f`
+/// Byzantine inputs (Average tolerates none): warm, as [`time_reps`] times
+/// the perf sweep's cells.
 fn time_gars(inputs: &[Tensor], f: usize) -> Vec<(&'static str, f64)> {
+    let config = PerfConfig::default();
     [
         GarKind::Bulyan,
         GarKind::Mda,
@@ -85,9 +87,10 @@ fn time_gars(inputs: &[Tensor], f: usize) -> Vec<(&'static str, f64)> {
     .map(|kind| {
         let f = if kind == GarKind::Average { 0 } else { f };
         let gar = build_gar(&kind, inputs.len(), f).expect("n >= 4f + 3 satisfies every rule");
-        let start = Instant::now();
-        gar.aggregate(inputs).expect("inputs are well formed");
-        (kind.as_str(), start.elapsed().as_secs_f64())
+        let (secs, _) = time_reps(&config, || {
+            gar.aggregate(inputs).expect("inputs are well formed")
+        });
+        (kind.as_str(), secs)
     })
     .collect()
 }
@@ -393,28 +396,6 @@ pub fn variance_report() -> Vec<Row> {
         .collect()
 }
 
-/// A scalability check of the decentralized application with real training
-/// (small n), confirming the quadratic communication trend measured by Fig. 9.
-pub fn decentralized_scaling() -> Vec<Row> {
-    let mut rows = Vec::new();
-    for n in [4usize, 6, 8] {
-        let mut cfg = convergence_config();
-        cfg.nw = n;
-        cfg.fw = 1;
-        cfg.gradient_gar = GarKind::Median;
-        cfg.iterations = 5;
-        cfg.eval_every = 0;
-        let trace = SimExecutor::new(cfg)
-            .run(SystemKind::Decentralized)
-            .expect("decentralized runs");
-        rows.push(Row::new(
-            format!("n={n}"),
-            vec![("communication_s", trace.mean_timing().communication)],
-        ));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,7 +549,6 @@ mod tests {
             ("fig8 cpu", fig8(), 0x1109225fa5b9f06b),
             ("fig9", fig9(), 0xfbec497fcca0aff0),
             ("fig10 cpu", fig10(), 0x22ab734c54dba002),
-            ("dec-scaling", decentralized_scaling(), 0x4129c8863cbe905f),
         ];
         for (name, rows, recorded) in figures {
             let got = fingerprint(&rows);

@@ -37,32 +37,18 @@ pub struct PerfConfig {
     pub target_secs: f64,
     /// ...but at most this many repetitions.
     pub max_reps: usize,
-    /// Whether this is the CI quick sweep (recorded in the report).
-    pub quick: bool,
 }
 
-impl PerfConfig {
-    /// The full sweep of the issue spec: d ∈ {1e4, 1e5, 1e6} × n ∈ {15, 25, 51}.
-    pub fn full() -> Self {
-        PerfConfig {
-            dims: vec![10_000, 100_000, 1_000_000],
-            ns: vec![15, 25, 51],
-            target_secs: 0.2,
-            max_reps: 5,
-            quick: false,
-        }
-    }
-
-    /// The CI smoke sweep: small enough for every CI run, still covering
-    /// every GAR and both engines. Sub-millisecond cells run many reps
-    /// within the timing window.
-    pub fn quick() -> Self {
+impl Default for PerfConfig {
+    /// The recorded sweep, d ∈ {1e4, 1e5} × n ∈ {15, 25}: the cells
+    /// `BENCH_aggregation.json` holds, covering every GAR and both engines.
+    /// Sub-millisecond cells run many reps within the timing window.
+    fn default() -> Self {
         PerfConfig {
             dims: vec![10_000, 100_000],
             ns: vec![15, 25],
             target_secs: 0.15,
             max_reps: 40,
-            quick: true,
         }
     }
 }
@@ -111,8 +97,6 @@ pub struct KernelPoint {
 pub struct PerfReport {
     /// Thread count of the parallel engine when this report was recorded.
     pub threads: usize,
-    /// Whether the quick (CI smoke) sweep produced this report.
-    pub quick: bool,
     /// Distance-kernel throughput points.
     pub kernels: Vec<KernelPoint>,
     /// GAR sweep points.
@@ -147,7 +131,7 @@ pub const SHARD_SWEEP: usize = 4;
 ///
 /// The warm-up rep keeps first-touch page faults and thread spin-up out of
 /// the timed reps: they used to make a single-rep cell read ~10–30% slow.
-fn time_reps<T>(config: &PerfConfig, mut work: impl FnMut() -> T) -> (f64, T) {
+pub(crate) fn time_reps<T>(config: &PerfConfig, mut work: impl FnMut() -> T) -> (f64, T) {
     let mut out = work();
     let start = Instant::now();
     let mut reps = 0usize;
@@ -316,7 +300,6 @@ pub fn run(config: &PerfConfig) -> Vec<PerfPoint> {
 pub fn run_report(config: &PerfConfig) -> PerfReport {
     PerfReport {
         threads: Engine::auto().threads(),
-        quick: config.quick,
         kernels: run_kernels(config),
         entries: run(config),
     }
@@ -378,7 +361,6 @@ pub fn report_to_json(report: &PerfReport) -> String {
     out.push_str("  \"schema\": \"garfield-bench/aggregation-v2\",\n");
     out.push_str(&format!("  \"target_cpu\": \"{TARGET_CPU}\",\n"));
     out.push_str(&format!("  \"threads\": {},\n", report.threads));
-    out.push_str(&format!("  \"quick\": {},\n", report.quick));
     out.push_str("  \"kernels\": [\n");
     for (i, k) in report.kernels.iter().enumerate() {
         out.push_str("    {");
@@ -426,7 +408,6 @@ mod tests {
             ns: vec![7],
             target_secs: 0.0,
             max_reps: 1,
-            quick: true,
         }
     }
 
@@ -459,7 +440,7 @@ mod tests {
 
     #[test]
     fn the_committed_trajectory_names_existing_rules_with_identical_engines() {
-        // The repo root's record, as `expfig perf --quick` wrote it: a deleted
+        // The repo root's record, as `expfig perf` wrote it: a deleted
         // rule must not leave rows behind, and no cell may have diverged.
         let doc = json::parse(include_str!("../../../BENCH_aggregation.json")).unwrap();
         let target_cpu = doc.get("target_cpu").and_then(Value::as_str);
@@ -508,10 +489,8 @@ mod tests {
             doc.get("threads").and_then(Value::as_usize),
             Some(report.threads)
         );
-        assert_eq!(
-            doc.get("quick").and_then(Value::as_bool),
-            Some(report.quick)
-        );
+        // One sweep exists, so the report names no mode.
+        assert!(doc.get("quick").is_none());
         let entries = doc.get("entries").and_then(Value::as_array).unwrap();
         assert_eq!(entries.len(), report.entries.len());
         for (a, e) in report.entries.iter().zip(entries) {

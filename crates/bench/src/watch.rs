@@ -371,8 +371,10 @@ pub fn render_table(views: &[NodeView], rates: &[f64]) -> String {
     out
 }
 
-/// One machine-readable line for `--once`: a JSON object per node.
-pub fn view_json(v: &NodeView, rate: f64) -> String {
+/// The one machine-readable record of a node at poll `poll`: a JSON object,
+/// printed by `--once` and appended to the `--log` sink. `poll` is the last
+/// key.
+pub fn view_json(v: &NodeView, rate: f64, poll: u64) -> String {
     let mut out = String::with_capacity(160);
     let _ = write!(
         out,
@@ -397,35 +399,8 @@ pub fn view_json(v: &NodeView, rate: f64) -> String {
         json::write_f64(&mut out, *score);
         out.push('}');
     }
-    out.push_str("]}");
+    let _ = write!(out, "],\"poll\":{poll}}}");
     out
-}
-
-/// The CSV sink's header line.
-pub fn csv_header() -> &'static str {
-    "poll,node,up,round,rounds_total,rounds_per_s,p50_ms,p99_ms,queue,drops,shard_lo,shard_hi,\
-     top_suspect,top_score"
-}
-
-/// One CSV line per node per poll (the sink `expfig watch` appends to).
-pub fn csv_line(poll: u64, v: &NodeView, rate: f64) -> String {
-    let (top_suspect, top_score) = v
-        .suspects
-        .first()
-        .map_or((-1i64, 0.0), |&(p, s)| (i64::from(p), s));
-    format!(
-        "{poll},{},{},{},{},{rate},{},{},{},{},{},{},{top_suspect},{top_score}",
-        v.node,
-        v.up,
-        v.round,
-        v.rounds_total,
-        v.p50_ms,
-        v.p99_ms,
-        v.queue,
-        v.drops,
-        v.shard_lo,
-        v.shard_hi
-    )
 }
 
 /// One `watch --once` pass over a spec text: scrape every node once and
@@ -443,7 +418,7 @@ pub fn watch_once(spec_text: &str, timeout: Duration) -> Result<String, String> 
     let views = poll(&spec, timeout);
     Ok(views
         .iter()
-        .map(|v| view_json(v, 0.0))
+        .map(|v| view_json(v, 0.0, 0))
         .collect::<Vec<_>>()
         .join("\n"))
 }
@@ -533,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn rates_tables_json_and_csv_render() {
+    fn rates_tables_and_json_records_render() {
         let healthz = "{\"ok\":true,\"node\":1,\"round\":8}";
         let metrics = "garfield_rounds_total 8\ngarfield_peer_suspicion{peer=\"4\"} 5.25\n";
         let v = view(1, Some(healthz), Some(metrics));
@@ -550,19 +525,18 @@ mod tests {
         assert!(table.contains("top suspicion"));
         assert!(table.contains("4:5.25"), "{table}");
 
-        let line = view_json(&v, 1.0);
+        let line = view_json(&v, 1.0, 7);
         assert!(line.starts_with("{\"node\":1,\"up\":true,\"round\":8"));
         assert!(line.contains("\"suspects\":[{\"peer\":4,\"score\":5.25}]"));
+        assert!(line.ends_with(",\"poll\":7}"), "{line}");
         let doc = json::parse(&line).expect("valid JSON");
         assert_eq!(doc.get("rounds_per_s").and_then(Value::as_f64), Some(1.0));
-
-        assert!(csv_header().starts_with("poll,node"));
-        let csv = csv_line(7, &v, 1.0);
-        assert!(csv.starts_with("7,1,true,8,8,1,"), "{csv}");
-        assert!(csv.ends_with(",4,5.25"), "{csv}");
-        // No suspicion yet: the suspect columns hold sentinels.
-        let empty = view(2, None, None);
-        assert!(csv_line(0, &empty, 0.0).ends_with(",-1,0"));
+        assert_eq!(doc.get("rounds_total").and_then(Value::as_f64), Some(8.0));
+        assert_eq!(doc.get("poll").and_then(Value::as_usize), Some(7));
+        // No suspicion yet: an empty suspect list, still valid JSON.
+        let empty = view_json(&view(2, None, None), 0.0, 0);
+        assert!(empty.ends_with(",\"suspects\":[],\"poll\":0}"), "{empty}");
+        json::parse(&empty).expect("valid JSON");
     }
 
     #[test]
@@ -581,14 +555,8 @@ mod tests {
         let table = render_table(std::slice::from_ref(&v), &[0.0]);
         assert!(table.contains("shard"), "{table}");
         assert!(table.contains("7..11"), "{table}");
-        let line = view_json(&v, 0.0);
+        let line = view_json(&v, 0.0, 0);
         assert!(line.contains("\"shard_lo\":7,\"shard_hi\":11"), "{line}");
-        assert!(csv_header().contains(",shard_lo,shard_hi,"));
-        assert!(
-            csv_line(0, &v, 0.0).contains(",7,11,"),
-            "{}",
-            csv_line(0, &v, 0.0)
-        );
 
         // One shard gauge: a single round, no range arrow.
         let single = view(

@@ -63,8 +63,7 @@ pub use experiment::{ExperimentConfig, SystemKind};
 pub use server::{ByzantineServer, ParameterServer};
 pub use shard::{shard_server, ShardMap, ShardSliceModel, ShardSpec};
 pub use system::{
-    deployed_config, gradient_gar, live_supported, system_names, AggregationCost, MergePhase,
-    SystemPlan, Topology,
+    deployed_config, gradient_gar, live_supported, system_names, MergePhase, SystemPlan, Topology,
 };
 pub use telemetry::{
     AccuracyPoint, IterationTiming, NodeTelemetry, RuntimeTelemetry, TrainingTrace,

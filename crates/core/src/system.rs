@@ -27,15 +27,6 @@ pub enum Topology {
     PeerToPeer,
 }
 
-/// What the cost model charges for one gradient aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregationCost {
-    /// `O(n·d)`: averaging.
-    Linear,
-    /// `O(n²·d)`: the price of a robust rule.
-    Quadratic,
-}
-
 /// The model-merge phase of a round: each replica pulls `quorum` peer models,
 /// aggregates them together with its own and rewrites its state.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +60,6 @@ pub struct SystemPlan {
     pub gradient_f: usize,
     /// Gradient replies a replica waits for.
     pub gradient_quorum: usize,
-    /// What one gradient aggregation is charged.
-    pub gradient_cost: AggregationCost,
     /// The model-merge phase, for the systems whose replicas exchange models.
     pub merge: Option<MergePhase>,
     /// Multiplier on the round's communication time: AggregaThor's older
@@ -98,7 +87,6 @@ impl SystemPlan {
             gradient_gar: config.gradient_gar.clone(),
             gradient_f: fw,
             gradient_quorum: nw,
-            gradient_cost: AggregationCost::Quadratic,
             merge: None,
             communication_factor: 1.0,
         };
@@ -107,7 +95,6 @@ impl SystemPlan {
             SystemKind::Vanilla => SystemPlan {
                 gradient_gar: GarKind::Average,
                 gradient_f: 0,
-                gradient_cost: AggregationCost::Linear,
                 ..ssmw
             },
             // Vanilla on every replica. Each one aggregates every worker's
@@ -162,11 +149,14 @@ impl SystemPlan {
         }
     }
 
-    /// Simulated seconds one replica spends aggregating per round.
+    /// Simulated seconds one replica spends aggregating per round: the
+    /// gradient rule costs `O(n·d)` when it averages and `O(n²·d)`, the price
+    /// of a robust rule, otherwise; each merge is charged `O(n·d)`.
     pub fn aggregation_time(&self, d: usize) -> f64 {
-        let order = match self.gradient_cost {
-            AggregationCost::Linear => 1,
-            AggregationCost::Quadratic => 2,
+        let order = if self.gradient_gar == GarKind::Average {
+            1
+        } else {
+            2
         };
         let merge = self.merge.as_ref().map_or(0.0, |merge| {
             cost::aggregation_time(d, merge.quorum + 1, 1) * merge.cost_weight

@@ -16,20 +16,20 @@
 //!   laid out servers-first (`NodeLayout`): server replica `i` is node `i`,
 //!   worker `j` is node `servers + j`.
 //! * `--config` — an `ExperimentConfig` as JSON (`ExperimentConfig::to_json`).
+//!   A config with `shards > 1` splits the parameter vector across that
+//!   many shard servers (server rank `i` owns shard `i`). It requires a
+//!   single-replica system and a coordinate-decomposable gradient GAR
+//!   (average or median) — enforced by config validation. Each shard server
+//!   writes its *slice* to `--out`; stitching the slices together in rank
+//!   order yields the full model, bit-identical to an unsharded run of the
+//!   same seed at full quorum. Sharded servers reject
+//!   `--checkpoint`/`--resume` (checkpoints hold full-model state).
 //! * `--system` — any system (the usage message lists them, from the system
 //!   plans). The gradient GAR is the config's `gradient_gar`.
 //!   `decentralized` deploys one replica per worker: launch `nw` servers
 //!   and `nw` workers.
 //! * `--gradient-quorum` — override `q`; `n − f` exercises the asynchronous
 //!   liveness condition (the run survives `f` dead workers).
-//! * `--shards` — override the config's `shards`: split the parameter vector
-//!   across that many shard servers (server rank `i` owns shard `i`).
-//!   Requires a single-replica system and a coordinate-decomposable gradient
-//!   GAR (average or median) — enforced by config validation. Each shard server writes its *slice* to `--out`;
-//!   stitching the slices together in rank order yields the full model,
-//!   bit-identical to an unsharded run of the same seed at full quorum.
-//!   Sharded servers reject `--checkpoint`/`--resume` (checkpoints hold
-//!   full-model state).
 //! * `--round-deadline-ms` / `--idle-timeout-ms` — pull deadline (servers)
 //!   and inbox idle backstop (workers).
 //! * `--retry-ms` — how long a server pull waits before re-asking peers
@@ -63,7 +63,8 @@
 //!   `expfig trace <dir>` to merge into a cross-node timeline.
 //!
 //! Exit status: `0` on success, `1` on a runtime/liveness failure, `2` on
-//! bad usage.
+//! bad usage — including any argument that is not one of the flags above
+//! or its value, so a misspelt flag never runs with its default.
 
 use garfield_core::{Checkpoint, CheckpointPolicy, ExperimentConfig, SystemKind};
 use garfield_net::NodeId;
@@ -80,7 +81,6 @@ struct Args {
     cluster: String,
     config: String,
     system: SystemKind,
-    shards: Option<usize>,
     /// `--gradient-quorum`, `--round-deadline-ms`, `--idle-timeout-ms` and
     /// `--retry-ms`, over the in-process defaults.
     options: LiveOptions,
@@ -97,7 +97,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: garfield-node --role <server|worker> --rank <n> --cluster <file> \
          --config <file> --system <one of: {}> \
-         [--gradient-quorum <q>] [--shards <s>] \
+         [--gradient-quorum <q>] \
          [--round-deadline-ms <ms>] [--idle-timeout-ms <ms>] [--retry-ms <ms>] \
          [--delay-ms <ms>] [--checkpoint <dir>] [--checkpoint-every <k>] \
          [--resume <dir>] [--out <file>] [--metrics-addr <host:port>] \
@@ -109,13 +109,16 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let value = |name: &str| -> Option<&str> {
+    // Every flag name a lookup asked for: what `argv` may hold, beside values.
+    let known = std::cell::RefCell::new(Vec::new());
+    let value = |name: &'static str| -> Option<&str> {
+        known.borrow_mut().push(name);
         argv.iter()
             .position(|a| a == name)
             .and_then(|i| argv.get(i + 1))
             .map(String::as_str)
     };
-    let required = |name: &str| -> &str {
+    let required = |name: &'static str| -> &str {
         value(name).unwrap_or_else(|| {
             eprintln!("missing required flag {name}");
             usage();
@@ -127,7 +130,7 @@ fn parse_args() -> Args {
             usage();
         })
     };
-    let millis = |name: &str, default: Duration| -> Duration {
+    let millis = |name: &'static str, default: Duration| -> Duration {
         value(name).map_or(default, |v| Duration::from_millis(parsed(name, v) as u64))
     };
     let defaults = LiveOptions::default();
@@ -136,7 +139,7 @@ fn parse_args() -> Args {
         eprintln!("--role must be 'server' or 'worker', got '{role}'");
         usage();
     }
-    Args {
+    let args = Args {
         rank: parsed("--rank", required("--rank")),
         cluster: required("--cluster").to_string(),
         config: required("--config").to_string(),
@@ -144,7 +147,6 @@ fn parse_args() -> Args {
             eprintln!("{e}");
             usage();
         }),
-        shards: value("--shards").map(|v| parsed("--shards", v)),
         options: LiveOptions {
             gradient_quorum: value("--gradient-quorum").map(|v| parsed("--gradient-quorum", v)),
             round_deadline: millis("--round-deadline-ms", defaults.round_deadline),
@@ -160,7 +162,20 @@ fn parse_args() -> Args {
         metrics_addr: value("--metrics-addr").map(str::to_string),
         flight_dir: value("--flight-dir").map(str::to_string),
         role,
+    };
+    let known = known.into_inner();
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        if !known.contains(&arg.as_str()) {
+            eprintln!("unknown flag {arg}");
+            usage();
+        }
+        if rest.next().is_none() {
+            eprintln!("flag {arg} requires a value");
+            usage();
+        }
     }
+    args
 }
 
 /// What [`setup_obs`] arranged: where to dump the flight recorder at clean
@@ -219,18 +234,13 @@ fn run(args: Args) -> Result<(), String> {
     let system = args.system;
     let config_text =
         std::fs::read_to_string(&args.config).map_err(|e| format!("{}: {e}", args.config))?;
-    let mut config = ExperimentConfig::from_json(&config_text).map_err(|e| e.to_string())?;
-    if let Some(shards) = args.shards {
-        config.shards = shards;
-    }
+    let config = ExperimentConfig::from_json(&config_text).map_err(|e| e.to_string())?;
     if config.shards > 1 && (args.checkpoint.is_some() || args.resume.is_some()) {
         // A checkpoint records full-model training state; shard servers own
         // slices. Refuse loudly instead of resuming into a dimension error.
-        return Err(
-            "parameter-sharded deployments (--shards > 1) do not support \
+        return Err("parameter-sharded deployments (shards > 1) do not support \
              --checkpoint/--resume: checkpoints hold full-model state"
-                .to_string(),
-        );
+            .to_string());
     }
     // Same assembly as the in-process executor: every process builds the
     // full deployment from the shared config (identical shards, initial

@@ -9,7 +9,8 @@
 //! * with `q = n − f`, the deployment survives `f` workers being *killed*
 //!   (`SIGKILL`, not a polite crash message) mid-run;
 //! * decentralized learning, one replica and one worker process per node,
-//!   ends in the in-process run's model bit for bit.
+//!   ends in the in-process run's model bit for bit;
+//! * an argument that is no known flag is a usage error, not a default.
 
 use garfield_aggregation::GarKind;
 use garfield_core::{json, ExperimentConfig, SystemKind};
@@ -290,11 +291,16 @@ fn sharded_tcp_run_with_a_killed_worker_matches_the_unsharded_in_process_run() {
         .unwrap()
         .save(dir.join("cluster.txt"))
         .unwrap();
-    std::fs::write(dir.join("config.json"), cfg.to_json()).unwrap();
+    // The processes deploy the sharded config; the in-process reference
+    // below runs `cfg` itself, unsharded.
+    let sharded = ExperimentConfig {
+        shards,
+        ..cfg.clone()
+    };
+    std::fs::write(dir.join("config.json"), sharded.to_json()).unwrap();
 
     let quorum = (n - f).to_string();
-    let shard_flag = shards.to_string();
-    let common = ["--shards", &shard_flag, "--gradient-quorum", &quorum];
+    let common = ["--gradient-quorum", &quorum];
     let mut workers: Vec<Child> = (0..n)
         .map(|j| spawn_node(&dir, "worker", j, "ssmw", &common))
         .collect();
@@ -363,4 +369,39 @@ fn sharded_tcp_run_with_a_killed_worker_matches_the_unsharded_in_process_run() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error_before_the_config_is_read() {
+    // A misspelt `--checkpoint` must not run without checkpoints, nor a
+    // trailing flag run with its default: both are bad usage (exit 2),
+    // caught before the (missing) config is read, which would exit 1.
+    for (extra, message) in [
+        (
+            &["--checkpont", "/no/such/dir"][..],
+            "unknown flag --checkpont",
+        ),
+        (&["--out"][..], "flag --out requires a value"),
+    ] {
+        let output = Command::new(NODE_BIN)
+            .args([
+                "--role",
+                "server",
+                "--rank",
+                "0",
+                "--cluster",
+                "no-such-cluster.txt",
+                "--config",
+                "no-such-config.json",
+                "--system",
+                "ssmw",
+            ])
+            .args(extra)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run garfield-node");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(message), "{extra:?}: {stderr}");
+    }
 }

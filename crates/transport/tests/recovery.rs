@@ -12,9 +12,11 @@
 //!   resumed run's final model is **bit-identical** to an uninterrupted
 //!   same-seed run.
 
+use garfield_bench::watch::{http_get, parse_exposition};
 use garfield_core::{json, Checkpoint, ExperimentConfig, SystemKind};
 use garfield_runtime::LiveExecutor;
 use garfield_transport::ClusterSpec;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -96,23 +98,48 @@ fn dump_logs(dir: &Path) {
 /// reference run still holds.
 const PACE_MS: u64 = 150;
 
+/// Polls `done` until it yields a value; the deadline only bounds a failure.
+fn poll_until<T>(what: &str, mut done: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        if let Some(value) = done() {
+            return value;
+        }
+        assert!(Instant::now() < deadline, "{what} never happened");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Polls the checkpoint directory until the server has completed at least
 /// `round` rounds (the cadence is every iteration), so a kill lands
 /// provably *mid*-training.
 fn wait_for_checkpoint_round(dir: &Path, round: u64) -> Checkpoint {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if let Ok(Some(cp)) = Checkpoint::load_if_present(dir) {
-            if cp.round >= round {
-                return cp;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "training never reached round {round}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    poll_until(&format!("checkpoint round {round}"), || {
+        Checkpoint::load_if_present(dir)
+            .ok()
+            .flatten()
+            .filter(|cp| cp.round >= round)
+    })
+}
+
+/// Polls the scrape endpoint the server announced in its log
+/// (`--metrics-addr 127.0.0.1:0`) until it has re-asked a silent peer.
+fn wait_for_a_pull_retry(log: &Path) {
+    let addr: SocketAddr = poll_until("the metrics announcement", || {
+        let text = std::fs::read_to_string(log).ok()?;
+        let rest = text.split("metrics on http://").nth(1)?;
+        // The line may still be half-written: wait for its `/metrics`.
+        rest.split_once("/metrics")?.0.trim().parse().ok()
+    });
+    poll_until("a pull retry", || {
+        let body = http_get(addr, "/metrics", Duration::from_secs(5)).ok()?;
+        let retries: f64 = parse_exposition(&body)
+            .iter()
+            .filter(|s| s.name == "garfield_pull_retries_total")
+            .map(|s| s.value)
+            .sum();
+        (retries >= 1.0).then_some(())
+    })
 }
 
 /// The final model of the uninterrupted same-seed in-process run, as exact
@@ -167,22 +194,30 @@ fn sigkilled_worker_respawns_rejoins_and_the_run_stays_bit_identical() {
         .collect();
     // The server checkpoints every round — both the recovery feature under
     // test on the server side and this test's "training is mid-flight now"
-    // signal for timing the kill.
+    // signal for timing the kill. Its scrape endpoint tells when it re-asks.
     let mut server = spawn_node(
         &dir,
         "server",
         0,
-        &["--checkpoint", "ckpt", "--out", "result.json"],
+        &[
+            "--checkpoint",
+            "ckpt",
+            "--out",
+            "result.json",
+            "--metrics-addr",
+            "127.0.0.1:0",
+        ],
     );
 
     // Kill the last worker once training is provably mid-run, hold it down
-    // for two retry intervals (so the server demonstrably re-asks), then
-    // respawn it — the respawn-after-SIGKILL flow, same command line.
+    // until the server has re-asked a silent peer (the full-quorum run
+    // cannot end without the victim), then respawn it — the
+    // respawn-after-SIGKILL flow, same command line.
     wait_for_checkpoint_round(&dir.join("ckpt"), 4);
     let victim = &mut workers[cfg.nw - 1];
     victim.kill().expect("kill worker");
     victim.wait().expect("reap killed worker");
-    std::thread::sleep(Duration::from_millis(700));
+    wait_for_a_pull_retry(&dir.join("server0.log"));
     workers[cfg.nw - 1] = spawn_node(&dir, "worker", cfg.nw - 1, &["--resume", "ckpt"]);
 
     let status = server.wait().expect("server exits");
@@ -255,7 +290,6 @@ fn sigkilled_server_resumes_from_checkpoint_bit_identically() {
     assert!(cp.round < cfg.iterations as u64, "killed too late");
     server.kill().expect("kill server");
     server.wait().expect("reap killed server");
-    std::thread::sleep(Duration::from_millis(300));
     let mut server = spawn_node(&dir, "server", 0, &server_args);
 
     let status = server.wait().expect("resumed server exits");
