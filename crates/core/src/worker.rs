@@ -54,8 +54,15 @@ impl Worker {
         self.batch_size
     }
 
+    /// The replica's parameters: the model of the last gradient computed.
+    pub fn parameters(&self) -> &Tensor {
+        self.replica.parameters()
+    }
+
     /// Computes a gradient estimate at the given model state, using the
-    /// `iteration`-th mini-batch of this worker's shard.
+    /// `iteration`-th mini-batch of this worker's shard: copies `params`
+    /// into the replica (length-checked) and runs
+    /// [`Worker::compute_gradient_with`] there.
     ///
     /// # Errors
     ///
@@ -66,6 +73,24 @@ impl Worker {
         iteration: usize,
     ) -> CoreResult<(f32, Tensor)> {
         self.replica.set_parameters(params)?;
+        self.compute_gradient_with(iteration, |_| {})
+    }
+
+    /// The one compute path: `write` sets the replica's flat parameters in
+    /// place (every value; the slice holds the previous model), then the
+    /// gradient is computed there on the `iteration`-th mini-batch. A
+    /// receiver writes a request's payload straight into the replica this
+    /// way, with no model buffer in between.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Ml`] if the shard cannot produce a batch.
+    pub fn compute_gradient_with(
+        &mut self,
+        iteration: usize,
+        write: impl FnOnce(&mut [f32]),
+    ) -> CoreResult<(f32, Tensor)> {
+        write(self.replica.parameters_mut());
         let batch = self.batch(iteration)?;
         Ok(self.replica.gradient(&batch))
     }
@@ -139,6 +164,20 @@ impl ByzantineWorker {
         iteration: usize,
     ) -> CoreResult<(f32, Tensor)> {
         self.inner.compute_gradient(params, iteration)
+    }
+
+    /// [`ByzantineWorker::honest_compute`] at the model `write` puts into the
+    /// replica (see [`Worker::compute_gradient_with`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Ml`] if the shard cannot produce a batch.
+    pub fn honest_compute_with(
+        &mut self,
+        iteration: usize,
+        write: impl FnOnce(&mut [f32]),
+    ) -> CoreResult<(f32, Tensor)> {
+        self.inner.compute_gradient_with(iteration, write)
     }
 
     /// The vector this worker actually sends, given its honest gradient and

@@ -144,33 +144,42 @@ impl DenseLayer {
     }
 
     /// Backward pass at the layer's parameters `params`: given the gradient
-    /// of the loss w.r.t. this layer's activated output, computes
-    /// `(grad_weights, grad_bias, grad_input)`. `grad_input` is computed only
-    /// when `input_grad` asks for it: a network's first layer has no upstream
-    /// layer to pass it to.
+    /// of the loss w.r.t. this layer's activated output, writes the layer's
+    /// parameter gradient into `grad`, laid out like `params` — `inputᵀ ·
+    /// dpre` into the weight part and the sum of `dpre`'s rows (in
+    /// [`Tensor::sum_rows`]' order) into the bias part, every value
+    /// overwritten — and returns the gradient w.r.t. the layer's input. That
+    /// is computed only when `input_grad` asks for it: a network's first
+    /// layer has no upstream layer to pass it to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` or `grad` does not hold
+    /// [`DenseLayer::num_parameters`] values.
     pub fn backward(
         &self,
         params: &[f32],
         cache: &DenseCache<'_>,
         upstream: &Tensor,
+        grad: &mut [f32],
         input_grad: bool,
-    ) -> (Tensor, Tensor, Option<Tensor>) {
+    ) -> Option<Tensor> {
         // d pre-activation
         let dpre = self.activation.backward(&cache.pre_activation, upstream);
-        let grad_weights = cache
+        let (grad_weights, grad_bias) = self.split_mut(grad);
+        cache
             .input
-            .matmul_tn(&dpre)
+            .matmul_tn(&dpre, grad_weights)
             .expect("dims agree by construction");
-        let grad_bias = dpre.sum_rows().expect("dpre is a matrix");
-        let grad_input = input_grad.then(|| {
+        dpre.sum_rows_into(grad_bias).expect("dpre is a matrix");
+        input_grad.then(|| {
             let (weights, _) = self.split(params);
             let shape = Shape::matrix(self.input_dim, self.output_dim);
             let weights =
                 Tensor::from_vec(weights.to_vec(), shape).expect("split checked the length");
             dpre.matmul(&weights.transpose().expect("weights are a matrix"))
                 .expect("dims agree by construction")
-        });
-        (grad_weights, grad_bias, grad_input)
+        })
     }
 
     /// Splits the layer's parameters into its weights and its bias.
@@ -181,6 +190,17 @@ impl DenseLayer {
             "a dense layer's parameter slice"
         );
         params.split_at(self.input_dim * self.output_dim)
+    }
+
+    /// [`DenseLayer::split`] of a writable slice laid out like the
+    /// parameters (a gradient).
+    fn split_mut<'g>(&self, grad: &'g mut [f32]) -> (&'g mut [f32], &'g mut [f32]) {
+        assert_eq!(
+            grad.len(),
+            self.num_parameters(),
+            "a dense layer's gradient slice"
+        );
+        grad.split_at_mut(self.input_dim * self.output_dim)
     }
 }
 
@@ -240,16 +260,20 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], Shape::matrix(2, 3)).unwrap();
         let (_, cache) = layer.forward(&params, &x).unwrap();
         let upstream = Tensor::ones(Shape::matrix(2, 2));
-        let (gw, gb, gx) = layer.backward(&params, &cache, &upstream, true);
+        // Stale values in the buffer must all be overwritten.
+        let mut grad = vec![f32::NAN; layer.num_parameters()];
+        let gx = layer.backward(&params, &cache, &upstream, &mut grad, true);
+        let (gw, gb) = grad.split_at(3 * 2);
         // grad bias = column sums of upstream = [2, 2]
-        assert_eq!(gb.data(), &[2.0, 2.0]);
+        assert_eq!(gb, &[2.0, 2.0]);
         // grad weights = X^T * upstream
         let expected_gw = x.transpose().unwrap().matmul(&upstream).unwrap();
-        assert_eq!(gw, expected_gw);
+        assert_eq!(gw, expected_gw.data());
         assert_eq!(gx.expect("requested").shape().dims(), &[2, 3]);
+        let mut again = vec![0.0; layer.num_parameters()];
         assert!(layer
-            .backward(&params, &cache, &upstream, false)
-            .2
+            .backward(&params, &cache, &upstream, &mut again, false)
             .is_none());
+        assert_eq!(again, grad);
     }
 }

@@ -221,10 +221,7 @@ fn backprop(
         let (loss, upstream) = backprop(rest, rest_params, rest_grad, &out, labels, true);
         (loss, upstream.expect("requested above"))
     };
-    let (gw, gb, gx) = layer.backward(own, &cache, &upstream, input_grad);
-    let (grad_weights, grad_bias) = own_grad.split_at_mut(gw.len());
-    grad_weights.copy_from_slice(gw.data());
-    grad_bias.copy_from_slice(gb.data());
+    let gx = layer.backward(own, &cache, &upstream, own_grad, input_grad);
     (loss, gx)
 }
 

@@ -346,8 +346,9 @@ impl WireMessage {
     /// paths whose values live elsewhere (a cached gradient, a slice of one).
     /// `shard` is the `(shard, coord_offset, coord_len)` triple, `(0, 0, 0)`
     /// for a full vector; a non-zero `coord_len` must equal `values.len()`,
-    /// as [`WireMessage::with_shard`] requires. The payload is copied once,
-    /// into the returned buffer.
+    /// as [`WireMessage::with_shard`] requires. The payload is written once,
+    /// in one pass that appends each value's little-endian bytes to the
+    /// header: no zero-fill before it.
     ///
     /// # Panics
     ///
@@ -377,10 +378,7 @@ impl WireMessage {
         buf.extend_from_slice(&0u64.to_le_bytes()); // seq (stamped on send)
         buf.extend_from_slice(&0u64.to_le_bytes()); // sent_unix_us (stamped on send)
         buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
-        buf.resize(len, 0);
-        for (dst, v) in buf[WIRE_HEADER_BYTES..].chunks_exact_mut(4).zip(values) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
+        buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
         buf
     }
 
@@ -530,12 +528,24 @@ impl WireMessage {
         values.clear();
         let header = WireMessage::peek(buf)?;
         values.reserve(header.payload_len);
-        values.extend(
-            buf[WIRE_HEADER_BYTES..]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("exact 4-byte chunks"))),
-        );
+        values.extend(WireMessage::payload_values(buf));
         Ok(header)
+    }
+
+    /// The payload of a frame that [`WireMessage::peek`] accepted, as `f32`s:
+    /// each value is four little-endian bytes read with
+    /// [`f32::from_le_bytes`], so every bit (NaN payloads, `-0.0`) is kept.
+    /// The one byte-to-value conversion: [`WireMessage::decode_into`]
+    /// collects it into a buffer, and a receiver that owns the destination
+    /// already (a worker's model replica) writes it there directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is shorter than [`WIRE_HEADER_BYTES`].
+    pub fn payload_values(frame: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
+        frame[WIRE_HEADER_BYTES..]
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("exact 4-byte chunks")))
     }
 }
 

@@ -181,6 +181,35 @@ proptest! {
     }
 
     #[test]
+    fn encode_parts_writes_one_le_word_per_value_after_the_header(
+        kind_sel in 0u8..6,
+        round in 0u64..u64::MAX,
+        words in prop::collection::vec(0u32..=u32::MAX, 0..96),
+        sharded_sel in 0u8..2,
+    ) {
+        // Any bit pattern, NaN payloads included, as the payload.
+        let values: Vec<f32> = words.iter().map(|&w| f32::from_bits(w)).collect();
+        let len = values.len() as u32;
+        let sharded = sharded_sel == 1;
+        let shard = if sharded { (3, 17, len) } else { (0, 0, 0) };
+        let kind = kind_from_selector(kind_sel);
+        let got = WireMessage::encode_parts(kind, round, 0.5, shard, &values);
+        // The previous encoder: zero-fill the payload, then copy each value's
+        // little-endian bytes into its 4-byte chunk.
+        let mut want = WireMessage::encode_parts(kind, round, 0.5, shard, &[]);
+        want.truncate(WIRE_HEADER_BYTES);
+        want[44..48].copy_from_slice(&len.to_le_bytes());
+        if sharded {
+            want[20..24].copy_from_slice(&len.to_le_bytes());
+        }
+        want.resize(WIRE_HEADER_BYTES + 4 * values.len(), 0);
+        for (dst, v) in want[WIRE_HEADER_BYTES..].chunks_exact_mut(4).zip(&values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
     fn stamping_trace_fields_never_perturbs_the_logical_message(
         kind_sel in 0u8..6,
         round in 0u64..u64::MAX,

@@ -254,8 +254,8 @@ impl WorkerActor {
     /// prolonged silence. Returns the node's network counters.
     pub fn run(mut self) -> NodeTelemetry {
         flight::set_thread_node(self.link.transport.local_id().0);
-        // One payload buffer, reused for every decoded request: steady-state
-        // serving allocates nothing on the receive path.
+        // One payload buffer, reused for every decoded shard slice. A
+        // full-vector request is decoded straight into the replica.
         let mut values: Vec<f32> = Vec::new();
         // Exits on shutdown/crash, or when the inbox stays silent past the
         // idle timeout (transport gone or run abandoned).
@@ -297,7 +297,7 @@ impl WorkerActor {
                             self.serve_shard_slice(envelope.from, &header, &values);
                         }
                     } else {
-                        self.serve_full(envelope.from, header.round, envelope.payload, &mut values);
+                        self.serve_full(envelope.from, header.round, envelope.payload);
                     }
                 }
                 _ => {} // server-to-server traffic never addresses a worker
@@ -370,13 +370,14 @@ impl WorkerActor {
         }
         let (_, slots) = self.pending_slices.remove(pos);
         // Every slot holds its own shard's range, so together they tile
-        // `[0, d)` exactly.
-        let mut params = vec![0.0f32; self.node.dimension];
-        for slot in &slots {
-            let (_, off, vals) = slot.as_ref().expect("all slots filled");
-            params[*off..*off + vals.len()].copy_from_slice(vals);
-        }
-        let Some((loss, honest)) = self.honest_gradient(&mut params, round) else {
+        // `[0, d)` exactly: each is copied into the replica once.
+        let assemble = |own: &mut [f32]| {
+            for slot in &slots {
+                let (_, off, vals) = slot.as_ref().expect("all slots filled");
+                own[*off..*off + vals.len()].copy_from_slice(vals);
+            }
+        };
+        let Some((loss, honest)) = self.compute(round, assemble) else {
             return;
         };
         let sent = self.corrupted(&honest).unwrap_or(honest);
@@ -403,16 +404,13 @@ impl WorkerActor {
     /// stamps differ per sender — and byte for byte: a hash could be
     /// collided by a Byzantine server, and f32 `==` would equate `0.0` with
     /// `-0.0` and never a NaN with itself. Only a miss decodes the request,
-    /// into `params`. A Byzantine worker still corrupts once per request.
-    /// A request of the wrong dimension is dropped before the memo is
+    /// straight into the replica's parameters with
+    /// [`WireMessage::payload_values`] (the conversion `decode_into` uses,
+    /// so the bits are the same): the model is written once, with no buffer
+    /// in between. A Byzantine worker still corrupts once per request. A
+    /// request of the wrong dimension is dropped before the memo is
     /// touched, so no node can evict it with one.
-    fn serve_full(
-        &mut self,
-        from: NodeId,
-        round: u64,
-        request: bytes::Bytes,
-        params: &mut Vec<f32>,
-    ) {
+    fn serve_full(&mut self, from: NodeId, round: u64, request: bytes::Bytes) {
         if request.len() != WIRE_HEADER_BYTES + 4 * self.node.dimension {
             return;
         }
@@ -426,10 +424,14 @@ impl WorkerActor {
             }
             stale => {
                 drop(stale); // never hold two gradients at once
-                if WireMessage::decode_into(&request, params).is_err() {
-                    return;
-                }
-                let Some((loss, honest)) = self.honest_gradient(params, round) else {
+                let decode = |own: &mut [f32]| {
+                    // The length check above makes the payload exactly
+                    // `dimension` values, the replica's length (`compute`).
+                    for (dst, v) in own.iter_mut().zip(WireMessage::payload_values(&request)) {
+                        *dst = v;
+                    }
+                };
+                let Some((loss, honest)) = self.compute(round, decode) else {
                     return;
                 };
                 (round, request, loss, honest)
@@ -444,17 +446,23 @@ impl WorkerActor {
         self.link.send(&[from], round, reply);
     }
 
-    /// The one compute step of both request shapes: the honest gradient at
-    /// `params` on the `round`-th mini-batch. `None` is a malformed request
-    /// (wrong dimension): dropped. The compute borrows `params` as a tensor
-    /// that owns its buffer, which goes back into `params` afterwards: the
-    /// decoded model is not copied again.
-    fn honest_gradient(&mut self, params: &mut Vec<f32>, round: u64) -> Option<(f32, Tensor)> {
+    /// The one compute step of both request shapes: `write` puts the
+    /// requested model into the replica, then the honest gradient is
+    /// computed there on the `round`-th mini-batch (timed as the compute
+    /// phase, the write included). `write` fills `dimension` values, so
+    /// `None` when the replica holds another number (a node built with the
+    /// wrong `dimension`: no gradient at a half-written model) or when the
+    /// shard yields no batch: the request is dropped.
+    fn compute(&mut self, round: u64, write: impl FnOnce(&mut [f32])) -> Option<(f32, Tensor)> {
+        if self.node.worker.honest().parameters().len() != self.node.dimension {
+            return None;
+        }
         let compute_span = garfield_obs::span_start();
-        let model = Tensor::from(std::mem::take(params));
-        let computed = self.node.worker.honest_compute(&model, round as usize);
-        *params = model.into_vec();
-        let computed = computed.ok()?;
+        let computed = self
+            .node
+            .worker
+            .honest_compute_with(round as usize, write)
+            .ok()?;
         garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
         Some(computed)
     }
@@ -1510,6 +1518,76 @@ mod tests {
         assert_eq!(got(&replies[0]), fresh(&a));
         assert_eq!(got(&replies[1]), fresh(&b));
         assert_eq!(got(&replies[2]), got(&replies[1]));
+    }
+
+    #[test]
+    fn a_request_is_decoded_into_the_replica_bit_for_bit() {
+        let mut params = sharded_nodes(1).servers[0]
+            .server
+            .honest()
+            .parameters()
+            .into_vec();
+        // NaNs with payload bits (quiet and signalling, both signs), -0.0
+        // and both infinities: each must reach the replica unchanged.
+        let hostile = [0x7fc0_1234, 0xffc0_0001, 0x7f80_0001, 0x8000_0000]
+            .map(f32::from_bits)
+            .into_iter()
+            .chain([f32::INFINITY, f32::NEG_INFINITY]);
+        for (slot, v) in params.iter_mut().step_by(7).zip(hostile.cycle()) {
+            *slot = v;
+        }
+        let mut request =
+            WireMessage::encode_parts(MsgKind::GradientRequest, 0, 0.0, (0, 0, 0), &params);
+        garfield_net::stamp_trace(&mut request, 0, 1, 1);
+        let mut decoded = Vec::new();
+        WireMessage::decode_into(&request, &mut decoded).unwrap();
+        let decoded = Tensor::from(decoded);
+        let mut reference = sharded_nodes(1).workers.remove(0).worker;
+        let (loss, grad) = reference.honest_compute(&decoded, 0).unwrap();
+
+        let router = Router::new();
+        let server = RouterTransport::connect(&router, NodeId(0)).unwrap();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(2)).unwrap());
+        let mut actor = WorkerActor::new(sharded_nodes(1).workers.remove(0), transport);
+        actor.serve_full(NodeId(0), 0, request.into());
+        let reply =
+            WireMessage::decode(&server.recv_timeout(Duration::from_secs(1)).unwrap().payload)
+                .unwrap();
+        assert_eq!(
+            (reply.aux.to_bits(), bits(&reply.values)),
+            (loss.to_bits(), bits(grad.data()))
+        );
+        let replica = actor.node.worker.honest().parameters();
+        assert_eq!(bits(replica.data()), bits(decoded.data()));
+        assert_eq!(bits(replica.data()), bits(&params));
+        assert_eq!(
+            bits(reference.honest().parameters().data()),
+            bits(decoded.data())
+        );
+    }
+
+    #[test]
+    fn a_node_whose_dimension_disagrees_with_its_replica_drops_requests() {
+        // A `dimension` one longer than the replica: the request passes the
+        // frame-length check but must not be half-written into the model.
+        let mut params = sharded_nodes(1).servers[0]
+            .server
+            .honest()
+            .parameters()
+            .into_vec();
+        params.push(1.0);
+        let request =
+            WireMessage::encode_parts(MsgKind::GradientRequest, 0, 0.0, (0, 0, 0), &params);
+        let router = Router::new();
+        let server = RouterTransport::connect(&router, NodeId(0)).unwrap();
+        let transport = Box::new(RouterTransport::connect(&router, NodeId(2)).unwrap());
+        let mut node = sharded_nodes(1).workers.remove(0);
+        let before = bits(node.worker.honest().parameters().data());
+        node.dimension += 1;
+        let mut actor = WorkerActor::new(node, transport);
+        actor.serve_full(NodeId(0), 0, request.into());
+        assert!(server.recv_timeout(Duration::from_millis(100)).is_err());
+        assert_eq!(bits(actor.node.worker.honest().parameters().data()), before);
     }
 
     #[test]

@@ -158,6 +158,15 @@ fn a_stranger_flooding_well_formed_replies_never_enters_a_quorum() {
     stop.store(true, Ordering::SeqCst);
     flood.join().unwrap();
 
+    // The flood reached the server (the router counts every sender), so
+    // the asserts below show admission dropped it, not that it never came.
+    let landed = run
+        .telemetry
+        .peers
+        .iter()
+        .find(|p| p.peer == NodeId(99))
+        .map_or(0, |p| p.messages_received);
+    assert!(landed > 0, "no stranger frame reached the server");
     assert_eq!(run.trace.len(), ITERATIONS);
     assert_eq!(bits(&run.final_model), bits(&reference.final_models[0]));
     let scored: Vec<u32> = run.suspicion.iter().map(|peer| peer.peer).collect();

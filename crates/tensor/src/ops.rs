@@ -171,7 +171,7 @@ impl Tensor {
     /// [`TensorError::MatmulMismatch`] when inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> TensorResult<Tensor> {
         let (rows, cols) = other.matrix_dims()?;
-        matmul_kernel(self, false, other.data(), rows, cols)
+        matmul_new(self, other.data(), rows, cols)
     }
 
     /// [`Tensor::matmul`] with the right operand borrowed: `b` holds a
@@ -185,20 +185,32 @@ impl Tensor {
     /// [`TensorError::MatmulMismatch`] when `rows` is not `self`'s column
     /// count.
     pub fn matmul_slice(&self, b: &[f32], rows: usize, cols: usize) -> TensorResult<Tensor> {
-        matmul_kernel(self, false, b, rows, cols)
+        matmul_new(self, b, rows, cols)
     }
 
-    /// Transposed-left matrix multiplication `selfᵀ (r x k) * other (k x c)
-    /// -> (r x c)` for `self` stored as `(k x r)`, without materialising the
-    /// transpose. Bit-identical to `self.transpose()?.matmul(other)`.
+    /// Transposed-left matrix multiplication `selfᵀ (r x k) * other (k x c)`
+    /// for `self` stored as `(k x r)`, without materialising the transpose,
+    /// written into a caller's buffer: `out` receives the `(r x c)` product
+    /// in row-major order, every element overwritten. Bit-identical to
+    /// `self.transpose()?.matmul(other)`; a back-propagation pass writes a
+    /// weight gradient straight into its slice of a flat gradient this way.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::NotAMatrix`] for non rank-2 operands and
-    /// [`TensorError::MatmulMismatch`] when the row counts disagree.
-    pub fn matmul_tn(&self, other: &Tensor) -> TensorResult<Tensor> {
+    /// Returns [`TensorError::NotAMatrix`] for non rank-2 operands,
+    /// [`TensorError::MatmulMismatch`] when the row counts disagree and
+    /// [`TensorError::DataShapeMismatch`] when `out.len() != r * c`.
+    pub fn matmul_tn(&self, other: &Tensor, out: &mut [f32]) -> TensorResult<()> {
         let (rows, cols) = other.matrix_dims()?;
-        matmul_kernel(self, true, other.data(), rows, cols)
+        let (r, k) = product_dims(self, true, other.data(), rows, cols)?;
+        if out.len() != r * cols {
+            return Err(TensorError::DataShapeMismatch {
+                data_len: out.len(),
+                shape_len: r * cols,
+            });
+        }
+        matmul_kernel(self.data(), true, other.data(), (r, k, cols), out);
+        Ok(())
     }
 
     /// Matrix transpose.
@@ -223,15 +235,36 @@ impl Tensor {
     ///
     /// Returns [`TensorError::NotAMatrix`] for non rank-2 tensors.
     pub fn sum_rows(&self) -> TensorResult<Tensor> {
-        let (r, c) = self.matrix_dims()?;
+        let (_, c) = self.matrix_dims()?;
         let mut out = vec![0.0f32; c];
-        for i in 0..r {
-            let row = &self.data()[i * c..(i + 1) * c];
+        self.sum_rows_into(&mut out)?;
+        Ok(Tensor::from(out))
+    }
+
+    /// [`Tensor::sum_rows`] written into a caller's buffer of `cols` values,
+    /// every element overwritten: each starts at `0.0` and adds the rows in
+    /// order, so the bits are the same.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] for non rank-2 tensors and
+    /// [`TensorError::DataShapeMismatch`] when `out.len()` is not `cols`.
+    pub fn sum_rows_into(&self, out: &mut [f32]) -> TensorResult<()> {
+        let (_, c) = self.matrix_dims()?;
+        if out.len() != c {
+            return Err(TensorError::DataShapeMismatch {
+                data_len: out.len(),
+                shape_len: c,
+            });
+        }
+        out.fill(0.0);
+        // `c = 0` leaves no data to sum; `chunks_exact` wants a nonzero size.
+        for row in self.data().chunks_exact(c.max(1)) {
             for (acc, &v) in out.iter_mut().zip(row) {
                 *acc += v;
             }
         }
-        Ok(Tensor::from(out))
+        Ok(())
     }
 }
 
@@ -247,32 +280,15 @@ const MATMUL_BLOCK: usize = 16;
 /// and the broadcast coefficient.
 const MATMUL_ROWS: usize = 6;
 
-/// The one matrix-multiplication kernel: `A (r x k) * b (k x c)` with `A`
-/// the matrix `a`, or its transpose read in place when `transposed`, and `b`
-/// the row-major `(k2 x c)` slice.
-///
-/// Summation-order contract: every output element starts at `0.0` and adds
-/// `A[i][k] * b[k][j]` for `k` ascending, skipping zero `A[i][k]`, with a
-/// separate multiply and add (no fused multiply-add). That is the plain ikj
-/// loop's order, so the blocking below never changes a bit, and `matmul_tn`
-/// equals `transpose` followed by `matmul`.
-///
-/// Output rows go [`MATMUL_ROWS`] at a time; the last rows that do not fill
-/// a group go two at a time, and an odd last row is paired with a row of
-/// zero coefficients whose output is never written.
-///
-/// The zero test runs once per packed `k`: where all of a group's
-/// coefficients for that `k` are nonzero (the common case for a dense input
-/// batch), the update is branch-free; elsewhere each zero is skipped as
-/// before. Both paths add the same products in the same order, so the
-/// contract above holds on either.
-fn matmul_kernel(
+/// Validates the operands of `A (r x k) * b (k2 x c)`, `A` being `a` or,
+/// when `transposed`, its transpose, and returns `(r, k)`.
+fn product_dims(
     a: &Tensor,
     transposed: bool,
     b: &[f32],
     k2: usize,
     c: usize,
-) -> TensorResult<Tensor> {
+) -> TensorResult<(usize, usize)> {
     let (a_rows, a_cols) = a.matrix_dims()?;
     if b.len() != k2 * c {
         return Err(TensorError::DataShapeMismatch {
@@ -291,11 +307,51 @@ fn matmul_kernel(
             right: vec![k2, c],
         });
     }
+    Ok((r, k))
+}
+
+/// `a (r x k) * b (k2 x c)` in a new `(r x c)` tensor.
+fn matmul_new(a: &Tensor, b: &[f32], k2: usize, c: usize) -> TensorResult<Tensor> {
+    let (r, k) = product_dims(a, false, b, k2, c)?;
     let mut out = vec![0.0f32; r * c];
-    // Nothing to accumulate; `c = 0` would also make the row chunks below
-    // zero-sized.
+    matmul_kernel(a.data(), false, b, (r, k, c), &mut out);
+    Tensor::from_vec(out, Shape::matrix(r, c))
+}
+
+/// The one matrix-multiplication kernel: `A (r x k) * b (k x c)` into `out`
+/// (`r x c`, row-major, every element overwritten), with `A` the row-major
+/// `(r x k)` slice `a`, or the transpose of the `(k x r)` slice `a` read in
+/// place when `transposed`, and `b` the row-major `(k x c)` slice. The
+/// callers validate the dimensions ([`product_dims`]).
+///
+/// Summation-order contract: every output element starts at `0.0` and adds
+/// `A[i][k] * b[k][j]` for `k` ascending, skipping zero `A[i][k]`, with a
+/// separate multiply and add (no fused multiply-add). That is the plain ikj
+/// loop's order, so the blocking below never changes a bit, and `matmul_tn`
+/// equals `transpose` followed by `matmul`.
+///
+/// Output rows go [`MATMUL_ROWS`] at a time; the last rows that do not fill
+/// a group go two at a time, and an odd last row is paired with a row of
+/// zero coefficients whose output is never written.
+///
+/// The zero test runs once per packed `k`: where all of a group's
+/// coefficients for that `k` are nonzero (the common case for a dense input
+/// batch), the update is branch-free; elsewhere each zero is skipped as
+/// before. Both paths add the same products in the same order, so the
+/// contract above holds on either.
+fn matmul_kernel(
+    a: &[f32],
+    transposed: bool,
+    b: &[f32],
+    (r, k, c): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), r * c);
+    // Nothing to accumulate: every element is `0.0`. `c = 0` would also make
+    // the row chunks below zero-sized.
     if k == 0 || c == 0 {
-        return Tensor::from_vec(out, Shape::matrix(r, c));
+        out.fill(0.0);
+        return;
     }
     // Full blocks are read from `b` in place; a narrow last block is copied
     // into zero-padded full-width rows first.
@@ -308,7 +364,7 @@ fn matmul_kernel(
         }
     }
     let product = Product {
-        a: a.data(),
+        a,
         transposed,
         r,
         k,
@@ -330,7 +386,6 @@ fn matmul_kernel(
     for (i0, rows) in (grouped..).step_by(2).zip(rest.chunks_mut(2 * c)) {
         product.row_group::<2>(i0, rows, &mut packed, &mut dense);
     }
-    Tensor::from_vec(out, Shape::matrix(r, c))
 }
 
 /// The operands of one [`matmul_kernel`] call.

@@ -5,7 +5,8 @@
 //! `a[i][k] * b[k][j]` for `k` ascending, zero coefficients skipped, each
 //! product rounded before it is added (no fused multiply-add). That is the
 //! plain ikj loop, written out below as the reference; `matmul_slice` must
-//! equal it too, and `matmul_tn` must equal `transpose()` followed by it.
+//! equal it too, and `matmul_tn` must write what `transpose()` followed by
+//! it gives, over whatever its buffer held.
 //! Shapes cover output widths below, at and above the kernel's 16-column
 //! block, every row count through two full 6-row groups plus one, and
 //! zero-sized dimensions. Inputs are half
@@ -85,7 +86,7 @@ fn check(r: usize, k: usize, c: usize, seed: u64) {
 }
 
 /// All three entry points against the reference: `a * b`, the same with `b`
-/// borrowed, and `storedᵀ * b` (`stored` is `k x r`).
+/// borrowed, and `storedᵀ * b` (`stored` is `k x r`) into a buffer.
 fn check_operands(a: &Tensor, b: &Tensor, stored: &Tensor, what: &str) {
     let (r, k) = a.matrix_dims().unwrap();
     let (_, c) = b.matrix_dims().unwrap();
@@ -99,9 +100,17 @@ fn check_operands(a: &Tensor, b: &Tensor, stored: &Tensor, what: &str) {
     );
 
     let want = reference_matmul(&stored.transpose().unwrap(), b);
-    let got = stored.matmul_tn(b).unwrap();
-    assert_eq!(got.shape().dims(), &[r, c]);
+    let got = Tensor::from_vec(tn(stored, b), Shape::matrix(r, c)).unwrap();
     assert_same(&got, &want, &format!("transposed {shape}"));
+}
+
+/// `storedᵀ * b` through `matmul_tn`, over a buffer of stale NaNs.
+fn tn(stored: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (_, r) = stored.matrix_dims().unwrap();
+    let (_, c) = b.matrix_dims().unwrap();
+    let mut out = vec![f32::from_bits(0x7fc0_beef); r * c];
+    stored.matmul_tn(b, &mut out).unwrap();
+    out
 }
 
 /// A seeded `(rows, cols)` matrix with no zero: finite values of both signs
@@ -230,17 +239,30 @@ fn every_row_group_remainder_follows_the_ikj_order() {
 }
 
 /// A zero-sized `r`, `k` or `c` gives an `r x c` result, all zeros when
-/// `k = 0`, for both entry points.
+/// `k = 0`, for every entry point; into `matmul_tn`'s buffer, `k = 0`
+/// overwrites what it held with `0.0`.
 #[test]
 fn zero_sized_dims_give_the_right_shape() {
     for (r, k, c) in [(0, 3, 5), (4, 0, 5), (4, 3, 0), (0, 0, 0), (7, 0, 21)] {
         check(r, k, c, 11);
         let b = matrix(k, c, 12);
-        for got in [matrix(r, k, 13).matmul(&b), matrix(k, r, 14).matmul_tn(&b)] {
-            let got = got.unwrap();
-            assert_eq!(got.shape().dims(), &[r, c], "{r}x{k} * {k}x{c}");
-            assert!(got.data().iter().all(|&v| v.to_bits() == 0));
-        }
+        let got = matrix(r, k, 13).matmul(&b).unwrap();
+        assert_eq!(got.shape().dims(), &[r, c], "{r}x{k} * {k}x{c}");
+        assert!(got.data().iter().all(|&v| v.to_bits() == 0));
+        let into = tn(&matrix(k, r, 14), &b);
+        assert_eq!(into.len(), r * c, "{r}x{k} * {k}x{c} into a buffer");
+        assert!(into.iter().all(|&v| v.to_bits() == 0));
+    }
+}
+
+/// A row of zero coefficients (all skipped) leaves its output row `0.0` in
+/// `matmul_tn`'s buffer, not the stale value.
+#[test]
+fn matmul_tn_overwrites_rows_of_zero_coefficients() {
+    for (k, r, c) in [(3, 1, 5), (7, 13, 35), (64, 6, 16)] {
+        let stored = Tensor::from_vec(vec![0.0; k * r], Shape::matrix(k, r)).unwrap();
+        let b = matrix(k, c, 21);
+        assert!(tn(&stored, &b).iter().all(|&v| v.to_bits() == 0));
     }
 }
 
@@ -248,7 +270,12 @@ fn zero_sized_dims_give_the_right_shape() {
 fn matmul_tn_rejects_bad_dims() {
     let a = Tensor::from_vec(vec![1.0; 6], Shape::matrix(2, 3)).unwrap();
     let b = Tensor::from_vec(vec![1.0; 6], Shape::matrix(3, 2)).unwrap();
-    assert!(a.matmul_tn(&b).is_err());
-    assert!(Tensor::from_slice(&[1.0, 2.0]).matmul_tn(&b).is_err());
-    assert_eq!(b.matmul_tn(&b).unwrap().shape().dims(), &[2, 2]);
+    assert!(a.matmul_tn(&b, &mut [0.0; 4]).is_err());
+    assert!(Tensor::from_slice(&[1.0, 2.0])
+        .matmul_tn(&b, &mut [0.0; 4])
+        .is_err());
+    for len in [3, 5] {
+        assert!(b.matmul_tn(&b, &mut vec![0.0; len]).is_err());
+    }
+    assert!(b.matmul_tn(&b, &mut [0.0; 4]).is_ok());
 }

@@ -114,7 +114,8 @@ fn discover_metrics_addr(log: &Path, deadline: Duration) -> String {
     while start.elapsed() < deadline {
         let text = std::fs::read_to_string(log).unwrap_or_default();
         if let Some(rest) = text.split("metrics on http://").nth(1) {
-            if let Some(addr) = rest.split("/metrics").next() {
+            // The line may still be half-written: wait for its `/metrics`.
+            if let Some((addr, _)) = rest.split_once("/metrics") {
                 return addr.trim().to_string();
             }
         }
