@@ -112,11 +112,10 @@ impl Attack for LittleIsEnoughAttack {
     }
 
     fn corrupt(&self, honest: &Tensor, peers: &[Tensor], _rng: &mut TensorRng) -> Tensor {
-        // With no peers to estimate the envelope from (the first round, before
-        // any history accumulates), σ degenerates to zero and μ to the honest
-        // gradient itself — the payload would be the honest gradient bit for
-        // bit, i.e. no attack at all. Attack from the start instead: send the
-        // reflected gradient until an envelope estimate exists.
+        // With no peers to estimate the envelope from (a caller that passes
+        // no view), σ degenerates to zero and μ to the honest gradient itself
+        // — the payload would be the honest gradient bit for bit, i.e. no
+        // attack at all. Send the reflected gradient instead.
         if peers.iter().all(|p| p.len() != honest.len()) {
             return honest.scale(-1.0);
         }

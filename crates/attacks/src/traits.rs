@@ -7,9 +7,10 @@ use std::str::FromStr;
 /// A Byzantine behaviour: transforms the vector an honest node would have sent.
 ///
 /// `honest` is the correct gradient or model vector the node computed;
-/// `peers` optionally contains the honest vectors of the colluding Byzantine
-/// group (the omniscient-adversary model used by "a little is enough" and
-/// "fall of empires"); `rng` supplies randomness for stochastic attacks.
+/// `peers` holds the round's honest vectors when the attack reads them
+/// ([`AttackKind::reads_peers`]: the omniscient-adversary model used by "a
+/// little is enough" and "fall of empires") and may be empty otherwise;
+/// `rng` supplies randomness for stochastic attacks.
 pub trait Attack: Send + Sync {
     /// The attack's short name.
     fn name(&self) -> &'static str;
@@ -66,6 +67,12 @@ impl AttackKind {
             AttackKind::LabelFlip => "label-flip",
             AttackKind::PartialDrop => "partial-drop",
         }
+    }
+
+    /// Whether the attack reads the round's honest gradients (its `peers`):
+    /// the collusion attacks, which estimate the honest moments from them.
+    pub fn reads_peers(self) -> bool {
+        matches!(self, AttackKind::LittleIsEnough | AttackKind::FallOfEmpires)
     }
 
     /// Builds the default-parameter implementation of this attack.

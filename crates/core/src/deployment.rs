@@ -104,11 +104,16 @@ impl Deployment {
             } else {
                 None
             };
-            workers.push(ByzantineWorker::new(
-                worker,
-                attack,
-                rng.derive(1_000 + i as u64),
-            ));
+            let stream = rng.derive(1_000 + i as u64);
+            workers.push(ByzantineWorker::new(worker, attack, stream));
+        }
+        // An attacker whose attack reads the round's honest gradients keeps a
+        // copy of every worker to compute them with; no other worker is cloned.
+        if config.worker_attack.is_some_and(|kind| kind.reads_peers()) {
+            let view: Vec<Worker> = workers.iter().map(|w| w.honest().clone()).collect();
+            for attacker in workers.iter_mut().filter(|w| w.is_byzantine()) {
+                attacker.peers = view.clone();
+            }
         }
 
         // Server replicas: identical initial model, identical optimizer.
@@ -123,11 +128,8 @@ impl Deployment {
             } else {
                 None
             };
-            servers.push(ByzantineServer::new(
-                ps,
-                attack,
-                rng.derive(2_000 + s as u64),
-            ));
+            let stream = rng.derive(2_000 + s as u64);
+            servers.push(ByzantineServer::new(ps, attack, stream));
         }
 
         Ok(Deployment {
@@ -177,9 +179,10 @@ impl Deployment {
     /// One `get_gradients(t, q)` round from the point of view of `server_index`.
     ///
     /// Every worker computes a real gradient at the server's current model
-    /// state; Byzantine workers corrupt theirs. Every reply nominally takes
-    /// the same time, so one jitter draw per worker ranks the arrivals and
-    /// the fastest `quorum` replies are returned, in worker order.
+    /// state; Byzantine workers corrupt theirs ([`ByzantineWorker::attack`]).
+    /// Every reply nominally takes the same time, so one jitter draw per
+    /// worker ranks the arrivals and the fastest `quorum` replies are
+    /// returned, in worker order.
     ///
     /// # Errors
     ///
@@ -192,20 +195,12 @@ impl Deployment {
         quorum: usize,
     ) -> CoreResult<GradientRound> {
         let params = self.servers[server_index].honest().parameters();
-
-        // First pass: honest gradients (visible to an omniscient adversary).
-        let mut honest = Vec::with_capacity(self.workers.len());
         let mut losses = Vec::with_capacity(self.workers.len());
+        let mut sent = Vec::with_capacity(self.workers.len());
         for worker in &mut self.workers {
             let (loss, gradient) = worker.honest_compute(&params, iteration)?;
             losses.push(loss);
-            honest.push(gradient);
-        }
-
-        // Second pass: the vectors actually sent, plus their arrival rank.
-        let mut sent = Vec::with_capacity(self.workers.len());
-        for (worker, gradient) in self.workers.iter_mut().zip(&honest) {
-            sent.push(worker.sent_gradient(gradient.clone(), &honest));
+            sent.push(worker.attack(&gradient, iteration).unwrap_or(gradient));
         }
         let gradients = self.fastest(sent, quorum, "workers")?;
         let mean_loss = losses.iter().sum::<f32>() / losses.len() as f32;
@@ -350,6 +345,21 @@ mod tests {
             max > 10.0 * median,
             "expected one amplified outlier, norms {norms:?}"
         );
+    }
+
+    #[test]
+    fn only_an_attacker_whose_attack_reads_peers_copies_the_workers() {
+        for (attack, copies) in [(AttackKind::Reversed, 0), (AttackKind::LittleIsEnough, 1)] {
+            let mut cfg = ExperimentConfig::small();
+            cfg.actual_byzantine_workers = 1;
+            cfg.worker_attack = Some(attack);
+            let d = deployment(cfg);
+            let nw = d.config().nw;
+            let held: Vec<usize> = d.workers.iter().map(|w| w.peers.len()).collect();
+            let mut want = vec![0; nw];
+            want[nw - 1] = copies * nw;
+            assert_eq!(held, want, "{attack}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use garfield_tensor::{Tensor, TensorRng};
 
 /// An honest worker: owns a data shard and a model replica, and computes
 /// gradient estimates on request (the paper's passive `Worker` object, §3.2).
+#[derive(Clone)]
 pub struct Worker {
     index: usize,
     replica: Box<dyn Model>,
@@ -121,16 +122,34 @@ impl std::fmt::Debug for Worker {
 /// [`Worker`]) and, when an [`Attack`] is installed, substitutes the gradient
 /// it sends with the attack's output — mirroring the paper's
 /// `Byzantine Worker` object that derives from `Worker`.
+///
+/// The adversary is omniscient on both substrates: an attacker whose attack
+/// reads the round's honest gradients ([`AttackKind::reads_peers`]) keeps a
+/// copy of every worker of the deployment and recomputes their gradients at
+/// the model it was asked for ([`ByzantineWorker::attack`]). Batches are
+/// indexed by iteration, so that view is exactly the round's honest
+/// gradients, in the sim and on a live node alike.
+///
+/// [`AttackKind::reads_peers`]: garfield_attacks::AttackKind::reads_peers
 pub struct ByzantineWorker {
     inner: Worker,
     attack: Option<Box<dyn Attack>>,
     rng: TensorRng,
+    /// Every worker of the deployment, in index order, when the attack reads
+    /// the round's honest gradients; empty otherwise. Filled by
+    /// [`Deployment::new`](crate::Deployment::new).
+    pub(crate) peers: Vec<Worker>,
 }
 
 impl ByzantineWorker {
     /// Wraps an honest worker with an optional attack.
     pub fn new(inner: Worker, attack: Option<Box<dyn Attack>>, rng: TensorRng) -> Self {
-        ByzantineWorker { inner, attack, rng }
+        ByzantineWorker {
+            inner,
+            attack,
+            rng,
+            peers: Vec::new(),
+        }
     }
 
     /// The worker's index within the deployment.
@@ -149,11 +168,6 @@ impl ByzantineWorker {
     }
 
     /// The honest gradient this worker computes, bypassing any installed attack.
-    ///
-    /// Used by the deployment to build the omniscient adversary's view of the
-    /// round, and by the live runtime to maintain the non-omniscient
-    /// adversary's *self*-history (its own honest trajectory stands in for
-    /// the peer view the collusion attacks estimate moments from).
     ///
     /// # Errors
     ///
@@ -180,20 +194,31 @@ impl ByzantineWorker {
         self.inner.compute_gradient_with(iteration, write)
     }
 
-    /// The vector this worker actually sends, given its honest gradient and
-    /// the gradient view the adversary estimates moments from (the peers'
-    /// honest gradients when omniscient, the worker's own recent honest
-    /// gradients when not).
-    pub fn sent_gradient(&mut self, honest: Tensor, peers: &[Tensor]) -> Tensor {
-        self.corrupted(&honest, peers).unwrap_or(honest)
+    /// What this worker sends instead of `honest`, its gradient of the
+    /// `iteration`-th batch at the model its replica holds; `None` on an
+    /// honest worker, which sends `honest` and does no further work. The
+    /// attack sees every peer's honest gradient at that same model, when it
+    /// reads them, and draws the attack RNG stream once.
+    pub fn attack(&mut self, honest: &Tensor, iteration: usize) -> Option<Tensor> {
+        let attack = self.attack.as_ref()?;
+        let params = self.inner.parameters();
+        let mut view = Vec::with_capacity(self.peers.len());
+        for peer in &mut self.peers {
+            // A peer is a copy of a worker of this deployment: its replica
+            // has this one's shape, and its shard is not empty.
+            let computed = peer.compute_gradient(params, iteration);
+            view.push(computed.expect("a peer computes").1);
+        }
+        Some(attack.corrupt(honest, &view, &mut self.rng))
     }
 
-    /// What this worker sends instead of `honest` (see
-    /// [`ByzantineWorker::sent_gradient`]), read from a borrowed gradient;
-    /// `None` when no attack is installed and the honest vector goes out.
-    pub fn corrupted(&mut self, honest: &Tensor, peers: &[Tensor]) -> Option<Tensor> {
-        let attack = self.attack.as_ref()?;
-        Some(attack.corrupt(honest, peers, &mut self.rng))
+    /// The vector this worker sends, given its honest gradient and the
+    /// gradients `peers` the attack corrupts with.
+    pub fn sent_gradient(&mut self, honest: Tensor, peers: &[Tensor]) -> Tensor {
+        match &self.attack {
+            Some(attack) => attack.corrupt(&honest, peers, &mut self.rng),
+            None => honest,
+        }
     }
 }
 
@@ -222,7 +247,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garfield_attacks::ReversedVectorAttack;
+    use garfield_attacks::{FallOfEmpiresAttack, ReversedVectorAttack};
     use garfield_ml::{DatasetKind, Mlp};
 
     fn setup() -> (Worker, Tensor) {
@@ -292,5 +317,37 @@ mod tests {
         for (s, h) in sent.iter().zip(honest.iter()) {
             assert!((s + 100.0 * h).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn attack_corrupts_with_every_peer_gradient_at_the_replica_model() {
+        let (worker, params) = setup();
+        let mut rng = TensorRng::seed_from(4);
+        let other = Worker::new(
+            1,
+            Box::new(Mlp::tiny(&mut rng)),
+            Dataset::synthetic(DatasetKind::Tiny, 32, &mut rng),
+            8,
+        )
+        .unwrap();
+        let mut peers = vec![worker.clone(), other];
+        let view: Vec<Tensor> = peers
+            .iter_mut()
+            .map(|peer| peer.compute_gradient(&params, 2).unwrap().1)
+            .collect();
+
+        let mut honest = ByzantineWorker::new(worker.clone(), None, TensorRng::seed_from(1));
+        honest.peers = peers.clone();
+        let (_, own) = honest.honest_compute(&params, 2).unwrap();
+        assert!(honest.attack(&own, 2).is_none());
+
+        let attack = Box::new(FallOfEmpiresAttack::default());
+        let mut byz = ByzantineWorker::new(worker, Some(attack), TensorRng::seed_from(1));
+        byz.peers = peers;
+        let (_, own) = byz.honest_compute(&params, 2).unwrap();
+        let want =
+            FallOfEmpiresAttack::default().corrupt(&own, &view, &mut TensorRng::seed_from(1));
+        assert_eq!(byz.attack(&own, 2).unwrap(), want);
+        assert_eq!(byz.sent_gradient(own, &view), want);
     }
 }

@@ -176,15 +176,6 @@ impl Endpoint {
     }
 }
 
-/// How many of its own recent honest gradients a Byzantine worker keeps as
-/// the moment-estimation view for collusion attacks (little-is-enough,
-/// fall-of-empires). The live substrate is non-omniscient — no node ever sees
-/// its peers' private gradients — so the adversary falls back to the
-/// local-estimate variant: its own trajectory stands in for the round's
-/// honest population. A short window keeps the estimate close to the current
-/// round while still giving the attacks a usable spread.
-const ATTACK_HISTORY_ROUNDS: usize = 4;
-
 /// How many sharded rounds a worker keeps in the slice-assembly buffer
 /// before evicting the oldest (guards against shard servers that die
 /// mid-round and leave a round forever incomplete).
@@ -213,10 +204,6 @@ pub(crate) struct WorkerActor {
     /// [`NodeLayout`](crate::node::NodeLayout) convention: only ids below it
     /// may ask this worker for a gradient, and only they may stop it.
     servers: u32,
-    /// Bounded FIFO of this worker's own recent honest gradients — the
-    /// non-omniscient adversary's estimation view (stays empty on honest
-    /// workers). See [`ATTACK_HISTORY_ROUNDS`].
-    attack_history: Vec<Tensor>,
     /// The partition of the model over the shard servers: a sharded request
     /// must carry exactly its shard's coordinate range.
     shard_map: Option<ShardMap>,
@@ -243,7 +230,6 @@ impl WorkerActor {
                 .saturating_sub(node.worker.index() as u32),
             link: Endpoint::new(transport, Role::Worker),
             node,
-            attack_history: Vec::new(),
             pending_slices: Vec::new(),
             sent_cache: Vec::new(),
             memo: None,
@@ -321,11 +307,11 @@ impl WorkerActor {
     /// *slice* (wire header `coord_len != 0`). Slices are buffered until all
     /// `shards` of a round arrived; the full vector is then assembled, the
     /// gradient computed **once** and corrupted **once** — a Byzantine
-    /// worker's RNG trajectory and attack history are bit-identical to the
-    /// unsharded run — and sent back re-sliced, each shard server receiving
-    /// exactly the coordinate range it asked for. Retries of already-served
-    /// rounds re-slice the bounded sent-gradient cache instead of
-    /// recomputing, which would double-draw the attack streams.
+    /// worker's RNG trajectory is bit-identical to the unsharded run — and
+    /// sent back re-sliced, each shard server receiving exactly the
+    /// coordinate range it asked for. Retries of already-served rounds
+    /// re-slice the bounded sent-gradient cache instead of recomputing,
+    /// which would double-draw the attack streams.
     fn serve_shard_slice(&mut self, from: NodeId, header: &WireHeader, slice: &[f32]) {
         let round = header.round;
         let shard = header.shard as usize;
@@ -380,7 +366,8 @@ impl WorkerActor {
         let Some((loss, honest)) = self.compute(round, assemble) else {
             return;
         };
-        let sent = self.corrupted(&honest).unwrap_or(honest);
+        let worker = &mut self.node.worker;
+        let sent = worker.attack(&honest, round as usize).unwrap_or(honest);
         for (k, slot) in slots.iter().enumerate() {
             let (requester, off, vals) = slot.as_ref().expect("all slots filled");
             let triple = (k as u16, *off as u32, vals.len() as u32);
@@ -407,9 +394,10 @@ impl WorkerActor {
     /// straight into the replica's parameters with
     /// [`WireMessage::payload_values`] (the conversion `decode_into` uses,
     /// so the bits are the same): the model is written once, with no buffer
-    /// in between. A Byzantine worker still corrupts once per request. A
-    /// request of the wrong dimension is dropped before the memo is
-    /// touched, so no node can evict it with one.
+    /// in between. A Byzantine worker still corrupts once per request, with
+    /// its peers' gradients at the model in its replica. A request of the
+    /// wrong dimension is dropped before the memo is touched, so no node can
+    /// evict it with one.
     fn serve_full(&mut self, from: NodeId, round: u64, request: bytes::Bytes) {
         if request.len() != WIRE_HEADER_BYTES + 4 * self.node.dimension {
             return;
@@ -438,7 +426,7 @@ impl WorkerActor {
             }
         };
         let (_, _, loss, honest) = &memo;
-        let sent = self.corrupted(honest);
+        let sent = self.node.worker.attack(honest, round as usize);
         let values = sent.as_ref().unwrap_or(honest).data();
         let reply =
             WireMessage::encode_parts(MsgKind::GradientReply, round, *loss, (0, 0, 0), values);
@@ -465,23 +453,6 @@ impl WorkerActor {
             .ok()?;
         garfield_obs::span_end(compute_span, &actor_obs().phase_compute);
         Some(computed)
-    }
-
-    /// The vector a Byzantine worker puts on the wire instead of `honest`:
-    /// the config attack's output; `None` on honest workers, which send
-    /// `honest`. Draws the attack RNG stream and extends the self-history
-    /// exactly once per call — once per unsharded request, once per sharded
-    /// round.
-    fn corrupted(&mut self, honest: &Tensor) -> Option<Tensor> {
-        let sent = self.node.worker.corrupted(honest, &self.attack_history)?;
-        // Remember the honest trajectory *after* corrupting: the history
-        // holds previous requests only, the current honest vector enters the
-        // moment estimate via the attack's own `honest` argument.
-        if self.attack_history.len() >= ATTACK_HISTORY_ROUNDS {
-            self.attack_history.remove(0);
-        }
-        self.attack_history.push(honest.clone());
-        Some(sent)
     }
 }
 

@@ -43,15 +43,14 @@
 //! A Byzantine node is not a fault: as in the sim, it comes from the
 //! experiment config (`actual_byzantine_workers` / `worker_attack`,
 //! `actual_byzantine_servers` / `server_attack`), which installs any
-//! [`garfield_attacks::AttackKind`] on the last workers and replicas. The
-//! live adversary is *non-omniscient*: a Byzantine node corrupts its own
-//! payload without ever seeing its peers' honest vectors. The collusion-based attacks (little-is-enough,
-//! fall-of-empires) therefore run in their *local-estimate* variant: the
-//! attacker estimates the round's gradient moments from a short history of
-//! its own honest gradients — the honest population it belongs to is its
-//! best available proxy for the peers it cannot observe. The sim substrate's
-//! omniscient adversary still feeds those attacks the exact peer view when
-//! you need the paper's worst case.
+//! [`garfield_attacks::AttackKind`] on the last workers and replicas. A
+//! Byzantine worker is the sim's omniscient adversary: when its attack reads
+//! the round's honest gradients (little-is-enough, fall-of-empires), it
+//! recomputes every worker's gradient at the model it was asked for, through
+//! the one path both substrates call,
+//! [`ByzantineWorker::attack`](garfield_core::ByzantineWorker::attack). A
+//! Byzantine replica is not: it serves its corrupted model without seeing
+//! its peers' honest ones, which the sim hands it.
 //!
 //! # Quick example
 //!

@@ -5,10 +5,12 @@
 //! carry the same model bytes and the worker reuses its honest gradient
 //! instead of recomputing it. The reuse must not be observable in the
 //! results: the final-model hashes below were recorded by this same test
-//! body on the commit before workers had a request memo. Byzantine workers
-//! still corrupt once per request (one attack-RNG draw and one
-//! self-history push each), so the `Random` and `LittleIsEnough` cells fail
-//! against a memo that caches the *sent* vector or skips a history push.
+//! body on the commit before workers had a request memo; the
+//! `LittleIsEnough` cell was re-recorded when the live attacker began to
+//! see the round's honest gradients, and equals the sim's model hash for
+//! that config. Byzantine workers still corrupt once per request (one
+//! attack-RNG draw each), so the `Random` cell fails against a memo that
+//! caches the *sent* vector.
 
 use garfield_aggregation::GarKind;
 use garfield_attacks::AttackKind;
@@ -97,7 +99,7 @@ fn msmw_final_models_hold_their_recorded_hashes() {
             "config LittleIsEnough worker",
             config_attack(AttackKind::LittleIsEnough),
             FaultPlan::new(),
-            0xea47_1267_110a_1e6c,
+            0xf302_317f_5e80_3525,
         ),
         (
             "config PartialDrop worker",

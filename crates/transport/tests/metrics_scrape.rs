@@ -19,18 +19,13 @@ use garfield_core::ExperimentConfig;
 use garfield_transport::ClusterSpec;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::Child;
 use std::time::{Duration, Instant};
 
-const NODE_BIN: &str = env!("CARGO_BIN_EXE_garfield-node");
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("garfield-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+#[path = "support/cluster.rs"]
+mod cluster;
+use cluster::{announced_metrics_addr, dump_logs, poll_until, scratch_dir};
 
 /// Per-request delay of the one paced worker (see [`spawn_workers`]).
 const PACE_MS: u64 = 30;
@@ -50,34 +45,17 @@ fn config(nw: usize) -> ExperimentConfig {
     cfg
 }
 
+/// Starts one node that keeps a flight dump in `flight/`.
 fn spawn_node(dir: &Path, role: &str, rank: usize, system: &str, extra: &[&str]) -> Child {
-    let log = std::fs::File::create(dir.join(format!("{role}{rank}.log"))).unwrap();
-    Command::new(NODE_BIN)
-        .current_dir(dir)
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--cluster",
-            "cluster.txt",
-            "--config",
-            "config.json",
-            "--system",
-            system,
-            "--round-deadline-ms",
-            "20000",
-            "--idle-timeout-ms",
-            "30000",
-            "--flight-dir",
-            "flight",
-        ])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(log)
-        .spawn()
-        .expect("spawn garfield-node")
+    let flags = [
+        "--round-deadline-ms",
+        "20000",
+        "--idle-timeout-ms",
+        "30000",
+        "--flight-dir",
+        "flight",
+    ];
+    cluster::spawn_node(dir, role, rank, system, &[&flags[..], extra].concat())
 }
 
 /// Starts every worker; rank 0 (always honest — the deployment marks the
@@ -95,33 +73,15 @@ fn spawn_workers(dir: &Path, nw: usize, system: &str) -> Vec<Child> {
         .collect()
 }
 
-fn dump_logs(dir: &Path) {
-    for entry in std::fs::read_dir(dir).unwrap().flatten() {
-        if entry.path().extension().is_some_and(|e| e == "log") {
-            eprintln!("--- {}", entry.path().display());
-            eprintln!(
-                "{}",
-                std::fs::read_to_string(entry.path()).unwrap_or_default()
-            );
-        }
-    }
-}
-
 /// Waits for the server's stderr announcement (`garfield-node: metrics on
 /// http://ADDR/metrics`) and returns `ADDR`.
 fn discover_metrics_addr(log: &Path, deadline: Duration) -> String {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        let text = std::fs::read_to_string(log).unwrap_or_default();
-        if let Some(rest) = text.split("metrics on http://").nth(1) {
-            // The line may still be half-written: wait for its `/metrics`.
-            if let Some((addr, _)) = rest.split_once("/metrics") {
-                return addr.trim().to_string();
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("server never announced its metrics address");
+    poll_until(
+        "the metrics announcement",
+        deadline,
+        Duration::from_millis(10),
+        || announced_metrics_addr(log),
+    )
 }
 
 /// One HTTP/1.1 GET against the node's scrape endpoint.

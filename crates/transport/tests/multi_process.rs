@@ -16,18 +16,12 @@ use garfield_aggregation::GarKind;
 use garfield_core::{json, ExperimentConfig, SystemKind};
 use garfield_runtime::{FaultPlan, LiveExecutor, LiveOptions};
 use garfield_transport::ClusterSpec;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
-const NODE_BIN: &str = env!("CARGO_BIN_EXE_garfield-node");
-
-/// A scratch directory for one test's spec/config/result files.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("garfield-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+#[path = "support/cluster.rs"]
+mod cluster;
+use cluster::{dump_logs, final_model_bits, scratch_dir, NODE_BIN};
 
 /// The shared experiment: SSMW over Multi-Krum, tiny model, short run.
 fn config(nw: usize) -> ExperimentConfig {
@@ -41,57 +35,11 @@ fn config(nw: usize) -> ExperimentConfig {
     cfg
 }
 
+/// Starts one node with generous deadlines: CI machines stall under load,
+/// and the correctness claims are about quorums, not about speed.
 fn spawn_node(dir: &Path, role: &str, rank: usize, system: &str, extra: &[&str]) -> Child {
-    let log = std::fs::File::create(dir.join(format!("{role}{rank}.log"))).unwrap();
-    Command::new(NODE_BIN)
-        .current_dir(dir)
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--cluster",
-            "cluster.txt",
-            "--config",
-            "config.json",
-            "--system",
-            system,
-            // Generous deadlines: CI machines stall under load, and the
-            // correctness claims are about quorums, not about speed.
-            "--round-deadline-ms",
-            "20000",
-            "--idle-timeout-ms",
-            "30000",
-        ])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(log)
-        .spawn()
-        .expect("spawn garfield-node")
-}
-
-fn dump_logs(dir: &Path) {
-    for entry in std::fs::read_dir(dir).unwrap().flatten() {
-        if entry.path().extension().is_some_and(|e| e == "log") {
-            eprintln!("--- {}", entry.path().display());
-            eprintln!(
-                "{}",
-                std::fs::read_to_string(entry.path()).unwrap_or_default()
-            );
-        }
-    }
-}
-
-/// The final model a server's `--out` document records, as exact `f32` bit
-/// patterns.
-fn final_model_bits(doc: &json::Value) -> Vec<u32> {
-    doc.get("final_model_bits")
-        .and_then(json::Value::as_array)
-        .expect("final_model_bits array")
-        .iter()
-        .map(|v| v.as_usize().expect("u32 bit pattern") as u32)
-        .collect()
+    let deadlines = ["--round-deadline-ms", "20000", "--idle-timeout-ms", "30000"];
+    cluster::spawn_node(dir, role, rank, system, &[&deadlines[..], extra].concat())
 }
 
 #[test]

@@ -17,19 +17,13 @@ use garfield_core::{json, Checkpoint, ExperimentConfig, SystemKind};
 use garfield_runtime::LiveExecutor;
 use garfield_transport::ClusterSpec;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::process::Child;
+use std::time::Duration;
 
-const NODE_BIN: &str = env!("CARGO_BIN_EXE_garfield-node");
-
-/// A scratch directory for one test's spec/config/checkpoint/result files.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("garfield-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+#[path = "support/cluster.rs"]
+mod cluster;
+use cluster::{announced_metrics_addr, dump_logs, final_model_bits, scratch_dir};
 
 /// The shared experiment: SSMW over Multi-Krum, tiny model, with momentum so
 /// the optimizer velocity is real state the checkpoint must carry.
@@ -45,49 +39,19 @@ fn config() -> ExperimentConfig {
     cfg
 }
 
+/// Starts one SSMW node with generous deadlines: CI machines stall under
+/// load, and the claims are about recovery, not speed. The retry interval
+/// is what bounds how long a round waits on the killed node.
 fn spawn_node(dir: &Path, role: &str, rank: usize, extra: &[&str]) -> Child {
-    let log = std::fs::File::create(dir.join(format!("{role}{rank}.log"))).unwrap();
-    Command::new(NODE_BIN)
-        .current_dir(dir)
-        .args([
-            "--role",
-            role,
-            "--rank",
-            &rank.to_string(),
-            "--cluster",
-            "cluster.txt",
-            "--config",
-            "config.json",
-            "--system",
-            "ssmw",
-            // Generous deadlines: CI machines stall under load, and the
-            // claims are about recovery, not speed. The retry interval is
-            // what bounds how long a round waits on the killed node.
-            "--round-deadline-ms",
-            "60000",
-            "--idle-timeout-ms",
-            "120000",
-            "--retry-ms",
-            "300",
-        ])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(log)
-        .spawn()
-        .expect("spawn garfield-node")
-}
-
-fn dump_logs(dir: &Path) {
-    for entry in std::fs::read_dir(dir).unwrap().flatten() {
-        if entry.path().extension().is_some_and(|e| e == "log") {
-            eprintln!("--- {}", entry.path().display());
-            eprintln!(
-                "{}",
-                std::fs::read_to_string(entry.path()).unwrap_or_default()
-            );
-        }
-    }
+    let deadlines = [
+        "--round-deadline-ms",
+        "60000",
+        "--idle-timeout-ms",
+        "120000",
+        "--retry-ms",
+        "300",
+    ];
+    cluster::spawn_node(dir, role, rank, "ssmw", &[&deadlines[..], extra].concat())
 }
 
 /// Milliseconds of straggler delay injected into worker 0: paces every
@@ -98,16 +62,15 @@ fn dump_logs(dir: &Path) {
 /// reference run still holds.
 const PACE_MS: u64 = 150;
 
-/// Polls `done` until it yields a value; the deadline only bounds a failure.
-fn poll_until<T>(what: &str, mut done: impl FnMut() -> Option<T>) -> T {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if let Some(value) = done() {
-            return value;
-        }
-        assert!(Instant::now() < deadline, "{what} never happened");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// Polls `done` every 20 ms until it yields a value; the deadline only
+/// bounds a failure.
+fn poll_until<T>(what: &str, done: impl FnMut() -> Option<T>) -> T {
+    cluster::poll_until(
+        what,
+        Duration::from_secs(120),
+        Duration::from_millis(20),
+        done,
+    )
 }
 
 /// Polls the checkpoint directory until the server has completed at least
@@ -126,10 +89,7 @@ fn wait_for_checkpoint_round(dir: &Path, round: u64) -> Checkpoint {
 /// (`--metrics-addr 127.0.0.1:0`) until it has re-asked a silent peer.
 fn wait_for_a_pull_retry(log: &Path) {
     let addr: SocketAddr = poll_until("the metrics announcement", || {
-        let text = std::fs::read_to_string(log).ok()?;
-        let rest = text.split("metrics on http://").nth(1)?;
-        // The line may still be half-written: wait for its `/metrics`.
-        rest.split_once("/metrics")?.0.trim().parse().ok()
+        announced_metrics_addr(log)?.parse().ok()
     });
     poll_until("a pull retry", || {
         let body = http_get(addr, "/metrics", Duration::from_secs(5)).ok()?;
@@ -158,15 +118,6 @@ fn uninterrupted_bits(cfg: &ExperimentConfig) -> Vec<u32> {
 fn result_doc(dir: &Path) -> json::Value {
     let result = std::fs::read_to_string(dir.join("result.json")).unwrap();
     json::parse(&result).unwrap()
-}
-
-fn model_bits(doc: &json::Value) -> Vec<u32> {
-    doc.get("final_model_bits")
-        .and_then(json::Value::as_array)
-        .expect("final_model_bits array")
-        .iter()
-        .map(|v| v.as_usize().expect("u32 bit pattern") as u32)
-        .collect()
 }
 
 fn field(doc: &json::Value, key: &str) -> usize {
@@ -247,7 +198,7 @@ fn sigkilled_worker_respawns_rejoins_and_the_run_stays_bit_identical() {
     // And the rejoined replies are the *same bits* an uninterrupted worker
     // would have sent: the final model matches the in-process run exactly.
     assert_eq!(
-        model_bits(&doc),
+        final_model_bits(&doc),
         uninterrupted_bits(&cfg),
         "kill+respawn must not change a single bit of the final model"
     );
@@ -315,7 +266,7 @@ fn sigkilled_server_resumes_from_checkpoint_bit_identically() {
     // ...and lands on the exact bits of the uninterrupted run: model,
     // optimizer step count and momentum velocity all survived the kill.
     assert_eq!(
-        model_bits(&doc),
+        final_model_bits(&doc),
         uninterrupted_bits(&cfg),
         "kill+--resume must reproduce the uninterrupted final model bit for bit"
     );
